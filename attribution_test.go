@@ -62,6 +62,7 @@ func TestContinentalAttributionEndToEnd(t *testing.T) {
 	ctrl, err := dspp.NewDecompController(inst, horizon, dspp.DecompOptions{
 		MaxShardSize: 30,
 		Telemetry:    hub,
+		BypassRatio:  -1, // coordinate even where the cost model would bypass
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -65,6 +65,7 @@ func runContinental(out *os.File, tel *dspp.Telemetry, cfg continentalRun) error
 
 	var policy dspp.Policy
 	var part *dspp.Partition
+	var bypassRatio float64
 	if cfg.decomp {
 		ctrl, err := dspp.NewDecompController(inst, cfg.horizon, dspp.DecompOptions{
 			MaxShardSize:   cfg.shardSize,
@@ -77,6 +78,7 @@ func runContinental(out *os.File, tel *dspp.Telemetry, cfg continentalRun) error
 			return err
 		}
 		part = ctrl.Partition()
+		bypassRatio = ctrl.BypassDecision().Ratio
 		policy = ctrl
 	} else {
 		ctrl, err := dspp.NewController(inst, cfg.horizon, dspp.WithTelemetry(tel))
@@ -108,6 +110,8 @@ func runContinental(out *os.File, tel *dspp.Telemetry, cfg continentalRun) error
 	switch {
 	case part != nil:
 		fmt.Fprintf(out, "decomposition: %s\n\n", part.Stats())
+	case cfg.decomp && bypassRatio > 0:
+		fmt.Fprintf(out, "decomposition: bypassed (cost model: coordination ≈ %.2f× one monolithic solve)\n\n", bypassRatio)
 	case cfg.decomp:
 		fmt.Fprintf(out, "decomposition: bypassed (instance below the decomposition threshold)\n\n")
 	default:

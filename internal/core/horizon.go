@@ -34,13 +34,27 @@ type HorizonInput struct {
 type HorizonWarm struct {
 	y, z                    linalg.Vector
 	pairs, horizon, rowsPer int
+	// hs is the structure whose column layout y follows; nil for a capsule
+	// imported from a checkpoint, whose y keeps the serialized time-major
+	// layout (see WarmState).
+	hs *horizonStruct
 }
 
-// WarmState is the serializable form of a HorizonWarm capsule. The raw
-// iterates round-trip exactly through JSON (Go emits the shortest
-// representation that re-parses to the same float64), so a controller
-// restored from a checkpointed WarmState produces plans bit-identical to
-// the uninterrupted run — the dsppd resume contract.
+// col is the index of pair pi at step t in the capsule's y.
+func (hw *HorizonWarm) col(pi, t int) int {
+	if hw.hs == nil {
+		return t*hw.pairs + pi
+	}
+	return hw.hs.col(pi, t)
+}
+
+// WarmState is the serializable form of a HorizonWarm capsule. Y is
+// time-major — Y[t·pairs + pair] — whatever column order the solver
+// uses, and Z follows the QP's row order. The raw iterates round-trip
+// exactly through JSON (Go emits the shortest representation that
+// re-parses to the same float64), so a controller restored from a
+// checkpointed WarmState produces plans bit-identical to the
+// uninterrupted run — the dsppd resume contract.
 type WarmState struct {
 	Y       []float64 `json:"y"`
 	Z       []float64 `json:"z"`
@@ -50,13 +64,19 @@ type WarmState struct {
 }
 
 // Export copies the capsule into its serializable form (nil for a nil
-// capsule).
+// capsule), permuting y into the time-major layout.
 func (hw *HorizonWarm) Export() *WarmState {
 	if hw == nil {
 		return nil
 	}
+	y := make([]float64, len(hw.y))
+	for t := 0; t < hw.horizon; t++ {
+		for pi := 0; pi < hw.pairs; pi++ {
+			y[t*hw.pairs+pi] = hw.y[hw.col(pi, t)]
+		}
+	}
 	return &WarmState{
-		Y:       append([]float64(nil), hw.y...),
+		Y:       y,
 		Z:       append([]float64(nil), hw.z...),
 		Pairs:   hw.pairs,
 		Horizon: hw.horizon,
@@ -66,7 +86,8 @@ func (hw *HorizonWarm) Export() *WarmState {
 
 // ImportWarm rebuilds a capsule from its serialized form (nil for nil or
 // a state with inconsistent lengths — a corrupt checkpoint degrades to a
-// cold start rather than a bad warm point).
+// cold start rather than a bad warm point). The capsule keeps the
+// time-major layout; the solve it seeds maps it onto its own columns.
 func ImportWarm(ws *WarmState) *HorizonWarm {
 	if ws == nil || len(ws.Y) != ws.Pairs*ws.Horizon || len(ws.Z) != ws.RowsPer*ws.Horizon {
 		return nil
@@ -80,24 +101,26 @@ func ImportWarm(ws *WarmState) *HorizonWarm {
 	}
 }
 
-// shifted produces the QP warm start for a problem with the given layout,
+// shifted produces the QP warm start for a problem with structure hs,
 // advancing the stored solution by shift periods. The stored primal is
 // cumulative, so shifting rebases it on the state reached after the
 // applied controls: y'_t = y_{t+shift} − y_{shift−1}. Periods beyond the
 // old horizon hold the last cumulative level (controls default to zero);
 // dual blocks repeat the last period's, the best available guess for the
-// newly revealed period.
-func (hw *HorizonWarm) shifted(e, w, rowsPerStep, shift int, out *qp.WarmStart) *qp.WarmStart {
+// newly revealed period. A capsule already in hs's layout and not
+// shifted is handed over without copying.
+func (hw *HorizonWarm) shifted(hs *horizonStruct, shift int, out *qp.WarmStart) *qp.WarmStart {
+	e, w, rowsPerStep := len(hs.pairCol), hs.w, hs.rowsPerStep
 	if hw == nil || shift < 0 ||
 		hw.pairs != e || hw.horizon != w || hw.rowsPer != rowsPerStep ||
 		len(hw.y) != e*w || len(hw.z) != rowsPerStep*w {
 		return nil
 	}
-	if shift == 0 {
+	if shift == 0 && hw.hs == hs {
 		out.X, out.Z = hw.y, hw.z
 		return out
 	}
-	x := linalg.NewVector(e * w)
+	x := linalg.NewVector(hs.n)
 	z := linalg.NewVector(rowsPerStep * w)
 	base := shift - 1
 	if base > w-1 {
@@ -109,7 +132,11 @@ func (hw *HorizonWarm) shifted(e, w, rowsPerStep, shift int, out *qp.WarmStart) 
 			src = w - 1
 		}
 		for pi := 0; pi < e; pi++ {
-			x[t*e+pi] = hw.y[src*e+pi] - hw.y[base*e+pi]
+			v := hw.y[hw.col(pi, src)]
+			if shift > 0 {
+				v -= hw.y[hw.col(pi, base)]
+			}
+			x[hs.col(pi, t)] = v
 		}
 		copy(z[t*rowsPerStep:(t+1)*rowsPerStep], hw.z[src*rowsPerStep:(src+1)*rowsPerStep])
 	}
@@ -193,6 +220,18 @@ func (p *Plan) TotalCapacityDualsInto(dst []float64) {
 	}
 }
 
+// DefaultShedPenalty is the default linear cost per unit of shed demand per
+// period in the soft relaxation. It is several orders of magnitude above
+// the realistic per-request serving cost (price × SLA coefficient, ~1e-3),
+// so demand is shed only when the hard constraints genuinely cannot hold.
+const DefaultShedPenalty = 1e3
+
+// softQuadPenalty is the small quadratic term on the shed variables. It
+// keeps the soft QP strictly convex (unique optimum, well-conditioned KKT)
+// without materially changing which demand is shed. It is a fixed constant
+// because it enters the cached quadratic term.
+const softQuadPenalty = 1e-3
+
 // SolveHorizon builds and solves the horizon QP (the DSPP of §IV-D
 // restricted to a window, states substituted out) and reconstructs the
 // trajectory. It is the computational core of Algorithm 1.
@@ -205,24 +244,61 @@ func (in *Instance) SolveHorizon(input HorizonInput, opts qp.Options) (*Plan, er
 // within one iteration of ctx expiring and the returned error wraps
 // ctx.Err().
 func (in *Instance) SolveHorizonCtx(ctx context.Context, input HorizonInput, opts qp.Options) (*Plan, error) {
-	w, err := in.checkHorizonInput(input, true)
+	return in.solveHorizon(ctx, input, opts, false, 0)
+}
+
+// SolveHorizonSoft solves the soft-constrained relaxation of the horizon
+// QP: per (step, location) a slack variable s_t^v ≥ 0 absorbs demand the
+// allocation cannot serve, penalized linearly at shedPenalty (plus a tiny
+// quadratic regularizer). Capacity and nonnegativity stay hard — they are
+// physical — so the relaxation is always feasible: in the worst case the
+// allocation drains to zero and all demand is shed. It is the degradation
+// ladder's second rung: when the hard QP is infeasible (a DC outage or
+// capacity shock leaves less capacity than demand) or numerically stuck,
+// the controller still gets a usable plan plus an explicit report of the
+// demand it had to shed (Plan.Shed).
+//
+// shedPenalty ≤ 0 selects DefaultShedPenalty. The returned plan carries no
+// warm-start capsule (its QP layout differs from the hard solve's), and
+// Plan.Objective includes the shed penalty terms.
+func (in *Instance) SolveHorizonSoft(input HorizonInput, opts qp.Options, shedPenalty float64) (*Plan, error) {
+	return in.SolveHorizonSoftCtx(context.Background(), input, opts, shedPenalty)
+}
+
+// SolveHorizonSoftCtx is SolveHorizonSoft with cooperative cancellation
+// (see SolveHorizonCtx).
+func (in *Instance) SolveHorizonSoftCtx(ctx context.Context, input HorizonInput, opts qp.Options, shedPenalty float64) (*Plan, error) {
+	return in.solveHorizon(ctx, input, opts, true, shedPenalty)
+}
+
+// solveHorizon is the one-shot solve behind SolveHorizonCtx (soft false)
+// and SolveHorizonSoftCtx (soft true): the relaxation is the same QP plus
+// one shed column per (location, step), solved cold.
+func (in *Instance) solveHorizon(ctx context.Context, input HorizonInput, opts qp.Options, soft bool, shedPenalty float64) (*Plan, error) {
+	w, err := in.checkHorizonInput(input, !soft)
 	if err != nil {
 		return nil, err
 	}
-
-	e := len(in.pairs)
-	n := e * w // decision variables: y_t^pair = Σ_{τ≤t} u_τ^pair
+	name := "horizon QP"
+	if soft {
+		name = "soft horizon QP"
+		if shedPenalty <= 0 {
+			shedPenalty = DefaultShedPenalty
+		}
+		if math.IsNaN(shedPenalty) || math.IsInf(shedPenalty, 0) {
+			return nil, fmt.Errorf("shed penalty %g: %w", shedPenalty, ErrBadInput)
+		}
+	}
 
 	// The quadratic term and the constraint matrix depend only on the
 	// instance and the horizon length — not on demand, prices, state, or
 	// capacity values — so they are built once per (instance, W) and
 	// reused across every solve of an MPC or best-response loop.
-	hs, err := in.horizonStructure(w)
+	hs, err := in.horizonStructure(w, soft)
 	if err != nil {
 		return nil, err
 	}
-	rowsPerStep := hs.rowsPerStep
-	m := w * rowsPerStep
+	n, m := hs.n, w*hs.rowsPerStep
 
 	// Cost and right-hand-side vectors come from the structure's pool: they
 	// are dead once the solver returns (results are copied out), and the
@@ -232,11 +308,14 @@ func (in *Instance) SolveHorizonCtx(ctx context.Context, input HorizonInput, opt
 		vecs = &horizonVecs{c: linalg.NewVector(n), h: linalg.NewVector(m)}
 	}
 
-	constCost := in.fillHorizonVectors(hs, input, w, e, vecs.c, vecs.h)
+	constCost := in.fillHorizonVectors(hs, input, shedPenalty, vecs.c, vecs.h)
 
-	vecs.prob = qp.Problem{Q: hs.q, C: vecs.c, G: hs.g, H: vecs.h, KKTBandHint: hs.kktBandHint}
+	vecs.prob = qp.Problem{Q: hs.q, C: vecs.c, G: hs.g, H: vecs.h, Linking: hs.linking}
 	prob := &vecs.prob
-	warm := input.Warm.shifted(e, w, rowsPerStep, input.WarmShift, &vecs.ws)
+	var warm *qp.WarmStart
+	if !soft {
+		warm = input.Warm.shifted(hs, input.WarmShift, &vecs.ws)
+	}
 	res, err := qp.SolveWarmCtx(ctx, prob, opts, warm)
 	coldRestarts := 0
 	if err != nil && warm != nil && errors.Is(err, qp.ErrNumerical) {
@@ -249,31 +328,40 @@ func (in *Instance) SolveHorizonCtx(ctx context.Context, input HorizonInput, opt
 	vecs.ws = qp.WarmStart{} // drop the borrowed warm-start slices
 	hs.vecPool.Put(vecs)
 	if err != nil {
-		if res != nil && errors.Is(err, qp.ErrDeadline) {
+		if res != nil && !soft && errors.Is(err, qp.ErrDeadline) {
 			// Anytime return: the result is the best iterate at the
 			// deadline. Hand back a full plan alongside the error so the
 			// degradation ladder can take the anytime rung; callers that
 			// ignore the plan see exactly the old error contract.
-			plan := in.buildPlan(hs, input, res, w, e, coldRestarts, constCost, nil)
+			plan := in.buildPlan(hs, input, res, coldRestarts, constCost, nil)
 			plan.Anytime = res.Anytime
-			return plan, fmt.Errorf("horizon QP (W=%d, n=%d, m=%d): %w", w, n, m, err)
+			return plan, fmt.Errorf("%s (W=%d, n=%d, m=%d): %w", name, w, n, m, err)
 		}
-		return nil, fmt.Errorf("horizon QP (W=%d, n=%d, m=%d): %w", w, n, m, err)
+		return nil, fmt.Errorf("%s (W=%d, n=%d, m=%d): %w", name, w, n, m, err)
 	}
 
-	return in.buildPlan(hs, input, res, w, e, coldRestarts, constCost, nil), nil
+	return in.buildPlan(hs, input, res, coldRestarts, constCost, nil), nil
 }
 
 // fillHorizonVectors writes the horizon QP's cost and right-hand-side
 // vectors for the given input and returns the constant holding cost of
 // x0. Shared by the one-shot path and HorizonSession, so both solve the
-// bitwise-identical problem.
-func (in *Instance) fillHorizonVectors(hs *horizonStruct, input HorizonInput, w, e int, cVec, hVec linalg.Vector) float64 {
+// bitwise-identical problem. shedPenalty prices the soft structure's
+// shed columns.
+func (in *Instance) fillHorizonVectors(hs *horizonStruct, input HorizonInput, shedPenalty float64, cVec, hVec linalg.Vector) float64 {
+	w := hs.w
 	// Linear term: the holding cost p_t·x_t is simply Prices[t][l] per
 	// cumulative variable (no suffix sums needed in y-space).
 	for pi, pr := range in.pairs {
 		for t := 0; t < w; t++ {
-			cVec[t*e+pi] = input.Prices[t][pr.l]
+			cVec[hs.col(pi, t)] = input.Prices[t][pr.l]
+		}
+	}
+	if hs.soft {
+		for v := 0; v < in.v; v++ {
+			for t := 0; t < w; t++ {
+				cVec[hs.shed(v, t)] = shedPenalty
+			}
 		}
 	}
 	// Sunk holding cost of x0 carried through the horizon (constant).
@@ -285,12 +373,13 @@ func (in *Instance) fillHorizonVectors(hs *horizonStruct, input HorizonInput, w,
 	}
 
 	// Right-hand sides, in the fixed row order of the cached G (per step:
-	// demand, capacity, nonnegativity — see horizonStructure).
+	// demand, capacity, nonnegativity, then shed nonnegativity when soft —
+	// see horizonStructure).
 	row := 0
 	for t := 0; t < w; t++ {
-		// Demand: −Σ_{e∈v} y_t^e / a_e ≤ −D + Σ_{e∈v} x0_e/a_e. The
-		// compressed support lists walk only the feasible pairs instead of
-		// scanning the L×V grid.
+		// Demand: −Σ_{e∈v} y_t^e / a_e (− s_t^v) ≤ −D + Σ_{e∈v} x0_e/a_e.
+		// The compressed support lists walk only the feasible pairs instead
+		// of scanning the L×V grid.
 		for v := 0; v < in.v; v++ {
 			rhs := -input.Demand[t][v]
 			for _, pr := range in.locPairs[v] {
@@ -312,6 +401,13 @@ func (in *Instance) fillHorizonVectors(hs *horizonStruct, input HorizonInput, w,
 		for _, pr := range in.pairs {
 			hVec[row] = input.X0[pr.l][pr.v]
 			row++
+		}
+		// Shed nonnegativity: −s_t^v ≤ 0.
+		if hs.soft {
+			for v := 0; v < in.v; v++ {
+				hVec[row] = 0
+				row++
+			}
 		}
 	}
 	return constCost
@@ -336,15 +432,22 @@ type planArena struct {
 	pw     planPair
 }
 
-// buildPlan reconstructs the trajectory, duals, and warm capsule from a
-// solved horizon QP. With ar == nil every block is freshly allocated (the
+// buildPlan reconstructs the trajectory, duals, and warm capsule (the
+// shed table instead of a capsule for the soft structure) from a solved
+// horizon QP. With ar == nil every block is freshly allocated (the
 // one-shot path); otherwise the arena's buffers are resized and reused.
-func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Result, w, e, coldRestarts int, constCost float64, ar *planArena) *Plan {
-	// The whole plan — 2W states plus the two dual tables — is carved out
-	// of one float backing array and one row-header block, so a plan costs
-	// a fixed handful of allocations instead of O(W·L) small ones.
+func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Result, coldRestarts int, constCost float64, ar *planArena) *Plan {
+	// The whole plan — 2W states plus the dual (and shed) tables — is
+	// carved out of one float backing array and one row-header block, so a
+	// plan costs a fixed handful of allocations instead of O(W·L) small
+	// ones.
+	w := hs.w
 	nf := w * (2*in.l*in.v + in.v + in.l)
 	nr := 2*w*in.l + 2*w
+	if hs.soft {
+		nf += w * in.v
+		nr += w
+	}
 	rowsPerStep := hs.rowsPerStep
 	var floats []float64
 	var rows [][]float64
@@ -387,7 +490,6 @@ func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Res
 		return s
 	}
 
-	pw.warm = HorizonWarm{y: res.X, z: res.IneqDuals, pairs: e, horizon: w, rowsPer: rowsPerStep}
 	plan := &pw.plan
 	*plan = Plan{
 		U:             states[:w:w],
@@ -397,9 +499,15 @@ func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Res
 		DemandDuals:   rows[w : 2*w : 2*w],
 		QPIterations:  res.Iterations,
 		ColdRestarts:  coldRestarts,
-		Warm:          &pw.warm,
 	}
 	rows = rows[2*w:]
+	if hs.soft {
+		plan.Shed = rows[:w:w]
+		rows = rows[w:]
+	} else {
+		pw.warm = HorizonWarm{y: res.X, z: res.IneqDuals, pairs: len(in.pairs), horizon: w, rowsPer: rowsPerStep, hs: hs}
+		plan.Warm = &pw.warm
+	}
 	// Trajectory reconstruction: each state starts as a copy of its
 	// predecessor (X0 itself is only read, never cloned) and only the
 	// feasible pairs — the only entries a control can move — are updated.
@@ -413,9 +521,9 @@ func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Res
 			copy(x[l], prev[l])
 		}
 		for pi, pr := range in.pairs {
-			uv := res.X[t*e+pi]
+			uv := res.X[hs.col(pi, t)]
 			if t > 0 {
-				uv -= res.X[(t-1)*e+pi]
+				uv -= res.X[hs.col(pi, t-1)]
 			}
 			u[pr.l][pr.v] = uv
 			xv := x[pr.l][pr.v] + uv
@@ -429,6 +537,17 @@ func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Res
 		plan.U[t] = u
 		plan.X[t] = x
 		prev = x
+
+		if hs.soft {
+			plan.Shed[t] = takeRow(in.v)
+			for v := 0; v < in.v; v++ {
+				// Clamp the tiny interior-point slack so zero shed reports
+				// as exactly zero.
+				if s := res.X[hs.shed(v, t)]; s > 1e-9 {
+					plan.Shed[t][v] = s
+				}
+			}
+		}
 
 		// Dual extraction follows the fixed row layout: step t's block
 		// starts at t·rowsPerStep with the V demand rows, then one row per
@@ -445,25 +564,50 @@ func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Res
 }
 
 // horizonStruct is the data-independent part of the horizon QP for one
-// horizon length: the quadratic term, the sparse constraint matrix, and
-// the row layout. Q's entries depend only on the reconfiguration weights,
-// G's only on the SLA coefficients and on which DCs are capacitated;
-// demand, prices, the initial state, and the capacity values enter solely
-// through the O(n) cost and right-hand-side vectors rebuilt per solve.
+// horizon length, hard or soft: the column layout, the quadratic term, the
+// sparse constraint matrix, its linking rows, and the row layout. Q's
+// entries depend only on the reconfiguration weights, G's only on the SLA
+// coefficients and on which DCs are capacitated; demand, prices, the
+// initial state, and the capacity values enter solely through the O(n)
+// cost and right-hand-side vectors rebuilt per solve.
 type horizonStruct struct {
-	q *linalg.Matrix
+	w    int
+	soft bool
+	n    int
+	// q is the quadratic term in packed band storage; its bandwidth is the
+	// KKT band of everything but the linking rows.
+	q *linalg.BandMatrix
 	g *linalg.SparseMatrix
+	// linking lists the rows of g kept out of the band factor: the
+	// capacity rows of capacitated DCs that serve more than one location,
+	// the only rows that couple location blocks.
+	linking []int
 	// capacitated lists the DCs with finite capacity, ascending — the
 	// order their rows appear within each step's block.
 	capacitated []int
-	// rowsPerStep = V demand rows + len(capacitated) + E nonnegativity.
+	// rowsPerStep = V demand rows + len(capacitated) + E nonnegativity
+	// (+ V shed nonnegativity when soft).
 	rowsPerStep int
-	// kktBandHint caches qp.KKTBandwidth(q, g)+1, computed once at build:
-	// the solver then skips its O(n²) per-solve bandwidth scan.
-	kktBandHint int
+	// Column layout: pair pi at step t is column pairCol[pi] +
+	// t·pairStride[pi]; when soft, location v's shed at step t is
+	// shedCol[v] + t·shedStride[v].
+	pairCol, pairStride []int
+	shedCol, shedStride []int
 	// vecPool recycles the per-solve cost/rhs vectors (*horizonVecs);
 	// the solver does not retain them past a solve.
 	vecPool sync.Pool
+}
+
+// col is the QP column of pair pi at horizon step t.
+func (hs *horizonStruct) col(pi, t int) int { return hs.pairCol[pi] + t*hs.pairStride[pi] }
+
+// shed is the QP column of location v's shed at step t (soft only).
+func (hs *horizonStruct) shed(v, t int) int { return hs.shedCol[v] + t*hs.shedStride[v] }
+
+// horizonKey names one cached structure.
+type horizonKey struct {
+	w    int
+	soft bool
 }
 
 // horizonVecs is the pooled per-solve working set for one structure: the
@@ -475,54 +619,111 @@ type horizonVecs struct {
 	ws   qp.WarmStart
 }
 
-// horizonStructure returns the cached structure for horizon length w,
-// building it on first use.
+// horizonStructure returns the cached structure for horizon length w
+// (with one shed column per location and step when soft), building it on
+// first use.
 //
 // State-space formulation: the decision variable for (t, pair) is the
 // cumulative control y_t = Σ_{τ≤t} u_τ — the planned state relative to
 // x0 — instead of the raw control u_t. Every constraint on the planned
-// state x_t = x0 + y_t then touches only step t's block of e columns, so
-// G is block diagonal and the KKT matrix H = Q + GᵀDG is banded with
-// half-bandwidth e (Q couples consecutive steps of the same pair):
-// Cholesky factorization drops from O((eW)³) to O(eW·e²) per
-// interior-point iteration, and matrix-vector products run on O(W)
-// nonzero blocks instead of the O(W²) prefix-sum rows of the u-space
-// form. The two formulations are related by an invertible change of
-// variables, so optimum, objective, and constraint duals coincide.
-func (in *Instance) horizonStructure(w int) (*horizonStruct, error) {
+// state x_t = x0 + y_t then touches only step t, and the reconfiguration
+// term couples only consecutive steps of one pair. The two formulations
+// are related by an invertible change of variables, so optimum,
+// objective, and constraint duals coincide.
+//
+// Block-angular layout: the demand rows (eq. 10), the reconfiguration
+// terms and the nonnegativity rows each involve one location, so columns
+// are ordered in location blocks — location v's p_v pairs (plus its shed)
+// over all W steps, time-major inside the block: column
+// blockStart(v) + t·p_v + j. Q and those rows are then block diagonal
+// with half-bandwidth p_v (p_v − 1 at W = 1), a handful at any scale. The
+// only coupling left is the capacity rows of capacitated DCs serving more
+// than one location; they are declared linking rows and the solver
+// handles them through a C·W Schur complement (see qp.Problem). The old
+// time-major order (t·E + pair) made the band as wide as the pair count E.
+// A single-location instance — every Fig 7 provider — has one block, so
+// its column order is exactly the time-major one and it has no linking
+// rows. Row order is per step: demand, capacity, nonnegativity (then shed
+// nonnegativity when soft).
+func (in *Instance) horizonStructure(w int, soft bool) (*horizonStruct, error) {
 	in.qpMu.Lock()
 	defer in.qpMu.Unlock()
-	if hs, ok := in.qpCache[w]; ok {
+	key := horizonKey{w: w, soft: soft}
+	if hs, ok := in.qpCache[key]; ok {
 		return hs, nil
 	}
 
 	e := len(in.pairs)
-	n := e * w
+	hs := &horizonStruct{w: w, soft: soft, pairCol: make([]int, e), pairStride: make([]int, e)}
+	extra := 0
+	if soft {
+		extra = 1
+		hs.shedCol = make([]int, in.v)
+		hs.shedStride = make([]int, in.v)
+	}
+	widest := 0
+	for v := 0; v < in.v; v++ {
+		b := len(in.locPairs[v]) + extra
+		for j, pr := range in.locPairs[v] {
+			hs.pairCol[pr.idx] = hs.n + j
+			hs.pairStride[pr.idx] = b
+		}
+		if soft {
+			hs.shedCol[v] = hs.n + b - 1
+			hs.shedStride[v] = b
+		}
+		hs.n += b * w
+		if b > widest {
+			widest = b
+		}
+	}
+	// Q reaches one block row ahead (step t to t+1); a demand row spans
+	// one block row. A one-step horizon has only the latter.
+	bw := widest - 1
+	if w > 1 {
+		bw = widest
+	}
 
 	// Quadratic term: Σ_t c^l (y_t − y_{t−1})², y_{−1} = 0 — in the
-	// ½ yᵀQy convention a block-tridiagonal Q with diag 4c (2c on the
-	// final step, which no later difference references) and −2c between
-	// consecutive steps of the same pair.
-	qMat := linalg.NewMatrix(n, n)
-	for t := 0; t < w; t++ {
-		for pi, pr := range in.pairs {
-			idx := t*e + pi
-			c2 := 2 * in.reconfig[pr.l]
+	// ½ yᵀQy convention diag 4c (2c on the final step, which no later
+	// difference references) and −2c between consecutive steps of the
+	// same pair; the soft structure adds a small fixed regularizer on the
+	// sheds.
+	qMat := linalg.NewBandMatrix(hs.n, bw)
+	var err error
+	set := func(i, j int, v float64) {
+		if e := qMat.Set(i, j, v); e != nil && err == nil {
+			err = e
+		}
+	}
+	for pi, pr := range in.pairs {
+		c2 := 2 * in.reconfig[pr.l]
+		for t := 0; t < w; t++ {
+			idx := hs.col(pi, t)
 			if t < w-1 {
-				qMat.Set(idx, idx, 2*c2)
-				qMat.Set(idx, idx+e, -c2)
-				qMat.Set(idx+e, idx, -c2)
+				set(idx, idx, 2*c2)
+				set(idx+hs.pairStride[pi], idx, -c2)
 			} else {
-				qMat.Set(idx, idx, c2)
+				set(idx, idx, c2)
 			}
 		}
 	}
+	if soft {
+		for v := 0; v < in.v; v++ {
+			for t := 0; t < w; t++ {
+				idx := hs.shed(v, t)
+				set(idx, idx, 2*softQuadPenalty)
+			}
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("horizon quadratic term: %w", err)
+	}
 
-	// Inequality rows: per horizon step t — demand (V), capacity
-	// (capacitated DCs), nonnegativity (E). Each row constrains only step
-	// t's planned state, i.e. only the e columns of block t: the matrix
-	// is emitted in CSR form directly and KKT assembly inside the solver
-	// runs on nonzeros only instead of O(m·n²).
+	// Inequality rows, per horizon step t: demand (V), capacity
+	// (capacitated DCs), nonnegativity (E), shed nonnegativity (V, soft).
+	// The matrix is emitted in CSR form directly, so KKT assembly inside
+	// the solver runs on nonzeros only.
 	capacitated := make([]int, 0, in.l)
 	capPairs := 0
 	for l := 0; l < in.l; l++ {
@@ -531,24 +732,39 @@ func (in *Instance) horizonStructure(w int) (*horizonStruct, error) {
 			capPairs += len(in.dcPairs[l])
 		}
 	}
-	rowsPerStep := in.v + len(capacitated) + e
-	gb := linalg.NewSparseBuilder(w*rowsPerStep, n, (2*e+capPairs)*w)
+	rowsPerStep := in.v + len(capacitated) + e + extra*in.v
+	gb := linalg.NewSparseBuilder(w*rowsPerStep, hs.n, (2*e+capPairs+2*extra*in.v)*w)
+	row := 0
 	for t := 0; t < w; t++ {
 		for v := 0; v < in.v; v++ {
 			gb.StartRow()
 			for _, pr := range in.locPairs[v] {
-				gb.Add(t*e+pr.idx, -pr.aInv)
+				gb.Add(hs.col(pr.idx, t), -pr.aInv)
 			}
+			if soft {
+				gb.Add(hs.shed(v, t), -1)
+			}
+			row++
 		}
 		for _, l := range capacitated {
 			gb.StartRow()
 			for _, pr := range in.dcPairs[l] {
-				gb.Add(t*e+pr.idx, 1)
+				gb.Add(hs.col(pr.idx, t), 1)
 			}
+			if len(in.dcPairs[l]) > 1 {
+				hs.linking = append(hs.linking, row)
+			}
+			row++
 		}
 		for pi := range in.pairs {
 			gb.StartRow()
-			gb.Add(t*e+pi, -1)
+			gb.Add(hs.col(pi, t), -1)
+			row++
+		}
+		for v := 0; v < extra*in.v; v++ {
+			gb.StartRow()
+			gb.Add(hs.shed(v, t), -1)
+			row++
 		}
 	}
 	gMat, err := gb.Build()
@@ -556,14 +772,11 @@ func (in *Instance) horizonStructure(w int) (*horizonStruct, error) {
 		return nil, fmt.Errorf("horizon constraint assembly: %w", err)
 	}
 
-	hs := &horizonStruct{q: qMat, g: gMat, capacitated: capacitated, rowsPerStep: rowsPerStep}
-	// One O(n²) bandwidth scan at build time spares every subsequent solve
-	// of this shape the same scan.
-	hs.kktBandHint = qp.KKTBandwidth(&qp.Problem{Q: qMat, G: gMat}) + 1
+	hs.q, hs.g, hs.capacitated, hs.rowsPerStep = qMat, gMat, capacitated, rowsPerStep
 	if in.qpCache == nil {
-		in.qpCache = make(map[int]*horizonStruct)
+		in.qpCache = make(map[horizonKey]*horizonStruct)
 	}
-	in.qpCache[w] = hs
+	in.qpCache[key] = hs
 	return hs, nil
 }
 

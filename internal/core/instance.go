@@ -69,14 +69,12 @@ type Instance struct {
 	aBest []float64
 
 	// qpCache holds the horizon QP's data-independent structure per
-	// horizon length (see horizonStructure): the repeated solves of an MPC
-	// or best-response loop then rebuild only the O(n) cost and
-	// right-hand-side vectors. Guarded by qpMu — instances are shared
-	// across the parallel sweep and experiment workers. softCache is the
-	// analogue for the soft-constrained relaxation (see softStructure).
-	qpMu      sync.Mutex
-	qpCache   map[int]*horizonStruct
-	softCache map[int]*horizonStruct
+	// horizon length, hard and soft (see horizonStructure): the repeated
+	// solves of an MPC or best-response loop then rebuild only the O(n)
+	// cost and right-hand-side vectors. Guarded by qpMu — instances are
+	// shared across the parallel sweep and experiment workers.
+	qpMu    sync.Mutex
+	qpCache map[horizonKey]*horizonStruct
 }
 
 type pair struct{ l, v int }

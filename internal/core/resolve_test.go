@@ -13,8 +13,8 @@ import (
 // accuracy: after a full solve, each ResolveCapacitiesCtx under drifted
 // capacities must agree with a cold one-shot solve of a twin instance at
 // the same capacities to (far better than) 1e-6 relative — with the
-// rank-k session option on and off, since the perturbation algebra is
-// the same and only the factorization update strategy differs.
+// checkpointed (RankK) session option on and off, since the perturbation
+// algebra is the same and only the factorization update strategy differs.
 func TestResolveCapacitiesMatchesFullSolve(t *testing.T) {
 	const l, v, w = 3, 5, 4
 	for _, rankK := range []bool{true, false} {
@@ -77,8 +77,12 @@ func TestResolveCapacitiesMatchesFullSolve(t *testing.T) {
 			}
 		}
 		if rankK {
-			if st := ses.Stats(); st.RankKUpdates == 0 {
-				t.Fatalf("rank-k session reported no rank-k updates (stats %+v)", st)
+			// Every capacitated DC here serves several locations, so its
+			// capacity rows are linking rows: a query that iterates keeps
+			// the band factor and refactors only the Schur complement,
+			// which the session counts as a reuse.
+			if st := ses.Stats(); st.Reused == 0 {
+				t.Fatalf("checkpointed session never kept its band factor (stats %+v)", st)
 			}
 		}
 	}

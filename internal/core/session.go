@@ -28,7 +28,6 @@ type HorizonSession struct {
 	in *Instance
 	hs *horizonStruct
 	w  int
-	e  int
 
 	ses   *qp.Session
 	rankK bool
@@ -59,29 +58,26 @@ func (in *Instance) NewHorizonSession(w int, opts qp.Options) (*HorizonSession, 
 
 // NewHorizonSessionOpts is NewHorizonSession with explicit qp session
 // options — decomposition callers enable SessionOptions.RankK so that
-// capacity-only re-solves (ResolveCapacitiesCtx) advance the standing
-// factorization by banded rank-k updates instead of refactorizing.
+// capacity-only re-solves (ResolveCapacitiesCtx) run as checkpointed
+// queries that keep the standing factorization where they can.
 func (in *Instance) NewHorizonSessionOpts(w int, opts qp.Options, sopts qp.SessionOptions) (*HorizonSession, error) {
 	if w <= 0 {
 		return nil, fmt.Errorf("horizon %d: %w", w, ErrBadInput)
 	}
-	hs, err := in.horizonStructure(w)
+	hs, err := in.horizonStructure(w, false)
 	if err != nil {
 		return nil, err
 	}
-	e := len(in.pairs)
-	n := e * w
-	m := w * hs.rowsPerStep
 	prob := &qp.Problem{
-		Q: hs.q, C: linalg.NewVector(n), G: hs.g, H: linalg.NewVector(m),
-		KKTBandHint: hs.kktBandHint,
+		Q: hs.q, C: linalg.NewVector(hs.n), G: hs.g, H: linalg.NewVector(w * hs.rowsPerStep),
+		Linking: hs.linking,
 	}
 	ses, err := qp.NewSessionOpts(prob, opts, sopts)
 	if err != nil {
 		return nil, err
 	}
 	return &HorizonSession{
-		in: in, hs: hs, w: w, e: e, ses: ses, rankK: sopts.RankK,
+		in: in, hs: hs, w: w, ses: ses, rankK: sopts.RankK,
 		capSnap: make([]float64, len(hs.capacitated)),
 	}, nil
 }
@@ -112,7 +108,7 @@ func (s *HorizonSession) SolveCtx(ctx context.Context, input HorizonInput) (*Pla
 		return nil, fmt.Errorf("session horizon %d, input horizon %d: %w", s.w, w, ErrBadInput)
 	}
 	prob := s.ses.Problem()
-	constCost := in.fillHorizonVectors(s.hs, input, w, s.e, prob.C, prob.H)
+	constCost := in.fillHorizonVectors(s.hs, input, 0, prob.C, prob.H)
 	// The H vector now embeds the instance's current capacities; snapshot
 	// them so a later ResolveCapacitiesCtx perturbs against the right
 	// baseline. The input/constant-cost record is refreshed alongside.
@@ -120,7 +116,7 @@ func (s *HorizonSession) SolveCtx(ctx context.Context, input HorizonInput) (*Pla
 		s.capSnap[ci] = in.capacity[l]
 	}
 	s.lastInput, s.lastConst, s.lastOK = input, constCost, false
-	warm := input.Warm.shifted(s.e, w, s.hs.rowsPerStep, input.WarmShift, &s.ws)
+	warm := input.Warm.shifted(s.hs, input.WarmShift, &s.ws)
 	res, err := s.ses.SolveCtx(ctx, warm)
 	coldRestarts := 0
 	if err != nil && warm != nil && (errors.Is(err, qp.ErrNumerical) || errors.Is(err, qp.ErrMaxIterations)) {
@@ -138,15 +134,15 @@ func (s *HorizonSession) SolveCtx(ctx context.Context, input HorizonInput) (*Pla
 			// Same anytime contract as the one-shot path: plan and error
 			// both non-nil, so the ladder can use the partial iterate.
 			s.gen ^= 1
-			plan := in.buildPlan(s.hs, input, res, w, s.e, coldRestarts, constCost, &s.arena[s.gen])
+			plan := in.buildPlan(s.hs, input, res, coldRestarts, constCost, &s.arena[s.gen])
 			plan.Anytime = res.Anytime
-			return plan, fmt.Errorf("horizon QP (W=%d, n=%d, m=%d): %w", w, s.e*w, w*s.hs.rowsPerStep, err)
+			return plan, fmt.Errorf("horizon QP (W=%d, n=%d, m=%d): %w", w, s.hs.n, w*s.hs.rowsPerStep, err)
 		}
-		return nil, fmt.Errorf("horizon QP (W=%d, n=%d, m=%d): %w", w, s.e*w, w*s.hs.rowsPerStep, err)
+		return nil, fmt.Errorf("horizon QP (W=%d, n=%d, m=%d): %w", w, s.hs.n, w*s.hs.rowsPerStep, err)
 	}
 	s.gen ^= 1
 	s.lastOK = true
-	return in.buildPlan(s.hs, input, res, w, s.e, coldRestarts, constCost, &s.arena[s.gen]), nil
+	return in.buildPlan(s.hs, input, res, coldRestarts, constCost, &s.arena[s.gen]), nil
 }
 
 // CanResolveCapacities reports whether a standing converged solve exists
@@ -163,11 +159,13 @@ func (s *HorizonSession) CanResolveCapacities() bool { return s.lastOK }
 // continues from the standing near-optimal iterate instead of warm-
 // restarting. With the session's RankK option on, the resolve runs as a
 // checkpoint-and-query cycle: the factorization is armed at the
-// converged iterate, so the query's first factorization is a banded
-// rank-k update confined to the perturbed rows rather than a
-// refill+refactorize (a plain continuation always refactorizes — its
-// standing factor predates the final iterate, so the weight diff spans
-// every row). The caller must not have touched X0/Demand/Prices since
+// converged iterate, so the query's first factorization only sees the
+// perturbed rows move — linking capacity rows (a DC serving several
+// locations) keep the band factor and refactor the small Schur
+// complement, band capacity rows take a banded rank-k update — rather
+// than a refill+refactorize (a plain continuation always refactorizes:
+// its standing factor predates the final iterate, so the weight diff
+// spans every row). The caller must not have touched X0/Demand/Prices since
 // the last solve: the C vector, the demand and nonnegativity rows of H,
 // and the rebuilt Plan all reuse that input. On a non-deadline error the
 // standing solve is invalidated and the caller should fall back to a
@@ -209,16 +207,16 @@ func (s *HorizonSession) ResolveCapacitiesCtx(ctx context.Context) (*Plan, error
 		s.lastOK = false
 		if res != nil && errors.Is(err, qp.ErrDeadline) {
 			s.gen ^= 1
-			plan := in.buildPlan(s.hs, s.lastInput, res, s.w, s.e, 0, s.lastConst, &s.arena[s.gen])
+			plan := in.buildPlan(s.hs, s.lastInput, res, 0, s.lastConst, &s.arena[s.gen])
 			plan.Anytime = res.Anytime
 			return plan, fmt.Errorf("horizon QP resolve (W=%d, rows=%d): %w", s.w, len(rows), err)
 		}
 		return nil, fmt.Errorf("horizon QP resolve (W=%d, rows=%d): %w", s.w, len(rows), err)
 	}
 	s.gen ^= 1
-	return in.buildPlan(s.hs, s.lastInput, res, s.w, s.e, 0, s.lastConst, &s.arena[s.gen]), nil
+	return in.buildPlan(s.hs, s.lastInput, res, 0, s.lastConst, &s.arena[s.gen]), nil
 }
 
 // Stats reports the underlying qp session's factorization accounting —
-// full factorizations, bitwise reuses, and rank-k updates.
+// full factorizations, band-factor reuses, and rank-k updates.
 func (s *HorizonSession) Stats() qp.SessionStats { return s.ses.Stats() }

@@ -200,3 +200,55 @@ func TestTotalCapacityDualsInto(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmStateTimeMajorRoundTrip pins the checkpoint layout: a capsule
+// exports its primal time-major (Y[t·pairs + pair]) whatever the QP's
+// column order, and a capsule imported from that form seeds every shift
+// with exactly the warm start the original capsule gives.
+func TestWarmStateTimeMajorRoundTrip(t *testing.T) {
+	const l, v, w = 3, 5, 4
+	inst := sessionTestInstance(t, l, v)
+	plan, err := inst.SolveHorizon(sessionTestInput(inst, l, v, w), qp.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs, err := inst.horizonStructure(w, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hs.linking) == 0 {
+		t.Fatal("test instance has no linking rows: the block layout equals the time-major one")
+	}
+	ws := plan.Warm.Export()
+	e := inst.NumPairs()
+	for pi := 0; pi < e; pi++ {
+		for tt := 0; tt < w; tt++ {
+			if ws.Y[tt*e+pi] != plan.Warm.y[hs.col(pi, tt)] {
+				t.Fatalf("exported Y[%d·%d+%d] is not pair %d at step %d", tt, e, pi, pi, tt)
+			}
+		}
+	}
+	imp := ImportWarm(ws)
+	if again := imp.Export(); !slicesEqual(again.Y, ws.Y) || !slicesEqual(again.Z, ws.Z) {
+		t.Fatal("export of an imported capsule differs from the checkpoint")
+	}
+	for shift := 0; shift <= 2; shift++ {
+		a := plan.Warm.shifted(hs, shift, &qp.WarmStart{})
+		b := imp.shifted(hs, shift, &qp.WarmStart{})
+		if !slicesEqual(a.X, b.X) || !slicesEqual(a.Z, b.Z) {
+			t.Fatalf("shift %d: imported capsule seeds a different warm start", shift)
+		}
+	}
+}
+
+func slicesEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

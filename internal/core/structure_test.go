@@ -1,0 +1,247 @@
+package core_test
+
+import (
+	"math"
+	"testing"
+
+	"dspp/internal/core"
+	"dspp/internal/decomp"
+	"dspp/internal/topology"
+)
+
+// paperInstance is the dsppd paper setup: four capacitated DCs (San Jose,
+// Houston, Atlanta, Chicago) and the first eight US metros that host none.
+func paperInstance(t *testing.T) *core.Instance {
+	t.Helper()
+	var dcs, metros []topology.City
+	for _, name := range []string{"San Jose", "Houston", "Atlanta", "Chicago"} {
+		c, ok := topology.CityByName(name)
+		if !ok {
+			t.Fatalf("missing city %q", name)
+		}
+		dcs = append(dcs, c)
+	}
+	for _, c := range topology.USCities() {
+		hosts := false
+		for _, d := range dcs {
+			hosts = hosts || d.Name == c.Name
+		}
+		if !hosts && len(metros) < 8 {
+			metros = append(metros, c)
+		}
+	}
+	net, err := topology.BuildGeo(dcs, metros, 0.002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sla, err := core.SLAMatrix(net.LatencyMatrix(), core.SLAConfig{Mu: 150, MaxDelay: 0.03})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := core.NewInstance(core.Config{
+		SLA:             sla,
+		ReconfigWeights: []float64{2e-5, 2e-5, 2e-5, 2e-5},
+		Capacities:      []float64{2000, 2000, 2000, 2000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// shardInstances rebuilds the shard instances the decomposed solver
+// coordinates on the n120 continental scenario (shard size 30).
+func shardInstances(t *testing.T) []*core.Instance {
+	t.Helper()
+	scn, err := decomp.NewScenario(decomp.ScenarioConfig{Locations: 120, DCSites: 12, Seed: 42, Horizon: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := decomp.NewPartition(scn.Inst, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*core.Instance
+	for _, sh := range part.Shards {
+		cfg := core.Config{}
+		for _, l := range sh.DCs {
+			row := make([]float64, len(sh.Locations))
+			for j, v := range sh.Locations {
+				if row[j], err = scn.Inst.SLACoefficient(l, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rw, _ := scn.Inst.ReconfigWeight(l)
+			c, _ := scn.Inst.Capacity(l)
+			cfg.SLA = append(cfg.SLA, row)
+			cfg.ReconfigWeights = append(cfg.ReconfigWeights, rw)
+			cfg.Capacities = append(cfg.Capacities, c)
+		}
+		sub, err := core.NewInstance(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, sub)
+	}
+	return out
+}
+
+// fig7Provider is a Fig 7 best-response provider's instance: one customer
+// location, a capacitated cheap DC and an uncapacitated overflow DC.
+func fig7Provider(t *testing.T) *core.Instance {
+	t.Helper()
+	inst, err := core.NewInstance(core.Config{
+		SLA:             [][]float64{{0.0071}, {0.0083}},
+		ReconfigWeights: []float64{5e-5, 5e-5},
+		Capacities:      []float64{3000, math.Inf(1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// pairList enumerates an instance's feasible (l, v) pairs in the dense
+// pair order (DC-major).
+func pairList(inst *core.Instance) [][2]int {
+	var out [][2]int
+	var buf []int
+	for l := 0; l < inst.NumDataCenters(); l++ {
+		for v := 0; v < inst.NumLocations(); v++ {
+			buf = inst.FeasibleDCs(v, buf[:0])
+			for _, fl := range buf {
+				if fl == l {
+					out = append(out, [2]int{l, v})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// checkStructure asserts the band and linking contract of one horizon
+// structure: Q equals the reconfiguration term rebuilt from the column
+// map (so no entry fell outside the declared band), every row of G that
+// is not a linking row spans at most the band (so G_bandᵀG_band fits),
+// and the linking rows are exactly the capacity rows of capacitated DCs
+// that serve more than one location.
+func checkStructure(t *testing.T, name string, inst *core.Instance, w int, soft bool) *core.HorizonLayout {
+	t.Helper()
+	lay, err := inst.HorizonLayoutForTest(w, soft)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	bw := lay.Q.Bandwidth()
+	pairs := pairList(inst)
+	n := lay.Q.N()
+	want := make(map[[2]int]float64)
+	for pi, pr := range pairs {
+		c, _ := inst.ReconfigWeight(pr[0])
+		for tt := 0; tt < w; tt++ {
+			i := lay.Col(pi, tt)
+			if tt < w-1 {
+				want[[2]int{i, i}] += 4 * c
+				j := lay.Col(pi, tt+1)
+				want[[2]int{j, i}] -= 2 * c
+			} else {
+				want[[2]int{i, i}] += 2 * c
+			}
+		}
+	}
+	for key, v := range want {
+		if key[0]-key[1] > bw {
+			t.Fatalf("%s: Q(%d,%d) = %g lies outside the declared band %d", name, key[0], key[1], v, bw)
+		}
+		if got := lay.Q.At(key[0], key[1]); got != v {
+			t.Fatalf("%s: Q(%d,%d) = %g, want %g", name, key[0], key[1], got, v)
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := max(0, i-bw); j <= i; j++ {
+			if v := lay.Q.At(i, j); v != 0 && want[[2]int{i, j}] == 0 && !soft {
+				t.Fatalf("%s: stray Q(%d,%d) = %g", name, i, j, v)
+			}
+		}
+	}
+
+	served := make([]int, inst.NumDataCenters())
+	var buf []int
+	for v := 0; v < inst.NumLocations(); v++ {
+		buf = inst.FeasibleDCs(v, buf[:0])
+		for _, l := range buf {
+			served[l]++
+		}
+	}
+	linking := make(map[int]bool)
+	for _, r := range lay.Linking {
+		linking[r] = true
+	}
+	wantLinks := 0
+	for tt := 0; tt < w; tt++ {
+		for ci, l := range lay.Capacitated {
+			row := tt*lay.RowsPerStep + inst.NumLocations() + ci
+			if got, want := linking[row], served[l] > 1; got != want {
+				t.Fatalf("%s: capacity row %d (DC %d, serves %d locations) linking=%t, want %t",
+					name, row, l, served[l], got, want)
+			}
+			if served[l] > 1 {
+				wantLinks++
+			}
+		}
+	}
+	if len(lay.Linking) != wantLinks {
+		t.Fatalf("%s: %d linking rows, want %d (capacity rows only)", name, len(lay.Linking), wantLinks)
+	}
+	for r := 0; r < lay.G.Rows(); r++ {
+		cols, _ := lay.G.RowEntries(r)
+		if linking[r] || len(cols) == 0 {
+			continue
+		}
+		if span := cols[len(cols)-1] - cols[0]; span > bw {
+			t.Fatalf("%s: band row %d spans %d columns, band %d", name, r, span, bw)
+		}
+	}
+	return lay
+}
+
+// TestHorizonStructureGuard pins the block-angular layout the solver's
+// band declaration relies on, for the paper instance, the n120 shards and
+// a Fig 7 provider, hard and soft. A band narrower than the structure
+// would make the band factor silently wrong, so the contract is checked
+// against the instance, not against the builder's own bookkeeping.
+func TestHorizonStructureGuard(t *testing.T) {
+	paper := paperInstance(t)
+	for _, soft := range []bool{false, true} {
+		lay := checkStructure(t, "paper", paper, 5, soft)
+		if !soft && (len(lay.Linking) == 0 || lay.Q.Bandwidth() > 4) {
+			t.Fatalf("paper: %d linking rows, band %d; want linking rows and a band of at most 4",
+				len(lay.Linking), lay.Q.Bandwidth())
+		}
+		for i, sh := range shardInstances(t) {
+			lay := checkStructure(t, "n120 shard", sh, 2, soft)
+			if !soft && lay.Q.Bandwidth() > 6 {
+				t.Fatalf("n120 shard %d: band %d, want at most 6", i, lay.Q.Bandwidth())
+			}
+		}
+		for _, w := range []int{1, 3} {
+			prov := fig7Provider(t)
+			lay := checkStructure(t, "fig7 provider", prov, w, soft)
+			if len(lay.Linking) != 0 {
+				t.Fatalf("fig7 provider: %d linking rows, want none", len(lay.Linking))
+			}
+			e := prov.NumPairs()
+			stride := e
+			if soft {
+				stride = e + 1 // the shed column closes each step's block
+			}
+			for pi := 0; pi < e; pi++ {
+				for tt := 0; tt < w; tt++ {
+					if got := lay.Col(pi, tt); got != tt*stride+pi {
+						t.Fatalf("fig7 provider W=%d soft=%t: pair %d step %d at column %d, want the time-major %d",
+							w, soft, pi, tt, got, tt*stride+pi)
+					}
+				}
+			}
+		}
+	}
+}

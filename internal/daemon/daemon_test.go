@@ -6,7 +6,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -415,7 +417,7 @@ func TestDaemonHTTPDecomp(t *testing.T) {
 		Telemetry: hub,
 		Addr:      "127.0.0.1:0",
 		Out:       &out,
-		Decomp:    &decomp.Options{MaxShardSize: 30},
+		Decomp:    &decomp.Options{MaxShardSize: 30, BypassRatio: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -571,4 +573,57 @@ var errClosed = fmt.Errorf("closed")
 func (b *blockingFeed) Close() error {
 	close(b.closed)
 	return nil
+}
+
+// TestDaemonResumesTimeMajorCheckpoint loads a version-1 checkpoint
+// written while the horizon QP still ordered its columns time-major (as
+// the serialized WarmState still does) and resumes from it: the daemon
+// must restore period and state, map the warm capsule onto its
+// location-block columns, and continue the writer's own uninterrupted
+// trajectory — to solver tolerance, since the factorization's rounding
+// differs from the writer's.
+func TestDaemonResumesTimeMajorCheckpoint(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1_time_major.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "dsppd.ckpt")
+	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	d, err := New(Config{
+		Instance: testInstance(t), Horizon: 4,
+		Budget:         200 * time.Millisecond,
+		CheckpointPath: ckpt,
+		Out:            &out,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cut, total = 5, 12
+	if !d.Restored() || d.Period() != cut {
+		t.Fatalf("restored=%t at period %d, want period %d", d.Restored(), d.Period(), cut)
+	}
+	if d.ctrl.WarmCapsule() == nil {
+		t.Fatal("checkpoint's warm capsule was not restored")
+	}
+	if err := d.Run(context.Background(), strings.NewReader(feedLines(t, cut, total, true))); err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	// Period costs of the writer's uninterrupted run, periods 5..11.
+	want := []float64{31.426729664046995, 28.24795716033735, 27.648368381516114,
+		24.336243859774495, 24.289898255137103, 25.068859444966918, 29.44866500775254}
+	reps := decodeReports(t, &out)
+	if len(reps) != len(want) {
+		t.Fatalf("%d reports, want %d", len(reps), len(want))
+	}
+	for i, r := range reps {
+		if r.Period != cut+i || r.Mode != "none" {
+			t.Fatalf("report %d: period %d mode %q", i, r.Period, r.Mode)
+		}
+		if math.Abs(r.Cost-want[i]) > 1e-6*want[i] {
+			t.Errorf("period %d: cost %.12g, writer's run %.12g", r.Period, r.Cost, want[i])
+		}
+	}
 }

@@ -20,6 +20,11 @@ type IncrementalCase struct {
 	// second half of the tail, past the settling transient. Zero skips
 	// the tail (frontier sizes where only the cold solve is of interest).
 	SteadyPeriods int
+	// Coordinate runs the coordinated solve even where DecideBypass would
+	// send the case to the monolithic solve. Such a case takes no
+	// monolithic reference — the model already says it loses to one — and
+	// exists to show that the incremental tiers still fire.
+	Coordinate bool
 }
 
 // IncrementalRecord is one measured point, shaped for BENCH_5.json.
@@ -155,7 +160,7 @@ func RunIncremental(ctx context.Context, cases []IncrementalCase, baseline []Sca
 			}
 		}
 
-		if DecideBypass(inst, part, opt).Bypass {
+		if !cs.Coordinate && DecideBypass(inst, part, opt).Bypass {
 			// The controller would solve this case monolithically; measure
 			// that solve once and record it on both sides.
 			ses, err := inst.NewHorizonSession(w, opt.withDefaults().QP)
@@ -285,8 +290,9 @@ func RunIncremental(ctx context.Context, cases []IncrementalCase, baseline []Sca
 const SteadyGuardPeriods = 50
 
 // DefaultIncrementalCases returns the BENCH_5 case list — the BENCH_4
-// geometries, so the two curves compare point for point. Smoke sizes run
-// a guard-grade quiet tail (they back the steady-state CI check); the
+// geometries, so the two curves compare point for point — plus one
+// coordinated probe (see IncrementalCase.Coordinate). Smoke sizes run a
+// guard-grade quiet tail (they back the steady-state CI check); the
 // continental sizes run a short recorded tail, and the frontier only the
 // cold solve.
 func DefaultIncrementalCases(full bool) []IncrementalCase {
@@ -302,5 +308,14 @@ func DefaultIncrementalCases(full bool) []IncrementalCase {
 	for _, cs := range DefaultScalingCases(full) {
 		out = append(out, IncrementalCase{ScalingCase: cs, SteadyPeriods: steady[cs.Name]})
 	}
-	return out
+	// With the block-angular horizon solve the cost model bypasses every
+	// smoke geometry, so the incremental tiers are probed on the n240
+	// eight-shard split run coordinated regardless.
+	return append(out, IncrementalCase{
+		ScalingCase: ScalingCase{
+			Name: "n240-shards8-coordinated", Locations: 240, DCSites: 24, MaxShardSize: 30, Seed: 42,
+		},
+		SteadyPeriods: 2 * SteadyGuardPeriods,
+		Coordinate:    true,
+	})
 }

@@ -25,29 +25,44 @@ type DecomposeDecision struct {
 }
 
 // DecideBypass models whether coordinating the given partition beats one
-// monolithic solve of the whole instance. Interior-point factorization
-// cost scales cubically in the per-step variable count (the feasible
-// pairs), so round one costs ~Σ E_i³ against the monolith's E³; the
-// expected round count grows with the fraction of DCs whose capacity is
-// shared across shards, since every shared DC is a coupling the quota
-// loop must re-price (calibrated on the BENCH_4 curve: ~3 rounds at 20%
-// shared, ~11 near-total sharing). Follow-on rounds run warm — and with
-// incremental scheduling only the dirty shards — so they are charged at
-// half a cold fan-out. The model reproduces the measured BENCH_4 cost
-// ratios within ~2× at every size, which is enough to separate the
-// n120-shards2 regression (ratio ≈ 1) from the wins (ratio ≤ 0.5).
+// monolithic solve of the whole instance. A horizon solve costs about one
+// unit per feasible pair — the block-angular band work, linear in the pair
+// count — plus bypassSchurWeight per cubed data center: the dense Schur
+// complement of the capacity rows, C·W rows refactored every iteration. A
+// shard pays the same on its own pairs and on the DCs its locations
+// reach. The expected round count grows with the fraction of DCs whose
+// capacity is shared across shards, since every shared DC is a coupling
+// the quota loop must re-price (~3 rounds at 20% shared, ~11 near-total
+// sharing); follow-on rounds run warm — and with incremental scheduling
+// only the dirty shards — so they are charged at half a cold fan-out.
+//
+// Calibrated at W = 2 on a 2-vCPU box, where the measured coordinated
+// cost was 1.35–3.3× the monolithic solve at every size from n120 to
+// n2000: shards split the linear term without shrinking it, and the
+// rounds multiply it. The model therefore bypasses all of them, and only
+// predicts a win once the C³ term dominates (a few thousand locations),
+// which no record covers yet.
 func DecideBypass(inst *core.Instance, part *Partition, opt Options) DecomposeDecision {
 	opt = opt.withDefaults()
-	e := float64(inst.NumPairs())
-	var sub float64
 	var buf []int
-	for _, sh := range part.Shards {
-		var ei float64
-		for _, v := range sh.Locations {
+	cost := func(locations []int) float64 {
+		var pairs float64
+		dcs := make(map[int]bool)
+		for _, v := range locations {
 			buf = inst.FeasibleDCs(v, buf[:0])
-			ei += float64(len(buf))
+			pairs += float64(len(buf))
+			for _, l := range buf {
+				dcs[l] = true
+			}
 		}
-		sub += ei * ei * ei
+		c := float64(len(dcs))
+		return pairs + bypassSchurWeight*c*c*c
+	}
+	var sub float64
+	all := make([]int, 0, inst.NumLocations())
+	for _, sh := range part.Shards {
+		sub += cost(sh.Locations)
+		all = append(all, sh.Locations...)
 	}
 	sharedFrac := 0.0
 	if l := inst.NumDataCenters(); l > 0 {
@@ -58,13 +73,19 @@ func DecideBypass(inst *core.Instance, part *Partition, opt Options) DecomposeDe
 		rounds = opt.MaxRounds
 	}
 	const beta = 0.5 // a warm follow-on round relative to the cold fan-out
-	ratio := sub / (e * e * e) * (1 + beta*float64(rounds-1))
+	ratio := sub / cost(all) * (1 + beta*float64(rounds-1))
 	return DecomposeDecision{
 		Bypass: opt.BypassRatio >= 0 && ratio >= opt.BypassRatio,
 		Ratio:  ratio,
 		Rounds: rounds,
 	}
 }
+
+// bypassSchurWeight is the cost of one cubed data center relative to one
+// feasible pair in DecideBypass's solve-cost model, fitted to monolithic
+// cold solves at W = 2 (n1000/100 DCs and n2000/200 DCs split their time
+// about evenly between the two terms).
+const bypassSchurWeight = 5e-3
 
 // Controller is the decomposed MPC controller: the drop-in continental-
 // scale replacement for core.Controller. It satisfies sim.Policy,

@@ -2,6 +2,7 @@ package decomp
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -348,7 +349,7 @@ func TestControllerMonolithicFallback(t *testing.T) {
 	// shared capacity binds, so the controller must take the monolithic
 	// rung — and still produce an exact, feasible step.
 	ctrl, err := NewController(scn.Inst, 2, Options{
-		MaxShardSize: 40, MaxRounds: 1, Tol: 1e-12, Telemetry: hub,
+		MaxShardSize: 40, MaxRounds: 1, Tol: 1e-12, Telemetry: hub, BypassRatio: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +392,7 @@ func TestControllerConvergedStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := NewController(scn.Inst, 2, Options{MaxShardSize: 40, Telemetry: hub})
+	ctrl, err := NewController(scn.Inst, 2, Options{MaxShardSize: 40, Telemetry: hub, BypassRatio: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,6 +552,40 @@ func TestPartitionWeightedNilAndErrors(t *testing.T) {
 	}
 }
 
+// roundCutter is a trace writer that cancels its context once a shard
+// solve of coordination round `at` ends. Used under a far deadline, it
+// stops the loop after a fixed round however fast the machine runs them:
+// a wall-clock deadline cannot, because the loop reaches a bitwise quota
+// fixed point — and then converges even at Tol 1e-300 — after ~180
+// rounds, while in its first ~25 rounds a continued shard solve may
+// still overrun its quota by its primal tolerance (~1e-7 relative),
+// which the feasibility checks below would reject.
+type roundCutter struct {
+	at     int
+	cancel context.CancelFunc
+}
+
+func (w *roundCutter) Write(p []byte) (int, error) {
+	var ev struct {
+		Span  string             `json:"span"`
+		Attrs map[string]float64 `json:"attrs"`
+	}
+	if json.Unmarshal(p, &ev) == nil && ev.Span == telemetry.SpanShardSolve && ev.Attrs["round"] >= float64(w.at) {
+		w.cancel()
+	}
+	return len(p), nil
+}
+
+// cutAtRound returns a context whose far deadline marks the solve as
+// deadline-bounded, cancelled during coordination round 60, and the
+// telemetry hub that carries the cut.
+func cutAtRound(t *testing.T) (context.Context, *telemetry.Hub) {
+	t.Helper()
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
+	t.Cleanup(cancel)
+	return ctx, telemetry.New(telemetry.WithTraceWriter(&roundCutter{at: 60, cancel: cancel}))
+}
+
 func TestCoordinationDeadlineReturnsFeasibleIterate(t *testing.T) {
 	scn, err := NewScenario(ScenarioConfig{Locations: 240, DCSites: 24, Seed: 51, Utilization: 0.9})
 	if err != nil {
@@ -562,14 +597,13 @@ func TestCoordinationDeadlineReturnsFeasibleIterate(t *testing.T) {
 	}
 	// A tolerance the loop can never meet keeps rounds coming until the
 	// deadline check has to stop them.
+	ctx, hub := cutAtRound(t)
 	solver, err := NewSolver(scn.Inst, 2, part, Options{
-		Workers: 4, NoFallback: true, MaxRounds: 100000, Tol: 1e-300,
+		Workers: 4, NoFallback: true, MaxRounds: 100000, Tol: 1e-300, Telemetry: hub,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-	defer cancel()
 	sol, err := solver.SolveCtx(ctx, scn.Inst.NewState(), scn.Demand, scn.Prices)
 	if err != nil {
 		t.Fatalf("deadline-bounded solve errored instead of returning its iterate: %v", err)
@@ -612,14 +646,13 @@ func TestControllerDeadlineAnytimeRung(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, hub := cutAtRound(t)
 	ctrl, err := NewController(scn.Inst, 2, Options{
-		MaxShardSize: 30, Workers: 4, MaxRounds: 100000, Tol: 1e-300,
+		MaxShardSize: 30, Workers: 4, MaxRounds: 100000, Tol: 1e-300, BypassRatio: -1, Telemetry: hub,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-	defer cancel()
 	applied, state, err := ctrl.StepCtx(ctx, scn.Demand, scn.Prices)
 	if err != nil {
 		t.Fatalf("deadline-bounded step errored: %v", err)

@@ -17,7 +17,7 @@ func TestControllerLastExplainDecomp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := NewController(scn.Inst, 2, Options{MaxShardSize: 40})
+	ctrl, err := NewController(scn.Inst, 2, Options{MaxShardSize: 40, BypassRatio: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

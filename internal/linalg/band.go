@@ -10,7 +10,8 @@ import (
 // row. Entry (i, j) with i−bw ≤ j ≤ i lives at data[i·(bw+1) + j−i+bw].
 // Compared to a dense n×n buffer this cuts the KKT working set from
 // O(n²) to O(n·bw) floats, which is what keeps the band factorization
-// and triangular solves in cache for the horizon QP (n = E·W, bw ≈ E).
+// and triangular solves in cache for the horizon QP (n ≈ E·W, bw = the
+// pairs of one location).
 type BandMatrix struct {
 	n, bw int
 	data  []float64
@@ -51,6 +52,12 @@ func (b *BandMatrix) Reset(n, bw int) {
 
 // N returns the order of the matrix.
 func (b *BandMatrix) N() int { return b.n }
+
+// Rows returns the order of the matrix (it is square).
+func (b *BandMatrix) Rows() int { return b.n }
+
+// Cols returns the order of the matrix (it is square).
+func (b *BandMatrix) Cols() int { return b.n }
 
 // Bandwidth returns the half-bandwidth.
 func (b *BandMatrix) Bandwidth() int { return b.bw }
@@ -115,24 +122,24 @@ func (b *BandMatrix) AddDiag(v float64) {
 }
 
 // CopyLowerBand overwrites the band with the lower-band entries of the
-// dense symmetric matrix a (entries of a outside the band are ignored —
-// the caller guarantees they are zero, as kktBandwidth does for the KKT
-// assembly).
-func (b *BandMatrix) CopyLowerBand(a *Matrix) error {
+// symmetric matrix a (entries of a outside the band are ignored — the
+// caller guarantees they are zero, as the QP solver's band scan does for
+// the KKT assembly).
+func (b *BandMatrix) CopyLowerBand(a Symmetric) error {
 	if a.Rows() != b.n || a.Cols() != b.n {
 		return fmt.Errorf("band copy from (%dx%d), n=%d: %w", a.Rows(), a.Cols(), b.n, ErrDimensionMismatch)
 	}
 	w1 := b.bw + 1
 	for i := 0; i < b.n; i++ {
-		lo := i - b.bw
-		k := 0
-		if lo < 0 {
-			for ; k < -lo; k++ {
-				b.data[i*w1+k] = 0
+		row := b.data[i*w1 : (i+1)*w1]
+		for k := range row {
+			j := i - b.bw + k
+			if j < 0 {
+				row[k] = 0
+			} else {
+				row[k] = a.At(i, j)
 			}
-			lo = 0
 		}
-		copy(b.data[i*w1+k:(i+1)*w1], a.Row(i)[lo:i+1])
 	}
 	return nil
 }
@@ -146,13 +153,13 @@ func (b *BandMatrix) CopyFrom(src *BandMatrix) error {
 	return nil
 }
 
-// MulVecSym computes y = A·x for the symmetric band matrix, walking only
+// MulVec computes y = A·x for the symmetric band matrix, walking only
 // the packed lower band (each off-diagonal entry is applied to both its
 // row and its mirrored column). Per element of y the terms accumulate in
 // ascending column order — the same association a dense band-limited
 // row-times-vector product uses — so results are bit-identical to
 // Matrix.MulVecBand on the materialized matrix.
-func (b *BandMatrix) MulVecSym(x, y Vector) error {
+func (b *BandMatrix) MulVec(x, y Vector) error {
 	if len(x) != b.n || len(y) != b.n {
 		return fmt.Errorf("band mulvec x=%d y=%d n=%d: %w", len(x), len(y), b.n, ErrDimensionMismatch)
 	}
@@ -248,6 +255,16 @@ type BandCholesky struct {
 	// uw is the working vector of UpdateRank1/UpdateRankK, sized lazily on
 	// first use (factorization updates are opt-in).
 	uw []float64
+
+	// PivotFloor, when positive, makes Factorize replace a pivot at or
+	// below PivotFloor times its diagonal entry by that floor instead of
+	// failing (static pivoting). Such a pivot is rounding noise — the
+	// cancellation of entries ~1/ε times larger — so the factor is of a
+	// matrix perturbed at that noise level in those rows; callers refine
+	// their solves against the true matrix. Zero keeps the strict check.
+	PivotFloor float64
+	// Replaced counts the pivots the last Factorize replaced.
+	Replaced int
 }
 
 // ltThreshold is the packed-factor size (floats) above which Factorize
@@ -301,7 +318,8 @@ func (c *BandCholesky) Factorize(a *BandMatrix) error {
 		c.Symbolic(a.n, a.bw)
 	}
 	n, bw := c.n, c.bw
-	if bw == 2 {
+	c.Replaced = 0
+	if bw == 2 && c.PivotFloor == 0 {
 		// The horizon QP's two-datacenter instances (the experiment sweeps)
 		// produce this exact shape hundreds of thousands of times per run.
 		if err := c.factorizeBW2(a.data); err != nil {
@@ -370,8 +388,12 @@ func (c *BandCholesky) Factorize(a *BandMatrix) error {
 			}
 			s -= (s0 + s2) + (s1 + s3)
 		}
-		if s <= 0 || math.IsNaN(s) {
-			return fmt.Errorf("pivot %d = %g: %w", i, s, ErrNotPositiveDefinite)
+		if !(s > 0) || s <= c.PivotFloor*ad[i*w1+bw] {
+			if c.PivotFloor == 0 || math.IsNaN(s) || !(ad[i*w1+bw] > 0) {
+				return fmt.Errorf("pivot %d = %g: %w", i, s, ErrNotPositiveDefinite)
+			}
+			s = c.PivotFloor * ad[i*w1+bw]
+			c.Replaced++
 		}
 		d := math.Sqrt(s)
 		ri[bw] = d
@@ -515,6 +537,41 @@ func (c *BandCholesky) Solve(b Vector, x Vector) error {
 			s -= l[k*w1+i-k+bw] * x[k]
 		}
 		x[i] = s * c.dinv[i]
+	}
+	return nil
+}
+
+// InverseBlock writes the dense inverse of the diagonal block of A on rows
+// [lo, lo+size) into z (row-major, size×size), for a factor in which no
+// entry couples those rows to a later row — a block-diagonal matrix (the
+// horizon QP's per-location blocks) has a block-diagonal factor. It runs
+// the Takahashi recurrence Z = L⁻ᵀL⁻¹ backwards from the block's last
+// row, O(size²·bw), without forming L⁻¹.
+func (c *BandCholesky) InverseBlock(lo, size int, z []float64) error {
+	if lo < 0 || lo+size > c.n || len(z) < size*size {
+		return fmt.Errorf("band inverse block rows [%d,%d) n=%d, z=%d: %w", lo, lo+size, c.n, len(z), ErrDimensionMismatch)
+	}
+	bw := c.bw
+	w1 := bw + 1
+	l := c.l
+	// Row j of the recurrence, for j ≤ i < size (block-local indices):
+	// Z_ji = (δ_ji/L_jj − Σ_{j<k≤j+bw} L_kj·Z_ki) / L_jj, with Z_ki read
+	// through symmetry where k > i.
+	for j := size - 1; j >= 0; j-- {
+		gj := lo + j
+		kmax := min(j+bw, size-1)
+		for i := size - 1; i >= j; i-- {
+			s := 0.0
+			if i == j {
+				s = c.dinv[gj]
+			}
+			for k := j + 1; k <= kmax; k++ {
+				s -= l[(lo+k)*w1+gj-(lo+k)+bw] * z[k*size+i]
+			}
+			v := s * c.dinv[gj]
+			z[j*size+i] = v
+			z[i*size+j] = v
+		}
 	}
 	return nil
 }

@@ -13,70 +13,6 @@ import (
 // refactorize, which is exactly the fallback the QP session layer takes.
 var ErrUpdateUnstable = errors.New("linalg: band factorization update unstable")
 
-// solvePanelWidth is the number of right-hand sides back-substituted
-// together by SolveBatch: wide enough to amortize the factor's band loads
-// across columns, narrow enough that a panel of column tails stays in L1.
-const solvePanelWidth = 8
-
-// SolveBatch solves A·X = B for nrhs right-hand sides against the current
-// factorization. B and X are column-major panels of length n·nrhs: column
-// j occupies [j·n, (j+1)·n). b and x may alias. Columns are processed in
-// panels of up to solvePanelWidth so each row of the factor is loaded once
-// per panel instead of once per column; within a column the arithmetic
-// (term order and rounding) is bit-identical to a sequential Solve.
-func (c *BandCholesky) SolveBatch(b, x []float64, nrhs int) error {
-	n, bw := c.n, c.bw
-	if nrhs < 0 || len(b) != n*nrhs || len(x) != n*nrhs {
-		return fmt.Errorf("band batch solve b=%d x=%d n=%d nrhs=%d: %w", len(b), len(x), n, nrhs, ErrDimensionMismatch)
-	}
-	if n == 0 || nrhs == 0 {
-		return nil
-	}
-	if &b[0] != &x[0] {
-		copy(x, b)
-	}
-	w1 := bw + 1
-	l := c.l
-	for base := 0; base < nrhs; base += solvePanelWidth {
-		p := nrhs - base
-		if p > solvePanelWidth {
-			p = solvePanelWidth
-		}
-		xs := x[base*n:]
-		// Forward substitution: L·Y = B across the panel.
-		for i := 0; i < n; i++ {
-			lo := i - bw
-			if lo < 0 {
-				lo = 0
-			}
-			lv := l[i*w1+lo-i+bw : i*w1+bw]
-			panelFwdStep(xs, n, i, lo, lv, c.dinv[i], p)
-		}
-		// Back substitution: Lᵀ·X = Y, off the transposed copy when one
-		// was built (same policy as Solve).
-		if c.useLT {
-			lt := c.lt
-			for i := n - 1; i >= 0; i-- {
-				hi := i + bw
-				if hi > n-1 {
-					hi = n - 1
-				}
-				lv := lt[i*w1+1 : i*w1+hi-i+1]
-				panelBackStepLT(xs, n, i, lv, c.dinv[i], p)
-			}
-		} else {
-			for i := n - 1; i >= 0; i-- {
-				hi := i + bw
-				if hi > n-1 {
-					hi = n - 1
-				}
-				panelBackStep(xs, n, i, hi, w1, bw, l, c.dinv[i], p)
-			}
-		}
-	}
-	return nil
-}
-
 // RankUpdate describes one rank-1 perturbation A' = A + Sigma·v·vᵀ of a
 // factorized band matrix, with v given as a dense window: v[i] is the
 // entry at row Start+i and everything outside the window is zero. The

@@ -7,84 +7,6 @@ import (
 	"testing"
 )
 
-func TestSolveBatchBitIdenticalToSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	cases := []struct{ n, bw, nrhs int }{
-		{1, 0, 1},
-		{6, 2, 4},
-		{9, 3, 7},   // non-multiple of the panel width
-		{17, 1, 8},  // exactly one panel
-		{30, 5, 13}, // multiple panels + remainder
-		{40, 0, 5},  // diagonal system
-		{500, 4, 9}, // large enough to use the transposed copy
-	}
-	for _, tc := range cases {
-		_, a := randBandSPD(rng, tc.n, tc.bw)
-		var chol BandCholesky
-		chol.Symbolic(tc.n, tc.bw)
-		if err := chol.Factorize(a); err != nil {
-			t.Fatalf("n=%d bw=%d: factorize: %v", tc.n, tc.bw, err)
-		}
-		b := make([]float64, tc.n*tc.nrhs)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		got := make([]float64, len(b))
-		if err := chol.SolveBatch(b, got, tc.nrhs); err != nil {
-			t.Fatalf("n=%d bw=%d nrhs=%d: SolveBatch: %v", tc.n, tc.bw, tc.nrhs, err)
-		}
-		want := NewVector(tc.n)
-		for j := 0; j < tc.nrhs; j++ {
-			if err := chol.Solve(Vector(b[j*tc.n:(j+1)*tc.n]), want); err != nil {
-				t.Fatalf("sequential solve: %v", err)
-			}
-			for i := 0; i < tc.n; i++ {
-				if got[j*tc.n+i] != want[i] {
-					t.Fatalf("n=%d bw=%d nrhs=%d: column %d row %d: batch %v != sequential %v",
-						tc.n, tc.bw, tc.nrhs, j, i, got[j*tc.n+i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestSolveBatchAliasAndErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n, bw, nrhs := 12, 3, 6
-	_, a := randBandSPD(rng, n, bw)
-	var chol BandCholesky
-	if err := chol.Factorize(a); err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, n*nrhs)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	sep := make([]float64, len(b))
-	if err := chol.SolveBatch(b, sep, nrhs); err != nil {
-		t.Fatal(err)
-	}
-	inPlace := append([]float64(nil), b...)
-	if err := chol.SolveBatch(inPlace, inPlace, nrhs); err != nil {
-		t.Fatal(err)
-	}
-	for i := range sep {
-		if sep[i] != inPlace[i] {
-			t.Fatalf("aliased solve differs at %d: %v vs %v", i, inPlace[i], sep[i])
-		}
-	}
-	if err := chol.SolveBatch(b[:n], sep, nrhs); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("short b: got %v", err)
-	}
-	if err := chol.SolveBatch(b, sep[:n], nrhs); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("short x: got %v", err)
-	}
-	if err := chol.SolveBatch(nil, nil, 0); err != nil {
-		t.Fatalf("empty batch: %v", err)
-	}
-}
-
-// applyRankUpdates materializes A' = A + Σ σᵥ·v·vᵀ on a copy of the band.
 func applyRankUpdates(a *BandMatrix, ups []RankUpdate) *BandMatrix {
 	out := NewBandMatrix(a.N(), a.Bandwidth())
 	_ = out.CopyFrom(a)
@@ -302,43 +224,6 @@ func TestSharedSymbolicRegistry(t *testing.T) {
 			t.Fatalf("shared-symbolic solve differs at %d", i)
 		}
 	}
-}
-
-// BenchmarkBatchSolve compares the panel back-solve against sequential
-// scalar solves on a best-response-shaped factor (many RHS, narrow band).
-func BenchmarkBatchSolve(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n, bw, nrhs := 240, 4, 8
-	_, a := randBandSPD(rng, n, bw)
-	var chol BandCholesky
-	if err := chol.Factorize(a); err != nil {
-		b.Fatal(err)
-	}
-	rhs := make([]float64, n*nrhs)
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-	}
-	out := make([]float64, len(rhs))
-	b.Run("panel", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := chol.SolveBatch(rhs, out, nrhs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < nrhs; j++ {
-				if err := chol.Solve(Vector(rhs[j*n:(j+1)*n]), Vector(out[j*n:(j+1)*n])); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkRankKUpdate compares a k-row factorization update against the

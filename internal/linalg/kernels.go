@@ -47,108 +47,6 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// panelFwdStep eliminates row i of the forward substitution L·Y = B for
-// every column of a column-major panel: for each column x,
-// x[i] = (x[i] − Σ_k lv[k]·x[lo+k]) · dinv, with lv the packed band of row
-// i (k ascending — the same association BandCholesky.Solve uses, so each
-// column is bit-identical to a scalar solve). Columns are processed four
-// at a time so the band loads of row i are amortized across the panel and
-// the compiler gets four independent accumulation chains.
-func panelFwdStep(xs []float64, stride, i, lo int, lv []float64, dinv float64, ncols int) {
-	c := 0
-	for ; c+4 <= ncols; c += 4 {
-		x0 := xs[c*stride : (c+1)*stride]
-		x1 := xs[(c+1)*stride : (c+2)*stride]
-		x2 := xs[(c+2)*stride : (c+3)*stride]
-		x3 := xs[(c+3)*stride : (c+4)*stride]
-		s0, s1, s2, s3 := x0[i], x1[i], x2[i], x3[i]
-		for k, v := range lv {
-			s0 -= v * x0[lo+k]
-			s1 -= v * x1[lo+k]
-			s2 -= v * x2[lo+k]
-			s3 -= v * x3[lo+k]
-		}
-		x0[i] = s0 * dinv
-		x1[i] = s1 * dinv
-		x2[i] = s2 * dinv
-		x3[i] = s3 * dinv
-	}
-	for ; c < ncols; c++ {
-		x := xs[c*stride : (c+1)*stride]
-		s := x[i]
-		for k, v := range lv {
-			s -= v * x[lo+k]
-		}
-		x[i] = s * dinv
-	}
-}
-
-// panelBackStep eliminates row i of the back substitution Lᵀ·X = Y for a
-// column-major panel, reading column i of L directly from the packed
-// factor (the small-factor path of BandCholesky.Solve): for each column x,
-// x[i] = (x[i] − Σ_{k=i+1..hi} L[k][i]·x[k]) · dinv, k ascending.
-func panelBackStep(xs []float64, stride, i, hi, w1, bw int, l []float64, dinv float64, ncols int) {
-	c := 0
-	for ; c+4 <= ncols; c += 4 {
-		x0 := xs[c*stride : (c+1)*stride]
-		x1 := xs[(c+1)*stride : (c+2)*stride]
-		x2 := xs[(c+2)*stride : (c+3)*stride]
-		x3 := xs[(c+3)*stride : (c+4)*stride]
-		s0, s1, s2, s3 := x0[i], x1[i], x2[i], x3[i]
-		for k := i + 1; k <= hi; k++ {
-			v := l[k*w1+i-k+bw]
-			s0 -= v * x0[k]
-			s1 -= v * x1[k]
-			s2 -= v * x2[k]
-			s3 -= v * x3[k]
-		}
-		x0[i] = s0 * dinv
-		x1[i] = s1 * dinv
-		x2[i] = s2 * dinv
-		x3[i] = s3 * dinv
-	}
-	for ; c < ncols; c++ {
-		x := xs[c*stride : (c+1)*stride]
-		s := x[i]
-		for k := i + 1; k <= hi; k++ {
-			s -= l[k*w1+i-k+bw] * x[k]
-		}
-		x[i] = s * dinv
-	}
-}
-
-// panelBackStepLT is panelBackStep off the packed transposed copy (the
-// large-factor path): lv holds column i of L below the diagonal
-// contiguously, so the inner loop is a unit-stride dot against x[i+1:].
-func panelBackStepLT(xs []float64, stride, i int, lv []float64, dinv float64, ncols int) {
-	c := 0
-	for ; c+4 <= ncols; c += 4 {
-		x0 := xs[c*stride : (c+1)*stride]
-		x1 := xs[(c+1)*stride : (c+2)*stride]
-		x2 := xs[(c+2)*stride : (c+3)*stride]
-		x3 := xs[(c+3)*stride : (c+4)*stride]
-		s0, s1, s2, s3 := x0[i], x1[i], x2[i], x3[i]
-		for k, v := range lv {
-			s0 -= v * x0[i+1+k]
-			s1 -= v * x1[i+1+k]
-			s2 -= v * x2[i+1+k]
-			s3 -= v * x3[i+1+k]
-		}
-		x0[i] = s0 * dinv
-		x1[i] = s1 * dinv
-		x2[i] = s2 * dinv
-		x3[i] = s3 * dinv
-	}
-	for ; c < ncols; c++ {
-		x := xs[c*stride : (c+1)*stride]
-		s := x[i]
-		for k, v := range lv {
-			s -= v * x[i+1+k]
-		}
-		x[i] = s * dinv
-	}
-}
-
 // ScaledAdd computes dst = a + alpha·b in one fused pass (no intermediate
 // copy), 4-way unrolled. dst may alias a or b.
 func ScaledAdd(dst, a []float64, alpha float64, b []float64) {

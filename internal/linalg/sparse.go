@@ -18,15 +18,28 @@ type Operator interface {
 	MulVecT(x Vector, y Vector) error
 	AtATWeighted(w Vector, dst *Matrix) error
 	// AtATWeightedBand accumulates AᵀDA directly into packed band storage,
-	// the zero-allocation KKT assembly path of the QP solver. The product
-	// must fit the band: dst.Bandwidth() ≥ GramBandwidth (callers size dst
-	// from the structure cache, so this holds by construction).
+	// the zero-allocation KKT assembly path of the QP solver. Rows with a
+	// zero weight are skipped; every other row's product must fit the band
+	// (an error otherwise). Zero weights are how the solver leaves its
+	// linking rows out of the band factor.
 	AtATWeightedBand(w Vector, dst *BandMatrix) error
 }
 
+// Symmetric is the read-only contract the QP solver needs from its
+// quadratic term: a dense *Matrix, or a packed *BandMatrix whose band
+// the solver then adopts as the KKT band.
+type Symmetric interface {
+	Rows() int
+	Cols() int
+	At(i, j int) float64
+	MulVec(x Vector, y Vector) error
+}
+
 var (
-	_ Operator = (*Matrix)(nil)
-	_ Operator = (*SparseMatrix)(nil)
+	_ Operator  = (*Matrix)(nil)
+	_ Operator  = (*SparseMatrix)(nil)
+	_ Symmetric = (*Matrix)(nil)
+	_ Symmetric = (*BandMatrix)(nil)
 )
 
 // SparseMatrix is an immutable compressed-sparse-row (CSR) matrix. Rows
@@ -330,8 +343,9 @@ func (m *SparseMatrix) AtATWeighted(w Vector, dst *Matrix) error {
 
 // AtATWeightedBand accumulates Gᵀ·diag(w)·G into the packed band matrix
 // dst in O(Σᵢ nnzᵢ²), writing only the lower band (dst is symmetric by
-// representation, so no mirroring pass is needed). Every product entry
-// lands within GramBandwidth of the diagonal; dst's band must cover it.
+// representation, so no mirroring pass is needed). Rows with zero weight
+// are skipped; every other row's columns must span at most dst's band.
+// When the whole Gram band fits, no row is checked.
 func (m *SparseMatrix) AtATWeightedBand(w Vector, dst *BandMatrix) error {
 	if len(w) != m.rows || dst.N() != m.cols {
 		return fmt.Errorf("sparse gtwg band (%dx%d), w=%d, dst n=%d: %w",
@@ -339,8 +353,14 @@ func (m *SparseMatrix) AtATWeightedBand(w Vector, dst *BandMatrix) error {
 	}
 	bw := dst.Bandwidth()
 	if m.gramBW > bw {
-		return fmt.Errorf("sparse gtwg band: gram bandwidth %d exceeds dst band %d: %w",
-			m.gramBW, bw, ErrDimensionMismatch)
+		// Some row is wider than the band: only zero-weight rows may be.
+		for r := 0; r < m.rows; r++ {
+			lo, hi := m.rowPtr[r], m.rowPtr[r+1]
+			if w[r] != 0 && hi-lo > 1 && m.colIdx[hi-1]-m.colIdx[lo] > bw {
+				return fmt.Errorf("sparse gtwg band: row %d spans %d columns, band %d: %w",
+					r, m.colIdx[hi-1]-m.colIdx[lo], bw, ErrDimensionMismatch)
+			}
+		}
 	}
 	dd := dst.data
 	for r := 0; r < m.rows; r++ {
@@ -391,6 +411,13 @@ func (m *SparseMatrix) AtATWeightedBand(w Vector, dst *BandMatrix) error {
 		}
 	}
 	return nil
+}
+
+// RowEntries returns row i's stored columns (ascending) and values. The
+// slices alias the matrix and must not be modified.
+func (m *SparseMatrix) RowEntries(i int) (cols []int, vals []float64) {
+	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+	return m.colIdx[lo:hi:hi], m.vals[lo:hi:hi]
 }
 
 // RowWindow densifies row i over its column window into buf: start is the

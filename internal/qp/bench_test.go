@@ -36,19 +36,41 @@ func BenchmarkSolve(b *testing.B) {
 // With the symbolic/numeric factorization split and pooled iteration state,
 // allocs/op must stay a small constant independent of the iteration count
 // (see TestAllocsIndependentOfIterationCount for the hard assertion); the
-// reported ipm_iters shows how few iterations the warm path needs.
+// reported ipm_iters shows how few iterations the warm path needs. The
+// block-angular case has the paper instance's shape — 8 location blocks
+// of 4 pairs over 2 steps, coupled by 4 capacity rows — and runs the
+// linking-row Schur path under the same allocation contract.
 func BenchmarkSolveWarm(b *testing.B) {
+	type bench struct {
+		name string
+		p    func(*rand.Rand) *Problem
+	}
+	var cases []bench
 	for _, size := range []struct{ n, m int }{
 		{10, 20}, {50, 100}, {150, 300},
 	} {
-		rng := rand.New(rand.NewSource(42))
-		p := randomFeasibleQP(rng, size.n, size.m)
+		cases = append(cases, bench{fmt.Sprintf("n%d_m%d", size.n, size.m), func(rng *rand.Rand) *Problem {
+			return randomFeasibleQP(rng, size.n, size.m)
+		}})
+	}
+	cases = append(cases, bench{"blocks8x8_link4", func(rng *rand.Rand) *Problem {
+		return blockAngularQP(rng, 8, 8, 4)
+	}})
+	for _, c := range cases {
+		p := c.p(rand.New(rand.NewSource(42)))
 		cold, err := Solve(p, DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
 		warm := &WarmStart{X: cold.X, Z: cold.IneqDuals}
-		b.Run(fmt.Sprintf("n%d_m%d", size.n, size.m), func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
+			// Prime the solver-state pool from this goroutine: the pool is
+			// per-P, and a run scheduled on another P than the cold solve
+			// above would otherwise count one state's growth against a
+			// 10-iteration run.
+			if _, err := SolveWarm(p, DefaultOptions(), warm); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			var iters int

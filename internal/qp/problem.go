@@ -43,27 +43,37 @@ var (
 // Problem is a convex QP instance. G/h and A/b may be nil for problems
 // without inequality or equality constraints respectively.
 //
-// G is any linalg.Operator: pass a dense *linalg.Matrix for general
-// constraints, or a *linalg.SparseMatrix when the rows are sparse (the
-// horizon QP's prefix-sum rows are) so KKT assembly runs nnz-proportional
-// instead of O(m·n²).
+// Q is a linalg.Symmetric: a dense *linalg.Matrix, or a packed
+// *linalg.BandMatrix. G is any linalg.Operator: pass a dense
+// *linalg.Matrix for general constraints, or a *linalg.SparseMatrix when
+// the rows are sparse (the horizon QP's are) so KKT assembly runs
+// nnz-proportional instead of O(m·n²).
+//
+// Each interior-point iteration solves with H = Q + Gᵀdiag(w)G. The
+// solver splits it as H = H_b + A_Lᵀ W_L A_L: the band part H_b holds Q
+// and every row of G except the linking rows, and is factored with a band
+// Cholesky; the linking rows A_L (and the equality rows A, the case
+// W_L⁻¹ = 0) enter through the dense Schur complement
+// S = W_L⁻¹ + A_L H_b⁻¹ A_Lᵀ. A block-angular problem — independent
+// diagonal blocks coupled only by a few rows — keeps H_b's band as narrow
+// as one block, and S is formed block by block.
 type Problem struct {
-	Q *linalg.Matrix  // n×n, symmetric PSD
-	C linalg.Vector   // n, linear cost term q
-	G linalg.Operator // m×n (dense or sparse) or nil
-	H linalg.Vector   // m or nil
-	A *linalg.Matrix  // p×n or nil
-	B linalg.Vector   // p or nil
+	Q linalg.Symmetric // n×n, symmetric PSD (dense or band)
+	C linalg.Vector    // n, linear cost term q
+	G linalg.Operator  // m×n (dense or sparse) or nil
+	H linalg.Vector    // m or nil
+	A *linalg.Matrix   // p×n or nil
+	B linalg.Vector    // p or nil
 
-	// KKTBandHint, when positive, declares the KKT half-bandwidth as
-	// KKTBandHint−1: the solver then skips the O(n²) Q-band scan it would
-	// otherwise run per solve. Callers that solve the same problem shape
-	// thousands of times (the horizon QP structure cache) compute it once
-	// with KKTBandwidth and pass it here. Zero means "unknown, compute".
-	// A hint narrower than the true band silently corrupts the KKT system;
-	// it is the caller's contract that every nonzero of Q and of GᵀDG lies
-	// within the declared band.
-	KKTBandHint int
+	// Linking lists, strictly ascending, the rows of G kept out of the band
+	// factor and handled through the Schur complement. Nil means every row
+	// is in the band.
+	//
+	// With a band Q, Q's bandwidth is the KKT band: every row of G not in
+	// Linking must span at most that many columns (a row that does not
+	// fails the first factorization with ErrBadProblem). With a dense Q
+	// the solver scans Q and G for the band itself.
+	Linking []int
 }
 
 // Validate checks dimensional consistency.
@@ -87,6 +97,11 @@ func (p *Problem) Validate() error {
 		}
 		if p.G.Rows() != len(p.H) {
 			return fmt.Errorf("G has %d rows, h has %d: %w", p.G.Rows(), len(p.H), ErrBadProblem)
+		}
+	}
+	for k, r := range p.Linking {
+		if r < 0 || r >= len(p.H) || (k > 0 && r <= p.Linking[k-1]) {
+			return fmt.Errorf("linking row %d (entry %d) not ascending within [0,%d): %w", r, k, len(p.H), ErrBadProblem)
 		}
 	}
 	if (p.A == nil) != (p.B == nil) {

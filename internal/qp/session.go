@@ -23,9 +23,11 @@ import (
 //     one more solve), eliminating the last two allocations per solve.
 //   - Factorization reuse: when a solve's z/s weights are bitwise
 //     identical to the ones that produced the standing factor, the
-//     refill+factorize is skipped outright; with SessionOptions.RankK,
-//     a handful of changed weights advances the factor by banded rank-1
-//     updates instead (see ResolveCtx).
+//     refill+factorize is skipped outright; when only linking-row weights
+//     moved, the band factor is kept and only the Schur complement is
+//     refactored; with SessionOptions.RankK, a handful of changed band
+//     weights advances the factor by banded rank-1 updates instead (see
+//     ResolveCtx).
 //
 // A Session is not safe for concurrent use; concurrent solvers each hold
 // their own session (they still share symbolic analysis through the
@@ -243,8 +245,9 @@ func (s *Session) ResolvePerturbedCtx(ctx context.Context, rows []int, deltas []
 type SessionStats struct {
 	// Factorizations counts full numeric refactorizations.
 	Factorizations uint64
-	// Reused counts factorizations skipped outright because the KKT
-	// weights were bitwise unchanged.
+	// Reused counts factorizations that kept the band factor: the KKT
+	// weights were bitwise unchanged, or only linking-row weights moved
+	// (then only the Schur complement was refactored).
 	Reused uint64
 	// RankKUpdates counts factorizations advanced by in-place rank-k
 	// updates.

@@ -102,11 +102,12 @@ func TestSessionResultDoubleBuffered(t *testing.T) {
 
 // bandedSparseQP builds a strictly convex QP with a banded sparse G (row
 // i covers columns [i, i+bw]), the structure whose KKT factorization the
-// rank-k update tier can advance in place.
+// rank-k update tier can advance in place. Q is a band matrix declaring
+// the KKT band bw.
 func bandedSparseQP(rng *rand.Rand, n, bw int) *Problem {
-	q := linalg.NewMatrix(n, n)
+	q := linalg.NewBandMatrix(n, bw)
 	for i := 0; i < n; i++ {
-		q.Set(i, i, 0.5+rng.Float64()*2)
+		_ = q.Set(i, i, 0.5+rng.Float64()*2)
 	}
 	c := linalg.NewVector(n)
 	for i := range c {
@@ -129,7 +130,7 @@ func bandedSparseQP(rng *rand.Rand, n, bw int) *Problem {
 	if err != nil {
 		panic(err)
 	}
-	return &Problem{Q: q, C: c, G: g, H: h, KKTBandHint: bw + 1}
+	return &Problem{Q: q, C: c, G: g, H: h}
 }
 
 // TestSessionCheckpointQueries exercises the hot-continuation path end to
@@ -178,7 +179,7 @@ func TestSessionCheckpointQueries(t *testing.T) {
 		// Reference: an independent cold solve of the perturbed problem.
 		ph := p.H.Clone()
 		// The session restored p.H to the checkpoint before perturbing.
-		ref := &Problem{Q: p.Q, C: p.C, G: p.G, H: ph, KKTBandHint: p.KKTBandHint}
+		ref := &Problem{Q: p.Q, C: p.C, G: p.G, H: ph}
 		want, err := Solve(ref, DefaultOptions())
 		if err != nil {
 			t.Fatalf("query %d reference: %v", trial, err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"time"
 
@@ -321,16 +322,18 @@ type ipmState struct {
 	qx   linalg.Vector // Q·x at the current iterate (objective + rd)
 	w    linalg.Vector // z/s weights
 	sInv linalg.Vector // 1/s, refreshed by factorKKT for the direction solves
-	// hBand is the KKT matrix H = Q + GᵀDG in packed band storage: the
+	// hBand is the band part of the KKT matrix, H_b = Q + G_bᵀDG_b over
+	// the rows of G that are not linking rows, in packed band storage: the
 	// symbolic phase (newIPMState) shapes it once per solve, the numeric
 	// phase (factorKKT) refills it in place every iteration.
 	hBand *linalg.BandMatrix
-	// qBand caches Q's band in packed storage, copied from the dense Q
-	// once per solve: the per-iteration KKT refill becomes one contiguous
-	// copy and the residual products walk packed rows instead of striding
-	// across dense ones.
+	// qBand is Q's band in packed storage: a band Q itself, or qOwn holding
+	// a dense Q's band copied once per solve. The per-iteration KKT refill
+	// is then one contiguous copy and the residual products walk packed
+	// rows instead of striding across dense ones.
 	qBand *linalg.BandMatrix
-	hBW   int // half-bandwidth of H (n−1 when dense)
+	qOwn  *linalg.BandMatrix
+	hBW   int // half-bandwidth of H_b (n−1 when dense)
 	// Constant per problem, hoisted out of the per-iteration convergence
 	// test: ‖c‖∞ and ‖h‖∞.
 	cNorm, hNorm float64
@@ -367,9 +370,12 @@ type ipmState struct {
 	// bumped records that the last factorization needed the emergency
 	// regularization bump, invalidating the incremental residual identity.
 	bumped bool
+	// reg is the static regularization of the last factorKKT call.
+	reg float64
 	// factorKind records how factorKKT satisfied its last call: a full
 	// numeric refactorization, an exact reuse of the standing factor
-	// (weights bitwise unchanged), or an in-place rank-k update.
+	// (weights bitwise unchanged), a band-factor reuse with only the Schur
+	// complement refactored, or an in-place rank-k update.
 	factorKind factorKind
 	// reuse, set only by Sessions on inequality-only problems, carries the
 	// cross-solve factorization reuse state. Nil on the pooled path.
@@ -378,17 +384,12 @@ type ipmState struct {
 	// storage so results stop allocating per solve.
 	arena *resultArena
 	bchol *linalg.BandCholesky
-	// Schur complement pieces for equality constraints.
-	hInvAt *linalg.Matrix
-	schur  *linalg.Cholesky
+	// link is the Schur complement of the linking and equality rows
+	// against the band factor (link.nc == 0 when there are none).
+	link linkSchur
 
-	scratchN  linalg.Vector
-	scratchN2 linalg.Vector
-	scratchM  linalg.Vector
-	scratchQ  linalg.Vector
-	// panelQ is the column-major H⁻¹Aᵀ panel of the Schur path, batched
-	// through SolveBatch.
-	panelQ linalg.Vector
+	scratchN linalg.Vector
+	scratchM linalg.Vector
 }
 
 // factorKind enumerates the ways factorKKT can produce a valid factor.
@@ -397,14 +398,17 @@ type factorKind uint8
 const (
 	factorFull        factorKind = iota // refill + numeric factorization
 	factorReusedExact                   // weights bitwise unchanged: factor kept as-is
-	factorRankK                         // factor advanced by rank-k update
+	factorRankK                         // band factor advanced by rank-k update
+	factorLinkOnly                      // only linking weights moved: band factor kept, S refactored
 )
 
 // factorReuse is the cross-solve factorization state of a Session: the
-// weight vector that produced the standing band factor, scratch for
-// diffing, the rank-k policy switch, and cumulative accounting. The exact
-// bitwise-reuse tier is always active once the struct is attached; the
-// rank-k tier is opt-in (SessionOptions.RankK) because its factor is a
+// weight vector that produced the standing factor, scratch for diffing,
+// the rank-k policy switch, and cumulative accounting. The exact
+// bitwise-reuse tiers are always active once the struct is attached: all
+// weights unchanged keeps everything, and changes confined to linking rows
+// keep the band factor and refactor only the Schur complement. The rank-k
+// tier is opt-in (SessionOptions.RankK) because its factor is a
 // rounding-level perturbation of the full one, which trades bit-identical
 // results for an O((n−start)·bw) update.
 type factorReuse struct {
@@ -421,9 +425,10 @@ type factorReuse struct {
 	rankkTotal  uint64
 }
 
-// kktBandwidth bounds the half-bandwidth of H = Q + Gᵀdiag(w)G for any
-// diagonal weights: the Gram bandwidth advertised by G widened to cover
-// Q's own band. A dense G (no GramBandwidth method) means a dense H.
+// kktBandwidth bounds the half-bandwidth of H = Q + Gᵀdiag(w)G for a
+// dense Q and any diagonal weights: the Gram bandwidth advertised by G
+// widened to cover Q's own band, found by an O(n²) scan. A dense G (no
+// GramBandwidth method) means a dense H.
 func kktBandwidth(p *Problem, n int) int {
 	g, ok := p.G.(interface{ GramBandwidth() int })
 	if !ok {
@@ -440,14 +445,6 @@ func kktBandwidth(p *Problem, n int) int {
 	return bw
 }
 
-// KKTBandwidth computes the half-bandwidth of the KKT matrix
-// H = Q + Gᵀdiag(w)G, the value Problem.KKTBandHint caches (as hint−1).
-// The scan costs O(n²) on Q; callers that rebuild the same problem
-// structure repeatedly run it once and pass the hint ever after.
-func KKTBandwidth(p *Problem) int {
-	return kktBandwidth(p, p.NumVars())
-}
-
 // statePool recycles ipmStates across solves: MPC and best-response loops
 // solve tens of thousands of QPs, and the working vectors plus the packed
 // KKT band dominate the solver's allocation profile. Buffers grow to the
@@ -455,7 +452,10 @@ func KKTBandwidth(p *Problem) int {
 // different problem sizes (the horizon sweep) stops allocating once every
 // shape has been visited.
 var statePool = sync.Pool{New: func() any {
-	return &ipmState{hBand: &linalg.BandMatrix{}, qBand: &linalg.BandMatrix{}, bchol: &linalg.BandCholesky{}, schur: &linalg.Cholesky{}}
+	return &ipmState{
+		hBand: &linalg.BandMatrix{}, qOwn: &linalg.BandMatrix{}, bchol: &linalg.BandCholesky{},
+		link: linkSchur{s: &linalg.BandMatrix{}, chol: &linalg.BandCholesky{}},
+	}
 }}
 
 // growVec reslices v to length n, reallocating only when the capacity is
@@ -471,13 +471,16 @@ func growVec(v linalg.Vector, n int) linalg.Vector {
 func newIPMState(p *Problem, n, m, q int) *ipmState {
 	st := statePool.Get().(*ipmState)
 	st.p = p
-	if p.KKTBandHint > 0 {
-		st.hBW = p.KKTBandHint - 1
-		if st.hBW > n-1 {
-			st.hBW = n - 1
-		}
+	// A band Q declares the KKT band; a dense one is scanned for it and
+	// its band copied into packed storage once per solve.
+	if qb, ok := p.Q.(*linalg.BandMatrix); ok {
+		st.qBand = qb
+		st.hBW = qb.Bandwidth()
 	} else {
 		st.hBW = kktBandwidth(p, n)
+		st.qOwn.Reset(n, st.hBW)
+		_ = st.qOwn.CopyLowerBand(p.Q)
+		st.qBand = st.qOwn
 	}
 	st.cNorm = p.C.NormInf()
 	st.hNorm = 0
@@ -489,7 +492,6 @@ func newIPMState(p *Problem, n, m, q int) *ipmState {
 	st.dx = growVec(st.dx, n)
 	st.qx = growVec(st.qx, n)
 	st.scratchN = growVec(st.scratchN, n)
-	st.scratchN2 = growVec(st.scratchN2, n)
 	st.s = growVec(st.s, m)
 	st.z = growVec(st.z, m)
 	st.rp = growVec(st.rp, m)
@@ -502,7 +504,6 @@ func newIPMState(p *Problem, n, m, q int) *ipmState {
 	st.y = growVec(st.y, q)
 	st.re = growVec(st.re, q)
 	st.dy = growVec(st.dy, q)
-	st.scratchQ = growVec(st.scratchQ, q)
 	st.n, st.m, st.q = n, m, q
 	// Symbolic phase: shape the packed band and the factor layout once; the
 	// per-iteration numeric phase then refills and refactorizes in place
@@ -512,8 +513,11 @@ func newIPMState(p *Problem, n, m, q int) *ipmState {
 	// analysis object.
 	st.hBand.Reset(n, st.hBW)
 	st.bchol.SymbolicFrom(linalg.SharedSymbolic(n, st.hBW))
-	st.qBand.Reset(n, st.hBW)
-	_ = st.qBand.CopyLowerBand(p.Q)
+	st.link.analyze(p, st.qBand, n, m, q)
+	st.bchol.PivotFloor = 0
+	if st.link.nc > 0 {
+		st.bchol.PivotFloor = linkPivotFloor
+	}
 	return st
 }
 
@@ -523,6 +527,7 @@ func newIPMState(p *Problem, n, m, q int) *ipmState {
 // factorization reads it.
 func (st *ipmState) release() {
 	st.p = nil
+	st.qBand = nil
 	statePool.Put(st)
 }
 
@@ -582,7 +587,7 @@ func (st *ipmState) initPoint(warm *WarmStart) {
 func (st *ipmState) computeResiduals() {
 	p := st.p
 	// qx = Qx (Q's band is inside the KKT band); rd = Qx + c + Gᵀz + Aᵀy.
-	_ = st.qBand.MulVecSym(st.x, st.qx)
+	_ = st.qBand.MulVec(st.x, st.qx)
 	// The product Qx in hand, the objective ½xᵀQx + cᵀx falls out of the
 	// same pass; converged() and result() reuse it instead of redoing the
 	// banded product. The value matches Problem.Objective exactly: the
@@ -656,7 +661,7 @@ func (st *ipmState) computeResiduals() {
 // Only valid when q == 0, the step did not clip at the positivity floor,
 // and the factorization used the static regularization (callers check).
 func (st *ipmState) updateResiduals(alphaP, alphaD, reg float64) {
-	_ = st.qBand.MulVecSym(st.dx, st.scratchN)
+	_ = st.qBand.MulVec(st.dx, st.scratchN)
 	qdx := st.scratchN[:st.n]
 	rd, qxv, dx := st.rd[:st.n], st.qx[:st.n], st.dx[:st.n]
 	pd := alphaP - alphaD
@@ -725,11 +730,12 @@ func (st *ipmState) converged(tol, mu float64) bool {
 }
 
 // factorKKT runs the numeric factorization phase: refill the packed band
-// with H = Q + Gᵀdiag(z/s)G (+ regularization) and refactorize in place,
-// plus the Schur complement A H⁻¹ Aᵀ when equalities are present. The
+// with H_b = Q + G_bᵀdiag(z/s)G_b (+ regularization) and refactorize in
+// place, then the Schur complement of the linking and equality rows. The
 // symbolic phase (layout and storage) happened once in newIPMState, so no
-// allocation occurs here on the q == 0 path.
+// allocation occurs here.
 func (st *ipmState) factorKKT(reg float64) error {
+	st.reg = reg
 	st.bumped = false
 	st.factorKind = factorFull
 	sInv, wv := st.sInv[:st.m], st.w[:st.m]
@@ -739,29 +745,54 @@ func (st *ipmState) factorKKT(reg float64) error {
 		wv[i] = zv[i] * sInv[i]
 	}
 	fr := st.reuse
-	if fr != nil && st.tryFactorReuse(fr) {
+	if fr == nil || !st.tryFactorReuse(fr) {
+		if err := st.factorKKTFull(reg); err != nil {
+			if fr != nil {
+				fr.valid = false
+			}
+			return err
+		}
+		if fr != nil {
+			fr.fullTotal++
+			if st.bumped {
+				// The bump shifted the diagonal beyond what the weights imply;
+				// the standing factor no longer corresponds to any weight
+				// vector a later solve could diff against.
+				fr.valid = false
+			} else {
+				fr.prevW = growVec(fr.prevW, st.m)
+				copy(fr.prevW, wv)
+				fr.valid = true
+			}
+		}
+	}
+	if st.link.nc == 0 || st.factorKind == factorReusedExact {
 		return nil
 	}
-	if err := st.factorKKTFull(reg); err != nil {
+	// A new band factor (full or rank-k) invalidates C H_b⁻¹ Cᵀ; a change
+	// confined to linking weights only moves S's diagonal.
+	if st.factorKind != factorLinkOnly {
+		if err := st.link.formGram(st.bchol); err != nil {
+			if fr != nil {
+				fr.valid = false
+			}
+			return fmt.Errorf("schur: %v: %w", err, ErrNumerical)
+		}
+	}
+	if err := st.link.factorS(wv, st.p.Linking, reg); err != nil {
 		if fr != nil {
 			fr.valid = false
 		}
-		return err
-	}
-	if fr != nil {
-		fr.fullTotal++
-		if st.bumped {
-			// The bump shifted the diagonal beyond what the weights imply;
-			// the standing factor no longer corresponds to any weight
-			// vector a later solve could diff against.
-			fr.valid = false
-		} else {
-			fr.prevW = growVec(fr.prevW, st.m)
-			copy(fr.prevW, wv)
-			fr.valid = true
-		}
+		return fmt.Errorf("schur: %v: %w", err, ErrNumerical)
 	}
 	return nil
+}
+
+// isLinking reports whether inequality row i is a linking row.
+func (st *ipmState) isLinking(i int) bool {
+	lk := st.p.Linking
+	k := sort.SearchInts(lk, i)
+	return k < len(lk) && lk[k] == i
 }
 
 // maxRankKRows bounds how many changed weights the rank-k tier will even
@@ -770,20 +801,25 @@ func (st *ipmState) factorKKT(reg float64) error {
 const maxRankKRows = 16
 
 // tryFactorReuse serves factorKKT from the standing factorization when the
-// session's cross-solve state allows it. Two tiers:
+// session's cross-solve state allows it. Three tiers:
 //
 // Exact reuse: the z/s weights are bitwise identical to the ones that
 // produced the standing factor, so a refill+factorize would reproduce it
 // bit for bit — both are skipped and results are unchanged down to the
 // last ulp.
 //
-// Rank-k update (opt-in): when only a few weights moved — the signature of
-// a price or capacity perturbation on an otherwise converged iterate —
-// the new KKT matrix is H + Σᵢ Δwᵢ·gᵢgᵢᵀ over the changed rows, and the
-// factor advances by banded rank-1 updates in O(Σᵢ (n−startᵢ)·bw) instead
-// of a full refactorization. Applied only when the summed update sweeps
-// undercut the refactorization work, and abandoned (falling back to the
-// full path) on any stability rejection.
+// Linking-only: every band-row weight is unchanged and only linking rows
+// moved — a capacity quota re-division. The band factor is kept and
+// factorKKT refactors only the small Schur complement, which is again
+// exactly what a full refactorization would produce.
+//
+// Rank-k update (opt-in): when only a few band weights moved — the
+// signature of a price or capacity perturbation on an otherwise converged
+// iterate — the new band matrix is H_b + Σᵢ Δwᵢ·gᵢgᵢᵀ over the changed
+// rows, and the factor advances by banded rank-1 updates in
+// O(Σᵢ (n−startᵢ)·bw) instead of a full refactorization. Applied only when
+// the summed update sweeps undercut the refactorization work, and
+// abandoned (falling back to the full path) on any stability rejection.
 func (st *ipmState) tryFactorReuse(fr *factorReuse) bool {
 	wv := st.w[:st.m]
 	if !fr.valid || len(fr.prevW) != st.m {
@@ -793,8 +829,13 @@ func (st *ipmState) tryFactorReuse(fr *factorReuse) bool {
 		fr.diffRows = make([]int, 0, maxRankKRows)
 	}
 	rows := fr.diffRows[:0]
+	linkMoved := false
 	for i, w := range wv {
 		if w != fr.prevW[i] {
+			if st.link.k > 0 && st.isLinking(i) {
+				linkMoved = true
+				continue
+			}
 			if len(rows) == maxRankKRows {
 				return false
 			}
@@ -804,6 +845,10 @@ func (st *ipmState) tryFactorReuse(fr *factorReuse) bool {
 	fr.diffRows = rows
 	if len(rows) == 0 {
 		st.factorKind = factorReusedExact
+		if linkMoved {
+			st.factorKind = factorLinkOnly
+			copy(fr.prevW, wv)
+		}
 		fr.reusedTotal++
 		return true
 	}
@@ -852,21 +897,25 @@ func (st *ipmState) tryFactorReuse(fr *factorReuse) bool {
 	return true
 }
 
-// factorKKTFull is the numeric factorization proper: refill the packed
-// band and refactorize in place, then the Schur pieces when equalities
-// are present.
+// factorKKTFull is the numeric factorization of the band part proper:
+// refill the packed band and refactorize in place.
 func (st *ipmState) factorKKTFull(reg float64) error {
-	// Refill the working band: Q's packed band (cached once per solve by
-	// newIPMState) lands in one contiguous copy, reg goes on the diagonal,
-	// then Gᵀdiag(w)G is accumulated on top. kktBandwidth (or the caller's
-	// hint) guarantees both terms live inside the band.
+	// Refill the working band: Q's packed band lands in one contiguous
+	// copy, reg goes on the diagonal, then G_bᵀdiag(w)G_b is accumulated on
+	// top — the linking rows carry zero weight there, so the assembly
+	// skips them. The band is Q's (or kktBandwidth's scan); a band row of
+	// G too wide for it is the caller's error.
 	n, bw := st.n, st.hBW
 	_ = st.hBand.CopyFrom(st.qBand)
 	st.hBand.AddDiag(reg)
-	if err := st.p.G.AtATWeightedBand(st.w, st.hBand); err != nil {
-		return err
+	if err := st.p.G.AtATWeightedBand(st.link.bandWeights(st.w, st.p.Linking), st.hBand); err != nil {
+		return fmt.Errorf("kkt assembly: %v: %w", err, ErrBadProblem)
 	}
-	if err := st.bchol.Factorize(st.hBand); err != nil {
+	err := st.bchol.Factorize(st.hBand)
+	if st.bchol.Replaced > 0 {
+		st.bumped = true
+	}
+	if err != nil {
 		// Retry once with heavier regularization, scaled to the matrix
 		// magnitude: near-complementary iterates blow the z/s weights up
 		// to ~1e14, where an absolute 1e-8 shift is lost in rounding.
@@ -883,41 +932,6 @@ func (st *ipmState) factorKKTFull(reg float64) error {
 		}
 	}
 
-	if st.q > 0 {
-		// Equality constraints sit off the experiment hot paths, but the
-		// H⁻¹Aᵀ panel is a natural multi-RHS solve: columns of Aᵀ (= rows
-		// of A) are gathered into one column-major panel and
-		// back-substituted together, each column bit-identical to the
-		// sequential solve this replaces.
-		st.hInvAt = linalg.NewMatrix(st.n, st.q)
-		st.panelQ = growVec(st.panelQ, st.n*st.q)
-		panel := st.panelQ
-		for j := 0; j < st.q; j++ {
-			col := panel[j*st.n : (j+1)*st.n]
-			for i := 0; i < st.n; i++ {
-				col[i] = st.p.A.At(j, i)
-			}
-		}
-		if err := st.bchol.SolveBatch(panel, panel, st.q); err != nil {
-			return fmt.Errorf("%v: %w", err, ErrNumerical)
-		}
-		for j := 0; j < st.q; j++ {
-			col := panel[j*st.n : (j+1)*st.n]
-			for i := 0; i < st.n; i++ {
-				st.hInvAt.Set(i, j, col[i])
-			}
-		}
-		sc, err := linalg.Mul(st.p.A, st.hInvAt)
-		if err != nil {
-			return fmt.Errorf("%v: %w", err, ErrNumerical)
-		}
-		for i := 0; i < st.q; i++ {
-			sc.Inc(i, i, reg)
-		}
-		if err := st.schur.Factorize(sc); err != nil {
-			return fmt.Errorf("schur: %v: %w", err, ErrNumerical)
-		}
-	}
 	return nil
 }
 
@@ -943,34 +957,13 @@ func (st *ipmState) solveDirection() (alphaP, alphaD float64, err error) {
 		r1[i] = -rd[i] - sn[i]
 	}
 
-	if st.q == 0 {
+	if st.link.nc == 0 {
 		if err := st.bchol.Solve(r1, st.dx); err != nil {
 			return 0, 0, fmt.Errorf("%v: %w", err, ErrNumerical)
 		}
 	} else {
-		// Schur: (A H⁻¹ Aᵀ) dy = A H⁻¹ r1 + re, dx = H⁻¹ (r1 − Aᵀ dy).
-		hr := st.scratchN2
-		if err := st.bchol.Solve(r1, hr); err != nil {
-			return 0, 0, fmt.Errorf("%v: %w", err, ErrNumerical)
-		}
-		rhs := st.scratchQ
-		if err := st.p.A.MulVec(hr, rhs); err != nil {
+		if err := st.solveLinked(); err != nil {
 			return 0, 0, err
-		}
-		for i := 0; i < st.q; i++ {
-			rhs[i] += st.re[i]
-		}
-		if err := st.schur.Solve(rhs, st.dy); err != nil {
-			return 0, 0, fmt.Errorf("%v: %w", err, ErrNumerical)
-		}
-		if err := st.p.A.MulVecT(st.dy, st.scratchN); err != nil {
-			return 0, 0, err
-		}
-		for i := 0; i < st.n; i++ {
-			r1[i] -= st.scratchN[i]
-		}
-		if err := st.bchol.Solve(r1, st.dx); err != nil {
-			return 0, 0, fmt.Errorf("%v: %w", err, ErrNumerical)
 		}
 	}
 
@@ -984,6 +977,18 @@ func (st *ipmState) solveDirection() (alphaP, alphaD float64, err error) {
 	if err := st.p.G.MulVec(st.dx, st.scratchM); err != nil {
 		return 0, 0, err
 	}
+	// On a linking row the dual step comes from the Schur multiplier: the
+	// loop below sees λᵢ/wᵢ in place of (G dx)ᵢ — equal in exact
+	// arithmetic — so dzᵢ = S⁻¹(Z·rp − rc)ᵢ + λᵢ, where the rounding of
+	// the product, amplified by an active row's weight (z/s up to ~1e14),
+	// would otherwise land in the dual residual. The primal step keeps the
+	// product itself (patched in after the loop), so the primal residual
+	// of a capacity row still contracts exactly.
+	gl := st.link.gl
+	for k, r := range st.p.Linking {
+		gl[k] = st.scratchM[r]
+		st.scratchM[r] = st.link.lam[k] / st.w[r]
+	}
 	alphaP, alphaD = 1.0, 1.0
 	ds, dz, s := st.ds[:st.m], st.dz[:st.m], st.s[:st.m]
 	for i := range ds {
@@ -996,6 +1001,13 @@ func (st *ipmState) solveDirection() (alphaP, alphaD float64, err error) {
 		}
 		if -z[i] > alphaD*dzi {
 			alphaD = -z[i] / dzi
+		}
+	}
+	for k, r := range st.p.Linking {
+		d := -rp[r] - gl[k]
+		ds[r] = d
+		if -s[r] > alphaP*d {
+			alphaP = -s[r] / d
 		}
 	}
 	return alphaP, alphaD, nil
@@ -1173,8 +1185,11 @@ func (st *ipmState) result(p *Problem, iters int, mu float64) (*Result, error) {
 func solveEqualityOnly(p *Problem, opts Options) (*Result, error) {
 	n := p.NumVars()
 	q := p.NumEq()
-	hm := p.Q.Clone()
+	hm := linalg.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			hm.Set(i, j, p.Q.At(i, j))
+		}
 		hm.Inc(i, i, opts.Regularize)
 	}
 	chol, err := linalg.NewCholesky(hm)
