@@ -13,7 +13,7 @@
 //	      [-predictor persistence|seasonal|ar|holtwinters] [-history 96] [-mu 150]
 //	      [-checkpoint dsppd.ckpt] [-addr :8080] [-stall 0]
 //	dsppd -continental [-locations 240] [-dcsites 24] [-continental-seed 41]
-//	      [-shard-size 60] [-no-incremental] [-rank-k] [-carry-tol 1e-3]
+//	      [-shard-size 60]
 //
 // Observations look like
 //
@@ -26,14 +26,13 @@
 //
 // With -continental the daemon instead serves a generated continental
 // topology (same construction as dsppsim -continental) through the
-// decomposed controller: sharded region QPs under incremental
-// coordination — dirty-shard scheduling, rank-k quota re-solves,
-// cross-period plan carry — so a quiet stream of observations settles to
-// holding carried plans instead of re-coordinating the full fleet every
-// period. Report lines gain the per-period shard-solve economics
-// (rounds, shard_solves, skipped_shards, held_shards, fast_resolves).
-// Checkpoints are state-only on this path: a resumed run re-coordinates
-// from the restored state rather than resuming bit-identically.
+// decomposed controller: sharded region QPs whose shared DC capacity is
+// re-divided by a dual-price quota loop, every round re-solving every
+// shard. Its cost model bypasses to the monolithic solve when
+// coordination would cost more. A coordinating controller adds the
+// period's rounds and shard_solves to its report lines. Checkpoints are
+// state-only on this path: a resumed run re-coordinates from the
+// restored state rather than resuming bit-identically.
 //
 // SIGTERM or SIGINT shuts down cleanly: the last completed period's
 // checkpoint is already on disk, and restarting with the same -checkpoint
@@ -85,9 +84,6 @@ func run(args []string) error {
 	dcsites := fs.Int("dcsites", 24, "continental mode: number of data-center sites")
 	continentalSeed := fs.Int64("continental-seed", 41, "continental mode: topology seed")
 	shardSize := fs.Int("shard-size", 60, "continental mode: max locations per shard (0 = connected components only)")
-	noIncremental := fs.Bool("no-incremental", false, "continental mode: disable dirty-shard scheduling (re-solve every shard every round)")
-	rankK := fs.Bool("rank-k", true, "continental mode: rank-k capacity fast path for quota re-solves")
-	carryTol := fs.Float64("carry-tol", 1e-3, "continental mode: cross-period plan carry tolerance (0 = re-coordinate every period)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -107,12 +103,7 @@ func run(args []string) error {
 		inst = scn.Inst
 		numLoc = *locations
 		*numDCs = *dcsites
-		decompOpt = &dspp.DecompOptions{
-			MaxShardSize:   *shardSize,
-			NoIncremental:  *noIncremental,
-			RankK:          *rankK,
-			PeriodCarryTol: *carryTol,
-		}
+		decompOpt = &dspp.DecompOptions{MaxShardSize: *shardSize}
 		// The continental scenario's SLA is built at its own service rate;
 		// follow it for the delay correction unless -mu was given explicitly.
 		muSet := false
@@ -177,12 +168,8 @@ func run(args []string) error {
 		resumed = fmt.Sprintf(", resumed at period %d", d.Period())
 	}
 	if *continental {
-		inc := "incremental coordination"
-		if *noIncremental {
-			inc = "incremental coordination off"
-		}
-		fmt.Fprintf(os.Stderr, "dsppd: continental, %d DCs, %d locations, W=%d, budget=%v, decomposed (shard size %d, %s)%s\n",
-			*numDCs, numLoc, *horizon, *budget, *shardSize, inc, resumed)
+		fmt.Fprintf(os.Stderr, "dsppd: continental, %d DCs, %d locations, W=%d, budget=%v, decomposed (shard size %d)%s\n",
+			*numDCs, numLoc, *horizon, *budget, *shardSize, resumed)
 	} else {
 		fmt.Fprintf(os.Stderr, "dsppd: %d DCs, %d metros, W=%d, budget=%v%s\n",
 			*numDCs, numLoc, *horizon, *budget, resumed)

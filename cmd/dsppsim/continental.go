@@ -17,9 +17,6 @@ type continentalRun struct {
 	decomp             bool
 	shardSize          int
 	diurnalAmp         float64
-	noIncremental      bool
-	rankK              bool
-	carryTol           float64
 }
 
 // runContinental simulates a generated continental-scale topology. The
@@ -55,7 +52,7 @@ func runContinental(out *os.File, tel *dspp.Telemetry, cfg continentalRun) error
 		priceTrace[k] = append([]float64(nil), scn.Prices[0]...)
 	}
 
-	// The incremental footer needs the coordination counters even when no
+	// The coordination footer needs the coordination counters even when no
 	// ops endpoint asked for a hub; accounting is cheap, the full metrics
 	// table stays gated on the caller's tel.
 	acct := tel
@@ -68,11 +65,8 @@ func runContinental(out *os.File, tel *dspp.Telemetry, cfg continentalRun) error
 	var bypassRatio float64
 	if cfg.decomp {
 		ctrl, err := dspp.NewDecompController(inst, cfg.horizon, dspp.DecompOptions{
-			MaxShardSize:   cfg.shardSize,
-			Telemetry:      acct,
-			NoIncremental:  cfg.noIncremental,
-			RankK:          cfg.rankK,
-			PeriodCarryTol: cfg.carryTol,
+			MaxShardSize: cfg.shardSize,
+			Telemetry:    acct,
 		})
 		if err != nil {
 			return err
@@ -152,11 +146,7 @@ func runContinental(out *os.File, tel *dspp.Telemetry, cfg continentalRun) error
 		reg := acct.Registry()
 		rounds := reg.Counter(telemetry.MetricCoordinationRounds).Value()
 		solves := reg.Counter(telemetry.MetricShardSolves).Value()
-		skipped := reg.Counter(telemetry.MetricShardsSkipped).Value()
-		fast := reg.Counter(telemetry.MetricQuotaFastResolves).Value()
-		slots := float64(len(part.Shards) * len(res.Steps))
-		fmt.Fprintf(out, "incremental: %.0f coordination rounds, %.0f shard solves, %.0f skipped/held, %.0f rank-k fast re-solves — %.2f solves per shard-period\n",
-			rounds, solves, skipped, fast, solves/slots)
+		fmt.Fprintf(out, "coordination: %.0f rounds, %.0f shard solves\n", rounds, solves)
 	}
 	if tel != nil {
 		fmt.Fprintf(out, "\ntelemetry:\n%s", dspp.MetricsTable(tel))

@@ -17,7 +17,6 @@
 //	        [-telemetry-addr :8080] [-serve-after 30s] [-trace-out run.jsonl]
 //	dsppsim -continental [-locations 1000] [-dcsites 100] [-decomp] [-shard-size 125]
 //	        [-periods 24] [-horizon 2] [-seed 7] [-diurnal-amp 0.3]
-//	        [-no-incremental] [-rank-k] [-carry-tol 1e-3]
 //	dsppsim trace-summary run.jsonl
 //
 // With -continental the paper's four-DC setup is replaced by a generated
@@ -27,12 +26,11 @@
 // (-decomp=false forces the monolithic QP for comparison; -shard-size
 // caps locations per shard). The header reports the partition next to the
 // support stats, and the per-period table collapses to totals — hundreds
-// of per-DC columns would not be readable. Coordination is incremental by
-// default — dirty-shard scheduling, rank-k quota re-solves, cross-period
-// plan carry — and the run footer reports the realized shard-solve
-// economics; -no-incremental, -rank-k=false and -carry-tol 0 switch the
-// individual tiers off. -diurnal-amp scales the demand swing: 0 gives the
-// flat steady state where carried plans should hold whole periods.
+// of per-DC columns would not be readable. When the controller
+// coordinates (rather than bypassing to the monolithic solve), the run
+// footer reports its coordination rounds and shard solves; every round
+// re-solves every shard. -diurnal-amp scales the demand swing: 0 gives
+// the flat steady state.
 //
 // Each -fault flag adds one event to the run's fault schedule
 // (outage | shock | spike | surge | noise); the controller degrades
@@ -107,9 +105,6 @@ func run(args []string, out *os.File) error {
 	useDecomp := fs.Bool("decomp", true, "continental mode: solve via geographic decomposition (false = monolithic QP)")
 	shardSize := fs.Int("shard-size", 125, "continental mode: max locations per shard (0 = connected components only)")
 	diurnalAmp := fs.Float64("diurnal-amp", 0.3, "continental mode: diurnal demand swing amplitude in [0,1] (0 = flat steady-state demand)")
-	noIncremental := fs.Bool("no-incremental", false, "continental mode: disable dirty-shard scheduling (re-solve every shard every round)")
-	rankK := fs.Bool("rank-k", true, "continental mode: rank-k capacity fast path for quota re-solves")
-	carryTol := fs.Float64("carry-tol", 1e-3, "continental mode: cross-period plan carry tolerance (0 = re-coordinate every period)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -160,8 +155,7 @@ func run(args []string, out *os.File) error {
 			locations: *locations, dcsites: *dcsites,
 			periods: *periods, horizon: *horizon, seed: *seed,
 			decomp: *useDecomp, shardSize: *shardSize,
-			diurnalAmp: *diurnalAmp, noIncremental: *noIncremental,
-			rankK: *rankK, carryTol: *carryTol,
+			diurnalAmp: *diurnalAmp,
 		})
 	}
 	if *numDCs < 1 || *numDCs > 4 {

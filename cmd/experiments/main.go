@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"dspp"
-	"dspp/internal/decomp"
 	"dspp/internal/experiments"
 	"dspp/internal/profiling"
 )
@@ -222,13 +221,6 @@ func registry() []experiment {
 			}
 			return r.Table, r.Check(), nil
 		}},
-		{"decomp-incremental", func(int64, int) (*experiments.Table, error, error) {
-			r, err := experiments.DecompIncremental(context.Background(), false, nil)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r.Table, r.Check(), nil
-		}},
 	}
 }
 
@@ -247,9 +239,8 @@ func run(args []string) error {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	telemetryAddr := fs.String("telemetry-addr", "", "serve /metrics, /statusz, /debug/vars and /debug/pprof on this address while the suite runs")
-	benchOut := fs.String("bench-out", "", "decomp-scaling/decomp-incremental: write the measured records as a JSON array to this file")
-	benchFull := fs.Bool("bench-full", false, "decomp-scaling/decomp-incremental: run the full continental sizes (n≥1000; the monolithic references take minutes)")
-	benchBaseline := fs.String("bench-baseline", "", "decomp-incremental only: BENCH_4-format JSON whose records supply the monolithic references and pre-incremental decomp times")
+	benchOut := fs.String("bench-out", "", "decomp-scaling: write the measured records as a JSON array to this file")
+	benchFull := fs.Bool("bench-full", false, "decomp-scaling: run the full continental sizes (n≥1000; the monolithic references take minutes)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -274,41 +265,17 @@ func run(args []string) error {
 			}
 		}()
 	}
-	// The scaling benchmarks take their size and output options from the
-	// bench flags, so they run outside the fixed registry signature.
-	if *benchOut != "" || *benchFull || *benchBaseline != "" {
-		var table *experiments.Table
-		var shapeErr error
-		var records any
-		switch {
-		case strings.EqualFold(*fig, "decomp-scaling"):
-			if *benchBaseline != "" {
-				return fmt.Errorf("-bench-baseline requires -fig decomp-incremental")
-			}
-			r, err := experiments.DecompScaling(context.Background(), *benchFull)
-			if err != nil {
-				return fmt.Errorf("decomp-scaling: %w", err)
-			}
-			table, shapeErr, records = r.Table, r.Check(), r.Records
-		case strings.EqualFold(*fig, "decomp-incremental"):
-			var baseline []decomp.ScalingRecord
-			if *benchBaseline != "" {
-				data, err := os.ReadFile(*benchBaseline)
-				if err != nil {
-					return err
-				}
-				if err := json.Unmarshal(data, &baseline); err != nil {
-					return fmt.Errorf("baseline %s: %w", *benchBaseline, err)
-				}
-			}
-			r, err := experiments.DecompIncremental(context.Background(), *benchFull, baseline)
-			if err != nil {
-				return fmt.Errorf("decomp-incremental: %w", err)
-			}
-			table, shapeErr, records = r.Table, r.Check(), r.Records
-		default:
-			return fmt.Errorf("-bench-out/-bench-full require -fig decomp-scaling or decomp-incremental")
+	// The scaling benchmark takes its size and output options from the
+	// bench flags, so it runs outside the fixed registry signature.
+	if *benchOut != "" || *benchFull {
+		if !strings.EqualFold(*fig, "decomp-scaling") {
+			return fmt.Errorf("-bench-out/-bench-full require -fig decomp-scaling")
 		}
+		r, err := experiments.DecompScaling(context.Background(), *benchFull)
+		if err != nil {
+			return fmt.Errorf("decomp-scaling: %w", err)
+		}
+		table, shapeErr, records := r.Table, r.Check(), r.Records
 		fmt.Println(table.Render())
 		if shapeErr != nil {
 			fmt.Printf("shape check [%s]: FAIL: %v\n\n", strings.ToLower(*fig), shapeErr)

@@ -70,15 +70,10 @@ type Report struct {
 	// Watchdog marks a period whose solve wedged past the watchdog limit
 	// and was cold-restarted (the allocation is held).
 	Watchdog bool `json:"watchdog,omitempty"`
-	// Incremental-coordination accounting, populated on decomposed daemons
-	// (Config.Decomp): the period's shard-solve economics under dirty-shard
-	// scheduling and cross-period carry. A settled quiet loop shows
-	// held_shards = shard count and zero solves.
-	Rounds        int `json:"rounds,omitempty"`
-	ShardSolves   int `json:"shard_solves,omitempty"`
-	SkippedShards int `json:"skipped_shards,omitempty"`
-	HeldShards    int `json:"held_shards,omitempty"`
-	FastResolves  int `json:"fast_resolves,omitempty"`
+	// Coordination accounting, populated on decomposed daemons
+	// (Config.Decomp): the period's coordination rounds and shard solves.
+	Rounds      int `json:"rounds,omitempty"`
+	ShardSolves int `json:"shard_solves,omitempty"`
 	// Err reports a malformed observation that was skipped; every other
 	// field is zero on such lines.
 	Err string `json:"err,omitempty"`
@@ -113,8 +108,8 @@ type Config struct {
 	// QP overrides the interior-point options (nil = defaults).
 	QP *qp.Options
 	// Decomp, when non-nil, runs the control loop on the decomposed
-	// continental controller (sharded region QPs with incremental
-	// dirty-shard coordination) instead of the monolithic one. The
+	// continental controller (sharded region QPs with dual-price quota
+	// coordination) instead of the monolithic one. The
 	// options are passed through to decomp.NewController; Telemetry and
 	// QP overrides from this Config are folded in. Checkpoints become
 	// state-only on this path (see decompCtrl).
@@ -287,8 +282,7 @@ func (d *Daemon) WatchdogTrips() int {
 }
 
 // LastSolution returns the decomposed solver's previous-period
-// incremental accounting — rounds, shard solves, skipped shard-rounds,
-// rank-k fast resolves, held shards. Nil for a monolithic daemon,
+// accounting — rounds and shard solves. Nil for a monolithic daemon,
 // before the first period, or when the period fell back monolithically.
 func (d *Daemon) LastSolution() *decomp.Solution {
 	d.mu.Lock()
@@ -456,9 +450,6 @@ func (d *Daemon) runPeriod(ctx context.Context, obs Observation) error {
 			if sol := dc.LastSolution(); sol != nil {
 				rep.Rounds = sol.Rounds
 				rep.ShardSolves = sol.ShardSolves
-				rep.SkippedShards = sol.SkippedShards
-				rep.HeldShards = sol.HeldShards
-				rep.FastResolves = sol.FastResolves
 			}
 		}
 	}

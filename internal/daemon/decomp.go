@@ -57,15 +57,15 @@ func (dc *decompCtrl) StepCtx(ctx context.Context, demand, prices [][]float64) (
 	}, nil
 }
 
-func (dc *decompCtrl) State() core.State            { return dc.ctrl.State() }
-func (dc *decompCtrl) SetState(s core.State) error  { return dc.ctrl.SetState(s) }
-func (dc *decompCtrl) SetStall(d time.Duration)     { dc.ctrl.SetStall(d) }
-func (dc *decompCtrl) MissStreak() int              { return 0 }
-func (dc *decompCtrl) RestoreMissStreak(int)        {}
+func (dc *decompCtrl) State() core.State              { return dc.ctrl.State() }
+func (dc *decompCtrl) SetState(s core.State) error    { return dc.ctrl.SetState(s) }
+func (dc *decompCtrl) SetStall(d time.Duration)       { dc.ctrl.SetStall(d) }
+func (dc *decompCtrl) MissStreak() int                { return 0 }
+func (dc *decompCtrl) RestoreMissStreak(int)          {}
 func (dc *decompCtrl) WarmCapsule() *core.HorizonWarm { return nil }
-func (dc *decompCtrl) RestoreWarm(*core.HorizonWarm) {}
+func (dc *decompCtrl) RestoreWarm(*core.HorizonWarm)  {}
 
-// LastSolution exposes the coordinated solver's per-step incremental
+// LastSolution exposes the coordinated solver's per-step coordination
 // accounting (Daemon.LastSolution type-asserts for it).
 func (dc *decompCtrl) LastSolution() *decomp.Solution { return dc.ctrl.LastSolution() }
 

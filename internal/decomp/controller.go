@@ -33,8 +33,8 @@ type DecomposeDecision struct {
 // reach. The expected round count grows with the fraction of DCs whose
 // capacity is shared across shards, since every shared DC is a coupling
 // the quota loop must re-price (~3 rounds at 20% shared, ~11 near-total
-// sharing); follow-on rounds run warm — and with incremental scheduling
-// only the dirty shards — so they are charged at half a cold fan-out.
+// sharing); follow-on rounds run warm, so they are charged at half a
+// cold fan-out.
 //
 // Calibrated at W = 2 on a 2-vCPU box, where the measured coordinated
 // cost was 1.35–3.3× the monolithic solve at every size from n120 to
@@ -244,9 +244,8 @@ func (c *Controller) SetState(s core.State) error {
 func (c *Controller) LastDegradation() core.Degradation { return c.lastDeg }
 
 // LastSolution returns the previous coordinated step's Solution with its
-// incremental accounting — rounds, shard solves, skipped shard-rounds,
-// rank-k fast resolves, held shards. Nil when bypassed, before the first
-// step, or when the step fell back to the monolithic rung.
+// accounting — rounds and shard solves. Nil when bypassed, before the
+// first step, or when the step fell back to the monolithic rung.
 func (c *Controller) LastSolution() *Solution { return c.lastSol }
 
 // LastExplain implements core.Explainer: the dual-price surface of the

@@ -64,38 +64,9 @@ type Options struct {
 	// with Converged=false, and shard solve failures surface as errors.
 	// Benchmarks use it to time pure coordination.
 	NoFallback bool
-	// NoIncremental disables dirty-shard scheduling: every coordination
-	// round re-solves every shard, bitwise identical to the pre-
-	// incremental loop. The incremental default skips shards whose
-	// capacities moved less than DirtyTol since their last solve (and
-	// whose carried plan stays feasible under any shrink), then re-solves
-	// every skipped-but-stale shard in a verify round before Converged is
-	// reported — the ε-stability contract is unchanged, but the exact
-	// float trajectory is not, hence this escape hatch.
-	NoIncremental bool
-	// DirtyTol is the relative capacity movement beyond which a shard is
-	// re-solved in a coordination round (default 1e-3). Shards whose
-	// quotas moved less keep their previous plan, cost, and duals for the
-	// round; a quota shrink that would cut into the carried plan's peak
-	// usage always re-solves regardless of the tolerance, so every
-	// gathered iterate stays capacity-feasible.
-	DirtyTol float64
-	// RankK routes dirty-shard re-solves whose demand/price/state inputs
-	// are bitwise unchanged since the shard's last full solve through the
-	// session capacity fast path: slack-carried H-row perturbations plus
-	// a rank-k factorization update and a continued iterate instead of a
-	// warm restart (see core.HorizonSession.ResolveCapacitiesCtx). The
-	// fast path agrees with the full solve to rounding (~1e-10 relative),
-	// not bit for bit — opt-in, mirroring qp.SessionOptions.RankK. Any
-	// numerical trouble falls back to the full warm solve automatically.
+	// Deprecated: has no effect; kept only because the benchmark module sets it.
 	RankK bool
-	// PeriodCarryTol enables cross-period delta reuse: a shard whose
-	// demand/price/state inputs accumulated less than this relative
-	// movement since its last solve is carried across the MPC period
-	// boundary — it holds its allocation (zero applied control), keeps
-	// its plan, cost, and duals, and the round loop starts from the
-	// quota-induced dirty set instead of all shards. 0 disables
-	// (default): every period starts by re-solving every shard.
+	// Deprecated: has no effect; kept only because the benchmark module sets it.
 	PeriodCarryTol float64
 }
 
@@ -120,9 +91,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.UsageMargin <= 0 {
 		o.UsageMargin = 0.05
-	}
-	if o.DirtyTol <= 0 {
-		o.DirtyTol = 1e-3
 	}
 	if o.Telemetry != nil {
 		o.QP.Hooks = o.Telemetry.QPHooks()
@@ -157,50 +125,6 @@ type regionShard struct {
 	// deadline and contributed a projected anytime iterate rather than a
 	// converged plan. Written only by the shard's own round worker.
 	hit bool
-
-	// Incremental-coordination state. solvedCaps is the capacity vector
-	// the shard's current plan was solved under; planPeak its peak
-	// per-step usage per local DC — together they decide whether a quota
-	// movement can be absorbed without a re-solve (see classify).
-	solvedCaps []float64
-	planPeak   []float64
-	stale      bool // caps differ at all from solvedCaps
-	dirty      bool // caps moved beyond DirtyTol, or shrank into the plan
-	// fastOK marks the session's standing problem data (C, the demand and
-	// nonnegativity rows of H, x0) as bitwise identical to the scatter
-	// buffers — the precondition for the capacity-only fast resolve.
-	fastOK bool
-	// fastLast marks the latest solve as served by the fast path; summed
-	// serially after each round (the workers never share counters).
-	fastLast bool
-	// drift accumulates the relative movement of the shard's inputs since
-	// its last solve; periodsHeld counts whole MPC periods the shard was
-	// carried, so a later solve warm-shifts by periodsHeld+1.
-	drift       float64
-	periodsHeld int
-	// solved marks the shard as solved at least once in the current
-	// SolveCtx call; lastRound is the round index of its latest solve.
-	solved    bool
-	lastRound int
-}
-
-// updatePlanPeak recomputes the plan's peak per-step total usage per
-// local DC. Called by the shard's own round worker after each solve.
-func (r *regionShard) updatePlanPeak() {
-	for i := range r.planPeak {
-		r.planPeak[i] = 0
-	}
-	for _, x := range r.plan.X {
-		for i, row := range x {
-			var tot float64
-			for _, xv := range row {
-				tot += xv
-			}
-			if tot > r.planPeak[i] {
-				r.planPeak[i] = tot
-			}
-		}
-	}
 }
 
 // needTerm weights one location's demand in a shard's initial-quota
@@ -252,20 +176,9 @@ type Solver struct {
 	shards []*regionShard
 	shared []*sharedDC
 
-	quotasInit bool
-	solveBuf   []int // current round's solve set (shard indices)
-	// updRound numbers the quota-update steps feeding the diminishing-step
-	// schedule. It restarts every period — except under cross-period carry
-	// when the external forecasts are quiescent, where it keeps counting:
-	// resetting the step to full strength on an unchanged forecast would
-	// re-kick quotas that are already settling, and the trajectory would
-	// never become still enough to carry.
-	updRound    int
+	quotasInit  bool
 	coordRounds *telemetry.Counter
 	shardSolves *telemetry.Counter
-	shardsSkip  *telemetry.Counter
-	fastCount   *telemetry.Counter
-	dirtyFrac   *telemetry.Histogram
 }
 
 // Solution is one coordinated horizon solve.
@@ -296,18 +209,12 @@ type Solution struct {
 	// QPIterations/ColdRestarts aggregate the shard solves.
 	QPIterations int
 	ColdRestarts int
-	// ShardSolves counts shard QP solves across all rounds;
-	// SkippedShards counts shard-rounds skipped by dirty scheduling
-	// (ShardSolves + SkippedShards = Rounds × shard count).
-	ShardSolves   int
-	SkippedShards int
-	// FastResolves counts shard solves served by the rank-k capacity
-	// fast path (≤ ShardSolves; zero unless Options.RankK).
-	FastResolves int
-	// HeldShards counts shards carried across the period boundary by
-	// cross-period delta reuse: they held their allocation (zero applied
-	// control) and were never re-solved this call.
-	HeldShards int
+	// ShardSolves counts shard QP solves across all rounds: every round
+	// re-solves every shard, so it is Rounds × shard count.
+	ShardSolves int
+	// Deprecated: SkippedShards, FastResolves and HeldShards are always
+	// zero; kept only because the benchmark module reads them.
+	SkippedShards, FastResolves, HeldShards int
 	// CapacityDuals retains the final round's horizon-summed capacity
 	// dual price per global DC — for a shared DC the max over member
 	// shards (at convergence the constrained members' prices agree; the
@@ -325,16 +232,6 @@ type Solution struct {
 	ShardOfDC []int
 }
 
-// DirtyFraction is the share of shard-rounds that were actually solved
-// (1 with incremental scheduling off or when no rounds ran).
-func (s *Solution) DirtyFraction() float64 {
-	total := s.ShardSolves + s.SkippedShards
-	if total == 0 {
-		return 1
-	}
-	return float64(s.ShardSolves) / float64(total)
-}
-
 // NewSolver builds the per-shard sub-instances and sessions for the given
 // partition. The partition must come from NewPartition on the same
 // instance.
@@ -350,9 +247,6 @@ func NewSolver(inst *core.Instance, horizon int, part *Partition, opt Options) (
 	if reg := opt.Telemetry.Registry(); reg != nil {
 		s.coordRounds = reg.Counter(telemetry.MetricCoordinationRounds)
 		s.shardSolves = reg.Counter(telemetry.MetricShardSolves)
-		s.shardsSkip = reg.Counter(telemetry.MetricShardsSkipped)
-		s.fastCount = reg.Counter(telemetry.MetricQuotaFastResolves)
-		s.dirtyFrac = reg.Histogram(telemetry.MetricRoundDirtyFraction, telemetry.DirtyFractionBuckets)
 		reg.Gauge(telemetry.MetricDecompShards).Set(float64(len(part.Shards)))
 	}
 
@@ -379,20 +273,17 @@ func NewSolver(inst *core.Instance, horizon int, part *Partition, opt Options) (
 
 	localIdx := make([]map[int]int, len(part.Shards))
 	for i, sh := range part.Shards {
-		sub, ses, err := buildShard(inst, sh, horizon, opt.QP, qp.SessionOptions{RankK: opt.RankK})
+		sub, ses, err := buildShard(inst, sh, horizon, opt.QP)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		r := &regionShard{
 			locs: sh.Locations, dcs: sh.DCs, sub: sub, ses: ses,
-			caps:       sub.Capacities(),
-			x0:         sub.NewState(),
-			demand:     make([][]float64, horizon),
-			prices:     make([][]float64, horizon),
-			dualBuf:    make([]float64, len(sh.DCs)),
-			solvedCaps: make([]float64, len(sh.DCs)),
-			planPeak:   make([]float64, len(sh.DCs)),
-			lastRound:  -1,
+			caps:    sub.Capacities(),
+			x0:      sub.NewState(),
+			demand:  make([][]float64, horizon),
+			prices:  make([][]float64, horizon),
+			dualBuf: make([]float64, len(sh.DCs)),
 		}
 		for t := 0; t < horizon; t++ {
 			r.demand[t] = make([]float64, len(sh.Locations))
@@ -449,7 +340,7 @@ func NewSolver(inst *core.Instance, horizon int, part *Partition, opt Options) (
 // buildShard extracts the sub-instance over (sh.DCs × sh.Locations) and
 // opens its horizon session. Every feasible pair of a shard location is
 // inside the block by construction, so the sub-instance always validates.
-func buildShard(inst *core.Instance, sh Shard, horizon int, opts qp.Options, sopts qp.SessionOptions) (*core.Instance, *core.HorizonSession, error) {
+func buildShard(inst *core.Instance, sh Shard, horizon int, opts qp.Options) (*core.Instance, *core.HorizonSession, error) {
 	sla := make([][]float64, len(sh.DCs))
 	rec := make([]float64, len(sh.DCs))
 	caps := make([]float64, len(sh.DCs))
@@ -475,7 +366,7 @@ func buildShard(inst *core.Instance, sh Shard, horizon int, opts qp.Options, sop
 	if err != nil {
 		return nil, nil, err
 	}
-	ses, err := sub.NewHorizonSessionOpts(horizon, opts, sopts)
+	ses, err := sub.NewHorizonSession(horizon, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -495,12 +386,8 @@ func (s *Solver) Reset() {
 		r.warm = nil
 		r.plan = nil
 		r.cost, r.prevCost = 0, 0
-		r.fastOK = false
-		r.drift = math.Inf(1)
-		r.periodsHeld = 0
 		r.hit = false
 	}
-	s.updRound = 0
 }
 
 // SolveCtx runs one coordinated horizon solve from x0: scatter the
@@ -519,45 +406,22 @@ func (s *Solver) SolveCtx(ctx context.Context, x0 core.State, demand, prices [][
 			len(demand), len(prices), s.w, core.ErrBadInput)
 	}
 
-	// Scatter the period's inputs into every shard's buffers, tracking the
-	// relative movement against what the buffers held: any bitwise change
-	// disarms the capacity fast path, and the accumulated drift decides
-	// cross-period carry eligibility. The external part of the movement —
-	// demand and prices, the inputs the controller doesn't cause — is kept
-	// separately: it gates whether the quota damping schedule persists
-	// across the period boundary.
-	var extMove float64
+	// Scatter the period's inputs into every shard's buffers.
 	for _, r := range s.shards {
-		var ext float64
 		for j, gv := range r.locs {
 			for t := 0; t < s.w; t++ {
-				ext = relMove(ext, r.demand[t][j], demand[t][gv])
 				r.demand[t][j] = demand[t][gv]
 			}
 		}
 		for i, gl := range r.dcs {
 			for t := 0; t < s.w; t++ {
-				ext = relMove(ext, r.prices[t][i], prices[t][gl])
 				r.prices[t][i] = prices[t][gl]
 			}
-		}
-		move := ext
-		for i, gl := range r.dcs {
 			for j, gv := range r.locs {
-				move = relMove(move, r.x0[i][j], x0[gl][gv])
 				r.x0[i][j] = x0[gl][gv]
 			}
 		}
-		if move > 0 {
-			r.fastOK = false
-			r.drift += move
-		}
-		if ext > extMove {
-			extMove = ext
-		}
-		r.warmShift = r.periodsHeld + 1
-		r.solved = false
-		r.lastRound = -1
+		r.warmShift = 1
 	}
 	first := !s.quotasInit
 	s.refreshCapacities()
@@ -573,40 +437,6 @@ func (s *Solver) SolveCtx(ctx context.Context, x0 core.State, demand, prices [][
 		}
 	}
 	s.applyQuotas()
-
-	// The period's initial solve set: everything on the first solve or
-	// with incremental scheduling off; otherwise every shard whose inputs
-	// moved beyond the carry tolerance (or that has no plan to carry),
-	// plus the quota-dirty ones. With carry off the set is all shards —
-	// the inputs changed, so every plan is a period stale.
-	incremental := !s.opt.NoIncremental
-	carry := incremental && s.opt.PeriodCarryTol > 0 && !first
-	if !incremental || extMove > s.opt.DirtyTol {
-		// The forecasts moved (or incremental scheduling is off): the quota
-		// step restarts at full strength for the new conditions. Under an
-		// unchanged forecast the diminishing-step schedule continues across
-		// the period boundary, so the re-division settles — quota movements
-		// fall below DirtyTol, rounds start skipping clean shards, and with
-		// carry enabled whole periods eventually hold — instead of
-		// re-kicking every period at full step.
-		s.updRound = 0
-	}
-	s.classify()
-	solve := s.solveBuf[:0]
-	for i, r := range s.shards {
-		need := true
-		if carry {
-			// Sub-tolerance quota staleness does not force a solve here:
-			// classify's feasibility rule already re-solves any shrink
-			// that cuts into a carried plan, and PeriodCarryTol is the
-			// caller's consent to hold an ε-stale coordinated point.
-			need = r.dirty || r.hit || r.plan == nil ||
-				r.drift > s.opt.PeriodCarryTol
-		}
-		if need {
-			solve = append(solve, i)
-		}
-	}
 
 	tr := s.opt.Telemetry.Tracer()
 	sp := tr.Start(telemetry.SpanCoordinate, telemetry.SpanIDFromContext(ctx),
@@ -632,44 +462,25 @@ func (s *Solver) SolveCtx(ctx context.Context, x0 core.State, demand, prices [][
 	if hasDeadline {
 		solveCtx = deadlineOnlyCtx{parent: ctx}
 	}
-	if len(solve) == 0 {
-		// Cross-period carry fast exit: no shard's inputs or quotas moved
-		// beyond tolerance, so last period's coordinated point stands —
-		// every shard holds its allocation without a single QP solve.
-		sol.Converged = true
-	}
-	// verify marks the current round as the must-verify pass: the
-	// convergence test held, but some skipped shards' capacities had
-	// drifted (below tolerance) from what their plans were solved under.
-	// Those shards re-solve at the exact current quotas before Converged
-	// is reported, so the ε-stability contract matches the non-
-	// incremental loop.
-	verify := false
-	for round := 0; len(solve) > 0 && round < s.opt.MaxRounds; round++ {
-		if err := s.pushCapacitiesFor(solve); err != nil {
+	for round := 0; round < s.opt.MaxRounds; round++ {
+		if err := s.pushCapacities(); err != nil {
 			return nil, err
 		}
 		roundStart := time.Now()
-		err := parallel.ForEachCtx(solveCtx, len(solve), workers, func(k int) error {
-			return s.solveShard(solveCtx, solve[k], round)
+		err := parallel.ForEachCtx(solveCtx, len(s.shards), workers, func(k int) error {
+			return s.solveShard(solveCtx, k, round)
 		})
 		if err != nil {
 			sp.SetAttr(telemetry.Str("outcome", "error"))
 			return nil, fmt.Errorf("round %d: %w: %w", round, ErrCoordination, err)
 		}
 		sol.Rounds++
-		sol.ShardSolves += len(solve)
-		sol.SkippedShards += len(s.shards) - len(solve)
-		s.dirtyFrac.Observe(float64(len(solve)) / float64(len(s.shards)))
+		sol.ShardSolves += len(s.shards)
 		anyHit := false
-		for _, k := range solve {
-			r := s.shards[k]
+		for _, r := range s.shards {
 			sol.QPIterations += r.plan.QPIterations
 			sol.ColdRestarts += r.plan.ColdRestarts
 			anyHit = anyHit || r.hit
-			if r.fastLast {
-				sol.FastResolves++
-			}
 		}
 		if anyHit {
 			// The deadline fired inside this round: the gathered iterate
@@ -682,19 +493,9 @@ func (s *Solver) SolveCtx(ctx context.Context, x0 core.State, demand, prices [][
 			break
 		}
 		if s.converged(round) {
-			if incremental && !verify {
-				if stale := s.staleShards(solve[:0]); len(stale) > 0 {
-					// Must-verify round: re-solve the shards whose plans
-					// predate the final quotas, then re-test.
-					verify = true
-					solve = stale
-					continue
-				}
-			}
 			sol.Converged = true
 			break
 		}
-		verify = false
 		// Period-deadline respect: every completed round is a feasible
 		// iterate (quotas partition capacity), so when the budget is
 		// about to run out — or already has — return the current iterate
@@ -709,32 +510,9 @@ func (s *Solver) SolveCtx(ctx context.Context, x0 core.State, demand, prices [][
 		if round == s.opt.MaxRounds-1 {
 			break
 		}
-		s.updateQuotas(s.updRound)
-		s.updRound++
+		s.updateQuotas(round)
 		s.applyQuotas()
-		if !incremental {
-			solve = solve[:0]
-			for i := range s.shards {
-				solve = append(solve, i)
-			}
-			continue
-		}
-		s.classify()
-		solve = s.dirtyShards(solve[:0])
-		if len(solve) == 0 {
-			// The quota update moved nothing beyond tolerance: the loop is
-			// at a fixed point of the re-division. Re-solve any stale
-			// leftovers as the verify pass, or stop converged outright.
-			if stale := s.staleShards(solve); len(stale) > 0 {
-				verify = true
-				solve = stale
-				continue
-			}
-			sol.Converged = true
-			break
-		}
 	}
-	s.solveBuf = solve[:0]
 	if s.coordRounds != nil {
 		s.coordRounds.Add(float64(sol.Rounds))
 	}
@@ -743,16 +521,12 @@ func (s *Solver) SolveCtx(ctx context.Context, x0 core.State, demand, prices [][
 
 	// Gather: pairs partition across shards, so the global first-step
 	// control/state and the objective assemble by plain scatter and sum.
-	// A shard carried across the period boundary holds its allocation —
-	// zero applied control, state unchanged — and contributes its carried
-	// plan's objective as the standing cost estimate.
 	sol.Applied = s.inst.NewState()
 	sol.State = s.inst.NewState()
 	// Retain the final round's dual prices and the enforced capacity
-	// split: a shard not re-solved in the last round still holds the
-	// duals of the plan the gather uses (solveShard refreshes dualBuf and
-	// solvedCaps together), so the surfaced prices always correspond to
-	// the quotas the gathered solution was actually solved under.
+	// split: every shard was solved in the last round under the current
+	// quotas, so the surfaced prices correspond to the quotas the
+	// gathered solution was actually solved under.
 	nDC := s.inst.NumDataCenters()
 	sol.CapacityDuals = make([]float64, nDC)
 	sol.Quotas = make([]float64, nDC)
@@ -763,7 +537,6 @@ func (s *Solver) SolveCtx(ctx context.Context, x0 core.State, demand, prices [][
 			sol.Quotas[l] = c
 		}
 	}
-	var solves, skips, fasts float64
 	for si, r := range s.shards {
 		for i, gl := range r.dcs {
 			if d := r.dualBuf[i]; d > sol.CapacityDuals[gl] {
@@ -774,17 +547,6 @@ func (s *Solver) SolveCtx(ctx context.Context, x0 core.State, demand, prices [][
 				sol.Quotas[gl] = r.caps[i]
 			}
 		}
-		if !r.solved {
-			for i, gl := range r.dcs {
-				for j, gv := range r.locs {
-					sol.State[gl][gv] = r.x0[i][j]
-				}
-			}
-			sol.Objective += r.plan.Objective
-			sol.HeldShards++
-			r.periodsHeld++
-			continue
-		}
 		u0, x1 := r.plan.U[0], r.plan.X[0]
 		for i, gl := range r.dcs {
 			for j, gv := range r.locs {
@@ -794,65 +556,24 @@ func (s *Solver) SolveCtx(ctx context.Context, x0 core.State, demand, prices [][
 		}
 		sol.Objective += r.plan.Objective
 	}
-	solves, skips, fasts = float64(sol.ShardSolves), float64(sol.SkippedShards), float64(sol.FastResolves)
-	s.shardSolves.Add(solves)
-	s.shardsSkip.Add(skips + float64(sol.HeldShards))
-	s.fastCount.Add(fasts)
+	s.shardSolves.Add(float64(sol.ShardSolves))
 	return sol, nil
 }
 
-// relMove folds |to−from| relative to max(1, |from|) into the running
-// maximum — the scatter-time movement estimate feeding fastOK and the
-// cross-period drift.
-func relMove(cur, from, to float64) float64 {
-	d := to - from
-	if d < 0 {
-		d = -d
-	}
-	den := from
-	if den < 0 {
-		den = -den
-	}
-	if den < 1 {
-		den = 1
-	}
-	if rel := d / den; rel > cur {
-		return rel
-	}
-	return cur
-}
-
-// solveShard runs one shard's solve for the given round: the capacity
-// fast path when armed (RankK on, inputs bitwise unchanged, standing
-// converged solve), the full warm session solve otherwise, with the same
-// anytime-projection contract either way. Runs on the round workers;
-// touches only shard-local state.
+// solveShard runs one shard's warm session solve for the given round,
+// projecting a deadline-stopped iterate onto the shard's quota. Runs on
+// the round workers; touches only shard-local state.
 func (s *Solver) solveShard(ctx context.Context, i, round int) error {
 	r := s.shards[i]
 	r.hit = false
-	r.fastLast = false
 	sp := s.opt.Telemetry.Tracer().Start(telemetry.SpanShardSolve, telemetry.SpanIDFromContext(ctx),
 		telemetry.Num("shard", float64(i)), telemetry.Num("round", float64(round)))
 	ctx = telemetry.ContextWithSpan(ctx, sp)
 	defer sp.End()
-	var plan *core.Plan
-	var err error
-	if s.opt.RankK && r.fastOK && r.ses.CanResolveCapacities() {
-		plan, err = r.ses.ResolveCapacitiesCtx(ctx)
-		if err == nil || (plan != nil && errors.Is(err, qp.ErrDeadline)) {
-			r.fastLast = true
-		} else {
-			// Numerical trouble on the continuation: fall back to the full
-			// warm solve, which refills the problem vectors from scratch.
-			plan, err = nil, nil
-		}
-	}
-	if plan == nil && err == nil {
-		plan, err = r.ses.SolveCtx(ctx, core.HorizonInput{
-			X0: r.x0, Demand: r.demand, Prices: r.prices,
-			Warm: r.warm, WarmShift: r.warmShift,
-		})
-	}
+	plan, err := r.ses.SolveCtx(ctx, core.HorizonInput{
+		X0: r.x0, Demand: r.demand, Prices: r.prices,
+		Warm: r.warm, WarmShift: r.warmShift,
+	})
 	if err != nil {
 		if plan == nil || !errors.Is(err, qp.ErrDeadline) {
 			return fmt.Errorf("shard %d: %w", i, err)
@@ -867,84 +588,10 @@ func (s *Solver) solveShard(ctx context.Context, i, round int) error {
 	r.plan = plan
 	r.warm = plan.Warm
 	r.warmShift = 0
-	r.periodsHeld = 0
 	r.prevCost, r.cost = r.cost, plan.Objective
 	plan.TotalCapacityDualsInto(r.dualBuf)
-	copy(r.solvedCaps, r.caps)
-	r.updatePlanPeak()
-	r.solved = true
-	r.lastRound = round
-	r.drift = 0
-	r.fastOK = err == nil
-	fast := 0.0
-	if r.fastLast {
-		fast = 1
-	}
-	sp.SetAttr(telemetry.Num("iterations", float64(plan.QPIterations)),
-		telemetry.Num("fast", fast))
+	sp.SetAttr(telemetry.Num("iterations", float64(plan.QPIterations)))
 	return nil
-}
-
-// classify recomputes every shard's stale/dirty flags against the
-// capacities its current plan was solved under. A shard is stale when any
-// capacity differs at all, and dirty when the movement exceeds DirtyTol
-// relative — or when a shrink cuts below the carried plan's peak usage on
-// that DC, which would break the feasibility of the gathered iterate and
-// therefore always re-solves.
-func (s *Solver) classify() {
-	tol := s.opt.DirtyTol
-	for _, r := range s.shards {
-		r.stale, r.dirty = false, false
-		if r.plan == nil {
-			r.dirty = true
-			continue
-		}
-		for i := range r.caps {
-			c, old := r.caps[i], r.solvedCaps[i]
-			if c == old {
-				continue
-			}
-			r.stale = true
-			den := math.Abs(old)
-			if den < 1 {
-				den = 1
-			}
-			if math.Abs(c-old) > tol*den || (c < old && r.planPeak[i] > c) {
-				r.dirty = true
-				break
-			}
-		}
-	}
-}
-
-// dirtyShards appends the indices of dirty shards (per classify) to dst.
-func (s *Solver) dirtyShards(dst []int) []int {
-	for i, r := range s.shards {
-		if r.dirty {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
-
-// staleShards appends the indices of shards whose current capacities
-// differ at all from what their plan was solved under — the verify-round
-// set. Recomputed directly (not from classify's flags) because solves
-// since the last classification refresh solvedCaps.
-func (s *Solver) staleShards(dst []int) []int {
-	for i, r := range s.shards {
-		if r.plan == nil {
-			dst = append(dst, i)
-			continue
-		}
-		for k := range r.caps {
-			if r.caps[k] != r.solvedCaps[k] {
-				dst = append(dst, i)
-				break
-			}
-		}
-	}
-	return dst
 }
 
 // converged implements the stability test: no coupling, no binding
@@ -971,13 +618,6 @@ func (s *Solver) converged(round int) bool {
 		return false
 	}
 	for _, r := range s.shards {
-		// Only shards re-solved this round have a meaningful cost delta;
-		// a skipped shard's inputs didn't move, so its cost is stable by
-		// construction (with incremental scheduling off every shard
-		// solves every round and this test is the original one).
-		if r.lastRound != round {
-			continue
-		}
 		if math.Abs(r.cost-r.prevCost) > s.opt.Tol*math.Max(1, math.Abs(r.cost)) {
 			return false
 		}
@@ -1070,9 +710,8 @@ func (s *Solver) initQuotas(demand0 []float64) {
 // step. On densely shared capacity (many shards per DC) donor/receiver
 // roles can oscillate under a fixed step; the shrinking step forces the
 // shard costs to settle inside the ε-stability cutoff, the same reason
-// subgradient dual methods use diminishing step sizes. The step index
-// (Solver.updRound) restarts every period, except across quiescent
-// period boundaries under cross-period carry — see SolveCtx.
+// subgradient dual methods use diminishing step sizes. The step index is
+// the round index, so the schedule restarts every period.
 const (
 	quotaDampAfter  = 8
 	quotaDampFactor = 0.8
@@ -1222,13 +861,10 @@ func (s *Solver) applyQuotas() {
 	}
 }
 
-// pushCapacitiesFor flushes dirty capacity vectors into the sub-instances
-// of the shards about to be solved. Skipped shards keep their sub-instance
-// at the capacities their plan was solved under (capsDirty stays set), so
-// a later verify-round solve pushes the accumulated movement then.
-func (s *Solver) pushCapacitiesFor(idxs []int) error {
-	for _, i := range idxs {
-		r := s.shards[i]
+// pushCapacities flushes dirty capacity vectors into the shard
+// sub-instances before a round.
+func (s *Solver) pushCapacities() error {
+	for i, r := range s.shards {
 		if !r.capsDirty {
 			continue
 		}

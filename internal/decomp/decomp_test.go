@@ -172,6 +172,23 @@ func TestPartitionMaxShardSize(t *testing.T) {
 	}
 }
 
+// mpcSeq drives solver through periods sequential MPC steps over a fixed
+// forecast and returns every solution.
+func mpcSeq(t *testing.T, solver *Solver, inst *core.Instance, demand, prices [][]float64, periods int) []*Solution {
+	t.Helper()
+	x0 := inst.NewState()
+	out := make([]*Solution, 0, periods)
+	for k := 0; k < periods; k++ {
+		sol, err := solver.SolveCtx(context.Background(), x0, demand, prices)
+		if err != nil {
+			t.Fatalf("period %d: %v", k, err)
+		}
+		x0 = sol.State
+		out = append(out, sol)
+	}
+	return out
+}
+
 func TestSolverDeterministicAcrossWorkers(t *testing.T) {
 	scn, err := NewScenario(ScenarioConfig{Locations: 160, DCSites: 16, Seed: 21, Utilization: 0.85})
 	if err != nil {
@@ -201,6 +218,55 @@ func TestSolverDeterministicAcrossWorkers(t *testing.T) {
 		for v := range a.State[l] {
 			if a.State[l][v] != b.State[l][v] {
 				t.Fatalf("state[%d][%d] differs: %v vs %v", l, v, a.State[l][v], b.State[l][v])
+			}
+		}
+	}
+}
+
+// TestIncrementalDisabledBitwise pins the coordinated loop over a short MPC
+// sequence now that it has no incremental tiers: every round re-solves
+// every shard, no shard-round is skipped, held or fast-resolved, and the
+// results are bitwise identical at any worker count, in every period.
+func TestIncrementalDisabledBitwise(t *testing.T) {
+	scn, err := NewScenario(ScenarioConfig{Locations: 160, DCSites: 16, Seed: 21, Utilization: 0.85})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := NewPartition(scn.Inst, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := len(part.Shards)
+	run := func(workers int) []*Solution {
+		solver, err := NewSolver(scn.Inst, 2, part, Options{Workers: workers, NoFallback: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mpcSeq(t, solver, scn.Inst, scn.Demand, scn.Prices, 3)
+	}
+	a, b := run(1), run(8)
+	for k := range a {
+		if a[k].Objective != b[k].Objective || a[k].Rounds != b[k].Rounds || a[k].Converged != b[k].Converged {
+			t.Fatalf("period %d: worker count changed the result: obj %v vs %v, rounds %d vs %d",
+				k, a[k].Objective, b[k].Objective, a[k].Rounds, b[k].Rounds)
+		}
+		for _, sol := range []*Solution{a[k], b[k]} {
+			if sol.ShardSolves != sol.Rounds*shards {
+				t.Fatalf("period %d: %d shard solves in %d rounds of %d shards", k, sol.ShardSolves, sol.Rounds, shards)
+			}
+			if sol.SkippedShards != 0 || sol.HeldShards != 0 || sol.FastResolves != 0 {
+				t.Fatalf("period %d: skipped %d shard-rounds, held %d shards, fast-resolved %d",
+					k, sol.SkippedShards, sol.HeldShards, sol.FastResolves)
+			}
+		}
+		for l := range a[k].State {
+			for v := range a[k].State[l] {
+				if a[k].State[l][v] != b[k].State[l][v] {
+					t.Fatalf("period %d: state[%d][%d] differs: %v vs %v", k, l, v, a[k].State[l][v], b[k].State[l][v])
+				}
+				if a[k].Applied[l][v] != b[k].Applied[l][v] {
+					t.Fatalf("period %d: applied[%d][%d] differs across worker counts", k, l, v)
+				}
 			}
 		}
 	}

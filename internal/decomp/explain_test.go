@@ -75,7 +75,7 @@ func TestControllerLastExplainDecomp(t *testing.T) {
 	if ctrl.LastExplain().CapacityDuals[0] == -42 {
 		t.Fatal("LastExplain leaks internal storage")
 	}
-	// A second step (carry/held paths included) must still explain.
+	// A second (warm) step must still explain.
 	if _, _, err := ctrl.Step(scn.Demand, scn.Prices); err != nil {
 		t.Fatal(err)
 	}

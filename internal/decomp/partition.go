@@ -6,7 +6,7 @@
 // QPs over narrow sub-instances plus a dual-price coordination loop that
 // re-divides the capacity of DCs shared between regions. Each region
 // reuses the existing core.HorizonSession fast path (warm starts,
-// factorization reuse, 2-alloc solves) on its sub-instance, and regions
+// 2-alloc solves) on its sub-instance, and regions
 // solve concurrently via internal/parallel.
 package decomp
 

@@ -47,98 +47,6 @@ func DecompScaling(ctx context.Context, full bool) (*DecompScalingResult, error)
 	return &DecompScalingResult{Table: t, Records: records}, nil
 }
 
-// DecompIncrementalResult is the incremental-coordination curve: per
-// case, the cold coordinated solve with dirty-shard scheduling and the
-// rank-k fast path on, plus a quiet MPC tail measuring the settled
-// per-period cost. baseline, when non-nil, supplies the BENCH_4
-// monolithic references and pre-incremental decomp times.
-type DecompIncrementalResult struct {
-	Table   *Table
-	Records []decomp.IncrementalRecord
-}
-
-// DecompIncremental measures the incremental curve on the BENCH_4
-// geometries. The smoke set (full=false) backs the CI steady-state
-// guard; full adds the continental sizes for BENCH_5.json.
-func DecompIncremental(ctx context.Context, full bool, baseline []decomp.ScalingRecord) (*DecompIncrementalResult, error) {
-	records, err := decomp.RunIncremental(ctx, decomp.DefaultIncrementalCases(full), baseline)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title: "Incremental coordination: dirty-shard scheduling + rank-k quota re-solves",
-		Columns: []string{"case", "shards", "rounds", "solves", "skipped", "fast",
-			"decomp s", "speedup", "gap %", "vs B4", "steady dirty", "steady s"},
-	}
-	for _, r := range records {
-		gap, speed, vsB4, sd, ss := "n/a", "n/a", "n/a", "n/a", "n/a"
-		if r.MonoObjective != 0 {
-			gap = fmt.Sprintf("%.3f", 100*r.CostGap)
-		}
-		if r.Speedup > 0 {
-			speed = fmt.Sprintf("%.2f", r.Speedup)
-		}
-		if r.SpeedupVsBench4 > 0 {
-			vsB4 = fmt.Sprintf("%.2f", r.SpeedupVsBench4)
-		}
-		if r.SteadyPeriods > 0 {
-			sd = fmt.Sprintf("%.3f", r.SteadyDirtyFrac)
-			ss = fmt.Sprintf("%.3f", r.SteadySecPeriod)
-		}
-		name := r.Name
-		if r.Bypassed {
-			name += " (bypass)"
-		}
-		t.AddRow(name,
-			fmt.Sprintf("%d", r.Shards), fmt.Sprintf("%d", r.Rounds),
-			fmt.Sprintf("%d", r.ShardSolves), fmt.Sprintf("%d", r.SkippedShards),
-			fmt.Sprintf("%d", r.FastResolves),
-			fmt.Sprintf("%.3f", r.DecompSolveSec), speed, gap, vsB4, sd, ss)
-	}
-	return &DecompIncrementalResult{Table: t, Records: records}, nil
-}
-
-// Check verifies the incremental story: every point converged inside the
-// 1% gap band (and not below the optimum), no referenced point ran
-// slower than monolithic, the incremental machinery actually fired
-// somewhere (skipped shard-rounds and rank-k fast resolves), and every
-// guard-grade quiet tail (decomp.SteadyGuardPeriods or longer) settled
-// to re-solving under half the fleet per period.
-func (r *DecompIncrementalResult) Check() error {
-	skipped, fast := 0, 0
-	for _, rec := range r.Records {
-		if !rec.Converged {
-			return fmt.Errorf("%w: %s did not converge in budget", ErrShape, rec.Name)
-		}
-		skipped += rec.SkippedShards + rec.SteadySkipped
-		fast += rec.FastResolves
-		if rec.MonoObjective != 0 {
-			if rec.CostGap > 0.01 {
-				return fmt.Errorf("%w: %s cost gap %.4f exceeds 1%%", ErrShape, rec.Name, rec.CostGap)
-			}
-			if rec.CostGap < -1e-4 {
-				return fmt.Errorf("%w: %s decomposed objective %.6g below the monolithic optimum %.6g",
-					ErrShape, rec.Name, rec.DecompObjective, rec.MonoObjective)
-			}
-			if rec.Speedup < 1 {
-				return fmt.Errorf("%w: %s ran %.2fx vs monolithic — slower than the bypass guarantee",
-					ErrShape, rec.Name, rec.Speedup)
-			}
-		}
-		if rec.SteadyPeriods >= decomp.SteadyGuardPeriods && rec.SteadyDirtyFrac >= 0.5 {
-			return fmt.Errorf("%w: %s steady-state dirty fraction %.3f ≥ 0.5 — the quiet loop is not settling",
-				ErrShape, rec.Name, rec.SteadyDirtyFrac)
-		}
-	}
-	if skipped == 0 {
-		return fmt.Errorf("%w: dirty-shard scheduling never skipped a shard-round", ErrShape)
-	}
-	if fast == 0 {
-		return fmt.Errorf("%w: the rank-k capacity fast path never fired", ErrShape)
-	}
-	return nil
-}
-
 // Check verifies the scaling story: every measured point converged with a
 // cost gap within 1% of the monolithic optimum, and no point regressed
 // below the optimum (which would mean an infeasible split).

@@ -52,7 +52,7 @@ func compareBR(t *testing.T, label string, a, b *BestResponseResult) {
 }
 
 // TestBestResponseSessionsBitIdentical pins the fast path's core contract:
-// per-provider sessions (factorization reuse, arena-backed plans, in-place
+// per-provider sessions (persistent solver state, arena-backed plans, in-place
 // dual extraction) change not a single bit of the game's outcome relative
 // to the pooled one-shot path, at any worker count.
 func TestBestResponseSessionsBitIdentical(t *testing.T) {

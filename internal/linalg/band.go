@@ -252,9 +252,6 @@ type BandCholesky struct {
 	// are free, and the copy pass is pure overhead (the interior-point
 	// workloads factorize tiny bands hundreds of thousands of times).
 	useLT bool
-	// uw is the working vector of UpdateRank1/UpdateRankK, sized lazily on
-	// first use (factorization updates are opt-in).
-	uw []float64
 
 	// PivotFloor, when positive, makes Factorize replace a pivot at or
 	// below PivotFloor times its diagonal entry by that floor instead of
@@ -404,6 +401,27 @@ func (c *BandCholesky) Factorize(a *BandMatrix) error {
 	// small enough to sit in L1, where back substitution reads l directly.
 	c.rebuildLT()
 	return nil
+}
+
+// rebuildLT refreshes the packed transposed copy: lt row i holds column i
+// of L from the diagonal down (no-op for factors small enough to be read
+// directly).
+func (c *BandCholesky) rebuildLT() {
+	if !c.useLT {
+		return
+	}
+	n, bw := c.n, c.bw
+	w1 := bw + 1
+	l, lt := c.l, c.lt
+	for i := 0; i < n; i++ {
+		hi := bw
+		if i+hi > n-1 {
+			hi = n - 1 - i
+		}
+		for k := 0; k <= hi; k++ {
+			lt[i*w1+k] = l[(i+k)*w1+bw-k]
+		}
+	}
 }
 
 // factorizeBW2 is the numeric phase unrolled for half-bandwidth 2. Every

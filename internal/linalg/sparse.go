@@ -420,34 +420,6 @@ func (m *SparseMatrix) RowEntries(i int) (cols []int, vals []float64) {
 	return m.colIdx[lo:hi:hi], m.vals[lo:hi:hi]
 }
 
-// RowWindow densifies row i over its column window into buf: start is the
-// row's first nonzero column and vals covers columns [start, start+len(vals))
-// with explicit zeros at the gaps. An empty row returns ok with an empty
-// window; a row whose span exceeds len(buf) returns !ok. This is the shape
-// BandCholesky's rank-1 updates consume — a contiguous window no wider than
-// the band — which is why the QP session's update tier reads rows this way.
-func (m *SparseMatrix) RowWindow(i int, buf []float64) (start int, vals []float64, ok bool) {
-	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	if lo == hi {
-		return 0, buf[:0], true
-	}
-	cols := m.colIdx[lo:hi]
-	first := cols[0]
-	span := cols[len(cols)-1] - first + 1
-	if span > len(buf) {
-		return 0, nil, false
-	}
-	vals = buf[:span]
-	for k := range vals {
-		vals[k] = 0
-	}
-	rv := m.vals[lo:hi]
-	for k, c := range cols {
-		vals[c-first] = rv[k]
-	}
-	return first, vals, true
-}
-
 // GramBandwidth returns the half-bandwidth of the weighted Gram product
 // AᵀDA for any diagonal D: the widest column spread of any row (columns
 // i and j only meet in the Gram matrix when some row holds both). Rows

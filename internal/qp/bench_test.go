@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // BenchmarkSolve measures interior-point solve time as the problem grows:
@@ -100,69 +99,4 @@ func BenchmarkSolveEqualityOnly(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSessionResolve measures the marginal cost of a checkpointed
-// sensitivity query — restore, sparse bound perturbation, rank-k (or
-// exact-reuse) factorization, and the short continuation to convergence —
-// against the cold solve the session replaces. cold_ns_per_op carries the
-// from-scratch cost of the same problem so BENCH comparisons can quote
-// marginal vs cold directly; reuse_rate is the fraction of factorizations
-// served by the reuse tiers (exact skip + rank-k update) over the run.
-func BenchmarkSessionResolve(b *testing.B) {
-	rng := rand.New(rand.NewSource(42))
-	p := bandedSparseQP(rng, 150, 4)
-	// Cold baseline: fresh solves of the same problem, timed by hand
-	// (testing.Benchmark cannot be nested inside a running benchmark — it
-	// blocks on the testing package's benchmark lock).
-	const coldIters = 20
-	if _, err := Solve(p, DefaultOptions()); err != nil { // warm caches
-		b.Fatal(err)
-	}
-	t0 := time.Now()
-	for i := 0; i < coldIters; i++ {
-		if _, err := Solve(p, DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	coldNs := float64(time.Since(t0).Nanoseconds()) / coldIters
-	ses, err := NewSessionOpts(p, DefaultOptions(), SessionOptions{RankK: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	base, err := ses.Solve(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Perturb the most active constraint so every query genuinely
-	// iterates (an inactive bound converges on the spot, exercising
-	// nothing).
-	active := 0
-	for i, z := range base.IneqDuals {
-		if z > base.IneqDuals[active] {
-			active = i
-		}
-	}
-	rows := []int{active}
-	deltas := []float64{0}
-	b.ReportAllocs()
-	b.ResetTimer()
-	// Each op is one checkpoint-and-query cycle: Checkpoint re-arms the
-	// standing factorization (an exact-reuse hit when the weights are
-	// unchanged since convergence), and the query's first factorization
-	// is then a rank-k update against it.
-	for i := 0; i < b.N; i++ {
-		if err := ses.Checkpoint(); err != nil {
-			b.Fatal(err)
-		}
-		deltas[0] = -1e-3 * float64(1+i%5)
-		if _, err := ses.ResolvePerturbedCtx(nil, rows, deltas); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	st := ses.Stats()
-	total := st.Factorizations + st.Reused + st.RankKUpdates
-	b.ReportMetric(coldNs, "cold_ns_per_op")
-	b.ReportMetric(float64(st.Reused+st.RankKUpdates)/float64(total), "reuse_rate")
 }

@@ -127,42 +127,6 @@ func TestLinkingRowsMatchBandSolve(t *testing.T) {
 	}
 }
 
-// TestLinkingOnlyPerturbationKeepsBandFactor pins the quota re-solve
-// tier: a checkpointed query that moves only linking-row bounds keeps the
-// band factor (counted as reused), refactors only S, and lands on the
-// optimum of a from-scratch solve.
-func TestLinkingOnlyPerturbationKeepsBandFactor(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	p := blockAngularQP(rng, 6, 4, 2)
-	ses, err := NewSessionOpts(p, DefaultOptions(), SessionOptions{RankK: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ses.Solve(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := ses.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	before := ses.Stats()
-	got, err := ses.ResolvePerturbedCtx(nil, p.Linking, []float64{-0.4, -0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := ses.Stats()
-	if after.Reused <= before.Reused {
-		t.Fatalf("linking-only query should reuse the band factor: before %+v after %+v", before, after)
-	}
-	ref := &Problem{Q: p.Q, C: p.C, G: p.G, H: p.H.Clone(), Linking: p.Linking}
-	want, err := Solve(denseReference(ref), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The query continues from the checkpoint instead of a cold start, so
-	// the two optima agree to the solver tolerance, not to rounding.
-	assertSameOptimum(t, "linking-only query", got, want, 1e-6, 1e-4)
-}
-
 // TestBandRowTooWideIsRejected: a band row wider than Q's declared band
 // fails the factorization instead of corrupting it.
 func TestBandRowTooWideIsRejected(t *testing.T) {

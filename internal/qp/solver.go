@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -69,8 +68,6 @@ type solveStats struct {
 	correctorSkips int
 	factorizations int
 	bumps          int
-	reused         int
-	rankk          int
 }
 
 // flushQPTelemetry publishes one finished solve into the hooks' counters
@@ -93,8 +90,6 @@ func flushQPTelemetry(h *telemetry.QPHooks, sp *telemetry.Span, warm *WarmStart,
 	h.CorrectorSkips.Add(float64(stats.correctorSkips))
 	h.Factorizations.Add(float64(stats.factorizations))
 	h.FactorBumps.Add(float64(stats.bumps))
-	h.FactorReused.Add(float64(stats.reused))
-	h.RankKUpdates.Add(float64(stats.rankk))
 	outcome := "ok"
 	switch {
 	case err == nil:
@@ -143,22 +138,14 @@ func solveWarmCtx(ctx context.Context, p *Problem, opts Options, warm *WarmStart
 }
 
 // runIPM initializes the iterate from the (optional) warm start and runs
-// the predictor–corrector loop. It is shared by the pooled one-shot path
-// (solveWarmCtx) and the persistent Session path; everything the two do
-// differently — state lifetime, factorization reuse, result storage —
-// hangs off st.
+// the Mehrotra predictor–corrector loop. It is shared by the pooled
+// one-shot path (solveWarmCtx) and the persistent Session path; everything
+// the two do differently — state lifetime, result storage — hangs off st.
 func runIPM(ctx context.Context, st *ipmState, opts Options, warm *WarmStart, stats *solveStats) (*Result, error) {
-	st.initPoint(warm)
-	return iterateIPM(ctx, st, opts, stats)
-}
-
-// iterateIPM runs the Mehrotra predictor–corrector loop from the iterate
-// already in st — either a freshly initialized point (runIPM) or, on the
-// Session hot-continuation path, the previous solve's final iterate.
-func iterateIPM(ctx context.Context, st *ipmState, opts Options, stats *solveStats) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	st.initPoint(warm)
 	p := st.p
 	m := st.m
 	st.szDot = linalg.DotProd(st.s[:m], st.z[:m])
@@ -206,14 +193,7 @@ func iterateIPM(ctx context.Context, st *ipmState, opts Options, stats *solveSta
 			return nil, fmt.Errorf("iteration %d: %w", iter, err)
 		}
 		if stats != nil {
-			switch st.factorKind {
-			case factorReusedExact:
-				stats.reused++
-			case factorRankK:
-				stats.rankk++
-			default:
-				stats.factorizations++
-			}
+			stats.factorizations++
 			if st.bumped {
 				stats.bumps++
 			}
@@ -372,14 +352,6 @@ type ipmState struct {
 	bumped bool
 	// reg is the static regularization of the last factorKKT call.
 	reg float64
-	// factorKind records how factorKKT satisfied its last call: a full
-	// numeric refactorization, an exact reuse of the standing factor
-	// (weights bitwise unchanged), a band-factor reuse with only the Schur
-	// complement refactored, or an in-place rank-k update.
-	factorKind factorKind
-	// reuse, set only by Sessions on inequality-only problems, carries the
-	// cross-solve factorization reuse state. Nil on the pooled path.
-	reuse *factorReuse
 	// arena, set only by Sessions, double-buffers the escaping Result
 	// storage so results stop allocating per solve.
 	arena *resultArena
@@ -390,39 +362,6 @@ type ipmState struct {
 
 	scratchN linalg.Vector
 	scratchM linalg.Vector
-}
-
-// factorKind enumerates the ways factorKKT can produce a valid factor.
-type factorKind uint8
-
-const (
-	factorFull        factorKind = iota // refill + numeric factorization
-	factorReusedExact                   // weights bitwise unchanged: factor kept as-is
-	factorRankK                         // band factor advanced by rank-k update
-	factorLinkOnly                      // only linking weights moved: band factor kept, S refactored
-)
-
-// factorReuse is the cross-solve factorization state of a Session: the
-// weight vector that produced the standing factor, scratch for diffing,
-// the rank-k policy switch, and cumulative accounting. The exact
-// bitwise-reuse tiers are always active once the struct is attached: all
-// weights unchanged keeps everything, and changes confined to linking rows
-// keep the band factor and refactor only the Schur complement. The rank-k
-// tier is opt-in (SessionOptions.RankK) because its factor is a
-// rounding-level perturbation of the full one, which trades bit-identical
-// results for an O((n−start)·bw) update.
-type factorReuse struct {
-	valid bool
-	prevW linalg.Vector
-	rankK bool
-
-	diffRows []int
-	ups      []linalg.RankUpdate
-	vbuf     []float64
-
-	fullTotal   uint64
-	reusedTotal uint64
-	rankkTotal  uint64
 }
 
 // kktBandwidth bounds the half-bandwidth of H = Q + Gᵀdiag(w)G for a
@@ -507,12 +446,9 @@ func newIPMState(p *Problem, n, m, q int) *ipmState {
 	st.n, st.m, st.q = n, m, q
 	// Symbolic phase: shape the packed band and the factor layout once; the
 	// per-iteration numeric phase then refills and refactorizes in place
-	// with zero allocations. The layout comes from the process-wide shared
-	// symbolic registry, so every solver working the same (n, bw) shape —
-	// MPC steps, sweep cells, best-response sessions — resolves to one
-	// analysis object.
+	// with zero allocations.
 	st.hBand.Reset(n, st.hBW)
-	st.bchol.SymbolicFrom(linalg.SharedSymbolic(n, st.hBW))
+	st.bchol.Symbolic(n, st.hBW)
 	st.link.analyze(p, st.qBand, n, m, q)
 	st.bchol.PivotFloor = 0
 	if st.link.nc > 0 {
@@ -737,164 +673,25 @@ func (st *ipmState) converged(tol, mu float64) bool {
 func (st *ipmState) factorKKT(reg float64) error {
 	st.reg = reg
 	st.bumped = false
-	st.factorKind = factorFull
 	sInv, wv := st.sInv[:st.m], st.w[:st.m]
 	sv, zv := st.s[:st.m], st.z[:st.m]
 	for i := range sv {
 		sInv[i] = 1 / sv[i]
 		wv[i] = zv[i] * sInv[i]
 	}
-	fr := st.reuse
-	if fr == nil || !st.tryFactorReuse(fr) {
-		if err := st.factorKKTFull(reg); err != nil {
-			if fr != nil {
-				fr.valid = false
-			}
-			return err
-		}
-		if fr != nil {
-			fr.fullTotal++
-			if st.bumped {
-				// The bump shifted the diagonal beyond what the weights imply;
-				// the standing factor no longer corresponds to any weight
-				// vector a later solve could diff against.
-				fr.valid = false
-			} else {
-				fr.prevW = growVec(fr.prevW, st.m)
-				copy(fr.prevW, wv)
-				fr.valid = true
-			}
-		}
+	if err := st.factorKKTFull(reg); err != nil {
+		return err
 	}
-	if st.link.nc == 0 || st.factorKind == factorReusedExact {
+	if st.link.nc == 0 {
 		return nil
 	}
-	// A new band factor (full or rank-k) invalidates C H_b⁻¹ Cᵀ; a change
-	// confined to linking weights only moves S's diagonal.
-	if st.factorKind != factorLinkOnly {
-		if err := st.link.formGram(st.bchol); err != nil {
-			if fr != nil {
-				fr.valid = false
-			}
-			return fmt.Errorf("schur: %v: %w", err, ErrNumerical)
-		}
+	if err := st.link.formGram(st.bchol); err != nil {
+		return fmt.Errorf("schur: %v: %w", err, ErrNumerical)
 	}
 	if err := st.link.factorS(wv, st.p.Linking, reg); err != nil {
-		if fr != nil {
-			fr.valid = false
-		}
 		return fmt.Errorf("schur: %v: %w", err, ErrNumerical)
 	}
 	return nil
-}
-
-// isLinking reports whether inequality row i is a linking row.
-func (st *ipmState) isLinking(i int) bool {
-	lk := st.p.Linking
-	k := sort.SearchInts(lk, i)
-	return k < len(lk) && lk[k] == i
-}
-
-// maxRankKRows bounds how many changed weights the rank-k tier will even
-// consider: past this the work estimate below always rejects, so the diff
-// scan stops early instead of collecting rows it cannot use.
-const maxRankKRows = 16
-
-// tryFactorReuse serves factorKKT from the standing factorization when the
-// session's cross-solve state allows it. Three tiers:
-//
-// Exact reuse: the z/s weights are bitwise identical to the ones that
-// produced the standing factor, so a refill+factorize would reproduce it
-// bit for bit — both are skipped and results are unchanged down to the
-// last ulp.
-//
-// Linking-only: every band-row weight is unchanged and only linking rows
-// moved — a capacity quota re-division. The band factor is kept and
-// factorKKT refactors only the small Schur complement, which is again
-// exactly what a full refactorization would produce.
-//
-// Rank-k update (opt-in): when only a few band weights moved — the
-// signature of a price or capacity perturbation on an otherwise converged
-// iterate — the new band matrix is H_b + Σᵢ Δwᵢ·gᵢgᵢᵀ over the changed
-// rows, and the factor advances by banded rank-1 updates in
-// O(Σᵢ (n−startᵢ)·bw) instead of a full refactorization. Applied only when
-// the summed update sweeps undercut the refactorization work, and
-// abandoned (falling back to the full path) on any stability rejection.
-func (st *ipmState) tryFactorReuse(fr *factorReuse) bool {
-	wv := st.w[:st.m]
-	if !fr.valid || len(fr.prevW) != st.m {
-		return false
-	}
-	if cap(fr.diffRows) < maxRankKRows {
-		fr.diffRows = make([]int, 0, maxRankKRows)
-	}
-	rows := fr.diffRows[:0]
-	linkMoved := false
-	for i, w := range wv {
-		if w != fr.prevW[i] {
-			if st.link.k > 0 && st.isLinking(i) {
-				linkMoved = true
-				continue
-			}
-			if len(rows) == maxRankKRows {
-				return false
-			}
-			rows = append(rows, i)
-		}
-	}
-	fr.diffRows = rows
-	if len(rows) == 0 {
-		st.factorKind = factorReusedExact
-		if linkMoved {
-			st.factorKind = factorLinkOnly
-			copy(fr.prevW, wv)
-		}
-		fr.reusedTotal++
-		return true
-	}
-	if !fr.rankK {
-		return false
-	}
-	sp, ok := st.p.G.(*linalg.SparseMatrix)
-	if !ok {
-		return false
-	}
-	w1 := st.hBW + 1
-	if cap(fr.vbuf) < len(rows)*w1 {
-		fr.vbuf = make([]float64, len(rows)*w1)
-	}
-	ups := fr.ups[:0]
-	work := 0
-	for k, i := range rows {
-		start, vals, ok := sp.RowWindow(i, fr.vbuf[k*w1:(k+1)*w1])
-		if !ok {
-			fr.ups = ups
-			return false
-		}
-		if len(vals) == 0 {
-			// An empty constraint row contributes nothing to H; its weight
-			// change is real but invisible to the factorization.
-			continue
-		}
-		work += st.n - start
-		ups = append(ups, linalg.RankUpdate{Start: start, V: vals, Sigma: wv[i] - fr.prevW[i]})
-	}
-	fr.ups = ups
-	// Work gate: each rank-1 sweep costs ~4·(n−start)·bw flops against the
-	// ~n·bw² of refill+factorize; accept only with a clear margin.
-	if 2*work >= st.n*w1 {
-		return false
-	}
-	if err := st.bchol.UpdateRankK(ups); err != nil {
-		// Unstable downdate (or a window the band cannot hold): the factor
-		// may be half-updated, so invalidate it and refactorize.
-		fr.valid = false
-		return false
-	}
-	copy(fr.prevW, wv)
-	st.factorKind = factorRankK
-	fr.rankkTotal++
-	return true
 }
 
 // factorKKTFull is the numeric factorization of the band part proper:

@@ -183,11 +183,11 @@ func TestCriticalPaths(t *testing.T) {
 		{Span: SpanCoordinate, ID: 10, DurUS: 1000, Attrs: attrs(map[string]any{
 			"shards": 2.0, "rounds": 2.0, "converged": "true"})},
 		{Span: SpanShardSolve, ID: 11, Parent: 10, DurUS: 300, Attrs: attrs(map[string]any{
-			"shard": 0.0, "round": 0.0, "fast": 0.0})},
+			"shard": 0.0, "round": 0.0})},
 		{Span: SpanShardSolve, ID: 12, Parent: 10, DurUS: 500, Attrs: attrs(map[string]any{
-			"shard": 1.0, "round": 0.0, "fast": 1.0})},
+			"shard": 1.0, "round": 0.0})},
 		{Span: SpanShardSolve, ID: 13, Parent: 10, DurUS: 200, Attrs: attrs(map[string]any{
-			"shard": 0.0, "round": 1.0, "fast": 0.0})},
+			"shard": 0.0, "round": 1.0})},
 		// A coordinate without shard_solve children (pre-provenance trace)
 		// yields no path.
 		{Span: SpanCoordinate, ID: 20, DurUS: 50},
@@ -206,15 +206,15 @@ func TestCriticalPaths(t *testing.T) {
 	if len(p.Steps) != 2 {
 		t.Fatalf("steps = %d, want 2", len(p.Steps))
 	}
-	if p.Steps[0].Shard != 1 || !p.Steps[0].Fast || p.Steps[0].Solves != 2 {
+	if p.Steps[0].Shard != 1 || p.Steps[0].Solves != 2 {
 		t.Fatalf("round 0 step %+v", p.Steps[0])
 	}
-	if p.Steps[1].Shard != 0 || p.Steps[1].Fast || p.Steps[1].DurUS != 200 {
+	if p.Steps[1].Shard != 0 || p.Steps[1].DurUS != 200 {
 		t.Fatalf("round 1 step %+v", p.Steps[1])
 	}
 
 	table := FormatCriticalPaths(paths, 5)
-	for _, want := range []string{"coordinate #10", "rank-k", "round 0", "round 1", "converged"} {
+	for _, want := range []string{"coordinate #10", "round 0", "round 1", "converged"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}

@@ -18,10 +18,13 @@ const (
 	MetricQPFactorBumps       = "dspp_qp_factorization_bumps_total"
 	MetricQPNumericalFailures = "dspp_qp_numerical_failures_total"
 	MetricQPMaxIter           = "dspp_qp_maxiter_total"
-	MetricQPFactorReused      = "dspp_factorizations_reused_total"
-	MetricQPRankKUpdates      = "dspp_rankk_updates_total"
 	MetricQPSolveIterations   = "dspp_qp_solve_iterations"
 	MetricQPDeadlineReturns   = "dspp_qp_deadline_returns_total"
+
+	// Deprecated: never registered or incremented; kept only because the
+	// benchmark module reads them.
+	MetricQPFactorReused = "dspp_factorizations_reused_total"
+	MetricQPRankKUpdates = "dspp_rankk_updates_total"
 
 	MetricSpans = "dspp_spans_total"
 
@@ -45,9 +48,6 @@ const (
 	MetricDecompShards       = "dspp_decomp_shards"
 	MetricCoordinationRounds = "dspp_coordination_rounds_total"
 	MetricShardSolves        = "dspp_decomp_shard_solves_total"
-	MetricShardsSkipped      = "dspp_shards_skipped_total"
-	MetricQuotaFastResolves  = "dspp_quota_fast_resolves_total"
-	MetricRoundDirtyFraction = "dspp_round_dirty_fraction"
 
 	MetricGameRuns            = "dspp_game_runs_total"
 	MetricGameRounds          = "dspp_game_rounds_total"
@@ -74,11 +74,6 @@ const (
 // cold solves in the teens, pathologies in the tail).
 var qpIterBuckets = []float64{1, 2, 3, 5, 8, 13, 21, 34, 55, 100}
 
-// DirtyFractionBuckets is the fixed bucket layout for the per-round
-// dirty-fraction histogram: the share of shards a coordination round
-// actually re-solved (1 = every shard, the non-incremental behavior).
-var DirtyFractionBuckets = []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1}
-
 // costDeltaBuckets covers the best-response per-round relative cost
 // movement, which contracts geometrically toward the ε-stability cutoff.
 var costDeltaBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1}
@@ -97,8 +92,6 @@ type QPHooks struct {
 	FactorBumps       *Counter
 	NumericalFailures *Counter
 	MaxIter           *Counter
-	FactorReused      *Counter
-	RankKUpdates      *Counter
 	DeadlineReturns   *Counter
 	IterationsHist    *Histogram
 	Tracer            *Tracer
@@ -177,8 +170,6 @@ func (h *Hub) QPHooks() *QPHooks {
 			FactorBumps:       h.reg.Counter(MetricQPFactorBumps),
 			NumericalFailures: h.reg.Counter(MetricQPNumericalFailures),
 			MaxIter:           h.reg.Counter(MetricQPMaxIter),
-			FactorReused:      h.reg.Counter(MetricQPFactorReused),
-			RankKUpdates:      h.reg.Counter(MetricQPRankKUpdates),
 			DeadlineReturns:   h.reg.Counter(MetricQPDeadlineReturns),
 			IterationsHist:    h.reg.Histogram(MetricQPSolveIterations, qpIterBuckets),
 			Tracer:            h.tr,

@@ -149,7 +149,6 @@ type CriticalStep struct {
 	Shard  int
 	DurUS  int64 // the critical shard's solve time
 	Solves int   // shard solves this round
-	Fast   bool  // critical solve served by the rank-k fast path
 }
 
 // CoordinationPath is the critical-path decomposition of one coordinate
@@ -222,8 +221,6 @@ func CriticalPaths(events []TraceEvent) []CoordinationPath {
 				if n, ok := k.Num("shard"); ok {
 					st.Shard = int(n)
 				}
-				f, _ := k.Num("fast")
-				st.Fast = f != 0
 			}
 		}
 		for r := 0; r <= maxRound; r++ {
@@ -265,12 +262,8 @@ func FormatCriticalPaths(paths []CoordinationPath, max int) string {
 		fmt.Fprintf(&b, "coordinate #%d  total %.3fms  rounds %d  shards %d  %s  critical path %.3fms (%.0f%%)\n",
 			p.ID, float64(p.DurUS)/1000, p.Rounds, p.Shards, conv, float64(p.CriticalUS)/1000, share)
 		for _, st := range p.Steps {
-			fast := ""
-			if st.Fast {
-				fast = "  rank-k"
-			}
-			fmt.Fprintf(&b, "  round %-3d shard %-4d %10.3fms  (%d solves)%s\n",
-				st.Round, st.Shard, float64(st.DurUS)/1000, st.Solves, fast)
+			fmt.Fprintf(&b, "  round %-3d shard %-4d %10.3fms  (%d solves)\n",
+				st.Round, st.Shard, float64(st.DurUS)/1000, st.Solves)
 		}
 	}
 	return b.String()

@@ -1,145 +1,31 @@
 #!/bin/sh
 # bench.sh — run the headline experiment benchmarks (Fig 7 game
-# convergence, Fig 9 horizon sweep) plus the solver and batched-linalg
-# microbenchmarks, print the raw benchstat-compatible lines, and refresh
-# BENCH_3.json with the best observed numbers next to the BENCH_2
-# baselines. Then run the continental decomposition scaling curve
-# (sharded region QPs vs the monolithic horizon QP, n up to 2000) and
-# refresh BENCH_4.json with its records, and the incremental-coordination
-# curve (dirty-shard scheduling, rank-k quota re-solves, cross-period
-# carry) against the BENCH_4 baseline, refreshing BENCH_5.json.
+# convergence, Fig 9 horizon sweep) plus the solver microbenchmarks and
+# print the raw benchstat-compatible lines. Then run the continental
+# decomposition scaling curve (sharded region QPs vs the monolithic
+# horizon QP, n up to 2000) and refresh BENCH_4.json with its records.
+# BENCH_3.json and BENCH_5.json are historical records: the benchmarks
+# and tiers they measured were removed, so nothing refreshes them.
 #
 # Usage: scripts/bench.sh [count]
-#   count — repetitions per benchmark (default 3); the JSON records the
-#   fastest run, the printed lines feed benchstat directly. The scaling
-#   curve is measured once (its monolithic n=1000 reference dominates
-#   the script's runtime).
+#   count — repetitions per benchmark (default 3); the printed lines feed
+#   benchstat directly. The scaling curve is measured once (its
+#   monolithic n=1000 reference dominates the script's runtime).
 set -eu
 
 cd "$(dirname "$0")/.."
 
 COUNT="${1:-3}"
-RAW="$(mktemp)"
-trap 'rm -f "$RAW"' EXIT
 
 echo "== experiment benchmarks (benchtime 5x, count $COUNT) =="
 go test -run XXX -bench 'BenchmarkFig7GameConvergence|BenchmarkFig9HorizonVsCost' \
-	-benchtime 5x -count "$COUNT" . | tee "$RAW"
+	-benchtime 5x -count "$COUNT" .
 
 echo
-echo "== solver microbenchmarks (cold vs warm-started vs session resolve) =="
-go test -run XXX -bench 'BenchmarkSolve$|BenchmarkSolveWarm|BenchmarkSessionResolve' \
-	-benchtime 100x ./internal/qp | tee -a "$RAW"
-
-echo
-echo "== batched linalg microbenchmarks (panel back-solve, rank-k update) =="
-go test -run XXX -bench 'BenchmarkBatchSolve|BenchmarkRankKUpdate' \
-	-benchtime 200x ./internal/linalg | tee -a "$RAW"
-
-# Best ns/op per benchmark, metric values, and the warm-solve allocs.
-awk '
-/^BenchmarkFig7GameConvergence/ {
-	if (!f7 || $3 < f7) { f7 = $3; f7m = $5 }
-}
-/^BenchmarkFig9HorizonVsCost/ {
-	if (!f9 || $3 < f9) { f9 = $3; f9m = $5 }
-}
-/^BenchmarkSolveWarm\/n150_m300/ { wns = $3; wit = $5; wallocs = $9 }
-/^BenchmarkSessionResolve/ { sns = $3; scold = $5; srate = $7 }
-/^BenchmarkBatchSolve\/panel/ { pns = $3 }
-/^BenchmarkBatchSolve\/sequential/ { qns = $3 }
-/^BenchmarkRankKUpdate\/update/ { uns = $3 }
-/^BenchmarkRankKUpdate\/refactorize/ { rns = $3 }
-END {
-	if (!f7 || !f9 || wns == "" || sns == "" || pns == "" || uns == "") {
-		print "bench.sh: missing benchmark output" > "/dev/stderr"; exit 1
-	}
-	printf "%s %s %s %s %s %s %s %s %s %s %s %s %s %s\n", \
-		f7, f7m, f9, f9m, wns, wit, wallocs, sns, scold, srate, pns, qns, uns, rns
-}' "$RAW" > "$RAW.best"
-read -r F7NS F7M F9NS F9M WNS WIT WALLOCS SNS SCOLD SRATE PNS QNS UNS RNS < "$RAW.best"
-rm -f "$RAW.best"
-
-# BENCH_2 optimized numbers, for the speedup columns.
-B2F7=$(grep -A3 '"BenchmarkFig7GameConvergence"' BENCH_2.json | grep '"ns_per_op"' | tail -1 | tr -dc 0-9)
-B2F9=$(grep -A3 '"BenchmarkFig9HorizonVsCost"' BENCH_2.json | grep '"ns_per_op"' | tail -1 | tr -dc 0-9)
-
-SP7=$(awk "BEGIN { printf \"%.2f\", $B2F7 / $F7NS }")
-SP9=$(awk "BEGIN { printf \"%.2f\", $B2F9 / $F9NS }")
-SPS=$(awk "BEGIN { printf \"%.2f\", $SCOLD / $SNS }")
-SPP=$(awk "BEGIN { printf \"%.2f\", $QNS / $PNS }")
-SPU=$(awk "BEGIN { printf \"%.2f\", $RNS / $UNS }")
-
-cat > BENCH_3.json <<EOF
-{
-  "description": "Wall-clock numbers after batched multi-tenant solving: per-provider horizon sessions in the best-response loop, shared symbolic factorizations, panel multi-RHS back-solves, rank-k factorization updates, and bit-identical small-band kernels (scripts/bench.sh). baseline_ns_per_op repeats BENCH_2's optimized numbers; speedup_vs_bench2 is against those.",
-  "machine": {
-    "cpu": "$(grep -m1 'model name' /proc/cpuinfo | sed 's/.*: //')",
-    "cpus": $(nproc),
-    "goos": "$(go env GOOS)",
-    "goarch": "$(go env GOARCH)"
-  },
-  "benchmarks": [
-    {
-      "name": "BenchmarkFig7GameConvergence",
-      "ns_per_op": $F7NS,
-      "baseline_ns_per_op": $B2F7,
-      "speedup_vs_bench2": $SP7,
-      "metrics": { "mean_iters_cap100": $F7M }
-    },
-    {
-      "name": "BenchmarkFig9HorizonVsCost",
-      "ns_per_op": $F9NS,
-      "baseline_ns_per_op": $B2F9,
-      "speedup_vs_bench2": $SP9,
-      "metrics": { "best_horizon": $F9M }
-    },
-    {
-      "name": "BenchmarkSolveWarm/n150_m300",
-      "ns_per_op": $WNS,
-      "metrics": { "ipm_iters": $WIT, "allocs_per_op": $WALLOCS },
-      "note": "allocs_per_op is the per-solve constant (result object); zero allocations per IPM iteration"
-    },
-    {
-      "name": "BenchmarkSessionResolve",
-      "ns_per_op": $SNS,
-      "cold_ns_per_op": $SCOLD,
-      "marginal_vs_cold_speedup": $SPS,
-      "metrics": { "reuse_rate": $SRATE },
-      "note": "marginal cost of a checkpointed sensitivity query (restore + rank-k factorization + continuation) vs a from-scratch solve of the same problem; reuse_rate is the fraction of factorizations served by the exact-reuse and rank-k tiers"
-    },
-    {
-      "name": "BenchmarkBatchSolve",
-      "panel_ns_per_op": $PNS,
-      "sequential_ns_per_op": $QNS,
-      "panel_speedup": $SPP,
-      "note": "8-RHS panel back-solve vs 8 scalar solves on the same factor"
-    },
-    {
-      "name": "BenchmarkRankKUpdate",
-      "update_ns_per_op": $UNS,
-      "refactorize_ns_per_op": $RNS,
-      "update_speedup": $SPU,
-      "note": "k=2 banded factorization update vs bare refactorization at random window starts; the rotation sweeps only undercut refactorization for localized windows or wider bands, which is exactly what the solver's work gate tests before choosing the update over refill+refactorize (the refill, also skipped by the update, is not counted here)"
-    }
-  ]
-}
-EOF
-
-echo
-echo "wrote BENCH_3.json: Fig7 ${F7NS} ns/op (${SP7}x vs BENCH_2), Fig9 ${F9NS} ns/op (${SP9}x vs BENCH_2)"
-echo "  session resolve ${SNS} ns marginal vs ${SCOLD} ns cold (${SPS}x, reuse_rate ${SRATE})"
-echo "  panel back-solve ${SPP}x vs sequential, rank-k update ${SPU}x vs refactorize"
+echo "== solver microbenchmarks (cold vs warm-started) =="
+go test -run XXX -bench 'BenchmarkSolve$|BenchmarkSolveWarm' \
+	-benchtime 100x -count "$COUNT" ./internal/qp
 
 echo
 echo "== decomposition shard scaling (BENCH_4, full continental sizes) =="
 go run ./cmd/experiments -fig decomp-scaling -bench-full -bench-out BENCH_4.json
-
-echo
-echo "== incremental coordination (BENCH_5, full continental sizes) =="
-# Cold coordinated solves under the incremental options plus quiet MPC
-# tails; speedup_vs_bench4 compares each size against BENCH_4's
-# from-scratch coordination, so refresh BENCH_4 first (above) when the
-# coordination layer itself changed.
-go run ./cmd/experiments -fig decomp-incremental -bench-full \
-	-bench-out BENCH_5.json -bench-baseline BENCH_4.json
