@@ -260,3 +260,42 @@ func TestLinkingMatchesBandDifferential(t *testing.T) {
 		})
 	}
 }
+
+// TestWarmControllerDoesNotStall steps a Controller 30 times on unchanged
+// forecasts for every case of the differential table. Once the plan has
+// settled each warm-started period is nearly optimal from the start, so
+// no solve may run to the iteration cap (where a plan is accepted only at
+// the 1e4× loosened tolerance), every step must be a clean hard solve,
+// and every plan must be feasible for the instance. This drives the
+// failure mode of a linking-row path whose tracked dual residual drifts
+// from the true one: the IPM drives μ to the slack floor while the real
+// residual stays above tolerance, and the period spins to the cap.
+func TestWarmControllerDoesNotStall(t *testing.T) {
+	const steps = 30
+	maxIter := qp.DefaultOptions().MaxIterations
+	for _, tc := range diffCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			in, input := tc.inst, tc.input
+			ctrl, err := NewController(in, len(input.Demand))
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			for k := 0; k < steps; k++ {
+				res, err := ctrl.Step(input.Demand, input.Prices)
+				if err != nil {
+					t.Fatalf("step %d: %v", k, err)
+				}
+				if res.Degradation.Mode != DegradeNone {
+					t.Fatalf("step %d degraded to %v: %s", k, res.Degradation.Mode, res.Degradation.Cause)
+				}
+				if res.Plan.QPIterations >= maxIter {
+					t.Fatalf("step %d ran to the %d-iteration cap", k, maxIter)
+				}
+				total += res.Plan.QPIterations
+				checkPlanFeasible(t, fmt.Sprintf("step %d", k), in, input, res.Plan)
+			}
+			t.Logf("%d IPM iterations over %d periods", total, steps)
+		})
+	}
+}

@@ -44,7 +44,7 @@ type linkSchur struct {
 
 	// Direction-solve working set: the multipliers λ, the second-block
 	// right-hand side and refinement step (nc each), and the saved r plus
-	// two residual buffers (n each).
+	// two residual buffers (n each; updateResiduals borrows t1 for Gᵀdz).
 	lam, c2, dl linalg.Vector
 	r1, t1, t2  linalg.Vector
 	gl          linalg.Vector // k: G·dx on the linking rows

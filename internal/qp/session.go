@@ -61,8 +61,7 @@ func (s *Session) SolveCtx(ctx context.Context, warm *WarmStart) (*Result, error
 	st := s.st
 	// C and H may have been rewritten since the last solve; their norms
 	// feed the convergence scales and must track the data.
-	st.cNorm = s.p.C.NormInf()
-	st.hNorm = s.p.H.NormInf()
+	st.dataNorms()
 	if s.opts.Hooks == nil {
 		return runIPM(ctx, st, s.opts, warm, nil)
 	}

@@ -87,6 +87,38 @@ func TestTelemetryMaxIterOutcome(t *testing.T) {
 	}
 }
 
+// TestTelemetryLooseOutcome checks that a solve which runs to the cap and
+// is then accepted at the loosened tolerance (no error) still lands in
+// dspp_qp_maxiter_total, and that its qp_solve span says outcome=loose.
+func TestTelemetryLooseOutcome(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	p := randomFeasibleQP(rng, 30, 60)
+	for limit := 1; limit <= DefaultOptions().MaxIterations; limit++ {
+		var buf bytes.Buffer
+		hub := telemetry.New(telemetry.WithTraceWriter(&buf))
+		opts := DefaultOptions()
+		opts.MaxIterations = limit
+		opts.Tolerance = 1e-12
+		opts.Hooks = hub.QPHooks()
+		res, err := Solve(p, opts)
+		if err != nil || res.Iterations < limit {
+			continue // failed at the cap, or converged before it
+		}
+		if got := hub.Registry().Snapshot()[telemetry.MetricQPMaxIter]; got != 1 {
+			t.Fatalf("cap %d: maxiter counter = %v for a loosely accepted solve, want 1", limit, got)
+		}
+		events, err := telemetry.ReadTrace(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(events) != 1 || events[0].Attrs["outcome"] != "loose" {
+			t.Fatalf("cap %d: qp_solve spans %+v, want one with outcome=loose", limit, events)
+		}
+		return
+	}
+	t.Fatal("no iteration cap produced a loosely accepted solve")
+}
+
 // TestTelemetryDoesNotPerturbSolve pins that instrumentation is purely
 // observational: identical problems solved with and without hooks walk
 // the same iterates to the same answer.

@@ -1,10 +1,15 @@
 #!/bin/sh
-# check.sh — the full local gate: vet, build, race-enabled tests, and a
+# check.sh — the full local gate: gofmt, vet, build, race-enabled tests, and a
 # one-iteration benchmark smoke pass (catches benchmarks that stopped
 # compiling or panic without paying for a full measurement run).
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "== gofmt =="
+# Every Go file must be gofmt-clean: any file gofmt -l lists fails the gate.
+unformatted=$(gofmt -l .)
+[ -z "$unformatted" ] || { echo "gofmt needed on:"; echo "$unformatted"; exit 1; }
 
 echo "== go vet =="
 go vet ./...
