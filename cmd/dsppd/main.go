@@ -36,7 +36,10 @@
 //
 // SIGTERM or SIGINT shuts down cleanly: the last completed period's
 // checkpoint is already on disk, and restarting with the same -checkpoint
-// resumes with bit-identical plans. -addr serves POST /observe, /healthz,
+// resumes with bit-identical plans. The checkpoint is two files,
+// <path> and <path>.1, each holding a checksummed binary record; a crash
+// mid-write tears at most one, and the restart resumes from the other.
+// Deleting <path> resets the daemon. -addr serves POST /observe, /healthz,
 // /metrics (Prometheus text format) and /statusz (per-period cost
 // attribution with capacity dual prices, as JSON). -stall injects
 // artificial solver latency per period — the quickest way to watch the
@@ -76,7 +79,7 @@ func run(args []string) error {
 	predictor := fs.String("predictor", "persistence", "demand predictor: persistence|seasonal|ar|holtwinters")
 	history := fs.Int("history", 96, "demand/price history retained for forecasting")
 	mu := fs.Float64("mu", 150, "per-server service rate for the M/M/1 delay correction")
-	checkpoint := fs.String("checkpoint", "", "checkpoint file (restored on start, written each period)")
+	checkpoint := fs.String("checkpoint", "", "checkpoint path: written each period alternately to <path> and <path>.1, the newer valid one restored on start; delete <path> to reset")
 	addr := fs.String("addr", "", "serve POST /observe, /healthz and /metrics on this address")
 	stall := fs.Duration("stall", 0, "inject artificial solver latency per period (demo/testing)")
 	continental := fs.Bool("continental", false, "serve a generated continental topology through the decomposed controller")
@@ -200,6 +203,10 @@ func run(args []string) error {
 				snap[telemetry.MetricBudgetUtilization+"_sum"]/bn*100)
 		}
 		fmt.Fprintln(os.Stderr, line)
+	}
+	if n := snap[telemetry.MetricDaemonCheckpointSeconds+"_count"]; n > 0 {
+		fmt.Fprintf(os.Stderr, "dsppd: checkpoint mean %.1fus over %.0f saves, last record %.0f bytes\n",
+			snap[telemetry.MetricDaemonCheckpointSeconds+"_sum"]/n*1e6, n, snap[telemetry.MetricDaemonCheckpointBytes])
 	}
 	return err
 }

@@ -5,11 +5,12 @@
 // anytime ladder. Closing the loop against reality, it tracks two
 // multiplicative correction factors online — realized/forecast demand and
 // observed/modeled M/M/1 delay — and folds them into the next forecast.
-// The daemon checkpoints after every completed period (atomic
-// write-then-rename), so a SIGTERM at any point — including mid-solve —
-// loses at most the in-flight period and a restart resumes with plans
-// bit-identical to an uninterrupted run. A watchdog cold-restarts the
-// controller when a solve wedges past its limit.
+// The daemon checkpoints after every completed period into two
+// alternating slot files, each record a checksummed binary image written
+// in place, so a SIGTERM or a crash at any point — including mid-solve or
+// mid-write — loses at most the in-flight period and a restart resumes
+// with plans bit-identical to an uninterrupted run. A watchdog
+// cold-restarts the controller when a solve wedges past its limit.
 package daemon
 
 import (
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sync"
 	"time"
 
@@ -102,8 +104,10 @@ type Config struct {
 	// the delay correction (default 150, the repo's standard setting).
 	Mu float64
 	// CheckpointPath, when set, is where the daemon persists its state
-	// after every completed period (atomically); on startup an existing
-	// checkpoint is restored.
+	// after every completed period. The checkpoint is two files, the
+	// path itself and <path>.1, written alternately; on startup the newer
+	// valid one is restored. A missing <path> is a fresh start, so
+	// deleting it resets the daemon.
 	CheckpointPath string
 	// QP overrides the interior-point options (nil = defaults).
 	QP *qp.Options
@@ -150,6 +154,14 @@ type Daemon struct {
 	watchdogTrips int
 	restored      bool
 
+	// Checkpoint slots: ckptNewest is the slot holding the newest record
+	// (-1 before the first save of a fresh start), ckptFiles the slots
+	// opened so far in this Run, ckptBuf the record buffer reused across
+	// periods.
+	ckptNewest int
+	ckptFiles  [2]*os.File
+	ckptBuf    []byte
+
 	obsCh    chan Observation
 	out      *reportWriter
 	httpAddr string
@@ -157,7 +169,8 @@ type Daemon struct {
 	mPeriods, mObs, mCkpt, mWatchdog, mOverruns *telemetry.Counter
 	mModes                                      *telemetry.CounterVec
 	gDemandCorr, gDelayCorr                     *telemetry.Gauge
-	hPeriodSeconds, hBudgetUtil                 *telemetry.Histogram
+	gCkptBytes                                  *telemetry.Gauge
+	hPeriodSeconds, hBudgetUtil, hCkptSeconds   *telemetry.Histogram
 	sink                                        *telemetry.AttributionSink
 }
 
@@ -183,10 +196,11 @@ func New(cfg Config) (*Daemon, error) {
 		cfg.Mu = 150
 	}
 	d := &Daemon{
-		cfg:   cfg,
-		inst:  cfg.Instance,
-		pred:  cfg.Predictor,
-		obsCh: make(chan Observation, 64),
+		cfg:        cfg,
+		inst:       cfg.Instance,
+		pred:       cfg.Predictor,
+		obsCh:      make(chan Observation, 64),
+		ckptNewest: -1,
 	}
 	if d.pred == nil {
 		d.pred = predict.Persistence{}
@@ -206,6 +220,8 @@ func New(cfg Config) (*Daemon, error) {
 		d.gDelayCorr = reg.Gauge(telemetry.MetricDaemonDelayCorr)
 		d.hPeriodSeconds = reg.Histogram(telemetry.MetricDaemonPeriodSeconds, telemetry.PeriodSecondsBuckets)
 		d.hBudgetUtil = reg.Histogram(telemetry.MetricBudgetUtilization, telemetry.BudgetUtilizationBuckets)
+		d.gCkptBytes = reg.Gauge(telemetry.MetricDaemonCheckpointBytes)
+		d.hCkptSeconds = reg.Histogram(telemetry.MetricDaemonCheckpointSeconds, telemetry.CheckpointSecondsBuckets)
 		d.sink = h.Attribution()
 	}
 	ctrl, err := d.newController(cfg.InitialState)
@@ -307,8 +323,14 @@ func (d *Daemon) SetStall(dur time.Duration) {
 // is drained. r streams one JSON Observation per line; nil is allowed
 // when Config.Addr serves observations instead. Cancellation is a clean
 // shutdown (nil error): the last completed period's checkpoint is already
-// on disk, and an in-flight solve is abandoned, not awaited.
-func (d *Daemon) Run(ctx context.Context, r io.Reader) error {
+// on disk, and an in-flight solve is abandoned, not awaited. The
+// checkpoint files stay open while Run runs and are closed on return.
+func (d *Daemon) Run(ctx context.Context, r io.Reader) (err error) {
+	defer func() {
+		if cerr := d.closeCheckpoint(); err == nil {
+			err = cerr
+		}
+	}()
 	var stopHTTP func() error
 	if d.cfg.Addr != "" {
 		addr, stop, err := d.startHTTP()

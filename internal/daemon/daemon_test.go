@@ -6,8 +6,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,7 +23,7 @@ import (
 
 // testInstance is a small 2-DC × 3-location problem every solve finishes
 // in well under a millisecond on.
-func testInstance(t *testing.T) *core.Instance {
+func testInstance(t testing.TB) *core.Instance {
 	t.Helper()
 	inst, err := core.NewInstance(core.Config{
 		SLA:             [][]float64{{1, 1, 1}, {1, 1, 1}},
@@ -52,7 +54,7 @@ func testObs(k int, withDelay bool) Observation {
 }
 
 // feedLines renders observations [from, to) as a JSONL stream.
-func feedLines(t *testing.T, from, to int, withDelay bool) string {
+func feedLines(t testing.TB, from, to int, withDelay bool) string {
 	t.Helper()
 	var sb strings.Builder
 	for k := from; k < to; k++ {
@@ -66,7 +68,7 @@ func feedLines(t *testing.T, from, to int, withDelay bool) string {
 	return sb.String()
 }
 
-func decodeReports(t *testing.T, buf *bytes.Buffer) []Report {
+func decodeReports(t testing.TB, buf *bytes.Buffer) []Report {
 	t.Helper()
 	var reps []Report
 	sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
@@ -396,6 +398,45 @@ func TestDaemonHTTP(t *testing.T) {
 	if len(a.DCs) != 2 {
 		t.Fatalf("dc rows %d, want 2", len(a.DCs))
 	}
+}
+
+// TestDaemonObserveBodyLimit: a POST /observe body over the 16 MiB cap
+// the JSONL scanner also applies is refused with 413 without being read
+// past the cap, and nothing is queued.
+func TestDaemonObserveBodyLimit(t *testing.T) {
+	d, err := New(Config{Instance: testInstance(t), Horizon: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := io.MultiReader(strings.NewReader(`{"demand":[`),
+		io.LimitReader(zeros{}, maxObservationBytes), strings.NewReader(`0]}`))
+	rec := httptest.NewRecorder()
+	d.handleObserve(rec, httptest.NewRequest(http.MethodPost, "/observe", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body answered %d, want 413", rec.Code)
+	}
+	if len(d.obsCh) != 0 {
+		t.Fatal("oversized observation was queued")
+	}
+	ok, err := json.Marshal(testObs(0, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = httptest.NewRecorder()
+	d.handleObserve(rec, httptest.NewRequest(http.MethodPost, "/observe", bytes.NewReader(ok)))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("valid body answered %d, want 202", rec.Code)
+	}
+}
+
+// zeros reads as an endless run of "0," array elements.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = "0,"[i%2]
+	}
+	return len(p) &^ 1, nil
 }
 
 // TestDaemonHTTPDecomp runs the ops surface on the decomposed path: a

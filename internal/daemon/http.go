@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -48,16 +49,22 @@ func (d *Daemon) startHTTP() (addr string, stop func() error, err error) {
 	}, nil
 }
 
-// handleObserve accepts one observation per POST. A full queue answers
-// 503 so a fast producer gets backpressure instead of silent drops.
+// handleObserve accepts one observation per POST. A body over
+// maxObservationBytes answers 413, and a full queue 503 so a fast
+// producer gets backpressure instead of silent drops.
 func (d *Daemon) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	var obs Observation
-	if err := json.NewDecoder(r.Body).Decode(&obs); err != nil {
-		http.Error(w, fmt.Sprintf("bad observation: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxObservationBytes)).Decode(&obs); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad observation: %v", err), code)
 		return
 	}
 	select {

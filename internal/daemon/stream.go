@@ -26,6 +26,10 @@ func (d *Daemon) report(r Report) {
 	d.out.enc.Encode(r) //nolint:errcheck // a broken report pipe must not stop the control loop
 }
 
+// maxObservationBytes caps one observation: a JSONL line on the stream
+// or a POST /observe body.
+const maxObservationBytes = 16 << 20
+
 // lineDecoder reads one JSON Observation per line, skipping blanks.
 type lineDecoder struct {
 	sc   *bufio.Scanner
@@ -35,7 +39,7 @@ type lineDecoder struct {
 
 func newLineDecoder(r io.Reader) *lineDecoder {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxObservationBytes)
 	return &lineDecoder{sc: sc}
 }
 

@@ -37,6 +37,10 @@ var PeriodSecondsBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
 // the overrun tail the deadline ladder is meant to keep empty.
 var BudgetUtilizationBuckets = []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1, 1.25, 1.5, 2}
 
+// CheckpointSecondsBuckets covers daemon checkpoint saves, from a few
+// microseconds for a small record in the page cache to a slow disk.
+var CheckpointSecondsBuckets = []float64{5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 0.01, 0.1}
+
 // DefaultAttributionDepth is the ring-buffer capacity: the last N
 // periods a Hub retains for /statusz.
 const DefaultAttributionDepth = 256

@@ -45,6 +45,11 @@ const (
 	MetricDaemonDemandCorr   = "dspp_daemon_demand_correction"
 	MetricDaemonDelayCorr    = "dspp_daemon_delay_correction"
 
+	// MetricDaemonCheckpointSeconds times each checkpoint save (encode
+	// and write); MetricDaemonCheckpointBytes is the last record's size.
+	MetricDaemonCheckpointSeconds = "dspp_daemon_checkpoint_seconds"
+	MetricDaemonCheckpointBytes   = "dspp_daemon_checkpoint_bytes"
+
 	MetricDecompShards       = "dspp_decomp_shards"
 	MetricCoordinationRounds = "dspp_coordination_rounds_total"
 	MetricShardSolves        = "dspp_decomp_shard_solves_total"

@@ -22,7 +22,7 @@ go test -race ./...
 
 echo "== benchmark smoke (1 iteration each) =="
 go test -run XXX -bench . -benchtime 1x .
-go test -run XXX -bench . -benchtime 1x ./internal/qp ./internal/core ./internal/linalg ./internal/game
+go test -run XXX -bench . -benchtime 1x ./internal/qp ./internal/core ./internal/linalg ./internal/game ./internal/daemon
 
 echo "== BENCH_2.json guard =="
 # The perf record must exist and its experiment metrics must agree with
