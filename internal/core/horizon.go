@@ -310,7 +310,7 @@ func (in *Instance) solveHorizon(ctx context.Context, input HorizonInput, opts q
 
 	constCost := in.fillHorizonVectors(hs, input, shedPenalty, vecs.c, vecs.h)
 
-	vecs.prob = qp.Problem{Q: hs.q, C: vecs.c, G: hs.g, H: vecs.h, Linking: hs.linking}
+	vecs.prob = hs.problem(vecs.c, vecs.h)
 	prob := &vecs.prob
 	var warm *qp.WarmStart
 	if !soft {
@@ -318,10 +318,7 @@ func (in *Instance) solveHorizon(ctx context.Context, input HorizonInput, opts q
 	}
 	res, err := qp.SolveWarmCtx(ctx, prob, opts, warm)
 	coldRestarts := 0
-	if err != nil && warm != nil && errors.Is(err, qp.ErrNumerical) {
-		// A warm point can sit badly for the new data (e.g. after a capacity
-		// shock) and wreck the KKT conditioning; the cold start costs extra
-		// iterations but starts well centered. Retry once before failing.
+	if retryCold(err, warm) {
 		coldRestarts = 1
 		res, err = qp.SolveWarmCtx(ctx, prob, opts, nil)
 	}
@@ -341,6 +338,17 @@ func (in *Instance) solveHorizon(ctx context.Context, input HorizonInput, opts q
 	}
 
 	return in.buildPlan(hs, input, res, coldRestarts, constCost, nil), nil
+}
+
+// retryCold reports whether a failed warm-started solve is retried once
+// from a cold start, the rule both the one-shot path and HorizonSession
+// follow. A warm point can sit badly for the new data (e.g. after a
+// capacity shock) and wreck the KKT conditioning, or — a plan solved
+// under capacities several quota rounds old — stall the interior point
+// until the iteration cap; the cold start costs extra iterations but
+// starts well centered.
+func retryCold(err error, warm *qp.WarmStart) bool {
+	return err != nil && warm != nil && (errors.Is(err, qp.ErrNumerical) || errors.Is(err, qp.ErrMaxIterations))
 }
 
 // fillHorizonVectors writes the horizon QP's cost and right-hand-side
@@ -582,6 +590,9 @@ type horizonStruct struct {
 	// capacity rows of capacitated DCs that serve more than one location,
 	// the only rows that couple location blocks.
 	linking []int
+	// sym is the solver's symbolic phase for (q, g, linking), shared by
+	// every one-shot solve and session on this structure.
+	sym *qp.Structure
 	// capacitated lists the DCs with finite capacity, ascending — the
 	// order their rows appear within each step's block.
 	capacitated []int
@@ -596,6 +607,11 @@ type horizonStruct struct {
 	// vecPool recycles the per-solve cost/rhs vectors (*horizonVecs);
 	// the solver does not retain them past a solve.
 	vecPool sync.Pool
+}
+
+// problem is the structure's QP with cost c and right-hand side h.
+func (hs *horizonStruct) problem(c, h linalg.Vector) qp.Problem {
+	return qp.Problem{Q: hs.q, C: c, G: hs.g, H: h, Linking: hs.linking, Structure: hs.sym}
 }
 
 // col is the QP column of pair pi at horizon step t.
@@ -773,6 +789,10 @@ func (in *Instance) horizonStructure(w int, soft bool) (*horizonStruct, error) {
 	}
 
 	hs.q, hs.g, hs.capacitated, hs.rowsPerStep = qMat, gMat, capacitated, rowsPerStep
+	hs.sym, err = qp.Analyze(&qp.Problem{Q: qMat, G: gMat, Linking: hs.linking})
+	if err != nil {
+		return nil, fmt.Errorf("horizon QP analysis: %w", err)
+	}
 	if in.qpCache == nil {
 		in.qpCache = make(map[horizonKey]*horizonStruct)
 	}

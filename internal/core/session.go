@@ -46,11 +46,8 @@ func (in *Instance) NewHorizonSession(w int, opts qp.Options) (*HorizonSession, 
 	if err != nil {
 		return nil, err
 	}
-	prob := &qp.Problem{
-		Q: hs.q, C: linalg.NewVector(hs.n), G: hs.g, H: linalg.NewVector(w * hs.rowsPerStep),
-		Linking: hs.linking,
-	}
-	ses, err := qp.NewSession(prob, opts)
+	prob := hs.problem(linalg.NewVector(hs.n), linalg.NewVector(w*hs.rowsPerStep))
+	ses, err := qp.NewSession(&prob, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -87,12 +84,7 @@ func (s *HorizonSession) SolveCtx(ctx context.Context, input HorizonInput) (*Pla
 	warm := input.Warm.shifted(s.hs, input.WarmShift, &s.ws)
 	res, err := s.ses.SolveCtx(ctx, warm)
 	coldRestarts := 0
-	if err != nil && warm != nil && (errors.Is(err, qp.ErrNumerical) || errors.Is(err, qp.ErrMaxIterations)) {
-		// Same policy as the one-shot path: a badly sitting warm point is
-		// retried once from a cold start before failing. Iteration
-		// exhaustion counts — a warm plan solved under capacities several
-		// quota rounds old can stall the interior point the same way a
-		// numerical breakdown does.
+	if retryCold(err, warm) {
 		coldRestarts = 1
 		res, err = s.ses.SolveCtx(ctx, nil)
 	}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"dspp/internal/linalg"
 	"dspp/internal/qp"
 )
 
@@ -117,6 +119,63 @@ func TestHorizonSessionBitIdenticalToOneShot(t *testing.T) {
 		inputSes.Warm, inputSes.WarmShift = pSes.Warm, 0
 		inputOne.Warm, inputOne.WarmShift = pOne.Warm, 0
 	}
+}
+
+// TestColdRestartRuleShared drives a warm start that exhausts
+// MaxIterations through the one-shot path and through a HorizonSession:
+// both follow the one cold-restart rule, so both retry cold and return
+// the same plan, bit for bit, as a cold solve.
+func TestColdRestartRuleShared(t *testing.T) {
+	const l, v, w = 3, 5, 4
+	inst := sessionTestInstance(t, l, v)
+	input := sessionTestInput(inst, l, v, w)
+	clean, err := inst.SolveHorizon(input, qp.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A capsule scaled far off the central path: the cold solve needs
+	// clean.QPIterations, the warm one several times that.
+	bad := *clean.Warm
+	bad.y = append(linalg.Vector(nil), clean.Warm.y...)
+	bad.z = append(linalg.Vector(nil), clean.Warm.z...)
+	bad.y.Scale(1e5)
+	bad.z.Scale(1e10)
+	opts := qp.DefaultOptions()
+	opts.MaxIterations = clean.QPIterations + 2
+
+	hs, err := inst.horizonStructure(w, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob := hs.problem(linalg.NewVector(hs.n), linalg.NewVector(w*hs.rowsPerStep))
+	inst.fillHorizonVectors(hs, input, 0, prob.C, prob.H)
+	if _, err := qp.SolveWarm(&prob, opts, bad.shifted(hs, 0, &qp.WarmStart{})); !errors.Is(err, qp.ErrMaxIterations) {
+		t.Fatalf("warm solve: err = %v, want the iteration cap", err)
+	}
+
+	cold, err := inst.SolveHorizon(input, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input.Warm, input.WarmShift = &bad, 0
+	one, err := inst.SolveHorizon(input, opts)
+	if err != nil {
+		t.Fatalf("one-shot: %v", err)
+	}
+	ses, err := inst.NewHorizonSession(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaSes, err := ses.Solve(input)
+	if err != nil {
+		t.Fatalf("session: %v", err)
+	}
+	if one.ColdRestarts != 1 {
+		t.Fatalf("one-shot ColdRestarts = %d, want 1", one.ColdRestarts)
+	}
+	plansBitIdentical(t, 0, one, viaSes)
+	cold.ColdRestarts = 1
+	plansBitIdentical(t, 1, one, cold)
 }
 
 // TestHorizonSessionPlanLifetime pins the double-buffer contract: the

@@ -2,10 +2,12 @@ package core_test
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"dspp/internal/core"
 	"dspp/internal/decomp"
+	"dspp/internal/qp"
 	"dspp/internal/topology"
 )
 
@@ -240,6 +242,94 @@ func TestHorizonStructureGuard(t *testing.T) {
 						t.Fatalf("fig7 provider W=%d soft=%t: pair %d step %d at column %d, want the time-major %d",
 							w, soft, pi, tt, got, tt*stride+pi)
 					}
+				}
+			}
+		}
+	}
+}
+
+// planDigest flattens everything a plan reports — objective, iterations,
+// controls, states and duals — for bitwise comparison.
+func planDigest(p *core.Plan) []float64 {
+	out := []float64{p.Objective, float64(p.QPIterations), float64(p.ColdRestarts)}
+	for t := range p.U {
+		for l := range p.U[t] {
+			out = append(out, p.U[t][l]...)
+			out = append(out, p.X[t][l]...)
+		}
+		out = append(out, p.CapacityDuals[t]...)
+		out = append(out, p.DemandDuals[t]...)
+	}
+	return out
+}
+
+// TestSharedStructureConcurrentSolves: every solve on one horizon
+// structure reads the same symbolic phase. Two goroutines, each chaining
+// warm one-shot solves and its own session's solves on the paper
+// instance (mixed block widths, linking capacity rows), must reproduce
+// the sequential plans bit for bit; under -race this also checks that the
+// shared phase is only read.
+func TestSharedStructureConcurrentSolves(t *testing.T) {
+	inst := paperInstance(t)
+	const w, steps = 5, 6
+	inputs := make([]core.HorizonInput, steps)
+	for k := range inputs {
+		demand, prices := make([][]float64, w), make([][]float64, w)
+		for tt := range demand {
+			demand[tt] = make([]float64, inst.NumLocations())
+			for v := range demand[tt] {
+				demand[tt][v] = 260 + 15*float64((v+k+tt)%6)
+			}
+			prices[tt] = []float64{0.081, 0.074, 0.069 + 0.002*float64(k), 0.077}
+		}
+		inputs[k] = core.HorizonInput{X0: inst.NewState(), Demand: demand, Prices: prices}
+	}
+	run := func() ([][]float64, error) {
+		ses, err := inst.NewHorizonSession(w, qp.DefaultOptions())
+		if err != nil {
+			return nil, err
+		}
+		var out [][]float64
+		var warmOne, warmSes *core.HorizonWarm
+		for _, in := range inputs {
+			in.Warm = warmOne
+			one, err := inst.SolveHorizon(in, qp.DefaultOptions())
+			if err != nil {
+				return nil, err
+			}
+			in.Warm = warmSes
+			viaSes, err := ses.Solve(in)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, planDigest(one), planDigest(viaSes))
+			warmOne, warmSes = one.Warm, viaSes.Warm
+		}
+		return out, nil
+	}
+	want, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2][][]float64
+	var errs [2]error
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], errs[g] = run()
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		for k := range want {
+			for i := range want[k] {
+				if got[g][k][i] != want[k][i] {
+					t.Fatalf("goroutine %d, solve %d, entry %d: %v, sequential %v", g, k, i, got[g][k][i], want[k][i])
 				}
 			}
 		}

@@ -62,6 +62,12 @@ func (b *BandMatrix) Cols() int { return b.n }
 // Bandwidth returns the half-bandwidth.
 func (b *BandMatrix) Bandwidth() int { return b.bw }
 
+// Packed returns the packed storage itself: row i at
+// [i·(bw+1), (i+1)·(bw+1)), entry (i, j) at i·(bw+1) + j − i + bw. Callers
+// that scatter into many rows index it directly instead of slicing each
+// row.
+func (b *BandMatrix) Packed() []float64 { return b.data }
+
 // ZeroBand clears every stored entry.
 func (b *BandMatrix) ZeroBand() {
 	for i := range b.data {
@@ -235,18 +241,119 @@ func (b *BandMatrix) ToDense() *Matrix {
 	return d
 }
 
+// Envelope is the row profile of a symmetric matrix's lower triangle:
+// row i holds no entry left of column first[i], and Last(j) is the last
+// row that reaches column j. Cholesky fill stays inside the envelope
+// (George & Liu 1981), so a factorization given one works only there. A
+// block-diagonal matrix stored in one uniform band — the horizon QP's
+// location blocks, each padded to the widest — has an envelope as narrow
+// as each of its blocks, and a column whose Last is itself closes a
+// block.
+//
+// Set builds an envelope in place, reusing its storage. A built envelope
+// is read-only to the factorizations that use it, so one envelope may be
+// shared by any number of concurrent factorizations.
+type Envelope struct {
+	first, last []int
+	bw          int  // widest row: max over i of i − first[i]
+	full        bool // every row spans its whole bw-wide band
+}
+
+// Set rebuilds the envelope for the row starts first, which must satisfy
+// 0 ≤ first[i] ≤ i. The kernels walk column j through every row up to
+// Last(j), so Set widens the starts in place to their suffix minimum
+// (first[i] ≤ first[i+1]): a row between j and Last(j) that started right
+// of j would leave unwritten padding on that walk. Widening never raises
+// the bandwidth, and the rows it widens hold exact zeros there. The
+// envelope keeps first (it is not copied), so the caller must leave it
+// alone while the envelope is in use.
+func (e *Envelope) Set(first []int) error {
+	n := len(first)
+	for i, f := range first {
+		if f < 0 || f > i {
+			return fmt.Errorf("envelope row %d starts at column %d: %w", i, f, ErrDimensionMismatch)
+		}
+	}
+	for i := n - 2; i >= 0; i-- {
+		first[i] = min(first[i], first[i+1])
+	}
+	if cap(e.last) < n {
+		e.last = make([]int, n)
+	}
+	e.first, e.last = first, e.last[:n]
+	e.bw = 0
+	for j := range e.last {
+		e.last[j] = j
+	}
+	for i, f := range first {
+		e.bw = max(e.bw, i-f)
+		e.last[f] = max(e.last[f], i)
+	}
+	// Rows are contiguous from their first column to the diagonal, so a
+	// row reaching column j−1 below row j also reaches column j.
+	for j := 1; j < n; j++ {
+		e.last[j] = max(e.last[j], e.last[j-1])
+	}
+	e.full = true
+	for i, f := range first {
+		if f != max(0, i-e.bw) {
+			e.full = false
+			break
+		}
+	}
+	return nil
+}
+
+// setFull makes e the full band of half-bandwidth bw over n rows.
+func (e *Envelope) setFull(n, bw int) {
+	if cap(e.first) < n {
+		e.first = make([]int, n)
+	}
+	if cap(e.last) < n {
+		e.last = make([]int, n)
+	}
+	e.first, e.last = e.first[:n], e.last[:n]
+	for i := range e.first {
+		e.first[i] = max(0, i-bw)
+		e.last[i] = min(n-1, i+bw)
+	}
+	e.bw, e.full = bw, true
+}
+
+// N returns the order of the matrix the envelope describes.
+func (e *Envelope) N() int { return len(e.first) }
+
+// Bandwidth returns the widest row's reach below the diagonal.
+func (e *Envelope) Bandwidth() int { return e.bw }
+
+// Last returns the last row that reaches column j (at least j).
+func (e *Envelope) Last(j int) int { return e.last[j] }
+
 // BandCholesky factorizes symmetric positive-definite band matrices into
-// packed storage, split into a symbolic phase (Symbolic: size the packed
-// layout, allocate once) and a numeric phase (Factorize: refactorize
-// in place with zero allocations). Interior-point loops call Symbolic
-// once per problem shape and Factorize once per iteration.
+// packed storage, split into a symbolic phase (Symbolic or
+// SymbolicEnvelope: lay out the packed factor and its envelope, allocating
+// only when the shape outgrows the buffers) and a numeric phase
+// (Factorize: refactorize in place with zero allocations). Interior-point
+// loops run the symbolic phase once per solve, on an envelope analysed
+// once per problem structure, and Factorize once per iteration.
+//
+// Every kernel — Factorize, Solve, InverseBlock — loops over the
+// envelope only. Storage stays the uniform packed band, but the padding
+// between a narrow row's first column and its band edge is neither
+// computed nor read, so it may hold anything.
 type BandCholesky struct {
 	n, bw int
-	l     []float64 // packed lower factor, bw+1 entries per row
+	env   *Envelope // the envelope in use: own, or one a caller shares
+	own   Envelope  // full-band envelope Symbolic builds
+	// full records that env is the whole band, which the unrolled bw = 2
+	// solve needs (it reads every band entry).
+	full bool
+	l    []float64 // packed lower factor, bw+1 entries per row
 	// lt mirrors the factor transposed (packed columns of L) so back
 	// substitution walks memory contiguously; rebuilt by each Factorize.
 	lt   []float64
 	dinv []float64 // 1/L[i][i]: substitution multiplies instead of divides
+	col  []float64 // InverseBlock's gathered column of L (bw entries)
 	// useLT records whether Factorize built the transposed copy: below
 	// ltThreshold floats the factor fits comfortably in L1, strided reads
 	// are free, and the copy pass is pure overhead (the interior-point
@@ -269,8 +376,9 @@ type BandCholesky struct {
 const ltThreshold = 2048
 
 // Symbolic prepares the factorization for matrices of order n with
-// half-bandwidth bw: it sizes the packed factor storage, growing the
-// buffers only when the shape outgrows them. It performs no numeric work.
+// half-bandwidth bw and the full band as envelope: it sizes the packed
+// factor storage, growing the buffers only when the shape outgrows them.
+// It performs no numeric work.
 func (c *BandCholesky) Symbolic(n, bw int) {
 	if n < 0 {
 		n = 0
@@ -284,6 +392,26 @@ func (c *BandCholesky) Symbolic(n, bw int) {
 	if n == 0 {
 		bw = 0
 	}
+	c.own.setFull(n, bw)
+	c.layout(n, bw, &c.own)
+}
+
+// SymbolicEnvelope prepares the factorization for matrices of order
+// env.N() stored with half-bandwidth bw whose entries lie inside env.
+// The envelope is retained and only read, so callers may share it
+// between factorizations.
+func (c *BandCholesky) SymbolicEnvelope(bw int, env *Envelope) error {
+	n := env.N()
+	bw = min(max(bw, 0), max(n-1, 0))
+	if env.bw > bw {
+		return fmt.Errorf("envelope reaches %d below the diagonal, band %d: %w", env.bw, bw, ErrDimensionMismatch)
+	}
+	c.layout(n, bw, env)
+	return nil
+}
+
+// layout sizes the packed storage for (n, bw) and installs env.
+func (c *BandCholesky) layout(n, bw int, env *Envelope) {
 	need := n * (bw + 1)
 	c.useLT = need > ltThreshold
 	if cap(c.l) < need {
@@ -295,7 +423,11 @@ func (c *BandCholesky) Symbolic(n, bw int) {
 	if cap(c.dinv) < n {
 		c.dinv = make([]float64, n)
 	}
-	c.n, c.bw = n, bw
+	if cap(c.col) < bw {
+		c.col = make([]float64, bw)
+	}
+	c.n, c.bw, c.env = n, bw, env
+	c.full = env.full && env.bw == bw
 	c.l = c.l[:need]
 	if c.useLT {
 		c.lt = c.lt[:need]
@@ -307,9 +439,10 @@ func (c *BandCholesky) Symbolic(n, bw int) {
 func (c *BandCholesky) N() int { return c.n }
 
 // Factorize runs the numeric phase on a, which must match the shape given
-// to Symbolic (Factorize re-runs Symbolic when it does not, so a bare
-// Factorize is always correct — just not guaranteed allocation-free).
-// On error the factor is invalid until the next successful call.
+// to the symbolic phase (Factorize runs Symbolic when it does not, so a
+// bare Factorize is always correct — just not guaranteed allocation-free)
+// and hold no entry outside the envelope. On error the factor is invalid
+// until the next successful call.
 func (c *BandCholesky) Factorize(a *BandMatrix) error {
 	if a.n != c.n || a.bw != c.bw {
 		c.Symbolic(a.n, a.bw)
@@ -325,86 +458,48 @@ func (c *BandCholesky) Factorize(a *BandMatrix) error {
 		c.rebuildLT()
 		return nil
 	}
-	w1 := bw + 1
-	l := c.l
-	ad := a.data
+	l, ad, dinv, first := c.l, a.data, c.dinv, c.env.first
 	for i := 0; i < n; i++ {
-		lo := i - bw
-		if lo < 0 {
-			lo = 0
+		// Entry (i, j) of row i sits at base+j in the packed storage.
+		fi, base := first[i], i*bw+bw
+		ri := l[base+fi : base+i+1]
+		ai := ad[base+fi : base+i+1]
+		for j := fi; j < i; j++ {
+			// s = a(i,j) − Σ_k L[i][k]·L[j][k] over the columns inside both
+			// rows' envelopes, ascending k.
+			k0 := max(fi, first[j])
+			lb := l[j*bw+bw+k0 : j*bw+bw+j]
+			la := ri[k0-fi : j-fi]
+			la = la[:len(lb)]
+			s := ai[j-fi]
+			for k, v := range lb {
+				s -= la[k] * v
+			}
+			ri[j-fi] = s * dinv[j]
 		}
-		ri := l[i*w1 : (i+1)*w1]
-		for j := lo; j < i; j++ {
-			// s = a(i,j) − Σ_k L[i][k]·L[j][k], k ∈ [max(lo, j−bw), j).
-			kmin := j - bw
-			if kmin < lo {
-				kmin = lo
-			}
-			s := ad[i*w1+j-i+bw]
-			// Four-accumulator inner product. The paper-scale horizon QPs
-			// have single-digit bands, where these products are a handful
-			// of terms and run entirely in the remainder loop — as cheap as
-			// a plain loop, and still cheaper than a DotProd call. The
-			// continental shard QPs have bandwidths in the hundreds, where
-			// a single accumulator serializes every iteration on its add
-			// chain; splitting the chain keeps the FPU pipeline full in the
-			// kernel that dominates coordinated-solve time.
-			if cnt := j - kmin; cnt > 0 {
-				la := ri[kmin-i+bw : j-i+bw]
-				lb := l[j*w1+kmin-j+bw : j*w1+bw]
-				lb = lb[:len(la)]
-				var s0, s1, s2, s3 float64
-				k := 0
-				for ; k+4 <= len(la); k += 4 {
-					s0 += la[k] * lb[k]
-					s1 += la[k+1] * lb[k+1]
-					s2 += la[k+2] * lb[k+2]
-					s3 += la[k+3] * lb[k+3]
-				}
-				for ; k < len(la); k++ {
-					s0 += la[k] * lb[k]
-				}
-				s -= (s0 + s2) + (s1 + s3)
-			}
-			ri[j-i+bw] = s * c.dinv[j]
+		diag := ai[i-fi]
+		s := diag
+		for _, v := range ri[:i-fi] {
+			s -= v * v
 		}
-		// Diagonal pivot, same four-lane accumulation.
-		s := ad[i*w1+bw]
-		{
-			row := ri[lo-i+bw : bw]
-			var s0, s1, s2, s3 float64
-			k := 0
-			for ; k+4 <= len(row); k += 4 {
-				s0 += row[k] * row[k]
-				s1 += row[k+1] * row[k+1]
-				s2 += row[k+2] * row[k+2]
-				s3 += row[k+3] * row[k+3]
-			}
-			for ; k < len(row); k++ {
-				s0 += row[k] * row[k]
-			}
-			s -= (s0 + s2) + (s1 + s3)
-		}
-		if !(s > 0) || s <= c.PivotFloor*ad[i*w1+bw] {
-			if c.PivotFloor == 0 || math.IsNaN(s) || !(ad[i*w1+bw] > 0) {
+		if !(s > 0) || s <= c.PivotFloor*diag {
+			if c.PivotFloor == 0 || math.IsNaN(s) || !(diag > 0) {
 				return fmt.Errorf("pivot %d = %g: %w", i, s, ErrNotPositiveDefinite)
 			}
-			s = c.PivotFloor * ad[i*w1+bw]
+			s = c.PivotFloor * diag
 			c.Replaced++
 		}
 		d := math.Sqrt(s)
-		ri[bw] = d
-		c.dinv[i] = 1 / d
+		ri[i-fi] = d
+		dinv[i] = 1 / d
 	}
-	// Packed transposed copy: lt row i holds column i of L from the
-	// diagonal down, i.e. lt[i·w1+k] = L[i+k][i]. Skipped for factors
-	// small enough to sit in L1, where back substitution reads l directly.
 	c.rebuildLT()
 	return nil
 }
 
 // rebuildLT refreshes the packed transposed copy: lt row i holds column i
-// of L from the diagonal down (no-op for factors small enough to be read
+// of L from the diagonal down to the envelope's last row, i.e.
+// lt[i·w1+k] = L[i+k][i] (no-op for factors small enough to be read
 // directly).
 func (c *BandCholesky) rebuildLT() {
 	if !c.useLT {
@@ -412,13 +507,9 @@ func (c *BandCholesky) rebuildLT() {
 	}
 	n, bw := c.n, c.bw
 	w1 := bw + 1
-	l, lt := c.l, c.lt
+	l, lt, last := c.l, c.lt, c.env.last
 	for i := 0; i < n; i++ {
-		hi := bw
-		if i+hi > n-1 {
-			hi = n - 1 - i
-		}
-		for k := 0; k <= hi; k++ {
+		for k := 0; k <= last[i]-i; k++ {
 			lt[i*w1+k] = l[(i+k)*w1+bw-k]
 		}
 	}
@@ -426,9 +517,11 @@ func (c *BandCholesky) rebuildLT() {
 
 // factorizeBW2 is the numeric phase unrolled for half-bandwidth 2. Every
 // floating-point operation runs in exactly the order of the generic loop
-// (ascending k, left-to-right accumulation), so the factor is bit-identical;
-// what the unrolling removes is per-row slice arithmetic and the loop-bound
-// bookkeeping, which for a 3-wide band costs more than the arithmetic.
+// (ascending k, each product subtracted in turn), so the factor is
+// bit-identical; what the unrolling removes is per-row slice arithmetic
+// and the loop-bound bookkeeping, which for a 3-wide band costs more than
+// the arithmetic. It writes the whole band, whatever the envelope: the
+// entries outside it come out as exact zeros.
 func (c *BandCholesky) factorizeBW2(ad []float64) error {
 	n := c.n // ≥ 3: Symbolic clamps bw ≤ n−1
 	l, dinv := c.l, c.dinv
@@ -468,8 +561,9 @@ func (c *BandCholesky) factorizeBW2(ad []float64) error {
 
 // solveBW2 is Solve unrolled for half-bandwidth 2 (direct-l back
 // substitution — bw-2 factors sit below ltThreshold until n > 682, and the
-// dispatch requires !useLT). Operation order matches the generic loops
-// exactly, so results are bit-identical.
+// dispatch requires !useLT and the full band, since it reads every band
+// entry). Operation order matches the generic loops exactly, so results
+// are bit-identical.
 func (c *BandCholesky) solveBW2(b, x Vector) {
 	n := c.n // ≥ 3, as in factorizeBW2
 	l, dinv := c.l, c.dinv
@@ -499,59 +593,45 @@ func (c *BandCholesky) Solve(b Vector, x Vector) error {
 	if len(b) != n || len(x) != n {
 		return fmt.Errorf("band solve b=%d x=%d n=%d: %w", len(b), len(x), n, ErrDimensionMismatch)
 	}
-	if bw == 2 && !c.useLT {
+	if bw == 2 && c.full && !c.useLT {
 		c.solveBW2(b, x)
 		return nil
 	}
 	w1 := bw + 1
-	l := c.l
-	// Forward substitution: L y = b. Narrow bands make the inner products
-	// a few terms each; inline loops avoid per-row call overhead.
+	l, first, last := c.l, c.env.first, c.env.last
+	// Forward substitution: L y = b, over row i's envelope.
 	for i := 0; i < n; i++ {
-		lo := i - bw
-		if lo < 0 {
-			lo = 0
-		}
+		fi := first[i]
 		s := b[i]
-		if lo < i {
-			lv := l[i*w1+lo-i+bw : i*w1+bw]
-			xv := x[lo:i]
-			xv = xv[:len(lv)]
-			for k, v := range lv {
-				s -= v * xv[k]
-			}
+		lv := l[i*bw+bw+fi : i*bw+bw+i]
+		xv := x[fi:i]
+		xv = xv[:len(lv)]
+		for k, v := range lv {
+			s -= v * xv[k]
 		}
 		x[i] = s * c.dinv[i]
 	}
-	// Back substitution: Lᵀ x = y, off the packed transposed copy when one
-	// was built, else straight off l (small factors live in L1 anyway).
+	// Back substitution: Lᵀ x = y, over column i's envelope, off the
+	// packed transposed copy when one was built, else straight off l
+	// (small factors live in L1 anyway).
 	if c.useLT {
 		lt := c.lt
 		for i := n - 1; i >= 0; i-- {
-			hi := i + bw
-			if hi > n-1 {
-				hi = n - 1
-			}
+			hi := last[i]
 			s := x[i]
-			if i < hi {
-				lv := lt[i*w1+1 : i*w1+hi-i+1]
-				xv := x[i+1 : hi+1]
-				xv = xv[:len(lv)]
-				for k, v := range lv {
-					s -= v * xv[k]
-				}
+			lv := lt[i*w1+1 : i*w1+hi-i+1]
+			xv := x[i+1 : hi+1]
+			xv = xv[:len(lv)]
+			for k, v := range lv {
+				s -= v * xv[k]
 			}
 			x[i] = s * c.dinv[i]
 		}
 		return nil
 	}
 	for i := n - 1; i >= 0; i-- {
-		hi := i + bw
-		if hi > n-1 {
-			hi = n - 1
-		}
 		s := x[i]
-		for k := i + 1; k <= hi; k++ {
+		for k := i + 1; k <= last[i]; k++ {
 			s -= l[k*w1+i-k+bw] * x[k]
 		}
 		x[i] = s * c.dinv[i]
@@ -564,29 +644,38 @@ func (c *BandCholesky) Solve(b Vector, x Vector) error {
 // entry couples those rows to a later row — a block-diagonal matrix (the
 // horizon QP's per-location blocks) has a block-diagonal factor. It runs
 // the Takahashi recurrence Z = L⁻ᵀL⁻¹ backwards from the block's last
-// row, O(size²·bw), without forming L⁻¹.
+// row, O(size²·bw) within the envelope, without forming L⁻¹.
 func (c *BandCholesky) InverseBlock(lo, size int, z []float64) error {
 	if lo < 0 || lo+size > c.n || len(z) < size*size {
 		return fmt.Errorf("band inverse block rows [%d,%d) n=%d, z=%d: %w", lo, lo+size, c.n, len(z), ErrDimensionMismatch)
 	}
 	bw := c.bw
 	w1 := bw + 1
-	l := c.l
+	l, last := c.l, c.env.last
 	// Row j of the recurrence, for j ≤ i < size (block-local indices):
-	// Z_ji = (δ_ji/L_jj − Σ_{j<k≤j+bw} L_kj·Z_ki) / L_jj, with Z_ki read
-	// through symmetry where k > i.
+	// Z_ji = (δ_ji/L_jj − Σ_{j<k≤last(j)} L_kj·Z_ik) / L_jj. Column j of L
+	// is gathered once per row; Z_ik (= Z_ki, written mirrored) is then a
+	// contiguous run of row i.
 	for j := size - 1; j >= 0; j-- {
 		gj := lo + j
-		kmax := min(j+bw, size-1)
+		kmax := min(last[gj]-lo, size-1)
+		col := c.col[:kmax-j]
+		for k := range col {
+			gk := gj + 1 + k
+			col[k] = l[gk*w1+gj-gk+bw]
+		}
+		dj := c.dinv[gj]
 		for i := size - 1; i >= j; i-- {
 			s := 0.0
 			if i == j {
-				s = c.dinv[gj]
+				s = dj
 			}
-			for k := j + 1; k <= kmax; k++ {
-				s -= l[(lo+k)*w1+gj-(lo+k)+bw] * z[k*size+i]
+			zi := z[i*size+j+1 : i*size+kmax+1]
+			zi = zi[:len(col)]
+			for k, v := range col {
+				s -= v * zi[k]
 			}
-			v := s * c.dinv[gj]
+			v := s * dj
 			z[j*size+i] = v
 			z[i*size+j] = v
 		}

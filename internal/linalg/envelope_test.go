@@ -1,0 +1,282 @@
+package linalg
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// horizonBlocks draws a random SPD block-diagonal band matrix with the
+// horizon QP's pattern: block v holds widths[v] pairs over w steps,
+// time-major, every pair of one step coupled (a demand row) and each pair
+// coupled to itself one step later (the reconfiguration term). The band
+// is as wide as the widest block (one less at w = 1), so narrower blocks
+// are padded. It returns the dense matrix, its packed band, the
+// envelope's row starts and the block boundaries.
+func horizonBlocks(rng *rand.Rand, widths []int, w int) (*Matrix, *BandMatrix, []int, []int) {
+	n, widest := 0, 0
+	bnd := []int{0}
+	for _, p := range widths {
+		n += p * w
+		widest = max(widest, p)
+		bnd = append(bnd, n)
+	}
+	bw := widest - 1
+	if w > 1 {
+		bw = widest
+	}
+	d := NewMatrix(n, n)
+	set := func(i, j int) {
+		v := rng.NormFloat64()
+		d.Set(i, j, v)
+		d.Set(j, i, v)
+	}
+	for v, p := range widths {
+		for t := 0; t < w; t++ {
+			for j := 0; j < p; j++ {
+				i := bnd[v] + t*p + j
+				for k := 0; k < j; k++ {
+					set(i, bnd[v]+t*p+k)
+				}
+				if t > 0 {
+					set(i, i-p)
+				}
+			}
+		}
+	}
+	first := make([]int, n)
+	for i := 0; i < n; i++ {
+		first[i] = i
+		for j := i - 1; j >= max(0, i-bw); j-- {
+			if d.At(i, j) != 0 {
+				first[i] = j
+			}
+		}
+		// Diagonal dominance keeps it SPD whatever the off-diagonals.
+		d.Set(i, i, float64(2*bw+2)+rng.Float64())
+	}
+	b := NewBandMatrix(n, bw)
+	for i := 0; i < n; i++ {
+		for j := max(0, i-bw); j <= i; j++ {
+			_ = b.Set(i, j, d.At(i, j))
+		}
+	}
+	return d, b, first, bnd
+}
+
+// decreasingStart draws a 4×4 SPD band (bw = 3) whose last row reaches
+// column 0 while rows 1 and 2 are diagonal-only: row starts 0, 1, 2, 0,
+// which decrease. Column 0 is then walked through rows 1 and 2 as well.
+func decreasingStart(rng *rand.Rand) (*Matrix, *BandMatrix, []int, []int) {
+	d := NewMatrix(4, 4)
+	for i := 0; i < 4; i++ {
+		d.Set(i, i, 8+rng.Float64())
+	}
+	v := rng.NormFloat64()
+	d.Set(3, 0, v)
+	d.Set(0, 3, v)
+	b := NewBandMatrix(4, 3)
+	for i := 0; i < 4; i++ {
+		for j := 0; j <= i; j++ {
+			_ = b.Set(i, j, d.At(i, j))
+		}
+	}
+	return d, b, []int{0, 1, 2, 0}, []int{0, 4}
+}
+
+// factorPair factors b twice: inside the envelope of first (its packed
+// storage poisoned with NaN beforehand, so any read outside the envelope
+// shows) and over the full uniform band.
+func factorPair(t *testing.T, b *BandMatrix, first []int, floor float64) (*BandCholesky, *BandCholesky) {
+	t.Helper()
+	var env Envelope
+	if err := env.Set(first); err != nil {
+		t.Fatal(err)
+	}
+	ec, fc := &BandCholesky{PivotFloor: floor}, &BandCholesky{PivotFloor: floor}
+	if err := ec.SymbolicEnvelope(b.Bandwidth(), &env); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ec.l {
+		ec.l[i] = math.NaN()
+	}
+	for i := range ec.lt {
+		ec.lt[i] = math.NaN()
+	}
+	if err := ec.Factorize(b); err != nil {
+		t.Fatalf("envelope factorization: %v", err)
+	}
+	if err := fc.Factorize(b); err != nil {
+		t.Fatalf("full-band factorization: %v", err)
+	}
+	if ec.Replaced != fc.Replaced {
+		t.Fatalf("envelope replaced %d pivots, full band %d", ec.Replaced, fc.Replaced)
+	}
+	return ec, fc
+}
+
+// TestEnvelopeKernelsMatchDense checks the envelope Factorize, Solve and
+// InverseBlock against a dense Cholesky and a dense inverse on random
+// block-diagonal horizon-shaped bands — mixed block widths, width-1
+// blocks, a one-step horizon, bw = 2 (the unrolled kernels on the full
+// band) and a factor large enough for the transposed back-substitution
+// copy — and bitwise against the same kernels over the full uniform band:
+// the entries the envelope skips are exact zeros. The decreasing-start
+// case covers a row start right of an earlier row's.
+func TestEnvelopeKernelsMatchDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var wide []int // n = 315, bw = 6: just over ltThreshold
+	for len(wide) < 30 {
+		wide = append(wide, 6, 1, 3, 5, 2, 4)
+	}
+	for _, tc := range []struct {
+		name   string
+		widths []int
+		w      int
+		build  func(*rand.Rand) (*Matrix, *BandMatrix, []int, []int)
+	}{
+		{"mixed", []int{3, 1, 4, 2, 4, 1}, 3, nil},
+		{"width-1", []int{1, 1, 1, 1}, 4, nil},
+		{"W=1", []int{2, 4, 1, 3}, 1, nil},
+		{"one-block", []int{5}, 3, nil},
+		{"bw2", []int{2, 1, 2, 2}, 3, nil},
+		{"transposed-copy", wide, 3, nil},
+		{"decreasing-start", []int{4}, 1, decreasingStart},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var d *Matrix
+			var b *BandMatrix
+			var first, bnd []int
+			if tc.build != nil {
+				d, b, first, bnd = tc.build(rng)
+			} else {
+				d, b, first, bnd = horizonBlocks(rng, tc.widths, tc.w)
+			}
+			n := d.Rows()
+			ec, fc := factorPair(t, b, first, 0)
+			if tc.name == "transposed-copy" && !ec.useLT {
+				t.Fatalf("n=%d bw=%d stays below the transposed-copy threshold", n, b.Bandwidth())
+			}
+			dense, err := NewCholesky(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rhs, want, got, full := NewVector(n), NewVector(n), NewVector(n), NewVector(n)
+			for i := range rhs {
+				rhs[i] = rng.NormFloat64()
+			}
+			if err := dense.Solve(rhs, want); err != nil {
+				t.Fatal(err)
+			}
+			if err := ec.Solve(rhs, got); err != nil {
+				t.Fatal(err)
+			}
+			if err := fc.Solve(rhs, full); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Abs(got[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
+					t.Fatalf("x[%d]: envelope %g, dense %g", i, got[i], want[i])
+				}
+				if got[i] != full[i] {
+					t.Fatalf("x[%d]: envelope %v, full band %v", i, got[i], full[i])
+				}
+			}
+			e, col := NewVector(n), NewVector(n)
+			for v := range tc.widths {
+				lo, size := bnd[v], bnd[v+1]-bnd[v]
+				z, zf := make([]float64, size*size), make([]float64, size*size)
+				if err := ec.InverseBlock(lo, size, z); err != nil {
+					t.Fatal(err)
+				}
+				if err := fc.InverseBlock(lo, size, zf); err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < size; j++ {
+					e.Zero()
+					e[lo+j] = 1
+					if err := dense.Solve(e, col); err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < size; i++ {
+						if zij := z[i*size+j]; math.Abs(zij-col[lo+i]) > 1e-14 || zij != zf[i*size+j] {
+							t.Fatalf("block %d: Z(%d,%d) = %v, full band %v, dense %v", v, i, j, zij, zf[i*size+j], col[lo+i])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestEnvelopePivotFloor: a block whose second pivot cancels to zero is
+// floored under PivotFloor, and the envelope factorization replaces the
+// same pivots, and yields the same solves, as the full-band one.
+func TestEnvelopePivotFloor(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	_, b, first, bnd := horizonBlocks(rng, []int{3, 2, 4, 1}, 2)
+	// Block 1 starts with the 2×2 step block [[1 1] [1 1]]: pivot 1 is
+	// 1 − 1·1 = 0. Its next step is decoupled from it, so the floored
+	// pivot is the only one.
+	lo := bnd[1]
+	_ = b.Set(lo, lo, 1)
+	_ = b.Set(lo+1, lo, 1)
+	_ = b.Set(lo+1, lo+1, 1)
+	_ = b.Set(lo+2, lo, 0)
+	_ = b.Set(lo+3, lo+1, 0)
+	var strict BandCholesky
+	if err := strict.Factorize(b); !errors.Is(err, ErrNotPositiveDefinite) {
+		t.Fatalf("strict factorization: err = %v", err)
+	}
+	ec, fc := factorPair(t, b, first, 1e-13)
+	if ec.Replaced != 1 {
+		t.Fatalf("replaced %d pivots, want 1", ec.Replaced)
+	}
+	n := b.N()
+	rhs, got, full := NewVector(n), NewVector(n), NewVector(n)
+	for i := range rhs {
+		rhs[i] = rng.NormFloat64()
+	}
+	if err := ec.Solve(rhs, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := fc.Solve(rhs, full); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] != full[i] {
+			t.Fatalf("x[%d]: envelope %v, full band %v", i, got[i], full[i])
+		}
+	}
+}
+
+// TestEnvelopeValidation: an envelope row may not start right of its
+// diagonal or left of column 0, nor reach past the band it is used with.
+func TestEnvelopeValidation(t *testing.T) {
+	var env Envelope
+	for _, first := range [][]int{{0, 2, 1}, {0, -1, 2}} {
+		if err := env.Set(first); !errors.Is(err, ErrDimensionMismatch) {
+			t.Fatalf("first %v: err = %v", first, err)
+		}
+	}
+	if err := env.Set([]int{0, 0, 0, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(env.Bandwidth(), env.Last(0), env.Last(2), env.Last(3)); got != "2 2 2 3" {
+		t.Fatalf("bandwidth, last(0), last(2), last(3) = %s", got)
+	}
+	// Decreasing starts widen to their suffix minimum.
+	first := []int{0, 1, 2, 0}
+	if err := env.Set(first); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(first, env.Bandwidth(), env.Last(0)); got != "[0 0 0 0] 3 3" {
+		t.Fatalf("first, bandwidth, last(0) = %s", got)
+	}
+	var c BandCholesky
+	if err := c.SymbolicEnvelope(1, &env); !errors.Is(err, ErrDimensionMismatch) {
+		t.Fatalf("envelope wider than the band: err = %v", err)
+	}
+}

@@ -36,9 +36,12 @@ func BenchmarkSolve(b *testing.B) {
 // allocs/op must stay a small constant independent of the iteration count
 // (see TestAllocsIndependentOfIterationCount for the hard assertion); the
 // reported ipm_iters shows how few iterations the warm path needs. The
-// block-angular case has the paper instance's shape — 8 location blocks
-// of 4 pairs over 2 steps, coupled by 4 capacity rows — and runs the
-// linking-row Schur path under the same allocation contract.
+// block-angular case has 8 equal location blocks of 8 variables coupled
+// by 4 rows; the daemon-shaped case has the dsppd paper instance's mixed
+// widths — 8 location blocks of 1–4 pairs over 5 steps, coupled by the
+// capacity rows of 4 DCs — so the envelope kernels skip the padding of
+// the narrow blocks. Both run the linking-row Schur path under the same
+// allocation contract.
 func BenchmarkSolveWarm(b *testing.B) {
 	type bench struct {
 		name string
@@ -54,6 +57,8 @@ func BenchmarkSolveWarm(b *testing.B) {
 	}
 	cases = append(cases, bench{"blocks8x8_link4", func(rng *rand.Rand) *Problem {
 		return blockAngularQP(rng, 8, 8, 4)
+	}}, bench{"daemon8x1-4_w5_dc4", func(rng *rand.Rand) *Problem {
+		return horizonShapedQP(rng, 4, 8, 5)
 	}})
 	for _, c := range cases {
 		p := c.p(rand.New(rand.NewSource(42)))

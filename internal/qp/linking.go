@@ -2,7 +2,6 @@ package qp
 
 import (
 	"fmt"
-	"sort"
 
 	"dspp/internal/linalg"
 )
@@ -23,24 +22,14 @@ import (
 // O(size²·bw) per block, instead of a full-length band solve per coupling
 // row.
 type linkSchur struct {
-	k, nc int // linking rows of G (coupling rows 0..k−1); all coupling rows
+	// The symbolic half, shared read-only with every solve on the
+	// structure: coupling rows, blocks, slots and the Gram scatter map.
+	*linkSymbolic
 
-	// Coupling rows in CSR form: the k linking rows of G, then A's rows.
-	ptr  []int
-	cols []int
-	vals []float64
-
-	// Touched diagonal blocks of H_b. Block j spans rows [lo[j], hi[j]) and
-	// owns slots slot[j] .. slot[j+1]−1. Slot s belongs to coupling row
-	// row[s] (ascending within a block); its entries inside the block are
-	// cols/vals[eLo[s]:eHi[s]].
-	lo, hi, slot  []int
-	row, eLo, eHi []int
-	zinv          linalg.Vector        // one block's dense inverse (largest block²)
-	gram          linalg.Vector        // nc×nc C H_b⁻¹ Cᵀ, upper triangle, row-major
-	s             *linalg.BandMatrix   // S, dense (bw = nc−1) in packed storage
-	chol          *linalg.BandCholesky // factor of S
-	wb            linalg.Vector        // m: KKT weights with the linking rows zeroed
+	zinv linalg.Vector        // one block's dense inverse (largest block²)
+	s    *linalg.BandMatrix   // S, dense (bw = nc−1) in packed storage
+	chol *linalg.BandCholesky // factor of S
+	wb   linalg.Vector        // m: KKT weights with the linking rows zeroed
 
 	// Direction-solve working set: the multipliers λ, the second-block
 	// right-hand side and refinement step (nc each), and the saved r plus
@@ -48,105 +37,16 @@ type linkSchur struct {
 	lam, c2, dl linalg.Vector
 	r1, t1, t2  linalg.Vector
 	gl          linalg.Vector // k: G·dx on the linking rows
-
-	reach, bnd, key []int // analysis scratch
 }
 
-// analyze lays out the Schur pieces for p (the symbolic phase, once per
-// problem). qb is Q's lower band as the solver holds it. The diagonal
-// blocks of H_b are found from its pattern: Q's band and the band rows of
-// G. Column c closes a block when nothing at or before c couples to a
-// column after it.
-func (ls *linkSchur) analyze(p *Problem, qb *linalg.BandMatrix, n, m, q int) {
-	ls.k = len(p.Linking)
-	ls.nc = ls.k + q
+// reset binds the numeric working set to sym and sizes it for n
+// variables and m inequality rows.
+func (ls *linkSchur) reset(sym *linkSymbolic, n, m int) {
+	ls.linkSymbolic = sym
 	if ls.nc == 0 {
 		return
 	}
-	reach := growInts(ls.reach, n)
-	for i := range reach {
-		reach[i] = i
-	}
-	bw := qb.Bandwidth()
-	for i := 0; i < n; i++ {
-		row := qb.Row(i)
-		for d := 0; d < bw; d++ {
-			if j := i - bw + d; j >= 0 && row[d] != 0 {
-				if i > reach[j] {
-					reach[j] = i
-				}
-				break
-			}
-		}
-	}
-	lk := p.Linking
-	for r := 0; r < m; r++ {
-		if len(lk) > 0 && lk[0] == r {
-			lk = lk[1:]
-			continue
-		}
-		if first, last, ok := rowSpan(p.G, r); ok && last > reach[first] {
-			reach[first] = last
-		}
-	}
-	bnd := append(ls.bnd[:0], 0)
-	far := 0
-	for c := 0; c < n; c++ {
-		if reach[c] > far {
-			far = reach[c]
-		}
-		if far == c {
-			bnd = append(bnd, c+1)
-		}
-	}
-	ls.reach, ls.bnd = reach, bnd
-
-	ptr := append(ls.ptr[:0], 0)
-	cols, vals := ls.cols[:0], ls.vals[:0]
-	for _, r := range p.Linking {
-		cols, vals = appendRow(p.G, r, cols, vals)
-		ptr = append(ptr, len(cols))
-	}
-	for r := 0; r < q; r++ {
-		cols, vals = appendRow(p.A, r, cols, vals)
-		ptr = append(ptr, len(cols))
-	}
-	ls.ptr, ls.cols, ls.vals = ptr, cols, vals
-
-	// One slot per (block, coupling row) pair, keyed block-major so the
-	// sort groups each block's slots with their rows ascending.
-	key, row, eLo, eHi := ls.key[:0], ls.row[:0], ls.eLo[:0], ls.eHi[:0]
-	for c := 0; c < ls.nc; c++ {
-		for e := ptr[c]; e < ptr[c+1]; {
-			j := sort.SearchInts(bnd, cols[e]+1) - 1
-			f := e + 1
-			for f < ptr[c+1] && cols[f] < bnd[j+1] {
-				f++
-			}
-			key = append(key, j*ls.nc+c)
-			row = append(row, c)
-			eLo = append(eLo, e)
-			eHi = append(eHi, f)
-			e = f
-		}
-	}
-	ls.key, ls.row, ls.eLo, ls.eHi = key, row, eLo, eHi
-	sort.Sort(slotOrder{ls})
-
-	lo, hi, slot := ls.lo[:0], ls.hi[:0], ls.slot[:0]
-	widest := 0
-	for s, kv := range key {
-		j := kv / ls.nc
-		if s == 0 || j != key[s-1]/ls.nc {
-			lo = append(lo, bnd[j])
-			hi = append(hi, bnd[j+1])
-			slot = append(slot, s)
-			widest = max(widest, bnd[j+1]-bnd[j])
-		}
-	}
-	ls.lo, ls.hi, ls.slot = lo, hi, append(slot, len(key))
-	ls.zinv = growVec(ls.zinv, widest*widest)
-	ls.gram = growVec(ls.gram, ls.nc*ls.nc)
+	ls.zinv = growVec(ls.zinv, ls.widest*ls.widest)
 	ls.lam = growVec(ls.lam, ls.nc)
 	ls.c2 = growVec(ls.c2, ls.nc)
 	ls.dl = growVec(ls.dl, ls.nc)
@@ -159,19 +59,6 @@ func (ls *linkSchur) analyze(p *Problem, qb *linalg.BandMatrix, n, m, q int) {
 	}
 	ls.s.Reset(ls.nc, ls.nc-1)
 	ls.chol.Symbolic(ls.nc, ls.nc-1)
-}
-
-// slotOrder sorts a linkSchur's slots by key, carrying the parallel arrays.
-type slotOrder struct{ ls *linkSchur }
-
-func (o slotOrder) Len() int           { return len(o.ls.key) }
-func (o slotOrder) Less(a, b int) bool { return o.ls.key[a] < o.ls.key[b] }
-func (o slotOrder) Swap(a, b int) {
-	ls := o.ls
-	ls.key[a], ls.key[b] = ls.key[b], ls.key[a]
-	ls.row[a], ls.row[b] = ls.row[b], ls.row[a]
-	ls.eLo[a], ls.eLo[b] = ls.eLo[b], ls.eLo[a]
-	ls.eHi[a], ls.eHi[b] = ls.eHi[b], ls.eHi[a]
 }
 
 // bandWeights returns w with the linking rows zeroed, the weights the band
@@ -188,62 +75,51 @@ func (ls *linkSchur) bandWeights(w linalg.Vector, linking []int) linalg.Vector {
 	return wb
 }
 
-// formGram recomputes C H_b⁻¹ Cᵀ from the current band factor, block by
-// block: each touched block's dense inverse, then every pair of coupling
-// rows that meet in the block adds its entries' products.
+// formGram recomputes C H_b⁻¹ Cᵀ from the current band factor into S's
+// packed storage, block by block: each touched block's dense inverse,
+// then every pair of coupling rows that meet in the block adds its
+// entries' products — through the precomputed scatter terms where both
+// rows meet the block in one entry of coefficient 1. Each entry gets at most one addition
+// per block, so the terms and the general pairs may go in either order.
 func (ls *linkSchur) formGram(ch *linalg.BandCholesky) error {
-	nc := ls.nc
-	g := ls.gram[:nc*nc]
-	for i := range g {
-		g[i] = 0
-	}
+	ls.s.ZeroBand()
+	g := ls.s.Packed()
 	for j, lo := range ls.lo {
 		size := ls.hi[j] - lo
 		z := ls.zinv[:size*size]
 		if err := ch.InverseBlock(lo, size, z); err != nil {
 			return err
 		}
-		s0 := ls.slot[j]
-		for s := s0; s < ls.slot[j+1]; s++ {
-			es := ls.eLo[s]
-			single := ls.eHi[s]-es == 1 // a capacity row: one pair per block
-			for t := s0; t <= s; t++ {
-				et := ls.eLo[t]
-				var v float64
-				if single && ls.eHi[t]-et == 1 {
-					v = ls.vals[es] * ls.vals[et] * z[(ls.cols[es]-lo)*size+ls.cols[et]-lo]
-				} else {
-					for e := es; e < ls.eHi[s]; e++ {
-						zr := z[(ls.cols[e]-lo)*size : (ls.cols[e]-lo+1)*size]
-						var sum float64
-						for f := et; f < ls.eHi[t]; f++ {
-							sum += zr[ls.cols[f]-lo] * ls.vals[f]
-						}
-						v += ls.vals[e] * sum
-					}
+		for _, tm := range ls.terms[ls.termPtr[j]:ls.termPtr[j+1]] {
+			g[tm.s] += z[tm.z]
+		}
+		for _, pr := range ls.pairs[ls.pairPtr[j]:ls.pairPtr[j+1]] {
+			s, t := pr[0], pr[1]
+			var v float64
+			for e := ls.eLo[s]; e < ls.eHi[s]; e++ {
+				zr := z[(ls.cols[e]-lo)*size : (ls.cols[e]-lo+1)*size]
+				var sum float64
+				for f := ls.eLo[t]; f < ls.eHi[t]; f++ {
+					sum += zr[ls.cols[f]-lo] * ls.vals[f]
 				}
-				g[ls.row[t]*nc+ls.row[s]] += v
+				v += ls.vals[e] * sum
 			}
+			g[ls.sIndex(ls.row[s], ls.row[t])] += v
 		}
 	}
 	return nil
 }
 
-// factorS assembles S = D + C H_b⁻¹ Cᵀ for the current weights and
-// factors it.
+// factorS completes S = D + C H_b⁻¹ Cᵀ, whose Gram part formGram left in
+// S, with the current weights and factors it.
 func (ls *linkSchur) factorS(w linalg.Vector, linking []int, reg float64) error {
 	nc := ls.nc
-	g := ls.gram
 	for i := 0; i < nc; i++ {
-		row := ls.s.Row(i) // bw = nc−1: column j sits at j + nc−1−i
-		for j := 0; j < i; j++ {
-			row[j+nc-1-i] = g[j*nc+i]
-		}
 		d := reg
 		if i < ls.k {
 			d = 1 / w[linking[i]]
 		}
-		row[nc-1] = g[i*nc+i] + d
+		ls.s.Row(i)[nc-1] += d
 	}
 	return ls.chol.Factorize(ls.s)
 }
@@ -300,7 +176,7 @@ func (st *ipmState) solveLinked() error {
 		// rl = b2 − C dx + D λ, with D = 1/w on linking rows and reg on
 		// equality rows (b2 = −re there, 0 on linking rows).
 		rx, t := ls.t1[:n], ls.t2[:n]
-		_ = st.qBand.MulVec(dx, rx)
+		_ = st.sym.qBand.MulVec(dx, rx)
 		gdx := st.scratchM[:st.m]
 		_ = st.p.G.MulVec(dx, gdx)
 		lk := st.p.Linking
@@ -384,48 +260,4 @@ func (ls *linkSchur) solveAugmented(ch *linalg.BandCholesky, r, x, b2, lam linal
 		return fmt.Errorf("%v: %w", err, ErrNumerical)
 	}
 	return nil
-}
-
-// rowSpan reports the first and last nonzero column of row r of op.
-func rowSpan(op linalg.Operator, r int) (first, last int, ok bool) {
-	if sp, isSparse := op.(*linalg.SparseMatrix); isSparse {
-		cols, _ := sp.RowEntries(r)
-		if len(cols) == 0 {
-			return 0, 0, false
-		}
-		return cols[0], cols[len(cols)-1], true
-	}
-	first = -1
-	for j := 0; j < op.Cols(); j++ {
-		if op.At(r, j) != 0 {
-			if first < 0 {
-				first = j
-			}
-			last = j
-		}
-	}
-	return first, last, first >= 0
-}
-
-// appendRow appends row r of op's nonzeros (ascending columns).
-func appendRow(op linalg.Operator, r int, cols []int, vals []float64) ([]int, []float64) {
-	if sp, isSparse := op.(*linalg.SparseMatrix); isSparse {
-		rc, rv := sp.RowEntries(r)
-		return append(cols, rc...), append(vals, rv...)
-	}
-	for j := 0; j < op.Cols(); j++ {
-		if v := op.At(r, j); v != 0 {
-			cols = append(cols, j)
-			vals = append(vals, v)
-		}
-	}
-	return cols, vals
-}
-
-// growInts is growVec for index slices.
-func growInts(v []int, n int) []int {
-	if cap(v) < n {
-		return make([]int, n)
-	}
-	return v[:n]
 }

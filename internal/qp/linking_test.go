@@ -94,11 +94,25 @@ func assertSameOptimum(t *testing.T, label string, got, want *Result, objTol, xT
 
 // TestLinkingRowsMatchBandSolve solves block-angular QPs through the
 // linking-row Schur path and through the same QP with every row in the
-// band, with and without equality rows.
+// band, with and without equality rows, and with every other coupling
+// row's coefficients moved off 1 (every third seed), which sends their
+// Gram entries through the general pair sum instead of the scatter terms.
 func TestLinkingRowsMatchBandSolve(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := blockAngularQP(rng, 3+rng.Intn(5), 2+rng.Intn(4), 1+rng.Intn(3))
+		if seed%3 == 0 {
+			g := p.G.(*linalg.SparseMatrix).ToDense()
+			for i, r := range p.Linking {
+				if i%2 == 1 {
+					continue
+				}
+				for j := 0; j < g.Cols(); j++ {
+					g.Set(r, j, g.At(r, j)*(0.5+rng.Float64()))
+				}
+			}
+			p.G = linalg.SparseFromDense(g)
+		}
 		if seed%2 == 0 {
 			// An equality row through every block, satisfiable because it
 			// holds at the inequality-only optimum.

@@ -74,10 +74,44 @@ type Problem struct {
 	// fails the first factorization with ErrBadProblem). With a dense Q
 	// the solver scans Q and G for the band itself.
 	Linking []int
+
+	// Structure, when set, is the symbolic analysis of this problem's Q,
+	// G, A and Linking (Analyze): solves read it instead of analysing the
+	// problem themselves. It must come from matrices identical to these;
+	// Validate rejects any other.
+	Structure *Structure
 }
 
 // Validate checks dimensional consistency.
 func (p *Problem) Validate() error {
+	if err := p.validateMatrices(); err != nil {
+		return err
+	}
+	n := p.Q.Rows()
+	if len(p.C) != n {
+		return fmt.Errorf("c has %d entries, n=%d: %w", len(p.C), n, ErrBadProblem)
+	}
+	if (p.G == nil) != (p.H == nil) {
+		return fmt.Errorf("G and h must both be set or both nil: %w", ErrBadProblem)
+	}
+	if p.G != nil && p.G.Rows() != len(p.H) {
+		return fmt.Errorf("G has %d rows, h has %d: %w", p.G.Rows(), len(p.H), ErrBadProblem)
+	}
+	if (p.A == nil) != (p.B == nil) {
+		return fmt.Errorf("A and b must both be set or both nil: %w", ErrBadProblem)
+	}
+	if p.A != nil && p.A.Rows() != len(p.B) {
+		return fmt.Errorf("A has %d rows, b has %d: %w", p.A.Rows(), len(p.B), ErrBadProblem)
+	}
+	if p.Structure != nil && !p.Structure.matches(p) {
+		return fmt.Errorf("structure analysed for other Q, G, A or linking rows: %w", ErrBadProblem)
+	}
+	return nil
+}
+
+// validateMatrices checks the fixed part of the problem — Q, G, A and
+// Linking — which is all Analyze reads.
+func (p *Problem) validateMatrices() error {
 	if p.Q == nil {
 		return fmt.Errorf("nil Q: %w", ErrBadProblem)
 	}
@@ -85,35 +119,17 @@ func (p *Problem) Validate() error {
 	if p.Q.Cols() != n {
 		return fmt.Errorf("Q is %dx%d: %w", p.Q.Rows(), p.Q.Cols(), ErrBadProblem)
 	}
-	if len(p.C) != n {
-		return fmt.Errorf("c has %d entries, n=%d: %w", len(p.C), n, ErrBadProblem)
+	if p.G != nil && p.G.Cols() != n {
+		return fmt.Errorf("G has %d cols, n=%d: %w", p.G.Cols(), n, ErrBadProblem)
 	}
-	if (p.G == nil) != (p.H == nil) {
-		return fmt.Errorf("G and h must both be set or both nil: %w", ErrBadProblem)
-	}
-	if p.G != nil {
-		if p.G.Cols() != n {
-			return fmt.Errorf("G has %d cols, n=%d: %w", p.G.Cols(), n, ErrBadProblem)
-		}
-		if p.G.Rows() != len(p.H) {
-			return fmt.Errorf("G has %d rows, h has %d: %w", p.G.Rows(), len(p.H), ErrBadProblem)
-		}
-	}
+	m := p.NumIneq()
 	for k, r := range p.Linking {
-		if r < 0 || r >= len(p.H) || (k > 0 && r <= p.Linking[k-1]) {
-			return fmt.Errorf("linking row %d (entry %d) not ascending within [0,%d): %w", r, k, len(p.H), ErrBadProblem)
+		if r < 0 || r >= m || (k > 0 && r <= p.Linking[k-1]) {
+			return fmt.Errorf("linking row %d (entry %d) not ascending within [0,%d): %w", r, k, m, ErrBadProblem)
 		}
 	}
-	if (p.A == nil) != (p.B == nil) {
-		return fmt.Errorf("A and b must both be set or both nil: %w", ErrBadProblem)
-	}
-	if p.A != nil {
-		if p.A.Cols() != n {
-			return fmt.Errorf("A has %d cols, n=%d: %w", p.A.Cols(), n, ErrBadProblem)
-		}
-		if p.A.Rows() != len(p.B) {
-			return fmt.Errorf("A has %d rows, b has %d: %w", p.A.Rows(), len(p.B), ErrBadProblem)
-		}
+	if p.A != nil && p.A.Cols() != n {
+		return fmt.Errorf("A has %d cols, n=%d: %w", p.A.Cols(), n, ErrBadProblem)
 	}
 	return nil
 }

@@ -36,12 +36,12 @@ func SolveWarm(p *Problem, opts Options, warm *WarmStart) (*Result, error) {
 //
 // Each iteration runs one Mehrotra predictor–corrector round: a single
 // numeric refactorization of the KKT matrix (into packed band storage,
-// laid out once per shape by the symbolic phase), an affine predictor
-// solve, the σ = (μ_aff/μ)³ centering heuristic, and a corrector solve
-// against the same factorization. Primal and dual step lengths are chosen
-// separately — the standard Mehrotra refinement, worth a few iterations on
-// most problems because a short slack step no longer truncates the dual
-// step. Between iterations the residuals are updated incrementally from
+// inside the envelope the symbolic phase — Structure — laid out once per
+// problem structure), an affine predictor solve, the σ = (μ_aff/μ)³
+// centering heuristic, and a corrector solve against the same
+// factorization. Primal and dual step lengths are chosen separately — the
+// standard Mehrotra refinement, worth a few iterations on most problems
+// because a short slack step no longer truncates the dual step. Between iterations the residuals are updated incrementally from
 // the Newton identities (an O(n·bw + m) pass instead of fresh matvecs;
 // with linking rows the dual residual is advanced from its definition);
 // any convergence verdict reached on incremental residuals is confirmed
@@ -325,18 +325,17 @@ type ipmState struct {
 	qx   linalg.Vector // Q·x at the current iterate (objective + rd)
 	w    linalg.Vector // z/s weights
 	sInv linalg.Vector // 1/s, refreshed by factorKKT for the direction solves
+	// sym is the symbolic phase the solve reads: the problem's shared
+	// Structure, or own, analysed for this solve when it has none (grown
+	// on first use, so states that only ever borrow a shared Structure —
+	// every session on a horizon structure — do not carry one).
+	sym *Structure
+	own *Structure
 	// hBand is the band part of the KKT matrix, H_b = Q + G_bᵀDG_b over
-	// the rows of G that are not linking rows, in packed band storage: the
-	// symbolic phase (newIPMState) shapes it once per solve, the numeric
-	// phase (factorKKT) refills it in place every iteration.
+	// the rows of G that are not linking rows, in packed band storage:
+	// shaped once per solve from the structure, refilled in place by the
+	// numeric phase (factorKKT) every iteration.
 	hBand *linalg.BandMatrix
-	// qBand is Q's band in packed storage: a band Q itself, or qOwn holding
-	// a dense Q's band copied once per solve. The per-iteration KKT refill
-	// is then one contiguous copy and the residual products walk packed
-	// rows instead of striding across dense ones.
-	qBand *linalg.BandMatrix
-	qOwn  *linalg.BandMatrix
-	hBW   int // half-bandwidth of H_b (n−1 when dense)
 	// Constant per problem, hoisted out of the per-iteration convergence
 	// test: ‖c‖∞, ‖h‖∞ and ‖b‖∞.
 	cNorm, hNorm, bNorm float64
@@ -387,26 +386,6 @@ type ipmState struct {
 	scratchM linalg.Vector
 }
 
-// kktBandwidth bounds the half-bandwidth of H = Q + Gᵀdiag(w)G for a
-// dense Q and any diagonal weights: the Gram bandwidth advertised by G
-// widened to cover Q's own band, found by an O(n²) scan. A dense G (no
-// GramBandwidth method) means a dense H.
-func kktBandwidth(p *Problem, n int) int {
-	g, ok := p.G.(interface{ GramBandwidth() int })
-	if !ok {
-		return n - 1
-	}
-	bw := g.GramBandwidth()
-	for i := 0; i < n && bw < n-1; i++ {
-		for j := 0; j < i-bw; j++ {
-			if p.Q.At(i, j) != 0 || p.Q.At(j, i) != 0 {
-				bw = i - j
-			}
-		}
-	}
-	return bw
-}
-
 // statePool recycles ipmStates across solves: MPC and best-response loops
 // solve tens of thousands of QPs, and the working vectors plus the packed
 // KKT band dominate the solver's allocation profile. Buffers grow to the
@@ -415,7 +394,7 @@ func kktBandwidth(p *Problem, n int) int {
 // shape has been visited.
 var statePool = sync.Pool{New: func() any {
 	return &ipmState{
-		hBand: &linalg.BandMatrix{}, qOwn: &linalg.BandMatrix{}, bchol: &linalg.BandCholesky{},
+		hBand: &linalg.BandMatrix{}, bchol: &linalg.BandCholesky{},
 		link: linkSchur{s: &linalg.BandMatrix{}, chol: &linalg.BandCholesky{}},
 	}
 }}
@@ -433,16 +412,16 @@ func growVec(v linalg.Vector, n int) linalg.Vector {
 func newIPMState(p *Problem, n, m, q int) *ipmState {
 	st := statePool.Get().(*ipmState)
 	st.p = p
-	// A band Q declares the KKT band; a dense one is scanned for it and
-	// its band copied into packed storage once per solve.
-	if qb, ok := p.Q.(*linalg.BandMatrix); ok {
-		st.qBand = qb
-		st.hBW = qb.Bandwidth()
-	} else {
-		st.hBW = kktBandwidth(p, n)
-		st.qOwn.Reset(n, st.hBW)
-		_ = st.qOwn.CopyLowerBand(p.Q)
-		st.qBand = st.qOwn
+	// The symbolic phase: shared when the problem carries its Structure,
+	// else run here into the state's own (allocation-free once its
+	// buffers have grown).
+	st.sym = p.Structure
+	if st.sym == nil {
+		if st.own == nil {
+			st.own = &Structure{}
+		}
+		st.own.analyze(p)
+		st.sym = st.own
 	}
 	st.dataNorms()
 	st.x = growVec(st.x, n)
@@ -463,12 +442,13 @@ func newIPMState(p *Problem, n, m, q int) *ipmState {
 	st.re = growVec(st.re, q)
 	st.dy = growVec(st.dy, q)
 	st.n, st.m, st.q = n, m, q
-	// Symbolic phase: shape the packed band and the factor layout once; the
-	// per-iteration numeric phase then refills and refactorizes in place
-	// with zero allocations.
-	st.hBand.Reset(n, st.hBW)
-	st.bchol.Symbolic(n, st.hBW)
-	st.link.analyze(p, st.qBand, n, m, q)
+	// Numeric layout: size the packed band, the factor (inside the
+	// structure's envelope, which analyze keeps within the band) and the
+	// Schur working set; the per-iteration numeric phase then refills and
+	// refactorizes in place with zero allocations.
+	st.hBand.Reset(n, st.sym.bw)
+	_ = st.bchol.SymbolicEnvelope(st.sym.bw, &st.sym.env)
+	st.link.reset(st.sym.link, n, m)
 	st.bchol.PivotFloor = 0
 	if st.link.nc > 0 {
 		st.bchol.PivotFloor = linkPivotFloor
@@ -487,8 +467,10 @@ func (st *ipmState) dataNorms() {
 // content is harmless: factorKKT rewrites the full working band before the
 // factorization reads it.
 func (st *ipmState) release() {
-	st.p = nil
-	st.qBand = nil
+	st.p, st.sym, st.link.linkSymbolic = nil, nil, nil
+	if st.own != nil {
+		st.own.release()
+	}
 	statePool.Put(st)
 }
 
@@ -548,7 +530,7 @@ func (st *ipmState) initPoint(warm *WarmStart) {
 func (st *ipmState) computeResiduals() {
 	p := st.p
 	// qx = Qx (Q's band is inside the KKT band); rd = Qx + c + Gᵀz + Aᵀy.
-	_ = st.qBand.MulVec(st.x, st.qx)
+	_ = st.sym.qBand.MulVec(st.x, st.qx)
 	// The product Qx in hand, the objective ½xᵀQx + cᵀx falls out of the
 	// same pass; converged() and result() reuse it instead of redoing the
 	// banded product. The value matches Problem.Objective exactly: the
@@ -628,7 +610,7 @@ func (st *ipmState) computeResiduals() {
 // ~5e-7, and the Newton identity would silently drop that miss
 // (DESIGN.md §7).
 func (st *ipmState) updateResiduals(alphaP, alphaD, reg float64) {
-	_ = st.qBand.MulVec(st.dx, st.scratchN)
+	_ = st.sym.qBand.MulVec(st.dx, st.scratchN)
 	qdx := st.scratchN[:st.n]
 	rd, qxv, dx := st.rd[:st.n], st.qx[:st.n], st.dx[:st.n]
 	var rdN float64
@@ -747,8 +729,8 @@ func (st *ipmState) factorKKTFull(reg float64) error {
 	// top — the linking rows carry zero weight there, so the assembly
 	// skips them. The band is Q's (or kktBandwidth's scan); a band row of
 	// G too wide for it is the caller's error.
-	n, bw := st.n, st.hBW
-	_ = st.hBand.CopyFrom(st.qBand)
+	n, bw := st.n, st.sym.bw
+	_ = st.hBand.CopyFrom(st.sym.qBand)
 	st.hBand.AddDiag(reg)
 	if err := st.p.G.AtATWeightedBand(st.link.bandWeights(st.w, st.p.Linking), st.hBand); err != nil {
 		return fmt.Errorf("kkt assembly: %v: %w", err, ErrBadProblem)

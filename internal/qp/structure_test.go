@@ -1,0 +1,115 @@
+package qp
+
+import (
+	"errors"
+	"math/rand"
+	"testing"
+
+	"dspp/internal/linalg"
+)
+
+// structureCases are problems that exercise every part of the symbolic
+// phase: a dense Q and G (the bandwidth scan, no coupling rows), linking
+// rows over equal blocks, linking plus an equality row, and the
+// mixed-width horizon shape of the daemon (8 locations on 1–4 of 4 DCs,
+// 5 steps).
+func structureCases(t *testing.T) map[string]*Problem {
+	t.Helper()
+	rng := rand.New(rand.NewSource(31))
+	eq := blockAngularQP(rng, 5, 3, 2)
+	free, err := Solve(eq, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := linalg.NewMatrix(1, eq.Q.Rows())
+	var b float64
+	for j := 0; j < eq.Q.Rows(); j += 2 {
+		a.Set(0, j, 1)
+		b += free.X[j]
+	}
+	eq.A, eq.B = a, linalg.VectorOf(0.9*b)
+	return map[string]*Problem{
+		"dense":         randomFeasibleQP(rng, 12, 20),
+		"blocks":        blockAngularQP(rng, 8, 4, 3),
+		"blocks+eq":     eq,
+		"daemon-shaped": horizonShapedQP(rng, 4, 8, 5),
+	}
+}
+
+// TestSharedStructureBitIdentical: a problem carrying its Structure
+// solves bit-identically to the same problem analysed by the solve
+// itself, one-shot and through a session, cold and warm.
+func TestSharedStructureBitIdentical(t *testing.T) {
+	for name, p := range structureCases(t) {
+		sym, err := Analyze(p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		shared := *p
+		shared.Structure = sym
+		ses, err := NewSession(&shared, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var warm *WarmStart
+		for round := 0; round < 3; round++ {
+			want, err := SolveWarm(p, DefaultOptions(), warm)
+			if err != nil {
+				t.Fatalf("%s round %d: %v", name, round, err)
+			}
+			one, err := SolveWarm(&shared, DefaultOptions(), warm)
+			if err != nil {
+				t.Fatalf("%s round %d shared: %v", name, round, err)
+			}
+			viaSes, err := ses.Solve(warm)
+			if err != nil {
+				t.Fatalf("%s round %d session: %v", name, round, err)
+			}
+			for _, got := range []*Result{one, viaSes} {
+				if got.Objective != want.Objective || got.Iterations != want.Iterations {
+					t.Fatalf("%s round %d: objective/iterations %v/%d, want %v/%d", name, round,
+						got.Objective, got.Iterations, want.Objective, want.Iterations)
+				}
+				for i := range want.X {
+					if got.X[i] != want.X[i] {
+						t.Fatalf("%s round %d: x[%d] %v != %v", name, round, i, got.X[i], want.X[i])
+					}
+				}
+				for i := range want.IneqDuals {
+					if got.IneqDuals[i] != want.IneqDuals[i] {
+						t.Fatalf("%s round %d: z[%d] %v != %v", name, round, i, got.IneqDuals[i], want.IneqDuals[i])
+					}
+				}
+			}
+			warm = &WarmStart{X: want.X, Z: want.IneqDuals}
+			p.H[0] *= 1.01
+		}
+	}
+}
+
+// TestStructureRejectsOtherMatrices: a Structure only serves the
+// matrices and linking rows it was analysed for.
+func TestStructureRejectsOtherMatrices(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	p := blockAngularQP(rng, 4, 3, 2)
+	sym, err := Analyze(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := blockAngularQP(rng, 4, 3, 2)
+	cases := map[string]*Problem{
+		"other G":       {Q: p.Q, C: p.C, G: other.G, H: p.H, Linking: p.Linking, Structure: sym},
+		"other Q":       {Q: other.Q, C: p.C, G: p.G, H: p.H, Linking: p.Linking, Structure: sym},
+		"fewer linking": {Q: p.Q, C: p.C, G: p.G, H: p.H, Linking: p.Linking[:1], Structure: sym},
+	}
+	for name, bad := range cases {
+		if _, err := Solve(bad, DefaultOptions()); !errors.Is(err, ErrBadProblem) {
+			t.Fatalf("%s: err = %v, want ErrBadProblem", name, err)
+		}
+	}
+	ok := *p
+	ok.C, ok.H, ok.Structure = p.C.Clone(), p.H.Clone(), sym
+	if _, err := Solve(&ok, DefaultOptions()); err != nil {
+		t.Fatalf("same matrices, new data: %v", err)
+	}
+}
