@@ -1,13 +1,12 @@
 package dspp_test
 
 // End-to-end provenance acceptance: a 100-period continental run under
-// the decomposed controller must leave a complete attribution trail —
-// per-period cost components that sum to the reported period cost,
-// /statusz rollups that agree with the ring, and a trace from which the
-// coordination critical path reconstructs.
+// the MPC controller must leave a complete attribution trail — per-period
+// cost components that sum to the reported period cost, per-DC quotas
+// that report the instance capacity, and /statusz rollups that agree
+// with the ring.
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -57,22 +56,14 @@ func TestContinentalAttributionEndToEnd(t *testing.T) {
 		priceTrace[k] = append([]float64(nil), scn.Prices[0]...)
 	}
 
-	var trace bytes.Buffer
-	hub := dspp.NewTelemetry(dspp.WithTraceWriter(&trace))
-	ctrl, err := dspp.NewDecompController(inst, horizon, dspp.DecompOptions{
-		MaxShardSize: 30,
-		Telemetry:    hub,
-		BypassRatio:  -1, // coordinate even where the cost model would bypass
-	})
+	hub := dspp.NewTelemetry()
+	ctrl, err := dspp.NewController(inst, horizon, dspp.WithTelemetry(hub))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctrl.Partition() == nil {
-		t.Fatal("instance below decomposition threshold; test must exercise the coordinated path")
-	}
 	res, err := dspp.Simulate(dspp.SimConfig{
 		Instance:    inst,
-		Policy:      ctrl,
+		Policy:      dspp.NewMPCPolicy(ctrl),
 		DemandTrace: demandTrace,
 		PriceTrace:  priceTrace,
 		Periods:     periods,
@@ -93,7 +84,7 @@ func TestContinentalAttributionEndToEnd(t *testing.T) {
 	if len(recs) != periods {
 		t.Fatalf("ring retains %d records, want %d", len(recs), periods)
 	}
-	sawShard := false
+	sawDual := false
 	for i, a := range recs {
 		step := res.Steps[i]
 		if a.Period != step.Period {
@@ -117,13 +108,18 @@ func TestContinentalAttributionEndToEnd(t *testing.T) {
 			if row.Dual < 0 || math.IsNaN(row.Dual) || math.IsInf(row.Quota, 0) {
 				t.Fatalf("period %d dc %d: dual %g quota %g", a.Period, row.DC, row.Dual, row.Quota)
 			}
-			if row.Shard >= 0 {
-				sawShard = true
+			c, err := inst.Capacity(row.DC)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if row.Quota != c {
+				t.Fatalf("period %d dc %d: quota %g, want the instance capacity %g", a.Period, row.DC, row.Quota, c)
+			}
+			sawDual = sawDual || row.Dual > 0
 		}
 	}
-	if !sawShard {
-		t.Fatal("no record carries the coordinated quota/shard view")
+	if !sawDual {
+		t.Fatal("no record carries a capacity dual price")
 	}
 
 	// /statusz serves the same numbers the ring holds.
@@ -140,25 +136,5 @@ func TestContinentalAttributionEndToEnd(t *testing.T) {
 	}
 	if e := provRelErr(page.Rollup.Total, res.TotalCost+res.ShedDemand*core.DefaultShedPenalty); e > 1e-9 {
 		t.Fatalf("statusz rollup total %g, run total %g", page.Rollup.Total, res.TotalCost)
-	}
-
-	// The trace reconstructs a critical path for at least one coordination
-	// round (the acceptance bar for dsppsim trace-summary).
-	events, err := dspp.ReadTrace(&trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths := dspp.CriticalPathsFromTrace(events)
-	if len(paths) == 0 {
-		t.Fatal("no coordination critical path in trace")
-	}
-	for _, p := range paths {
-		if p.CriticalUS <= 0 || p.CriticalUS > p.DurUS || len(p.Steps) == 0 {
-			t.Fatalf("degenerate path %+v", p)
-		}
-	}
-	table := dspp.FormatCriticalPaths(paths, 3)
-	if table == "" {
-		t.Fatal("critical-path table empty")
 	}
 }

@@ -13,7 +13,6 @@
 //	      [-predictor persistence|seasonal|ar|holtwinters] [-history 96] [-mu 150]
 //	      [-checkpoint dsppd.ckpt] [-addr :8080] [-stall 0]
 //	dsppd -continental [-locations 240] [-dcsites 24] [-continental-seed 41]
-//	      [-shard-size 60]
 //
 // Observations look like
 //
@@ -25,14 +24,9 @@
 // demand sites, a 30 ms CDN-class SLA.
 //
 // With -continental the daemon instead serves a generated continental
-// topology (same construction as dsppsim -continental) through the
-// decomposed controller: sharded region QPs whose shared DC capacity is
-// re-divided by a dual-price quota loop, every round re-solving every
-// shard. Its cost model bypasses to the monolithic solve when
-// coordination would cost more. A coordinating controller adds the
-// period's rounds and shard_solves to its report lines. Checkpoints are
-// state-only on this path: a resumed run re-coordinates from the
-// restored state rather than resuming bit-identically.
+// topology (same construction as dsppsim -continental) through the same
+// controller: one block-angular horizon QP over the whole instance per
+// period, under the same budget, checkpoint and resume contract.
 //
 // SIGTERM or SIGINT shuts down cleanly: the last completed period's
 // checkpoint is already on disk, and restarting with the same -checkpoint
@@ -82,19 +76,17 @@ func run(args []string) error {
 	checkpoint := fs.String("checkpoint", "", "checkpoint path: written each period alternately to <path> and <path>.1, the newer valid one restored on start; delete <path> to reset")
 	addr := fs.String("addr", "", "serve POST /observe, /healthz and /metrics on this address")
 	stall := fs.Duration("stall", 0, "inject artificial solver latency per period (demo/testing)")
-	continental := fs.Bool("continental", false, "serve a generated continental topology through the decomposed controller")
+	continental := fs.Bool("continental", false, "serve a generated continental topology instead of the paper's four-DC setup")
 	locations := fs.Int("locations", 240, "continental mode: number of access locations")
 	dcsites := fs.Int("dcsites", 24, "continental mode: number of data-center sites")
 	continentalSeed := fs.Int64("continental-seed", 41, "continental mode: topology seed")
-	shardSize := fs.Int("shard-size", 60, "continental mode: max locations per shard (0 = connected components only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	var (
-		inst      *dspp.Instance
-		decompOpt *dspp.DecompOptions
-		numLoc    int
+		inst   *dspp.Instance
+		numLoc int
 	)
 	if *continental {
 		scn, err := dspp.NewContinentalScenario(dspp.ContinentalScenarioConfig{
@@ -106,7 +98,6 @@ func run(args []string) error {
 		inst = scn.Inst
 		numLoc = *locations
 		*numDCs = *dcsites
-		decompOpt = &dspp.DecompOptions{MaxShardSize: *shardSize}
 		// The continental scenario's SLA is built at its own service rate;
 		// follow it for the delay correction unless -mu was given explicitly.
 		muSet := false
@@ -154,7 +145,6 @@ func run(args []string) error {
 		Telemetry:      tel,
 		Addr:           *addr,
 		Out:            os.Stdout,
-		Decomp:         decompOpt,
 	})
 	if err != nil {
 		return err
@@ -171,8 +161,8 @@ func run(args []string) error {
 		resumed = fmt.Sprintf(", resumed at period %d", d.Period())
 	}
 	if *continental {
-		fmt.Fprintf(os.Stderr, "dsppd: continental, %d DCs, %d locations, W=%d, budget=%v, decomposed (shard size %d)%s\n",
-			*numDCs, numLoc, *horizon, *budget, *shardSize, resumed)
+		fmt.Fprintf(os.Stderr, "dsppd: continental, %d DCs, %d locations, W=%d, budget=%v%s\n",
+			*numDCs, numLoc, *horizon, *budget, resumed)
 	} else {
 		fmt.Fprintf(os.Stderr, "dsppd: %d DCs, %d metros, W=%d, budget=%v%s\n",
 			*numDCs, numLoc, *horizon, *budget, resumed)

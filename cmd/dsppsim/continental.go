@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"dspp"
-	"dspp/internal/telemetry"
 )
 
 // continentalRun bundles the continental-mode parameters.
@@ -14,8 +13,6 @@ type continentalRun struct {
 	locations, dcsites int
 	periods, horizon   int
 	seed               int64
-	decomp             bool
-	shardSize          int
 	diurnalAmp         float64
 }
 
@@ -24,8 +21,7 @@ type continentalRun struct {
 // of amplitude cfg.diurnalAmp (phase-shifted by longitude, peak = the
 // scenario's sizing point, so the instance stays feasible at every hour;
 // amplitude 0 is the flat steady state); prices keep the scenario's
-// per-DC draw. The policy is either the decomposed controller or the
-// plain monolithic MPC controller.
+// per-DC draw. The policy is the MPC controller.
 func runContinental(out *os.File, tel *dspp.Telemetry, cfg continentalRun) error {
 	scn, err := dspp.NewContinentalScenario(dspp.ContinentalScenarioConfig{
 		Locations: cfg.locations,
@@ -52,35 +48,11 @@ func runContinental(out *os.File, tel *dspp.Telemetry, cfg continentalRun) error
 		priceTrace[k] = append([]float64(nil), scn.Prices[0]...)
 	}
 
-	// The coordination footer needs the coordination counters even when no
-	// ops endpoint asked for a hub; accounting is cheap, the full metrics
-	// table stays gated on the caller's tel.
-	acct := tel
-	if acct == nil && cfg.decomp {
-		acct = dspp.NewTelemetry()
+	ctrl, err := dspp.NewController(inst, cfg.horizon, dspp.WithTelemetry(tel))
+	if err != nil {
+		return err
 	}
-
-	var policy dspp.Policy
-	var part *dspp.Partition
-	var bypassRatio float64
-	if cfg.decomp {
-		ctrl, err := dspp.NewDecompController(inst, cfg.horizon, dspp.DecompOptions{
-			MaxShardSize: cfg.shardSize,
-			Telemetry:    acct,
-		})
-		if err != nil {
-			return err
-		}
-		part = ctrl.Partition()
-		bypassRatio = ctrl.BypassDecision().Ratio
-		policy = ctrl
-	} else {
-		ctrl, err := dspp.NewController(inst, cfg.horizon, dspp.WithTelemetry(tel))
-		if err != nil {
-			return err
-		}
-		policy = dspp.NewMPCPolicy(ctrl)
-	}
+	policy := dspp.NewMPCPolicy(ctrl)
 
 	res, err := dspp.Simulate(dspp.SimConfig{
 		Instance:    inst,
@@ -101,16 +73,7 @@ func runContinental(out *os.File, tel *dspp.Telemetry, cfg continentalRun) error
 	fmt.Fprintf(out, "support: %d/%d (DC, location) pairs SLA-feasible (%.0f%% pruned), %d–%d DCs per location\n",
 		sup.FeasiblePairs, sup.TotalPairs, 100*sup.PrunedFraction,
 		sup.MinDCsPerLocation, sup.MaxDCsPerLocation)
-	switch {
-	case part != nil:
-		fmt.Fprintf(out, "decomposition: %s\n\n", part.Stats())
-	case cfg.decomp && bypassRatio > 0:
-		fmt.Fprintf(out, "decomposition: bypassed (cost model: coordination ≈ %.2f× one monolithic solve)\n\n", bypassRatio)
-	case cfg.decomp:
-		fmt.Fprintf(out, "decomposition: bypassed (instance below the decomposition threshold)\n\n")
-	default:
-		fmt.Fprintf(out, "decomposition: off (monolithic QP)\n\n")
-	}
+	fmt.Fprintln(out)
 
 	// Compact per-period table: with hundreds of DCs the per-DC columns of
 	// the paper-scale table are unreadable, so report totals.
@@ -139,15 +102,6 @@ func runContinental(out *os.File, tel *dspp.Telemetry, cfg continentalRun) error
 	fmt.Fprintf(out, "\ntotal cost %.2f (resource %.2f, reconfig %.2f), SLA violations %d/%d\n",
 		res.TotalCost, res.TotalResource, res.TotalReconfig, res.SLAViolations, len(res.Steps))
 	fmt.Fprintln(out, res.DegradationSummary())
-	if res.MonolithicSteps > 0 {
-		fmt.Fprintf(out, "monolithic fallbacks: %d/%d steps\n", res.MonolithicSteps, len(res.Steps))
-	}
-	if part != nil && acct != nil && len(res.Steps) > 0 {
-		reg := acct.Registry()
-		rounds := reg.Counter(telemetry.MetricCoordinationRounds).Value()
-		solves := reg.Counter(telemetry.MetricShardSolves).Value()
-		fmt.Fprintf(out, "coordination: %.0f rounds, %.0f shard solves\n", rounds, solves)
-	}
 	if tel != nil {
 		fmt.Fprintf(out, "\ntelemetry:\n%s", dspp.MetricsTable(tel))
 	}

@@ -15,22 +15,17 @@
 //	        [-fault outage:dc=1,start=10,end=20] [-fault noise:start=0,end=47,factor=0.3]
 //	        [-cpuprofile cpu.out] [-memprofile mem.out]
 //	        [-telemetry-addr :8080] [-serve-after 30s] [-trace-out run.jsonl]
-//	dsppsim -continental [-locations 1000] [-dcsites 100] [-decomp] [-shard-size 125]
+//	dsppsim -continental [-locations 1000] [-dcsites 100]
 //	        [-periods 24] [-horizon 2] [-seed 7] [-diurnal-amp 0.3]
 //	dsppsim trace-summary run.jsonl
 //
 // With -continental the paper's four-DC setup is replaced by a generated
-// continental-scale topology (see -locations/-dcsites) and the controller
-// runs the geographic decomposition: sharded region QPs coordinated by
-// dual-price capacity re-division on the DCs shared between regions
-// (-decomp=false forces the monolithic QP for comparison; -shard-size
-// caps locations per shard). The header reports the partition next to the
-// support stats, and the per-period table collapses to totals — hundreds
-// of per-DC columns would not be readable. When the controller
-// coordinates (rather than bypassing to the monolithic solve), the run
-// footer reports its coordination rounds and shard solves; every round
-// re-solves every shard. -diurnal-amp scales the demand swing: 0 gives
-// the flat steady state.
+// continental-scale topology (see -locations/-dcsites), run by the same
+// MPC controller: one block-angular horizon QP over the whole instance
+// per period. The header reports the instance's support stats, and the
+// per-period table collapses to totals — hundreds of per-DC columns would
+// not be readable. -diurnal-amp scales the demand swing: 0 gives the
+// flat steady state.
 //
 // Each -fault flag adds one event to the run's fault schedule
 // (outage | shock | spike | surge | noise); the controller degrades
@@ -42,8 +37,7 @@
 // prices, as JSON), /debug/vars and /debug/pprof/* while the run executes
 // (-serve-after keeps it up afterwards for scraping); -trace-out streams
 // the span hierarchy as JSONL, which `dsppsim trace-summary` replays
-// into the same aggregates offline — including the coordination
-// critical-path table on decomposed traces.
+// into the same aggregates offline.
 package main
 
 import (
@@ -102,8 +96,6 @@ func run(args []string, out *os.File) error {
 	continental := fs.Bool("continental", false, "run a generated continental-scale topology instead of the paper's four-DC setup")
 	locations := fs.Int("locations", 1000, "continental mode: number of access locations")
 	dcsites := fs.Int("dcsites", 100, "continental mode: number of data-center sites")
-	useDecomp := fs.Bool("decomp", true, "continental mode: solve via geographic decomposition (false = monolithic QP)")
-	shardSize := fs.Int("shard-size", 125, "continental mode: max locations per shard (0 = connected components only)")
 	diurnalAmp := fs.Float64("diurnal-amp", 0.3, "continental mode: diurnal demand swing amplitude in [0,1] (0 = flat steady-state demand)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -154,7 +146,6 @@ func run(args []string, out *os.File) error {
 		return runContinental(out, tel, continentalRun{
 			locations: *locations, dcsites: *dcsites,
 			periods: *periods, horizon: *horizon, seed: *seed,
-			decomp: *useDecomp, shardSize: *shardSize,
 			diurnalAmp: *diurnalAmp,
 		})
 	}
@@ -398,11 +389,6 @@ func traceSummary(args []string, out *os.File) error {
 	fmt.Fprint(out, dspp.SummarizeTrace(events).Table())
 	if line, ok := dspp.DegradationFromTrace(events); ok {
 		fmt.Fprintf(out, "\n%s\n", line)
-	}
-	// Decomposed traces carry coordinate→shard_solve spans; reconstruct
-	// which shard dominated each round (the coordination critical path).
-	if table := dspp.FormatCriticalPaths(dspp.CriticalPathsFromTrace(events), 5); table != "" {
-		fmt.Fprintf(out, "\n%s", table)
 	}
 	return nil
 }

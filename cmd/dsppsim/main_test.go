@@ -129,3 +129,36 @@ func TestRunFlagErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRunContinental runs a small continental instance through the MPC
+// controller: the banner names the MPC policy, every period meets the
+// SLA, no decomposition header is printed, and the removed
+// decomposition flags are unknown.
+func TestRunContinental(t *testing.T) {
+	out := runToString(t, []string{
+		"-continental", "-locations", "120", "-dcsites", "12", "-horizon", "2", "-periods", "12",
+	})
+	for _, want := range []string{"policy=mpc-w2", "SLA violations 0/12"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "decomposition:") {
+		t.Errorf("output carries a decomposition line:\n%s", out)
+	}
+
+	f, err := os.CreateTemp(t.TempDir(), "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, args := range [][]string{
+		{"-continental", "-decomp"},
+		{"-continental", "-shard-size", "30"},
+	} {
+		err := run(args, f)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run(%v) = %v, want an unknown-flag error", args, err)
+		}
+	}
+}

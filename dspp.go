@@ -82,7 +82,6 @@ const (
 	DegradeAnytime     = core.DegradeAnytime
 	DegradeSoft        = core.DegradeSoft
 	DegradeHold        = core.DegradeHold
-	DegradeMonolithic  = core.DegradeMonolithic
 )
 
 // Sentinel errors of the core problem, re-exported for errors.Is.

@@ -27,13 +27,6 @@ const (
 	// DegradeHold: even the relaxation failed; the controller held its
 	// last allocation, projected onto the surviving capacity.
 	DegradeHold
-	// DegradeMonolithic: the geographic decomposition's dual-price
-	// coordination failed to converge within its round budget (or a
-	// region solve failed) and the step fell back to one monolithic
-	// horizon QP over the full instance. The plan is exact — the rung
-	// records that the fast sharded path was abandoned, not that the
-	// answer is degraded.
-	DegradeMonolithic
 )
 
 // String returns the mode's report label.
@@ -49,8 +42,6 @@ func (m DegradationMode) String() string {
 		return "soft"
 	case DegradeHold:
 		return "hold"
-	case DegradeMonolithic:
-		return "monolithic"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}

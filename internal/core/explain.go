@@ -14,22 +14,13 @@ const BindingTol = 1e-6
 
 // Explain is the decision-provenance surface of a controller's last
 // executed step: the dual prices the QP solution put on the capacity
-// constraints, and — on the decomposed path — the quota split those
-// prices were computed under. It answers "which constraint was binding,
-// and what was one more server there worth" for the plan actually
-// applied.
+// constraints. It answers "which constraint was binding, and what was
+// one more server there worth" for the plan actually applied.
 type Explain struct {
 	// CapacityDuals[l] is the horizon-summed capacity dual price per DC
 	// (the paper's λ^il reported to the infrastructure provider); zero
 	// for uncapacitated or slack DCs. Nil before the first step.
 	CapacityDuals []float64
-	// Quotas[l] is the capacity the last solve actually enforced per DC.
-	// Nil on the monolithic path (the live instance capacities apply).
-	Quotas []float64
-	// ShardOfDC maps each DC to the shard that owned it in the last
-	// coordinated solve (-1 = shared/quota-managed). Nil on the
-	// monolithic path.
-	ShardOfDC []int
 }
 
 // Binding appends to dst the DCs whose capacity dual exceeds BindingTol
@@ -44,9 +35,9 @@ func (e Explain) Binding(dst []int) []int {
 }
 
 // Explainer is implemented by controllers that can reconstruct the
-// dual-price provenance of their last step — core.Controller and the
-// decomp controller. Attribution emitters discover it by assertion, so
-// policies without a dual surface simply yield records with no prices.
+// dual-price provenance of their last step, such as core.Controller.
+// Attribution emitters discover it by assertion, so policies without a
+// dual surface simply yield records with no prices.
 type Explainer interface {
 	LastExplain() Explain
 }
@@ -88,7 +79,6 @@ func NewAttribution(inst *Instance, period int, state, applied, prev State,
 	for l, dc := range dcs {
 		row := telemetry.DCAttribution{
 			DC:        l,
-			Shard:     -1,
 			Resource:  dc.Resource,
 			Bandwidth: dc.Bandwidth,
 			Reconfig:  dc.Reconfig,
@@ -98,19 +88,10 @@ func NewAttribution(inst *Instance, period int, state, applied, prev State,
 			row.Dual = e.CapacityDuals[l]
 			row.Binding = e.CapacityDuals[l] > BindingTol
 		}
-		q := math.Inf(1)
-		if l < len(e.Quotas) {
-			q = e.Quotas[l]
-		} else if c, cerr := inst.Capacity(l); cerr == nil {
-			q = c
-		}
 		// Uncapacitated DCs stay at quota 0: +Inf is not representable in
 		// the /statusz JSON, and a zero dual already says "no constraint".
-		if !math.IsInf(q, 1) {
-			row.Quota = q
-		}
-		if l < len(e.ShardOfDC) {
-			row.Shard = e.ShardOfDC[l]
+		if c, cerr := inst.Capacity(l); cerr == nil && !math.IsInf(c, 1) {
+			row.Quota = c
 		}
 		a.Resource += dc.Resource
 		a.Bandwidth += dc.Bandwidth

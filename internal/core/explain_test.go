@@ -179,9 +179,6 @@ func TestControllerLastExplain(t *testing.T) {
 	if len(e.CapacityDuals) != inst.NumDataCenters() {
 		t.Fatalf("duals len %d", len(e.CapacityDuals))
 	}
-	if e.Quotas != nil || e.ShardOfDC != nil {
-		t.Error("monolithic explain must not report quotas/shards")
-	}
 	binding := e.Binding(nil)
 	if len(binding) == 0 {
 		t.Fatalf("no binding DC under saturating demand; duals %v", e.CapacityDuals)
@@ -233,9 +230,6 @@ func TestNewAttributionRecord(t *testing.T) {
 		t.Fatalf("dc rows %d", len(a.DCs))
 	}
 	for _, row := range a.DCs {
-		if row.Shard != -1 {
-			t.Errorf("monolithic shard = %d", row.Shard)
-		}
 		if math.IsInf(row.Quota, 0) || math.IsNaN(row.Quota) {
 			t.Errorf("non-finite quota on dc %d", row.DC)
 		}

@@ -5,8 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"dspp"
 	"dspp/internal/core"
-	"dspp/internal/decomp"
 	"dspp/internal/qp"
 	"dspp/internal/topology"
 )
@@ -51,41 +51,14 @@ func paperInstance(t *testing.T) *core.Instance {
 	return inst
 }
 
-// shardInstances rebuilds the shard instances the decomposed solver
-// coordinates on the n120 continental scenario (shard size 30).
-func shardInstances(t *testing.T) []*core.Instance {
+// continentalInstance is the n120 / 12-DC continental scenario instance.
+func continentalInstance(t *testing.T) *core.Instance {
 	t.Helper()
-	scn, err := decomp.NewScenario(decomp.ScenarioConfig{Locations: 120, DCSites: 12, Seed: 42, Horizon: 2})
+	scn, err := dspp.NewContinentalScenario(dspp.ContinentalScenarioConfig{Locations: 120, DCSites: 12, Seed: 42, Horizon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := decomp.NewPartition(scn.Inst, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []*core.Instance
-	for _, sh := range part.Shards {
-		cfg := core.Config{}
-		for _, l := range sh.DCs {
-			row := make([]float64, len(sh.Locations))
-			for j, v := range sh.Locations {
-				if row[j], err = scn.Inst.SLACoefficient(l, v); err != nil {
-					t.Fatal(err)
-				}
-			}
-			rw, _ := scn.Inst.ReconfigWeight(l)
-			c, _ := scn.Inst.Capacity(l)
-			cfg.SLA = append(cfg.SLA, row)
-			cfg.ReconfigWeights = append(cfg.ReconfigWeights, rw)
-			cfg.Capacities = append(cfg.Capacities, c)
-		}
-		sub, err := core.NewInstance(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, sub)
-	}
-	return out
+	return scn.Inst
 }
 
 // fig7Provider is a Fig 7 best-response provider's instance: one customer
@@ -207,7 +180,7 @@ func checkStructure(t *testing.T, name string, inst *core.Instance, w int, soft 
 }
 
 // TestHorizonStructureGuard pins the block-angular layout the solver's
-// band declaration relies on, for the paper instance, the n120 shards and
+// band declaration relies on, for the paper instance, the n120 instance and
 // a Fig 7 provider, hard and soft. A band narrower than the structure
 // would make the band factor silently wrong, so the contract is checked
 // against the instance, not against the builder's own bookkeeping.
@@ -219,11 +192,9 @@ func TestHorizonStructureGuard(t *testing.T) {
 			t.Fatalf("paper: %d linking rows, band %d; want linking rows and a band of at most 4",
 				len(lay.Linking), lay.Q.Bandwidth())
 		}
-		for i, sh := range shardInstances(t) {
-			lay := checkStructure(t, "n120 shard", sh, 2, soft)
-			if !soft && lay.Q.Bandwidth() > 6 {
-				t.Fatalf("n120 shard %d: band %d, want at most 6", i, lay.Q.Bandwidth())
-			}
+		lay = checkStructure(t, "n120", continentalInstance(t), 2, soft)
+		if !soft && lay.Q.Bandwidth() > 6 {
+			t.Fatalf("n120: band %d, want at most 6", lay.Q.Bandwidth())
 		}
 		for _, w := range []int{1, 3} {
 			prov := fig7Provider(t)

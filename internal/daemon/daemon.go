@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"dspp/internal/core"
-	"dspp/internal/decomp"
 	"dspp/internal/monitor"
 	"dspp/internal/predict"
 	"dspp/internal/qp"
@@ -72,10 +71,6 @@ type Report struct {
 	// Watchdog marks a period whose solve wedged past the watchdog limit
 	// and was cold-restarted (the allocation is held).
 	Watchdog bool `json:"watchdog,omitempty"`
-	// Coordination accounting, populated on decomposed daemons
-	// (Config.Decomp): the period's coordination rounds and shard solves.
-	Rounds      int `json:"rounds,omitempty"`
-	ShardSolves int `json:"shard_solves,omitempty"`
 	// Err reports a malformed observation that was skipped; every other
 	// field is zero on such lines.
 	Err string `json:"err,omitempty"`
@@ -111,13 +106,6 @@ type Config struct {
 	CheckpointPath string
 	// QP overrides the interior-point options (nil = defaults).
 	QP *qp.Options
-	// Decomp, when non-nil, runs the control loop on the decomposed
-	// continental controller (sharded region QPs with dual-price quota
-	// coordination) instead of the monolithic one. The
-	// options are passed through to decomp.NewController; Telemetry and
-	// QP overrides from this Config are folded in. Checkpoints become
-	// state-only on this path (see decompCtrl).
-	Decomp *decomp.Options
 	// InitialState is the starting allocation (nil = zeros). A restored
 	// checkpoint takes precedence.
 	InitialState core.State
@@ -138,7 +126,7 @@ type Daemon struct {
 	pred predict.Predictor
 
 	mu   sync.Mutex // guards everything below (Run loop vs HTTP handlers)
-	ctrl controller
+	ctrl *core.Controller
 	// period indexes the next period to run (== completed periods).
 	period     int
 	demandHist [][]float64
@@ -241,25 +229,7 @@ func New(cfg Config) (*Daemon, error) {
 
 // newController builds a fresh controller from the given state (nil =
 // zeros); the watchdog uses it to abandon a wedged solve.
-func (d *Daemon) newController(state core.State) (controller, error) {
-	if d.cfg.Decomp != nil {
-		opt := *d.cfg.Decomp
-		if opt.Telemetry == nil {
-			opt.Telemetry = d.cfg.Telemetry
-		}
-		if d.cfg.QP != nil {
-			opt.QP = *d.cfg.QP
-		}
-		var copts []decomp.ControllerOption
-		if state != nil {
-			copts = append(copts, decomp.WithInitialState(state))
-		}
-		ctrl, err := decomp.NewController(d.inst, d.cfg.Horizon, opt, copts...)
-		if err != nil {
-			return nil, err
-		}
-		return &decompCtrl{ctrl: ctrl, budget: d.cfg.Budget}, nil
-	}
+func (d *Daemon) newController(state core.State) (*core.Controller, error) {
 	opts := []core.ControllerOption{core.WithTelemetry(d.cfg.Telemetry)}
 	if d.cfg.QP != nil {
 		opts = append(opts, core.WithQPOptions(*d.cfg.QP))
@@ -295,18 +265,6 @@ func (d *Daemon) WatchdogTrips() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.watchdogTrips
-}
-
-// LastSolution returns the decomposed solver's previous-period
-// accounting — rounds and shard solves. Nil for a monolithic daemon,
-// before the first period, or when the period fell back monolithically.
-func (d *Daemon) LastSolution() *decomp.Solution {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if dc, ok := d.ctrl.(interface{ LastSolution() *decomp.Solution }); ok {
-		return dc.LastSolution()
-	}
-	return nil
 }
 
 // SetStall injects artificial solver latency into every subsequent
@@ -455,24 +413,14 @@ func (d *Daemon) runPeriod(ctx context.Context, obs Observation) error {
 		if cerr == nil {
 			rep.Cost = cost.Total()
 			if d.sink != nil {
-				var explain core.Explain
-				if ex, ok := d.ctrl.(core.Explainer); ok {
-					explain = ex.LastExplain()
-				}
 				if a, aerr := core.NewAttribution(d.inst, d.period, res.NewState, res.Applied,
-					prev, obs.Prices, cost, deg, wall, explain); aerr == nil {
+					prev, obs.Prices, cost, deg, wall, d.ctrl.LastExplain()); aerr == nil {
 					d.sink.Record(a)
 				}
 			}
 		}
 		if d.mModes != nil {
 			d.mModes.With(deg.Mode.String()).Inc()
-		}
-		if dc, ok := d.ctrl.(interface{ LastSolution() *decomp.Solution }); ok {
-			if sol := dc.LastSolution(); sol != nil {
-				rep.Rounds = sol.Rounds
-				rep.ShardSolves = sol.ShardSolves
-			}
 		}
 	}
 	if d.mPeriods != nil {

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"dspp/internal/core"
-	"dspp/internal/decomp"
 	"dspp/internal/telemetry"
 )
 
@@ -131,73 +130,88 @@ func TestDaemonRunsFromReader(t *testing.T) {
 // TestDaemonCheckpointResumeIdentical is the resume contract: a daemon
 // stopped after period 5 and restarted from its checkpoint must produce
 // reports for periods 5.. that match an uninterrupted run exactly —
-// same modes, bit-identical costs, server counts, and corrections.
+// same modes, bit-identical costs, server counts, and corrections — on
+// the small test instance and on the n120 continental instance.
 func TestDaemonCheckpointResumeIdentical(t *testing.T) {
-	inst := testInstance(t)
-	dir := t.TempDir()
-	const total, cut = 12, 5
+	scn := continentalScenario(t, 41)
+	cases := []struct {
+		name    string
+		inst    *core.Instance
+		horizon int
+		budget  time.Duration
+		feed    func(from, to int) string
+	}{
+		{"small", testInstance(t), 4, 200 * time.Millisecond, func(from, to int) string {
+			return feedLines(t, from, to, true)
+		}},
+		// The budget arms the anytime ladder without ever firing on a
+		// solve this size, even under the race detector.
+		{"continental", scn.Inst, 2, 2 * time.Second, func(from, to int) string {
+			return continentalFeed(t, scn, from, to)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			const total, cut = 12, 5
+			newDaemon := func(ckpt string, out *bytes.Buffer) *Daemon {
+				d, err := New(Config{
+					Instance: tc.inst, Horizon: tc.horizon,
+					Budget:         tc.budget,
+					CheckpointPath: ckpt,
+					Out:            out,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+			run := func(ckpt string, from, to int) []Report {
+				var out bytes.Buffer
+				if err := newDaemon(ckpt, &out).Run(context.Background(), strings.NewReader(tc.feed(from, to))); err != nil {
+					t.Fatalf("run [%d,%d): %v", from, to, err)
+				}
+				return decodeReports(t, &out)
+			}
 
-	run := func(ckpt string, from, to int) []Report {
-		var out bytes.Buffer
-		d, err := New(Config{
-			Instance: inst, Horizon: 4,
-			Budget:         200 * time.Millisecond,
-			CheckpointPath: ckpt,
-			Out:            &out,
+			full := run(filepath.Join(dir, "full.json"), 0, total)
+			ckpt := filepath.Join(dir, "split.json")
+			_ = run(ckpt, 0, cut)
+
+			// The resumed daemon must notice and restore the checkpoint.
+			var out bytes.Buffer
+			d := newDaemon(ckpt, &out)
+			if !d.Restored() {
+				t.Fatal("daemon did not restore the checkpoint")
+			}
+			if d.Period() != cut {
+				t.Fatalf("restored at period %d, want %d", d.Period(), cut)
+			}
+			if err := d.Run(context.Background(), strings.NewReader(tc.feed(cut, total))); err != nil {
+				t.Fatalf("resumed run: %v", err)
+			}
+			resumed := decodeReports(t, &out)
+
+			if len(full) != total || len(resumed) != total-cut {
+				t.Fatalf("report counts: full %d, resumed %d", len(full), len(resumed))
+			}
+			for i, r := range resumed {
+				want := full[cut+i]
+				if r.Period != want.Period || r.Mode != want.Mode {
+					t.Fatalf("period %d: mode %q vs %q", r.Period, r.Mode, want.Mode)
+				}
+				if r.Cost != want.Cost {
+					t.Errorf("period %d: cost %v != %v (must be bit-identical)", r.Period, r.Cost, want.Cost)
+				}
+				if r.Servers != want.Servers {
+					t.Errorf("period %d: servers %v != %v", r.Period, r.Servers, want.Servers)
+				}
+				if r.DemandCorr != want.DemandCorr || r.DelayCorr != want.DelayCorr {
+					t.Errorf("period %d: corrections (%v, %v) != (%v, %v)",
+						r.Period, r.DemandCorr, r.DelayCorr, want.DemandCorr, want.DelayCorr)
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Run(context.Background(), strings.NewReader(feedLines(t, from, to, true))); err != nil {
-			t.Fatalf("run [%d,%d): %v", from, to, err)
-		}
-		return decodeReports(t, &out)
-	}
-
-	full := run(filepath.Join(dir, "full.json"), 0, total)
-	ckpt := filepath.Join(dir, "split.json")
-	_ = run(ckpt, 0, cut)
-
-	// The resumed daemon must notice and restore the checkpoint.
-	var out bytes.Buffer
-	d, err := New(Config{
-		Instance: inst, Horizon: 4,
-		Budget:         200 * time.Millisecond,
-		CheckpointPath: ckpt,
-		Out:            &out,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Restored() {
-		t.Fatal("daemon did not restore the checkpoint")
-	}
-	if d.Period() != cut {
-		t.Fatalf("restored at period %d, want %d", d.Period(), cut)
-	}
-	if err := d.Run(context.Background(), strings.NewReader(feedLines(t, cut, total, true))); err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	resumed := decodeReports(t, &out)
-
-	if len(full) != total || len(resumed) != total-cut {
-		t.Fatalf("report counts: full %d, resumed %d", len(full), len(resumed))
-	}
-	for i, r := range resumed {
-		want := full[cut+i]
-		if r.Period != want.Period || r.Mode != want.Mode {
-			t.Fatalf("period %d: mode %q vs %q", r.Period, r.Mode, want.Mode)
-		}
-		if r.Cost != want.Cost {
-			t.Errorf("period %d: cost %v != %v (must be bit-identical)", r.Period, r.Cost, want.Cost)
-		}
-		if r.Servers != want.Servers {
-			t.Errorf("period %d: servers %v != %v", r.Period, r.Servers, want.Servers)
-		}
-		if r.DemandCorr != want.DemandCorr || r.DelayCorr != want.DelayCorr {
-			t.Errorf("period %d: corrections (%v, %v) != (%v, %v)",
-				r.Period, r.DemandCorr, r.DelayCorr, want.DemandCorr, want.DelayCorr)
-		}
 	}
 }
 
@@ -437,107 +451,6 @@ func (zeros) Read(p []byte) (int, error) {
 		p[i] = "0,"[i%2]
 	}
 	return len(p) &^ 1, nil
-}
-
-// TestDaemonHTTPDecomp runs the ops surface on the decomposed path: a
-// sharded continental daemon must serve /healthz, /metrics (with the
-// period/budget histograms populated) and /statusz records whose DC rows
-// carry the shard ownership and quota view of the coordinated solve.
-func TestDaemonHTTPDecomp(t *testing.T) {
-	scn, err := decomp.NewScenario(decomp.ScenarioConfig{Locations: 120, DCSites: 12, Seed: 19, Utilization: 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub := telemetry.New()
-	var out bytes.Buffer
-	d, err := New(Config{
-		Instance:  scn.Inst,
-		Horizon:   2,
-		Budget:    2 * time.Second,
-		Watchdog:  time.Minute,
-		Telemetry: hub,
-		Addr:      "127.0.0.1:0",
-		Out:       &out,
-		Decomp:    &decomp.Options{MaxShardSize: 30, BypassRatio: -1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- d.Run(ctx, nil) }()
-	waitFor(t, func() bool { return d.Addr() != "" })
-	base := "http://" + d.Addr()
-
-	obs := Observation{Demand: scn.Demand[0], Prices: scn.Prices[0]}
-	body, err := json.Marshal(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 2; k++ {
-		resp, err := http.Post(base+"/observe", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("POST /observe = %d", resp.StatusCode)
-		}
-		waitFor(t, func() bool { return d.Period() == k+1 })
-	}
-
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health struct {
-		Status string `json:"status"`
-		Period int    `json:"period"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if health.Status != "ok" || health.Period != 2 {
-		t.Fatalf("healthz = %+v", health)
-	}
-
-	snap := hub.Registry().Snapshot()
-	if got := snap[telemetry.MetricDaemonPeriodSeconds+"_count"]; got != 2 {
-		t.Errorf("period histogram count = %g, want 2", got)
-	}
-	if got := snap[telemetry.MetricBudgetUtilization+"_count"]; got != 2 {
-		t.Errorf("budget histogram count = %g, want 2", got)
-	}
-
-	page := getStatusz(t, base)
-	if page.Periods != 2 || len(page.Recent) != 2 {
-		t.Fatalf("statusz page periods=%d recent=%d", page.Periods, len(page.Recent))
-	}
-	a := page.Recent[1]
-	if relDiff(a.ComponentSum(), a.Total) > 1e-9 {
-		t.Fatalf("decomp attribution %g != total %g", a.ComponentSum(), a.Total)
-	}
-	if len(a.DCs) != 12 {
-		t.Fatalf("dc rows %d, want 12", len(a.DCs))
-	}
-	owned := 0
-	for _, row := range a.DCs {
-		if row.Shard >= 0 {
-			owned++
-		}
-		if row.Quota <= 0 {
-			t.Errorf("dc %d quota %g, want the coordinated solve's enforced capacity", row.DC, row.Quota)
-		}
-	}
-	if owned == 0 {
-		t.Error("no DC row carries shard ownership on the decomposed path")
-	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("run: %v", err)
-	}
 }
 
 // getStatusz fetches and decodes /statusz?n=0 (every retained record).

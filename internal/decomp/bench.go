@@ -209,9 +209,7 @@ func RunScaling(ctx context.Context, cases []ScalingCase) ([]ScalingRecord, erro
 		if err != nil {
 			return out, fmt.Errorf("case %s: %w", cs.Name, err)
 		}
-		solver, err := NewSolver(inst, w, part, Options{
-			MaxShardSize: cs.MaxShardSize, NoFallback: true,
-		})
+		solver, err := NewSolver(inst, w, part, Options{MaxShardSize: cs.MaxShardSize})
 		if err != nil {
 			return out, fmt.Errorf("case %s: %w", cs.Name, err)
 		}

@@ -18,21 +18,6 @@ type Options struct {
 	// MaxShardSize caps locations per shard (0 = connected components
 	// only, however large).
 	MaxShardSize int
-	// BypassBelow skips decomposition entirely for instances with fewer
-	// locations (default 32): at that size the monolithic session is
-	// faster than any coordination round-trip, and the partition isn't
-	// worth building to find that out.
-	BypassBelow int
-	// BypassRatio is the cost-model threshold behind the controller's
-	// monolithic bypass: decomposition is skipped when the modeled cost
-	// of the coordinated solve reaches this fraction of one monolithic
-	// solve (default 0.9; see DecideBypass). Unlike BypassBelow it sees
-	// the actual partition — shard sizes, shared-DC fraction, expected
-	// rounds — so a two-shard split of a densely shared instance bypasses
-	// while an eight-shard split of the same instance decomposes.
-	// Negative disables the model: any multi-shard partition decomposes
-	// (tests and benchmarks that must exercise coordination use this).
-	BypassRatio float64
 	// MaxRounds bounds the dual-price coordination loop per MPC step
 	// (default 20).
 	MaxRounds int
@@ -59,10 +44,7 @@ type Options struct {
 	// dspp_decomp_shards gauge, dspp_coordination_rounds_total, and the
 	// per-shard QP solver counters.
 	Telemetry *telemetry.Hub
-	// NoFallback disables the monolithic-fallback rung: a coordination
-	// loop that exhausts MaxRounds returns its (feasible) last iterate
-	// with Converged=false, and shard solve failures surface as errors.
-	// Benchmarks use it to time pure coordination.
+	// Deprecated: has no effect; kept only because the benchmark module sets it.
 	NoFallback bool
 	// Deprecated: has no effect; kept only because the benchmark module sets it.
 	RankK bool
@@ -71,12 +53,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.BypassBelow <= 0 {
-		o.BypassBelow = 32
-	}
-	if o.BypassRatio == 0 {
-		o.BypassRatio = 0.9
-	}
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = 20
 	}
@@ -215,21 +191,6 @@ type Solution struct {
 	// Deprecated: SkippedShards, FastResolves and HeldShards are always
 	// zero; kept only because the benchmark module reads them.
 	SkippedShards, FastResolves, HeldShards int
-	// CapacityDuals retains the final round's horizon-summed capacity
-	// dual price per global DC — for a shared DC the max over member
-	// shards (at convergence the constrained members' prices agree; the
-	// max is the marginal value of one more server there). Before this
-	// was surfaced the duals died with the round loop, so attribution
-	// could not see which constraints were binding under the quotas
-	// actually applied.
-	CapacityDuals []float64
-	// Quotas is the capacity the coordinated solve actually enforced per
-	// DC: the live quota split total for shared managed DCs (== the live
-	// capacity), the live capacity for exclusive and uncapacitated DCs.
-	Quotas []float64
-	// ShardOfDC maps each DC to its owning shard, -1 when the DC is
-	// shared across shards (quota-managed).
-	ShardOfDC []int
 }
 
 // NewSolver builds the per-shard sub-instances and sessions for the given
@@ -373,23 +334,6 @@ func buildShard(inst *core.Instance, sh Shard, horizon int, opts qp.Options) (*c
 	return sub, ses, nil
 }
 
-// Shards returns the shard count.
-func (s *Solver) Shards() int { return len(s.shards) }
-
-// Partition returns the partition the solver was built on.
-func (s *Solver) Partition() *Partition { return s.part }
-
-// Reset drops the per-shard warm starts (after an external state change).
-// Quota prices persist: they track capacity congestion, not trajectory.
-func (s *Solver) Reset() {
-	for _, r := range s.shards {
-		r.warm = nil
-		r.plan = nil
-		r.cost, r.prevCost = 0, 0
-		r.hit = false
-	}
-}
-
 // SolveCtx runs one coordinated horizon solve from x0: scatter the
 // forecasts, solve every shard in parallel under the current quotas, and
 // re-price shared capacity until shard costs are ε-stable or the round
@@ -523,30 +467,7 @@ func (s *Solver) SolveCtx(ctx context.Context, x0 core.State, demand, prices [][
 	// control/state and the objective assemble by plain scatter and sum.
 	sol.Applied = s.inst.NewState()
 	sol.State = s.inst.NewState()
-	// Retain the final round's dual prices and the enforced capacity
-	// split: every shard was solved in the last round under the current
-	// quotas, so the surfaced prices correspond to the quotas the
-	// gathered solution was actually solved under.
-	nDC := s.inst.NumDataCenters()
-	sol.CapacityDuals = make([]float64, nDC)
-	sol.Quotas = make([]float64, nDC)
-	sol.ShardOfDC = make([]int, nDC)
-	for l := 0; l < nDC; l++ {
-		sol.ShardOfDC[l] = -1
-		if c, err := s.inst.Capacity(l); err == nil {
-			sol.Quotas[l] = c
-		}
-	}
-	for si, r := range s.shards {
-		for i, gl := range r.dcs {
-			if d := r.dualBuf[i]; d > sol.CapacityDuals[gl] {
-				sol.CapacityDuals[gl] = d
-			}
-			if s.part.DCShards[gl] == 1 {
-				sol.ShardOfDC[gl] = si
-				sol.Quotas[gl] = r.caps[i]
-			}
-		}
+	for _, r := range s.shards {
 		u0, x1 := r.plan.U[0], r.plan.X[0]
 		for i, gl := range r.dcs {
 			for j, gv := range r.locs {

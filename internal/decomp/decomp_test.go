@@ -166,10 +166,6 @@ func TestPartitionMaxShardSize(t *testing.T) {
 	if len(part.Shards) < 8 {
 		t.Fatalf("got %d shards, expected ≥ 8 at cap 25", len(part.Shards))
 	}
-	st := part.Stats()
-	if st.Shards != len(part.Shards) || st.MaxLocations > 25 || st.SharedDCs != len(part.SharedDCs) {
-		t.Fatalf("inconsistent stats: %+v", st)
-	}
 }
 
 // mpcSeq drives solver through periods sequential MPC steps over a fixed
@@ -199,7 +195,7 @@ func TestSolverDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		solver, err := NewSolver(scn.Inst, 2, part, Options{Workers: workers, NoFallback: true})
+		solver, err := NewSolver(scn.Inst, 2, part, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +234,7 @@ func TestIncrementalDisabledBitwise(t *testing.T) {
 	}
 	shards := len(part.Shards)
 	run := func(workers int) []*Solution {
-		solver, err := NewSolver(scn.Inst, 2, part, Options{Workers: workers, NoFallback: true})
+		solver, err := NewSolver(scn.Inst, 2, part, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +282,7 @@ func TestCostGapVsMonolithic(t *testing.T) {
 		if len(part.Shards) < 2 {
 			t.Fatalf("util %g: want a real decomposition, got %d shards", util, len(part.Shards))
 		}
-		solver, err := NewSolver(inst, 2, part, Options{NoFallback: true})
+		solver, err := NewSolver(inst, 2, part, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +333,7 @@ func TestCoordinationCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver, err := NewSolver(scn.Inst, 2, part, Options{Workers: 4, NoFallback: true})
+	solver, err := NewSolver(scn.Inst, 2, part, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,118 +360,6 @@ func TestCoordinationCancellation(t *testing.T) {
 	}
 	if sol.Rounds < 1 {
 		t.Fatal("no rounds recorded")
-	}
-}
-
-func TestControllerBypassSmallInstance(t *testing.T) {
-	scn, err := NewScenario(ScenarioConfig{Locations: 12, DCSites: 3, Seed: 61})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := NewController(scn.Inst, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctrl.Partition() != nil {
-		t.Fatal("expected bypass for a 12-location instance")
-	}
-	ref, err := core.NewController(scn.Inst, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 3; k++ {
-		_, got, err := ctrl.Step(scn.Demand, scn.Prices)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := ref.Step(scn.Demand, scn.Prices)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for l := range got {
-			for v := range got[l] {
-				if math.Abs(got[l][v]-res.NewState[l][v]) > 1e-9 {
-					t.Fatalf("step %d: bypass state diverges from core controller at [%d][%d]", k, l, v)
-				}
-			}
-		}
-		if ctrl.LastDegradation().Mode != core.DegradeNone {
-			t.Fatalf("step %d: unexpected degradation %v", k, ctrl.LastDegradation())
-		}
-	}
-}
-
-func TestControllerMonolithicFallback(t *testing.T) {
-	hub := telemetry.New()
-	scn, err := NewScenario(ScenarioConfig{Locations: 160, DCSites: 16, Seed: 71, Utilization: 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One round with a microscopic tolerance cannot converge while any
-	// shared capacity binds, so the controller must take the monolithic
-	// rung — and still produce an exact, feasible step.
-	ctrl, err := NewController(scn.Inst, 2, Options{
-		MaxShardSize: 40, MaxRounds: 1, Tol: 1e-12, Telemetry: hub, BypassRatio: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctrl.Partition() == nil {
-		t.Fatal("expected a real decomposition")
-	}
-	_, state, err := ctrl.Step(scn.Demand, scn.Prices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deg := ctrl.LastDegradation()
-	if deg.Mode != core.DegradeMonolithic {
-		t.Fatalf("expected monolithic fallback, got %v", deg)
-	}
-	if deg.Cause == "" {
-		t.Fatal("fallback must record its cause")
-	}
-	// The fallback plan is the exact monolithic solve.
-	ref, err := core.NewController(scn.Inst, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ref.Step(scn.Demand, scn.Prices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for l := range state {
-		for v := range state[l] {
-			if math.Abs(state[l][v]-res.NewState[l][v]) > 1e-9 {
-				t.Fatalf("fallback state diverges from monolithic at [%d][%d]", l, v)
-			}
-		}
-	}
-}
-
-func TestControllerConvergedStep(t *testing.T) {
-	hub := telemetry.New()
-	scn, err := NewScenario(ScenarioConfig{Locations: 160, DCSites: 16, Seed: 81, Utilization: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := NewController(scn.Inst, 2, Options{MaxShardSize: 40, Telemetry: hub, BypassRatio: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 3; k++ {
-		if _, _, err := ctrl.Step(scn.Demand, scn.Prices); err != nil {
-			t.Fatal(err)
-		}
-		if m := ctrl.LastDegradation().Mode; m != core.DegradeNone {
-			t.Fatalf("step %d degraded: %v", k, m)
-		}
-	}
-	reg := hub.Registry()
-	if v := reg.Gauge(telemetry.MetricDecompShards).Value(); v < 2 {
-		t.Fatalf("dspp_decomp_shards = %g, want ≥ 2", v)
-	}
-	if v := reg.Counter(telemetry.MetricCoordinationRounds).Value(); v < 3 {
-		t.Fatalf("dspp_coordination_rounds_total = %g, want ≥ 3", v)
 	}
 }
 
@@ -568,7 +452,7 @@ func TestPartitionWeightedBalancesLoad(t *testing.T) {
 		t.Fatalf("weighted split worse than count-only: max shard weight %g > %g", mw, mp)
 	}
 	// The weighted shards must still feed a working solver.
-	solver, err := NewSolver(scn.Inst, 2, weighted, Options{NoFallback: true})
+	solver, err := NewSolver(scn.Inst, 2, weighted, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,7 +549,7 @@ func TestCoordinationDeadlineReturnsFeasibleIterate(t *testing.T) {
 	// deadline check has to stop them.
 	ctx, hub := cutAtRound(t)
 	solver, err := NewSolver(scn.Inst, 2, part, Options{
-		Workers: 4, NoFallback: true, MaxRounds: 100000, Tol: 1e-300, Telemetry: hub,
+		Workers: 4, MaxRounds: 100000, Tol: 1e-300, Telemetry: hub,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -704,33 +588,5 @@ func TestCoordinationDeadlineReturnsFeasibleIterate(t *testing.T) {
 				t.Fatalf("location %d demand violated by %g", v, -sl)
 			}
 		}
-	}
-}
-
-func TestControllerDeadlineAnytimeRung(t *testing.T) {
-	scn, err := NewScenario(ScenarioConfig{Locations: 240, DCSites: 24, Seed: 51, Utilization: 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, hub := cutAtRound(t)
-	ctrl, err := NewController(scn.Inst, 2, Options{
-		MaxShardSize: 30, Workers: 4, MaxRounds: 100000, Tol: 1e-300, BypassRatio: -1, Telemetry: hub,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	applied, state, err := ctrl.StepCtx(ctx, scn.Demand, scn.Prices)
-	if err != nil {
-		t.Fatalf("deadline-bounded step errored: %v", err)
-	}
-	if applied == nil || state == nil {
-		t.Fatal("nil plan from deadline-bounded step")
-	}
-	deg := ctrl.LastDegradation()
-	if deg.Mode != core.DegradeAnytime {
-		t.Fatalf("mode = %v, want anytime", deg.Mode)
-	}
-	if deg.Cause == "" {
-		t.Error("anytime cause not recorded")
 	}
 }

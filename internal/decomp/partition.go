@@ -1,13 +1,12 @@
-// Package decomp implements continental-scale geographic decomposition of
-// the DSPP (ROADMAP item 1): the location–DC support graph of a
-// geo-realistic instance splits into weakly coupled regions, so the one
-// monolithic horizon QP — whose banded-KKT factorization cost grows with
-// the cube of the per-period support width — is replaced by per-region
-// QPs over narrow sub-instances plus a dual-price coordination loop that
-// re-divides the capacity of DCs shared between regions. Each region
-// reuses the existing core.HorizonSession fast path (warm starts,
-// 2-alloc solves) on its sub-instance, and regions
-// solve concurrently via internal/parallel.
+// Package decomp holds the continental scenario generator and a
+// coordinated sharded horizon solver: the location–DC support graph of a
+// geo-realistic instance splits into weakly coupled regions, each solved
+// by a core.HorizonSession on its sub-instance, while a dual-price
+// coordination loop re-divides the capacity of DCs shared between
+// regions. Since the block-angular horizon solve, one monolithic QP is
+// faster than coordination at every measured size, so the MPC controllers
+// all run core.Controller; the coordinated solver remains as a path the
+// benchmark module times.
 package decomp
 
 import (
@@ -22,8 +21,8 @@ import (
 var (
 	// ErrBadConfig flags invalid decomposition options.
 	ErrBadConfig = errors.New("decomp: invalid configuration")
-	// ErrCoordination means the dual-price loop could not produce a plan
-	// (only returned with NoFallback; otherwise the monolithic rung runs).
+	// ErrCoordination means the dual-price loop could not produce a plan:
+	// a shard solve failed.
 	ErrCoordination = errors.New("decomp: coordination failed")
 )
 
@@ -48,52 +47,6 @@ type Partition struct {
 	// SharedDCs lists the DCs with DCShards > 1, ascending — the only
 	// coupling between regions.
 	SharedDCs []int
-}
-
-// Stats summarizes a partition for reports (the dsppsim header).
-type Stats struct {
-	// Shards is the region count.
-	Shards int
-	// MinLocations/MaxLocations bound the shard sizes.
-	MinLocations, MaxLocations int
-	// SharedDCs counts DCs appearing in more than one shard.
-	SharedDCs int
-	// MaxCoupling is the largest number of shards any single DC spans
-	// (1 when the regions are fully independent).
-	MaxCoupling int
-	// MeanCoupling averages the span over shared DCs (0 when none).
-	MeanCoupling float64
-}
-
-// Stats computes the partition's summary statistics.
-func (p *Partition) Stats() Stats {
-	st := Stats{Shards: len(p.Shards), SharedDCs: len(p.SharedDCs), MaxCoupling: 1}
-	for i, s := range p.Shards {
-		n := len(s.Locations)
-		if i == 0 || n < st.MinLocations {
-			st.MinLocations = n
-		}
-		if n > st.MaxLocations {
-			st.MaxLocations = n
-		}
-	}
-	var couplingSum int
-	for _, l := range p.SharedDCs {
-		if p.DCShards[l] > st.MaxCoupling {
-			st.MaxCoupling = p.DCShards[l]
-		}
-		couplingSum += p.DCShards[l]
-	}
-	if len(p.SharedDCs) > 0 {
-		st.MeanCoupling = float64(couplingSum) / float64(len(p.SharedDCs))
-	}
-	return st
-}
-
-// String renders the stats on one line, alongside the SupportStats header.
-func (s Stats) String() string {
-	return fmt.Sprintf("shards=%d sizes=[%d..%d] shared-DCs=%d coupling(max/mean)=%d/%.1f",
-		s.Shards, s.MinLocations, s.MaxLocations, s.SharedDCs, s.MaxCoupling, s.MeanCoupling)
 }
 
 // NewPartition shards the instance's locations along the connected

@@ -214,17 +214,14 @@ type Result struct {
 	// self-contained), as are the per-rung counts below.
 	DegradedSteps int
 	ShedDemand    float64
-	// ColdRestartSteps/AnytimeSteps/SoftSteps/HoldSteps/MonolithicSteps
-	// split DegradedSteps by ladder rung — the
+	// ColdRestartSteps/AnytimeSteps/SoftSteps/HoldSteps split
+	// DegradedSteps by ladder rung — the
 	// dspp_degradation_steps_total{mode=...} deltas. AnytimeSteps counts
-	// periods served by a deadline-truncated best iterate; MonolithicSteps
-	// counts periods where a decomposed policy abandoned coordination
-	// and fell back to one full-instance QP.
+	// periods served by a deadline-truncated best iterate.
 	ColdRestartSteps int
 	AnytimeSteps     int
 	SoftSteps        int
 	HoldSteps        int
-	MonolithicSteps  int
 	// BudgetOverruns counts periods whose end-to-end wall time exceeded
 	// Config.Budget+BudgetGrace (0 when no budget was configured);
 	// MaxStepWall is the slowest period observed.
@@ -363,7 +360,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	modeLabels := []string{
 		core.DegradeColdRestart.String(), core.DegradeAnytime.String(),
 		core.DegradeSoft.String(), core.DegradeHold.String(),
-		core.DegradeMonolithic.String(), core.DegradeNone.String(),
+		core.DegradeNone.String(),
 	}
 	baseViol := mViol.Value()
 	baseShed := mShed.Value()
@@ -553,8 +550,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	res.AnytimeSteps = int(mDeg.With(core.DegradeAnytime.String()).Value() - baseMode[core.DegradeAnytime.String()])
 	res.SoftSteps = int(mDeg.With(core.DegradeSoft.String()).Value() - baseMode[core.DegradeSoft.String()])
 	res.HoldSteps = int(mDeg.With(core.DegradeHold.String()).Value() - baseMode[core.DegradeHold.String()])
-	res.MonolithicSteps = int(mDeg.With(core.DegradeMonolithic.String()).Value() - baseMode[core.DegradeMonolithic.String()])
-	res.DegradedSteps = res.ColdRestartSteps + res.AnytimeSteps + res.SoftSteps + res.HoldSteps + res.MonolithicSteps +
+	res.DegradedSteps = res.ColdRestartSteps + res.AnytimeSteps + res.SoftSteps + res.HoldSteps +
 		int(mDeg.With(core.DegradeNone.String()).Value()-baseMode[core.DegradeNone.String()])
 	res.SLAViolations = int(mViol.Value() - baseViol)
 	for vi, tr := range trackers {

@@ -49,8 +49,7 @@ const DefaultAttributionDepth = 256
 // cost, together with the capacity dual price the QP solution put on
 // that DC's capacity constraint.
 type DCAttribution struct {
-	DC    int `json:"dc"`
-	Shard int `json:"shard"` // owning shard; -1 = monolithic or shared across shards
+	DC int `json:"dc"`
 
 	// Resource + Bandwidth partition the period's H_k share at this
 	// DC: Resource is the cost of serving each location at its most

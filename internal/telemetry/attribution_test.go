@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -211,15 +210,5 @@ func TestCriticalPaths(t *testing.T) {
 	}
 	if p.Steps[1].Shard != 0 || p.Steps[1].DurUS != 200 {
 		t.Fatalf("round 1 step %+v", p.Steps[1])
-	}
-
-	table := FormatCriticalPaths(paths, 5)
-	for _, want := range []string{"coordinate #10", "round 0", "round 1", "converged"} {
-		if !strings.Contains(table, want) {
-			t.Errorf("table missing %q:\n%s", want, table)
-		}
-	}
-	if FormatCriticalPaths(nil, 5) != "" {
-		t.Error("empty paths must format to empty string")
 	}
 }

@@ -234,41 +234,6 @@ func CriticalPaths(events []TraceEvent) []CoordinationPath {
 	return paths
 }
 
-// FormatCriticalPaths renders the critical-path table for the slowest
-// max coordinations (0 = all): one header line per coordination, one
-// line per round naming the dominating shard. Empty string when the
-// trace holds no analyzable coordination.
-func FormatCriticalPaths(paths []CoordinationPath, max int) string {
-	if len(paths) == 0 {
-		return ""
-	}
-	show := append([]CoordinationPath(nil), paths...)
-	sort.SliceStable(show, func(i, j int) bool { return show[i].DurUS > show[j].DurUS })
-	if max > 0 && len(show) > max {
-		show = show[:max]
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "coordination critical path (dominating shard per round, slowest %d of %d):\n",
-		len(show), len(paths))
-	for _, p := range show {
-		conv := "converged"
-		if !p.Converged {
-			conv = "not converged"
-		}
-		share := 0.0
-		if p.DurUS > 0 {
-			share = 100 * float64(p.CriticalUS) / float64(p.DurUS)
-		}
-		fmt.Fprintf(&b, "coordinate #%d  total %.3fms  rounds %d  shards %d  %s  critical path %.3fms (%.0f%%)\n",
-			p.ID, float64(p.DurUS)/1000, p.Rounds, p.Shards, conv, float64(p.CriticalUS)/1000, share)
-		for _, st := range p.Steps {
-			fmt.Fprintf(&b, "  round %-3d shard %-4d %10.3fms  (%d solves)\n",
-				st.Round, st.Shard, float64(st.DurUS)/1000, st.Solves)
-		}
-	}
-	return b.String()
-}
-
 // FormatDegradationSummary renders the one-line operator summary of a
 // run's degradation ladder activity. It is THE formatter — sim.Result
 // and the trace-summary replay both call it, so the two can only agree

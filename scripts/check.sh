@@ -162,7 +162,10 @@ echo "== attribution guard (provenance identity + free disabled path) =="
 # the reported period cost (shed imputed at the soft-relaxation penalty)
 # within 1e-9 relative, and /statusz must serve the same numbers from
 # the ring; the continental run checks the same identity across 100
-# coordinated periods plus the critical-path reconstruction.
+# monolithic continental MPC periods, with every DC's quota equal to its
+# instance capacity. The coordination critical path is covered by the
+# decomp Solver trace test (TestSolverTraceCriticalPaths) and
+# telemetry's TestCriticalPaths.
 go test -run 'TestRunEmitsAttribution|TestRunNoTelemetryNoAttribution' ./internal/sim
 go test -run 'TestContinentalAttributionEndToEnd' .
 echo "attribution identity holds (outage + continental), disabled path stays free"

@@ -32,9 +32,6 @@ type (
 	// StatuszPage is the JSON document /statusz serves: rollup plus the
 	// most recent per-period records.
 	StatuszPage = telemetry.StatuszPage
-	// CoordinationPath is one coordination's critical path through its
-	// shard solves (the dominating shard per round).
-	CoordinationPath = telemetry.CoordinationPath
 )
 
 // NewTelemetry returns a telemetry hub with a fresh metrics registry.
@@ -81,15 +78,3 @@ func DegradationFromTrace(events []TraceEvent) (line string, ok bool) {
 // ring: lifetime rollup plus the newest n per-period records (n <= 0
 // keeps every retained record). Nil-safe.
 func Statusz(h *Telemetry, n int) *StatuszPage { return telemetry.Statusz(h, n) }
-
-// CriticalPathsFromTrace reconstructs each coordination round's critical
-// path — the dominating shard solve per round — from a decoded trace.
-func CriticalPathsFromTrace(events []TraceEvent) []CoordinationPath {
-	return telemetry.CriticalPaths(events)
-}
-
-// FormatCriticalPaths renders critical paths as the operator table
-// `dsppsim trace-summary` prints (slowest max coordinations).
-func FormatCriticalPaths(paths []CoordinationPath, max int) string {
-	return telemetry.FormatCriticalPaths(paths, max)
-}
