@@ -139,14 +139,14 @@ func diffCases(t *testing.T) []diffCase {
 }
 
 // bandOnly is p with every constraint row in the KKT band: no linking
-// rows, and a dense Q so the solver derives the band (as wide as the
-// coupling rows reach) from Q and G itself.
+// rows, and Q widened to the band the coupling rows reach
+// (G.GramBandwidth).
 func bandOnly(p *qp.Problem) *qp.Problem {
-	n := p.Q.Rows()
-	q := linalg.NewMatrix(n, n)
+	n, qbw := p.Q.Rows(), p.Q.Bandwidth()
+	q := linalg.NewBandMatrix(n, max(qbw, p.G.GramBandwidth()))
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			q.Set(i, j, p.Q.At(i, j))
+		for j := max(0, i-qbw); j <= i; j++ {
+			_ = q.Set(i, j, p.Q.At(i, j))
 		}
 	}
 	return &qp.Problem{Q: q, C: p.C, G: p.G, H: p.H}

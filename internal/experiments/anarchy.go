@@ -76,10 +76,12 @@ func PriceOfAnarchy(seed int64, starts int) (*PoAResult, error) {
 	return res, nil
 }
 
-// Check verifies PoS ≈ 1 from the best start and that no start strays
-// absurdly far (the quota renormalization keeps outcomes bounded).
+// Check verifies PoS ≈ 1 from the best start — never below 1 beyond
+// solver tolerance, since no equilibrium beats the social optimum — and
+// that no start strays absurdly far (the quota renormalization keeps
+// outcomes bounded).
 func (r *PoAResult) Check() error {
-	if r.BestRatio > 1.10 || r.BestRatio < 0.97 {
+	if r.BestRatio > 1.10 || r.BestRatio < 1-1e-6 {
 		return fmt.Errorf("best ratio %g, want ≈ 1 (Theorem 1): %w", r.BestRatio, ErrShape)
 	}
 	if r.WorstRatio < r.BestRatio {

@@ -262,12 +262,14 @@ func PriceOfStability(seed int64, maxPlayers int) (*PoSResult, error) {
 	return res, nil
 }
 
-// Check verifies the PoS ≈ 1 prediction. The tolerance (15%) covers the
-// ε-stability gap: Algorithm 2 stops at an approximately stable point, so
-// individual draws can sit a few percent above the true optimum.
+// Check verifies the PoS ≈ 1 prediction. The upper tolerance (15%) covers
+// the ε-stability gap: Algorithm 2 stops at an approximately stable point,
+// so individual draws can sit a few percent above the true optimum. No
+// equilibrium can beat the social optimum, so the lower bound is 1 up to
+// solver tolerance.
 func (r *PoSResult) Check() error {
 	for i, ratio := range r.Ratio {
-		if ratio > 1.15 || ratio < 0.97 {
+		if ratio > 1.15 || ratio < 1-1e-6 {
 			return fmt.Errorf("n=%d: NE/SWP = %g, want ≈ 1: %w", r.Players[i], ratio, ErrShape)
 		}
 	}

@@ -62,10 +62,3 @@ func benchBestResponse(b *testing.B, cfg BestResponseConfig) {
 func BenchmarkBestResponseRounds(b *testing.B) {
 	benchBestResponse(b, BestResponseConfig{Parallel: 1})
 }
-
-// BenchmarkBestResponseRoundsNoSessions is the same loop through the
-// pooled one-shot solver — the baseline the session fast path is judged
-// against.
-func BenchmarkBestResponseRoundsNoSessions(b *testing.B) {
-	benchBestResponse(b, BestResponseConfig{Parallel: 1, NoSessions: true})
-}

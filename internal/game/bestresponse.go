@@ -41,13 +41,6 @@ type BestResponseConfig struct {
 	// runtime.GOMAXPROCS(0). Results are collected by provider index, so
 	// the outcome is identical at any worker count.
 	Parallel int
-	// NoSessions disables the per-provider persistent solver sessions and
-	// routes every round through the pooled one-shot path instead. The
-	// sessions keep each provider's interior-point state, KKT
-	// factorization, and plan storage alive across rounds — the fast
-	// configuration — and produce bit-identical results to the one-shot
-	// path; the toggle exists for verification and debugging.
-	NoSessions bool
 	// Telemetry, when non-nil, records the game's convergence behaviour:
 	// best_response/best_response_round spans, round and quota-re-division
 	// counters, the per-SP relative cost-delta histogram, and the QP
@@ -213,18 +206,13 @@ func BestResponseCtx(ctx context.Context, s *Scenario, cfg BestResponseConfig) (
 	var outBufs [2][]Outcome
 	outBufs[0] = make([]Outcome, n)
 	outBufs[1] = make([]Outcome, n)
-	// Per-provider persistent sessions (unless disabled): across rounds
-	// only the quota values move, so each provider's horizon QP keeps its
-	// structure, interior-point state, and factorization storage alive for
-	// the whole game. Sessions are confined to this call — nothing solves
-	// on them after return, so the plans the result references stay
-	// intact.
-	var sessions []*core.HorizonSession
-	var sesInsts []*core.Instance
-	if !cfg.NoSessions {
-		sessions = make([]*core.HorizonSession, n)
-		sesInsts = make([]*core.Instance, n)
-	}
+	// Per-provider persistent sessions: across rounds only the quota
+	// values move, so each provider's horizon QP keeps its structure,
+	// interior-point state, and factorization storage alive for the whole
+	// game. Sessions are confined to this call — nothing solves on them
+	// after return, so the plans the result references stay intact.
+	sessions := make([]*core.HorizonSession, n)
+	sesInsts := make([]*core.Instance, n)
 	// Warm starts: round 0 may be seeded by the caller (receding-horizon
 	// chaining); later rounds reuse each provider's previous solution —
 	// only the quotas move between rounds, so the previous plan is an
@@ -253,13 +241,7 @@ func BestResponseCtx(ctx context.Context, s *Scenario, cfg BestResponseConfig) (
 		// on a bounded pool, collect by index (determinism contract).
 		err := parallel.ForEachCtx(roundCtx, n, cfg.Parallel, func(i int) error {
 			p := s.Providers[i]
-			var plan *core.Plan
-			var err error
-			if sessions != nil {
-				plan, err = solveProviderSession(roundCtx, sessions, sesInsts, i, p, quotas[i], cfg.QP, warms[i], warmShift)
-			} else {
-				plan, err = solveProvider(roundCtx, p, quotas[i], cfg.QP, warms[i], warmShift)
-			}
+			plan, err := solveProvider(roundCtx, sessions, sesInsts, i, p, quotas[i], cfg.QP, warms[i], warmShift)
 			if err != nil {
 				return fmt.Errorf("round %d provider %d (%s): %w", iter, i, p.Name, err)
 			}
@@ -359,14 +341,16 @@ func BestResponseCtx(ctx context.Context, s *Scenario, cfg BestResponseConfig) (
 	return res, fmt.Errorf("after %d rounds (ε=%g): %w", cfg.MaxIterations, cfg.Epsilon, ErrNotConverged)
 }
 
-// solveProviderSession is solveProvider through provider i's persistent
-// HorizonSession, building it on first use and rebuilding it if the
-// provider's instance was reconstructed (a changed capacitated set —
-// impossible mid-game, where quotas stay finite and positive on a fixed
-// set, but cheap to guard). Results are bit-identical to solveProvider;
-// the session keeps the QP state, factorization, and plan storage alive
-// between rounds instead of bouncing them through the pools.
-func solveProviderSession(ctx context.Context, sessions []*core.HorizonSession, sesInsts []*core.Instance, i int, p *Provider, quota []float64, opts qp.Options, warm *core.HorizonWarm, warmShift int) (*core.Plan, error) {
+// solveProvider solves provider i's DSPP under the given quotas,
+// optionally warm-started from a previous plan shifted by warmShift,
+// through the provider's persistent HorizonSession. It builds the session
+// on first use and rebuilds it if the provider's instance was
+// reconstructed (a changed capacitated set — impossible mid-game, where
+// quotas stay finite and positive on a fixed set, but cheap to guard).
+// The session keeps the QP state, factorization, and plan storage alive
+// between rounds; its solves are bit-identical to one-shot solves of the
+// same horizon QP.
+func solveProvider(ctx context.Context, sessions []*core.HorizonSession, sesInsts []*core.Instance, i int, p *Provider, quota []float64, opts qp.Options, warm *core.HorizonWarm, warmShift int) (*core.Plan, error) {
 	inst, err := p.instance(quota)
 	if err != nil {
 		return nil, err
@@ -385,22 +369,6 @@ func solveProviderSession(ctx context.Context, sessions []*core.HorizonSession, 
 		Warm:      warm,
 		WarmShift: warmShift,
 	})
-}
-
-// solveProvider solves one provider's DSPP under the given quotas,
-// optionally warm-started from a previous plan shifted by warmShift.
-func solveProvider(ctx context.Context, p *Provider, quota []float64, opts qp.Options, warm *core.HorizonWarm, warmShift int) (*core.Plan, error) {
-	inst, err := p.instance(quota)
-	if err != nil {
-		return nil, err
-	}
-	return inst.SolveHorizonCtx(ctx, core.HorizonInput{
-		X0:        p.x0(),
-		Demand:    p.Demand,
-		Prices:    p.Prices,
-		Warm:      warm,
-		WarmShift: warmShift,
-	}, opts)
 }
 
 // EfficiencyRatio returns NE-total-cost / SWP-total-cost: the realized

@@ -1,12 +1,12 @@
 package game
 
 import (
-	"context"
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"dspp/internal/core"
 	"dspp/internal/qp"
 )
 
@@ -114,8 +114,11 @@ func TestSWPUncapacitatedMatchesIndependentSolves(t *testing.T) {
 	}
 	var independent float64
 	for _, p := range s.Providers {
-		quota := []float64{math.Inf(1), math.Inf(1)}
-		plan, err := solveProvider(context.Background(), p, quota, qp.DefaultOptions(), nil, 0)
+		inst, err := p.instance([]float64{math.Inf(1), math.Inf(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := inst.SolveHorizon(core.HorizonInput{X0: p.x0(), Demand: p.Demand, Prices: p.Prices}, qp.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,6 +126,58 @@ func TestSWPUncapacitatedMatchesIndependentSolves(t *testing.T) {
 	}
 	if math.Abs(joint.Total-independent) > 1e-3*(1+independent) {
 		t.Errorf("joint %g != independent %g", joint.Total, independent)
+	}
+}
+
+// TestSWPMatchesSingleProviderOracle: with one provider the SWP is that
+// provider's own horizon QP, with the shared capacity C in capacity units
+// becoming C/sᵢ servers. Against core.SolveHorizon at capacity C/2 for
+// server size 2, at a capacity that binds at every step, the totals agree
+// to 1e-6 relative and the SWP capacity duals, times the server size
+// (one capacity unit buys 1/sᵢ servers), agree with core's to 1e-6
+// relative to the largest dual.
+func TestSWPMatchesSingleProviderOracle(t *testing.T) {
+	const capacity, size = 10.0, 2.0
+	sla := [][]float64{{0.01, 0.02}, {0.01, 0.01}}
+	weights := []float64{1e-4, 2e-4}
+	x0 := core.State{{2, 1}, {3, 4}}
+	demand := [][]float64{{900, 300}, {1100, 250}, {1000, 400}, {950, 350}}
+	prices := [][]float64{{0.1, 1.0}, {0.12, 0.9}, {0.1, 1.1}, {0.11, 1.0}}
+	s := &Scenario{
+		Capacity: []float64{capacity, math.Inf(1)},
+		Providers: []*Provider{{
+			Name: "sp", SLA: sla, ReconfigWeights: weights, ServerSize: size,
+			X0: x0, Demand: demand, Prices: prices,
+		}},
+	}
+	swp, err := SolveSocialWelfare(s, qp.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := core.NewInstance(core.Config{
+		SLA: sla, ReconfigWeights: weights, Capacities: []float64{capacity / size, math.Inf(1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := inst.SolveHorizon(core.HorizonInput{X0: x0, Demand: demand, Prices: prices}, qp.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := math.Abs(swp.Total - plan.Objective); d > 1e-6*math.Abs(plan.Objective) {
+		t.Fatalf("SWP total %.12g, core objective %.12g", swp.Total, plan.Objective)
+	}
+	var scale float64
+	for _, row := range plan.CapacityDuals {
+		scale = math.Max(scale, math.Abs(row[0]))
+	}
+	for step, row := range plan.CapacityDuals {
+		if row[0] <= 0 {
+			t.Fatalf("step %d: capacity does not bind (core dual %g)", step, row[0])
+		}
+		if got := swp.CapacityDuals[step][0] * size; math.Abs(got-row[0]) > 1e-6*scale {
+			t.Fatalf("step %d: SWP capacity dual × server size %.12g, core dual %.12g", step, got, row[0])
+		}
 	}
 }
 

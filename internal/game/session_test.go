@@ -1,6 +1,7 @@
 package game
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -51,29 +52,30 @@ func compareBR(t *testing.T, label string, a, b *BestResponseResult) {
 	}
 }
 
-// TestBestResponseSessionsBitIdentical pins the fast path's core contract:
-// per-provider sessions (persistent solver state, arena-backed plans, in-place
-// dual extraction) change not a single bit of the game's outcome relative
-// to the pooled one-shot path, at any worker count.
+// TestBestResponseSessionsBitIdentical pins the determinism contract of
+// the session-backed round loop: the per-provider sessions (persistent
+// solver state, arena-backed plans, in-place dual extraction) produce the
+// same game, bit for bit, at 1, 2 and 4 workers. That a session solve
+// equals a one-shot solve is pinned by core's
+// TestHorizonSessionBitIdenticalToOneShot.
 func TestBestResponseSessionsBitIdentical(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		ses, err := BestResponse(twoProviderScenario(4, 8),
+	want, err := BestResponse(twoProviderScenario(4, 8), BestResponseConfig{Epsilon: 0.001, Parallel: 1})
+	if err != nil {
+		t.Fatalf("workers=1: %v", err)
+	}
+	for _, workers := range []int{2, 4} {
+		got, err := BestResponse(twoProviderScenario(4, 8),
 			BestResponseConfig{Epsilon: 0.001, Parallel: workers})
 		if err != nil {
-			t.Fatalf("workers=%d sessions: %v", workers, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		one, err := BestResponse(twoProviderScenario(4, 8),
-			BestResponseConfig{Epsilon: 0.001, Parallel: workers, NoSessions: true})
-		if err != nil {
-			t.Fatalf("workers=%d one-shot: %v", workers, err)
-		}
-		compareBR(t, "two-provider", ses, one)
+		compareBR(t, fmt.Sprintf("two-provider workers=%d", workers), got, want)
 	}
 }
 
-// TestBestResponseSessionsBitIdenticalRandom repeats the comparison over
-// randomized multi-provider scenarios (mixed server sizes, multi-round
-// convergence paths).
+// TestBestResponseSessionsBitIdenticalRandom repeats the worker-count
+// comparison over randomized multi-provider scenarios (mixed server
+// sizes, multi-round convergence paths).
 func TestBestResponseSessionsBitIdenticalRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 4; trial++ {
@@ -103,16 +105,16 @@ func TestBestResponseSessionsBitIdenticalRandom(t *testing.T) {
 				Providers: providers,
 			}
 		}
-		cfg := BestResponseConfig{MaxIterations: 300, Parallel: 1 + rng.Intn(4)}
-		ses, errS := BestResponse(mk(), cfg)
-		cfg.NoSessions = true
-		one, errO := BestResponse(mk(), cfg)
-		if (errS == nil) != (errO == nil) {
-			t.Fatalf("trial %d: session err %v, one-shot err %v", trial, errS, errO)
+		want, errW := BestResponse(mk(), BestResponseConfig{MaxIterations: 300, Parallel: 1})
+		for _, workers := range []int{2, 4} {
+			got, err := BestResponse(mk(), BestResponseConfig{MaxIterations: 300, Parallel: workers})
+			if (err == nil) != (errW == nil) {
+				t.Fatalf("trial %d workers=%d: err %v, one worker err %v", trial, workers, err, errW)
+			}
+			if err != nil {
+				continue
+			}
+			compareBR(t, fmt.Sprintf("random trial %d workers=%d", trial, workers), got, want)
 		}
-		if errS != nil {
-			continue
-		}
-		compareBR(t, "random", ses, one)
 	}
 }

@@ -23,16 +23,15 @@ type SWPResult struct {
 
 // swpLayout captures the variable block structure of the joint QP.
 type swpLayout struct {
-	w          int
-	l          int
-	offsets    []int   // per provider: first variable index
-	pairsL     [][]int // per provider: pair index -> DC
-	pairsV     [][]int // per provider: pair index -> location
-	pairAt     [][]float64
-	numVars    int
-	capDCs     []int
-	x0         []core.State
-	totalByDCL [][]float64 // per provider: capacity units held at t=0 per DC
+	w       int
+	l       int
+	offsets []int   // per provider: first variable index
+	pairsL  [][]int // per provider: pair index -> DC
+	pairsV  [][]int // per provider: pair index -> location
+	pairAt  [][]float64
+	numVars int
+	capDCs  []int
+	x0      []core.State
 }
 
 func buildLayout(s *Scenario) (*swpLayout, error) {
@@ -72,7 +71,7 @@ func buildLayout(s *Scenario) (*swpLayout, error) {
 }
 
 // varIdx returns the QP variable index of provider i, horizon step t,
-// dense pair pi.
+// dense pair pi: provider blocks, time-major inside.
 func (lay *swpLayout) varIdx(i, t, pi int) int {
 	return lay.offsets[i] + t*len(lay.pairsL[i]) + pi
 }
@@ -80,6 +79,15 @@ func (lay *swpLayout) varIdx(i, t, pi int) int {
 // SolveSocialWelfare solves the joint SWP (§VI-B) as a single QP. Every
 // provider's demand and nonnegativity constraints appear alongside the
 // shared capacity constraints Σᵢ sᵢ·xᵢ ≤ C.
+//
+// The QP is block-angular, in the cumulative variables of core's horizon
+// QP: y_t = Σ_{τ≤t} u_τ, the planned state relative to x0, in provider
+// blocks. Q and each provider's demand and nonnegativity rows then stay
+// inside one provider's block, with a band as narrow as its widest time
+// step, and only the shared capacity rows couple the blocks: they are the
+// solver's linking rows. The change of variables is invertible, so the
+// optimum and the capacity duals are those of the problem in the controls
+// u.
 func SolveSocialWelfare(s *Scenario, opts qp.Options) (*SWPResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -90,42 +98,61 @@ func SolveSocialWelfare(s *Scenario, opts qp.Options) (*SWPResult, error) {
 	}
 	w, n := lay.w, lay.numVars
 
-	qMat := linalg.NewMatrix(n, n)
+	// Quadratic term: Σ_t c (y_t − y_{t−1})², y_{−1} = 0 — in the ½ yᵀQy
+	// convention 4c on the diagonal (2c on the final step) and −2c between
+	// consecutive steps of a pair, one block row apart. Step t to t+1 is
+	// the band's reach; a demand row spans one block row. The linear term
+	// is the price per cumulative variable.
+	widest := 0
+	for _, pl := range lay.pairsL {
+		widest = max(widest, len(pl))
+	}
+	bw := widest - 1
+	if w > 1 {
+		bw = widest
+	}
+	qMat := linalg.NewBandMatrix(n, bw)
 	cVec := linalg.NewVector(n)
-	var constCost float64
+	set := func(i, j int, v float64) {
+		if e := qMat.Set(i, j, v); e != nil && err == nil {
+			err = e
+		}
+	}
 	for i, p := range s.Providers {
+		stride := len(lay.pairsL[i])
 		for pi, li := range lay.pairsL[i] {
-			vi := lay.pairsV[i][pi]
-			var tail float64
-			for t := w - 1; t >= 0; t-- {
-				tail += p.Prices[t][li]
-				idx := lay.varIdx(i, t, pi)
-				cVec[idx] = tail
-				qMat.Set(idx, idx, 2*p.ReconfigWeights[li])
-			}
+			c2 := 2 * p.ReconfigWeights[li]
 			for t := 0; t < w; t++ {
-				constCost += p.Prices[t][li] * lay.x0[i][li][vi]
+				idx := lay.varIdx(i, t, pi)
+				cVec[idx] = p.Prices[t][li]
+				if t < w-1 {
+					set(idx, idx, 2*c2)
+					set(idx+stride, idx, -c2)
+				} else {
+					set(idx, idx, c2)
+				}
 			}
 		}
 	}
+	if err != nil {
+		return nil, fmt.Errorf("SWP quadratic term: %w", err)
+	}
 
-	// Row count: per provider per step, demand (Vᵢ) + nonneg (Eᵢ);
-	// shared capacity rows per step per capacitated DC.
-	m := 0
+	// Rows: per provider and step, demand (Vᵢ) then nonnegativity (Eᵢ);
+	// then per step the shared capacity row of every capacitated DC.
+	m, nnz := w*len(lay.capDCs), 0
 	for i, p := range s.Providers {
 		m += w * (p.numLocations() + len(lay.pairsL[i]))
+		nnz += 3 * w * len(lay.pairsL[i])
 	}
-	m += w * len(lay.capDCs)
-	gMat := linalg.NewMatrix(m, n)
+	gb := linalg.NewSparseBuilder(m, n, nnz)
 	hVec := linalg.NewVector(m)
 	row := 0
-	capRows := make([][]int, w)
-
 	for i, p := range s.Providers {
-		v := p.numLocations()
 		for t := 0; t < w; t++ {
-			// Demand rows.
-			for vi := 0; vi < v; vi++ {
+			// Demand: −Σ_{e∈v} y_t^e/a_e ≤ −D_t^v + Σ_{e∈v} x0_e/a_e.
+			for vi := 0; vi < p.numLocations(); vi++ {
+				gb.StartRow()
 				rhs := -p.Demand[t][vi]
 				for pi, li := range lay.pairsL[i] {
 					if lay.pairsV[i][pi] != vi {
@@ -133,51 +160,46 @@ func SolveSocialWelfare(s *Scenario, opts qp.Options) (*SWPResult, error) {
 					}
 					inv := 1 / lay.pairAt[i][pi]
 					rhs += lay.x0[i][li][vi] * inv
-					for tau := 0; tau <= t; tau++ {
-						gMat.Set(row, lay.varIdx(i, tau, pi), -inv)
-					}
+					gb.Add(lay.varIdx(i, t, pi), -inv)
 				}
 				hVec[row] = rhs
 				row++
 			}
-			// Nonnegativity rows.
+			// Nonnegativity: −y_t^e ≤ x0_e.
 			for pi, li := range lay.pairsL[i] {
-				vi := lay.pairsV[i][pi]
-				for tau := 0; tau <= t; tau++ {
-					gMat.Set(row, lay.varIdx(i, tau, pi), -1)
-				}
-				hVec[row] = lay.x0[i][li][vi]
+				gb.StartRow()
+				gb.Add(lay.varIdx(i, t, pi), -1)
+				hVec[row] = lay.x0[i][li][lay.pairsV[i][pi]]
 				row++
 			}
 		}
 	}
-	// Shared capacity rows.
+	// Shared capacity: Σᵢ sᵢ Σ_{e∈l} y_t^e ≤ C_l − Σᵢ sᵢ Σ_{e∈l} x0_e.
+	linking := make([]int, 0, w*len(lay.capDCs))
 	for t := 0; t < w; t++ {
-		capRows[t] = make([]int, lay.l)
-		for li := range capRows[t] {
-			capRows[t][li] = -1
-		}
 		for _, li := range lay.capDCs {
-			capRows[t][li] = row
+			gb.StartRow()
 			rhs := s.Capacity[li]
 			for i, p := range s.Providers {
 				for pi, pl := range lay.pairsL[i] {
 					if pl != li {
 						continue
 					}
-					vi := lay.pairsV[i][pi]
-					rhs -= p.ServerSize * lay.x0[i][li][vi]
-					for tau := 0; tau <= t; tau++ {
-						gMat.Set(row, lay.varIdx(i, tau, pi), p.ServerSize)
-					}
+					rhs -= p.ServerSize * lay.x0[i][li][lay.pairsV[i][pi]]
+					gb.Add(lay.varIdx(i, t, pi), p.ServerSize)
 				}
 			}
 			hVec[row] = rhs
+			linking = append(linking, row)
 			row++
 		}
 	}
+	gMat, err := gb.Build()
+	if err != nil {
+		return nil, fmt.Errorf("SWP constraint assembly: %w", err)
+	}
 
-	res, err := qp.Solve(&qp.Problem{Q: qMat, C: cVec, G: gMat, H: hVec}, opts)
+	res, err := qp.Solve(&qp.Problem{Q: qMat, C: cVec, G: gMat, H: hVec, Linking: linking}, opts)
 	if err != nil {
 		return nil, fmt.Errorf("SWP QP (n=%d, m=%d): %w", n, m, err)
 	}
@@ -189,8 +211,8 @@ func SolveSocialWelfare(s *Scenario, opts qp.Options) (*SWPResult, error) {
 	}
 	for t := 0; t < w; t++ {
 		out.CapacityDuals[t] = make([]float64, lay.l)
-		for _, li := range lay.capDCs {
-			out.CapacityDuals[t][li] = res.IneqDuals[capRows[t][li]]
+		for k, li := range lay.capDCs {
+			out.CapacityDuals[t][li] = res.IneqDuals[linking[t*len(lay.capDCs)+k]]
 		}
 	}
 	for i, p := range s.Providers {
@@ -202,7 +224,8 @@ func SolveSocialWelfare(s *Scenario, opts qp.Options) (*SWPResult, error) {
 }
 
 // extract rebuilds provider i's trajectory from the QP solution and
-// computes its individual cost.
+// computes its individual cost. The solution is cumulative, so the
+// control is the difference of consecutive levels: u_t = y_t − y_{t−1}.
 func (lay *swpLayout) extract(i int, p *Provider, sol linalg.Vector) (Outcome, float64) {
 	w := lay.w
 	v := p.numLocations()
@@ -219,6 +242,9 @@ func (lay *swpLayout) extract(i int, p *Provider, sol linalg.Vector) (Outcome, f
 		for pi, li := range lay.pairsL[i] {
 			vi := lay.pairsV[i][pi]
 			uv := sol[lay.varIdx(i, t, pi)]
+			if t > 0 {
+				uv -= sol[lay.varIdx(i, t-1, pi)]
+			}
 			u[li][vi] = uv
 			x[li][vi] += uv
 			if x[li][vi] < 0 {

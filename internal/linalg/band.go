@@ -127,29 +127,6 @@ func (b *BandMatrix) AddDiag(v float64) {
 	}
 }
 
-// CopyLowerBand overwrites the band with the lower-band entries of the
-// symmetric matrix a (entries of a outside the band are ignored — the
-// caller guarantees they are zero, as the QP solver's band scan does for
-// the KKT assembly).
-func (b *BandMatrix) CopyLowerBand(a Symmetric) error {
-	if a.Rows() != b.n || a.Cols() != b.n {
-		return fmt.Errorf("band copy from (%dx%d), n=%d: %w", a.Rows(), a.Cols(), b.n, ErrDimensionMismatch)
-	}
-	w1 := b.bw + 1
-	for i := 0; i < b.n; i++ {
-		row := b.data[i*w1 : (i+1)*w1]
-		for k := range row {
-			j := i - b.bw + k
-			if j < 0 {
-				row[k] = 0
-			} else {
-				row[k] = a.At(i, j)
-			}
-		}
-	}
-	return nil
-}
-
 // CopyFrom overwrites the band with src's band. Shapes must match.
 func (b *BandMatrix) CopyFrom(src *BandMatrix) error {
 	if src.n != b.n || src.bw != b.bw {
@@ -162,9 +139,8 @@ func (b *BandMatrix) CopyFrom(src *BandMatrix) error {
 // MulVec computes y = A·x for the symmetric band matrix, walking only
 // the packed lower band (each off-diagonal entry is applied to both its
 // row and its mirrored column). Per element of y the terms accumulate in
-// ascending column order — the same association a dense band-limited
-// row-times-vector product uses — so results are bit-identical to
-// Matrix.MulVecBand on the materialized matrix.
+// ascending column order, the association of a dense row-times-vector
+// product that skips the entries outside the band.
 func (b *BandMatrix) MulVec(x, y Vector) error {
 	if len(x) != b.n || len(y) != b.n {
 		return fmt.Errorf("band mulvec x=%d y=%d n=%d: %w", len(x), len(y), b.n, ErrDimensionMismatch)

@@ -66,6 +66,15 @@ func TestBandMatrixAccessors(t *testing.T) {
 	if got := b.At(2, 2); got != 2 {
 		t.Fatalf("after AddDiag At(2,2) = %g, want 2", got)
 	}
+	d, packed := randBandSPD(rand.New(rand.NewSource(19)), 12, 3)
+	got := packed.ToDense()
+	for i := 0; i < 12; i++ {
+		for j := 0; j < 12; j++ {
+			if got.At(i, j) != d.At(i, j) {
+				t.Fatalf("ToDense(%d,%d): %g, want %g", i, j, got.At(i, j), d.At(i, j))
+			}
+		}
+	}
 }
 
 // TestBandCholeskyMatchesDense cross-checks the packed band factorization
@@ -175,38 +184,6 @@ func TestBandFactorizeNoAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("numeric factorize+solve allocates %g objects per run, want 0", allocs)
-	}
-}
-
-func TestBandMatrixCopyLowerBand(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	d, _ := randBandSPD(rng, 12, 3)
-	b := NewBandMatrix(12, 3)
-	// Poison the packed storage so stale entries would be caught.
-	for i := range b.data {
-		b.data[i] = math.NaN()
-	}
-	if err := b.CopyLowerBand(d); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		lo := i - 3
-		if lo < 0 {
-			lo = 0
-		}
-		for j := lo; j <= i; j++ {
-			if b.At(i, j) != d.At(i, j) {
-				t.Fatalf("(%d,%d): packed %g, dense %g", i, j, b.At(i, j), d.At(i, j))
-			}
-		}
-	}
-	got := b.ToDense()
-	for i := 0; i < 12; i++ {
-		for j := 0; j < 12; j++ {
-			if got.At(i, j) != d.At(i, j) {
-				t.Fatalf("ToDense(%d,%d): %g, want %g", i, j, got.At(i, j), d.At(i, j))
-			}
-		}
 	}
 }
 

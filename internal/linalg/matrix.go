@@ -119,35 +119,6 @@ func (m *Matrix) MulVec(x Vector, y Vector) error {
 	return nil
 }
 
-// MulVecBand computes y = M x for a square banded matrix: entries with
-// |i−j| > bw are taken to be zero, so the product costs O(n·bw) instead of
-// O(n²). bw < 0 (or ≥ n−1) falls back to the dense product.
-func (m *Matrix) MulVecBand(bw int, x Vector, y Vector) error {
-	if m.rows != m.cols || bw < 0 || bw >= m.rows-1 {
-		return m.MulVec(x, y)
-	}
-	if len(x) != m.cols || len(y) != m.rows {
-		return fmt.Errorf("mulvecband (%dx%d)·%d into %d: %w", m.rows, m.cols, len(x), len(y), ErrDimensionMismatch)
-	}
-	n := m.rows
-	for i := 0; i < n; i++ {
-		lo, hi := i-bw, i+bw
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > n-1 {
-			hi = n - 1
-		}
-		ri := m.data[i*n:]
-		var s float64
-		for j := lo; j <= hi; j++ {
-			s += ri[j] * x[j]
-		}
-		y[i] = s
-	}
-	return nil
-}
-
 // MulVecT computes y = Mᵀ x without forming the transpose.
 // The output y must have length m.Cols() and x length m.Rows().
 func (m *Matrix) MulVecT(x Vector, y Vector) error {
@@ -244,47 +215,6 @@ func (m *Matrix) AtATWeighted(w Vector, dst *Matrix) error {
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			dst.data[j*n+i] = dst.data[i*n+j]
-		}
-	}
-	return nil
-}
-
-// AtATWeightedBand accumulates Gᵀ·diag(w)·G into packed band storage. A
-// dense G generally fills the whole triangle, so dst's band must be full
-// (n−1) unless the caller knows the product is narrower; entries falling
-// outside the band are an error, surfaced per offending pair.
-func (m *Matrix) AtATWeightedBand(w Vector, dst *BandMatrix) error {
-	if len(w) != m.rows || dst.N() != m.cols {
-		return fmt.Errorf("gtwg band (%dx%d), w=%d, dst n=%d: %w",
-			m.rows, m.cols, len(w), dst.N(), ErrDimensionMismatch)
-	}
-	n := m.cols
-	bw := dst.Bandwidth()
-	for r := 0; r < m.rows; r++ {
-		wr := w[r]
-		if wr == 0 {
-			continue
-		}
-		row := m.data[r*n : (r+1)*n]
-		for i := 0; i < n; i++ {
-			f := wr * row[i]
-			if f == 0 {
-				continue
-			}
-			lo := i - bw
-			if lo < 0 {
-				lo = 0
-			}
-			for j := 0; j < lo; j++ {
-				if row[j] != 0 {
-					return fmt.Errorf("gtwg band: entry (%d,%d) outside band %d: %w",
-						i, j, bw, ErrDimensionMismatch)
-				}
-			}
-			di := dst.Row(i)
-			for j := lo; j <= i; j++ {
-				di[j-i+bw] += f * row[j]
-			}
 		}
 	}
 	return nil

@@ -5,43 +5,6 @@ import (
 	"sort"
 )
 
-// Operator is the read-only matrix contract the QP solver needs from a
-// constraint matrix: shape, element access, products with vectors, and the
-// weighted Gram product AᵀDA that dominates KKT assembly. Both the dense
-// *Matrix and the CSR *SparseMatrix implement it, so callers pick the
-// representation that matches their constraint structure.
-type Operator interface {
-	Rows() int
-	Cols() int
-	At(i, j int) float64
-	MulVec(x Vector, y Vector) error
-	MulVecT(x Vector, y Vector) error
-	AtATWeighted(w Vector, dst *Matrix) error
-	// AtATWeightedBand accumulates AᵀDA directly into packed band storage,
-	// the zero-allocation KKT assembly path of the QP solver. Rows with a
-	// zero weight are skipped; every other row's product must fit the band
-	// (an error otherwise). Zero weights are how the solver leaves its
-	// linking rows out of the band factor.
-	AtATWeightedBand(w Vector, dst *BandMatrix) error
-}
-
-// Symmetric is the read-only contract the QP solver needs from its
-// quadratic term: a dense *Matrix, or a packed *BandMatrix whose band
-// the solver then adopts as the KKT band.
-type Symmetric interface {
-	Rows() int
-	Cols() int
-	At(i, j int) float64
-	MulVec(x Vector, y Vector) error
-}
-
-var (
-	_ Operator  = (*Matrix)(nil)
-	_ Operator  = (*SparseMatrix)(nil)
-	_ Symmetric = (*Matrix)(nil)
-	_ Symmetric = (*BandMatrix)(nil)
-)
-
 // SparseMatrix is an immutable compressed-sparse-row (CSR) matrix. Rows
 // with few nonzeros — such as the prefix-sum constraint rows of the
 // horizon QP, which touch at most e·(t+1) of the e·W columns — make its

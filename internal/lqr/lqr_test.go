@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"dspp/internal/linalg"
-	"dspp/internal/qp"
 )
 
 func diagMat(vals ...float64) *linalg.Matrix {
@@ -114,9 +113,10 @@ func TestExpensiveControlStaysPut(t *testing.T) {
 	}
 }
 
-// buildTrackingQP expands the LQ tracking problem into a dense QP over the
-// stacked controls (A = B = I), for cross-validation against the IPM.
-func buildTrackingQP(prob *Problem) (*qp.Problem, error) {
+// buildTrackingQP expands the LQ tracking problem into an unconstrained
+// QP min ½uᵀQu + cᵀu over the stacked controls (A = B = I), returning the
+// dense Q and c, for cross-validation against the Riccati recursion.
+func buildTrackingQP(prob *Problem) (*linalg.Matrix, linalg.Vector, error) {
 	n := prob.Q.Rows()
 	w := len(prob.Targets)
 	dim := n * w
@@ -137,11 +137,11 @@ func buildTrackingQP(prob *Problem) (*qp.Problem, error) {
 		// Precompute e = x0 − r_t.
 		e := prob.X0.Clone()
 		if err := e.AXPY(-1, prob.Targets[t]); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		qe := linalg.NewVector(n)
 		if err := prob.Q.MulVec(e, qe); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for tau := 0; tau <= t; tau++ {
 			for i := 0; i < n; i++ {
@@ -156,7 +156,7 @@ func buildTrackingQP(prob *Problem) (*qp.Problem, error) {
 			}
 		}
 	}
-	return &qp.Problem{Q: qMat, C: cVec}, nil
+	return qMat, cVec, nil
 }
 
 func TestRiccatiMatchesQP(t *testing.T) {
@@ -191,18 +191,20 @@ func TestRiccatiMatchesQP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d riccati: %v", trial, err)
 		}
-		qpProb, err := buildTrackingQP(prob)
+		qMat, cVec, err := buildTrackingQP(prob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		qpSol, err := qp.Solve(qpProb, qp.DefaultOptions())
+		// The QP's optimum solves Q u = −c.
+		cVec.Scale(-1)
+		u, err := linalg.SolveSPD(qMat, cVec)
 		if err != nil {
 			t.Fatalf("trial %d qp: %v", trial, err)
 		}
 		for tIdx := 0; tIdx < w; tIdx++ {
 			for i := 0; i < n; i++ {
 				got := sol.U[tIdx][i]
-				want := qpSol.X[tIdx*n+i]
+				want := u[tIdx*n+i]
 				if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 					t.Fatalf("trial %d: u[%d][%d] riccati %g vs qp %g",
 						trial, tIdx, i, got, want)

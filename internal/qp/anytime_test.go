@@ -39,7 +39,11 @@ func anytimeTestProblem(t *testing.T) *Problem {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	n, m := 10, 24
-	q := linalg.Identity(n)
+	q := make([][]float64, n)
+	for i := range q {
+		q[i] = make([]float64, n)
+		q[i][i] = 1
+	}
 	c := linalg.NewVector(n)
 	for i := range c {
 		c[i] = rng.NormFloat64()
@@ -53,11 +57,7 @@ func anytimeTestProblem(t *testing.T) *Problem {
 		}
 		h[i] = 0.5 + rng.Float64()
 	}
-	g, err := linalg.MatrixFromRows(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Problem{Q: q, C: c, G: g, H: h}
+	return denseQP(t, q, c, rows, h)
 }
 
 // TestAnytimeDeadlineEveryIteration forces the deadline at every possible

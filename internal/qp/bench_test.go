@@ -89,19 +89,3 @@ func BenchmarkSolveWarm(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSolveEqualityOnly measures the direct KKT path (no
-// inequalities), the fast path used by the LQ cross-checks.
-func BenchmarkSolveEqualityOnly(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	n := 100
-	p := randomFeasibleQP(rng, n, 1)
-	p.G, p.H = nil, nil
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Solve(p, DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -9,14 +9,9 @@ import (
 )
 
 func TestSolveWarmCtxCancelled(t *testing.T) {
-	// Inequality-constrained so the solve enters the IPM loop, where the
-	// context is polled once per iteration.
-	p := &Problem{
-		Q: linalg.Identity(2),
-		C: linalg.VectorOf(-1, -2),
-		G: mustMatrix(t, [][]float64{{1, 0}, {0, 1}, {-1, 0}, {0, -1}}),
-		H: linalg.VectorOf(0.5, 0.5, 0, 0),
-	}
+	// The context is polled once per interior-point iteration.
+	p := denseQP(t, [][]float64{{1, 0}, {0, 1}}, linalg.VectorOf(-1, -2),
+		[][]float64{{1, 0}, {0, 1}, {-1, 0}, {0, -1}}, linalg.VectorOf(0.5, 0.5, 0, 0))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := SolveWarmCtx(ctx, p, DefaultOptions(), nil); !errors.Is(err, context.Canceled) {

@@ -18,12 +18,8 @@ func FuzzSolve(f *testing.F) {
 	f.Add(math.NaN(), 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0)
 	f.Add(1e18, 0.0, 1e-18, 1.0, -1.0, 1.0, 1.0, 1e18, -1.0, 1.0, -1e18)
 	f.Fuzz(func(t *testing.T, q00, q01, q11, c0, c1, g00, g01, h0, g10, g11, h1 float64) {
-		p := &Problem{
-			Q: mustMatrix(t, [][]float64{{q00, q01}, {q01, q11}}),
-			C: linalg.VectorOf(c0, c1),
-			G: mustMatrix(t, [][]float64{{g00, g01}, {g10, g11}}),
-			H: linalg.VectorOf(h0, h1),
-		}
+		p := denseQP(t, [][]float64{{q00, q01}, {q01, q11}}, linalg.VectorOf(c0, c1),
+			[][]float64{{g00, g01}, {g10, g11}}, linalg.VectorOf(h0, h1))
 		res, err := Solve(p, DefaultOptions())
 		if err != nil {
 			if !errors.Is(err, ErrBadProblem) && !errors.Is(err, ErrNumerical) &&

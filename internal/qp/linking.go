@@ -7,32 +7,30 @@ import (
 )
 
 // linkSchur is the coupling half of the KKT solve: the Schur complement
-// of the linking rows of G and the equality rows of A against the band
-// part H_b. With C the coupling rows, the Newton system
+// of the linking rows of G against the band part H_b. With C the linking
+// rows, the Newton system
 //
 //	[H_b  Cᵀ] [dx]   [r ]
 //	[C   −D ] [λ ] = [b2]
 //
 // reduces to S λ = C H_b⁻¹ r − b2 with S = D + C H_b⁻¹ Cᵀ, and then
-// dx = H_b⁻¹ (r − Cᵀλ). D is W_L⁻¹ on linking rows and the static
-// regularization on equality rows (their W⁻¹ is zero; b2 = −re there and
-// λ is the equality-dual step). H_b is block diagonal — the horizon QP's
-// per-location blocks — so C H_b⁻¹ Cᵀ is a sum over the blocks each pair
-// of coupling rows shares, read off each touched block's dense inverse:
-// O(size²·bw) per block, instead of a full-length band solve per coupling
-// row.
+// dx = H_b⁻¹ (r − Cᵀλ), where D = W_L⁻¹. H_b is block diagonal — the
+// horizon QP's per-location blocks — so C H_b⁻¹ Cᵀ is a sum over the
+// blocks each pair of linking rows shares, read off each touched block's
+// dense inverse: O(size²·bw) per block, instead of a full-length band
+// solve per linking row.
 type linkSchur struct {
 	// The symbolic half, shared read-only with every solve on the
-	// structure: coupling rows, blocks, slots and the Gram scatter map.
+	// structure: linking rows, blocks, slots and the Gram scatter map.
 	*linkSymbolic
 
 	zinv linalg.Vector        // one block's dense inverse (largest block²)
-	s    *linalg.BandMatrix   // S, dense (bw = nc−1) in packed storage
+	s    *linalg.BandMatrix   // S, dense (bw = k−1) in packed storage
 	chol *linalg.BandCholesky // factor of S
 	wb   linalg.Vector        // m: KKT weights with the linking rows zeroed
 
 	// Direction-solve working set: the multipliers λ, the second-block
-	// right-hand side and refinement step (nc each), and the saved r plus
+	// right-hand side and refinement step (k each), and the saved r plus
 	// two residual buffers (n each; updateResiduals borrows t1 for Gᵀdz).
 	lam, c2, dl linalg.Vector
 	r1, t1, t2  linalg.Vector
@@ -43,22 +41,20 @@ type linkSchur struct {
 // variables and m inequality rows.
 func (ls *linkSchur) reset(sym *linkSymbolic, n, m int) {
 	ls.linkSymbolic = sym
-	if ls.nc == 0 {
+	if ls.k == 0 {
 		return
 	}
 	ls.zinv = growVec(ls.zinv, ls.widest*ls.widest)
-	ls.lam = growVec(ls.lam, ls.nc)
-	ls.c2 = growVec(ls.c2, ls.nc)
-	ls.dl = growVec(ls.dl, ls.nc)
+	ls.lam = growVec(ls.lam, ls.k)
+	ls.c2 = growVec(ls.c2, ls.k)
+	ls.dl = growVec(ls.dl, ls.k)
 	ls.r1 = growVec(ls.r1, n)
 	ls.t1 = growVec(ls.t1, n)
 	ls.t2 = growVec(ls.t2, n)
 	ls.gl = growVec(ls.gl, ls.k)
-	if ls.k > 0 {
-		ls.wb = growVec(ls.wb, m)
-	}
-	ls.s.Reset(ls.nc, ls.nc-1)
-	ls.chol.Symbolic(ls.nc, ls.nc-1)
+	ls.wb = growVec(ls.wb, m)
+	ls.s.Reset(ls.k, ls.k-1)
+	ls.chol.Symbolic(ls.k, ls.k-1)
 }
 
 // bandWeights returns w with the linking rows zeroed, the weights the band
@@ -77,7 +73,7 @@ func (ls *linkSchur) bandWeights(w linalg.Vector, linking []int) linalg.Vector {
 
 // formGram recomputes C H_b⁻¹ Cᵀ from the current band factor into S's
 // packed storage, block by block: each touched block's dense inverse,
-// then every pair of coupling rows that meet in the block adds its
+// then every pair of linking rows that meet in the block adds its
 // entries' products — through the precomputed scatter terms where both
 // rows meet the block in one entry of coefficient 1. Each entry gets at most one addition
 // per block, so the terms and the general pairs may go in either order.
@@ -112,14 +108,9 @@ func (ls *linkSchur) formGram(ch *linalg.BandCholesky) error {
 
 // factorS completes S = D + C H_b⁻¹ Cᵀ, whose Gram part formGram left in
 // S, with the current weights and factors it.
-func (ls *linkSchur) factorS(w linalg.Vector, linking []int, reg float64) error {
-	nc := ls.nc
-	for i := 0; i < nc; i++ {
-		d := reg
-		if i < ls.k {
-			d = 1 / w[linking[i]]
-		}
-		ls.s.Row(i)[nc-1] += d
+func (ls *linkSchur) factorS(w linalg.Vector, linking []int) error {
+	for i, r := range linking {
+		ls.s.Row(i)[ls.k-1] += 1 / w[r]
 	}
 	return ls.chol.Factorize(ls.s)
 }
@@ -147,34 +138,29 @@ const linkRefineSteps = 3
 //	[H_b  Cᵀ] [dx]   [r1]
 //	[C   −D ] [λ ] = [b2]
 //
-// with b2 = 0 on linking rows and −re on equality rows, then refines the
-// solution against residuals of that system. dx lands in st.dx, λ in
-// link.lam, and the equality-dual step in st.dy.
+// with b2 = 0, then refines the solution against residuals of that
+// system. dx lands in st.dx and λ in link.lam.
 func (st *ipmState) solveLinked() error {
 	ls := &st.link
-	n, nc, k := st.n, ls.nc, ls.k
+	n, k := st.n, ls.k
 	dx, r1 := st.dx[:n], ls.r1[:n]
 	copy(r1, dx)
-	b2 := ls.c2[:nc]
-	for i := 0; i < k; i++ {
+	b2 := ls.c2[:k]
+	for i := range b2 {
 		b2[i] = 0
-	}
-	for i := k; i < nc; i++ {
-		b2[i] = -st.re[i-k]
 	}
 	if err := ls.solveAugmented(st.bchol, r1, dx, b2, ls.lam); err != nil {
 		return err
 	}
 	rNorm := r1.NormInf()
-	lam := ls.lam[:nc]
+	lam := ls.lam[:k]
 	steps := 0
 	if st.bumped {
 		steps = linkRefineSteps
 	}
 	for step := 0; step < steps; step++ {
 		// rx = r1 − (Q + reg)·dx − G_bᵀ W_b G_b dx − Cᵀλ and
-		// rl = b2 − C dx + D λ, with D = 1/w on linking rows and reg on
-		// equality rows (b2 = −re there, 0 on linking rows).
+		// rl = −C dx + D λ, with D = 1/w.
 		rx, t := ls.t1[:n], ls.t2[:n]
 		_ = st.sym.qBand.MulVec(dx, rx)
 		gdx := st.scratchM[:st.m]
@@ -200,35 +186,23 @@ func (st *ipmState) solveLinked() error {
 				resid = v
 			}
 		}
-		if st.q > 0 {
-			_ = st.p.A.MulVecT(lam[k:], t)
-			for i := range rx {
-				rx[i] -= t[i]
-			}
-		}
-		rl := ls.c2[:nc]
-		for c := 0; c < nc; c++ {
+		rl := ls.c2[:k]
+		for c := range rl {
 			var v float64
 			for e := ls.ptr[c]; e < ls.ptr[c+1]; e++ {
 				v -= ls.vals[e] * dx[ls.cols[e]]
 			}
-			if c < k {
-				v += lam[c] / st.w[st.p.Linking[c]]
-			} else {
-				v += st.reg*lam[c] - st.re[c-k]
-			}
-			rl[c] = v
+			rl[c] = v + lam[c]/st.w[st.p.Linking[c]]
 		}
-		if st.q == 0 && resid <= 1e-15*(1+rNorm) {
+		if resid <= 1e-15*(1+rNorm) {
 			break
 		}
 		if err := ls.solveAugmented(st.bchol, rx, t, rl, ls.dl); err != nil {
 			return err
 		}
 		linalg.Axpy(1, t, dx)
-		linalg.Axpy(1, ls.dl[:nc], lam)
+		linalg.Axpy(1, ls.dl[:k], lam)
 	}
-	copy(st.dy[:st.q], lam[k:])
 	return nil
 }
 
@@ -239,7 +213,7 @@ func (ls *linkSchur) solveAugmented(ch *linalg.BandCholesky, r, x, b2, lam linal
 	if err := ch.Solve(r, x); err != nil {
 		return fmt.Errorf("%v: %w", err, ErrNumerical)
 	}
-	lam = lam[:ls.nc]
+	lam = lam[:ls.k]
 	for c := range lam {
 		v := -b2[c]
 		for e := ls.ptr[c]; e < ls.ptr[c+1]; e++ {

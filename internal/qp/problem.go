@@ -1,8 +1,7 @@
 // Package qp solves convex quadratic programs of the form
 //
 //	minimize   ½ xᵀQx + qᵀx
-//	subject to G x ≤ h        (m inequality constraints)
-//	           A x = b        (p equality constraints)
+//	subject to G x ≤ h        (m ≥ 1 inequality constraints)
 //
 // with a primal–dual interior-point method (Mehrotra predictor–corrector).
 // Q must be symmetric positive semidefinite; the solver adds a tiny static
@@ -40,43 +39,34 @@ var (
 	ErrDeadline = errors.New("qp: deadline reached, returning best iterate")
 )
 
-// Problem is a convex QP instance. G/h and A/b may be nil for problems
-// without inequality or equality constraints respectively.
-//
-// Q is a linalg.Symmetric: a dense *linalg.Matrix, or a packed
-// *linalg.BandMatrix. G is any linalg.Operator: pass a dense
-// *linalg.Matrix for general constraints, or a *linalg.SparseMatrix when
-// the rows are sparse (the horizon QP's are) so KKT assembly runs
-// nnz-proportional instead of O(m·n²).
+// Problem is a convex QP instance in the one shape the solver takes: a
+// packed band Q, a CSR G with at least one row, and the rows of G that
+// couple Q's blocks declared as linking rows.
 //
 // Each interior-point iteration solves with H = Q + Gᵀdiag(w)G. The
 // solver splits it as H = H_b + A_Lᵀ W_L A_L: the band part H_b holds Q
 // and every row of G except the linking rows, and is factored with a band
-// Cholesky; the linking rows A_L (and the equality rows A, the case
-// W_L⁻¹ = 0) enter through the dense Schur complement
+// Cholesky; the linking rows A_L enter through the dense Schur complement
 // S = W_L⁻¹ + A_L H_b⁻¹ A_Lᵀ. A block-angular problem — independent
 // diagonal blocks coupled only by a few rows — keeps H_b's band as narrow
 // as one block, and S is formed block by block.
 type Problem struct {
-	Q linalg.Symmetric // n×n, symmetric PSD (dense or band)
-	C linalg.Vector    // n, linear cost term q
-	G linalg.Operator  // m×n (dense or sparse) or nil
-	H linalg.Vector    // m or nil
-	A *linalg.Matrix   // p×n or nil
-	B linalg.Vector    // p or nil
+	Q *linalg.BandMatrix   // n×n, symmetric PSD
+	C linalg.Vector        // n, linear cost term q
+	G *linalg.SparseMatrix // m×n, m ≥ 1
+	H linalg.Vector        // m
 
 	// Linking lists, strictly ascending, the rows of G kept out of the band
 	// factor and handled through the Schur complement. Nil means every row
 	// is in the band.
 	//
-	// With a band Q, Q's bandwidth is the KKT band: every row of G not in
-	// Linking must span at most that many columns (a row that does not
-	// fails the first factorization with ErrBadProblem). With a dense Q
-	// the solver scans Q and G for the band itself.
+	// Q's bandwidth is the KKT band: every row of G not in Linking must
+	// span at most that many columns (a row that does not fails the first
+	// factorization with ErrBadProblem).
 	Linking []int
 
 	// Structure, when set, is the symbolic analysis of this problem's Q,
-	// G, A and Linking (Analyze): solves read it instead of analysing the
+	// G and Linking (Analyze): solves read it instead of analysing the
 	// problem themselves. It must come from matrices identical to these;
 	// Validate rejects any other.
 	Structure *Structure
@@ -91,35 +81,26 @@ func (p *Problem) Validate() error {
 	if len(p.C) != n {
 		return fmt.Errorf("c has %d entries, n=%d: %w", len(p.C), n, ErrBadProblem)
 	}
-	if (p.G == nil) != (p.H == nil) {
-		return fmt.Errorf("G and h must both be set or both nil: %w", ErrBadProblem)
-	}
-	if p.G != nil && p.G.Rows() != len(p.H) {
+	if p.G.Rows() != len(p.H) {
 		return fmt.Errorf("G has %d rows, h has %d: %w", p.G.Rows(), len(p.H), ErrBadProblem)
 	}
-	if (p.A == nil) != (p.B == nil) {
-		return fmt.Errorf("A and b must both be set or both nil: %w", ErrBadProblem)
-	}
-	if p.A != nil && p.A.Rows() != len(p.B) {
-		return fmt.Errorf("A has %d rows, b has %d: %w", p.A.Rows(), len(p.B), ErrBadProblem)
-	}
 	if p.Structure != nil && !p.Structure.matches(p) {
-		return fmt.Errorf("structure analysed for other Q, G, A or linking rows: %w", ErrBadProblem)
+		return fmt.Errorf("structure analysed for other Q, G or linking rows: %w", ErrBadProblem)
 	}
 	return nil
 }
 
-// validateMatrices checks the fixed part of the problem — Q, G, A and
+// validateMatrices checks the fixed part of the problem — Q, G and
 // Linking — which is all Analyze reads.
 func (p *Problem) validateMatrices() error {
 	if p.Q == nil {
 		return fmt.Errorf("nil Q: %w", ErrBadProblem)
 	}
-	n := p.Q.Rows()
-	if p.Q.Cols() != n {
-		return fmt.Errorf("Q is %dx%d: %w", p.Q.Rows(), p.Q.Cols(), ErrBadProblem)
+	if p.G == nil || p.G.Rows() == 0 {
+		return fmt.Errorf("no inequality rows: %w", ErrBadProblem)
 	}
-	if p.G != nil && p.G.Cols() != n {
+	n := p.Q.Rows()
+	if p.G.Cols() != n {
 		return fmt.Errorf("G has %d cols, n=%d: %w", p.G.Cols(), n, ErrBadProblem)
 	}
 	m := p.NumIneq()
@@ -128,9 +109,6 @@ func (p *Problem) validateMatrices() error {
 			return fmt.Errorf("linking row %d (entry %d) not ascending within [0,%d): %w", r, k, m, ErrBadProblem)
 		}
 	}
-	if p.A != nil && p.A.Cols() != n {
-		return fmt.Errorf("A has %d cols, n=%d: %w", p.A.Cols(), n, ErrBadProblem)
-	}
 	return nil
 }
 
@@ -138,39 +116,7 @@ func (p *Problem) validateMatrices() error {
 func (p *Problem) NumVars() int { return p.Q.Rows() }
 
 // NumIneq returns the number of inequality constraints.
-func (p *Problem) NumIneq() int {
-	if p.G == nil {
-		return 0
-	}
-	return p.G.Rows()
-}
-
-// NumEq returns the number of equality constraints.
-func (p *Problem) NumEq() int {
-	if p.A == nil {
-		return 0
-	}
-	return p.A.Rows()
-}
-
-// Objective evaluates ½xᵀQx + qᵀx.
-func (p *Problem) Objective(x linalg.Vector) (float64, error) {
-	if len(x) != p.NumVars() {
-		return 0, fmt.Errorf("objective at x of len %d, n=%d: %w", len(x), p.NumVars(), ErrBadProblem)
-	}
-	return p.objectiveScratch(x, linalg.NewVector(len(x))), nil
-}
-
-// objectiveScratch computes the objective using caller-provided scratch of
-// length n, for per-iteration convergence checks without allocation.
-func (p *Problem) objectiveScratch(x, scratch linalg.Vector) float64 {
-	_ = p.Q.MulVec(x, scratch)
-	var s float64
-	for i, xi := range x {
-		s += xi * (0.5*scratch[i] + p.C[i])
-	}
-	return s
-}
+func (p *Problem) NumIneq() int { return p.G.Rows() }
 
 // WarmStart seeds the interior-point iteration from a previous solution of
 // a nearby problem — the same window re-solved under slightly different
@@ -187,8 +133,7 @@ type WarmStart struct {
 // Result holds the outcome of a Solve call.
 type Result struct {
 	X          linalg.Vector // primal solution
-	IneqDuals  linalg.Vector // z ≥ 0, multipliers of Gx ≤ h (nil if m = 0)
-	EqDuals    linalg.Vector // y, multipliers of Ax = b (nil if p = 0)
+	IneqDuals  linalg.Vector // z ≥ 0, multipliers of Gx ≤ h
 	Objective  float64       // objective value at X
 	Iterations int           // IPM iterations performed
 	Gap        float64       // final average complementarity gap sᵀz/m
@@ -211,7 +156,7 @@ type AnytimeInfo struct {
 	Mu         float64 // average complementarity gap sᵀz/m at the snapshot
 	PrimalRes  float64 // primal residual ∞-norm at the snapshot
 	DualRes    float64 // dual residual ∞-norm at the snapshot
-	Merit      float64 // objective + anytimeInfeasWeight·(primal+eq residual)
+	Merit      float64 // objective + anytimeInfeasWeight·primal residual
 }
 
 // Options tunes the interior-point solver. The zero value is usable via

@@ -2,7 +2,6 @@ package qp
 
 import (
 	"context"
-	"fmt"
 
 	"dspp/internal/telemetry"
 )
@@ -10,7 +9,7 @@ import (
 // Session is a persistent solver bound to one Problem instance that will
 // be solved many times as its data drifts: the per-round best-response
 // QPs of Algorithm 2, the per-step MPC solves, the cells of a horizon
-// sweep. The caller may rewrite C and H in place between solves; Q, G, A
+// sweep. The caller may rewrite C and H in place between solves; Q, G
 // and every dimension are fixed for the session's lifetime.
 //
 // Against the one-shot SolveWarmCtx path a session changes two things,
@@ -36,11 +35,8 @@ func NewSession(p *Problem, opts Options) (*Session, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if p.NumIneq() == 0 {
-		return nil, fmt.Errorf("session requires inequality constraints: %w", ErrBadProblem)
-	}
 	s := &Session{p: p, opts: opts.withDefaults()}
-	s.st = newIPMState(p, p.NumVars(), p.NumIneq(), p.NumEq())
+	s.st = newIPMState(p)
 	s.st.arena = &s.arena
 	return s, nil
 }

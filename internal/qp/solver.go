@@ -132,19 +132,9 @@ func solveWarmCtx(ctx context.Context, p *Problem, opts Options, warm *WarmStart
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-
-	n := p.NumVars()
-	m := p.NumIneq()
-	pe := p.NumEq()
-
-	if m == 0 {
-		return solveEqualityOnly(p, opts)
-	}
-
-	st := newIPMState(p, n, m, pe)
+	st := newIPMState(p)
 	defer st.release()
-	return runIPM(ctx, st, opts, warm, stats)
+	return runIPM(ctx, st, opts.withDefaults(), warm, stats)
 }
 
 // runIPM initializes the iterate from the (optional) warm start and runs
@@ -268,15 +258,14 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, warm *WarmStart, st
 		floored := st.step(alphaP, alphaD)
 		// The Newton identities give the next residuals in O(n·bw + m):
 		//   rd⁺ = (1−αd)·rd + (αp−αd)·Q·dx − αd·reg·dx
-		//   rp⁺ = (1−αp)·rp,  re⁺ = (1−αp)·re
+		//   rp⁺ = (1−αp)·rp
 		// (with linking rows rd⁺ comes from its definition instead; see
 		// updateResiduals).
 		// They only hold for the system actually solved: recompute in full
 		// when the boundary floor clipped s or z (a nonlinear update), when
 		// the factorization needed a regularization bump (reg no longer the
-		// static value), with equalities present (the Schur regularization
-		// perturbs the re identity), and periodically to flush rounding.
-		if st.q > 0 || floored || st.bumped || iter&0xf == 0xf {
+		// static value), and periodically to flush rounding.
+		if floored || st.bumped || iter&0xf == 0xf {
 			st.computeResiduals()
 		} else {
 			st.updateResiduals(alphaP, alphaD, opts.Regularize)
@@ -314,13 +303,13 @@ var residualUpdateHook func(*ipmState)
 
 // ipmState carries the working vectors of the interior-point iteration.
 type ipmState struct {
-	p       *Problem
-	n, m, q int // vars, inequalities, equalities
+	p    *Problem
+	n, m int // vars, inequalities
 
-	x, s, z, y linalg.Vector // primal, slack, ineq dual, eq dual
+	x, s, z linalg.Vector // primal, slack, dual
 
-	rd, rp, re, rc linalg.Vector // residuals
-	dx, ds, dz, dy linalg.Vector // search direction
+	rd, rp, rc linalg.Vector // residuals
+	dx, ds, dz linalg.Vector // search direction
 
 	qx   linalg.Vector // Q·x at the current iterate (objective + rd)
 	w    linalg.Vector // z/s weights
@@ -337,18 +326,18 @@ type ipmState struct {
 	// numeric phase (factorKKT) every iteration.
 	hBand *linalg.BandMatrix
 	// Constant per problem, hoisted out of the per-iteration convergence
-	// test: ‖c‖∞, ‖h‖∞ and ‖b‖∞.
-	cNorm, hNorm, bNorm float64
+	// test: ‖c‖∞ and ‖h‖∞.
+	cNorm, hNorm float64
 	// obj is the objective at the current iterate, maintained alongside the
 	// residuals.
 	obj float64
 	// szDot caches sᵀz, maintained by initPoint and step so gap() costs
 	// nothing per iteration.
 	szDot float64
-	// rdNorm/rpNorm/reNorm cache the ∞-norms of the residuals, tracked in
-	// the same passes that write them; converged() and result() read the
+	// rdNorm/rpNorm cache the ∞-norms of the residuals, tracked in the
+	// same passes that write them; converged() and result() read the
 	// cached values instead of rescanning.
-	rdNorm, rpNorm, reNorm float64
+	rdNorm, rpNorm float64
 	// fresh marks the residuals as exactly recomputed at the current
 	// iterate (vs. incrementally updated).
 	fresh bool
@@ -365,10 +354,8 @@ type ipmState struct {
 	snapMerit float64
 	snapRdN   float64
 	snapRpN   float64
-	snapReN   float64
 	snapX     linalg.Vector
 	snapZ     linalg.Vector
-	snapY     linalg.Vector
 	// bumped records that the last factorization needed the emergency
 	// regularization bump, invalidating the incremental residual identity.
 	bumped bool
@@ -378,8 +365,8 @@ type ipmState struct {
 	// storage so results stop allocating per solve.
 	arena *resultArena
 	bchol *linalg.BandCholesky
-	// link is the Schur complement of the linking and equality rows
-	// against the band factor (link.nc == 0 when there are none).
+	// link is the Schur complement of the linking rows against the band
+	// factor (link.k == 0 when there are none).
 	link linkSchur
 
 	scratchN linalg.Vector
@@ -409,7 +396,8 @@ func growVec(v linalg.Vector, n int) linalg.Vector {
 	return v[:n]
 }
 
-func newIPMState(p *Problem, n, m, q int) *ipmState {
+func newIPMState(p *Problem) *ipmState {
+	n, m := p.NumVars(), p.NumIneq()
 	st := statePool.Get().(*ipmState)
 	st.p = p
 	// The symbolic phase: shared when the problem carries its Structure,
@@ -438,10 +426,7 @@ func newIPMState(p *Problem, n, m, q int) *ipmState {
 	st.w = growVec(st.w, m)
 	st.sInv = growVec(st.sInv, m)
 	st.scratchM = growVec(st.scratchM, m)
-	st.y = growVec(st.y, q)
-	st.re = growVec(st.re, q)
-	st.dy = growVec(st.dy, q)
-	st.n, st.m, st.q = n, m, q
+	st.n, st.m = n, m
 	// Numeric layout: size the packed band, the factor (inside the
 	// structure's envelope, which analyze keeps within the band) and the
 	// Schur working set; the per-iteration numeric phase then refills and
@@ -450,16 +435,16 @@ func newIPMState(p *Problem, n, m, q int) *ipmState {
 	_ = st.bchol.SymbolicEnvelope(st.sym.bw, &st.sym.env)
 	st.link.reset(st.sym.link, n, m)
 	st.bchol.PivotFloor = 0
-	if st.link.nc > 0 {
+	if st.link.k > 0 {
 		st.bchol.PivotFloor = linkPivotFloor
 	}
 	return st
 }
 
-// dataNorms refreshes the convergence scales ‖c‖∞, ‖h‖∞ and ‖b‖∞ from
-// the problem data.
+// dataNorms refreshes the convergence scales ‖c‖∞ and ‖h‖∞ from the
+// problem data.
 func (st *ipmState) dataNorms() {
-	st.cNorm, st.hNorm, st.bNorm = st.p.C.NormInf(), st.p.H.NormInf(), st.p.B.NormInf()
+	st.cNorm, st.hNorm = st.p.C.NormInf(), st.p.H.NormInf()
 }
 
 // release returns the state to the pool. Every iterate the caller keeps is
@@ -491,7 +476,6 @@ func (st *ipmState) initPoint(warm *WarmStart) {
 			st.s[i] = slack
 			st.z[i] = 1
 		}
-		st.y.Zero()
 		return
 	}
 	copy(st.x, warm.X)
@@ -522,20 +506,17 @@ func (st *ipmState) initPoint(warm *WarmStart) {
 		}
 		st.z[i] = z
 	}
-	st.y.Zero()
 }
 
-// computeResiduals evaluates rd, rp, re, the objective, and Q·x exactly at
-// the current iterate.
+// computeResiduals evaluates rd, rp, the objective, and Q·x exactly at the
+// current iterate.
 func (st *ipmState) computeResiduals() {
 	p := st.p
-	// qx = Qx (Q's band is inside the KKT band); rd = Qx + c + Gᵀz + Aᵀy.
+	// qx = Qx; rd = Qx + c + Gᵀz.
 	_ = st.sym.qBand.MulVec(st.x, st.qx)
 	// The product Qx in hand, the objective ½xᵀQx + cᵀx falls out of the
 	// same pass; converged() and result() reuse it instead of redoing the
-	// banded product. The value matches Problem.Objective exactly: the
-	// entries the band skips are exact zeros, which cannot change an IEEE
-	// accumulation.
+	// banded product.
 	var obj float64
 	rd, qxv, c, x := st.rd[:st.n], st.qx[:st.n], p.C[:st.n], st.x[:st.n]
 	for i := range rd {
@@ -556,20 +537,6 @@ func (st *ipmState) computeResiduals() {
 			rdN = v
 		}
 	}
-	if st.q > 0 {
-		_ = p.A.MulVecT(st.y, st.scratchN)
-		rdN = 0
-		for i := range rd {
-			v := rd[i] + sn[i]
-			rd[i] = v
-			if v < 0 {
-				v = -v
-			}
-			if v > rdN {
-				rdN = v
-			}
-		}
-	}
 	st.rdNorm = rdN
 	// rp = Gx + s − h
 	_ = p.G.MulVec(st.x, st.rp)
@@ -586,23 +553,14 @@ func (st *ipmState) computeResiduals() {
 		}
 	}
 	st.rpNorm = rpN
-	// re = Ax − b
-	st.reNorm = 0
-	if st.q > 0 {
-		_ = p.A.MulVec(st.x, st.re)
-		for i := range st.re {
-			st.re[i] -= p.B[i]
-		}
-		st.reNorm = st.re.NormInf()
-	}
 	st.fresh = true
 }
 
 // updateResiduals advances rd, rp, the objective, and Q·x across the step
 // (αp, αd) from the Newton identities of the direction just taken: one
-// banded matvec with dx instead of the four matvecs of a full evaluation.
-// Only valid when q == 0, the step did not clip at the positivity floor,
-// and the factorization used the static regularization (callers check).
+// banded matvec with dx instead of the three matvecs of a full evaluation.
+// Only valid when the step did not clip at the positivity floor and the
+// factorization used the static regularization (callers check).
 //
 // With linking rows the dual residual is advanced from its definition
 // instead, rd⁺ = rd + αp·Q·dx + αd·Gᵀdz, at the price of one Gᵀ product:
@@ -614,7 +572,7 @@ func (st *ipmState) updateResiduals(alphaP, alphaD, reg float64) {
 	qdx := st.scratchN[:st.n]
 	rd, qxv, dx := st.rd[:st.n], st.qx[:st.n], st.dx[:st.n]
 	var rdN float64
-	if st.link.nc > 0 {
+	if st.link.k > 0 {
 		gdz := st.link.t1[:st.n]
 		_ = st.p.G.MulVecT(st.dz, gdz)
 		for i := range rd {
@@ -685,17 +643,15 @@ func (st *ipmState) converged(tol, mu float64) bool {
 	objScale := 1 + math.Abs(st.obj)
 	dualScale := 1 + st.cNorm
 	priScale := 1 + st.hNorm
-	eqScale := 1 + st.bNorm
 	return mu < tol*objScale &&
 		st.rdNorm < tol*dualScale*objScale &&
-		st.rpNorm < tol*priScale &&
-		st.reNorm < tol*eqScale
+		st.rpNorm < tol*priScale
 }
 
 // factorKKT runs the numeric factorization phase: refill the packed band
 // with H_b = Q + G_bᵀdiag(z/s)G_b (+ regularization) and refactorize in
-// place, then the Schur complement of the linking and equality rows. The
-// symbolic phase (layout and storage) happened once in newIPMState, so no
+// place, then the Schur complement of the linking rows. The symbolic
+// phase (layout and storage) happened once in newIPMState, so no
 // allocation occurs here.
 func (st *ipmState) factorKKT(reg float64) error {
 	st.reg = reg
@@ -709,13 +665,13 @@ func (st *ipmState) factorKKT(reg float64) error {
 	if err := st.factorKKTFull(reg); err != nil {
 		return err
 	}
-	if st.link.nc == 0 {
+	if st.link.k == 0 {
 		return nil
 	}
 	if err := st.link.formGram(st.bchol); err != nil {
 		return fmt.Errorf("schur: %v: %w", err, ErrNumerical)
 	}
-	if err := st.link.factorS(wv, st.p.Linking, reg); err != nil {
+	if err := st.link.factorS(wv, st.p.Linking); err != nil {
 		return fmt.Errorf("schur: %v: %w", err, ErrNumerical)
 	}
 	return nil
@@ -727,8 +683,8 @@ func (st *ipmState) factorKKTFull(reg float64) error {
 	// Refill the working band: Q's packed band lands in one contiguous
 	// copy, reg goes on the diagonal, then G_bᵀdiag(w)G_b is accumulated on
 	// top — the linking rows carry zero weight there, so the assembly
-	// skips them. The band is Q's (or kktBandwidth's scan); a band row of
-	// G too wide for it is the caller's error.
+	// skips them. The band is Q's; a band row of G too wide for it is the
+	// caller's error.
 	n, bw := st.n, st.sym.bw
 	_ = st.hBand.CopyFrom(st.sym.qBand)
 	st.hBand.AddDiag(reg)
@@ -760,11 +716,10 @@ func (st *ipmState) factorKKTFull(reg float64) error {
 }
 
 // solveDirection solves the reduced Newton system for the current
-// residuals (rd, rp, re, rc), storing the direction in dx/ds/dz/dy.
-// factorKKT must have been called for the current (s, z).
-// solveDirection computes the search direction for the current rc and, in
-// the same pass that forms (ds, dz), the largest steps keeping s and z
-// positive, each in (0, 1].
+// residuals (rd, rp, rc), storing the direction in dx/ds/dz, and, in the
+// same pass that forms (ds, dz), returns the largest steps keeping s and z
+// positive, each in (0, 1]. factorKKT must have been called for the
+// current (s, z).
 func (st *ipmState) solveDirection() (alphaP, alphaD float64, err error) {
 	// r1 = −rd − Gᵀ S⁻¹ (Z·rp − rc)
 	scr := st.scratchM[:st.m]
@@ -781,7 +736,7 @@ func (st *ipmState) solveDirection() (alphaP, alphaD float64, err error) {
 		r1[i] = -rd[i] - sn[i]
 	}
 
-	if st.link.nc == 0 {
+	if st.link.k == 0 {
 		if err := st.bchol.Solve(r1, st.dx); err != nil {
 			return 0, 0, fmt.Errorf("%v: %w", err, ErrNumerical)
 		}
@@ -837,13 +792,12 @@ func (st *ipmState) solveDirection() (alphaP, alphaD float64, err error) {
 	return alphaP, alphaD, nil
 }
 
-// step advances the iterate by αp along (dx, ds) and αd along (dz, dy),
+// step advances the iterate by αp along (dx, ds) and αd along dz,
 // flooring s and z away from zero. It reports whether any floor fired —
 // a nonlinear correction that invalidates the incremental residual
 // identities.
 func (st *ipmState) step(alphaP, alphaD float64) bool {
 	linalg.Axpy(alphaP, st.dx[:st.n], st.x[:st.n])
-	linalg.Axpy(alphaD, st.dy[:st.q], st.y[:st.q])
 	// s and z advance, floor, and accumulate the complementarity product
 	// sᵀz in a single pass; gap() reads the cached product instead of
 	// rescanning both vectors every iteration.
@@ -871,15 +825,15 @@ func (st *ipmState) step(alphaP, alphaD float64) bool {
 	return floored
 }
 
-// anytimeInfeasWeight converts primal/equality infeasibility into merit
-// units: an anytime snapshot is "better" when objective + weight·(‖rp‖∞ +
-// ‖re‖∞) is lower. The weight is large enough that no realistic objective
-// improvement can buy constraint violation, so the best-so-far rule walks
-// toward feasibility first and cost second — exactly the preference of a
+// anytimeInfeasWeight converts primal infeasibility into merit units: an
+// anytime snapshot is "better" when objective + weight·‖rp‖∞ is lower.
+// The weight is large enough that no realistic objective improvement can
+// buy constraint violation, so the best-so-far rule walks toward
+// feasibility first and cost second — exactly the preference of a
 // controller that must ship an implementable plan at the deadline.
 const anytimeInfeasWeight = 1e6
 
-// prepareAnytime arms (or disarms) the per-iteration snapshot. The three
+// prepareAnytime arms (or disarms) the per-iteration snapshot. The two
 // snapshot buffers grow only here, so solves without Options.Anytime keep
 // the solver's exact allocation count.
 func (st *ipmState) prepareAnytime(on bool) {
@@ -890,7 +844,6 @@ func (st *ipmState) prepareAnytime(on bool) {
 	}
 	st.snapX = growVec(st.snapX, st.n)
 	st.snapZ = growVec(st.snapZ, st.m)
-	st.snapY = growVec(st.snapY, st.q)
 }
 
 // snapshotAnytime records the current iterate when its merit beats the
@@ -898,7 +851,7 @@ func (st *ipmState) prepareAnytime(on bool) {
 // trajectory is untouched, which is what makes the no-deadline anytime
 // path bit-identical to the plain solver.
 func (st *ipmState) snapshotAnytime(iter int) {
-	merit := st.obj + anytimeInfeasWeight*(st.rpNorm+st.reNorm)
+	merit := st.obj + anytimeInfeasWeight*st.rpNorm
 	if st.snapValid && merit >= st.snapMerit {
 		return
 	}
@@ -909,10 +862,8 @@ func (st *ipmState) snapshotAnytime(iter int) {
 	st.snapMerit = merit
 	st.snapRdN = st.rdNorm
 	st.snapRpN = st.rpNorm
-	st.snapReN = st.reNorm
 	copy(st.snapX[:st.n], st.x[:st.n])
 	copy(st.snapZ[:st.m], st.z[:st.m])
-	copy(st.snapY[:st.q], st.y[:st.q])
 }
 
 // anytimeResult builds an escaping Result from the snapshot. Unlike
@@ -920,38 +871,27 @@ func (st *ipmState) snapshotAnytime(iter int) {
 // degraded, rare path, and sharing the session arena would let a partial
 // iterate overwrite a still-referenced complete plan.
 func (st *ipmState) anytimeResult(iters int) *Result {
-	need := st.n + st.m + st.q
-	buf := linalg.NewVector(need)
+	buf := linalg.NewVector(st.n + st.m)
 	x := buf[:st.n:st.n]
 	copy(x, st.snapX[:st.n])
-	z := buf[st.n : st.n+st.m : st.n+st.m]
+	z := buf[st.n:]
 	copy(z, st.snapZ[:st.m])
-	pres := st.snapRpN
-	if st.snapReN > pres {
-		pres = st.snapReN
-	}
-	res := &Result{
+	return &Result{
 		X:          x,
 		IneqDuals:  z,
 		Objective:  st.snapObj,
 		Iterations: iters,
 		Gap:        st.snapMu,
-		PrimalRes:  pres,
+		PrimalRes:  st.snapRpN,
 		DualRes:    st.snapRdN,
 		Anytime: &AnytimeInfo{
 			Iterations: st.snapIter,
 			Mu:         st.snapMu,
-			PrimalRes:  pres,
+			PrimalRes:  st.snapRpN,
 			DualRes:    st.snapRdN,
 			Merit:      st.snapMerit,
 		},
 	}
-	if st.q > 0 {
-		y := buf[st.n+st.m:]
-		copy(y, st.snapY[:st.q])
-		res.EqDuals = y
-	}
-	return res
 }
 
 // resultArena double-buffers the escaping Result storage of a Session.
@@ -969,7 +909,7 @@ func (st *ipmState) result(p *Problem, iters int, mu float64) (*Result, error) {
 	// own vectors go back to the pool), and the objective reuses the
 	// state's scratch instead of allocating. Sessions swap in their arena's
 	// off generation instead of allocating at all.
-	need := st.n + st.m + st.q
+	need := st.n + st.m
 	var buf linalg.Vector
 	var res *Result
 	if ar := st.arena; ar != nil {
@@ -983,7 +923,7 @@ func (st *ipmState) result(p *Problem, iters int, mu float64) (*Result, error) {
 	}
 	x := buf[:st.n:st.n]
 	copy(x, st.x)
-	z := buf[st.n : st.n+st.m : st.n+st.m]
+	z := buf[st.n:need:need]
 	copy(z, st.z)
 	*res = Result{
 		X:          x,
@@ -991,89 +931,8 @@ func (st *ipmState) result(p *Problem, iters int, mu float64) (*Result, error) {
 		Objective:  st.obj,
 		Iterations: iters,
 		Gap:        mu,
-		PrimalRes:  math.Max(st.rpNorm, st.reNorm),
+		PrimalRes:  st.rpNorm,
 		DualRes:    st.rdNorm,
 	}
-	if st.q > 0 {
-		y := buf[st.n+st.m:]
-		copy(y, st.y)
-		res.EqDuals = y
-	}
 	return res, nil
-}
-
-// solveEqualityOnly handles problems with no inequality constraints by
-// solving the KKT system directly:
-//
-//	[Q Aᵀ; A 0] [x; y] = [−c; b]
-func solveEqualityOnly(p *Problem, opts Options) (*Result, error) {
-	n := p.NumVars()
-	q := p.NumEq()
-	hm := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			hm.Set(i, j, p.Q.At(i, j))
-		}
-		hm.Inc(i, i, opts.Regularize)
-	}
-	chol, err := linalg.NewCholesky(hm)
-	if err != nil {
-		return nil, fmt.Errorf("unconstrained Q: %v: %w", err, ErrNumerical)
-	}
-	negC := p.C.Clone()
-	negC.Scale(-1)
-	if q == 0 {
-		x := linalg.NewVector(n)
-		if err := chol.Solve(negC, x); err != nil {
-			return nil, fmt.Errorf("%v: %w", err, ErrNumerical)
-		}
-		obj, err := p.Objective(x)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{X: x, Objective: obj, Iterations: 1}, nil
-	}
-	hInvAt, err := chol.SolveMatrix(p.A.T())
-	if err != nil {
-		return nil, fmt.Errorf("%v: %w", err, ErrNumerical)
-	}
-	sc, err := linalg.Mul(p.A, hInvAt)
-	if err != nil {
-		return nil, err
-	}
-	schur, err := linalg.NewCholesky(sc)
-	if err != nil {
-		return nil, fmt.Errorf("schur: %v: %w", err, ErrNumerical)
-	}
-	hInvC := linalg.NewVector(n)
-	if err := chol.Solve(negC, hInvC); err != nil {
-		return nil, fmt.Errorf("%v: %w", err, ErrNumerical)
-	}
-	rhs := linalg.NewVector(q)
-	if err := p.A.MulVec(hInvC, rhs); err != nil {
-		return nil, err
-	}
-	for i := 0; i < q; i++ {
-		rhs[i] -= p.B[i]
-	}
-	y := linalg.NewVector(q)
-	if err := schur.Solve(rhs, y); err != nil {
-		return nil, fmt.Errorf("%v: %w", err, ErrNumerical)
-	}
-	aty := linalg.NewVector(n)
-	if err := p.A.MulVecT(y, aty); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		negC[i] -= aty[i]
-	}
-	x := linalg.NewVector(n)
-	if err := chol.Solve(negC, x); err != nil {
-		return nil, fmt.Errorf("%v: %w", err, ErrNumerical)
-	}
-	obj, err := p.Objective(x)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{X: x, EqDuals: y, Objective: obj, Iterations: 1}, nil
 }

@@ -19,6 +19,26 @@ func mustMatrix(t *testing.T, rows [][]float64) *linalg.Matrix {
 	return m
 }
 
+// fullBand packs the symmetric matrix d into a band as wide as d, so the
+// KKT band covers any row of G.
+func fullBand(d *linalg.Matrix) *linalg.BandMatrix {
+	n := d.Rows()
+	b := linalg.NewBandMatrix(n, n-1)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			_ = b.Set(i, j, d.At(i, j))
+		}
+	}
+	return b
+}
+
+// denseQP builds the solver's problem from dense test data: Q as a full
+// band, G in CSR.
+func denseQP(t *testing.T, q [][]float64, c linalg.Vector, g [][]float64, h linalg.Vector) *Problem {
+	t.Helper()
+	return &Problem{Q: fullBand(mustMatrix(t, q)), C: c, G: linalg.SparseFromDense(mustMatrix(t, g)), H: h}
+}
+
 func solveOK(t *testing.T, p *Problem) *Result {
 	t.Helper()
 	res, err := Solve(p, DefaultOptions())
@@ -29,43 +49,25 @@ func solveOK(t *testing.T, p *Problem) *Result {
 }
 
 func TestUnconstrainedQP(t *testing.T) {
-	// min ½(x₁²+x₂²) − x₁ − 2x₂  →  x = (1, 2).
-	p := &Problem{
-		Q: linalg.Identity(2),
-		C: linalg.VectorOf(-1, -2),
-	}
+	// min ½(x₁²+x₂²) − x₁ − 2x₂ under a box that never binds →
+	// x = (1, 2) with zero duals.
+	p := denseQP(t, [][]float64{{1, 0}, {0, 1}}, linalg.VectorOf(-1, -2),
+		[][]float64{{1, 0}, {0, 1}, {-1, 0}, {0, -1}}, linalg.VectorOf(10, 10, 10, 10))
 	res := solveOK(t, p)
 	if math.Abs(res.X[0]-1) > 1e-8 || math.Abs(res.X[1]-2) > 1e-8 {
 		t.Errorf("x = %v, want (1,2)", res.X)
 	}
-}
-
-func TestEqualityOnlyQP(t *testing.T) {
-	// min ½||x||² s.t. x₁+x₂ = 2  →  x = (1,1), dual y = −1.
-	p := &Problem{
-		Q: linalg.Identity(2),
-		C: linalg.NewVector(2),
-		A: mustMatrix(t, [][]float64{{1, 1}}),
-		B: linalg.VectorOf(2),
-	}
-	res := solveOK(t, p)
-	if math.Abs(res.X[0]-1) > 1e-8 || math.Abs(res.X[1]-1) > 1e-8 {
-		t.Errorf("x = %v, want (1,1)", res.X)
-	}
-	if res.EqDuals == nil || math.Abs(res.EqDuals[0]+1) > 1e-6 {
-		t.Errorf("y = %v, want [-1]", res.EqDuals)
+	for i, z := range res.IneqDuals {
+		if z > 1e-8 {
+			t.Errorf("inactive dual %d = %g, want ~0", i, z)
+		}
 	}
 }
 
 func TestBoxConstrainedQP(t *testing.T) {
 	// min ½(x−3)² s.t. 0 ≤ x ≤ 1  →  x = 1, active upper bound,
 	// dual of x ≤ 1 equals 2 (gradient x−3 at 1 is −2 → z = 2).
-	p := &Problem{
-		Q: linalg.Identity(1),
-		C: linalg.VectorOf(-3),
-		G: mustMatrix(t, [][]float64{{1}, {-1}}),
-		H: linalg.VectorOf(1, 0),
-	}
+	p := denseQP(t, [][]float64{{1}}, linalg.VectorOf(-3), [][]float64{{1}, {-1}}, linalg.VectorOf(1, 0))
 	res := solveOK(t, p)
 	if math.Abs(res.X[0]-1) > 1e-6 {
 		t.Errorf("x = %v, want 1", res.X)
@@ -79,19 +81,14 @@ func TestBoxConstrainedQP(t *testing.T) {
 }
 
 func TestProjectionOntoSimplex(t *testing.T) {
-	// min ½||x − y||² s.t. 1ᵀx = 1, x ≥ 0, y = (0.9, 0.6, −0.5).
-	// Known projection: (0.65, 0.35, 0).
+	// min ½||x − y||² s.t. 1ᵀx ≤ 1, x ≥ 0, y = (0.9, 0.6, −0.5). The
+	// projection onto x ≥ 0 alone sums to 1.5, so 1ᵀx ≤ 1 binds and the
+	// answer is the projection onto the simplex: (0.65, 0.35, 0).
 	y := linalg.VectorOf(0.9, 0.6, -0.5)
 	c := y.Clone()
 	c.Scale(-1)
-	p := &Problem{
-		Q: linalg.Identity(3),
-		C: c,
-		G: mustMatrix(t, [][]float64{{-1, 0, 0}, {0, -1, 0}, {0, 0, -1}}),
-		H: linalg.NewVector(3),
-		A: mustMatrix(t, [][]float64{{1, 1, 1}}),
-		B: linalg.VectorOf(1),
-	}
+	p := denseQP(t, [][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}, c,
+		[][]float64{{1, 1, 1}, {-1, 0, 0}, {0, -1, 0}, {0, 0, -1}}, linalg.VectorOf(1, 0, 0, 0))
 	res := solveOK(t, p)
 	want := []float64{0.65, 0.35, 0}
 	for i := range want {
@@ -104,17 +101,13 @@ func TestProjectionOntoSimplex(t *testing.T) {
 func TestLPviaQP(t *testing.T) {
 	// Pure LP (Q = 0): min −x₁−x₂ s.t. x₁+2x₂ ≤ 4, x ≥ 0, x₁ ≤ 3.
 	// Optimum at vertex (3, 0.5) with objective −3.5.
-	p := &Problem{
-		Q: linalg.NewMatrix(2, 2),
-		C: linalg.VectorOf(-1, -1),
-		G: mustMatrix(t, [][]float64{
+	p := denseQP(t, [][]float64{{0, 0}, {0, 0}}, linalg.VectorOf(-1, -1),
+		[][]float64{
 			{1, 2},
 			{-1, 0},
 			{0, -1},
 			{1, 0},
-		}),
-		H: linalg.VectorOf(4, 0, 0, 3),
-	}
+		}, linalg.VectorOf(4, 0, 0, 3))
 	res := solveOK(t, p)
 	if math.Abs(res.X[0]-3) > 1e-5 || math.Abs(res.X[1]-0.5) > 1e-5 {
 		t.Errorf("x = %v, want (3, 0.5)", res.X)
@@ -125,23 +118,23 @@ func TestLPviaQP(t *testing.T) {
 }
 
 func TestValidateErrors(t *testing.T) {
+	one := linalg.NewBandMatrix(1, 0)
+	_ = one.Set(0, 0, 1)
+	row := linalg.SparseFromDense(linalg.Identity(1))
 	cases := []struct {
 		name string
 		p    *Problem
 	}{
-		{"nil Q", &Problem{C: linalg.VectorOf(1)}},
-		{"non-square Q", &Problem{Q: linalg.NewMatrix(2, 3), C: linalg.VectorOf(1, 2)}},
-		{"c wrong len", &Problem{Q: linalg.Identity(2), C: linalg.VectorOf(1)}},
-		{"G without h", &Problem{Q: linalg.Identity(1), C: linalg.VectorOf(0), G: linalg.Identity(1)}},
-		{"G col mismatch", &Problem{Q: linalg.Identity(1), C: linalg.VectorOf(0),
-			G: linalg.NewMatrix(1, 2), H: linalg.VectorOf(1)}},
-		{"G row mismatch", &Problem{Q: linalg.Identity(1), C: linalg.VectorOf(0),
-			G: linalg.NewMatrix(2, 1), H: linalg.VectorOf(1)}},
-		{"A without b", &Problem{Q: linalg.Identity(1), C: linalg.VectorOf(0), A: linalg.Identity(1)}},
-		{"A col mismatch", &Problem{Q: linalg.Identity(1), C: linalg.VectorOf(0),
-			A: linalg.NewMatrix(1, 2), B: linalg.VectorOf(1)}},
-		{"A row mismatch", &Problem{Q: linalg.Identity(1), C: linalg.VectorOf(0),
-			A: linalg.NewMatrix(2, 1), B: linalg.VectorOf(1)}},
+		{"nil Q", &Problem{C: linalg.VectorOf(1), G: row, H: linalg.VectorOf(1)}},
+		{"nil G", &Problem{Q: one, C: linalg.VectorOf(0)}},
+		{"G without rows", &Problem{Q: one, C: linalg.VectorOf(0),
+			G: linalg.SparseFromDense(linalg.NewMatrix(0, 1)), H: linalg.VectorOf()}},
+		{"c wrong len", &Problem{Q: one, C: linalg.VectorOf(1, 2), G: row, H: linalg.VectorOf(1)}},
+		{"G without h", &Problem{Q: one, C: linalg.VectorOf(0), G: row}},
+		{"G col mismatch", &Problem{Q: one, C: linalg.VectorOf(0),
+			G: linalg.SparseFromDense(linalg.NewMatrix(1, 2)), H: linalg.VectorOf(1)}},
+		{"G row mismatch", &Problem{Q: one, C: linalg.VectorOf(0),
+			G: linalg.SparseFromDense(linalg.NewMatrix(2, 1)), H: linalg.VectorOf(1)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -168,7 +161,7 @@ func TestOptionsDefaults(t *testing.T) {
 func checkKKT(t *testing.T, p *Problem, res *Result, tol float64) {
 	t.Helper()
 	n := p.NumVars()
-	// Stationarity: Qx + c + Gᵀz + Aᵀy ≈ 0.
+	// Stationarity: Qx + c + Gᵀz ≈ 0.
 	grad := linalg.NewVector(n)
 	if err := p.Q.MulVec(res.X, grad); err != nil {
 		t.Fatal(err)
@@ -176,55 +169,31 @@ func checkKKT(t *testing.T, p *Problem, res *Result, tol float64) {
 	for i := range grad {
 		grad[i] += p.C[i]
 	}
-	if p.G != nil {
-		gtz := linalg.NewVector(n)
-		if err := p.G.MulVecT(res.IneqDuals, gtz); err != nil {
-			t.Fatal(err)
-		}
-		for i := range grad {
-			grad[i] += gtz[i]
-		}
+	gtz := linalg.NewVector(n)
+	if err := p.G.MulVecT(res.IneqDuals, gtz); err != nil {
+		t.Fatal(err)
 	}
-	if p.A != nil {
-		aty := linalg.NewVector(n)
-		if err := p.A.MulVecT(res.EqDuals, aty); err != nil {
-			t.Fatal(err)
-		}
-		for i := range grad {
-			grad[i] += aty[i]
-		}
+	for i := range grad {
+		grad[i] += gtz[i]
 	}
 	if g := grad.NormInf(); g > tol {
 		t.Errorf("stationarity violated: %g", g)
 	}
 	// Primal feasibility + complementary slackness.
-	if p.G != nil {
-		gx := linalg.NewVector(p.NumIneq())
-		if err := p.G.MulVec(res.X, gx); err != nil {
-			t.Fatal(err)
-		}
-		for i := range gx {
-			slack := p.H[i] - gx[i]
-			if slack < -tol {
-				t.Errorf("ineq %d violated by %g", i, -slack)
-			}
-			if res.IneqDuals[i] < -tol {
-				t.Errorf("dual %d negative: %g", i, res.IneqDuals[i])
-			}
-			if cs := math.Abs(slack * res.IneqDuals[i]); cs > tol*10 {
-				t.Errorf("complementarity %d: %g", i, cs)
-			}
-		}
+	gx := linalg.NewVector(p.NumIneq())
+	if err := p.G.MulVec(res.X, gx); err != nil {
+		t.Fatal(err)
 	}
-	if p.A != nil {
-		ax := linalg.NewVector(p.NumEq())
-		if err := p.A.MulVec(res.X, ax); err != nil {
-			t.Fatal(err)
+	for i := range gx {
+		slack := p.H[i] - gx[i]
+		if slack < -tol {
+			t.Errorf("ineq %d violated by %g", i, -slack)
 		}
-		for i := range ax {
-			if math.Abs(ax[i]-p.B[i]) > tol {
-				t.Errorf("eq %d violated: %g", i, ax[i]-p.B[i])
-			}
+		if res.IneqDuals[i] < -tol {
+			t.Errorf("dual %d negative: %g", i, res.IneqDuals[i])
+		}
+		if cs := math.Abs(slack * res.IneqDuals[i]); cs > tol*10 {
+			t.Errorf("complementarity %d: %g", i, cs)
 		}
 	}
 }
@@ -244,11 +213,12 @@ func TestKKTOnRandomProblems(t *testing.T) {
 }
 
 // randomFeasibleQP builds a strictly convex QP whose feasible set contains
-// the origin's neighbourhood (h ≥ 1), so it is always solvable.
+// the origin's neighbourhood (h ≥ 1), so it is always solvable. G's rows
+// are dense, so Q, diagonal, is stored in a full band.
 func randomFeasibleQP(rng *rand.Rand, n, m int) *Problem {
-	q := linalg.NewMatrix(n, n)
+	q := linalg.NewBandMatrix(n, n-1)
 	for i := 0; i < n; i++ {
-		q.Set(i, i, 0.5+rng.Float64()*2)
+		_ = q.Set(i, i, 0.5+rng.Float64()*2)
 	}
 	c := linalg.NewVector(n)
 	for i := range c {
@@ -262,7 +232,7 @@ func randomFeasibleQP(rng *rand.Rand, n, m int) *Problem {
 		}
 		h[i] = 1 + rng.Float64()*3
 	}
-	return &Problem{Q: q, C: c, G: g, H: h}
+	return &Problem{Q: q, C: c, G: linalg.SparseFromDense(g), H: h}
 }
 
 // bruteForceQP solves a small QP by enumerating active sets. For each
@@ -271,6 +241,7 @@ func randomFeasibleQP(rng *rand.Rand, n, m int) *Problem {
 func bruteForceQP(p *Problem) (linalg.Vector, float64, bool) {
 	n := p.NumVars()
 	m := p.NumIneq()
+	q := p.Q.ToDense()
 	best := math.Inf(1)
 	var bestX linalg.Vector
 	for mask := 0; mask < (1 << m); mask++ {
@@ -286,25 +257,16 @@ func bruteForceQP(p *Problem) (linalg.Vector, float64, bool) {
 				rhs = append(rhs, p.H[i])
 			}
 		}
-		sub := &Problem{Q: p.Q, C: p.C}
-		if len(rows) > 0 {
-			a, err := linalg.MatrixFromRows(rows)
-			if err != nil {
-				continue
-			}
-			sub.A = a
-			sub.B = linalg.VectorOf(rhs...)
-			if len(rows) > n {
-				continue // overdetermined active set
-			}
+		if len(rows) > n {
+			continue // overdetermined active set
 		}
-		res, err := Solve(sub, DefaultOptions())
-		if err != nil {
+		x, obj, ok := equalityQP(q, p.C, rows, rhs)
+		if !ok {
 			continue
 		}
 		// Check feasibility of inactive constraints.
 		gx := linalg.NewVector(m)
-		if err := p.G.MulVec(res.X, gx); err != nil {
+		if err := p.G.MulVec(x, gx); err != nil {
 			continue
 		}
 		feasible := true
@@ -314,12 +276,49 @@ func bruteForceQP(p *Problem) (linalg.Vector, float64, bool) {
 				break
 			}
 		}
-		if feasible && res.Objective < best {
-			best = res.Objective
-			bestX = res.X
+		if feasible && obj < best {
+			best = obj
+			bestX = x
 		}
 	}
 	return bestX, best, bestX != nil
+}
+
+// equalityQP solves min ½xᵀQx + cᵀx s.t. a x = b directly from its KKT
+// system [Q aᵀ; a 0] [x; y] = [−c; b], and returns x and the objective.
+// ok is false when the system is singular.
+func equalityQP(q *linalg.Matrix, c linalg.Vector, a [][]float64, b []float64) (x linalg.Vector, obj float64, ok bool) {
+	n, k := q.Rows(), len(a)
+	kkt := linalg.NewMatrix(n+k, n+k)
+	rhs := linalg.NewVector(n + k)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			kkt.Set(i, j, q.At(i, j))
+		}
+		rhs[i] = -c[i]
+	}
+	for r, row := range a {
+		for j, v := range row {
+			kkt.Set(n+r, j, v)
+			kkt.Set(j, n+r, v)
+		}
+		rhs[n+r] = b[r]
+	}
+	lu, err := linalg.NewLU(kkt)
+	if err != nil {
+		return nil, 0, false
+	}
+	sol := linalg.NewVector(n + k)
+	if err := lu.Solve(rhs, sol); err != nil {
+		return nil, 0, false
+	}
+	x = sol[:n]
+	qx := linalg.NewVector(n)
+	_ = q.MulVec(x, qx)
+	for i := range x {
+		obj += x[i] * (0.5*qx[i] + c[i])
+	}
+	return x, obj, true
 }
 
 func TestAgainstActiveSetBruteForce(t *testing.T) {

@@ -8,8 +8,10 @@ import (
 	"dspp/internal/linalg"
 )
 
-// TestSparseDenseEquivalence checks the tentpole contract: solving the
-// same QP with a dense G and with its CSR form must land on the same
+// TestSparseDenseEquivalence solves one QP through both factorizations
+// of its KKT system: every row of G in a full (dense) band, and a
+// diagonal band with every row of G a linking row, so the rows enter
+// through the dense Schur complement instead. Both must land on the same
 // primal/dual point to 1e-6 relative.
 func TestSparseDenseEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -19,28 +21,31 @@ func TestSparseDenseEquivalence(t *testing.T) {
 		p := randomFeasibleQP(rng, n, m)
 		dense, err := Solve(p, DefaultOptions())
 		if err != nil {
-			t.Fatalf("trial %d dense: %v", trial, err)
+			t.Fatalf("trial %d full band: %v", trial, err)
 		}
-		sp := &Problem{
-			Q: p.Q, C: p.C, A: p.A, B: p.B, H: p.H,
-			G: linalg.SparseFromDense(p.G.(*linalg.Matrix)),
+		sp := &Problem{Q: linalg.NewBandMatrix(n, 0), C: p.C, G: p.G, H: p.H}
+		for i := 0; i < n; i++ {
+			_ = sp.Q.Set(i, i, p.Q.At(i, i))
+		}
+		for r := 0; r < m; r++ {
+			sp.Linking = append(sp.Linking, r)
 		}
 		sparse, err := Solve(sp, DefaultOptions())
 		if err != nil {
-			t.Fatalf("trial %d sparse: %v", trial, err)
+			t.Fatalf("trial %d linking: %v", trial, err)
 		}
 		relTol := 1e-6
 		if math.Abs(dense.Objective-sparse.Objective) > relTol*(1+math.Abs(dense.Objective)) {
-			t.Fatalf("trial %d: objectives %g (dense) vs %g (sparse)", trial, dense.Objective, sparse.Objective)
+			t.Fatalf("trial %d: objectives %g (band) vs %g (linking)", trial, dense.Objective, sparse.Objective)
 		}
 		for i := range dense.X {
 			if math.Abs(dense.X[i]-sparse.X[i]) > relTol*(1+math.Abs(dense.X[i])) {
-				t.Fatalf("trial %d: x[%d] %g (dense) vs %g (sparse)", trial, i, dense.X[i], sparse.X[i])
+				t.Fatalf("trial %d: x[%d] %g (band) vs %g (linking)", trial, i, dense.X[i], sparse.X[i])
 			}
 		}
 		for i := range dense.IneqDuals {
 			if math.Abs(dense.IneqDuals[i]-sparse.IneqDuals[i]) > 1e-5*(1+math.Abs(dense.IneqDuals[i])) {
-				t.Fatalf("trial %d: z[%d] %g (dense) vs %g (sparse)", trial, i, dense.IneqDuals[i], sparse.IneqDuals[i])
+				t.Fatalf("trial %d: z[%d] %g (band) vs %g (linking)", trial, i, dense.IneqDuals[i], sparse.IneqDuals[i])
 			}
 		}
 	}

@@ -8,9 +8,9 @@ import (
 )
 
 // Structure is the symbolic phase of the solver: everything about a
-// problem that depends only on its fixed part — Q, G, A and the linking
-// rows — and not on C, H, B or the iterate. It holds the KKT band and
-// Q's packed band, the envelope of the band part H_b, H_b's diagonal
+// problem that depends only on its fixed part — Q, G and the linking
+// rows — and not on C, H or the iterate. It holds the KKT band, the
+// envelope of the band part H_b, H_b's diagonal
 // blocks, the coupling rows in CSR form with their per-block slots, and
 // the scatter map that forms C H_b⁻¹ Cᵀ from each block's inverse.
 //
@@ -20,20 +20,11 @@ import (
 // by every solve.
 type Structure struct {
 	// The analysed data: Problem.Validate rejects a Structure paired with
-	// other matrices.
-	qm      linalg.Symmetric
-	g       linalg.Operator
-	a       *linalg.Matrix
+	// other matrices. Q's bandwidth bw is the half-bandwidth of H_b.
+	qBand   *linalg.BandMatrix
+	g       *linalg.SparseMatrix
 	linking []int
-
-	// bw is the half-bandwidth of H_b: Q's, or for a dense Q the result of
-	// kktBandwidth's scan (n−1 when G is dense).
-	bw int
-	// qBand is Q's band in packed storage: a band Q itself, or qOwn holding
-	// a dense Q's band. The per-iteration KKT refill is then one contiguous
-	// copy and the residual products walk packed rows.
-	qBand *linalg.BandMatrix
-	qOwn  linalg.BandMatrix
+	bw      int
 	// env is H_b's envelope, from its structural pattern: Q's band and the
 	// band rows of G. Every band kernel iterates inside it.
 	env   linalg.Envelope
@@ -50,15 +41,15 @@ var noLinks linkSymbolic
 // linkSymbolic is the symbolic half of the linking-row Schur complement
 // (linkSchur holds the numeric half).
 type linkSymbolic struct {
-	k, nc int // linking rows of G (coupling rows 0..k−1); all coupling rows
+	k int // linking rows of G
 
-	// Coupling rows in CSR form: the k linking rows of G, then A's rows.
+	// The linking rows in CSR form.
 	ptr  []int
 	cols []int
 	vals []float64
 
 	// Touched diagonal blocks of H_b. Block j spans rows [lo[j], hi[j]) and
-	// owns slots slot[j] .. slot[j+1]−1. Slot s belongs to coupling row
+	// owns slots slot[j] .. slot[j+1]−1. Slot s belongs to linking row
 	// row[s] (ascending within a block); its entries inside the block are
 	// cols/vals[eLo[s]:eHi[s]].
 	lo, hi, slot  []int
@@ -85,13 +76,13 @@ type linkSymbolic struct {
 type gramTerm struct{ s, z int32 }
 
 // sIndex is the position of S(a, b), b ≤ a, in S's packed storage (S is
-// dense: half-bandwidth nc−1).
-func (ls *linkSymbolic) sIndex(a, b int) int { return a*ls.nc + b + ls.nc - 1 - a }
+// dense: half-bandwidth k−1).
+func (ls *linkSymbolic) sIndex(a, b int) int { return a*ls.k + b + ls.k - 1 - a }
 
-// Analyze runs the symbolic phase for p's Q, G, A and Linking (C, H and
-// B are not read and may be nil). The result may be set as
-// Problem.Structure on every problem that shares those matrices (by
-// identity) and linking rows, whatever their C, H and B.
+// Analyze runs the symbolic phase for p's Q, G and Linking (C and H are
+// not read and may be nil). The result may be set as Problem.Structure on
+// every problem that shares those matrices (by identity) and linking
+// rows, whatever their C and H.
 func Analyze(p *Problem) (*Structure, error) {
 	if err := p.validateMatrices(); err != nil {
 		return nil, err
@@ -108,88 +99,73 @@ func Analyze(p *Problem) (*Structure, error) {
 
 // matches reports whether s was analysed for p's fixed part.
 func (s *Structure) matches(p *Problem) bool {
-	return s.qm == p.Q && s.g == p.G && s.a == p.A && slices.Equal(s.linking, p.Linking)
+	return s.qBand == p.Q && s.g == p.G && slices.Equal(s.linking, p.Linking)
 }
 
 // release drops s's references to the analysed problem, so a pooled
 // solver state does not keep it alive.
 func (s *Structure) release() {
-	s.qm, s.g, s.a, s.qBand = nil, nil, nil, nil
+	s.qBand, s.g = nil, nil
 }
 
 // analyze fills s for p, reusing s's storage: allocation-free once the
 // buffers have grown to p's shape.
 func (s *Structure) analyze(p *Problem) {
-	n, m, q := p.NumVars(), p.NumIneq(), p.NumEq()
-	s.qm, s.g, s.a = p.Q, p.G, p.A
+	n, m := p.NumVars(), p.NumIneq()
+	s.qBand, s.g, s.bw = p.Q, p.G, p.Q.Bandwidth()
 	s.linking = append(s.linking[:0], p.Linking...)
-	if qb, ok := p.Q.(*linalg.BandMatrix); ok {
-		s.qBand, s.bw = qb, qb.Bandwidth()
-	} else {
-		s.bw = kktBandwidth(p, n)
-		s.qOwn.Reset(n, s.bw)
-		_ = s.qOwn.CopyLowerBand(p.Q)
-		s.qBand = &s.qOwn
-	}
 
 	// H_b's envelope: row i starts at Q's first nonzero in it or at the
 	// first column of a band row of G that covers it, whichever is
-	// leftmost. A dense G may couple anything, so it gets the whole band.
-	// A G row wider than the band is clamped here and rejected by the
-	// first assembly.
+	// leftmost. A G row wider than the band is clamped here and rejected
+	// by the first assembly.
 	first := growInts(s.first, n)
 	bw := s.bw
 	for i := range first {
-		first[i] = max(0, i-bw)
+		first[i] = i
+		row := p.Q.Row(i)
+		for d := 0; d < bw; d++ {
+			if j := i - bw + d; j >= 0 && row[d] != 0 {
+				first[i] = j
+				break
+			}
+		}
 	}
-	if gs, sparse := p.G.(*linalg.SparseMatrix); sparse {
-		for i := range first {
-			first[i] = i
-			row := s.qBand.Row(i)
-			for d := 0; d < bw; d++ {
-				if j := i - bw + d; j >= 0 && row[d] != 0 {
-					first[i] = j
-					break
-				}
+	lk := p.Linking
+	for r := 0; r < m; r++ {
+		if len(lk) > 0 && lk[0] == r {
+			lk = lk[1:]
+			continue
+		}
+		if cols, _ := p.G.RowEntries(r); len(cols) > 0 {
+			for c := cols[0]; c <= cols[len(cols)-1]; c++ {
+				first[c] = min(first[c], cols[0])
 			}
 		}
-		lk := p.Linking
-		for r := 0; r < m; r++ {
-			if len(lk) > 0 && lk[0] == r {
-				lk = lk[1:]
-				continue
-			}
-			if cols, _ := gs.RowEntries(r); len(cols) > 0 {
-				for c := cols[0]; c <= cols[len(cols)-1]; c++ {
-					first[c] = min(first[c], cols[0])
-				}
-			}
-		}
-		for i := range first {
-			first[i] = max(first[i], i-bw)
-		}
+	}
+	for i := range first {
+		first[i] = max(first[i], i-bw)
 	}
 	s.first = first
 	_ = s.env.Set(first) // 0 ≤ first[i] ≤ i by construction
 
 	if s.link == nil || s.link == &noLinks {
-		if len(p.Linking)+q == 0 {
+		if len(p.Linking) == 0 {
 			s.link = &noLinks
 			return
 		}
 		s.link = &linkSymbolic{}
 	}
-	s.link.analyze(p, &s.env, n, q)
+	s.link.analyze(p, &s.env, n)
 }
 
 // analyze lays out the Schur pieces. The diagonal blocks of H_b are read
 // off its envelope: column c closes a block when no row after c reaches
 // it.
-func (ls *linkSymbolic) analyze(p *Problem, env *linalg.Envelope, n, q int) {
+func (ls *linkSymbolic) analyze(p *Problem, env *linalg.Envelope, n int) {
 	ls.k = len(p.Linking)
-	ls.nc = ls.k + q
 	ls.widest = 0
-	if ls.nc == 0 {
+	if ls.k == 0 {
 		return
 	}
 	bnd := append(ls.bnd[:0], 0)
@@ -203,28 +179,25 @@ func (ls *linkSymbolic) analyze(p *Problem, env *linalg.Envelope, n, q int) {
 	ptr := append(ls.ptr[:0], 0)
 	cols, vals := ls.cols[:0], ls.vals[:0]
 	for _, r := range p.Linking {
-		cols, vals = appendRow(p.G, r, cols, vals)
-		ptr = append(ptr, len(cols))
-	}
-	for r := 0; r < q; r++ {
-		cols, vals = appendRow(p.A, r, cols, vals)
+		rc, rv := p.G.RowEntries(r)
+		cols, vals = append(cols, rc...), append(vals, rv...)
 		ptr = append(ptr, len(cols))
 	}
 	ls.ptr, ls.cols, ls.vals = ptr, cols, vals
 
-	// One slot per (block, coupling row) pair, keyed block-major so the
+	// One slot per (block, linking row) pair, keyed block-major so the
 	// sort groups each block's slots with their rows ascending. A slot
 	// holds at least one entry, so len(cols) bounds their count.
 	key, row := growCap(ls.key, len(cols)), growCap(ls.row, len(cols))
 	eLo, eHi := growCap(ls.eLo, len(cols)), growCap(ls.eHi, len(cols))
-	for c := 0; c < ls.nc; c++ {
+	for c := 0; c < ls.k; c++ {
 		for e := ptr[c]; e < ptr[c+1]; {
 			j := sort.SearchInts(bnd, cols[e]+1) - 1
 			f := e + 1
 			for f < ptr[c+1] && cols[f] < bnd[j+1] {
 				f++
 			}
-			key = append(key, j*ls.nc+c)
+			key = append(key, j*ls.k+c)
 			row = append(row, c)
 			eLo = append(eLo, e)
 			eHi = append(eHi, f)
@@ -237,8 +210,8 @@ func (ls *linkSymbolic) analyze(p *Problem, env *linalg.Envelope, n, q int) {
 	nb := len(bnd) - 1 // every block, touched or not
 	lo, hi, slot := growCap(ls.lo, nb), growCap(ls.hi, nb), growCap(ls.slot, nb+1)
 	for s, kv := range key {
-		j := kv / ls.nc
-		if s == 0 || j != key[s-1]/ls.nc {
+		j := kv / ls.k
+		if s == 0 || j != key[s-1]/ls.k {
 			lo = append(lo, bnd[j])
 			hi = append(hi, bnd[j+1])
 			slot = append(slot, s)
@@ -303,41 +276,6 @@ func (o slotOrder) Swap(a, b int) {
 	ls.row[a], ls.row[b] = ls.row[b], ls.row[a]
 	ls.eLo[a], ls.eLo[b] = ls.eLo[b], ls.eLo[a]
 	ls.eHi[a], ls.eHi[b] = ls.eHi[b], ls.eHi[a]
-}
-
-// kktBandwidth bounds the half-bandwidth of H = Q + Gᵀdiag(w)G for a
-// dense Q and any diagonal weights: the Gram bandwidth advertised by G
-// widened to cover Q's own band, found by an O(n²) scan — once per
-// structure. A dense G (no GramBandwidth method) means a dense H.
-func kktBandwidth(p *Problem, n int) int {
-	g, ok := p.G.(interface{ GramBandwidth() int })
-	if !ok {
-		return n - 1
-	}
-	bw := g.GramBandwidth()
-	for i := 0; i < n && bw < n-1; i++ {
-		for j := 0; j < i-bw; j++ {
-			if p.Q.At(i, j) != 0 || p.Q.At(j, i) != 0 {
-				bw = i - j
-			}
-		}
-	}
-	return bw
-}
-
-// appendRow appends row r of op's nonzeros (ascending columns).
-func appendRow(op linalg.Operator, r int, cols []int, vals []float64) ([]int, []float64) {
-	if sp, isSparse := op.(*linalg.SparseMatrix); isSparse {
-		rc, rv := sp.RowEntries(r)
-		return append(cols, rc...), append(vals, rv...)
-	}
-	for j := 0; j < op.Cols(); j++ {
-		if v := op.At(r, j); v != 0 {
-			cols = append(cols, j)
-			vals = append(vals, v)
-		}
-	}
-	return cols, vals
 }
 
 // growCap returns v emptied, with capacity for at least n entries.

@@ -4,34 +4,17 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-
-	"dspp/internal/linalg"
 )
 
 // structureCases are problems that exercise every part of the symbolic
-// phase: a dense Q and G (the bandwidth scan, no coupling rows), linking
-// rows over equal blocks, linking plus an equality row, and the
-// mixed-width horizon shape of the daemon (8 locations on 1–4 of 4 DCs,
-// 5 steps).
-func structureCases(t *testing.T) map[string]*Problem {
-	t.Helper()
+// phase: dense rows in a full band (no coupling rows), linking rows over
+// equal blocks, and the mixed-width horizon shape of the daemon
+// (8 locations on 1–4 of 4 DCs, 5 steps).
+func structureCases() map[string]*Problem {
 	rng := rand.New(rand.NewSource(31))
-	eq := blockAngularQP(rng, 5, 3, 2)
-	free, err := Solve(eq, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := linalg.NewMatrix(1, eq.Q.Rows())
-	var b float64
-	for j := 0; j < eq.Q.Rows(); j += 2 {
-		a.Set(0, j, 1)
-		b += free.X[j]
-	}
-	eq.A, eq.B = a, linalg.VectorOf(0.9*b)
 	return map[string]*Problem{
-		"dense":         randomFeasibleQP(rng, 12, 20),
+		"full-band":     randomFeasibleQP(rng, 12, 20),
 		"blocks":        blockAngularQP(rng, 8, 4, 3),
-		"blocks+eq":     eq,
 		"daemon-shaped": horizonShapedQP(rng, 4, 8, 5),
 	}
 }
@@ -40,7 +23,7 @@ func structureCases(t *testing.T) map[string]*Problem {
 // solves bit-identically to the same problem analysed by the solve
 // itself, one-shot and through a session, cold and warm.
 func TestSharedStructureBitIdentical(t *testing.T) {
-	for name, p := range structureCases(t) {
+	for name, p := range structureCases() {
 		sym, err := Analyze(p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -114,6 +114,19 @@ awk "BEGIN { exit !($sp5 >= 2) }" || {
 	echo "BENCH_5 n1000-shards8 speedup ${sp5}x vs BENCH_4 coordination, want >= 2x"; exit 1; }
 echo "BENCH_5.json present, cost gaps within 1%, no size slower than monolithic, n1000-shards8 ${sp5}x vs BENCH_4"
 
+echo "== social optimum (price of stability and anarchy) =="
+# The social-welfare QP is the optimum every equilibrium is measured
+# against: NE/SWP must sit in [1 − 1e-6, 1.15] at 2..6 players (no
+# equilibrium beats the optimum) and the best and worst starts of the
+# anarchy experiment within their bounds. The experiments binary exits 0
+# on a failed shape check, so the PASS line itself is required.
+for fig in pos poa; do
+	fig_out=$(go run ./cmd/experiments -fig "$fig")
+	echo "$fig_out"
+	echo "$fig_out" | grep -q "^shape check \[$fig\]: PASS$" || {
+		echo "shape check [$fig] did not pass"; exit 1; }
+done
+
 echo "== decomposition scaling smoke =="
 # End-to-end smoke of the coordinated sharded solve against the
 # monolithic reference at CI-friendly sizes; the shape check enforces
