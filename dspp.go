@@ -105,27 +105,17 @@ func SLAMatrix(latency [][]float64, cfg SLAConfig) ([][]float64, error) {
 }
 
 // NewController creates an MPC controller with prediction horizon W ≥ 1.
+// On solver failure a step degrades instead of erroring: it retries cold,
+// then solves a soft-constrained relaxation that sheds demand at
+// core.DefaultShedPenalty, then holds the last allocation projected onto
+// the surviving capacity — and reports the rung used on
+// StepResult.Degradation.
 func NewController(inst *Instance, horizon int, opts ...ControllerOption) (*Controller, error) {
 	return core.NewController(inst, horizon, opts...)
 }
 
-// WithQPOptions overrides the interior-point solver settings of a
-// controller.
-func WithQPOptions(opts QPOptions) ControllerOption { return core.WithQPOptions(opts) }
-
 // WithInitialState sets a controller's starting allocation.
 func WithInitialState(s State) ControllerOption { return core.WithInitialState(s) }
-
-// WithDegradation enables or disables the controller's graceful-
-// degradation ladder (enabled by default): on solver failure the step
-// retries cold, then solves a soft-constrained relaxation that sheds
-// demand, then holds the last allocation projected onto the surviving
-// capacity — and reports the rung used on StepResult.Degradation.
-func WithDegradation(enabled bool) ControllerOption { return core.WithDegradation(enabled) }
-
-// WithShedPenalty overrides the linear penalty per unit of shed demand in
-// the soft-relaxation rung (default core.DefaultShedPenalty).
-func WithShedPenalty(penalty float64) ControllerOption { return core.WithShedPenalty(penalty) }
 
 // WithBudget gives every controller step a wall-clock budget: the hard
 // solve runs under a deadline and, when it fires, the step degrades to

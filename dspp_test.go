@@ -33,7 +33,7 @@ func buildInstance(t *testing.T) *dspp.Instance {
 
 func TestPublicAPIEndToEnd(t *testing.T) {
 	inst := buildInstance(t)
-	ctrl, err := dspp.NewController(inst, 3, dspp.WithQPOptions(dspp.DefaultQPOptions()))
+	ctrl, err := dspp.NewController(inst, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

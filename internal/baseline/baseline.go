@@ -112,14 +112,13 @@ type StaticAverage struct {
 	target  core.State
 	state   core.State
 	placed  bool
-	qpOpts  qp.Options
 	periods int
 }
 
 // NewStaticAverage builds the policy from the full demand and price
 // traces (the static planner is clairvoyant about averages, a generous
 // baseline).
-func NewStaticAverage(inst *core.Instance, demand, prices [][]float64, opts qp.Options) (*StaticAverage, error) {
+func NewStaticAverage(inst *core.Instance, demand, prices [][]float64) (*StaticAverage, error) {
 	if inst == nil {
 		return nil, fmt.Errorf("nil instance: %w", ErrBadConfig)
 	}
@@ -156,7 +155,7 @@ func NewStaticAverage(inst *core.Instance, demand, prices [][]float64, opts qp.O
 		X0:     inst.NewState(),
 		Demand: [][]float64{avgD},
 		Prices: [][]float64{avgP},
-	}, opts)
+	}, qp.DefaultOptions())
 	if err != nil {
 		return nil, fmt.Errorf("static plan: %w", err)
 	}
@@ -164,7 +163,6 @@ func NewStaticAverage(inst *core.Instance, demand, prices [][]float64, opts qp.O
 		inst:   inst,
 		target: plan.X[0],
 		state:  inst.NewState(),
-		qpOpts: opts,
 	}, nil
 }
 
@@ -194,8 +192,8 @@ type Myopic struct {
 }
 
 // NewMyopic builds the policy.
-func NewMyopic(inst *core.Instance, opts qp.Options) (*Myopic, error) {
-	ctrl, err := core.NewController(inst, 1, core.WithQPOptions(opts))
+func NewMyopic(inst *core.Instance) (*Myopic, error) {
+	ctrl, err := core.NewController(inst, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -226,11 +224,10 @@ type LazyThreshold struct {
 	state  core.State
 	upper  float64
 	target float64
-	qpOpts qp.Options
 }
 
 // NewLazyThreshold builds the policy; upper > target ≥ 1.
-func NewLazyThreshold(inst *core.Instance, target, upper float64, opts qp.Options) (*LazyThreshold, error) {
+func NewLazyThreshold(inst *core.Instance, target, upper float64) (*LazyThreshold, error) {
 	if inst == nil {
 		return nil, fmt.Errorf("nil instance: %w", ErrBadConfig)
 	}
@@ -242,7 +239,6 @@ func NewLazyThreshold(inst *core.Instance, target, upper float64, opts qp.Option
 		state:  inst.NewState(),
 		upper:  upper,
 		target: target,
-		qpOpts: opts,
 	}, nil
 }
 
@@ -287,7 +283,7 @@ func (p *LazyThreshold) Step(demand, prices [][]float64) (core.State, core.State
 		X0:     p.state,
 		Demand: [][]float64{scaled},
 		Prices: prices[:1],
-	}, p.qpOpts)
+	}, qp.DefaultOptions())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dspp/internal/core"
-	"dspp/internal/qp"
 )
 
 func twoDCInstance(t *testing.T, caps []float64) *core.Instance {
@@ -111,7 +110,7 @@ func TestStaticAveragePlacesOnceAndHolds(t *testing.T) {
 	inst := twoDCInstance(t, []float64{math.Inf(1), math.Inf(1)})
 	demand := [][]float64{{1000, 0}, {3000, 0}, {2000, 0}}
 	prices := [][]float64{{1, 1}, {1, 1}, {1, 1}}
-	s, err := NewStaticAverage(inst, demand, prices, qp.DefaultOptions())
+	s, err := NewStaticAverage(inst, demand, prices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,23 +142,23 @@ func TestStaticAveragePlacesOnceAndHolds(t *testing.T) {
 
 func TestStaticAverageErrors(t *testing.T) {
 	inst := twoDCInstance(t, []float64{math.Inf(1), math.Inf(1)})
-	if _, err := NewStaticAverage(nil, nil, nil, qp.DefaultOptions()); !errors.Is(err, ErrBadConfig) {
+	if _, err := NewStaticAverage(nil, nil, nil); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("nil inst err = %v", err)
 	}
-	if _, err := NewStaticAverage(inst, nil, nil, qp.DefaultOptions()); !errors.Is(err, ErrBadConfig) {
+	if _, err := NewStaticAverage(inst, nil, nil); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("empty traces err = %v", err)
 	}
-	if _, err := NewStaticAverage(inst, [][]float64{{1}}, [][]float64{{1, 1}}, qp.DefaultOptions()); !errors.Is(err, ErrBadConfig) {
+	if _, err := NewStaticAverage(inst, [][]float64{{1}}, [][]float64{{1, 1}}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("width err = %v", err)
 	}
-	if _, err := NewStaticAverage(inst, [][]float64{{1, 1}}, [][]float64{{1}}, qp.DefaultOptions()); !errors.Is(err, ErrBadConfig) {
+	if _, err := NewStaticAverage(inst, [][]float64{{1, 1}}, [][]float64{{1}}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("price width err = %v", err)
 	}
 }
 
 func TestMyopicMatchesHorizonOneMPC(t *testing.T) {
 	inst := twoDCInstance(t, []float64{math.Inf(1), math.Inf(1)})
-	m, err := NewMyopic(inst, qp.DefaultOptions())
+	m, err := NewMyopic(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +193,7 @@ func TestMyopicMatchesHorizonOneMPC(t *testing.T) {
 
 func TestLazyThresholdHoldsThenReplans(t *testing.T) {
 	inst := twoDCInstance(t, []float64{math.Inf(1), math.Inf(1)})
-	p, err := NewLazyThreshold(inst, 1.2, 2.0, qp.DefaultOptions())
+	p, err := NewLazyThreshold(inst, 1.2, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,16 +246,16 @@ func TestLazyThresholdHoldsThenReplans(t *testing.T) {
 
 func TestLazyThresholdValidation(t *testing.T) {
 	inst := twoDCInstance(t, []float64{math.Inf(1), math.Inf(1)})
-	if _, err := NewLazyThreshold(nil, 1.2, 2, qp.DefaultOptions()); !errors.Is(err, ErrBadConfig) {
+	if _, err := NewLazyThreshold(nil, 1.2, 2); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("nil inst err = %v", err)
 	}
-	if _, err := NewLazyThreshold(inst, 0.5, 2, qp.DefaultOptions()); !errors.Is(err, ErrBadConfig) {
+	if _, err := NewLazyThreshold(inst, 0.5, 2); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("target<1 err = %v", err)
 	}
-	if _, err := NewLazyThreshold(inst, 1.5, 1.5, qp.DefaultOptions()); !errors.Is(err, ErrBadConfig) {
+	if _, err := NewLazyThreshold(inst, 1.5, 1.5); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("upper<=target err = %v", err)
 	}
-	p, _ := NewLazyThreshold(inst, 1.2, 2, qp.DefaultOptions())
+	p, _ := NewLazyThreshold(inst, 1.2, 2)
 	if _, _, err := p.Step(nil, nil); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("empty forecast err = %v", err)
 	}

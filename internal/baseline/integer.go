@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dspp/internal/core"
-	"dspp/internal/qp"
 )
 
 // IntegerMPC wraps the continuous MPC controller with the paper's §VIII
@@ -22,8 +21,8 @@ type IntegerMPC struct {
 }
 
 // NewIntegerMPC builds the policy with prediction horizon W.
-func NewIntegerMPC(inst *core.Instance, horizon int, opts qp.Options) (*IntegerMPC, error) {
-	ctrl, err := core.NewController(inst, horizon, core.WithQPOptions(opts))
+func NewIntegerMPC(inst *core.Instance, horizon int) (*IntegerMPC, error) {
+	ctrl, err := core.NewController(inst, horizon)
 	if err != nil {
 		return nil, err
 	}

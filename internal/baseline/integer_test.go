@@ -3,13 +3,11 @@ package baseline
 import (
 	"math"
 	"testing"
-
-	"dspp/internal/qp"
 )
 
 func TestIntegerMPCProducesIntegerStates(t *testing.T) {
 	inst := twoDCInstance(t, []float64{math.Inf(1), math.Inf(1)})
-	p, err := NewIntegerMPC(inst, 2, qp.DefaultOptions())
+	p, err := NewIntegerMPC(inst, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +55,12 @@ func TestIntegerMPCIntegralityGapSmall(t *testing.T) {
 	// Paper §IV argument: with tens of servers the relative cost gap of
 	// rounding is small. Compare total server-hours over a short run.
 	inst := twoDCInstance(t, []float64{math.Inf(1), math.Inf(1)})
-	intPolicy, err := NewIntegerMPC(inst, 2, qp.DefaultOptions())
+	intPolicy, err := NewIntegerMPC(inst, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var intTotal, contTotal float64
-	cont, err := NewMyopic(inst, qp.DefaultOptions())
+	cont, err := NewMyopic(inst)
 	if err != nil {
 		t.Fatal(err)
 	}

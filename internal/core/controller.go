@@ -14,9 +14,8 @@ import (
 // control period it solves the horizon QP from the current state and
 // applies only the first control action.
 //
-// By default the controller degrades gracefully instead of erroring when a
-// solve fails (see StepCtx); WithDegradation(false) restores the strict
-// fail-fast behaviour.
+// The controller degrades gracefully instead of erroring when a solve
+// fails (see StepCtx).
 type Controller struct {
 	inst    *Instance
 	horizon int
@@ -26,10 +25,6 @@ type Controller struct {
 	// its solve from the prior plan shifted by one period, which cuts
 	// interior-point iterations across the closed loop.
 	warm *HorizonWarm
-	// degrade enables the degradation ladder (default true); shedPenalty
-	// prices shed demand in the soft rung (≤ 0 means DefaultShedPenalty).
-	degrade     bool
-	shedPenalty float64
 	// budget, when positive, is the wall-clock allowance per StepCtx: the
 	// hard solve runs under a deadline and returns its best iterate when
 	// it fires (the anytime rung), fallback rungs divide what remains, and
@@ -54,27 +49,9 @@ type Controller struct {
 // ControllerOption customizes a Controller.
 type ControllerOption func(*Controller)
 
-// WithQPOptions overrides the interior-point solver settings.
-func WithQPOptions(opts qp.Options) ControllerOption {
-	return func(c *Controller) { c.opts = opts }
-}
-
 // WithInitialState sets the starting allocation (default: all zeros).
 func WithInitialState(s State) ControllerOption {
 	return func(c *Controller) { c.state = s.Clone() }
-}
-
-// WithDegradation enables or disables the graceful-degradation ladder
-// (enabled by default). Disabled, Step returns solver errors to the caller
-// exactly as the underlying solve reported them.
-func WithDegradation(enabled bool) ControllerOption {
-	return func(c *Controller) { c.degrade = enabled }
-}
-
-// WithShedPenalty overrides the linear penalty per unit of shed demand
-// used by the soft-relaxation rung (default DefaultShedPenalty).
-func WithShedPenalty(penalty float64) ControllerOption {
-	return func(c *Controller) { c.shedPenalty = penalty }
 }
 
 // WithBudget sets the per-step wall-clock budget, enabling deadline-
@@ -84,8 +61,7 @@ func WithShedPenalty(penalty float64) ControllerOption {
 // An eighth of the budget is reserved for the hold rung; consecutive
 // deadline misses exponentially shrink the hard solve's share (backoff)
 // until a solve completes cleanly again. Zero or negative disables
-// budgeting. Requires the degradation ladder (the default); with
-// WithDegradation(false) the budget is ignored.
+// budgeting.
 func WithBudget(d time.Duration) ControllerOption {
 	return func(c *Controller) { c.budget = d }
 }
@@ -111,7 +87,6 @@ func NewController(inst *Instance, horizon int, opts ...ControllerOption) (*Cont
 		horizon: horizon,
 		opts:    qp.DefaultOptions(),
 		state:   inst.NewState(),
-		degrade: true,
 	}
 	for _, o := range opts {
 		o(c)
@@ -210,8 +185,8 @@ func (c *Controller) Step(demand, prices [][]float64) (*StepResult, error) {
 }
 
 // StepCtx is Step with cooperative cancellation and the graceful-
-// degradation ladder. When a solve fails and degradation is enabled
-// (the default) the controller walks down the ladder instead of erroring:
+// degradation ladder. When a solve fails the controller walks down the
+// ladder instead of erroring:
 //
 //  1. warm-started hard QP (cold-restarted once on numerical failure);
 //  2. anytime — with a WithBudget allowance, a hard solve that hits its
@@ -219,8 +194,9 @@ func (c *Controller) Step(demand, prices [][]float64) (*StepResult, error) {
 //     projected onto capacity so the plan is implementable (only under a
 //     budget; without one a deadline never fires from inside the step);
 //  3. soft-constrained relaxation — capacity stays hard, demand gains
-//     penalized slack, so the step reports shed demand instead of failing
-//     when the surviving capacity cannot carry the load;
+//     slack priced at DefaultShedPenalty, so the step reports shed
+//     demand instead of failing when the surviving capacity cannot carry
+//     the load;
 //  4. hold-last-plan — the current allocation projected onto the
 //     surviving capacity, with zero further movement. Under a budget a
 //     reserved slice of the allowance belongs to this rung, so the
@@ -280,7 +256,7 @@ func (c *Controller) stepCtx(ctx context.Context, demand, prices [][]float64) (*
 	}
 	// The budget clock starts before the injected stall: the stall models
 	// solver latency, so it consumes the step's allowance like real work.
-	budgeted := c.degrade && c.budget > 0
+	budgeted := c.budget > 0
 	var stepStart time.Time
 	var holdFloor time.Duration
 	if budgeted {
@@ -346,7 +322,7 @@ func (c *Controller) stepCtx(ctx context.Context, demand, prices [][]float64) (*
 			}
 			deg.CapacityTrim = c.inst.projectPlanCapacity(plan, c.state, input.Prices)
 		} else {
-			if !c.degrade || errors.Is(err, ErrBadInput) || ctx.Err() != nil {
+			if errors.Is(err, ErrBadInput) || ctx.Err() != nil {
 				return nil, err
 			}
 			deg.Cause = err.Error()
@@ -367,7 +343,7 @@ func (c *Controller) stepCtx(ctx context.Context, demand, prices [][]float64) (*
 			var soft *Plan
 			softErr := context.DeadlineExceeded
 			if !skipSoft {
-				soft, softErr = c.inst.SolveHorizonSoftCtx(softCtx, input, c.opts, c.shedPenalty)
+				soft, softErr = c.inst.SolveHorizonSoftCtx(softCtx, input, c.opts)
 			}
 			switch {
 			case softErr == nil:

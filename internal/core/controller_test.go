@@ -4,8 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-
-	"dspp/internal/qp"
 )
 
 func TestNewControllerValidation(t *testing.T) {
@@ -27,7 +25,7 @@ func TestControllerAccessors(t *testing.T) {
 	inst := twoByTwo(t)
 	init := inst.NewState()
 	init[0][0] = 4
-	c, err := NewController(inst, 5, WithInitialState(init), WithQPOptions(qp.DefaultOptions()))
+	c, err := NewController(inst, 5, WithInitialState(init))
 	if err != nil {
 		t.Fatal(err)
 	}

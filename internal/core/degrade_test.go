@@ -26,7 +26,7 @@ func TestSolveHorizonSoftFeasibleMatchesHard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	soft, err := inst.SolveHorizonSoft(input, qp.DefaultOptions(), 0)
+	soft, err := inst.SolveHorizonSoft(input, qp.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestSolveHorizonSoftShedsWhenOverloaded(t *testing.T) {
 	if _, err := inst.SolveHorizon(input, qp.DefaultOptions()); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("hard solve err = %v, want ErrInfeasible", err)
 	}
-	soft, err := inst.SolveHorizonSoft(input, qp.DefaultOptions(), 0)
+	soft, err := inst.SolveHorizonSoft(input, qp.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,29 +105,20 @@ func TestStepSoftDegradation(t *testing.T) {
 	}
 }
 
-func TestStepDegradationDisabled(t *testing.T) {
-	inst := singleDC(t, 1e-3, 10)
-	c, err := NewController(inst, 3, WithDegradation(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	demand, prices := overloadForecasts(3)
-	if _, err := c.Step(demand, prices); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("strict controller err = %v, want ErrInfeasible", err)
-	}
-}
-
 func TestStepHoldRungWhenSoftFails(t *testing.T) {
-	// A NaN shed penalty makes the soft rung fail validation, pushing the
-	// ladder to its last rung: hold the allocation, projected onto the
-	// surviving capacity.
+	// A one-iteration cap at an unreachable tolerance makes both the hard
+	// and the soft solve fail, with no budget in play, pushing the ladder
+	// to its last rung: hold the allocation, projected onto the surviving
+	// capacity.
 	inst := singleDC(t, 1e-3, 10)
 	init := inst.NewState()
 	init[0][0] = 8
-	c, err := NewController(inst, 3, WithInitialState(init), WithShedPenalty(math.NaN()))
+	c, err := NewController(inst, 3, WithInitialState(init))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.opts.MaxIterations = 1
+	c.opts.Tolerance = 1e-30
 	demand, prices := overloadForecasts(3)
 	res, err := c.Step(demand, prices)
 	if err != nil {

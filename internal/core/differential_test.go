@@ -142,7 +142,7 @@ func diffCases(t *testing.T) []diffCase {
 // rows, and Q widened to the band the coupling rows reach
 // (G.GramBandwidth).
 func bandOnly(p *qp.Problem) *qp.Problem {
-	n, qbw := p.Q.Rows(), p.Q.Bandwidth()
+	n, qbw := p.Q.N(), p.Q.Bandwidth()
 	q := linalg.NewBandMatrix(n, max(qbw, p.G.GramBandwidth()))
 	for i := 0; i < n; i++ {
 		for j := max(0, i-qbw); j <= i; j++ {
@@ -152,10 +152,10 @@ func bandOnly(p *qp.Problem) *qp.Problem {
 	return &qp.Problem{Q: q, C: p.C, G: p.G, H: p.H}
 }
 
-// solveBandOnly solves input's horizon QP (soft with shedPenalty when
-// soft) with every row in the band, one-shot or through a qp.Session,
-// and reconstructs the plan.
-func (in *Instance) solveBandOnly(t *testing.T, input HorizonInput, soft bool, shedPenalty float64, session bool) *Plan {
+// solveBandOnly solves input's horizon QP (soft when soft) with every
+// row in the band, one-shot or through a qp.Session, and reconstructs
+// the plan.
+func (in *Instance) solveBandOnly(t *testing.T, input HorizonInput, soft, session bool) *Plan {
 	t.Helper()
 	w := len(input.Demand)
 	hs, err := in.horizonStructure(w, soft)
@@ -163,7 +163,7 @@ func (in *Instance) solveBandOnly(t *testing.T, input HorizonInput, soft bool, s
 		t.Fatal(err)
 	}
 	c, h := linalg.NewVector(hs.n), linalg.NewVector(w*hs.rowsPerStep)
-	constCost := in.fillHorizonVectors(hs, input, shedPenalty, c, h)
+	constCost := in.fillHorizonVectors(hs, input, c, h)
 	ref := bandOnly(&qp.Problem{Q: hs.q, C: c, G: hs.g, H: h})
 	var res *qp.Result
 	if session {
@@ -219,7 +219,6 @@ func checkPlanFeasible(t *testing.T, label string, in *Instance, input HorizonIn
 // to agree to 1e-8 relative and every plan to be feasible for the
 // instance.
 func TestLinkingMatchesBandDifferential(t *testing.T) {
-	const shed = 50.0 // the soft relaxation's shed penalty
 	for _, tc := range diffCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			in, input := tc.inst, tc.input
@@ -237,7 +236,7 @@ func TestLinkingMatchesBandDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			soft, err := in.SolveHorizonSoft(input, qp.DefaultOptions(), shed)
+			soft, err := in.SolveHorizonSoft(input, qp.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,9 +245,9 @@ func TestLinkingMatchesBandDifferential(t *testing.T) {
 				got   *Plan
 				ref   *Plan
 			}{
-				{"hard one-shot", oneShot, in.solveBandOnly(t, input, false, 0, false)},
-				{"hard session", inSession, in.solveBandOnly(t, input, false, 0, true)},
-				{"soft one-shot", soft, in.solveBandOnly(t, input, true, shed, false)},
+				{"hard one-shot", oneShot, in.solveBandOnly(t, input, false, false)},
+				{"hard session", inSession, in.solveBandOnly(t, input, false, true)},
+				{"soft one-shot", soft, in.solveBandOnly(t, input, true, false)},
 			} {
 				if d := math.Abs(c.got.Objective - c.ref.Objective); d > 1e-8*math.Max(1, math.Abs(c.ref.Objective)) {
 					t.Fatalf("%s: objective %.15g, all-band %.15g (rel %.2e)", c.label,

@@ -220,8 +220,9 @@ func (p *Plan) TotalCapacityDualsInto(dst []float64) {
 	}
 }
 
-// DefaultShedPenalty is the default linear cost per unit of shed demand per
-// period in the soft relaxation. It is several orders of magnitude above
+// DefaultShedPenalty is the linear cost per unit of shed demand per
+// period in the soft relaxation, and the price attribution imputes to
+// shed demand. It is several orders of magnitude above
 // the realistic per-request serving cost (price × SLA coefficient, ~1e-3),
 // so demand is shed only when the hard constraints genuinely cannot hold.
 const DefaultShedPenalty = 1e3
@@ -234,7 +235,9 @@ const softQuadPenalty = 1e-3
 
 // SolveHorizon builds and solves the horizon QP (the DSPP of §IV-D
 // restricted to a window, states substituted out) and reconstructs the
-// trajectory. It is the computational core of Algorithm 1.
+// trajectory. It is the computational core of Algorithm 1. opts stays a
+// parameter because callers set its Anytime flag and Hooks per solve,
+// and tests its iteration cap and tolerance.
 func (in *Instance) SolveHorizon(input HorizonInput, opts qp.Options) (*Plan, error) {
 	return in.SolveHorizonCtx(context.Background(), input, opts)
 }
@@ -244,12 +247,12 @@ func (in *Instance) SolveHorizon(input HorizonInput, opts qp.Options) (*Plan, er
 // within one iteration of ctx expiring and the returned error wraps
 // ctx.Err().
 func (in *Instance) SolveHorizonCtx(ctx context.Context, input HorizonInput, opts qp.Options) (*Plan, error) {
-	return in.solveHorizon(ctx, input, opts, false, 0)
+	return in.solveHorizon(ctx, input, opts, false)
 }
 
 // SolveHorizonSoft solves the soft-constrained relaxation of the horizon
 // QP: per (step, location) a slack variable s_t^v ≥ 0 absorbs demand the
-// allocation cannot serve, penalized linearly at shedPenalty (plus a tiny
+// allocation cannot serve, penalized linearly at DefaultShedPenalty (plus a tiny
 // quadratic regularizer). Capacity and nonnegativity stay hard — they are
 // physical — so the relaxation is always feasible: in the worst case the
 // allocation drains to zero and all demand is shed. It is the degradation
@@ -258,23 +261,22 @@ func (in *Instance) SolveHorizonCtx(ctx context.Context, input HorizonInput, opt
 // the controller still gets a usable plan plus an explicit report of the
 // demand it had to shed (Plan.Shed).
 //
-// shedPenalty ≤ 0 selects DefaultShedPenalty. The returned plan carries no
-// warm-start capsule (its QP layout differs from the hard solve's), and
+// The returned plan carries no warm-start capsule (its QP layout differs from the hard solve's), and
 // Plan.Objective includes the shed penalty terms.
-func (in *Instance) SolveHorizonSoft(input HorizonInput, opts qp.Options, shedPenalty float64) (*Plan, error) {
-	return in.SolveHorizonSoftCtx(context.Background(), input, opts, shedPenalty)
+func (in *Instance) SolveHorizonSoft(input HorizonInput, opts qp.Options) (*Plan, error) {
+	return in.SolveHorizonSoftCtx(context.Background(), input, opts)
 }
 
 // SolveHorizonSoftCtx is SolveHorizonSoft with cooperative cancellation
 // (see SolveHorizonCtx).
-func (in *Instance) SolveHorizonSoftCtx(ctx context.Context, input HorizonInput, opts qp.Options, shedPenalty float64) (*Plan, error) {
-	return in.solveHorizon(ctx, input, opts, true, shedPenalty)
+func (in *Instance) SolveHorizonSoftCtx(ctx context.Context, input HorizonInput, opts qp.Options) (*Plan, error) {
+	return in.solveHorizon(ctx, input, opts, true)
 }
 
 // solveHorizon is the one-shot solve behind SolveHorizonCtx (soft false)
 // and SolveHorizonSoftCtx (soft true): the relaxation is the same QP plus
 // one shed column per (location, step), solved cold.
-func (in *Instance) solveHorizon(ctx context.Context, input HorizonInput, opts qp.Options, soft bool, shedPenalty float64) (*Plan, error) {
+func (in *Instance) solveHorizon(ctx context.Context, input HorizonInput, opts qp.Options, soft bool) (*Plan, error) {
 	w, err := in.checkHorizonInput(input, !soft)
 	if err != nil {
 		return nil, err
@@ -282,12 +284,6 @@ func (in *Instance) solveHorizon(ctx context.Context, input HorizonInput, opts q
 	name := "horizon QP"
 	if soft {
 		name = "soft horizon QP"
-		if shedPenalty <= 0 {
-			shedPenalty = DefaultShedPenalty
-		}
-		if math.IsNaN(shedPenalty) || math.IsInf(shedPenalty, 0) {
-			return nil, fmt.Errorf("shed penalty %g: %w", shedPenalty, ErrBadInput)
-		}
 	}
 
 	// The quadratic term and the constraint matrix depend only on the
@@ -308,7 +304,7 @@ func (in *Instance) solveHorizon(ctx context.Context, input HorizonInput, opts q
 		vecs = &horizonVecs{c: linalg.NewVector(n), h: linalg.NewVector(m)}
 	}
 
-	constCost := in.fillHorizonVectors(hs, input, shedPenalty, vecs.c, vecs.h)
+	constCost := in.fillHorizonVectors(hs, input, vecs.c, vecs.h)
 
 	vecs.prob = hs.problem(vecs.c, vecs.h)
 	prob := &vecs.prob
@@ -354,9 +350,9 @@ func retryCold(err error, warm *qp.WarmStart) bool {
 // fillHorizonVectors writes the horizon QP's cost and right-hand-side
 // vectors for the given input and returns the constant holding cost of
 // x0. Shared by the one-shot path and HorizonSession, so both solve the
-// bitwise-identical problem. shedPenalty prices the soft structure's
-// shed columns.
-func (in *Instance) fillHorizonVectors(hs *horizonStruct, input HorizonInput, shedPenalty float64, cVec, hVec linalg.Vector) float64 {
+// bitwise-identical problem. The soft structure's shed columns cost
+// DefaultShedPenalty.
+func (in *Instance) fillHorizonVectors(hs *horizonStruct, input HorizonInput, cVec, hVec linalg.Vector) float64 {
 	w := hs.w
 	// Linear term: the holding cost p_t·x_t is simply Prices[t][l] per
 	// cumulative variable (no suffix sums needed in y-space).
@@ -368,7 +364,7 @@ func (in *Instance) fillHorizonVectors(hs *horizonStruct, input HorizonInput, sh
 	if hs.soft {
 		for v := 0; v < in.v; v++ {
 			for t := 0; t < w; t++ {
-				cVec[hs.shed(v, t)] = shedPenalty
+				cVec[hs.shed(v, t)] = DefaultShedPenalty
 			}
 		}
 	}

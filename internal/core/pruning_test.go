@@ -182,7 +182,7 @@ func TestSoftSolveOverPrunedSupport(t *testing.T) {
 		X0:     inst.NewState(),
 		Demand: constForecast(3, perStep),
 		Prices: constForecast(3, prices),
-	}, qp.DefaultOptions(), 0)
+	}, qp.DefaultOptions())
 	if err != nil {
 		t.Fatalf("soft solve over pruned support: %v", err)
 	}

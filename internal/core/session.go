@@ -80,7 +80,7 @@ func (s *HorizonSession) SolveCtx(ctx context.Context, input HorizonInput) (*Pla
 		return nil, fmt.Errorf("session horizon %d, input horizon %d: %w", s.w, w, ErrBadInput)
 	}
 	prob := s.ses.Problem()
-	constCost := in.fillHorizonVectors(s.hs, input, 0, prob.C, prob.H)
+	constCost := in.fillHorizonVectors(s.hs, input, prob.C, prob.H)
 	warm := input.Warm.shifted(s.hs, input.WarmShift, &s.ws)
 	res, err := s.ses.SolveCtx(ctx, warm)
 	coldRestarts := 0

@@ -148,7 +148,7 @@ func TestColdRestartRuleShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	prob := hs.problem(linalg.NewVector(hs.n), linalg.NewVector(w*hs.rowsPerStep))
-	inst.fillHorizonVectors(hs, input, 0, prob.C, prob.H)
+	inst.fillHorizonVectors(hs, input, prob.C, prob.H)
 	if _, err := qp.SolveWarm(&prob, opts, bad.shifted(hs, 0, &qp.WarmStart{})); !errors.Is(err, qp.ErrMaxIterations) {
 		t.Fatalf("warm solve: err = %v, want the iteration cap", err)
 	}

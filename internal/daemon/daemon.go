@@ -27,7 +27,6 @@ import (
 	"dspp/internal/core"
 	"dspp/internal/monitor"
 	"dspp/internal/predict"
-	"dspp/internal/qp"
 	"dspp/internal/queue"
 	"dspp/internal/telemetry"
 )
@@ -104,8 +103,6 @@ type Config struct {
 	// valid one is restored. A missing <path> is a fresh start, so
 	// deleting it resets the daemon.
 	CheckpointPath string
-	// QP overrides the interior-point options (nil = defaults).
-	QP *qp.Options
 	// InitialState is the starting allocation (nil = zeros). A restored
 	// checkpoint takes precedence.
 	InitialState core.State
@@ -231,9 +228,6 @@ func New(cfg Config) (*Daemon, error) {
 // zeros); the watchdog uses it to abandon a wedged solve.
 func (d *Daemon) newController(state core.State) (*core.Controller, error) {
 	opts := []core.ControllerOption{core.WithTelemetry(d.cfg.Telemetry)}
-	if d.cfg.QP != nil {
-		opts = append(opts, core.WithQPOptions(*d.cfg.QP))
-	}
 	if state != nil {
 		opts = append(opts, core.WithInitialState(state))
 	}

@@ -15,12 +15,10 @@ type Controller struct {
 	lastDeg core.Degradation
 }
 
-// NewController builds a core.Controller for the instance with opt's QP
-// options and telemetry hub. No other option has an effect.
+// NewController builds a core.Controller for the instance with opt's
+// telemetry hub. No other option has an effect.
 func NewController(inst *core.Instance, horizon int, opt Options) (*Controller, error) {
-	ctrl, err := core.NewController(inst, horizon,
-		core.WithQPOptions(opt.QP),
-		core.WithTelemetry(opt.Telemetry))
+	ctrl, err := core.NewController(inst, horizon, core.WithTelemetry(opt.Telemetry))
 	if err != nil {
 		return nil, err
 	}

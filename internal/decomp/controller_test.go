@@ -50,7 +50,7 @@ func TestControllerForwardsToCoreBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.NewController(scn.Inst, horizon, core.WithQPOptions(opt.QP), core.WithTelemetry(hub))
+	ref, err := core.NewController(scn.Inst, horizon, core.WithTelemetry(hub))
 	if err != nil {
 		t.Fatal(err)
 	}

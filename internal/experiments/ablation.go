@@ -11,7 +11,6 @@ import (
 	"dspp/internal/game"
 	"dspp/internal/packing"
 	"dspp/internal/predict"
-	"dspp/internal/qp"
 	"dspp/internal/queue"
 	"dspp/internal/sim"
 	"dspp/internal/workload"
@@ -149,11 +148,11 @@ func AblationBaselines(seed int64) (*BaselineResult, error) {
 		if err != nil {
 			panic(err) // construction with validated inputs cannot fail
 		}
-		myo, err := baseline.NewMyopic(inst, qp.DefaultOptions())
+		myo, err := baseline.NewMyopic(inst)
 		if err != nil {
 			panic(err)
 		}
-		static, err := baseline.NewStaticAverage(inst, demand, prices, qp.DefaultOptions())
+		static, err := baseline.NewStaticAverage(inst, demand, prices)
 		if err != nil {
 			panic(err)
 		}
@@ -161,7 +160,7 @@ func AblationBaselines(seed int64) (*BaselineResult, error) {
 		if err != nil {
 			panic(err)
 		}
-		lazy, err := baseline.NewLazyThreshold(inst, 1.2, 1.8, qp.DefaultOptions())
+		lazy, err := baseline.NewLazyThreshold(inst, 1.2, 1.8)
 		if err != nil {
 			panic(err)
 		}

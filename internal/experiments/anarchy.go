@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"dspp/internal/game"
+	"dspp/internal/qp"
 )
 
 // PoAResult estimates the price of anarchy empirically: the worst
@@ -29,7 +30,7 @@ func PriceOfAnarchy(seed int64, starts int) (*PoAResult, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	scen := gameScenario(rng, 4, 3, 150)
-	swp, err := game.SolveSocialWelfare(scen, gameBRConfig(150).QP)
+	swp, err := game.SolveSocialWelfare(scen, qp.DefaultOptions())
 	if err != nil {
 		return nil, fmt.Errorf("swp: %w", err)
 	}

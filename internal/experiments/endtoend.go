@@ -7,7 +7,6 @@ import (
 	"dspp/internal/baseline"
 	"dspp/internal/core"
 	"dspp/internal/dispatch"
-	"dspp/internal/qp"
 	"dspp/internal/sim"
 )
 
@@ -128,7 +127,7 @@ func AblationIntegerRounding(seed int64) (*IntegerResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	intPolicy, err := baseline.NewIntegerMPC(inst, horizon, qp.DefaultOptions())
+	intPolicy, err := baseline.NewIntegerMPC(inst, horizon)
 	if err != nil {
 		return nil, err
 	}

@@ -21,11 +21,6 @@ type BestResponseConfig struct {
 	Epsilon float64
 	// MaxIterations caps the loop (default 500).
 	MaxIterations int
-	// QP configures the per-provider DSPP solves.
-	QP qp.Options
-	// MinQuota floors each provider's per-DC quota to keep individual
-	// problems well posed (default 1e-6 of the DC capacity).
-	MinQuota float64
 	// StepDecay makes the effective step α/√(1+decay·iter), the standard
 	// diminishing step of dual subgradient methods; 0 disables decay.
 	StepDecay float64
@@ -44,8 +39,7 @@ type BestResponseConfig struct {
 	// Telemetry, when non-nil, records the game's convergence behaviour:
 	// best_response/best_response_round spans, round and quota-re-division
 	// counters, the per-SP relative cost-delta histogram, and the QP
-	// solver's own counters (wired through QP.Hooks unless the caller set
-	// hooks explicitly). Nil disables instrumentation.
+	// solver's own counters. Nil disables instrumentation.
 	Telemetry *telemetry.Hub
 
 	// initialWarms optionally seeds round 0 of each provider's solve
@@ -54,6 +48,10 @@ type BestResponseConfig struct {
 	initialWarms     []*core.HorizonWarm
 	initialWarmShift int
 }
+
+// minQuota floors each provider's per-DC quota, as a fraction of the DC
+// capacity, to keep the individual problems well posed.
+const minQuota = 1e-6
 
 func (c BestResponseConfig) withDefaults() BestResponseConfig {
 	if c.Alpha <= 0 {
@@ -64,9 +62,6 @@ func (c BestResponseConfig) withDefaults() BestResponseConfig {
 	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = 500
-	}
-	if c.MinQuota <= 0 {
-		c.MinQuota = 1e-6
 	}
 	return c
 }
@@ -160,8 +155,9 @@ func BestResponseCtx(ctx context.Context, s *Scenario, cfg BestResponseConfig) (
 	// All telemetry handles are nil-safe: with no hub every call below is
 	// a no-op on a nil receiver.
 	hub := cfg.Telemetry
-	if hub != nil && cfg.QP.Hooks == nil {
-		cfg.QP.Hooks = hub.QPHooks()
+	var qpOpts qp.Options
+	if hub != nil {
+		qpOpts.Hooks = hub.QPHooks()
 	}
 	reg := hub.Registry()
 	mRounds := reg.Counter(telemetry.MetricGameRounds)
@@ -241,7 +237,7 @@ func BestResponseCtx(ctx context.Context, s *Scenario, cfg BestResponseConfig) (
 		// on a bounded pool, collect by index (determinism contract).
 		err := parallel.ForEachCtx(roundCtx, n, cfg.Parallel, func(i int) error {
 			p := s.Providers[i]
-			plan, err := solveProvider(roundCtx, sessions, sesInsts, i, p, quotas[i], cfg.QP, warms[i], warmShift)
+			plan, err := solveProvider(roundCtx, sessions, sesInsts, i, p, quotas[i], qpOpts, warms[i], warmShift)
 			if err != nil {
 				return fmt.Errorf("round %d provider %d (%s): %w", iter, i, p.Name, err)
 			}
@@ -324,7 +320,7 @@ func BestResponseCtx(ctx context.Context, s *Scenario, cfg BestResponseConfig) (
 			if math.IsInf(s.Capacity[li], 1) {
 				continue
 			}
-			floor := cfg.MinQuota * s.Capacity[li]
+			floor := minQuota * s.Capacity[li]
 			var sum float64
 			for i := range quotas {
 				raw[i] = quotas[i][li] + alpha*duals[i][li]

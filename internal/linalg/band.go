@@ -53,12 +53,6 @@ func (b *BandMatrix) Reset(n, bw int) {
 // N returns the order of the matrix.
 func (b *BandMatrix) N() int { return b.n }
 
-// Rows returns the order of the matrix (it is square).
-func (b *BandMatrix) Rows() int { return b.n }
-
-// Cols returns the order of the matrix (it is square).
-func (b *BandMatrix) Cols() int { return b.n }
-
 // Bandwidth returns the half-bandwidth.
 func (b *BandMatrix) Bandwidth() int { return b.bw }
 
@@ -100,7 +94,7 @@ func (b *BandMatrix) Set(i, j int, v float64) error {
 	if j > i {
 		i, j = j, i
 	}
-	if i < 0 || i >= b.n || i-j > b.bw {
+	if j < 0 || i >= b.n || i-j > b.bw {
 		return fmt.Errorf("band set (%d,%d) n=%d bw=%d: %w", i, j, b.n, b.bw, ErrDimensionMismatch)
 	}
 	b.data[i*(b.bw+1)+j-i+b.bw] = v
@@ -112,7 +106,7 @@ func (b *BandMatrix) Inc(i, j int, v float64) error {
 	if j > i {
 		i, j = j, i
 	}
-	if i < 0 || i >= b.n || i-j > b.bw {
+	if j < 0 || i >= b.n || i-j > b.bw {
 		return fmt.Errorf("band inc (%d,%d) n=%d bw=%d: %w", i, j, b.n, b.bw, ErrDimensionMismatch)
 	}
 	b.data[i*(b.bw+1)+j-i+b.bw] += v
@@ -177,7 +171,8 @@ func (b *BandMatrix) MulVec(x, y Vector) error {
 // unrolled away. The accumulate/scatter interleaving is identical to the
 // generic loop's (s grows in ascending column order, each y element sees
 // the same additions in the same order), so y is bit-identical. y must be
-// zeroed by the caller.
+// zeroed by the caller. Kept by measurement, with the other bw-2 kernels
+// (game-fig7 p50 121.4 → 132.9 ms without them; see factorizeBW2).
 func (b *BandMatrix) mulVecSymBW2(x, y Vector) {
 	n := b.n // ≥ 3: Reset clamps bw ≤ n−1
 	d := b.data
@@ -349,6 +344,9 @@ type BandCholesky struct {
 
 // ltThreshold is the packed-factor size (floats) above which Factorize
 // maintains the transposed copy for cache-friendly back substitution.
+// Measured: direct-l back substitution at every size cost
+// continental-static p50 4.18 → 4.25 ms and tail 4.51 → 4.72 ms, losing
+// all 5 alternating benchmark pairs (2-vCPU VM).
 const ltThreshold = 2048
 
 // Symbolic prepares the factorization for matrices of order n with
@@ -498,6 +496,12 @@ func (c *BandCholesky) rebuildLT() {
 // and the loop-bound bookkeeping, which for a 3-wide band costs more than
 // the arithmetic. It writes the whole band, whatever the envelope: the
 // entries outside it come out as exact zeros.
+//
+// Measured against deletion (5 alternating benchmark rounds on a 2-vCPU
+// VM, fingerprints bit-identical): without the bw-2 kernels and the
+// short-row dispatches of SparseMatrix, game-fig7 went from p50 121.4 to
+// 132.9 ms, tail 162.9 to 184.3 ms and work 13.28 to 14.77 s, losing all
+// 5 pairs.
 func (c *BandCholesky) factorizeBW2(ad []float64) error {
 	n := c.n // ≥ 3: Symbolic clamps bw ≤ n−1
 	l, dinv := c.l, c.dinv
@@ -539,7 +543,7 @@ func (c *BandCholesky) factorizeBW2(ad []float64) error {
 // substitution — bw-2 factors sit below ltThreshold until n > 682, and the
 // dispatch requires !useLT and the full band, since it reads every band
 // entry). Operation order matches the generic loops exactly, so results
-// are bit-identical.
+// are bit-identical. Kept by measurement (see factorizeBW2).
 func (c *BandCholesky) solveBW2(b, x Vector) {
 	n := c.n // ≥ 3, as in factorizeBW2
 	l, dinv := c.l, c.dinv

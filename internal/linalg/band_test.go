@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -55,6 +56,21 @@ func TestBandMatrixAccessors(t *testing.T) {
 	}
 	if err := b.Set(0, 4, 1); err == nil {
 		t.Fatal("Set outside the band should fail")
+	}
+	// A negative index must not land in the padding of a low row.
+	p := NewBandMatrix(4, 2)
+	for _, ij := range [][2]int{{0, -1}, {1, -1}, {-1, 0}, {-1, -1}} {
+		if err := p.Set(ij[0], ij[1], 7); !errors.Is(err, ErrDimensionMismatch) {
+			t.Fatalf("Set(%d,%d) err = %v, want ErrDimensionMismatch", ij[0], ij[1], err)
+		}
+		if err := p.Inc(ij[0], ij[1], 9); !errors.Is(err, ErrDimensionMismatch) {
+			t.Fatalf("Inc(%d,%d) err = %v, want ErrDimensionMismatch", ij[0], ij[1], err)
+		}
+	}
+	for k, v := range p.Packed() {
+		if v != 0 {
+			t.Fatalf("rejected writes changed packed[%d] to %g", k, v)
+		}
 	}
 	if err := b.Inc(3, 1, 1); err != nil {
 		t.Fatal(err)
@@ -216,22 +232,6 @@ func TestKernels(t *testing.T) {
 				t.Fatalf("Axpy n=%d i=%d: %g, want %g", n, i, gotY[i], wantY[i])
 			}
 		}
-
-		dst := make([]float64, n)
-		ScaledAdd(dst, y, alpha, x)
-		for i := range dst {
-			if math.Abs(dst[i]-wantY[i]) > 1e-12 {
-				t.Fatalf("ScaledAdd n=%d i=%d: %g, want %g", n, i, dst[i], wantY[i])
-			}
-		}
-		// Aliased forms.
-		alias := append([]float64(nil), y...)
-		ScaledAdd(alias, alias, alpha, x)
-		for i := range alias {
-			if math.Abs(alias[i]-wantY[i]) > 1e-12 {
-				t.Fatalf("aliased ScaledAdd n=%d i=%d: %g, want %g", n, i, alias[i], wantY[i])
-			}
-		}
 	}
 }
 
@@ -241,7 +241,6 @@ func BenchmarkKernels(b *testing.B) {
 	const n = 256
 	x := make([]float64, n)
 	y := make([]float64, n)
-	dst := make([]float64, n)
 	for i := range x {
 		x[i] = float64(i%7) - 3
 		y[i] = float64(i%5) - 2
@@ -258,12 +257,6 @@ func BenchmarkKernels(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			Axpy(1e-9, x, y)
-		}
-	})
-	b.Run("ScaledAdd", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ScaledAdd(dst, x, 0.5, y)
 		}
 	})
 }

@@ -13,15 +13,16 @@ var ErrNotPositiveDefinite = errors.New("linalg: matrix not positive definite")
 // ErrSingular is returned by LU when the matrix is numerically singular.
 var ErrSingular = errors.New("linalg: matrix is singular")
 
-// Cholesky holds the lower-triangular factor L of A = L·Lᵀ.
+// Cholesky holds the lower-triangular factor L of A = L·Lᵀ. It factors
+// the small dense systems of the Riccati sweep (package lqr) and of
+// LeastSquares, and it is the reference the band and envelope
+// factorizations are tested against.
 type Cholesky struct {
-	n  int
-	bw int       // half-bandwidth of the factor (n−1 when dense)
-	l  []float64 // row-major lower triangle (full square storage)
+	n int
+	l []float64 // row-major lower triangle (full square storage)
 	// lt mirrors the factor transposed (row-major Lᵀ) so back
 	// substitution walks memory contiguously instead of striding down a
-	// column; the copy is O(n·bw) once per factorization and is repaid by
-	// the repeated solves of each interior-point iteration.
+	// column.
 	lt []float64
 	// dinv holds 1/L[i][i]: substitution then multiplies instead of
 	// dividing on every row of every solve.
@@ -39,44 +40,25 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 }
 
 // Factorize refactorizes c in place for a new matrix, reusing the factor
-// buffer when the size matches. Iterative callers (the interior-point
-// solver refactors every iteration) use it to avoid an O(n²) allocation
-// per call. On error the factor is invalid until the next successful call.
+// buffer when the size matches. On error the factor is invalid until the
+// next successful call.
 func (c *Cholesky) Factorize(a *Matrix) error {
-	return c.FactorizeBand(a, -1)
-}
-
-// FactorizeBand is Factorize for a banded SPD matrix: entries of a with
-// |i−j| > bw are taken to be zero. The Cholesky factor of a banded matrix
-// stays inside the band, so factorization costs O(n·bw²) and the
-// subsequent Solve O(n·bw) instead of O(n³)/O(n²) — the payoff that makes
-// the state-space horizon QP cheap. bw < 0 (or ≥ n−1) means dense.
-func (c *Cholesky) FactorizeBand(a *Matrix, bw int) error {
 	if a.Rows() != a.Cols() {
 		return fmt.Errorf("cholesky of (%dx%d): %w", a.Rows(), a.Cols(), ErrDimensionMismatch)
 	}
 	n := a.Rows()
-	if bw < 0 || bw > n-1 {
-		bw = n - 1
-	}
 	if c.n != n || len(c.l) != n*n {
 		c.n = n
 		c.l = make([]float64, n*n)
 		c.lt = make([]float64, n*n)
 		c.dinv = make([]float64, n)
 	}
-	c.bw = bw
 	l := c.l
 	for i := 0; i < n; i++ {
-		lo := i - bw
-		if lo < 0 {
-			lo = 0
-		}
-		for j := lo; j <= i; j++ {
+		for j := 0; j <= i; j++ {
 			s := a.At(i, j)
-			// l[i][k] is zero for k < i−bw, so the dot product starts at lo.
-			li := l[i*n+lo : i*n+j]
-			lj := l[j*n+lo : j*n+j]
+			li := l[i*n : i*n+j]
+			lj := l[j*n : j*n+j]
 			for k, lv := range li {
 				s -= lv * lj[k]
 			}
@@ -90,15 +72,11 @@ func (c *Cholesky) FactorizeBand(a *Matrix, bw int) error {
 			}
 		}
 	}
-	// Transposed copy of the band for the back-substitution pass, and the
-	// reciprocal diagonal for both substitution passes.
+	// Transposed copy for the back-substitution pass, and the reciprocal
+	// diagonal for both substitution passes.
 	for i := 0; i < n; i++ {
-		hi := i + bw
-		if hi > n-1 {
-			hi = n - 1
-		}
 		lti := c.lt[i*n:]
-		for k := i; k <= hi; k++ {
+		for k := i; k < n; k++ {
 			lti[k] = l[k*n+i]
 		}
 		c.dinv[i] = 1 / l[i*n+i]
@@ -114,18 +92,11 @@ func (c *Cholesky) Solve(b Vector, x Vector) error {
 		return fmt.Errorf("cholesky solve b=%d x=%d n=%d: %w", len(b), len(x), n, ErrDimensionMismatch)
 	}
 	l := c.l
-	bw := c.bw
-	// Forward substitution: L y = b. Only the in-band part of each row is
-	// populated (and stale out-of-band entries from a previous, wider
-	// factorization must not be read).
+	// Forward substitution: L y = b.
 	for i := 0; i < n; i++ {
 		s := b[i]
-		lo := i - bw
-		if lo < 0 {
-			lo = 0
-		}
-		li := l[i*n+lo : i*n+i]
-		xk := x[lo:i]
+		li := l[i*n : i*n+i]
+		xk := x[:i]
 		for k, lv := range li {
 			s -= lv * xk[k]
 		}
@@ -135,12 +106,8 @@ func (c *Cholesky) Solve(b Vector, x Vector) error {
 	lt := c.lt
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
-		hi := i + bw
-		if hi > n-1 {
-			hi = n - 1
-		}
-		lti := lt[i*n+i+1 : i*n+hi+1]
-		xk := x[i+1 : hi+1]
+		lti := lt[i*n+i+1 : i*n+n]
+		xk := x[i+1 : n]
 		for k, lv := range lti {
 			s -= lv * xk[k]
 		}
@@ -171,12 +138,12 @@ func (c *Cholesky) SolveMatrix(b *Matrix) (*Matrix, error) {
 	return x, nil
 }
 
-// LU holds a row-pivoted LU factorization P·A = L·U.
+// LU holds a row-pivoted LU factorization P·A = L·U. Nothing in the
+// solver path uses it; tests solve reference KKT systems with it.
 type LU struct {
-	n    int
-	lu   []float64
-	piv  []int
-	sign int
+	n   int
+	lu  []float64
+	piv []int
 }
 
 // NewLU factorizes the square matrix a with partial pivoting.
@@ -186,7 +153,7 @@ func NewLU(a *Matrix) (*LU, error) {
 		return nil, fmt.Errorf("lu of (%dx%d): %w", a.Rows(), a.Cols(), ErrDimensionMismatch)
 	}
 	n := a.Rows()
-	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1}
+	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
 	for i := 0; i < n; i++ {
 		f.piv[i] = i
 		copy(f.lu[i*n:(i+1)*n], a.Row(i))
@@ -210,7 +177,6 @@ func NewLU(a *Matrix) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
 		}
 		pivVal := lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -259,15 +225,6 @@ func (f *LU) Solve(b Vector, x Vector) error {
 		x[i] = s / ri[i]
 	}
 	return nil
-}
-
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
 }
 
 // SolveSPD is a convenience that factorizes a (assumed symmetric positive

@@ -28,11 +28,10 @@ func residual(a *Matrix, x, b Vector) float64 {
 	if err := a.MulVec(x, ax); err != nil {
 		return math.Inf(1)
 	}
-	r := NewVector(len(b))
-	if err := r.Sub(ax, b); err != nil {
+	if err := ax.AXPY(-1, b); err != nil {
 		return math.Inf(1)
 	}
-	return r.NormInf()
+	return ax.NormInf()
 }
 
 func TestCholeskySolveKnown(t *testing.T) {
@@ -165,32 +164,6 @@ func TestLUSingular(t *testing.T) {
 	}
 	if _, err := NewLU(NewMatrix(2, 3)); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("non-square err = %v", err)
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{
-		{3, 0},
-		{0, 2},
-	})
-	f, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(f.Det(), 6, 1e-12) {
-		t.Errorf("Det = %g, want 6", f.Det())
-	}
-	// Row swap flips the sign bookkeeping but not the determinant value.
-	b, _ := MatrixFromRows([][]float64{
-		{0, 2},
-		{3, 0},
-	})
-	g, err := NewLU(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(g.Det(), -6, 1e-12) {
-		t.Errorf("Det = %g, want -6", g.Det())
 	}
 }
 

@@ -46,22 +46,3 @@ func Axpy(alpha float64, x, y []float64) {
 		y[i] += alpha * x[i]
 	}
 }
-
-// ScaledAdd computes dst = a + alpha·b in one fused pass (no intermediate
-// copy), 4-way unrolled. dst may alias a or b.
-func ScaledAdd(dst, a []float64, alpha float64, b []float64) {
-	a = a[:len(dst)]
-	b = b[:len(dst)]
-	i := 0
-	for ; i+4 <= len(dst); i += 4 {
-		av := a[i : i+4 : i+4]
-		bv := b[i : i+4 : i+4]
-		dst[i] = av[0] + alpha*bv[0]
-		dst[i+1] = av[1] + alpha*bv[1]
-		dst[i+2] = av[2] + alpha*bv[2]
-		dst[i+3] = av[3] + alpha*bv[3]
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = a[i] + alpha*b[i]
-	}
-}

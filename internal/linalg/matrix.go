@@ -84,13 +84,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Zero sets all entries to 0.
-func (m *Matrix) Zero() {
-	for i := range m.data {
-		m.data[i] = 0
-	}
-}
-
 // T returns the transpose of m as a new matrix.
 func (m *Matrix) T() *Matrix {
 	out := NewMatrix(m.cols, m.rows)
@@ -172,20 +165,11 @@ func (m *Matrix) AddScaled(alpha float64, other *Matrix) error {
 	return nil
 }
 
-// AddDiag adds d[i] to the i-th diagonal entry of the square matrix m.
-func (m *Matrix) AddDiag(d Vector) error {
-	if m.rows != m.cols || len(d) != m.rows {
-		return fmt.Errorf("adddiag %d onto (%dx%d): %w", len(d), m.rows, m.cols, ErrDimensionMismatch)
-	}
-	for i, x := range d {
-		m.data[i*m.cols+i] += x
-	}
-	return nil
-}
-
 // AtATWeighted accumulates into dst the product Gᵀ·diag(w)·G, where G is m.
 // dst must be square with size m.Cols(). Existing contents of dst are kept
 // (the product is added), enabling Q + GᵀWG assembly without temporaries.
+// LeastSquares forms its normal equations with it, and tests check
+// SparseMatrix.AtATWeightedBand against it.
 func (m *Matrix) AtATWeighted(w Vector, dst *Matrix) error {
 	if len(w) != m.rows || dst.rows != m.cols || dst.cols != m.cols {
 		return fmt.Errorf("gtwg (%dx%d), w=%d, dst=(%dx%d): %w",

@@ -187,9 +187,6 @@ func (m *SparseMatrix) Rows() int { return m.rows }
 // Cols returns the number of columns.
 func (m *SparseMatrix) Cols() int { return m.cols }
 
-// NNZ returns the number of stored entries.
-func (m *SparseMatrix) NNZ() int { return len(m.vals) }
-
 // At returns the (i, j) entry by binary search within row i.
 func (m *SparseMatrix) At(i, j int) float64 {
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
@@ -213,7 +210,11 @@ func (m *SparseMatrix) MulVec(x Vector, y Vector) error {
 		// Constraint rows in the horizon QP carry one or two nonzeros
 		// (bound rows and per-period capacity rows); dispatching on the
 		// count replaces the slice setup with direct loads. Accumulation
-		// order (ascending k) matches the general loop bit for bit.
+		// order (ascending k) matches the general loop bit for bit. The
+		// short-row dispatches here, in MulVecT and in AtATWeightedBand
+		// are kept by measurement: deleting them with the bw-2 band
+		// kernels cost game-fig7 p50 121.4 → 132.9 ms and work
+		// 13.28 → 14.77 s (see BandCholesky.factorizeBW2).
 		switch hi - lo {
 		case 1:
 			s += vals[lo] * x[colIdx[lo]]
@@ -241,7 +242,8 @@ func (m *SparseMatrix) MulVecT(x Vector, y Vector) error {
 		var s float64
 		// Columns of the horizon constraint matrix are short too (each
 		// variable appears in a handful of rows); same dispatch, same
-		// ascending-k accumulation order as the general loop.
+		// ascending-k accumulation order as the general loop, kept by the
+		// same measurement as MulVec's.
 		switch hi - lo {
 		case 1:
 			s += valsT[lo] * x[rowIdxT[lo]]
@@ -254,52 +256,6 @@ func (m *SparseMatrix) MulVecT(x Vector, y Vector) error {
 			}
 		}
 		y[j] = s
-	}
-	return nil
-}
-
-// AtATWeighted accumulates Gᵀ·diag(w)·G into dst in O(Σᵢ nnzᵢ²) — each
-// row contributes only the outer product of its own nonzeros, instead of
-// the O(nnz·n) a dense row scan costs. As in the dense method the upper
-// triangle is accumulated and mirrored to the lower, but only within the
-// Gram band (see GramBandwidth) — all accumulation lands there, so
-// entries farther from the diagonal are left untouched and dst must be
-// symmetric outside the band for the result to be symmetric.
-func (m *SparseMatrix) AtATWeighted(w Vector, dst *Matrix) error {
-	if len(w) != m.rows || dst.Rows() != m.cols || dst.Cols() != m.cols {
-		return fmt.Errorf("sparse gtwg (%dx%d), w=%d, dst=(%dx%d): %w",
-			m.rows, m.cols, len(w), dst.Rows(), dst.Cols(), ErrDimensionMismatch)
-	}
-	n := m.cols
-	for r := 0; r < m.rows; r++ {
-		wr := w[r]
-		if wr == 0 {
-			continue
-		}
-		lo, hi := m.rowPtr[r], m.rowPtr[r+1]
-		cols := m.colIdx[lo:hi]
-		vals := m.vals[lo:hi]
-		for a, ci := range cols {
-			f := wr * vals[a]
-			if f == 0 {
-				continue
-			}
-			di := dst.data[ci*n:]
-			// Columns are sorted, so b ≥ a stays in the upper triangle.
-			for bIdx := a; bIdx < len(cols); bIdx++ {
-				di[cols[bIdx]] += f * vals[bIdx]
-			}
-		}
-	}
-	bw := m.GramBandwidth()
-	for i := 0; i < n; i++ {
-		hi := i + bw
-		if hi > n-1 {
-			hi = n - 1
-		}
-		for j := i + 1; j <= hi; j++ {
-			dst.data[j*n+i] = dst.data[i*n+j]
-		}
 	}
 	return nil
 }
@@ -335,7 +291,8 @@ func (m *SparseMatrix) AtATWeightedBand(w Vector, dst *BandMatrix) error {
 		// Short rows — the dominant case in the horizon QP's constraint
 		// blocks — skip the slice setup and loop machinery entirely. The
 		// f == 0 guards and the update order match the general path, so the
-		// accumulated band is bit-identical.
+		// accumulated band is bit-identical. Kept by the same measurement
+		// as MulVec's dispatch.
 		if hi-lo == 1 {
 			c0, v0 := m.colIdx[lo], m.vals[lo]
 			if f := wr * v0; f != 0 {

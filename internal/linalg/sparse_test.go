@@ -96,26 +96,61 @@ func TestSparseMulVecMatchesDense(t *testing.T) {
 	}
 }
 
+// TestSparseAtATWeightedMatchesDense checks the packed-band Gram
+// assembly against the dense Matrix.AtATWeighted on random matrices whose
+// rows hold one, two and three or more entries — the short-row
+// dispatches and the general loop — with some weights zero, accumulating
+// onto the same symmetric starting matrix.
 func TestSparseAtATWeightedMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		rows, cols := 1+rng.Intn(10), 1+rng.Intn(10)
-		d, s := randomSparse(rng, rows, cols, 0.35)
+	for trial := 0; trial < 40; trial++ {
+		rows, cols := 3+rng.Intn(12), 3+rng.Intn(10)
+		d := NewMatrix(rows, cols)
+		b := NewSparseBuilder(rows, cols, 0)
+		for i := 0; i < rows; i++ {
+			b.StartRow()
+			k := 1 + i%3 // 1, 2, then 3 or more entries
+			if k == 3 {
+				k += rng.Intn(cols - 2)
+			}
+			for _, j := range rng.Perm(cols)[:k] {
+				v := rng.NormFloat64()
+				d.Set(i, j, v)
+				b.Add(j, v)
+			}
+		}
+		s, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
 		w := NewVector(rows)
 		for i := range w {
-			w[i] = rng.Float64() + 0.1
+			if rng.Intn(4) > 0 {
+				w[i] = rng.Float64() + 0.1
+			}
 		}
-		gd, gs := NewMatrix(cols, cols), NewMatrix(cols, cols)
+		bw := s.GramBandwidth()
+		gd, gb := NewMatrix(cols, cols), NewBandMatrix(cols, bw)
+		for i := 0; i < cols; i++ {
+			for j := max(0, i-bw); j <= i; j++ {
+				v := rng.NormFloat64()
+				gd.Set(i, j, v)
+				gd.Set(j, i, v)
+				if err := gb.Set(i, j, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		if err := d.AtATWeighted(w, gd); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.AtATWeighted(w, gs); err != nil {
+		if err := s.AtATWeightedBand(w, gb); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < cols; i++ {
 			for j := 0; j < cols; j++ {
-				if math.Abs(gd.At(i, j)-gs.At(i, j)) > 1e-10*(1+math.Abs(gd.At(i, j))) {
-					t.Fatalf("AtATWeighted (%d,%d): %g != %g", i, j, gs.At(i, j), gd.At(i, j))
+				if math.Abs(gd.At(i, j)-gb.At(i, j)) > 1e-12*(1+math.Abs(gd.At(i, j))) {
+					t.Fatalf("trial %d (%d,%d): band %g, dense %g", trial, i, j, gb.At(i, j), gd.At(i, j))
 				}
 			}
 		}
@@ -133,11 +168,11 @@ func TestSparseMulVecDimChecks(t *testing.T) {
 	if err := s.MulVecT(NewVector(4), NewVector(4)); err == nil {
 		t.Error("MulVecT with wrong x length: no error")
 	}
-	if err := s.AtATWeighted(NewVector(2), NewMatrix(4, 4)); err == nil {
-		t.Error("AtATWeighted with wrong weight length: no error")
+	if err := s.AtATWeightedBand(NewVector(2), NewBandMatrix(4, 3)); err == nil {
+		t.Error("AtATWeightedBand with wrong weight length: no error")
 	}
-	if err := s.AtATWeighted(NewVector(3), NewMatrix(3, 3)); err == nil {
-		t.Error("AtATWeighted with wrong dst shape: no error")
+	if err := s.AtATWeightedBand(NewVector(3), NewBandMatrix(3, 2)); err == nil {
+		t.Error("AtATWeightedBand with wrong dst order: no error")
 	}
 }
 
@@ -186,7 +221,7 @@ func TestSparseBuilderErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.At(0, 0) != 1.0 || s.At(0, 3) != 3.0 || s.NNZ() != 2 {
-		t.Errorf("unsorted build: got %v nnz=%d", s.ToDense(), s.NNZ())
+	if cols, _ := s.RowEntries(0); s.At(0, 0) != 1.0 || s.At(0, 3) != 3.0 || len(cols) != 2 {
+		t.Errorf("unsorted build: got %v, row columns %v", s.ToDense(), cols)
 	}
 }

@@ -1,12 +1,15 @@
-// Package linalg provides the dense linear-algebra kernels used by the
-// DSPP reproduction: vectors, column-major-free dense matrices, Cholesky
-// and LU factorizations, and triangular solves.
+// Package linalg provides the linear-algebra kernels of the DSPP
+// reproduction. The interior-point QP solver (package qp) runs on packed
+// symmetric band matrices (BandMatrix), CSR constraint matrices
+// (SparseMatrix) and the envelope band Cholesky (BandCholesky) with its
+// unrolled small-band kernels. Dense matrices and the dense Cholesky serve
+// the Riccati sweep (package lqr) and the AR predictor's least squares
+// (package predict); they, the dense Matrix.AtATWeighted and LU are also
+// the references the band kernels are tested against.
 //
 // The package is deliberately small and allocation-conscious rather than a
-// general BLAS replacement: it implements exactly what the interior-point
-// QP solver (package qp) and the AR predictor (package predict) need, with
-// clear error reporting instead of panics on dimension mismatches in the
-// exported API.
+// general BLAS replacement, with clear error reporting instead of panics
+// on dimension mismatches in the exported API.
 package linalg
 
 import (
@@ -38,9 +41,6 @@ func (v Vector) Clone() Vector {
 	return out
 }
 
-// Len returns the number of entries.
-func (v Vector) Len() int { return len(v) }
-
 // Fill sets every entry of v to x.
 func (v Vector) Fill(x float64) {
 	for i := range v {
@@ -51,15 +51,6 @@ func (v Vector) Fill(x float64) {
 // Zero sets every entry of v to 0.
 func (v Vector) Zero() { v.Fill(0) }
 
-// CopyFrom copies src into v. The lengths must match.
-func (v Vector) CopyFrom(src Vector) error {
-	if len(v) != len(src) {
-		return fmt.Errorf("copy %d from %d: %w", len(v), len(src), ErrDimensionMismatch)
-	}
-	copy(v, src)
-	return nil
-}
-
 // Add stores a+b into v. All lengths must match.
 func (v Vector) Add(a, b Vector) error {
 	if len(a) != len(b) || len(v) != len(a) {
@@ -67,17 +58,6 @@ func (v Vector) Add(a, b Vector) error {
 	}
 	for i := range v {
 		v[i] = a[i] + b[i]
-	}
-	return nil
-}
-
-// Sub stores a-b into v. All lengths must match.
-func (v Vector) Sub(a, b Vector) error {
-	if len(a) != len(b) || len(v) != len(a) {
-		return fmt.Errorf("sub %d-%d into %d: %w", len(a), len(b), len(v), ErrDimensionMismatch)
-	}
-	for i := range v {
-		v[i] = a[i] - b[i]
 	}
 	return nil
 }
@@ -112,27 +92,6 @@ func Dot(a, b Vector) (float64, error) {
 	return s, nil
 }
 
-// Norm2 returns the Euclidean norm of v, guarding against overflow.
-func (v Vector) Norm2() float64 {
-	var scale, ssq float64
-	ssq = 1
-	for _, x := range v {
-		if x == 0 {
-			continue
-		}
-		ax := math.Abs(x)
-		if scale < ax {
-			r := scale / ax
-			ssq = 1 + ssq*r*r
-			scale = ax
-		} else {
-			r := ax / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
 // NormInf returns the maximum absolute entry of v (0 for an empty vector).
 func (v Vector) NormInf() float64 {
 	var m float64
@@ -142,45 +101,4 @@ func (v Vector) NormInf() float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of the entries of v.
-func (v Vector) Sum() float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// Min returns the smallest entry of v. It returns +Inf for an empty vector.
-func (v Vector) Min() float64 {
-	m := math.Inf(1)
-	for _, x := range v {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest entry of v. It returns -Inf for an empty vector.
-func (v Vector) Max() float64 {
-	m := math.Inf(-1)
-	for _, x := range v {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// HasNaN reports whether any entry is NaN or infinite.
-func (v Vector) HasNaN() bool {
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return true
-		}
-	}
-	return false
 }

@@ -12,44 +12,34 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
 }
 
+// norm2 is the Euclidean norm, for the property tests below.
+func norm2(v Vector) float64 { return math.Sqrt(DotProd(v, v)) }
+
 func TestVectorBasics(t *testing.T) {
 	v := VectorOf(1, 2, 3)
-	if v.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", v.Len())
-	}
-	if got := v.Sum(); got != 6 {
-		t.Errorf("Sum = %g, want 6", got)
-	}
-	if got := v.Min(); got != 1 {
-		t.Errorf("Min = %g, want 1", got)
-	}
-	if got := v.Max(); got != 3 {
-		t.Errorf("Max = %g, want 3", got)
-	}
 	c := v.Clone()
 	c[0] = 99
 	if v[0] != 1 {
 		t.Error("Clone aliases original storage")
 	}
+	c.Fill(4)
+	if c[0] != 4 || c[2] != 4 {
+		t.Errorf("Fill = %v", c)
+	}
+	c.Zero()
+	if c[0] != 0 || c[1] != 0 || c[2] != 0 {
+		t.Errorf("Zero = %v", c)
+	}
 }
 
 func TestVectorEmptyExtremes(t *testing.T) {
 	var v Vector
-	if !math.IsInf(v.Min(), 1) {
-		t.Errorf("empty Min = %g, want +Inf", v.Min())
-	}
-	if !math.IsInf(v.Max(), -1) {
-		t.Errorf("empty Max = %g, want -Inf", v.Max())
-	}
-	if v.Norm2() != 0 {
-		t.Errorf("empty Norm2 = %g, want 0", v.Norm2())
-	}
 	if v.NormInf() != 0 {
 		t.Errorf("empty NormInf = %g, want 0", v.NormInf())
 	}
 }
 
-func TestVectorAddSub(t *testing.T) {
+func TestVectorAdd(t *testing.T) {
 	a := VectorOf(1, 2)
 	b := VectorOf(10, 20)
 	out := NewVector(2)
@@ -58,12 +48,6 @@ func TestVectorAddSub(t *testing.T) {
 	}
 	if out[0] != 11 || out[1] != 22 {
 		t.Errorf("Add = %v", out)
-	}
-	if err := out.Sub(b, a); err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 9 || out[1] != 18 {
-		t.Errorf("Sub = %v", out)
 	}
 }
 
@@ -74,14 +58,8 @@ func TestVectorDimensionErrors(t *testing.T) {
 	if err := out.Add(a, b); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("Add mismatch err = %v", err)
 	}
-	if err := out.Sub(a, b); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("Sub mismatch err = %v", err)
-	}
 	if err := out.AXPY(1, b); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("AXPY mismatch err = %v", err)
-	}
-	if err := out.CopyFrom(b); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("CopyFrom mismatch err = %v", err)
 	}
 	if _, err := Dot(a, b); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("Dot mismatch err = %v", err)
@@ -106,29 +84,9 @@ func TestVectorAXPYAndScale(t *testing.T) {
 }
 
 func TestVectorNorms(t *testing.T) {
-	v := VectorOf(3, 4)
-	if !almostEqual(v.Norm2(), 5, 1e-12) {
-		t.Errorf("Norm2 = %g, want 5", v.Norm2())
-	}
+	v := VectorOf(3, -4)
 	if v.NormInf() != 4 {
 		t.Errorf("NormInf = %g, want 4", v.NormInf())
-	}
-	// Norm2 must not overflow for huge entries.
-	h := VectorOf(1e300, 1e300)
-	if math.IsInf(h.Norm2(), 0) {
-		t.Error("Norm2 overflowed on large entries")
-	}
-}
-
-func TestVectorHasNaN(t *testing.T) {
-	if VectorOf(1, 2).HasNaN() {
-		t.Error("false positive")
-	}
-	if !VectorOf(1, math.NaN()).HasNaN() {
-		t.Error("missed NaN")
-	}
-	if !VectorOf(math.Inf(1)).HasNaN() {
-		t.Error("missed Inf")
 	}
 }
 
@@ -164,7 +122,7 @@ func TestQuickTriangleInequality(t *testing.T) {
 		if err := s.Add(a, b); err != nil {
 			return false
 		}
-		return s.Norm2() <= a.Norm2()+b.Norm2()+1e-9
+		return norm2(s) <= norm2(a)+norm2(b)+1e-9
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Error(err)
@@ -183,7 +141,7 @@ func TestQuickCauchySchwarz(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return math.Abs(ab) <= a.Norm2()*b.Norm2()*(1+1e-12)+1e-9
+		return math.Abs(ab) <= norm2(a)*norm2(b)*(1+1e-12)+1e-9
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Error(err)

@@ -177,7 +177,7 @@ func (st *ipmState) solveLinked() error {
 		_ = st.p.G.MulVecT(gdx, t)
 		var resid float64
 		for i := range rx {
-			v := r1[i] - rx[i] - st.reg*dx[i] - t[i]
+			v := r1[i] - rx[i] - regularize*dx[i] - t[i]
 			rx[i] = v
 			if v < 0 {
 				v = -v

@@ -64,7 +64,7 @@ func blockAngularQP(rng *rand.Rand, nb, bs, nLink int) *Problem {
 // bandReference is p with every row in the band: Q widened to the band
 // G's rows reach (GramBandwidth), no linking rows.
 func bandReference(p *Problem) *Problem {
-	n, qbw := p.Q.Rows(), p.Q.Bandwidth()
+	n, qbw := p.Q.N(), p.Q.Bandwidth()
 	q := linalg.NewBandMatrix(n, max(qbw, p.G.GramBandwidth()))
 	for i := 0; i < n; i++ {
 		for j := max(0, i-qbw); j <= i; j++ {

@@ -77,7 +77,7 @@ func (p *Problem) Validate() error {
 	if err := p.validateMatrices(); err != nil {
 		return err
 	}
-	n := p.Q.Rows()
+	n := p.Q.N()
 	if len(p.C) != n {
 		return fmt.Errorf("c has %d entries, n=%d: %w", len(p.C), n, ErrBadProblem)
 	}
@@ -99,7 +99,7 @@ func (p *Problem) validateMatrices() error {
 	if p.G == nil || p.G.Rows() == 0 {
 		return fmt.Errorf("no inequality rows: %w", ErrBadProblem)
 	}
-	n := p.Q.Rows()
+	n := p.Q.N()
 	if p.G.Cols() != n {
 		return fmt.Errorf("G has %d cols, n=%d: %w", p.G.Cols(), n, ErrBadProblem)
 	}
@@ -113,7 +113,7 @@ func (p *Problem) validateMatrices() error {
 }
 
 // NumVars returns the number of decision variables.
-func (p *Problem) NumVars() int { return p.Q.Rows() }
+func (p *Problem) NumVars() int { return p.Q.N() }
 
 // NumIneq returns the number of inequality constraints.
 func (p *Problem) NumIneq() int { return p.G.Rows() }
@@ -160,12 +160,13 @@ type AnytimeInfo struct {
 }
 
 // Options tunes the interior-point solver. The zero value is usable via
-// DefaultOptions.
+// DefaultOptions. Every shipped caller leaves MaxIterations and Tolerance
+// at their defaults; they stay settable because tests drive the capped
+// and the loosely converged outcomes through them. Anytime and Hooks are
+// set per solve inside the code (the degradation ladder, telemetry).
 type Options struct {
 	MaxIterations int     // default 100
 	Tolerance     float64 // residual/gap tolerance, default 1e-8
-	StepScale     float64 // fraction-to-boundary, default 0.99
-	Regularize    float64 // static diagonal regularization, default 1e-12
 
 	// Anytime opts into deadline-bounded solving: each iteration the solver
 	// snapshots the best-merit iterate seen so far, and when the context
@@ -186,13 +187,19 @@ type Options struct {
 	Hooks *telemetry.QPHooks
 }
 
+// stepScale is the fraction-to-boundary factor far from the solution, and
+// regularize the static shift on the KKT band's diagonal; both are fixed
+// for every solve.
+const (
+	stepScale  = 0.99
+	regularize = 1e-12
+)
+
 // DefaultOptions returns the recommended solver settings.
 func DefaultOptions() Options {
 	return Options{
 		MaxIterations: 100,
 		Tolerance:     1e-8,
-		StepScale:     0.99,
-		Regularize:    1e-12,
 	}
 }
 
@@ -203,12 +210,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Tolerance <= 0 {
 		o.Tolerance = d.Tolerance
-	}
-	if o.StepScale <= 0 || o.StepScale >= 1 {
-		o.StepScale = d.StepScale
-	}
-	if o.Regularize <= 0 {
-		o.Regularize = d.Regularize
 	}
 	return o
 }

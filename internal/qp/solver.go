@@ -189,7 +189,7 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, warm *WarmStart, st
 			}
 		}
 
-		if err := st.factorKKT(opts.Regularize); err != nil {
+		if err := st.factorKKT(); err != nil {
 			return nil, fmt.Errorf("iteration %d: %w", iter, err)
 		}
 		if stats != nil {
@@ -236,11 +236,11 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, warm *WarmStart, st
 		} else if stats != nil {
 			stats.correctorSkips++
 		}
-		// Adaptive fraction-to-boundary (Mehrotra): back off by StepScale
+		// Adaptive fraction-to-boundary (Mehrotra): back off by stepScale
 		// while far from the solution, but let η → 1 as the relative gap
 		// closes — the conservative margin is pure slowdown in the tail,
 		// where the affine direction is nearly exact.
-		eta := opts.StepScale
+		eta := stepScale
 		if g := 1 - mu/(1+math.Abs(st.obj)); g > eta {
 			eta = g
 			if eta > 0.9999 {
@@ -268,7 +268,7 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, warm *WarmStart, st
 		if floored || st.bumped || iter&0xf == 0xf {
 			st.computeResiduals()
 		} else {
-			st.updateResiduals(alphaP, alphaD, opts.Regularize)
+			st.updateResiduals(alphaP, alphaD)
 			if residualUpdateHook != nil {
 				residualUpdateHook(st)
 			}
@@ -359,8 +359,6 @@ type ipmState struct {
 	// bumped records that the last factorization needed the emergency
 	// regularization bump, invalidating the incremental residual identity.
 	bumped bool
-	// reg is the static regularization of the last factorKKT call.
-	reg float64
 	// arena, set only by Sessions, double-buffers the escaping Result
 	// storage so results stop allocating per solve.
 	arena *resultArena
@@ -567,7 +565,7 @@ func (st *ipmState) computeResiduals() {
 // an unrefined Schur-complement direction can miss the dual equation by
 // ~5e-7, and the Newton identity would silently drop that miss
 // (DESIGN.md §7).
-func (st *ipmState) updateResiduals(alphaP, alphaD, reg float64) {
+func (st *ipmState) updateResiduals(alphaP, alphaD float64) {
 	_ = st.sym.qBand.MulVec(st.dx, st.scratchN)
 	qdx := st.scratchN[:st.n]
 	rd, qxv, dx := st.rd[:st.n], st.qx[:st.n], st.dx[:st.n]
@@ -591,7 +589,7 @@ func (st *ipmState) updateResiduals(alphaP, alphaD, reg float64) {
 		pd := alphaP - alphaD
 		omd := 1 - alphaD
 		for i := range rd {
-			v := omd*rd[i] + pd*qdx[i] - alphaD*reg*dx[i]
+			v := omd*rd[i] + pd*qdx[i] - alphaD*regularize*dx[i]
 			rd[i] = v
 			qxv[i] += alphaP * qdx[i]
 			if v < 0 {
@@ -653,8 +651,7 @@ func (st *ipmState) converged(tol, mu float64) bool {
 // place, then the Schur complement of the linking rows. The symbolic
 // phase (layout and storage) happened once in newIPMState, so no
 // allocation occurs here.
-func (st *ipmState) factorKKT(reg float64) error {
-	st.reg = reg
+func (st *ipmState) factorKKT() error {
 	st.bumped = false
 	sInv, wv := st.sInv[:st.m], st.w[:st.m]
 	sv, zv := st.s[:st.m], st.z[:st.m]
@@ -662,7 +659,7 @@ func (st *ipmState) factorKKT(reg float64) error {
 		sInv[i] = 1 / sv[i]
 		wv[i] = zv[i] * sInv[i]
 	}
-	if err := st.factorKKTFull(reg); err != nil {
+	if err := st.factorKKTFull(); err != nil {
 		return err
 	}
 	if st.link.k == 0 {
@@ -679,15 +676,15 @@ func (st *ipmState) factorKKT(reg float64) error {
 
 // factorKKTFull is the numeric factorization of the band part proper:
 // refill the packed band and refactorize in place.
-func (st *ipmState) factorKKTFull(reg float64) error {
+func (st *ipmState) factorKKTFull() error {
 	// Refill the working band: Q's packed band lands in one contiguous
-	// copy, reg goes on the diagonal, then G_bᵀdiag(w)G_b is accumulated on
+	// copy, regularize goes on the diagonal, then G_bᵀdiag(w)G_b is accumulated on
 	// top — the linking rows carry zero weight there, so the assembly
 	// skips them. The band is Q's; a band row of G too wide for it is the
 	// caller's error.
 	n, bw := st.n, st.sym.bw
 	_ = st.hBand.CopyFrom(st.sym.qBand)
-	st.hBand.AddDiag(reg)
+	st.hBand.AddDiag(regularize)
 	if err := st.p.G.AtATWeightedBand(st.link.bandWeights(st.w, st.p.Linking), st.hBand); err != nil {
 		return fmt.Errorf("kkt assembly: %v: %w", err, ErrBadProblem)
 	}

@@ -151,7 +151,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if o != d {
 		t.Errorf("withDefaults() = %+v, want %+v", o, d)
 	}
-	custom := Options{MaxIterations: 7, Tolerance: 1e-4, StepScale: 0.5, Regularize: 1e-9}
+	custom := Options{MaxIterations: 7, Tolerance: 1e-4}
 	if got := custom.withDefaults(); got != custom {
 		t.Errorf("custom options altered: %+v", got)
 	}

@@ -9,7 +9,6 @@ import (
 	"dspp/internal/baseline"
 	"dspp/internal/core"
 	"dspp/internal/predict"
-	"dspp/internal/qp"
 )
 
 func simpleInstance(t *testing.T) *core.Instance {
@@ -159,15 +158,15 @@ func TestRunWithBaselinePolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, err := baseline.NewStaticAverage(inst, demand, prices, qp.DefaultOptions())
+	static, err := baseline.NewStaticAverage(inst, demand, prices)
 	if err != nil {
 		t.Fatal(err)
 	}
-	myopic, err := baseline.NewMyopic(inst, qp.DefaultOptions())
+	myopic, err := baseline.NewMyopic(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := baseline.NewLazyThreshold(inst, 1.2, 2.0, qp.DefaultOptions())
+	lazy, err := baseline.NewLazyThreshold(inst, 1.2, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}

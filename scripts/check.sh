@@ -17,11 +17,23 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== benchmark module (vet + test) =="
+# benchmark/ is its own module, which the root ./... does not reach; it
+# calls the exported API, so a removed name it still uses must fail here.
+go -C benchmark vet ./...
+go -C benchmark test ./...
+
 echo "== go test -race =="
 go test -race ./...
 
 echo "== benchmark smoke (1 iteration each) =="
-go test -run XXX -bench . -benchtime 1x .
+smoke_out=$(go test -run XXX -bench . -benchtime 1x .)
+echo "$smoke_out"
+# The paper metrics the live Fig 7 and Fig 9 benchmarks report are pinned.
+echo "$smoke_out" | grep -q '[[:space:]]74\.60 mean_iters_cap100' || {
+	echo "live mean_iters_cap100 is not 74.60"; exit 1; }
+echo "$smoke_out" | grep -q '[[:space:]]2\.000 best_horizon' || {
+	echo "live best_horizon is not 2.000"; exit 1; }
 go test -run XXX -bench . -benchtime 1x ./internal/qp ./internal/core ./internal/linalg ./internal/game ./internal/daemon
 
 echo "== BENCH_2.json guard =="

@@ -95,18 +95,18 @@ func NewGreedyNearestPolicy(inst *Instance) (Policy, error) {
 // NewStaticAveragePolicy computes one placement for the average demand
 // and holds it forever.
 func NewStaticAveragePolicy(inst *Instance, demand, prices [][]float64) (Policy, error) {
-	return baseline.NewStaticAverage(inst, demand, prices, DefaultQPOptions())
+	return baseline.NewStaticAverage(inst, demand, prices)
 }
 
 // NewMyopicPolicy solves a single-period DSPP each step (MPC with W=1).
 func NewMyopicPolicy(inst *Instance) (Policy, error) {
-	return baseline.NewMyopic(inst, DefaultQPOptions())
+	return baseline.NewMyopic(inst)
 }
 
 // NewLazyThresholdPolicy holds the allocation inside a hysteresis band
 // and re-plans to target×minimum when the band is left.
 func NewLazyThresholdPolicy(inst *Instance, target, upper float64) (Policy, error) {
-	return baseline.NewLazyThreshold(inst, target, upper, DefaultQPOptions())
+	return baseline.NewLazyThreshold(inst, target, upper)
 }
 
 // NewSoftTrackingPolicy is a soft-constraint MPC controller solved by an
