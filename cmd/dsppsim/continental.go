@@ -96,8 +96,12 @@ func runContinental(out *os.File, tel *dspp.Telemetry, cfg continentalRun) error
 		if !s.SLAMet {
 			slaMark = "MISS"
 		}
+		mode := s.Degradation.Mode.String()
+		if s.Degradation.Loose {
+			mode += " loose"
+		}
 		fmt.Fprintf(out, "%-6d %14.0f %14.1f %8d %10.2f %6s %s\n",
-			s.Period, totalDemand, servers, active, s.Cost.Total(), slaMark, s.Degradation.Mode)
+			s.Period, totalDemand, servers, active, s.Cost.Total(), slaMark, mode)
 	}
 	fmt.Fprintf(out, "\ntotal cost %.2f (resource %.2f, reconfig %.2f), SLA violations %d/%d\n",
 		res.TotalCost, res.TotalResource, res.TotalReconfig, res.SLAViolations, len(res.Steps))

@@ -369,6 +369,7 @@ func (c *Controller) stepCtx(ctx context.Context, demand, prices [][]float64) (*
 		// recovered from a transient stall.
 		c.missStreak = 0
 	}
+	deg.Loose = plan.Loose
 	c.warm = plan.Warm
 	c.state = plan.X[0].Clone()
 	if c.lastDuals == nil {

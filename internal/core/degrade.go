@@ -70,6 +70,11 @@ type Degradation struct {
 	AnytimeIterations int
 	// Cause is the error the ladder recovered from ("" for a clean step).
 	Cause string
+	// Loose marks a plan whose solve ran to the iteration cap and was
+	// accepted at the solver's loosened tolerance. It is a quality flag,
+	// not a ladder rung: a loose step is not Degraded, but it is not
+	// clean either.
+	Loose bool
 }
 
 // Degraded reports whether the step deviated from the normal solve path.
@@ -80,9 +85,15 @@ func (d Degradation) Degraded() bool {
 // String renders a compact report line.
 func (d Degradation) String() string {
 	if !d.Degraded() {
+		if d.Loose {
+			return "loose"
+		}
 		return "ok"
 	}
 	s := d.Mode.String()
+	if d.Loose {
+		s += " loose"
+	}
 	if d.ColdRestarts > 0 {
 		s += fmt.Sprintf(" restarts=%d", d.ColdRestarts)
 	}

@@ -132,6 +132,44 @@ func TestStepHoldRungWhenSoftFails(t *testing.T) {
 	}
 }
 
+// TestStepReportsLooseSolve: a hard solve that runs to the iteration cap
+// and is accepted at the loosened tolerance yields a plan marked Loose,
+// and the step reports it — not as a degradation rung, and not as clean.
+func TestStepReportsLooseSolve(t *testing.T) {
+	demand, prices := constForecast(3, []float64{1000}), constForecast(3, []float64{0.1})
+	clean, err := NewController(singleDC(t, 1e-3, 100), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := clean.Step(demand, prices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Plan.Loose || res.Degradation.Loose || res.Degradation.String() != "ok" {
+		t.Fatalf("default solve reported loose=%v/%v %q", res.Plan.Loose, res.Degradation.Loose, res.Degradation)
+	}
+	for limit := 1; limit <= 100; limit++ {
+		c, err := NewController(singleDC(t, 1e-3, 100), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.opts.MaxIterations = limit
+		c.opts.Tolerance = 1e-12
+		res, err := c.Step(demand, prices)
+		if err != nil || res.Degradation.Mode != DegradeNone || res.Plan.QPIterations < limit {
+			continue // failed at the cap, or converged before it
+		}
+		if !res.Plan.Loose || !res.Degradation.Loose {
+			t.Fatalf("cap %d: capped solve accepted without the loose flag", limit)
+		}
+		if res.Degradation.Degraded() || res.Degradation.String() != "loose" {
+			t.Fatalf("cap %d: loose step reported as %q (degraded %v)", limit, res.Degradation, res.Degradation.Degraded())
+		}
+		return
+	}
+	t.Fatal("no iteration cap produced a loosely accepted hard solve")
+}
+
 func TestHoldProjection(t *testing.T) {
 	inst := twoByTwo(t) // capacities 100, 100
 	s := inst.NewState()

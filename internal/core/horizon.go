@@ -166,6 +166,9 @@ type Plan struct {
 	// ColdRestarts counts warm-started solves that failed numerically and
 	// were retried from a cold start (0 or 1 per solve).
 	ColdRestarts int
+	// Loose marks a plan whose solve ran to the iteration cap and was
+	// accepted at the solver's loosened tolerance (qp.Result.Loose).
+	Loose bool
 	// Shed[t][v] is the demand shed at horizon step t for location v; nil
 	// unless the plan came from the soft-constrained relaxation (see
 	// SolveHorizonSoft).
@@ -503,6 +506,7 @@ func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Res
 		DemandDuals:   rows[w : 2*w : 2*w],
 		QPIterations:  res.Iterations,
 		ColdRestarts:  coldRestarts,
+		Loose:         res.Loose,
 	}
 	rows = rows[2*w:]
 	if hs.soft {

@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"dspp/internal/game"
+	"dspp/internal/telemetry"
 )
 
 const testSeed = 2012
@@ -125,6 +129,39 @@ func TestFig7Small(t *testing.T) {
 				t.Errorf("cap idx %d: nonpositive iterations %d", ci, it)
 			}
 		}
+	}
+}
+
+// TestFig7RoundsUnderRecentering: Fig 7's best-response re-solves are
+// warm starts from the previous round's plan under cut quotas, so the
+// solver's recentering rung fires on them; it changes IPM iterates only,
+// and Algorithm 2's round counts stay exactly where Fig 7 reports them.
+func TestFig7RoundsUnderRecentering(t *testing.T) {
+	r, err := Fig7GameConvergence(testSeed, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int{
+		{2, 2, 4, 21, 21, 52, 40, 4},
+		{2, 3, 5, 7, 12, 36, 32, 39},
+		{2, 2, 2, 4, 7, 6, 14, 10},
+	}
+	for ci := range want {
+		for n, it := range want[ci] {
+			if r.Iterations[ci][n] != it {
+				t.Fatalf("cap=%g players=%d: %d rounds, Fig 7 has %d", r.Capacities[ci], n+1, r.Iterations[ci][n], it)
+			}
+		}
+	}
+	hub := telemetry.New()
+	cfg := gameBRConfig(100)
+	cfg.Telemetry = hub
+	rng := rand.New(rand.NewSource(testSeed + 6*101))
+	if _, err := game.BestResponse(gameScenario(rng, 6, 3, 100), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := hub.Registry().Snapshot()[telemetry.MetricQPRecenters]; got == 0 {
+		t.Fatal("recentering never fired on the 6-player cap=100 game")
 	}
 }
 

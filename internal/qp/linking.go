@@ -138,8 +138,9 @@ const linkRefineSteps = 3
 //	[H_b  Cᵀ] [dx]   [r1]
 //	[C   −D ] [λ ] = [b2]
 //
-// with b2 = 0, then refines the solution against residuals of that
-// system. dx lands in st.dx and λ in link.lam.
+// with b2 = 0, then, when the band factor was perturbed, refines the
+// solution against residuals of that system. dx lands in st.dx and λ in
+// link.lam.
 func (st *ipmState) solveLinked() error {
 	ls := &st.link
 	n, k := st.n, ls.k
@@ -152,13 +153,14 @@ func (st *ipmState) solveLinked() error {
 	if err := ls.solveAugmented(st.bchol, r1, dx, b2, ls.lam); err != nil {
 		return err
 	}
+	if !st.bumped {
+		return nil
+	}
+	// Only a perturbed band factor needs refinement; its stopping test
+	// is relative to the right-hand side.
 	rNorm := r1.NormInf()
 	lam := ls.lam[:k]
-	steps := 0
-	if st.bumped {
-		steps = linkRefineSteps
-	}
-	for step := 0; step < steps; step++ {
+	for step := 0; step < linkRefineSteps; step++ {
 		// rx = r1 − (Q + reg)·dx − G_bᵀ W_b G_b dx − Cᵀλ and
 		// rl = −C dx + D λ, with D = 1/w.
 		rx, t := ls.t1[:n], ls.t2[:n]

@@ -140,6 +140,12 @@ type Result struct {
 	PrimalRes  float64       // final primal residual (∞-norm)
 	DualRes    float64       // final dual residual (∞-norm)
 
+	// Loose marks a solve that reached MaxIterations and was accepted
+	// only because it met the loosened tolerance Tolerance·1e4 — an MPC
+	// loop prefers a usable near-optimal control to an error, but the
+	// result is not converged to Tolerance.
+	Loose bool
+
 	// Anytime is set only when the solve returned early with ErrDeadline:
 	// the X/duals above are then the best-merit iterate snapshotted during
 	// the interrupted run, and this block records how far that iterate got.

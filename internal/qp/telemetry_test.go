@@ -88,8 +88,9 @@ func TestTelemetryMaxIterOutcome(t *testing.T) {
 }
 
 // TestTelemetryLooseOutcome checks that a solve which runs to the cap and
-// is then accepted at the loosened tolerance (no error) still lands in
-// dspp_qp_maxiter_total, and that its qp_solve span says outcome=loose.
+// is then accepted at the loosened tolerance (no error) is flagged
+// Result.Loose, still lands in dspp_qp_maxiter_total, and that its
+// qp_solve span says outcome=loose.
 func TestTelemetryLooseOutcome(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := randomFeasibleQP(rng, 30, 60)
@@ -103,6 +104,9 @@ func TestTelemetryLooseOutcome(t *testing.T) {
 		res, err := Solve(p, opts)
 		if err != nil || res.Iterations < limit {
 			continue // failed at the cap, or converged before it
+		}
+		if !res.Loose {
+			t.Fatalf("cap %d: loosely accepted solve without Result.Loose", limit)
 		}
 		if got := hub.Registry().Snapshot()[telemetry.MetricQPMaxIter]; got != 1 {
 			t.Fatalf("cap %d: maxiter counter = %v for a loosely accepted solve, want 1", limit, got)

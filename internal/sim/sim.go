@@ -222,6 +222,10 @@ type Result struct {
 	AnytimeSteps     int
 	SoftSteps        int
 	HoldSteps        int
+	// LooseSteps counts the periods whose plan was accepted at the
+	// solver's loosened tolerance after the iteration cap (the
+	// dspp_loose_steps_total delta); such steps may also be degraded.
+	LooseSteps int
 	// BudgetOverruns counts periods whose end-to-end wall time exceeded
 	// Config.Budget+BudgetGrace (0 when no budget was configured);
 	// MaxStepWall is the slowest period observed.
@@ -241,7 +245,7 @@ const BudgetGrace = 5 * time.Millisecond
 // telemetry.DegradationFromTrace reproduces it byte for byte.
 func (r *Result) DegradationSummary() string {
 	return telemetry.FormatDegradationSummary(r.PolicyName, len(r.Steps),
-		r.DegradedSteps, r.ColdRestartSteps, r.AnytimeSteps, r.SoftSteps, r.HoldSteps, r.ShedDemand)
+		r.DegradedSteps, r.ColdRestartSteps, r.AnytimeSteps, r.SoftSteps, r.HoldSteps, r.LooseSteps, r.ShedDemand)
 }
 
 // ForecastAccuracy is the per-location forecast scorecard.
@@ -342,19 +346,21 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	// throwaway standalone counters starting at zero. Either way there is
 	// exactly one accounting path.
 	hub := cfg.Telemetry
-	var mPeriods, mViol, mShed, mOver *telemetry.Counter
+	var mPeriods, mViol, mShed, mOver, mLoose *telemetry.Counter
 	var mDeg *telemetry.CounterVec
 	if reg := hub.Registry(); reg != nil {
 		mPeriods = reg.Counter(telemetry.MetricPeriods)
 		mViol = reg.Counter(telemetry.MetricSLAViolations)
 		mShed = reg.Counter(telemetry.MetricShedDemand)
 		mOver = reg.Counter(telemetry.MetricBudgetOverruns)
+		mLoose = reg.Counter(telemetry.MetricLooseSteps)
 		mDeg = reg.CounterVec(telemetry.MetricDegradationSteps, "mode")
 	} else {
 		mPeriods = telemetry.NewCounter()
 		mViol = telemetry.NewCounter()
 		mShed = telemetry.NewCounter()
 		mOver = telemetry.NewCounter()
+		mLoose = telemetry.NewCounter()
 		mDeg = telemetry.NewCounterVec(telemetry.MetricDegradationSteps, "mode")
 	}
 	modeLabels := []string{
@@ -365,6 +371,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	baseViol := mViol.Value()
 	baseShed := mShed.Value()
 	baseOver := mOver.Value()
+	baseLoose := mLoose.Value()
 	baseMode := make(map[string]float64, len(modeLabels))
 	for _, m := range modeLabels {
 		baseMode[m] = mDeg.With(m).Value()
@@ -518,6 +525,11 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 			mDeg.With(rec.Degradation.Mode.String()).Inc()
 			mShed.Add(rec.Degradation.ShedDemand)
 		}
+		loose := 0.0
+		if rec.Degradation.Loose {
+			loose = 1
+			mLoose.Inc()
+		}
 		if sink != nil {
 			var explain core.Explain
 			if explainer != nil {
@@ -536,6 +548,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 			telemetry.Str("mode", rec.Degradation.Mode.String()),
 			telemetry.Num("cold_restarts", float64(rec.Degradation.ColdRestarts)),
 			telemetry.Num("shed", rec.Degradation.ShedDemand),
+			telemetry.Num("loose", loose),
 			telemetry.Num("min_slack", minSlack),
 			telemetry.Num("cost", cost.Total()),
 		)
@@ -546,6 +559,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	// numbers are a view over telemetry, not a second ledger.
 	res.ShedDemand = mShed.Value() - baseShed
 	res.BudgetOverruns = int(mOver.Value() - baseOver)
+	res.LooseSteps = int(mLoose.Value() - baseLoose)
 	res.ColdRestartSteps = int(mDeg.With(core.DegradeColdRestart.String()).Value() - baseMode[core.DegradeColdRestart.String()])
 	res.AnytimeSteps = int(mDeg.With(core.DegradeAnytime.String()).Value() - baseMode[core.DegradeAnytime.String()])
 	res.SoftSteps = int(mDeg.With(core.DegradeSoft.String()).Value() - baseMode[core.DegradeSoft.String()])

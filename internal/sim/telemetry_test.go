@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"dspp/internal/core"
@@ -157,5 +158,59 @@ func TestTelemetryCleanRunSummary(t *testing.T) {
 	line, ok := telemetry.DegradationFromTrace(events)
 	if !ok || line != res.DegradationSummary() {
 		t.Errorf("clean replay %q (ok=%v), want %q", line, ok, res.DegradationSummary())
+	}
+}
+
+// loosePolicy reports every third step of the wrapped MPC policy as a
+// loosely accepted solve.
+type loosePolicy struct {
+	*MPCPolicy
+	steps int
+}
+
+func (p *loosePolicy) StepCtx(ctx context.Context, demand, prices [][]float64) (core.State, core.State, error) {
+	p.steps++
+	return p.MPCPolicy.StepCtx(ctx, demand, prices)
+}
+
+func (p *loosePolicy) LastDegradation() core.Degradation {
+	d := p.MPCPolicy.LastDegradation()
+	d.Loose = p.steps%3 == 0
+	return d
+}
+
+// TestTelemetryLooseStepsSummary: loose steps are counted in the Result
+// and dspp_loose_steps_total, keep the run from being called clean, and
+// the trace replay reproduces the summary line.
+func TestTelemetryLooseStepsSummary(t *testing.T) {
+	var buf bytes.Buffer
+	hub := telemetry.New(telemetry.WithTraceWriter(&buf))
+	inst := cappedInstance(t, 10)
+	ctrl, err := core.NewController(inst, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := faultedConfig(t, inst, nil)
+	cfg.Policy = &loosePolicy{MPCPolicy: &MPCPolicy{Ctrl: ctrl}}
+	cfg.Telemetry = hub
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DegradedSteps != 0 || res.LooseSteps != 4 {
+		t.Fatalf("degraded %d loose %d, want 0 and 4", res.DegradedSteps, res.LooseSteps)
+	}
+	if got, want := res.DegradationSummary(), "mpc-w3: 8/12 steps clean, 4 loose"; got != want {
+		t.Fatalf("summary %q, want %q", got, want)
+	}
+	if got := hub.Registry().Snapshot()[telemetry.MetricLooseSteps]; got != 4 {
+		t.Fatalf("%s = %g, want 4", telemetry.MetricLooseSteps, got)
+	}
+	events, err := telemetry.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line, ok := telemetry.DegradationFromTrace(events); !ok || line != res.DegradationSummary() {
+		t.Errorf("replay %q (ok=%v), want %q", line, ok, res.DegradationSummary())
 	}
 }

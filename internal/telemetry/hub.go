@@ -20,6 +20,7 @@ const (
 	MetricQPMaxIter           = "dspp_qp_maxiter_total"
 	MetricQPSolveIterations   = "dspp_qp_solve_iterations"
 	MetricQPDeadlineReturns   = "dspp_qp_deadline_returns_total"
+	MetricQPRecenters         = "dspp_qp_recenters_total"
 
 	// Deprecated: never registered or incremented; kept only because the
 	// benchmark module reads them.
@@ -35,6 +36,7 @@ const (
 	MetricSLAHeadroomP5   = "dspp_sla_headroom_p05"
 
 	MetricDegradationSteps = "dspp_degradation_steps_total"
+	MetricLooseSteps       = "dspp_loose_steps_total"
 	MetricShedDemand       = "dspp_shed_demand_total"
 
 	MetricBudgetOverruns     = "dspp_budget_overruns_total"
@@ -98,6 +100,7 @@ type QPHooks struct {
 	NumericalFailures *Counter
 	MaxIter           *Counter
 	DeadlineReturns   *Counter
+	Recenters         *Counter
 	IterationsHist    *Histogram
 	Tracer            *Tracer
 }
@@ -176,6 +179,7 @@ func (h *Hub) QPHooks() *QPHooks {
 			NumericalFailures: h.reg.Counter(MetricQPNumericalFailures),
 			MaxIter:           h.reg.Counter(MetricQPMaxIter),
 			DeadlineReturns:   h.reg.Counter(MetricQPDeadlineReturns),
+			Recenters:         h.reg.Counter(MetricQPRecenters),
 			IterationsHist:    h.reg.Histogram(MetricQPSolveIterations, qpIterBuckets),
 			Tracer:            h.tr,
 		}

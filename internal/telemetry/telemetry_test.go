@@ -293,13 +293,22 @@ func TestTracerFloatRoundTrip(t *testing.T) {
 }
 
 func TestFormatDegradationSummary(t *testing.T) {
-	if got := FormatDegradationSummary("mpc-w6", 30, 0, 0, 0, 0, 0, 0); got != "mpc-w6: all 30 steps clean" {
-		t.Fatalf("clean summary = %q", got)
-	}
-	got := FormatDegradationSummary("mpc-w6", 30, 5, 1, 1, 2, 1, 12.34)
-	want := "mpc-w6: 5/30 steps degraded (cold-restart=1 anytime=1 soft=2 hold=1), shed 12.3 req/s total"
-	if got != want {
-		t.Fatalf("degraded summary = %q, want %q", got, want)
+	for _, tc := range []struct {
+		degraded, cold, anytime, soft, hold, loose int
+		shed                                       float64
+		want                                       string
+	}{
+		{want: "mpc-w6: all 30 steps clean"},
+		{loose: 25, want: "mpc-w6: 5/30 steps clean, 25 loose"},
+		{degraded: 5, cold: 1, anytime: 1, soft: 2, hold: 1, shed: 12.34,
+			want: "mpc-w6: 5/30 steps degraded (cold-restart=1 anytime=1 soft=2 hold=1), shed 12.3 req/s total"},
+		{degraded: 2, soft: 2, loose: 1, shed: 3,
+			want: "mpc-w6: 2/30 steps degraded (cold-restart=0 anytime=0 soft=2 hold=0), shed 3.0 req/s total, 1 loose"},
+	} {
+		got := FormatDegradationSummary("mpc-w6", 30, tc.degraded, tc.cold, tc.anytime, tc.soft, tc.hold, tc.loose, tc.shed)
+		if got != tc.want {
+			t.Fatalf("summary = %q, want %q", got, tc.want)
+		}
 	}
 }
 
@@ -310,11 +319,14 @@ func TestDegradationFromTrace(t *testing.T) {
 	root := tr.Start(SpanRun, 0, Str("policy", "mpc-w4"), Num("steps", 4))
 	for i, mode := range []string{"none", "anytime", "soft", "hold"} {
 		p := tr.Start(SpanPeriod, root.ID(), Num("period", float64(i)))
-		shed := 0.0
+		shed, loose := 0.0, 0.0
 		if mode == "soft" {
 			shed = 5.5
 		}
-		p.SetAttr(Str("mode", mode), Num("shed", shed), Num("cold_restarts", 0))
+		if mode == "none" {
+			loose = 1
+		}
+		p.SetAttr(Str("mode", mode), Num("shed", shed), Num("cold_restarts", 0), Num("loose", loose))
 		p.End()
 	}
 	root.End()
@@ -327,7 +339,7 @@ func TestDegradationFromTrace(t *testing.T) {
 	if !ok {
 		t.Fatal("no run span found")
 	}
-	want := FormatDegradationSummary("mpc-w4", 4, 3, 0, 1, 1, 1, 5.5)
+	want := FormatDegradationSummary("mpc-w4", 4, 3, 0, 1, 1, 1, 1, 5.5)
 	if line != want {
 		t.Fatalf("trace summary = %q, want %q", line, want)
 	}

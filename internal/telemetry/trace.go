@@ -237,24 +237,36 @@ func CriticalPaths(events []TraceEvent) []CoordinationPath {
 // FormatDegradationSummary renders the one-line operator summary of a
 // run's degradation ladder activity. It is THE formatter — sim.Result
 // and the trace-summary replay both call it, so the two can only agree
-// byte for byte.
-func FormatDegradationSummary(policy string, steps, degraded, cold, anytime, soft, hold int, shed float64) string {
-	if degraded == 0 {
+// byte for byte. loose counts the steps whose plan was accepted at the
+// solver's loosened tolerance after the iteration cap: they are not
+// degraded, but a run with any is not called clean, and the line ends
+// ", N loose".
+func FormatDegradationSummary(policy string, steps, degraded, cold, anytime, soft, hold, loose int, shed float64) string {
+	var line string
+	switch {
+	case degraded == 0 && loose == 0:
 		return fmt.Sprintf("%s: all %d steps clean", policy, steps)
+	case degraded == 0:
+		line = fmt.Sprintf("%s: %d/%d steps clean", policy, steps-loose, steps)
+	default:
+		line = fmt.Sprintf("%s: %d/%d steps degraded (cold-restart=%d anytime=%d soft=%d hold=%d), shed %.1f req/s total",
+			policy, degraded, steps, cold, anytime, soft, hold, shed)
 	}
-	return fmt.Sprintf("%s: %d/%d steps degraded (cold-restart=%d anytime=%d soft=%d hold=%d), shed %.1f req/s total",
-		policy, degraded, steps, cold, anytime, soft, hold, shed)
+	if loose > 0 {
+		line += fmt.Sprintf(", %d loose", loose)
+	}
+	return line
 }
 
 // DegradationFromTrace recomputes the degradation summary line from a
 // trace: the run span carries policy and step count, and each period
-// span carries its ladder outcome (mode, shed, cold_restarts). Returns
-// ok=false when the trace has no run span.
+// span carries its ladder outcome (mode, shed, cold_restarts, loose).
+// Returns ok=false when the trace has no run span.
 func DegradationFromTrace(events []TraceEvent) (line string, ok bool) {
 	var policy string
 	var steps int
 	found := false
-	var degraded, cold, anytime, soft, hold int
+	var degraded, cold, anytime, soft, hold, loose int
 	var shed float64
 	for i := range events {
 		e := &events[i]
@@ -286,10 +298,13 @@ func DegradationFromTrace(events []TraceEvent) (line string, ok bool) {
 			if v, ok := e.Num("shed"); ok {
 				shed += v
 			}
+			if v, _ := e.Num("loose"); v > 0 {
+				loose++
+			}
 		}
 	}
 	if !found {
 		return "", false
 	}
-	return FormatDegradationSummary(policy, steps, degraded, cold, anytime, soft, hold, shed), true
+	return FormatDegradationSummary(policy, steps, degraded, cold, anytime, soft, hold, loose, shed), true
 }
