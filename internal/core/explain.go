@@ -73,6 +73,7 @@ func NewAttribution(inst *Instance, period int, state, applied, prev State,
 		Churn:      inst.PlacementChurn(prev, state),
 		ShedDemand: deg.ShedDemand,
 		Mode:       deg.Mode.String(),
+		Loose:      deg.Loose,
 		WallUS:     wall.Microseconds(),
 		DCs:        make([]telemetry.DCAttribution, len(dcs)),
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -217,7 +219,7 @@ func TestNewAttributionRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Period != 1 || a.WallUS != 1500 || a.Mode != res.Degradation.Mode.String() {
+	if a.Period != 1 || a.WallUS != 1500 || a.Mode != res.Degradation.Mode.String() || a.Loose {
 		t.Fatalf("record header %+v", a)
 	}
 	if e := relErr(a.ComponentSum(), a.Total); e > 1e-9 {
@@ -249,5 +251,25 @@ func TestNewAttributionRecord(t *testing.T) {
 	}
 	if e := relErr(a.ComponentSum(), a.Total); e > 1e-9 {
 		t.Fatalf("shed components %g != total %g", a.ComponentSum(), a.Total)
+	}
+	// A loose period keeps its mode and cost, and says loose in the
+	// record /statusz serves.
+	a, err = NewAttribution(inst, 3, res.NewState, res.Applied, prev, prices[0],
+		cost, Degradation{Loose: true}, time.Millisecond, Explain{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Loose || a.Mode != "none" || a.Shed != 0 {
+		t.Fatalf("loose record %+v", a)
+	}
+	if e := relErr(a.Total, cost.Total()); e > 1e-9 {
+		t.Fatalf("loose period total %g != cost %g", a.Total, cost.Total())
+	}
+	js, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(js), `"loose":true`) {
+		t.Fatalf("loose record JSON %s", js)
 	}
 }

@@ -63,6 +63,9 @@ type Report struct {
 	Shed    float64 `json:"shed,omitempty"`
 	WallMS  float64 `json:"wall_ms"`
 	Overrun bool    `json:"overrun,omitempty"`
+	// Loose marks a period whose solve ran to the iteration cap and was
+	// accepted at the solver's loosened tolerance (core.Degradation.Loose).
+	Loose bool `json:"loose,omitempty"`
 	// DemandCorr and DelayCorr are the correction factors applied to this
 	// period's forecast (1 until enough samples accumulate).
 	DemandCorr float64 `json:"demand_corr"`
@@ -402,6 +405,7 @@ func (d *Daemon) runPeriod(ctx context.Context, obs Observation) error {
 		deg := res.Degradation
 		rep.Mode = deg.Mode.String()
 		rep.Shed = deg.ShedDemand
+		rep.Loose = deg.Loose
 		rep.Servers = sumState(res.NewState)
 		cost, cerr := d.inst.PeriodCost(res.NewState, res.Applied, obs.Prices)
 		if cerr == nil {

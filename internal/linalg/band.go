@@ -330,16 +330,6 @@ type BandCholesky struct {
 	// are free, and the copy pass is pure overhead (the interior-point
 	// workloads factorize tiny bands hundreds of thousands of times).
 	useLT bool
-
-	// PivotFloor, when positive, makes Factorize replace a pivot at or
-	// below PivotFloor times its diagonal entry by that floor instead of
-	// failing (static pivoting). Such a pivot is rounding noise — the
-	// cancellation of entries ~1/ε times larger — so the factor is of a
-	// matrix perturbed at that noise level in those rows; callers refine
-	// their solves against the true matrix. Zero keeps the strict check.
-	PivotFloor float64
-	// Replaced counts the pivots the last Factorize replaced.
-	Replaced int
 }
 
 // ltThreshold is the packed-factor size (floats) above which Factorize
@@ -422,8 +412,7 @@ func (c *BandCholesky) Factorize(a *BandMatrix) error {
 		c.Symbolic(a.n, a.bw)
 	}
 	n, bw := c.n, c.bw
-	c.Replaced = 0
-	if bw == 2 && c.PivotFloor == 0 {
+	if bw == 2 {
 		// The horizon QP's two-datacenter instances (the experiment sweeps)
 		// produce this exact shape hundreds of thousands of times per run.
 		if err := c.factorizeBW2(a.data); err != nil {
@@ -451,17 +440,12 @@ func (c *BandCholesky) Factorize(a *BandMatrix) error {
 			}
 			ri[j-fi] = s * dinv[j]
 		}
-		diag := ai[i-fi]
-		s := diag
+		s := ai[i-fi]
 		for _, v := range ri[:i-fi] {
 			s -= v * v
 		}
-		if !(s > 0) || s <= c.PivotFloor*diag {
-			if c.PivotFloor == 0 || math.IsNaN(s) || !(diag > 0) {
-				return fmt.Errorf("pivot %d = %g: %w", i, s, ErrNotPositiveDefinite)
-			}
-			s = c.PivotFloor * diag
-			c.Replaced++
+		if !(s > 0) {
+			return fmt.Errorf("pivot %d = %g: %w", i, s, ErrNotPositiveDefinite)
 		}
 		d := math.Sqrt(s)
 		ri[i-fi] = d

@@ -50,30 +50,6 @@ func TestInverseBlock(t *testing.T) {
 	}
 }
 
-// TestPivotFloor: a pivot that cancels to zero fails the strict
-// factorization and is floored (and counted) under PivotFloor.
-func TestPivotFloor(t *testing.T) {
-	a := NewBandMatrix(3, 1)
-	_ = a.Set(0, 0, 1)
-	_ = a.Set(1, 0, 1)
-	_ = a.Set(1, 1, 1) // pivot 1 is 1 − 1·1 = 0
-	_ = a.Set(2, 2, 2)
-	var chol BandCholesky
-	if err := chol.Factorize(a); !errors.Is(err, ErrNotPositiveDefinite) {
-		t.Fatalf("strict factorization: err = %v", err)
-	}
-	chol.PivotFloor = 1e-13
-	if err := chol.Factorize(a); err != nil {
-		t.Fatalf("floored factorization: %v", err)
-	}
-	if chol.Replaced != 1 {
-		t.Fatalf("replaced %d pivots, want 1", chol.Replaced)
-	}
-	if d := chol.l[1*2+1]; d != math.Sqrt(1e-13) {
-		t.Fatalf("floored pivot factor %v, want sqrt(1e-13)", d)
-	}
-}
-
 // TestAtATWeightedBandSkipsZeroWeightRows: a row wider than the band
 // is allowed when its weight is zero (a linking row), and rejected
 // otherwise.

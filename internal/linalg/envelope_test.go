@@ -89,13 +89,13 @@ func decreasingStart(rng *rand.Rand) (*Matrix, *BandMatrix, []int, []int) {
 // factorPair factors b twice: inside the envelope of first (its packed
 // storage poisoned with NaN beforehand, so any read outside the envelope
 // shows) and over the full uniform band.
-func factorPair(t *testing.T, b *BandMatrix, first []int, floor float64) (*BandCholesky, *BandCholesky) {
+func factorPair(t *testing.T, b *BandMatrix, first []int) (*BandCholesky, *BandCholesky) {
 	t.Helper()
 	var env Envelope
 	if err := env.Set(first); err != nil {
 		t.Fatal(err)
 	}
-	ec, fc := &BandCholesky{PivotFloor: floor}, &BandCholesky{PivotFloor: floor}
+	ec, fc := &BandCholesky{}, &BandCholesky{}
 	if err := ec.SymbolicEnvelope(b.Bandwidth(), &env); err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +110,6 @@ func factorPair(t *testing.T, b *BandMatrix, first []int, floor float64) (*BandC
 	}
 	if err := fc.Factorize(b); err != nil {
 		t.Fatalf("full-band factorization: %v", err)
-	}
-	if ec.Replaced != fc.Replaced {
-		t.Fatalf("envelope replaced %d pivots, full band %d", ec.Replaced, fc.Replaced)
 	}
 	return ec, fc
 }
@@ -155,7 +152,7 @@ func TestEnvelopeKernelsMatchDense(t *testing.T) {
 				d, b, first, bnd = horizonBlocks(rng, tc.widths, tc.w)
 			}
 			n := d.Rows()
-			ec, fc := factorPair(t, b, first, 0)
+			ec, fc := factorPair(t, b, first)
 			if tc.name == "transposed-copy" && !ec.useLT {
 				t.Fatalf("n=%d bw=%d stays below the transposed-copy threshold", n, b.Bandwidth())
 			}
@@ -208,47 +205,6 @@ func TestEnvelopeKernelsMatchDense(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestEnvelopePivotFloor: a block whose second pivot cancels to zero is
-// floored under PivotFloor, and the envelope factorization replaces the
-// same pivots, and yields the same solves, as the full-band one.
-func TestEnvelopePivotFloor(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	_, b, first, bnd := horizonBlocks(rng, []int{3, 2, 4, 1}, 2)
-	// Block 1 starts with the 2×2 step block [[1 1] [1 1]]: pivot 1 is
-	// 1 − 1·1 = 0. Its next step is decoupled from it, so the floored
-	// pivot is the only one.
-	lo := bnd[1]
-	_ = b.Set(lo, lo, 1)
-	_ = b.Set(lo+1, lo, 1)
-	_ = b.Set(lo+1, lo+1, 1)
-	_ = b.Set(lo+2, lo, 0)
-	_ = b.Set(lo+3, lo+1, 0)
-	var strict BandCholesky
-	if err := strict.Factorize(b); !errors.Is(err, ErrNotPositiveDefinite) {
-		t.Fatalf("strict factorization: err = %v", err)
-	}
-	ec, fc := factorPair(t, b, first, 1e-13)
-	if ec.Replaced != 1 {
-		t.Fatalf("replaced %d pivots, want 1", ec.Replaced)
-	}
-	n := b.N()
-	rhs, got, full := NewVector(n), NewVector(n), NewVector(n)
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-	}
-	if err := ec.Solve(rhs, got); err != nil {
-		t.Fatal(err)
-	}
-	if err := fc.Solve(rhs, full); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != full[i] {
-			t.Fatalf("x[%d]: envelope %v, full band %v", i, got[i], full[i])
-		}
 	}
 }
 

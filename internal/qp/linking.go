@@ -10,10 +10,10 @@ import (
 // of the linking rows of G against the band part H_b. With C the linking
 // rows, the Newton system
 //
-//	[H_b  Cᵀ] [dx]   [r ]
-//	[C   −D ] [λ ] = [b2]
+//	[H_b  Cᵀ] [dx]   [r]
+//	[C   −D ] [λ ] = [0]
 //
-// reduces to S λ = C H_b⁻¹ r − b2 with S = D + C H_b⁻¹ Cᵀ, and then
+// reduces to S λ = C H_b⁻¹ r with S = D + C H_b⁻¹ Cᵀ, and then
 // dx = H_b⁻¹ (r − Cᵀλ), where D = W_L⁻¹. H_b is block diagonal — the
 // horizon QP's per-location blocks — so C H_b⁻¹ Cᵀ is a sum over the
 // blocks each pair of linking rows shares, read off each touched block's
@@ -29,12 +29,11 @@ type linkSchur struct {
 	chol *linalg.BandCholesky // factor of S
 	wb   linalg.Vector        // m: KKT weights with the linking rows zeroed
 
-	// Direction-solve working set: the multipliers λ, the second-block
-	// right-hand side and refinement step (k each), and the saved r plus
-	// two residual buffers (n each; updateResiduals borrows t1 for Gᵀdz).
-	lam, c2, dl linalg.Vector
-	r1, t1, t2  linalg.Vector
-	gl          linalg.Vector // k: G·dx on the linking rows
+	// Direction-solve working set: the multipliers λ (k), the saved r
+	// (n) and t1 (n), where updateResiduals puts Gᵀdz.
+	lam    linalg.Vector
+	r1, t1 linalg.Vector
+	gl     linalg.Vector // k: G·dx on the linking rows
 }
 
 // reset binds the numeric working set to sym and sizes it for n
@@ -46,11 +45,8 @@ func (ls *linkSchur) reset(sym *linkSymbolic, n, m int) {
 	}
 	ls.zinv = growVec(ls.zinv, ls.widest*ls.widest)
 	ls.lam = growVec(ls.lam, ls.k)
-	ls.c2 = growVec(ls.c2, ls.k)
-	ls.dl = growVec(ls.dl, ls.k)
 	ls.r1 = growVec(ls.r1, n)
 	ls.t1 = growVec(ls.t1, n)
-	ls.t2 = growVec(ls.t2, n)
 	ls.gl = growVec(ls.gl, ls.k)
 	ls.wb = growVec(ls.wb, m)
 	ls.s.Reset(ls.k, ls.k-1)
@@ -115,109 +111,24 @@ func (ls *linkSchur) factorS(w linalg.Vector, linking []int) error {
 	return ls.chol.Factorize(ls.s)
 }
 
-// linkPivotFloor is the static-pivoting floor of the band factor when
-// linking rows are present (linalg.BandCholesky.PivotFloor). Moving the
-// linking rows out of the band removes their stiffness from H_b, so late
-// in a run a block can hold one huge-weight demand row over soft
-// reconfiguration curvature: the Cholesky pivots of the soft directions
-// then cancel to rounding noise and may come out negative. Flooring them
-// at the noise level keeps the factor, and linkRefineSteps of iterative
-// refinement against the true system recover the lost digits — the
-// linking rows that the true system does hold pin exactly those
-// directions.
-const linkPivotFloor = 1e-13
-
-// linkRefineSteps bounds the iterative refinement of a linked direction
-// solve whose band factor was perturbed (a floored pivot or the
-// regularization bump).
-const linkRefineSteps = 3
-
-// solveLinked solves the Newton system for the r1 held in st.dx through
+// solveLinked solves the Newton system for the r held in st.dx through
 // the band factor and the Schur complement:
 //
-//	[H_b  Cᵀ] [dx]   [r1]
-//	[C   −D ] [λ ] = [b2]
+//	[H_b  Cᵀ] [dx]   [r]
+//	[C   −D ] [λ ] = [0]
 //
-// with b2 = 0, then, when the band factor was perturbed, refines the
-// solution against residuals of that system. dx lands in st.dx and λ in
-// link.lam.
+// as dx = H_b⁻¹(r − Cᵀλ) with S λ = C H_b⁻¹ r. dx lands in st.dx and λ
+// in link.lam; r is saved in link.r1.
 func (st *ipmState) solveLinked() error {
-	ls := &st.link
-	n, k := st.n, ls.k
-	dx, r1 := st.dx[:n], ls.r1[:n]
-	copy(r1, dx)
-	b2 := ls.c2[:k]
-	for i := range b2 {
-		b2[i] = 0
-	}
-	if err := ls.solveAugmented(st.bchol, r1, dx, b2, ls.lam); err != nil {
-		return err
-	}
-	if !st.bumped {
-		return nil
-	}
-	// Only a perturbed band factor needs refinement; its stopping test
-	// is relative to the right-hand side.
-	rNorm := r1.NormInf()
-	lam := ls.lam[:k]
-	for step := 0; step < linkRefineSteps; step++ {
-		// rx = r1 − (Q + reg)·dx − G_bᵀ W_b G_b dx − Cᵀλ and
-		// rl = −C dx + D λ, with D = 1/w.
-		rx, t := ls.t1[:n], ls.t2[:n]
-		_ = st.sym.qBand.MulVec(dx, rx)
-		gdx := st.scratchM[:st.m]
-		_ = st.p.G.MulVec(dx, gdx)
-		lk := st.p.Linking
-		for i := range gdx {
-			if len(lk) > 0 && lk[0] == i {
-				gdx[i] = lam[k-len(lk)]
-				lk = lk[1:]
-				continue
-			}
-			gdx[i] *= st.w[i]
-		}
-		_ = st.p.G.MulVecT(gdx, t)
-		var resid float64
-		for i := range rx {
-			v := r1[i] - rx[i] - regularize*dx[i] - t[i]
-			rx[i] = v
-			if v < 0 {
-				v = -v
-			}
-			if v > resid {
-				resid = v
-			}
-		}
-		rl := ls.c2[:k]
-		for c := range rl {
-			var v float64
-			for e := ls.ptr[c]; e < ls.ptr[c+1]; e++ {
-				v -= ls.vals[e] * dx[ls.cols[e]]
-			}
-			rl[c] = v + lam[c]/st.w[st.p.Linking[c]]
-		}
-		if resid <= 1e-15*(1+rNorm) {
-			break
-		}
-		if err := ls.solveAugmented(st.bchol, rx, t, rl, ls.dl); err != nil {
-			return err
-		}
-		linalg.Axpy(1, t, dx)
-		linalg.Axpy(1, ls.dl[:k], lam)
-	}
-	return nil
-}
-
-// solveAugmented solves the augmented system for right-hand side
-// (r, b2): x = H_b⁻¹(r − Cᵀλ) with S λ = C H_b⁻¹ r − b2, λ into lam. r is
-// left intact; x must not alias it.
-func (ls *linkSchur) solveAugmented(ch *linalg.BandCholesky, r, x, b2, lam linalg.Vector) error {
+	ls, ch := &st.link, st.bchol
+	r, x := ls.r1[:st.n], st.dx[:st.n]
+	copy(r, x)
 	if err := ch.Solve(r, x); err != nil {
 		return fmt.Errorf("%v: %w", err, ErrNumerical)
 	}
-	lam = lam[:ls.k]
+	lam := ls.lam[:ls.k]
 	for c := range lam {
-		v := -b2[c]
+		var v float64
 		for e := ls.ptr[c]; e < ls.ptr[c+1]; e++ {
 			v += ls.vals[e] * x[ls.cols[e]]
 		}

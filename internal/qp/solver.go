@@ -222,15 +222,27 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, warm *WarmStart, st
 			r := muAff / mu
 			sigma = r * r * r
 		}
+		// The gap floor: while rd or rp is unconverged, the affine step may
+		// not take μ below muFloor·Tolerance·(1+|obj|); the corrector then
+		// aims at the floor instead, so the residuals are fixed at a μ where
+		// the KKT factor is still accurate.
+		floor := muFloor * opts.Tolerance * (1 + math.Abs(st.obj))
+		hold := muAff < floor && !st.residualsConverged(opts.Tolerance)
+		if hold {
+			sigma = math.Max(sigma, math.Min(floor/mu, 1))
+			if floorHook != nil {
+				floorHook(st)
+			}
+		}
 
 		// Corrector direction: rc = s∘z + Δs_aff∘Δz_aff − σμ·1, solved
 		// against the predictor's factorization. When the affine direction
 		// already takes the full step and drops the gap below tolerance —
 		// the common tail of warm-started MPC and best-response solves —
 		// the correction cannot improve an already-accepted step, so the
-		// extra back-solve is skipped.
+		// extra back-solve is skipped (unless the gap floor holds μ).
 		alphaP, alphaD := affP, affD
-		if muAff >= opts.Tolerance || affP < 1 || affD < 1 {
+		if hold || muAff >= opts.Tolerance || affP < 1 || affD < 1 {
 			dsv, dzv := st.ds[:m], st.dz[:m]
 			for i := range rcv {
 				rcv[i] = sv[i]*zv[i] + dsv[i]*dzv[i] - sigma*mu
@@ -319,6 +331,17 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, warm *WarmStart, st
 		mu, res.PrimalRes, res.DualRes, ErrMaxIterations)
 }
 
+// muFloor scales the gap floor of runIPM: μ is held at or above
+// muFloor·Tolerance·(1+|obj|), a tenth of the convergence threshold, while
+// rd or rp is unconverged. Without it a warm-started linked solve could
+// take two full affine steps to μ ≈ 1e-14 with the relative dual residual
+// still at 2e-8: at that μ the z/s weights reach ~1e14, the band factor's
+// soft-direction pivots cancel to rounding noise, and every later step
+// leaves the residual where it was until the iteration cap (the flat n120
+// continental seed-3 run: 25 of 60 periods loose, 2601 iterations; with
+// the floor none, 139). DESIGN.md §7 has the trace.
+const muFloor = 0.1
+
 // residualUpdateHook, when set by a test, observes the state after every
 // incremental residual update, so the fast path can be checked against a
 // full recomputation at the same iterate.
@@ -327,6 +350,10 @@ var residualUpdateHook func(*ipmState)
 // recenterHook, when set by a test, observes the state right after the
 // recentering rung fires.
 var recenterHook func(*ipmState)
+
+// floorHook, when set by a test, observes the state each time the gap
+// floor raises σ.
+var floorHook func(*ipmState)
 
 // ipmState carries the working vectors of the interior-point iteration.
 type ipmState struct {
@@ -459,10 +486,6 @@ func newIPMState(p *Problem) *ipmState {
 	st.hBand.Reset(n, st.sym.bw)
 	_ = st.bchol.SymbolicEnvelope(st.sym.bw, &st.sym.env)
 	st.link.reset(st.sym.link, n, m)
-	st.bchol.PivotFloor = 0
-	if st.link.k > 0 {
-		st.bchol.PivotFloor = linkPivotFloor
-	}
 	return st
 }
 
@@ -645,9 +668,8 @@ func (st *ipmState) computeResiduals() {
 //
 // With linking rows the dual residual is advanced from its definition
 // instead, rd⁺ = rd + αp·Q·dx + αd·Gᵀdz, at the price of one Gᵀ product:
-// an unrefined Schur-complement direction can miss the dual equation by
-// ~5e-7, and the Newton identity would silently drop that miss
-// (DESIGN.md §7).
+// a Schur-complement direction can miss the dual equation by ~5e-7, and
+// the Newton identity would silently drop that miss (DESIGN.md §7).
 func (st *ipmState) updateResiduals(alphaP, alphaD float64) {
 	_ = st.sym.qBand.MulVec(st.dx, st.scratchN)
 	qdx := st.scratchN[:st.n]
@@ -721,12 +743,14 @@ func (st *ipmState) converged(tol, mu float64) bool {
 	// against the objective magnitude, the dual residual against the cost
 	// vector, the primal residuals against the constraint data. Scaling
 	// everything by ‖h‖ would let one huge (slack) bound mask a bad gap.
-	objScale := 1 + math.Abs(st.obj)
-	dualScale := 1 + st.cNorm
-	priScale := 1 + st.hNorm
-	return mu < tol*objScale &&
-		st.rdNorm < tol*dualScale*objScale &&
-		st.rpNorm < tol*priScale
+	return mu < tol*(1+math.Abs(st.obj)) && st.residualsConverged(tol)
+}
+
+// residualsConverged is the residual half of converged: rd and rp each
+// within tol of their scales.
+func (st *ipmState) residualsConverged(tol float64) bool {
+	return st.rdNorm < tol*(1+st.cNorm)*(1+math.Abs(st.obj)) &&
+		st.rpNorm < tol*(1+st.hNorm)
 }
 
 // factorKKT runs the numeric factorization phase: refill the packed band
@@ -771,11 +795,7 @@ func (st *ipmState) factorKKTFull() error {
 	if err := st.p.G.AtATWeightedBand(st.link.bandWeights(st.w, st.p.Linking), st.hBand); err != nil {
 		return fmt.Errorf("kkt assembly: %v: %w", err, ErrBadProblem)
 	}
-	err := st.bchol.Factorize(st.hBand)
-	if st.bchol.Replaced > 0 {
-		st.bumped = true
-	}
-	if err != nil {
+	if err := st.bchol.Factorize(st.hBand); err != nil {
 		// Retry once with heavier regularization, scaled to the matrix
 		// magnitude: near-complementary iterates blow the z/s weights up
 		// to ~1e14, where an absolute 1e-8 shift is lost in rounding.

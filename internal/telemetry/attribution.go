@@ -81,6 +81,7 @@ type Attribution struct {
 	Churn      float64 `json:"churn"`                 // fraction of served demand that moved DCs
 	ShedDemand float64 `json:"shed_demand,omitempty"` // req/s shed this period
 	Mode       string  `json:"mode"`                  // degradation ladder outcome
+	Loose      bool    `json:"loose,omitempty"`       // solve accepted at the loosened tolerance
 	WallUS     int64   `json:"wall_us"`               // solve wall time
 
 	DCs []DCAttribution `json:"dcs,omitempty"`

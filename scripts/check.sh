@@ -178,25 +178,19 @@ echo "$deadline_out" | awk '
 		print "deadline guard holds: " overruns "/" periods " overruns, " rungs " anytime rungs"
 	}'
 
-echo "== loose-solve ratchet (ROADMAP item 3 reproduction, seeds 1-5) =="
+echo "== clean-run guard (ROADMAP item 3 reproduction, seeds 1-8) =="
 # A solve that runs to the iteration cap and is accepted at the loosened
-# tolerance marks its step loose, and the degradation summary line ends
-# ", N loose". The flat n120 continental runs below are the pivot-floor
-# stall reproduction; their loose counts may not rise above 0/0/25/1/1
-# (the bound falls to 0 when the stall is fixed).
+# tolerance marks its step loose, and the degradation summary line then
+# reads "N/60 steps clean, M loose". The flat n120 continental runs below
+# are the warm-start stall reproduction; each must end with every step
+# clean.
 go build -o "${TMPDIR:-/tmp}/dspp-check-dsppsim" ./cmd/dsppsim
-for bound in 1:0 2:0 3:25 4:1 5:1; do
-	seed=${bound%%:*} max=${bound#*:}
+for seed in 1 2 3 4 5 6 7 8; do
 	line=$("${TMPDIR:-/tmp}/dspp-check-dsppsim" -continental -locations 120 -dcsites 12 \
 		-horizon 2 -periods 60 -diurnal-amp 0 -seed "$seed" | tail -1)
 	echo "seed $seed: $line"
-	case $line in
-	mpc-w2:*) ;;
-	*) echo "seed $seed: degradation summary line missing"; exit 1 ;;
-	esac
-	loose=$(echo "$line" | sed -n 's/.*, \([0-9][0-9]*\) loose$/\1/p')
-	[ "${loose:-0}" -le "$max" ] || {
-		echo "seed $seed: ${loose} loose steps, want at most $max"; exit 1; }
+	[ "$line" = "mpc-w2: all 60 steps clean" ] || {
+		echo "seed $seed: want \"mpc-w2: all 60 steps clean\""; exit 1; }
 done
 rm -f "${TMPDIR:-/tmp}/dspp-check-dsppsim"
 
