@@ -151,11 +151,15 @@ func NewStaticAverage(inst *core.Instance, demand, prices [][]float64) (*StaticA
 	for i := range avgP {
 		avgP[i] /= float64(len(prices))
 	}
-	plan, err := inst.SolveHorizon(core.HorizonInput{
+	ses, err := inst.NewHorizonSession(1, qp.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	plan, err := ses.Solve(core.HorizonInput{
 		X0:     inst.NewState(),
 		Demand: [][]float64{avgD},
 		Prices: [][]float64{avgP},
-	}, qp.DefaultOptions())
+	})
 	if err != nil {
 		return nil, fmt.Errorf("static plan: %w", err)
 	}
@@ -224,6 +228,8 @@ type LazyThreshold struct {
 	state  core.State
 	upper  float64
 	target float64
+	// ses solves the one-period re-plans, built on the first one.
+	ses *core.HorizonSession
 }
 
 // NewLazyThreshold builds the policy; upper > target ≥ 1.
@@ -279,15 +285,20 @@ func (p *LazyThreshold) Step(demand, prices [][]float64) (core.State, core.State
 	for v, d := range next {
 		scaled[v] = d * p.target
 	}
-	plan, err := p.inst.SolveHorizon(core.HorizonInput{
+	if p.ses == nil {
+		if p.ses, err = p.inst.NewHorizonSession(1, qp.DefaultOptions()); err != nil {
+			return nil, nil, err
+		}
+	}
+	plan, err := p.ses.Solve(core.HorizonInput{
 		X0:     p.state,
 		Demand: [][]float64{scaled},
 		Prices: prices[:1],
-	}, qp.DefaultOptions())
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	applied := plan.U[0]
+	applied := plan.U[0].Clone()
 	p.state = plan.X[0].Clone()
 	return applied, p.state.Clone(), nil
 }

@@ -280,12 +280,11 @@ func TestProjectPlanCapacity(t *testing.T) {
 // iterate-quality metadata.
 func TestSessionAnytimeContract(t *testing.T) {
 	inst := bigInstance(t, 12, 24)
-	opts := qp.DefaultOptions()
-	opts.Anytime = true
-	ses, err := inst.NewHorizonSession(8, opts)
+	ses, err := inst.NewHorizonSession(8, qp.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	ses.SetAnytime(true)
 	input := HorizonInput{
 		X0:     inst.NewState(),
 		Demand: varyForecast(8, 24, 300, 40),

@@ -9,7 +9,7 @@ import (
 )
 
 // benchInstance builds an L×V all-feasible instance.
-func benchInstance(b *testing.B, l, v int) *Instance {
+func benchInstance(b testing.TB, l, v int) *Instance {
 	b.Helper()
 	sla := make([][]float64, l)
 	weights := make([]float64, l)
@@ -85,9 +85,11 @@ func BenchmarkAssign(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveHorizonVsQPOnly isolates the QP-assembly overhead from
-// the interior-point solve.
-func BenchmarkSolveHorizonVsQPOnly(b *testing.B) {
+// BenchmarkHorizonSessionWarmSolve measures one warm horizon solve on a
+// reused session, the receding-horizon shape an MPC step runs: each solve
+// starts from the previous plan's first state, seeded by its capsule
+// shifted one period.
+func BenchmarkHorizonSessionWarmSolve(b *testing.B) {
 	inst := benchInstance(b, 3, 6)
 	demand := make([][]float64, 6)
 	prices := make([][]float64, 6)
@@ -95,11 +97,20 @@ func BenchmarkSolveHorizonVsQPOnly(b *testing.B) {
 		demand[t] = []float64{900, 800, 700, 600, 500, 400}
 		prices[t] = []float64{0.05, 0.06, 0.07}
 	}
-	in := HorizonInput{X0: inst.NewState(), Demand: demand, Prices: prices}
+	ses, err := inst.NewHorizonSession(len(demand), qp.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := HorizonInput{X0: inst.NewState(), Demand: demand, Prices: prices, WarmShift: 1}
+	plan, err := ses.Solve(in)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := inst.SolveHorizon(in, qp.DefaultOptions()); err != nil {
+		in.X0, in.Warm = plan.X[0], plan.Warm
+		if plan, err = ses.Solve(in); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,6 +21,11 @@ type Controller struct {
 	horizon int
 	opts    qp.Options
 	state   State
+	// hard and soft are the horizon sessions the steps solve on, each
+	// built on first use: hard at the first step, soft at the first soft
+	// rung. Keeping them across steps keeps the solver state and the plan
+	// arenas live, so a warm step allocates almost nothing.
+	hard, soft *HorizonSession
 	// warm carries the previous step's QP iterates; each MPC step seeds
 	// its solve from the prior plan shifted by one period, which cuts
 	// interior-point iterations across the closed loop.
@@ -162,7 +167,10 @@ func (c *Controller) RestoreMissStreak(n int) {
 // resets to zero whenever a hard solve completes inside its share.
 func (c *Controller) MissStreak() int { return c.missStreak }
 
-// StepResult reports one executed MPC step.
+// StepResult reports one executed MPC step. Applied, NewState and Plan
+// live in the controller's session buffers: they stay valid until the end
+// of the next-but-one step, so a caller that keeps them longer must clone
+// them.
 type StepResult struct {
 	// Applied is the executed control u_{k|k} (the plan's first step).
 	Applied State
@@ -205,7 +213,9 @@ func (c *Controller) Step(demand, prices [][]float64) (*StepResult, error) {
 // Input-validation errors (ErrBadInput) and context cancellation always
 // propagate: the ladder only absorbs solver-level failures (infeasibility,
 // numerical breakdown, iteration exhaustion). The returned StepResult's
-// Degradation field says which rung produced the plan.
+// Degradation field says which rung produced the plan. Its Applied,
+// NewState and Plan stay valid until the end of the next-but-one step
+// (see StepResult).
 func (c *Controller) StepCtx(ctx context.Context, demand, prices [][]float64) (*StepResult, error) {
 	if c.tel == nil {
 		return c.stepCtx(ctx, demand, prices)
@@ -273,8 +283,15 @@ func (c *Controller) stepCtx(ctx context.Context, demand, prices [][]float64) (*
 		Warm:      c.warm,
 		WarmShift: 1,
 	}
+	if c.hard == nil {
+		hard, err := c.inst.NewHorizonSession(c.horizon, c.opts)
+		if err != nil {
+			return nil, err
+		}
+		hard.SetAnytime(budgeted)
+		c.hard = hard
+	}
 	var deg Degradation
-	opts := c.opts
 	solveCtx := ctx
 	skipHard := false
 	if budgeted {
@@ -285,7 +302,6 @@ func (c *Controller) stepCtx(ctx context.Context, demand, prices [][]float64) (*
 		}
 		hardBudget := avail / (1 << uint(boff))
 		if hardBudget > 0 {
-			opts.Anytime = true
 			var cancel context.CancelFunc
 			solveCtx, cancel = context.WithTimeout(ctx, hardBudget)
 			defer cancel()
@@ -302,7 +318,7 @@ func (c *Controller) stepCtx(ctx context.Context, demand, prices [][]float64) (*
 		err = fmt.Errorf("step budget %v exhausted before the hard solve: %w", c.budget, context.DeadlineExceeded)
 		c.missStreak++
 	} else {
-		plan, err = c.inst.SolveHorizonCtx(solveCtx, input, opts)
+		plan, err = c.hard.SolveCtx(solveCtx, input)
 	}
 	if err == nil && plan.ColdRestarts > 0 {
 		deg.Mode = DegradeColdRestart
@@ -326,7 +342,6 @@ func (c *Controller) stepCtx(ctx context.Context, demand, prices [][]float64) (*
 				return nil, err
 			}
 			deg.Cause = err.Error()
-			input.Warm, input.WarmShift = nil, 0
 			softCtx := ctx
 			skipSoft := false
 			if budgeted {
@@ -343,7 +358,7 @@ func (c *Controller) stepCtx(ctx context.Context, demand, prices [][]float64) (*
 			var soft *Plan
 			softErr := context.DeadlineExceeded
 			if !skipSoft {
-				soft, softErr = c.inst.SolveHorizonSoftCtx(softCtx, input, c.opts)
+				soft, softErr = c.solveSoft(softCtx, input)
 			}
 			switch {
 			case softErr == nil:
@@ -382,4 +397,17 @@ func (c *Controller) stepCtx(ctx context.Context, demand, prices [][]float64) (*
 		Plan:        plan,
 		Degradation: deg,
 	}, nil
+}
+
+// solveSoft solves the soft relaxation of input (cold: the soft session
+// ignores input.Warm), building the soft session on first use.
+func (c *Controller) solveSoft(ctx context.Context, input HorizonInput) (*Plan, error) {
+	if c.soft == nil {
+		soft, err := c.inst.newHorizonSession(c.horizon, c.opts, true)
+		if err != nil {
+			return nil, err
+		}
+		c.soft = soft
+	}
+	return c.soft.SolveCtx(ctx, input)
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"dspp/internal/qp"
 )
 
 func TestNewControllerValidation(t *testing.T) {
@@ -186,5 +188,125 @@ func TestControllerHorizonSmoothing(t *testing.T) {
 	long := run(6)
 	if long >= short {
 		t.Errorf("W=6 max |u| %g should be below W=1 %g", long, short)
+	}
+}
+
+// stepForecasts is a deterministic W-period forecast for MPC step k:
+// demand and prices drift with k, so every warm step has new data.
+func stepForecasts(k, l, v, w int) (demand, prices [][]float64) {
+	demand, prices = make([][]float64, w), make([][]float64, w)
+	for t := 0; t < w; t++ {
+		demand[t], prices[t] = make([]float64, v), make([]float64, l)
+		for j := range demand[t] {
+			demand[t][j] = 1000 + 40*float64((k+t+2*j)%7)
+		}
+		for j := range prices[t] {
+			prices[t][j] = 0.05 + 0.01*float64((k+t+j)%4)
+		}
+	}
+	return demand, prices
+}
+
+// TestControllerStepsMatchFreshSessions runs twelve MPC steps through one
+// controller, with a capacity cut that makes steps 5–7 infeasible (they
+// take the soft rung) and a restore that returns the rest to warm hard
+// solves. Every step's plan must equal, bit for bit, a fresh one-use
+// session's solve of the same input: a hard step warm-started from a
+// copy of the controller's capsule taken before the step, a soft step
+// solved cold on a soft session. Each step's Applied and NewState must
+// also survive the next step unchanged (the StepResult lifetime).
+func TestControllerStepsMatchFreshSessions(t *testing.T) {
+	const l, v, w = 3, 5, 4
+	inst := sessionTestInstance(t, l, v)
+	normal := inst.Capacities()
+	cut := []float64{1, 1, 1}
+	ctrl, err := NewController(inst, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev *StepResult
+	var prevApplied, prevState State
+	for k := 0; k < 12; k++ {
+		caps, soft := normal, k >= 5 && k < 8
+		if soft {
+			caps = cut
+		}
+		if err := inst.SetCapacities(caps); err != nil {
+			t.Fatal(err)
+		}
+		demand, prices := stepForecasts(k, l, v, w)
+		input := HorizonInput{X0: ctrl.State(), Demand: demand, Prices: prices}
+		if !soft {
+			input.Warm, input.WarmShift = ImportWarm(ctrl.WarmCapsule().Export()), 1
+		}
+		want, err := solveOnce(inst, input, qp.DefaultOptions(), soft)
+		if err != nil {
+			t.Fatalf("step %d: fresh session: %v", k, err)
+		}
+
+		res, err := ctrl.Step(demand, prices)
+		if err != nil {
+			t.Fatalf("step %d: %v", k, err)
+		}
+		wantMode := DegradeNone
+		if soft {
+			wantMode = DegradeSoft
+		}
+		if res.Degradation.Mode != wantMode {
+			t.Fatalf("step %d: mode %v, want %v", k, res.Degradation.Mode, wantMode)
+		}
+		// The soft rung leaves no capsule, so only step 8 restarts cold.
+		if warm := !soft && k > 0 && k != 8; warm != (input.Warm != nil) {
+			t.Fatalf("step %d: warm capsule %v, want warm %v", k, input.Warm != nil, warm)
+		}
+		plansBitIdentical(t, k, res.Plan, want)
+		if soft && res.Plan.TotalShed() != want.TotalShed() {
+			t.Fatalf("step %d: shed %v, fresh session %v", k, res.Plan.TotalShed(), want.TotalShed())
+		}
+
+		if prev != nil {
+			if !statesEqual(prev.Applied, prevApplied) || !statesEqual(prev.NewState, prevState) {
+				t.Fatalf("step %d overwrote step %d's Applied or NewState", k, k-1)
+			}
+		}
+		prev, prevApplied, prevState = res, res.Applied.Clone(), res.NewState.Clone()
+	}
+}
+
+func statesEqual(a, b State) bool {
+	for l := range a {
+		if !slicesEqual(a[l], b[l]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// TestControllerStepSteadyStateAllocs bounds the allocations of a warm,
+// unbudgeted MPC step at L4 V8 W5: the horizon sessions keep the solver
+// state and the plan arenas across steps, so what remains is the shifted
+// warm start (2), the controller's copy of the new state (1 + L) and the
+// StepResult (1).
+func TestControllerStepSteadyStateAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race-detector bookkeeping allocates nondeterministically")
+	}
+	const l, v, w = 4, 8, 5
+	inst := benchInstance(t, l, v)
+	ctrl, err := NewController(inst, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	demand, prices := stepForecasts(0, l, v, w)
+	step := func() {
+		if _, err := ctrl.Step(demand, prices); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(20, step); allocs > 8 {
+		t.Fatalf("warm controller step allocates %v times, want at most 8", allocs)
 	}
 }

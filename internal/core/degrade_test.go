@@ -22,11 +22,11 @@ func TestSolveHorizonSoftFeasibleMatchesHard(t *testing.T) {
 		Demand: constForecast(3, []float64{1000}),
 		Prices: constForecast(3, []float64{0.1}),
 	}
-	hard, err := inst.SolveHorizon(input, qp.DefaultOptions())
+	hard, err := solveOnce(inst, input, qp.DefaultOptions(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	soft, err := inst.SolveHorizonSoft(input, qp.DefaultOptions())
+	soft, err := solveOnce(inst, input, qp.DefaultOptions(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +50,10 @@ func TestSolveHorizonSoftShedsWhenOverloaded(t *testing.T) {
 	inst := singleDC(t, 1e-3, 10) // a = 0.01 → ceiling 1000 req/s
 	demand, prices := overloadForecasts(3)
 	input := HorizonInput{X0: inst.NewState(), Demand: demand, Prices: prices}
-	if _, err := inst.SolveHorizon(input, qp.DefaultOptions()); !errors.Is(err, ErrInfeasible) {
+	if _, err := solveOnce(inst, input, qp.DefaultOptions(), false); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("hard solve err = %v, want ErrInfeasible", err)
 	}
-	soft, err := inst.SolveHorizonSoft(input, qp.DefaultOptions())
+	soft, err := solveOnce(inst, input, qp.DefaultOptions(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestColdRestartRecovery(t *testing.T) {
 		Demand: constForecast(3, []float64{1000}),
 		Prices: constForecast(3, []float64{0.1}),
 	}
-	plan, err := inst.SolveHorizon(input, qp.DefaultOptions())
+	plan, err := solveOnce(inst, input, qp.DefaultOptions(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestColdRestartRecovery(t *testing.T) {
 		plan.Warm.y[i] = math.NaN()
 	}
 	input.Warm, input.WarmShift = plan.Warm, 0
-	plan2, err := inst.SolveHorizon(input, qp.DefaultOptions())
+	plan2, err := solveOnce(inst, input, qp.DefaultOptions(), false)
 	if err != nil {
 		t.Fatalf("poisoned warm start not recovered: %v", err)
 	}

@@ -153,8 +153,8 @@ func bandOnly(p *qp.Problem) *qp.Problem {
 }
 
 // solveBandOnly solves input's horizon QP (soft when soft) with every
-// row in the band, one-shot or through a qp.Session, and reconstructs
-// the plan.
+// row in the band, through qp.Solve or through a qp.Session, and
+// reconstructs the plan.
 func (in *Instance) solveBandOnly(t *testing.T, input HorizonInput, soft, session bool) *Plan {
 	t.Helper()
 	w := len(input.Demand)
@@ -178,7 +178,7 @@ func (in *Instance) solveBandOnly(t *testing.T, input HorizonInput, soft, sessio
 	} else if res, err = qp.Solve(ref, qp.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	return in.buildPlan(hs, input, res, 0, constCost, nil)
+	return in.buildPlan(hs, input, res, 0, constCost, &planArena{})
 }
 
 // checkPlanFeasible asserts a plan against the instance itself: every
@@ -215,9 +215,9 @@ func checkPlanFeasible(t *testing.T, label string, in *Instance, input HorizonIn
 // TestLinkingMatchesBandDifferential solves every case of the table
 // through the block-angular path (band factor plus linking-row Schur
 // complement) and through the same QP with every row in the band — hard
-// one-shot, hard session and soft one-shot — and requires the objectives
-// to agree to 1e-8 relative and every plan to be feasible for the
-// instance.
+// on a fresh session, hard on the same session reused, and soft — and
+// requires the objectives to agree to 1e-8 relative and every plan to be
+// feasible for the instance.
 func TestLinkingMatchesBandDifferential(t *testing.T) {
 	for _, tc := range diffCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -226,17 +226,16 @@ func TestLinkingMatchesBandDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oneShot, err := in.SolveHorizon(input, qp.DefaultOptions())
+			// The first plan survives the second solve (double buffers).
+			fresh, err := ses.Solve(input)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Keep the one-shot plan's numbers: the session's plans live in
-			// its own arena, the one-shot's are freshly allocated.
-			inSession, err := ses.Solve(input)
+			reused, err := ses.Solve(input)
 			if err != nil {
 				t.Fatal(err)
 			}
-			soft, err := in.SolveHorizonSoft(input, qp.DefaultOptions())
+			soft, err := solveOnce(in, input, qp.DefaultOptions(), true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,9 +244,9 @@ func TestLinkingMatchesBandDifferential(t *testing.T) {
 				got   *Plan
 				ref   *Plan
 			}{
-				{"hard one-shot", oneShot, in.solveBandOnly(t, input, false, false)},
-				{"hard session", inSession, in.solveBandOnly(t, input, false, true)},
-				{"soft one-shot", soft, in.solveBandOnly(t, input, true, false)},
+				{"hard fresh session", fresh, in.solveBandOnly(t, input, false, false)},
+				{"hard reused session", reused, in.solveBandOnly(t, input, false, true)},
+				{"soft", soft, in.solveBandOnly(t, input, true, false)},
 			} {
 				if d := math.Abs(c.got.Objective - c.ref.Objective); d > 1e-8*math.Max(1, math.Abs(c.ref.Objective)) {
 					t.Fatalf("%s: objective %.15g, all-band %.15g (rel %.2e)", c.label,

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"dspp/internal/linalg"
 	"dspp/internal/qp"
@@ -171,7 +168,7 @@ type Plan struct {
 	Loose bool
 	// Shed[t][v] is the demand shed at horizon step t for location v; nil
 	// unless the plan came from the soft-constrained relaxation (see
-	// SolveHorizonSoft).
+	// newHorizonSession).
 	Shed [][]float64
 	// Warm carries the raw QP iterates for warm-starting the next solve
 	// over the same instance layout (see HorizonInput.Warm).
@@ -236,125 +233,11 @@ const DefaultShedPenalty = 1e3
 // because it enters the cached quadratic term.
 const softQuadPenalty = 1e-3
 
-// SolveHorizon builds and solves the horizon QP (the DSPP of §IV-D
-// restricted to a window, states substituted out) and reconstructs the
-// trajectory. It is the computational core of Algorithm 1. opts stays a
-// parameter because callers set its Anytime flag and Hooks per solve,
-// and tests its iteration cap and tolerance.
-func (in *Instance) SolveHorizon(input HorizonInput, opts qp.Options) (*Plan, error) {
-	return in.SolveHorizonCtx(context.Background(), input, opts)
-}
-
-// SolveHorizonCtx is SolveHorizon with cooperative cancellation: ctx is
-// polled once per interior-point iteration, so a stuck solve terminates
-// within one iteration of ctx expiring and the returned error wraps
-// ctx.Err().
-func (in *Instance) SolveHorizonCtx(ctx context.Context, input HorizonInput, opts qp.Options) (*Plan, error) {
-	return in.solveHorizon(ctx, input, opts, false)
-}
-
-// SolveHorizonSoft solves the soft-constrained relaxation of the horizon
-// QP: per (step, location) a slack variable s_t^v ≥ 0 absorbs demand the
-// allocation cannot serve, penalized linearly at DefaultShedPenalty (plus a tiny
-// quadratic regularizer). Capacity and nonnegativity stay hard — they are
-// physical — so the relaxation is always feasible: in the worst case the
-// allocation drains to zero and all demand is shed. It is the degradation
-// ladder's second rung: when the hard QP is infeasible (a DC outage or
-// capacity shock leaves less capacity than demand) or numerically stuck,
-// the controller still gets a usable plan plus an explicit report of the
-// demand it had to shed (Plan.Shed).
-//
-// The returned plan carries no warm-start capsule (its QP layout differs from the hard solve's), and
-// Plan.Objective includes the shed penalty terms.
-func (in *Instance) SolveHorizonSoft(input HorizonInput, opts qp.Options) (*Plan, error) {
-	return in.SolveHorizonSoftCtx(context.Background(), input, opts)
-}
-
-// SolveHorizonSoftCtx is SolveHorizonSoft with cooperative cancellation
-// (see SolveHorizonCtx).
-func (in *Instance) SolveHorizonSoftCtx(ctx context.Context, input HorizonInput, opts qp.Options) (*Plan, error) {
-	return in.solveHorizon(ctx, input, opts, true)
-}
-
-// solveHorizon is the one-shot solve behind SolveHorizonCtx (soft false)
-// and SolveHorizonSoftCtx (soft true): the relaxation is the same QP plus
-// one shed column per (location, step), solved cold.
-func (in *Instance) solveHorizon(ctx context.Context, input HorizonInput, opts qp.Options, soft bool) (*Plan, error) {
-	w, err := in.checkHorizonInput(input, !soft)
-	if err != nil {
-		return nil, err
-	}
-	name := "horizon QP"
-	if soft {
-		name = "soft horizon QP"
-	}
-
-	// The quadratic term and the constraint matrix depend only on the
-	// instance and the horizon length — not on demand, prices, state, or
-	// capacity values — so they are built once per (instance, W) and
-	// reused across every solve of an MPC or best-response loop.
-	hs, err := in.horizonStructure(w, soft)
-	if err != nil {
-		return nil, err
-	}
-	n, m := hs.n, w*hs.rowsPerStep
-
-	// Cost and right-hand-side vectors come from the structure's pool: they
-	// are dead once the solver returns (results are copied out), and the
-	// fill loops below overwrite every entry.
-	vecs, _ := hs.vecPool.Get().(*horizonVecs)
-	if vecs == nil {
-		vecs = &horizonVecs{c: linalg.NewVector(n), h: linalg.NewVector(m)}
-	}
-
-	constCost := in.fillHorizonVectors(hs, input, vecs.c, vecs.h)
-
-	vecs.prob = hs.problem(vecs.c, vecs.h)
-	prob := &vecs.prob
-	var warm *qp.WarmStart
-	if !soft {
-		warm = input.Warm.shifted(hs, input.WarmShift, &vecs.ws)
-	}
-	res, err := qp.SolveWarmCtx(ctx, prob, opts, warm)
-	coldRestarts := 0
-	if retryCold(err, warm) {
-		coldRestarts = 1
-		res, err = qp.SolveWarmCtx(ctx, prob, opts, nil)
-	}
-	vecs.ws = qp.WarmStart{} // drop the borrowed warm-start slices
-	hs.vecPool.Put(vecs)
-	if err != nil {
-		if res != nil && !soft && errors.Is(err, qp.ErrDeadline) {
-			// Anytime return: the result is the best iterate at the
-			// deadline. Hand back a full plan alongside the error so the
-			// degradation ladder can take the anytime rung; callers that
-			// ignore the plan see exactly the old error contract.
-			plan := in.buildPlan(hs, input, res, coldRestarts, constCost, nil)
-			plan.Anytime = res.Anytime
-			return plan, fmt.Errorf("%s (W=%d, n=%d, m=%d): %w", name, w, n, m, err)
-		}
-		return nil, fmt.Errorf("%s (W=%d, n=%d, m=%d): %w", name, w, n, m, err)
-	}
-
-	return in.buildPlan(hs, input, res, coldRestarts, constCost, nil), nil
-}
-
-// retryCold reports whether a failed warm-started solve is retried once
-// from a cold start, the rule both the one-shot path and HorizonSession
-// follow. A warm point can sit badly for the new data (e.g. after a
-// capacity shock) and wreck the KKT conditioning, or — a plan solved
-// under capacities several quota rounds old — stall the interior point
-// until the iteration cap; the cold start costs extra iterations but
-// starts well centered.
-func retryCold(err error, warm *qp.WarmStart) bool {
-	return err != nil && warm != nil && (errors.Is(err, qp.ErrNumerical) || errors.Is(err, qp.ErrMaxIterations))
-}
-
 // fillHorizonVectors writes the horizon QP's cost and right-hand-side
 // vectors for the given input and returns the constant holding cost of
-// x0. Shared by the one-shot path and HorizonSession, so both solve the
-// bitwise-identical problem. The soft structure's shed columns cost
-// DefaultShedPenalty.
+// x0, in place into the session problem's vectors, so every solve of a
+// session rewrites the O(n) data and nothing else. The soft structure's
+// shed columns cost DefaultShedPenalty.
 func (in *Instance) fillHorizonVectors(hs *horizonStruct, input HorizonInput, cVec, hVec linalg.Vector) float64 {
 	w := hs.w
 	// Linear term: the holding cost p_t·x_t is simply Prices[t][l] per
@@ -420,15 +303,8 @@ func (in *Instance) fillHorizonVectors(hs *horizonStruct, input HorizonInput, cV
 	return constCost
 }
 
-// planPair is a Plan and its warm capsule in one allocation: they have
-// the same lifetime (the capsule chains into the next solve).
-type planPair struct {
-	plan Plan
-	warm HorizonWarm
-}
-
-// planArena is the reusable backing storage of one reconstructed Plan,
-// double-buffered by HorizonSession. Contents are fully rewritten (the
+// planArena is the reusable backing storage of one reconstructed Plan and
+// its warm capsule, double-buffered by HorizonSession. Contents are fully rewritten (the
 // float block is zeroed first — partially-written rows like the capacity
 // duals rely on a clean slate), so a reused arena yields a Plan bitwise
 // identical to a freshly allocated one.
@@ -436,18 +312,18 @@ type planArena struct {
 	floats []float64
 	rows   [][]float64
 	states []State
-	pw     planPair
+	plan   Plan
+	warm   HorizonWarm
 }
 
 // buildPlan reconstructs the trajectory, duals, and warm capsule (the
 // shed table instead of a capsule for the soft structure) from a solved
-// horizon QP. With ar == nil every block is freshly allocated (the
-// one-shot path); otherwise the arena's buffers are resized and reused.
+// horizon QP into the arena, whose buffers are resized and reused.
 func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Result, coldRestarts int, constCost float64, ar *planArena) *Plan {
 	// The whole plan — 2W states plus the dual (and shed) tables — is
 	// carved out of one float backing array and one row-header block, so a
-	// plan costs a fixed handful of allocations instead of O(W·L) small
-	// ones.
+	// reused arena allocates nothing and a fresh one a fixed handful of
+	// blocks instead of O(W·L) small ones.
 	w := hs.w
 	nf := w * (2*in.l*in.v + in.v + in.l)
 	nr := 2*w*in.l + 2*w
@@ -456,33 +332,21 @@ func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Res
 		nr += w
 	}
 	rowsPerStep := hs.rowsPerStep
-	var floats []float64
-	var rows [][]float64
-	var states []State
-	var pw *planPair
-	if ar == nil {
-		floats = make([]float64, nf)
-		rows = make([][]float64, nr)
-		states = make([]State, 2*w)
-		pw = &planPair{}
+	if cap(ar.floats) < nf {
+		ar.floats = make([]float64, nf)
 	} else {
-		if cap(ar.floats) < nf {
-			ar.floats = make([]float64, nf)
-		} else {
-			ar.floats = ar.floats[:nf]
-			for i := range ar.floats {
-				ar.floats[i] = 0
-			}
+		ar.floats = ar.floats[:nf]
+		for i := range ar.floats {
+			ar.floats[i] = 0
 		}
-		if cap(ar.rows) < nr {
-			ar.rows = make([][]float64, nr)
-		}
-		if cap(ar.states) < 2*w {
-			ar.states = make([]State, 2*w)
-		}
-		floats, rows, states = ar.floats, ar.rows[:nr], ar.states[:2*w]
-		pw = &ar.pw
 	}
+	if cap(ar.rows) < nr {
+		ar.rows = make([][]float64, nr)
+	}
+	if cap(ar.states) < 2*w {
+		ar.states = make([]State, 2*w)
+	}
+	floats, rows, states := ar.floats, ar.rows[:nr], ar.states[:2*w]
 	takeRow := func(k int) []float64 {
 		r := floats[:k:k]
 		floats = floats[k:]
@@ -497,7 +361,7 @@ func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Res
 		return s
 	}
 
-	plan := &pw.plan
+	plan := &ar.plan
 	*plan = Plan{
 		U:             states[:w:w],
 		X:             states[w:],
@@ -513,8 +377,8 @@ func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Res
 		plan.Shed = rows[:w:w]
 		rows = rows[w:]
 	} else {
-		pw.warm = HorizonWarm{y: res.X, z: res.IneqDuals, pairs: len(in.pairs), horizon: w, rowsPer: rowsPerStep, hs: hs}
-		plan.Warm = &pw.warm
+		ar.warm = HorizonWarm{y: res.X, z: res.IneqDuals, pairs: len(in.pairs), horizon: w, rowsPer: rowsPerStep, hs: hs}
+		plan.Warm = &ar.warm
 	}
 	// Trajectory reconstruction: each state starts as a copy of its
 	// predecessor (X0 itself is only read, never cloned) and only the
@@ -591,7 +455,7 @@ type horizonStruct struct {
 	// the only rows that couple location blocks.
 	linking []int
 	// sym is the solver's symbolic phase for (q, g, linking), shared by
-	// every one-shot solve and session on this structure.
+	// every session on this structure.
 	sym *qp.Structure
 	// capacitated lists the DCs with finite capacity, ascending — the
 	// order their rows appear within each step's block.
@@ -604,9 +468,6 @@ type horizonStruct struct {
 	// shedCol[v] + t·shedStride[v].
 	pairCol, pairStride []int
 	shedCol, shedStride []int
-	// vecPool recycles the per-solve cost/rhs vectors (*horizonVecs);
-	// the solver does not retain them past a solve.
-	vecPool sync.Pool
 }
 
 // problem is the structure's QP with cost c and right-hand side h.
@@ -624,15 +485,6 @@ func (hs *horizonStruct) shed(v, t int) int { return hs.shedCol[v] + t*hs.shedSt
 type horizonKey struct {
 	w    int
 	soft bool
-}
-
-// horizonVecs is the pooled per-solve working set for one structure: the
-// cost/rhs vectors plus the Problem and WarmStart shells, which would
-// otherwise escape to the heap on every solve.
-type horizonVecs struct {
-	c, h linalg.Vector
-	prob qp.Problem
-	ws   qp.WarmStart
 }
 
 // horizonStructure returns the cached structure for horizon length w

@@ -10,6 +10,16 @@ import (
 	"dspp/internal/qp"
 )
 
+// solveOnce solves input on a fresh one-use session — the hard QP, or its
+// soft relaxation — the reference solve the core tests compare against.
+func solveOnce(in *Instance, input HorizonInput, opts qp.Options, soft bool) (*Plan, error) {
+	ses, err := in.newHorizonSession(len(input.Demand), opts, soft)
+	if err != nil {
+		return nil, err
+	}
+	return ses.Solve(input)
+}
+
 // singleDC builds the Fig.4 setting: one DC, one location, a = 0.01
 // (100 req/s per server), weight c, capacity cap.
 func singleDC(t *testing.T, c, cap64 float64) *Instance {
@@ -35,11 +45,11 @@ func constForecast(w int, perStep []float64) [][]float64 {
 
 func TestSolveHorizonMeetsDemand(t *testing.T) {
 	inst := singleDC(t, 1e-4, math.Inf(1))
-	plan, err := inst.SolveHorizon(HorizonInput{
+	plan, err := solveOnce(inst, HorizonInput{
 		X0:     inst.NewState(),
 		Demand: constForecast(3, []float64{1000}),
 		Prices: constForecast(3, []float64{0.1}),
-	}, qp.DefaultOptions())
+	}, qp.DefaultOptions(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +78,11 @@ func TestSolveHorizonRespectsCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := inst.SolveHorizon(HorizonInput{
+	plan, err := solveOnce(inst, HorizonInput{
 		X0:     inst.NewState(),
 		Demand: constForecast(2, []float64{1000, 1000}), // needs 20 servers total
 		Prices: constForecast(2, []float64{0.01, 1.0}),  // DC0 100x cheaper
-	}, qp.DefaultOptions())
+	}, qp.DefaultOptions(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +121,11 @@ func TestSolveHorizonPrefersCheapDC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := inst.SolveHorizon(HorizonInput{
+	plan, err := solveOnce(inst, HorizonInput{
 		X0:     inst.NewState(),
 		Demand: constForecast(4, []float64{1000}),
 		Prices: constForecast(4, []float64{1.0, 0.2}),
-	}, qp.DefaultOptions())
+	}, qp.DefaultOptions(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +144,11 @@ func TestSolveHorizonReconfigSmoothing(t *testing.T) {
 		inst := singleDC(t, c, math.Inf(1))
 		demand := [][]float64{{100}, {5000}, {100}, {100}}
 		prices := constForecast(4, []float64{0.01})
-		plan, err := inst.SolveHorizon(HorizonInput{
+		plan, err := solveOnce(inst, HorizonInput{
 			X0:     inst.NewState(),
 			Demand: demand,
 			Prices: prices,
-		}, qp.DefaultOptions())
+		}, qp.DefaultOptions(), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,11 +172,11 @@ func TestSolveHorizonStartsFromNonzeroState(t *testing.T) {
 	inst := singleDC(t, 1e-3, math.Inf(1))
 	x0 := inst.NewState()
 	x0[0][0] = 50
-	plan, err := inst.SolveHorizon(HorizonInput{
+	plan, err := solveOnce(inst, HorizonInput{
 		X0:     x0,
 		Demand: constForecast(3, []float64{1000}), // needs only 10
 		Prices: constForecast(3, []float64{1.0}),
-	}, qp.DefaultOptions())
+	}, qp.DefaultOptions(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +228,7 @@ func TestSolveHorizonInputValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := inst.SolveHorizon(tc.mutate(good), qp.DefaultOptions()); !errors.Is(err, ErrBadInput) {
+			if _, err := solveOnce(inst, tc.mutate(good), qp.DefaultOptions(), false); !errors.Is(err, ErrBadInput) {
 				t.Errorf("err = %v, want ErrBadInput", err)
 			}
 		})
@@ -239,7 +249,7 @@ func TestSolveHorizonObjectiveMatchesReplay(t *testing.T) {
 	prices := [][]float64{{0.5, 0.3}, {0.2, 0.9}, {0.4, 0.4}}
 	x0 := inst.NewState()
 	x0[0][0] = 2
-	plan, err := inst.SolveHorizon(HorizonInput{X0: x0, Demand: demand, Prices: prices}, qp.DefaultOptions())
+	plan, err := solveOnce(inst, HorizonInput{X0: x0, Demand: demand, Prices: prices}, qp.DefaultOptions(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,9 +303,9 @@ func TestQuickHorizonFeasibility(t *testing.T) {
 				prices[t2][i] = 0.05 + rng.Float64()
 			}
 		}
-		plan, err := inst.SolveHorizon(HorizonInput{
+		plan, err := solveOnce(inst, HorizonInput{
 			X0: inst.NewState(), Demand: demand, Prices: prices,
-		}, qp.DefaultOptions())
+		}, qp.DefaultOptions(), false)
 		if err != nil {
 			return false
 		}
@@ -328,20 +338,20 @@ func TestSolveHorizonDetectsImpossibleDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = inst.SolveHorizon(HorizonInput{
+	_, err = solveOnce(inst, HorizonInput{
 		X0:     inst.NewState(),
 		Demand: constForecast(2, []float64{600}),
 		Prices: constForecast(2, []float64{0.1}),
-	}, qp.DefaultOptions())
+	}, qp.DefaultOptions(), false)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 	// Just inside the ceiling must solve.
-	plan, err := inst.SolveHorizon(HorizonInput{
+	plan, err := solveOnce(inst, HorizonInput{
 		X0:     inst.NewState(),
 		Demand: constForecast(2, []float64{490}),
 		Prices: constForecast(2, []float64{0.1}),
-	}, qp.DefaultOptions())
+	}, qp.DefaultOptions(), false)
 	if err != nil {
 		t.Fatalf("feasible case failed: %v", err)
 	}

@@ -63,17 +63,17 @@ func TestPrunedIdenticalWithZeroPruning(t *testing.T) {
 	}
 
 	demand := constForecast(4, []float64{900, 1100})
-	planA, err := instA.SolveHorizon(HorizonInput{
+	planA, err := solveOnce(instA, HorizonInput{
 		X0: instA.NewState(), Demand: demand,
 		Prices: constForecast(4, []float64{0.05, 0.08}),
-	}, qp.DefaultOptions())
+	}, qp.DefaultOptions(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planB, err := instB.SolveHorizon(HorizonInput{
+	planB, err := solveOnce(instB, HorizonInput{
 		X0: instB.NewState(), Demand: demand,
 		Prices: constForecast(4, []float64{0.05, 0.08, 0.5}),
-	}, qp.DefaultOptions())
+	}, qp.DefaultOptions(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +128,11 @@ func TestMostlyPrunedMatchesUnprunedSolve(t *testing.T) {
 		prices[v] = 0.05 + 0.01*float64(v)
 	}
 	mk := func(in *Instance) (*Plan, error) {
-		return in.SolveHorizon(HorizonInput{
+		return solveOnce(in, HorizonInput{
 			X0:     in.NewState(),
 			Demand: constForecast(3, perStep),
 			Prices: constForecast(3, prices),
-		}, qp.DefaultOptions())
+		}, qp.DefaultOptions(), false)
 	}
 	planP, err := mk(pruned)
 	if err != nil {
@@ -178,11 +178,11 @@ func TestSoftSolveOverPrunedSupport(t *testing.T) {
 		perStep[v] = 90000
 		prices[v] = 0.05
 	}
-	plan, err := inst.SolveHorizonSoft(HorizonInput{
+	plan, err := solveOnce(inst, HorizonInput{
 		X0:     inst.NewState(),
 		Demand: constForecast(3, perStep),
 		Prices: constForecast(3, prices),
-	}, qp.DefaultOptions())
+	}, qp.DefaultOptions(), true)
 	if err != nil {
 		t.Fatalf("soft solve over pruned support: %v", err)
 	}

@@ -9,15 +9,17 @@ import (
 	"dspp/internal/qp"
 )
 
-// HorizonSession is a persistent solver for one (instance, horizon
-// length) shape, the workhorse of loops that solve the same window over
-// and over: MPC steps, best-response rounds, sweep cells. It owns a
-// qp.Session bound to the cached horizon structure, so across solves it
-// keeps the interior-point working set, the packed KKT band and its
-// factorization, and double-buffered result and plan storage — a solve
-// allocates nothing once the session is warm, and every returned Plan is
-// bitwise identical to what the one-shot SolveHorizonCtx produces for
-// the same input.
+// HorizonSession is the one way to solve a horizon QP (the DSPP of §IV-D
+// restricted to a window, states substituted out — the computational
+// core of Algorithm 1). It is a persistent solver for one (instance,
+// horizon length) shape, the workhorse of loops that solve the same
+// window over and over: MPC steps, best-response rounds, sweep cells. It
+// owns a qp.Session bound to the cached horizon structure, so across
+// solves it keeps the interior-point working set, the packed KKT band and
+// its factorization, and double-buffered result and plan storage — a
+// solve allocates nothing once the session is warm, and every returned
+// Plan is bitwise identical to what a fresh session produces for the
+// same input.
 //
 // Lifetimes: a returned Plan (including its warm capsule and the slices
 // inside) stays valid until the end of the next-but-one solve on this
@@ -39,10 +41,29 @@ type HorizonSession struct {
 // Capacity values may change between solves (SetCapacities); the horizon
 // length, feasibility pattern, and SLA structure are fixed.
 func (in *Instance) NewHorizonSession(w int, opts qp.Options) (*HorizonSession, error) {
+	return in.newHorizonSession(w, opts, false)
+}
+
+// newHorizonSession binds a session to the hard structure, or with soft
+// set to the soft-constrained relaxation: per (step, location) a slack
+// variable s_t^v ≥ 0 absorbs demand the allocation cannot serve,
+// penalized linearly at DefaultShedPenalty (plus a tiny quadratic
+// regularizer). Capacity and nonnegativity stay hard — they are physical
+// — so the relaxation is always feasible: in the worst case the
+// allocation drains to zero and all demand is shed. It is the
+// degradation ladder's soft rung: when the hard QP is infeasible or
+// numerically stuck, the controller still gets a usable plan plus an
+// explicit report of the demand it had to shed (Plan.Shed).
+//
+// A soft session skips the demand-ceiling check (excess demand is what
+// its slacks absorb) and solves cold: its plans carry no warm capsule,
+// their Objective includes the shed penalty terms, and the session is
+// never anytime.
+func (in *Instance) newHorizonSession(w int, opts qp.Options, soft bool) (*HorizonSession, error) {
 	if w <= 0 {
 		return nil, fmt.Errorf("horizon %d: %w", w, ErrBadInput)
 	}
-	hs, err := in.horizonStructure(w, false)
+	hs, err := in.horizonStructure(w, soft)
 	if err != nil {
 		return nil, err
 	}
@@ -68,11 +89,16 @@ func (s *HorizonSession) Solve(input HorizonInput) (*Plan, error) {
 }
 
 // SolveCtx validates the input, refills the session problem's cost and
-// right-hand-side vectors in place, and solves — with the same
-// warm-start handling and cold-restart retry as SolveHorizonCtx.
+// right-hand-side vectors in place, and solves, warm-started from
+// input.Warm when its shape matches; a warm start that fails is retried
+// once cold (see retryCold). ctx is polled once per interior-point
+// iteration, so a stuck solve terminates within one iteration of ctx
+// expiring and the returned error wraps ctx.Err(). With SetAnytime on, a
+// solve stopped by its deadline returns its best iterate as a plan (with
+// Plan.Anytime set) alongside an error wrapping qp.ErrDeadline.
 func (s *HorizonSession) SolveCtx(ctx context.Context, input HorizonInput) (*Plan, error) {
-	in := s.in
-	w, err := in.checkHorizonInput(input, true)
+	in, soft := s.in, s.hs.soft
+	w, err := in.checkHorizonInput(input, !soft)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +107,10 @@ func (s *HorizonSession) SolveCtx(ctx context.Context, input HorizonInput) (*Pla
 	}
 	prob := s.ses.Problem()
 	constCost := in.fillHorizonVectors(s.hs, input, prob.C, prob.H)
-	warm := input.Warm.shifted(s.hs, input.WarmShift, &s.ws)
+	var warm *qp.WarmStart
+	if !soft {
+		warm = input.Warm.shifted(s.hs, input.WarmShift, &s.ws)
+	}
 	res, err := s.ses.SolveCtx(ctx, warm)
 	coldRestarts := 0
 	if retryCold(err, warm) {
@@ -90,16 +119,33 @@ func (s *HorizonSession) SolveCtx(ctx context.Context, input HorizonInput) (*Pla
 	}
 	s.ws = qp.WarmStart{} // drop the borrowed warm-start slices
 	if err != nil {
-		if res != nil && errors.Is(err, qp.ErrDeadline) {
-			// Same anytime contract as the one-shot path: plan and error
-			// both non-nil, so the ladder can use the partial iterate.
-			s.gen ^= 1
-			plan := in.buildPlan(s.hs, input, res, coldRestarts, constCost, &s.arena[s.gen])
-			plan.Anytime = res.Anytime
-			return plan, fmt.Errorf("horizon QP (W=%d, n=%d, m=%d): %w", w, s.hs.n, w*s.hs.rowsPerStep, err)
+		name := "horizon QP"
+		if soft {
+			name = "soft horizon QP"
 		}
-		return nil, fmt.Errorf("horizon QP (W=%d, n=%d, m=%d): %w", w, s.hs.n, w*s.hs.rowsPerStep, err)
+		err = fmt.Errorf("%s (W=%d, n=%d, m=%d): %w", name, w, s.hs.n, w*s.hs.rowsPerStep, err)
+		if res == nil || !errors.Is(err, qp.ErrDeadline) {
+			return nil, err
+		}
+		// Anytime return: the result is the best iterate at the deadline.
+		// Hand back a full plan alongside the error so the degradation
+		// ladder can take the anytime rung; callers that ignore the plan
+		// see a plain error.
+		s.gen ^= 1
+		plan := in.buildPlan(s.hs, input, res, coldRestarts, constCost, &s.arena[s.gen])
+		plan.Anytime = res.Anytime
+		return plan, err
 	}
 	s.gen ^= 1
 	return in.buildPlan(s.hs, input, res, coldRestarts, constCost, &s.arena[s.gen]), nil
+}
+
+// retryCold reports whether a failed warm-started solve is retried once
+// from a cold start. A warm point can sit badly for the new data (e.g.
+// after a capacity shock) and wreck the KKT conditioning, or — a plan
+// solved under capacities several quota rounds old — stall the interior
+// point until the iteration cap; the cold start costs extra iterations
+// but starts well centered.
+func retryCold(err error, warm *qp.WarmStart) bool {
+	return err != nil && warm != nil && (errors.Is(err, qp.ErrNumerical) || errors.Is(err, qp.ErrMaxIterations))
 }

@@ -83,9 +83,10 @@ func plansBitIdentical(t *testing.T, round int, a, b *Plan) {
 
 // TestHorizonSessionBitIdenticalToOneShot replays a best-response-shaped
 // loop — fixed demand and prices, capacities drifting each round, warm
-// starts chained from the previous plan — through a HorizonSession and
-// through one-shot SolveHorizonCtx on an identical twin instance, and
-// requires every plan field to agree bitwise.
+// starts chained from the previous plan — through one reused
+// HorizonSession and, on an identical twin instance, through a fresh
+// one-use session per round, and requires every plan field to agree
+// bitwise: nothing a session keeps across solves leaks into its plans.
 func TestHorizonSessionBitIdenticalToOneShot(t *testing.T) {
 	const l, v, w = 3, 5, 4
 	instSes := sessionTestInstance(t, l, v)
@@ -108,9 +109,9 @@ func TestHorizonSessionBitIdenticalToOneShot(t *testing.T) {
 			t.Fatal(err)
 		}
 		pSes, errSes := ses.Solve(inputSes)
-		pOne, errOne := instOne.SolveHorizonCtx(nil, inputOne, qp.DefaultOptions())
+		pOne, errOne := solveOnce(instOne, inputOne, qp.DefaultOptions(), false)
 		if (errSes == nil) != (errOne == nil) {
-			t.Fatalf("round %d: session err %v, one-shot err %v", round, errSes, errOne)
+			t.Fatalf("round %d: reused session err %v, fresh session err %v", round, errSes, errOne)
 		}
 		if errSes != nil {
 			t.Fatal(errSes)
@@ -122,14 +123,14 @@ func TestHorizonSessionBitIdenticalToOneShot(t *testing.T) {
 }
 
 // TestColdRestartRuleShared drives a warm start that exhausts
-// MaxIterations through the one-shot path and through a HorizonSession:
-// both follow the one cold-restart rule, so both retry cold and return
-// the same plan, bit for bit, as a cold solve.
+// MaxIterations through a fresh one-use session and through a session
+// that has solved before: both follow the one cold-restart rule, so both
+// retry cold and return the same plan, bit for bit, as a cold solve.
 func TestColdRestartRuleShared(t *testing.T) {
 	const l, v, w = 3, 5, 4
 	inst := sessionTestInstance(t, l, v)
 	input := sessionTestInput(inst, l, v, w)
-	clean, err := inst.SolveHorizon(input, qp.DefaultOptions())
+	clean, err := solveOnce(inst, input, qp.DefaultOptions(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,25 +154,28 @@ func TestColdRestartRuleShared(t *testing.T) {
 		t.Fatalf("warm solve: err = %v, want the iteration cap", err)
 	}
 
-	cold, err := inst.SolveHorizon(input, opts)
+	cold, err := solveOnce(inst, input, opts, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	input.Warm, input.WarmShift = &bad, 0
-	one, err := inst.SolveHorizon(input, opts)
+	one, err := solveOnce(inst, input, opts, false)
 	if err != nil {
-		t.Fatalf("one-shot: %v", err)
+		t.Fatalf("fresh session: %v", err)
 	}
 	ses, err := inst.NewHorizonSession(w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := ses.Solve(HorizonInput{X0: input.X0, Demand: input.Demand, Prices: input.Prices}); err != nil {
+		t.Fatal(err)
+	}
 	viaSes, err := ses.Solve(input)
 	if err != nil {
-		t.Fatalf("session: %v", err)
+		t.Fatalf("reused session: %v", err)
 	}
 	if one.ColdRestarts != 1 {
-		t.Fatalf("one-shot ColdRestarts = %d, want 1", one.ColdRestarts)
+		t.Fatalf("fresh session ColdRestarts = %d, want 1", one.ColdRestarts)
 	}
 	plansBitIdentical(t, 0, one, viaSes)
 	cold.ColdRestarts = 1
@@ -243,7 +247,7 @@ func TestTotalCapacityDualsInto(t *testing.T) {
 	const l, v, w = 3, 5, 4
 	inst := sessionTestInstance(t, l, v)
 	input := sessionTestInput(inst, l, v, w)
-	plan, err := inst.SolveHorizon(input, qp.DefaultOptions())
+	plan, err := solveOnce(inst, input, qp.DefaultOptions(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +271,7 @@ func TestTotalCapacityDualsInto(t *testing.T) {
 func TestWarmStateTimeMajorRoundTrip(t *testing.T) {
 	const l, v, w = 3, 5, 4
 	inst := sessionTestInstance(t, l, v)
-	plan, err := inst.SolveHorizon(sessionTestInput(inst, l, v, w), qp.DefaultOptions())
+	plan, err := solveOnce(inst, sessionTestInput(inst, l, v, w), qp.DefaultOptions(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,10 +236,10 @@ func planDigest(p *core.Plan) []float64 {
 
 // TestSharedStructureConcurrentSolves: every solve on one horizon
 // structure reads the same symbolic phase. Two goroutines, each chaining
-// warm one-shot solves and its own session's solves on the paper
-// instance (mixed block widths, linking capacity rows), must reproduce
-// the sequential plans bit for bit; under -race this also checks that the
-// shared phase is only read.
+// warm solves on fresh one-use sessions and on its own reused session
+// over the paper instance (mixed block widths, linking capacity rows),
+// must reproduce the sequential plans bit for bit; under -race this also
+// checks that the shared phase is only read.
 func TestSharedStructureConcurrentSolves(t *testing.T) {
 	inst := paperInstance(t)
 	const w, steps = 5, 6
@@ -264,7 +264,11 @@ func TestSharedStructureConcurrentSolves(t *testing.T) {
 		var warmOne, warmSes *core.HorizonWarm
 		for _, in := range inputs {
 			in.Warm = warmOne
-			one, err := inst.SolveHorizon(in, qp.DefaultOptions())
+			fresh, err := inst.NewHorizonSession(w, qp.DefaultOptions())
+			if err != nil {
+				return nil, err
+			}
+			one, err := fresh.Solve(in)
 			if err != nil {
 				return nil, err
 			}

@@ -56,16 +56,16 @@ func TestHorizonWarmShiftMatchesColdSolve(t *testing.T) {
 			Demand: demand[k : k+w],
 			Prices: prices[k : k+w],
 		}
-		cold, err := inst.SolveHorizon(HorizonInput{
+		cold, err := solveOnce(inst, HorizonInput{
 			X0:     coldState,
 			Demand: demand[k : k+w],
 			Prices: prices[k : k+w],
-		}, qp.DefaultOptions())
+		}, qp.DefaultOptions(), false)
 		if err != nil {
 			t.Fatalf("step %d cold: %v", k, err)
 		}
 		in.Warm, in.WarmShift = warm, 1
-		got, err := inst.SolveHorizon(in, qp.DefaultOptions())
+		got, err := solveOnce(inst, in, qp.DefaultOptions(), false)
 		if err != nil {
 			t.Fatalf("step %d warm: %v", k, err)
 		}

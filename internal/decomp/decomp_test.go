@@ -291,7 +291,11 @@ func TestCostGapVsMonolithic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mono, err := inst.SolveHorizon(core.HorizonInput{X0: x0, Demand: scn.Demand, Prices: scn.Prices}, qp.Options{})
+		ses, err := inst.NewHorizonSession(len(scn.Demand), qp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mono, err := ses.Solve(core.HorizonInput{X0: x0, Demand: scn.Demand, Prices: scn.Prices})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -344,8 +344,8 @@ func BestResponseCtx(ctx context.Context, s *Scenario, cfg BestResponseConfig) (
 // reconstructed (a changed capacitated set — impossible mid-game, where
 // quotas stay finite and positive on a fixed set, but cheap to guard).
 // The session keeps the QP state, factorization, and plan storage alive
-// between rounds; its solves are bit-identical to one-shot solves of the
-// same horizon QP.
+// between rounds; its solves are bit-identical to those of a fresh
+// session on the same horizon QP.
 func solveProvider(ctx context.Context, sessions []*core.HorizonSession, sesInsts []*core.Instance, i int, p *Provider, quota []float64, opts qp.Options, warm *core.HorizonWarm, warmShift int) (*core.Plan, error) {
 	inst, err := p.instance(quota)
 	if err != nil {

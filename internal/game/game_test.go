@@ -118,7 +118,11 @@ func TestSWPUncapacitatedMatchesIndependentSolves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := inst.SolveHorizon(core.HorizonInput{X0: p.x0(), Demand: p.Demand, Prices: p.Prices}, qp.DefaultOptions())
+		ses, err := inst.NewHorizonSession(len(p.Demand), qp.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := ses.Solve(core.HorizonInput{X0: p.x0(), Demand: p.Demand, Prices: p.Prices})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +135,7 @@ func TestSWPUncapacitatedMatchesIndependentSolves(t *testing.T) {
 
 // TestSWPMatchesSingleProviderOracle: with one provider the SWP is that
 // provider's own horizon QP, with the shared capacity C in capacity units
-// becoming C/sᵢ servers. Against core.SolveHorizon at capacity C/2 for
+// becoming C/sᵢ servers. Against a core horizon solve at capacity C/2 for
 // server size 2, at a capacity that binds at every step, the totals agree
 // to 1e-6 relative and the SWP capacity duals, times the server size
 // (one capacity unit buys 1/sᵢ servers), agree with core's to 1e-6
@@ -160,7 +164,11 @@ func TestSWPMatchesSingleProviderOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := inst.SolveHorizon(core.HorizonInput{X0: x0, Demand: demand, Prices: prices}, qp.DefaultOptions())
+	ses, err := inst.NewHorizonSession(len(demand), qp.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := ses.Solve(core.HorizonInput{X0: x0, Demand: demand, Prices: prices})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,8 +55,8 @@ func compareBR(t *testing.T, label string, a, b *BestResponseResult) {
 // TestBestResponseSessionsBitIdentical pins the determinism contract of
 // the session-backed round loop: the per-provider sessions (persistent
 // solver state, arena-backed plans, in-place dual extraction) produce the
-// same game, bit for bit, at 1, 2 and 4 workers. That a session solve
-// equals a one-shot solve is pinned by core's
+// same game, bit for bit, at 1, 2 and 4 workers. That a reused session
+// solves exactly as a fresh one does is pinned by core's
 // TestHorizonSessionBitIdenticalToOneShot.
 func TestBestResponseSessionsBitIdentical(t *testing.T) {
 	want, err := BestResponse(twoProviderScenario(4, 8), BestResponseConfig{Epsilon: 0.001, Parallel: 1})

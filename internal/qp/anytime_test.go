@@ -60,6 +60,17 @@ func anytimeTestProblem(t *testing.T) *Problem {
 	return denseQP(t, q, c, rows, h)
 }
 
+// anytimeSession binds a session with anytime solving on to p.
+func anytimeSession(t *testing.T, p *Problem) *Session {
+	t.Helper()
+	ses, err := NewSession(p, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ses.SetAnytime(true)
+	return ses
+}
+
 // TestAnytimeDeadlineEveryIteration forces the deadline at every possible
 // iteration count k = 0..N+1 and asserts the anytime contract at each: a
 // non-nil result with ErrDeadline and quality metadata whenever the solve
@@ -68,16 +79,17 @@ func anytimeTestProblem(t *testing.T) *Problem {
 // solve's natural length — a clean bit-identical solve with no metadata.
 func TestAnytimeDeadlineEveryIteration(t *testing.T) {
 	p := anytimeTestProblem(t)
-	opts := DefaultOptions()
-	opts.Anytime = true
+	ses := anytimeSession(t, p)
 
-	ref, err := SolveWarmCtx(context.Background(), p, opts, nil)
+	ref, err := ses.SolveCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("reference solve: %v", err)
 	}
 	if ref.Anytime != nil {
 		t.Fatalf("uninterrupted solve carries Anytime metadata: %+v", ref.Anytime)
 	}
+	// The session's result storage is reused two solves later.
+	refX := append(linalg.Vector(nil), ref.X...)
 	n := ref.Iterations
 	if n < 5 {
 		t.Fatalf("reference solve took only %d iterations; problem too easy to exercise the deadline", n)
@@ -85,7 +97,7 @@ func TestAnytimeDeadlineEveryIteration(t *testing.T) {
 
 	prevMerit := math.Inf(1)
 	for k := 0; k <= n+1; k++ {
-		res, err := SolveWarmCtx(newTripCtx(k), p, opts, nil)
+		res, err := ses.SolveCtx(newTripCtx(k), nil)
 		if k > n {
 			// The solve converges after n polls; trip counts past that
 			// never fire, so the result must be the untouched normal path.
@@ -93,8 +105,8 @@ func TestAnytimeDeadlineEveryIteration(t *testing.T) {
 				t.Fatalf("trip=%d: unexpected error %v", k, err)
 			}
 			for i := range res.X {
-				if res.X[i] != ref.X[i] {
-					t.Fatalf("trip=%d: X[%d]=%v differs from uninterrupted %v", k, i, res.X[i], ref.X[i])
+				if res.X[i] != refX[i] {
+					t.Fatalf("trip=%d: X[%d]=%v differs from uninterrupted %v", k, i, res.X[i], refX[i])
 				}
 			}
 			if res.Anytime != nil {
@@ -131,9 +143,9 @@ func TestAnytimeDeadlineEveryIteration(t *testing.T) {
 }
 
 // TestAnytimeOffKeepsNilResultContract verifies the default path is
-// untouched: without Options.Anytime an expired context returns (nil, ctx
-// error) exactly as before, and with Anytime on but no deadline the solve
-// is bitwise identical to the plain solver.
+// untouched: without anytime an expired context returns (nil, ctx error)
+// exactly as before, and a session with anytime on but no deadline solves
+// bitwise identically to the plain solver.
 func TestAnytimeOffKeepsNilResultContract(t *testing.T) {
 	p := anytimeTestProblem(t)
 
@@ -146,9 +158,7 @@ func TestAnytimeOffKeepsNilResultContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
-	opts.Anytime = true
-	any, err := SolveWarmCtx(context.Background(), p, opts, nil)
+	any, err := anytimeSession(t, p).SolveCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +178,13 @@ func TestAnytimeOffKeepsNilResultContract(t *testing.T) {
 // starting point — with a warm start, that is the caller's previous plan.
 func TestAnytimeWarmStartSnapshot(t *testing.T) {
 	p := anytimeTestProblem(t)
-	opts := DefaultOptions()
-	opts.Anytime = true
-	ref, err := SolveWarmCtx(context.Background(), p, opts, nil)
+	ses := anytimeSession(t, p)
+	ref, err := ses.SolveCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm := &WarmStart{X: ref.X, Z: ref.IneqDuals}
-	res, err := SolveWarmCtx(newTripCtx(0), p, opts, warm)
+	res, err := ses.SolveCtx(newTripCtx(0), warm)
 	if !errors.Is(err, ErrDeadline) || res == nil {
 		t.Fatalf("res=%v err=%v, want initial-point snapshot with ErrDeadline", res, err)
 	}

@@ -77,7 +77,7 @@ func TestCorpusSolutionsIndependentOfWarmStart(t *testing.T) {
 // TestPoisonedWarmStartReturnsErrNumerical pins the error contract the
 // degradation ladder depends on: when a warm start wrecks the iteration
 // numerically (NaN primal guess), the predictor-corrector path must
-// surface ErrNumerical so core.SolveHorizon retries from a cold start
+// surface ErrNumerical so core's horizon sessions retry from a cold start
 // instead of propagating an opaque failure.
 func TestPoisonedWarmStartReturnsErrNumerical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))

@@ -31,8 +31,8 @@ var (
 	ErrNumerical = errors.New("qp: numerical failure")
 	// ErrBadProblem means the problem dimensions are inconsistent.
 	ErrBadProblem = errors.New("qp: inconsistent problem dimensions")
-	// ErrDeadline means the context expired mid-solve with Options.Anytime
-	// set and the best iterate seen so far was returned instead of nil. The
+	// ErrDeadline means the context expired mid-solve on a Session with
+	// SetAnytime on and the best iterate seen so far was returned instead of nil. The
 	// returned error wraps both this sentinel and the context's own error,
 	// so errors.Is works against either; Result.Anytime carries the
 	// iterate-quality metadata the caller needs to judge the partial plan.
@@ -168,21 +168,12 @@ type AnytimeInfo struct {
 // Options tunes the interior-point solver. The zero value is usable via
 // DefaultOptions. Every shipped caller leaves MaxIterations and Tolerance
 // at their defaults; they stay settable because tests drive the capped
-// and the loosely converged outcomes through them. Anytime and Hooks are
-// set per solve inside the code (the degradation ladder, telemetry).
+// and the loosely converged outcomes through them. Hooks is set by the
+// telemetry wiring. Deadline-bounded (anytime) solving is not an option:
+// it belongs to a Session (see Session.SetAnytime).
 type Options struct {
 	MaxIterations int     // default 100
 	Tolerance     float64 // residual/gap tolerance, default 1e-8
-
-	// Anytime opts into deadline-bounded solving: each iteration the solver
-	// snapshots the best-merit iterate seen so far, and when the context
-	// expires mid-solve it returns that snapshot with an error wrapping
-	// ErrDeadline (plus Result.Anytime metadata) instead of returning nil.
-	// Off by default: the snapshot copies cost ~3 vector copies per
-	// improving iteration and the enabled path grows three extra pooled
-	// buffers, so the flag is reserved for budget-driven callers (the MPC
-	// degradation ladder, the dsppd daemon).
-	Anytime bool
 
 	// Hooks, when non-nil, receives solver telemetry: per-solve counters
 	// (iterations, factorizations, regularization bumps, corrector skips,

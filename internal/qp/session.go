@@ -24,10 +24,11 @@ import (
 // A Session is not safe for concurrent use; concurrent solvers each hold
 // their own session.
 type Session struct {
-	p     *Problem
-	opts  Options
-	st    *ipmState
-	arena resultArena
+	p       *Problem
+	opts    Options
+	anytime bool
+	st      *ipmState
+	arena   resultArena
 }
 
 // NewSession binds a session to p.
@@ -41,12 +42,15 @@ func NewSession(p *Problem, opts Options) (*Session, error) {
 	return s, nil
 }
 
-// SetAnytime toggles Options.Anytime for subsequent solves on this
-// session: deadline-bounded callers enable it so a solve stopped by its
-// context hands back the best iterate (ErrDeadline contract) instead of
-// only an error. Off by default — the snapshot copies cost a little per
-// improving iteration, so unbudgeted callers shouldn't pay for them.
-func (s *Session) SetAnytime(on bool) { s.opts.Anytime = on }
+// SetAnytime opts subsequent solves on this session into deadline-bounded
+// solving: each iteration the solver snapshots the best-merit iterate
+// seen so far, and when the context expires mid-solve it returns that
+// snapshot with an error wrapping ErrDeadline (plus Result.Anytime
+// metadata) instead of returning nil. Off by default: the snapshot copies
+// cost ~3 vector copies per improving iteration and the enabled path
+// grows two extra buffers, so only budget-driven callers (the MPC
+// degradation ladder, the dsppd daemon) turn it on.
+func (s *Session) SetAnytime(on bool) { s.anytime = on }
 
 // SolveCtx runs one solve against the problem's current data, optionally
 // warm-started. Iterates are bit-identical to SolveWarmCtx on the same
@@ -59,12 +63,12 @@ func (s *Session) SolveCtx(ctx context.Context, warm *WarmStart) (*Result, error
 	// feed the convergence scales and must track the data.
 	st.dataNorms()
 	if s.opts.Hooks == nil {
-		return runIPM(ctx, st, s.opts, warm, nil)
+		return runIPM(ctx, st, s.opts, s.anytime, warm, nil)
 	}
 	hooks := s.opts.Hooks
 	sp := hooks.Tracer.Start(telemetry.SpanQPSolve, telemetry.SpanIDFromContext(ctx))
 	var stats solveStats
-	res, err := runIPM(ctx, st, s.opts, warm, &stats)
+	res, err := runIPM(ctx, st, s.opts, s.anytime, warm, &stats)
 	flushQPTelemetry(hooks, sp, warm, res, err, &stats)
 	return res, err
 }

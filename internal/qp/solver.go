@@ -136,14 +136,15 @@ func solveWarmCtx(ctx context.Context, p *Problem, opts Options, warm *WarmStart
 	}
 	st := newIPMState(p)
 	defer st.release()
-	return runIPM(ctx, st, opts.withDefaults(), warm, stats)
+	return runIPM(ctx, st, opts.withDefaults(), false, warm, stats)
 }
 
 // runIPM initializes the iterate from the (optional) warm start and runs
 // the Mehrotra predictor–corrector loop. It is shared by the pooled
 // one-shot path (solveWarmCtx) and the persistent Session path; everything
 // the two do differently — state lifetime, result storage — hangs off st.
-func runIPM(ctx context.Context, st *ipmState, opts Options, warm *WarmStart, stats *solveStats) (*Result, error) {
+// anytime arms the best-iterate snapshot (Session.SetAnytime).
+func runIPM(ctx context.Context, st *ipmState, opts Options, anytime bool, warm *WarmStart, stats *solveStats) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -153,7 +154,7 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, warm *WarmStart, st
 	st.szDot = linalg.DotProd(st.s[:m], st.z[:m])
 
 	st.computeResiduals()
-	st.prepareAnytime(opts.Anytime)
+	st.prepareAnytime(anytime)
 	if st.anytime {
 		// The starting point (warm-start plan or the cold origin) is the
 		// first anytime candidate: even a deadline that fires before one
@@ -395,7 +396,7 @@ type ipmState struct {
 	// fresh marks the residuals as exactly recomputed at the current
 	// iterate (vs. incrementally updated).
 	fresh bool
-	// anytime snapshot state (Options.Anytime only): the best-merit iterate
+	// anytime snapshot state (Session.SetAnytime only): the best-merit iterate
 	// seen so far, copied out each time the merit improves so a deadline
 	// return never hands back a worse point than one already visited. The
 	// vectors are grown lazily by prepareAnytime, so the default path keeps
@@ -936,7 +937,7 @@ func (st *ipmState) step(alphaP, alphaD float64) bool {
 const anytimeInfeasWeight = 1e6
 
 // prepareAnytime arms (or disarms) the per-iteration snapshot. The two
-// snapshot buffers grow only here, so solves without Options.Anytime keep
+// snapshot buffers grow only here, so solves without anytime keep
 // the solver's exact allocation count.
 func (st *ipmState) prepareAnytime(on bool) {
 	st.anytime = on
