@@ -95,7 +95,7 @@ func run(args []string, out *os.File) error {
 		Providers: providers,
 	}
 
-	swp, err := dspp.SolveSocialWelfare(scenario, dspp.DefaultQPOptions())
+	swp, err := dspp.SolveSocialWelfare(scenario)
 	if err != nil {
 		return fmt.Errorf("social welfare: %w", err)
 	}

@@ -42,8 +42,8 @@ var (
 // SolveSocialWelfare solves the joint social welfare problem as a single
 // QP: the benchmark the paper's Theorem 1 says the best Nash equilibrium
 // attains (price of stability 1).
-func SolveSocialWelfare(s *GameScenario, opts QPOptions) (*SWPResult, error) {
-	return game.SolveSocialWelfare(s, opts)
+func SolveSocialWelfare(s *GameScenario) (*SWPResult, error) {
+	return game.SolveSocialWelfare(s)
 }
 
 // BestResponse runs the paper's Algorithm 2: per-provider DSPP solves,

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"dspp/internal/core"
-	"dspp/internal/qp"
 )
 
 // Core problem types, re-exported from the implementation packages so the
@@ -71,8 +70,6 @@ type (
 	// how many (location, DC) pairs survive the latency bound and carry
 	// QP variables (see Instance.Support).
 	SupportStats = core.SupportStats
-	// QPOptions tunes the interior-point solver.
-	QPOptions = qp.Options
 )
 
 // Degradation-ladder rungs (see Controller.StepCtx).
@@ -124,6 +121,3 @@ func WithInitialState(s State) ControllerOption { return core.WithInitialState(s
 // Repeated misses back off the deadline exponentially so the ladder
 // escalates to cheaper rungs sooner. Zero disables budgeting.
 func WithBudget(d time.Duration) ControllerOption { return core.WithBudget(d) }
-
-// DefaultQPOptions returns the recommended interior-point settings.
-func DefaultQPOptions() QPOptions { return qp.DefaultOptions() }

@@ -208,7 +208,7 @@ func TestPublicCompetition(t *testing.T) {
 		Capacity:  []float64{10, math.Inf(1)},
 		Providers: []*dspp.Provider{mk("a", 1000), mk("b", 1500)},
 	}
-	swp, err := dspp.SolveSocialWelfare(scenario, dspp.DefaultQPOptions())
+	swp, err := dspp.SolveSocialWelfare(scenario)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func run() error {
 	}
 
 	// Social optimum: one joint solve with shared capacity.
-	swp, err := dspp.SolveSocialWelfare(scenario, dspp.DefaultQPOptions())
+	swp, err := dspp.SolveSocialWelfare(scenario)
 	if err != nil {
 		return err
 	}

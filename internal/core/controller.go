@@ -386,7 +386,11 @@ func (c *Controller) stepCtx(ctx context.Context, demand, prices [][]float64) (*
 	}
 	deg.Loose = plan.Loose
 	c.warm = plan.Warm
-	c.state = plan.X[0].Clone()
+	// c.state is the controller's own storage (State, SetState and
+	// WithInitialState copy across it), so the new state is copied in.
+	for l, row := range plan.X[0] {
+		copy(c.state[l], row)
+	}
 	if c.lastDuals == nil {
 		c.lastDuals = make([]float64, c.inst.l)
 	}

@@ -153,9 +153,8 @@ func bandOnly(p *qp.Problem) *qp.Problem {
 }
 
 // solveBandOnly solves input's horizon QP (soft when soft) with every
-// row in the band, through qp.Solve or through a qp.Session, and
-// reconstructs the plan.
-func (in *Instance) solveBandOnly(t *testing.T, input HorizonInput, soft, session bool) *Plan {
+// row in the band, on a one-use qp.Session, and reconstructs the plan.
+func (in *Instance) solveBandOnly(t *testing.T, input HorizonInput, soft bool) *Plan {
 	t.Helper()
 	w := len(input.Demand)
 	hs, err := in.horizonStructure(w, soft)
@@ -164,18 +163,12 @@ func (in *Instance) solveBandOnly(t *testing.T, input HorizonInput, soft, sessio
 	}
 	c, h := linalg.NewVector(hs.n), linalg.NewVector(w*hs.rowsPerStep)
 	constCost := in.fillHorizonVectors(hs, input, c, h)
-	ref := bandOnly(&qp.Problem{Q: hs.q, C: c, G: hs.g, H: h})
-	var res *qp.Result
-	if session {
-		ses, err := qp.NewSession(ref, qp.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err = ses.Solve(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-	} else if res, err = qp.Solve(ref, qp.DefaultOptions()); err != nil {
+	ses, err := qp.NewSession(bandOnly(&qp.Problem{Q: hs.q, C: c, G: hs.g, H: h}), qp.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ses.Solve(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return in.buildPlan(hs, input, res, 0, constCost, &planArena{})
@@ -239,14 +232,15 @@ func TestLinkingMatchesBandDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			hard := in.solveBandOnly(t, input, false)
 			for _, c := range []struct {
 				label string
 				got   *Plan
 				ref   *Plan
 			}{
-				{"hard fresh session", fresh, in.solveBandOnly(t, input, false, false)},
-				{"hard reused session", reused, in.solveBandOnly(t, input, false, true)},
-				{"soft", soft, in.solveBandOnly(t, input, true, false)},
+				{"hard fresh session", fresh, hard},
+				{"hard reused session", reused, hard},
+				{"soft", soft, in.solveBandOnly(t, input, true)},
 			} {
 				if d := math.Abs(c.got.Objective - c.ref.Objective); d > 1e-8*math.Max(1, math.Abs(c.ref.Objective)) {
 					t.Fatalf("%s: objective %.15g, all-band %.15g (rel %.2e)", c.label,

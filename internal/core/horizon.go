@@ -98,15 +98,17 @@ func ImportWarm(ws *WarmState) *HorizonWarm {
 	}
 }
 
-// shifted produces the QP warm start for a problem with structure hs,
-// advancing the stored solution by shift periods. The stored primal is
+// shifted produces the QP warm start for a problem with structure hs in
+// out, advancing the stored solution by shift periods, and returns it
+// (nil when the capsule does not fit hs). The stored primal is
 // cumulative, so shifting rebases it on the state reached after the
 // applied controls: y'_t = y_{t+shift} − y_{shift−1}. Periods beyond the
 // old horizon hold the last cumulative level (controls default to zero);
 // dual blocks repeat the last period's, the best available guess for the
 // newly revealed period. A capsule already in hs's layout and not
-// shifted is handed over without copying.
-func (hw *HorizonWarm) shifted(hs *horizonStruct, shift int, out *qp.WarmStart) *qp.WarmStart {
+// shifted is handed over without copying; a shifted one is written into
+// buf's vectors, allocated on first use, so a session reuses one pair.
+func (hw *HorizonWarm) shifted(hs *horizonStruct, shift int, out, buf *qp.WarmStart) *qp.WarmStart {
 	e, w, rowsPerStep := len(hs.pairCol), hs.w, hs.rowsPerStep
 	if hw == nil || shift < 0 ||
 		hw.pairs != e || hw.horizon != w || hw.rowsPer != rowsPerStep ||
@@ -117,8 +119,10 @@ func (hw *HorizonWarm) shifted(hs *horizonStruct, shift int, out *qp.WarmStart) 
 		out.X, out.Z = hw.y, hw.z
 		return out
 	}
-	x := linalg.NewVector(hs.n)
-	z := linalg.NewVector(rowsPerStep * w)
+	if buf.X == nil {
+		buf.X, buf.Z = linalg.NewVector(hs.n), linalg.NewVector(rowsPerStep*w)
+	}
+	x, z := buf.X, buf.Z
 	base := shift - 1
 	if base > w-1 {
 		base = w - 1

@@ -31,8 +31,11 @@ type HorizonSession struct {
 	hs *horizonStruct
 	w  int
 
-	ses   *qp.Session
-	ws    qp.WarmStart
+	ses *qp.Session
+	ws  qp.WarmStart
+	// shift holds the vectors of a shifted warm start (HorizonWarm.shifted),
+	// reused across solves.
+	shift qp.WarmStart
 	arena [2]planArena
 	gen   int
 }
@@ -109,7 +112,7 @@ func (s *HorizonSession) SolveCtx(ctx context.Context, input HorizonInput) (*Pla
 	constCost := in.fillHorizonVectors(s.hs, input, prob.C, prob.H)
 	var warm *qp.WarmStart
 	if !soft {
-		warm = input.Warm.shifted(s.hs, input.WarmShift, &s.ws)
+		warm = input.Warm.shifted(s.hs, input.WarmShift, &s.ws, &s.shift)
 	}
 	res, err := s.ses.SolveCtx(ctx, warm)
 	coldRestarts := 0

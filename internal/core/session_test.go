@@ -150,7 +150,11 @@ func TestColdRestartRuleShared(t *testing.T) {
 	}
 	prob := hs.problem(linalg.NewVector(hs.n), linalg.NewVector(w*hs.rowsPerStep))
 	inst.fillHorizonVectors(hs, input, prob.C, prob.H)
-	if _, err := qp.SolveWarm(&prob, opts, bad.shifted(hs, 0, &qp.WarmStart{})); !errors.Is(err, qp.ErrMaxIterations) {
+	qs, err := qp.NewSession(&prob, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := qs.Solve(bad.shifted(hs, 0, &qp.WarmStart{}, &qp.WarmStart{})); !errors.Is(err, qp.ErrMaxIterations) {
 		t.Fatalf("warm solve: err = %v, want the iteration cap", err)
 	}
 
@@ -180,6 +184,76 @@ func TestColdRestartRuleShared(t *testing.T) {
 	plansBitIdentical(t, 0, one, viaSes)
 	cold.ColdRestarts = 1
 	plansBitIdentical(t, 1, one, cold)
+}
+
+// TestColdRetryKeepsPreviousPlan pins the plan lifetime across a cold
+// retry: a warm solve that hits the iteration cap and is retried cold
+// runs two QP solves inside one session solve, and the plan before it —
+// including the warm capsule, which borrows the QP result — must come out
+// bitwise unchanged.
+func TestColdRetryKeepsPreviousPlan(t *testing.T) {
+	const l, v, w = 3, 5, 4
+	inst := sessionTestInstance(t, l, v)
+	input := sessionTestInput(inst, l, v, w)
+	next := sessionTestInput(inst, l, v, w)
+	for _, row := range next.Demand {
+		for j := range row {
+			row[j] *= 1.05
+		}
+	}
+	// A cap both cold solves meet, several times short of what the bad
+	// capsule below needs.
+	opts := qp.DefaultOptions()
+	opts.MaxIterations = 0
+	for _, in := range []HorizonInput{input, next} {
+		p, err := solveOnce(inst, in, qp.DefaultOptions(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.MaxIterations = max(opts.MaxIterations, p.QPIterations+2)
+	}
+	ses, err := inst.NewHorizonSession(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := ses.Solve(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := clonePlan(p1)
+	y1, z1 := p1.Warm.y.Clone(), p1.Warm.z.Clone()
+
+	bad := *p1.Warm
+	bad.y, bad.z = y1.Clone(), z1.Clone()
+	bad.y.Scale(1e5)
+	bad.z.Scale(1e10)
+	next.Warm = &bad
+	p2, err := ses.Solve(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p2.ColdRestarts != 1 {
+		t.Fatalf("ColdRestarts = %d, want the warm solve retried cold", p2.ColdRestarts)
+	}
+	plansBitIdentical(t, 1, p1, want)
+	if !slicesEqual(p1.Warm.y, y1) || !slicesEqual(p1.Warm.z, z1) {
+		t.Fatal("previous plan's warm capsule overwritten by the cold retry")
+	}
+}
+
+// clonePlan deep-copies the fields plansBitIdentical compares.
+func clonePlan(p *Plan) *Plan {
+	c := *p
+	c.U, c.X = make([]State, len(p.U)), make([]State, len(p.X))
+	for t := range p.U {
+		c.U[t], c.X[t] = p.U[t].Clone(), p.X[t].Clone()
+	}
+	c.CapacityDuals, c.DemandDuals = make([][]float64, len(p.CapacityDuals)), make([][]float64, len(p.DemandDuals))
+	for t := range p.CapacityDuals {
+		c.CapacityDuals[t] = append([]float64(nil), p.CapacityDuals[t]...)
+		c.DemandDuals[t] = append([]float64(nil), p.DemandDuals[t]...)
+	}
+	return &c
 }
 
 // TestHorizonSessionPlanLifetime pins the double-buffer contract: the
@@ -296,8 +370,8 @@ func TestWarmStateTimeMajorRoundTrip(t *testing.T) {
 		t.Fatal("export of an imported capsule differs from the checkpoint")
 	}
 	for shift := 0; shift <= 2; shift++ {
-		a := plan.Warm.shifted(hs, shift, &qp.WarmStart{})
-		b := imp.shifted(hs, shift, &qp.WarmStart{})
+		a := plan.Warm.shifted(hs, shift, &qp.WarmStart{}, &qp.WarmStart{})
+		b := imp.shifted(hs, shift, &qp.WarmStart{}, &qp.WarmStart{})
 		if !slicesEqual(a.X, b.X) || !slicesEqual(a.Z, b.Z) {
 			t.Fatalf("shift %d: imported capsule seeds a different warm start", shift)
 		}

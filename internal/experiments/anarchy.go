@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"dspp/internal/game"
-	"dspp/internal/qp"
 )
 
 // PoAResult estimates the price of anarchy empirically: the worst
@@ -30,7 +29,7 @@ func PriceOfAnarchy(seed int64, starts int) (*PoAResult, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	scen := gameScenario(rng, 4, 3, 150)
-	swp, err := game.SolveSocialWelfare(scen, qp.DefaultOptions())
+	swp, err := game.SolveSocialWelfare(scen)
 	if err != nil {
 		return nil, fmt.Errorf("swp: %w", err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"dspp/internal/game"
 	"dspp/internal/parallel"
-	"dspp/internal/qp"
 )
 
 // randomProvider draws a provider with randomized (μ, D, s, c, d̄) as in
@@ -242,7 +241,7 @@ func PriceOfStability(seed int64, maxPlayers int) (*PoSResult, error) {
 	for n := 2; n <= maxPlayers; n++ {
 		rng := rand.New(rand.NewSource(seed + int64(n)))
 		s := gameScenario(rng, n, 3, 150)
-		swp, err := game.SolveSocialWelfare(s, qp.DefaultOptions())
+		swp, err := game.SolveSocialWelfare(s)
 		if err != nil {
 			return nil, fmt.Errorf("n=%d swp: %w", n, err)
 		}

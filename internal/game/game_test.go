@@ -70,7 +70,7 @@ func TestSWPRespectsSharedCapacity(t *testing.T) {
 	// Bottleneck 10 capacity units at the cheap DC; both providers need
 	// 25 server-slots total, so most load must go to the expensive DC.
 	s := twoProviderScenario(3, 10)
-	res, err := SolveSocialWelfare(s, qp.DefaultOptions())
+	res, err := SolveSocialWelfare(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSWPUncapacitatedMatchesIndependentSolves(t *testing.T) {
 	// With no binding capacity the SWP decomposes: total equals the sum
 	// of each provider solving alone.
 	s := twoProviderScenario(3, 1e9)
-	joint, err := SolveSocialWelfare(s, qp.DefaultOptions())
+	joint, err := SolveSocialWelfare(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestSWPMatchesSingleProviderOracle(t *testing.T) {
 			X0: x0, Demand: demand, Prices: prices,
 		}},
 	}
-	swp, err := SolveSocialWelfare(s, qp.DefaultOptions())
+	swp, err := SolveSocialWelfare(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestBestResponseConverges(t *testing.T) {
 // computed outcome should be within a few percent of the SWP optimum.
 func TestBestResponseNearSocialOptimum(t *testing.T) {
 	s := twoProviderScenario(3, 10)
-	swp, err := SolveSocialWelfare(s, qp.DefaultOptions())
+	swp, err := SolveSocialWelfare(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestBestResponseInvalidScenario(t *testing.T) {
 	if _, err := BestResponse(s, BestResponseConfig{}); !errors.Is(err, ErrBadScenario) {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := SolveSocialWelfare(s, qp.DefaultOptions()); !errors.Is(err, ErrBadScenario) {
+	if _, err := SolveSocialWelfare(s); !errors.Is(err, ErrBadScenario) {
 		t.Errorf("swp err = %v", err)
 	}
 }
@@ -310,7 +310,7 @@ func TestServerSizesAffectSharedCapacity(t *testing.T) {
 	// server; SWP must account for that.
 	s := twoProviderScenario(2, 10)
 	s.Providers[0].ServerSize = 2
-	res, err := SolveSocialWelfare(s, qp.DefaultOptions())
+	res, err := SolveSocialWelfare(s)
 	if err != nil {
 		t.Fatal(err)
 	}

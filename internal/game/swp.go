@@ -87,8 +87,8 @@ func (lay *swpLayout) varIdx(i, t, pi int) int {
 // step, and only the shared capacity rows couple the blocks: they are the
 // solver's linking rows. The change of variables is invertible, so the
 // optimum and the capacity duals are those of the problem in the controls
-// u.
-func SolveSocialWelfare(s *Scenario, opts qp.Options) (*SWPResult, error) {
+// u. It is one solve, on a one-use session.
+func SolveSocialWelfare(s *Scenario) (*SWPResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -199,7 +199,11 @@ func SolveSocialWelfare(s *Scenario, opts qp.Options) (*SWPResult, error) {
 		return nil, fmt.Errorf("SWP constraint assembly: %w", err)
 	}
 
-	res, err := qp.Solve(&qp.Problem{Q: qMat, C: cVec, G: gMat, H: hVec, Linking: linking}, opts)
+	ses, err := qp.NewSession(&qp.Problem{Q: qMat, C: cVec, G: gMat, H: hVec, Linking: linking}, qp.DefaultOptions())
+	var res *qp.Result
+	if err == nil {
+		res, err = ses.Solve(nil)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("SWP QP (n=%d, m=%d): %w", n, m, err)
 	}

@@ -20,34 +20,9 @@ type BandMatrix struct {
 // NewBandMatrix returns a zero band matrix of order n with half-bandwidth
 // bw (clamped into [0, n−1]).
 func NewBandMatrix(n, bw int) *BandMatrix {
-	b := &BandMatrix{}
-	b.Reset(n, bw)
-	return b
-}
-
-// Reset re-shapes the matrix for a new (n, bw), reusing the backing
-// storage when it is large enough — the symbolic half of the
-// symbolic/numeric factorization split. The band is NOT cleared; callers
-// that assemble incrementally must ZeroBand first.
-func (b *BandMatrix) Reset(n, bw int) {
-	if n < 0 {
-		n = 0
-	}
-	if bw < 0 {
-		bw = 0
-	}
-	if bw > n-1 {
-		bw = n - 1
-	}
-	if n == 0 {
-		bw = 0
-	}
-	need := n * (bw + 1)
-	if cap(b.data) < need {
-		b.data = make([]float64, need)
-	}
-	b.n, b.bw = n, bw
-	b.data = b.data[:need]
+	n = max(n, 0)
+	bw = min(max(bw, 0), max(n-1, 0))
+	return &BandMatrix{n: n, bw: bw, data: make([]float64, n*(bw+1))}
 }
 
 // N returns the order of the matrix.

@@ -149,12 +149,16 @@ func TestAnytimeDeadlineEveryIteration(t *testing.T) {
 func TestAnytimeOffKeepsNilResultContract(t *testing.T) {
 	p := anytimeTestProblem(t)
 
-	res, err := SolveWarmCtx(newTripCtx(3), p, DefaultOptions(), nil)
+	ses, err := NewSession(p, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ses.SolveCtx(newTripCtx(3), nil)
 	if res != nil || !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrDeadline) {
 		t.Fatalf("anytime off: res=%v err=%v, want nil result with bare context error", res, err)
 	}
 
-	plain, err := SolveWarmCtx(context.Background(), p, DefaultOptions(), nil)
+	plain, err := ses.SolveCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,17 +8,21 @@ import (
 	"dspp/internal/linalg"
 )
 
-func TestSolveWarmCtxCancelled(t *testing.T) {
+func TestSolveCtxCancelled(t *testing.T) {
 	// The context is polled once per interior-point iteration.
 	p := denseQP(t, [][]float64{{1, 0}, {0, 1}}, linalg.VectorOf(-1, -2),
 		[][]float64{{1, 0}, {0, 1}, {-1, 0}, {0, -1}}, linalg.VectorOf(0.5, 0.5, 0, 0))
+	ses, err := NewSession(p, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveWarmCtx(ctx, p, DefaultOptions(), nil); !errors.Is(err, context.Canceled) {
+	if _, err := ses.SolveCtx(ctx, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The same problem with a live context must solve cleanly.
-	res, err := SolveWarmCtx(context.Background(), p, DefaultOptions(), nil)
+	res, err := ses.SolveCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func FuzzSolve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, q00, q01, q11, c0, c1, g00, g01, h0, g10, g11, h1 float64) {
 		p := denseQP(t, [][]float64{{q00, q01}, {q01, q11}}, linalg.VectorOf(c0, c1),
 			[][]float64{{g00, g01}, {g10, g11}}, linalg.VectorOf(h0, h1))
-		res, err := Solve(p, DefaultOptions())
+		res, err := solveOnce(p, DefaultOptions(), nil)
 		if err != nil {
 			if !errors.Is(err, ErrBadProblem) && !errors.Is(err, ErrNumerical) &&
 				!errors.Is(err, ErrMaxIterations) {

@@ -32,7 +32,7 @@ func TestGapFloorHoldsUntilResidualsConverge(t *testing.T) {
 		if len(p.Linking) == 0 {
 			t.Fatalf("seed %d: no linking rows", seed)
 		}
-		old, err := Solve(p, opts)
+		old, err := solveOnce(p, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestGapFloorHoldsUntilResidualsConverge(t *testing.T) {
 		}
 		warm := &WarmStart{X: old.X, Z: old.IneqDuals}
 		fires, rdOpen = 0, 0
-		got, err := SolveWarm(p, opts, warm)
+		got, err := solveOnce(p, opts, warm)
 		if err != nil {
 			t.Fatalf("seed %d: warm: %v", seed, err)
 		}
@@ -57,13 +57,13 @@ func TestGapFloorHoldsUntilResidualsConverge(t *testing.T) {
 		for k := 1; k <= got.Iterations; k++ {
 			capped := opts
 			capped.MaxIterations = k
-			r, _ := SolveWarm(p, capped, warm)
+			r, _ := solveOnce(p, capped, warm)
 			if floor := muFloor * tol * (1 + math.Abs(r.Objective)); r.Gap < 0.999*floor {
 				t.Fatalf("seed %d iteration %d: μ = %.3g below the floor %.3g (rd %.3g, rp %.3g)",
 					seed, k, r.Gap, floor, r.DualRes, r.PrimalRes)
 			}
 		}
-		want, err := Solve(p, opts)
+		want, err := solveOnce(p, opts, nil)
 		if err != nil {
 			t.Fatalf("seed %d: cold: %v", seed, err)
 		}

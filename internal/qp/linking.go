@@ -36,21 +36,23 @@ type linkSchur struct {
 	gl     linalg.Vector // k: G·dx on the linking rows
 }
 
-// reset binds the numeric working set to sym and sizes it for n
-// variables and m inequality rows.
-func (ls *linkSchur) reset(sym *linkSymbolic, n, m int) {
-	ls.linkSymbolic = sym
-	if ls.k == 0 {
-		return
+// newLinkSchur sizes the numeric working set for sym, n variables and m
+// inequality rows.
+func newLinkSchur(sym *linkSymbolic, n, m int) linkSchur {
+	ls := linkSchur{linkSymbolic: sym}
+	if sym.k == 0 {
+		return ls
 	}
-	ls.zinv = growVec(ls.zinv, ls.widest*ls.widest)
-	ls.lam = growVec(ls.lam, ls.k)
-	ls.r1 = growVec(ls.r1, n)
-	ls.t1 = growVec(ls.t1, n)
-	ls.gl = growVec(ls.gl, ls.k)
-	ls.wb = growVec(ls.wb, m)
-	ls.s.Reset(ls.k, ls.k-1)
-	ls.chol.Symbolic(ls.k, ls.k-1)
+	ls.zinv = linalg.NewVector(sym.widest * sym.widest)
+	ls.lam = linalg.NewVector(sym.k)
+	ls.r1 = linalg.NewVector(n)
+	ls.t1 = linalg.NewVector(n)
+	ls.gl = linalg.NewVector(sym.k)
+	ls.wb = linalg.NewVector(m)
+	ls.s = linalg.NewBandMatrix(sym.k, sym.k-1)
+	ls.chol = &linalg.BandCholesky{}
+	ls.chol.Symbolic(sym.k, sym.k-1)
+	return ls
 }
 
 // bandWeights returns w with the linking rows zeroed, the weights the band

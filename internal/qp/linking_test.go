@@ -114,15 +114,15 @@ func TestLinkingRowsMatchBandSolve(t *testing.T) {
 			}
 			p.G = linalg.SparseFromDense(g)
 		}
-		got, err := Solve(p, DefaultOptions())
+		got, err := solveOnce(p, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatalf("seed %d linking: %v", seed, err)
 		}
-		want, err := Solve(bandReference(p), DefaultOptions())
+		want, err := solveOnce(bandReference(p), DefaultOptions(), nil)
 		if err != nil {
 			t.Fatalf("seed %d band: %v", seed, err)
 		}
-		assertSameOptimum(t, "one-shot", got, want, 1e-8, 1e-5)
+		assertSameOptimum(t, "linked", got, want, 1e-8, 1e-5)
 	}
 }
 
@@ -132,7 +132,7 @@ func TestBandRowTooWideIsRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := blockAngularQP(rng, 4, 3, 1)
 	p.Linking = nil // the coupling row now spans every block
-	if _, err := Solve(p, DefaultOptions()); err == nil {
+	if _, err := solveOnce(p, DefaultOptions(), nil); err == nil {
 		t.Fatal("solve with a coupling row inside a too-narrow band succeeded")
 	}
 }

@@ -21,7 +21,7 @@ func TestSolutionMatchesBruteForceX(t *testing.T) {
 		n := 1 + rng.Intn(3)
 		m := 1 + rng.Intn(5)
 		p := randomFeasibleQP(rng, n, m)
-		res, err := Solve(p, DefaultOptions())
+		res, err := solveOnce(p, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -53,11 +53,11 @@ func TestCorpusSolutionsIndependentOfWarmStart(t *testing.T) {
 		n := 2 + rng.Intn(10)
 		m := 1 + rng.Intn(2*n)
 		p := randomFeasibleQP(rng, n, m)
-		cold, err := Solve(p, DefaultOptions())
+		cold, err := solveOnce(p, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatalf("trial %d cold: %v", trial, err)
 		}
-		warm, err := SolveWarm(p, DefaultOptions(), &WarmStart{X: cold.X, Z: cold.IneqDuals})
+		warm, err := solveOnce(p, DefaultOptions(), &WarmStart{X: cold.X, Z: cold.IneqDuals})
 		if err != nil {
 			t.Fatalf("trial %d warm: %v", trial, err)
 		}
@@ -89,7 +89,7 @@ func TestPoisonedWarmStartReturnsErrNumerical(t *testing.T) {
 	for i := range warm.Z {
 		warm.Z[i] = 0.1
 	}
-	_, err := SolveWarm(p, DefaultOptions(), warm)
+	_, err := solveOnce(p, DefaultOptions(), warm)
 	if err == nil {
 		t.Fatal("poisoned warm start solved cleanly")
 	}
@@ -99,10 +99,11 @@ func TestPoisonedWarmStartReturnsErrNumerical(t *testing.T) {
 }
 
 // TestAllocsIndependentOfIterationCount proves the zero-allocation
-// property of the iteration loop: a solve that runs ~3× more interior-point
-// iterations must allocate exactly as much as a short one, because all
-// per-iteration storage (KKT band, factorization, residuals, directions)
-// is preallocated by the symbolic phase and pooled across solves.
+// property of the iteration loop: on a session, a solve that runs ~3×
+// more interior-point iterations allocates exactly as little as a short
+// one — nothing — because all per-iteration storage (KKT band,
+// factorization, residuals, directions, the result arena) is sized once
+// by NewSession.
 func TestAllocsIndependentOfIterationCount(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race-detector bookkeeping allocates nondeterministically; exact counts are checked by the non-race run and the check.sh bench guard")
@@ -114,11 +115,19 @@ func TestAllocsIndependentOfIterationCount(t *testing.T) {
 	tight := DefaultOptions()
 	tight.Tolerance = 1e-11
 
-	resLoose, err := Solve(p, loose)
+	sesLoose, err := NewSession(p, loose)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resTight, err := Solve(p, tight)
+	sesTight, err := NewSession(p, tight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resLoose, err := sesLoose.Solve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resTight, err := sesTight.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,17 +137,17 @@ func TestAllocsIndependentOfIterationCount(t *testing.T) {
 	}
 
 	allocsLoose := testing.AllocsPerRun(50, func() {
-		if _, err := Solve(p, loose); err != nil {
+		if _, err := sesLoose.Solve(nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	allocsTight := testing.AllocsPerRun(50, func() {
-		if _, err := Solve(p, tight); err != nil {
+		if _, err := sesTight.Solve(nil); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocsTight != allocsLoose {
-		t.Errorf("allocations scale with iterations: %v allocs at %d iters vs %v at %d",
+	if allocsLoose != 0 || allocsTight != 0 {
+		t.Errorf("session solves allocate: %v allocs at %d iters, %v at %d",
 			allocsTight, resTight.Iterations, allocsLoose, resLoose.Iterations)
 	}
 }

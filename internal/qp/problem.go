@@ -21,7 +21,7 @@ import (
 	"dspp/internal/telemetry"
 )
 
-// Sentinel errors reported by Solve.
+// Sentinel errors reported by Session.SolveCtx.
 var (
 	// ErrMaxIterations means the iteration limit was reached before the
 	// tolerances were met. The best iterate found is still returned.
@@ -130,7 +130,7 @@ type WarmStart struct {
 	Z linalg.Vector
 }
 
-// Result holds the outcome of a Solve call.
+// Result holds the outcome of one session solve.
 type Result struct {
 	X          linalg.Vector // primal solution
 	IneqDuals  linalg.Vector // z ≥ 0, multipliers of Gx ≤ h

@@ -17,7 +17,7 @@ import (
 func jammedWarmStart(t *testing.T, seed int64, cut float64) (*Problem, *WarmStart) {
 	t.Helper()
 	p := horizonShapedQP(rand.New(rand.NewSource(seed)), 4, 12, 2)
-	old, err := Solve(p, DefaultOptions())
+	old, err := solveOnce(p, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestRecenterUnjamsWarmStart(t *testing.T) {
 	}{{2, 0.5}, {4, 0.5}, {8, 0.3}, {8, 0.7}} {
 		p, warm := jammedWarmStart(t, tc.seed, tc.cut)
 		fires = 0
-		got, err := SolveWarm(p, DefaultOptions(), warm)
+		got, err := solveOnce(p, DefaultOptions(), warm)
 		if err != nil {
 			t.Fatalf("seed %d cut %g: warm: %v", tc.seed, tc.cut, err)
 		}
@@ -61,7 +61,7 @@ func TestRecenterUnjamsWarmStart(t *testing.T) {
 		if got.Iterations > maxIters {
 			t.Fatalf("seed %d cut %g: %d iterations, want ≤ %d", tc.seed, tc.cut, got.Iterations, maxIters)
 		}
-		want, err := Solve(p, DefaultOptions())
+		want, err := solveOnce(p, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatalf("seed %d cut %g: cold: %v", tc.seed, tc.cut, err)
 		}
@@ -80,11 +80,11 @@ func TestRecenterSkipsColdAndConverging(t *testing.T) {
 	defer func() { recenterHook = nil }()
 	for seed := int64(1); seed <= 6; seed++ {
 		p := horizonShapedQP(rand.New(rand.NewSource(seed)), 4, 12, 2)
-		res, err := Solve(p, DefaultOptions())
+		res, err := solveOnce(p, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := SolveWarm(p, DefaultOptions(), &WarmStart{X: res.X, Z: res.IneqDuals}); err != nil {
+		if _, err := solveOnce(p, DefaultOptions(), &WarmStart{X: res.X, Z: res.IneqDuals}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,7 +101,7 @@ func TestRecenterTelemetry(t *testing.T) {
 	hub := telemetry.New(telemetry.WithTraceWriter(&buf))
 	opts := DefaultOptions()
 	opts.Hooks = hub.QPHooks()
-	if _, err := SolveWarm(p, opts, warm); err != nil {
+	if _, err := solveOnce(p, opts, warm); err != nil {
 		t.Fatal(err)
 	}
 	if got := hub.Registry().Snapshot()[telemetry.MetricQPRecenters]; got != 1 {

@@ -257,7 +257,7 @@ func TestIncrementalResidualsMatchRecompute(t *testing.T) {
 			rc := newResidualCheck(t, p)
 			residualUpdateHook = rc.observe
 			defer func() { residualUpdateHook = nil }()
-			res, err := Solve(p, DefaultOptions())
+			res, err := solveOnce(p, DefaultOptions(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,7 +268,7 @@ func TestIncrementalResidualsMatchRecompute(t *testing.T) {
 					p.H[i] = h0[i] * (1 + 0.02*rng.NormFloat64())
 				}
 				rc.reset()
-				if res, err = SolveWarm(p, DefaultOptions(), &WarmStart{X: res.X, Z: res.IneqDuals}); err != nil {
+				if res, err = solveOnce(p, DefaultOptions(), &WarmStart{X: res.X, Z: res.IneqDuals}); err != nil {
 					t.Fatalf("warm solve %d: %v", k, err)
 				}
 			}

@@ -6,40 +6,42 @@ import (
 	"dspp/internal/telemetry"
 )
 
-// Session is a persistent solver bound to one Problem instance that will
-// be solved many times as its data drifts: the per-round best-response
-// QPs of Algorithm 2, the per-step MPC solves, the cells of a horizon
-// sweep. The caller may rewrite C and H in place between solves; Q, G
-// and every dimension are fixed for the session's lifetime.
+// Session is the solver: a persistent interior-point working set bound to
+// one Problem instance that is solved many times as its data drifts — the
+// per-round best-response QPs of Algorithm 2, the per-step MPC solves, the
+// cells of a horizon sweep — or once, on a one-use session. The caller may
+// rewrite C and H in place between solves; Q, G and every dimension are
+// fixed for the session's lifetime.
 //
-// Against the one-shot SolveWarmCtx path a session changes two things,
-// neither of which alters a single bit of the computed iterates:
-//
-//   - State lifetime: the working vectors, packed KKT band, and factor
-//     live for the session instead of bouncing through the state pool.
-//   - Result storage: results double-buffer inside the session (the
-//     previous result — usually the next warm start — survives exactly
-//     one more solve), eliminating the last two allocations per solve.
+// The working vectors, the packed KKT band and its factor are sized once,
+// in NewSession, and results double-buffer inside the session (the
+// previous result — usually the next warm start — survives exactly one
+// more solve), so a solve allocates nothing. None of this reuse alters a
+// bit of the computed iterates: a reused session returns exactly what a
+// fresh one does on the same data and warm start.
 //
 // A Session is not safe for concurrent use; concurrent solvers each hold
 // their own session.
 type Session struct {
-	p       *Problem
 	opts    Options
 	anytime bool
 	st      *ipmState
-	arena   resultArena
 }
 
-// NewSession binds a session to p.
+// NewSession binds a session to p. A problem without a Structure is
+// analysed here, once.
 func NewSession(p *Problem, opts Options) (*Session, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Session{p: p, opts: opts.withDefaults()}
-	s.st = newIPMState(p)
-	s.st.arena = &s.arena
-	return s, nil
+	sym := p.Structure
+	if sym == nil {
+		var err error
+		if sym, err = Analyze(p); err != nil {
+			return nil, err
+		}
+	}
+	return &Session{opts: opts.withDefaults(), st: newIPMState(p, sym)}, nil
 }
 
 // SetAnytime opts subsequent solves on this session into deadline-bounded
@@ -53,16 +55,28 @@ func NewSession(p *Problem, opts Options) (*Session, error) {
 func (s *Session) SetAnytime(on bool) { s.anytime = on }
 
 // SolveCtx runs one solve against the problem's current data, optionally
-// warm-started. Iterates are bit-identical to SolveWarmCtx on the same
-// data. The returned Result's slices remain valid until the end of the
-// next-but-one solve on this session. No closures — the zero-alloc
-// steady state of a session depends on it.
+// warm-started (see runIPM for the algorithm). A good warm start — the
+// previous MPC plan shifted one period, or the previous best-response
+// round's solution — typically cuts the iteration count severalfold; a
+// bad one only costs the iterations needed to walk back to the central
+// path. A warm start whose dimensions don't match the problem is ignored.
+//
+// A Result returned without error stays valid until the end of the
+// next-but-one solve on this session. One returned with ErrMaxIterations
+// (the best iterate found) stays valid only until the end of the next
+// solve and leaves the previous result's lifetime untouched, so a failed
+// warm solve retried cold does not cost the previous result its storage.
+// An ErrDeadline result is freshly allocated. No closures — the
+// zero-alloc steady state of a session depends on it.
 func (s *Session) SolveCtx(ctx context.Context, warm *WarmStart) (*Result, error) {
 	st := s.st
 	// C and H may have been rewritten since the last solve; their norms
 	// feed the convergence scales and must track the data.
-	st.dataNorms()
+	st.cNorm, st.hNorm = st.p.C.NormInf(), st.p.H.NormInf()
 	if s.opts.Hooks == nil {
+		// Disabled telemetry takes the direct path: a nil stats pointer,
+		// no span, no time reads — the hot loop is bit-identical to the
+		// uninstrumented solver.
 		return runIPM(ctx, st, s.opts, s.anytime, warm, nil)
 	}
 	hooks := s.opts.Hooks
@@ -80,4 +94,4 @@ func (s *Session) Solve(warm *WarmStart) (*Result, error) {
 
 // Problem returns the bound problem, whose C and H the caller may rewrite
 // in place between solves.
-func (s *Session) Problem() *Problem { return s.p }
+func (s *Session) Problem() *Problem { return s.st.p }

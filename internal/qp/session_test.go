@@ -1,6 +1,7 @@
 package qp
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -18,11 +19,11 @@ func driftH(rng *rand.Rand, h linalg.Vector) {
 	}
 }
 
-// TestSessionBitIdenticalToOneShot drives a session and the pooled
-// one-shot path through the same sequence of drifting problems with
-// chained warm starts, and demands bitwise agreement on every field of
-// every result: the session's state reuse and arena-backed results must
-// not move a single ulp.
+// TestSessionBitIdenticalToOneShot drives one reused session and, on an
+// identical twin problem, a fresh one-use session per round through the
+// same sequence of drifting problems with chained warm starts, and
+// demands bitwise agreement on every field of every result: the session's
+// state reuse and arena-backed results must not move a single ulp.
 func TestSessionBitIdenticalToOneShot(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 10; trial++ {
@@ -46,9 +47,9 @@ func TestSessionBitIdenticalToOneShot(t *testing.T) {
 				driftH(rand.New(rand.NewSource(save)), pOne.H)
 			}
 			rSes, errSes := ses.Solve(warmSes)
-			rOne, errOne := SolveWarm(pOne, DefaultOptions(), warmOne)
+			rOne, errOne := solveOnce(pOne, DefaultOptions(), warmOne)
 			if (errSes == nil) != (errOne == nil) {
-				t.Fatalf("trial %d round %d: session err %v, one-shot err %v", trial, round, errSes, errOne)
+				t.Fatalf("trial %d round %d: reused session err %v, fresh session err %v", trial, round, errSes, errOne)
 			}
 			if errSes != nil {
 				break
@@ -99,6 +100,61 @@ func TestSessionResultDoubleBuffered(t *testing.T) {
 	}
 }
 
+// TestSessionFailedSolveKeepsPreviousResult pins the lifetime of a result
+// returned with an error: a warm solve that hits the iteration cap and is
+// retried cold must leave the result before it intact, because the caller
+// still holds that one (typically as the plan it is about to replace).
+func TestSessionFailedSolveKeepsPreviousResult(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	p := randomFeasibleQP(rng, 6, 10)
+	h1 := p.H.Clone()
+	h2 := p.H.Clone()
+	h2[0] += 0.25
+	// A cap both cold solves meet, several times short of what the bad
+	// warm start below needs.
+	opts := DefaultOptions()
+	capIters := 0
+	for _, h := range []linalg.Vector{h1, h2} {
+		copy(p.H, h)
+		r, err := solveOnce(p, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		capIters = max(capIters, r.Iterations+2)
+	}
+	opts.MaxIterations = capIters
+	ses, err := NewSession(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(p.H, h1)
+	r1, err := ses.Solve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x1, z1 := r1.X.Clone(), r1.IneqDuals.Clone()
+	copy(p.H, h2)
+	bad := &WarmStart{X: r1.X.Clone(), Z: r1.IneqDuals.Clone()}
+	bad.X.Scale(1e5)
+	bad.Z.Scale(1e10)
+	if _, err := ses.Solve(bad); !errors.Is(err, ErrMaxIterations) {
+		t.Fatalf("bad warm solve: err = %v, want the iteration cap", err)
+	}
+	if _, err := ses.Solve(nil); err != nil {
+		t.Fatalf("cold retry: %v", err)
+	}
+	for i := range x1 {
+		if r1.X[i] != x1[i] {
+			t.Fatalf("previous result's x[%d] overwritten: %v → %v", i, x1[i], r1.X[i])
+		}
+	}
+	for i := range z1 {
+		if r1.IneqDuals[i] != z1[i] {
+			t.Fatalf("previous result's z[%d] overwritten: %v → %v", i, z1[i], r1.IneqDuals[i])
+		}
+	}
+}
+
 // bandedSparseQP builds a strictly convex QP with a banded sparse G (row
 // i covers columns [i, i+bw]), so its KKT matrix is banded. Q is a band
 // matrix declaring the KKT band bw.
@@ -132,8 +188,8 @@ func bandedSparseQP(rng *rand.Rand, n, bw int) *Problem {
 }
 
 // TestSessionSteadyStateZeroAllocs proves the arena claim: once warm, a
-// session solve allocates nothing at all — no pooled state, no result
-// storage, no telemetry.
+// session solve allocates nothing at all — no state, no result storage,
+// no telemetry.
 func TestSessionSteadyStateZeroAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race-detector bookkeeping allocates nondeterministically")

@@ -5,64 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"dspp/internal/linalg"
 	"dspp/internal/telemetry"
 )
 
-// Solve minimizes the given convex QP with a primal–dual interior-point
-// method. On ErrMaxIterations the best iterate found so far is returned
-// alongside the error so callers may decide whether it is usable.
-func Solve(p *Problem, opts Options) (*Result, error) {
-	return SolveWarm(p, opts, nil)
-}
-
-// SolveWarm is Solve with an optional warm start. A good warm start — the
-// previous MPC plan shifted one period, or the previous best-response
-// round's solution — typically cuts the iteration count severalfold; a bad
-// one only costs the iterations needed to walk back to the central path.
-// A warm start whose dimensions don't match the problem is ignored.
-func SolveWarm(p *Problem, opts Options, warm *WarmStart) (*Result, error) {
-	return SolveWarmCtx(context.Background(), p, opts, warm)
-}
-
-// SolveWarmCtx is SolveWarm with cooperative cancellation: the context is
-// polled once per interior-point iteration, so a stuck or slow solve
-// terminates within one iteration of ctx expiring. The returned error wraps
-// ctx.Err() (not ErrNumerical/ErrMaxIterations), letting callers tell an
-// abandoned solve from a failed one.
-//
-// Each iteration runs one Mehrotra predictor–corrector round: a single
-// numeric refactorization of the KKT matrix (into packed band storage,
-// inside the envelope the symbolic phase — Structure — laid out once per
-// problem structure), an affine predictor solve, the σ = (μ_aff/μ)³
-// centering heuristic, and a corrector solve against the same
-// factorization. Primal and dual step lengths are chosen separately — the
-// standard Mehrotra refinement, worth a few iterations on most problems
-// because a short slack step no longer truncates the dual step. Between iterations the residuals are updated incrementally from
-// the Newton identities (an O(n·bw + m) pass instead of fresh matvecs;
-// with linking rows the dual residual is advanced from its definition);
-// any convergence verdict reached on incremental residuals is confirmed
-// against fully recomputed ones before it is accepted.
-func SolveWarmCtx(ctx context.Context, p *Problem, opts Options, warm *WarmStart) (*Result, error) {
-	if opts.Hooks == nil {
-		// Disabled telemetry takes the direct path: a nil stats pointer,
-		// no span, no time reads — the hot loop is bit-identical to the
-		// uninstrumented solver.
-		return solveWarmCtx(ctx, p, opts, warm, nil)
-	}
-	hooks := opts.Hooks
-	sp := hooks.Tracer.Start(telemetry.SpanQPSolve, telemetry.SpanIDFromContext(ctx))
-	var stats solveStats
-	res, err := solveWarmCtx(ctx, p, opts, warm, &stats)
-	flushQPTelemetry(hooks, sp, warm, res, err, &stats)
-	return res, err
-}
-
-// solveStats accumulates per-solve counts the instrumented wrapper flushes
-// into the telemetry hooks after the solve returns. The iteration loop
+// solveStats accumulates per-solve counts Session.SolveCtx flushes into
+// the telemetry hooks after the solve returns. The iteration loop
 // touches it through a nil-guarded pointer, so the disabled path costs a
 // predictable branch per site and nothing else.
 type solveStats struct {
@@ -130,26 +80,32 @@ func flushQPTelemetry(h *telemetry.QPHooks, sp *telemetry.Span, warm *WarmStart,
 	sp.End()
 }
 
-func solveWarmCtx(ctx context.Context, p *Problem, opts Options, warm *WarmStart, stats *solveStats) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	st := newIPMState(p)
-	defer st.release()
-	return runIPM(ctx, st, opts.withDefaults(), false, warm, stats)
-}
-
-// runIPM initializes the iterate from the (optional) warm start and runs
-// the Mehrotra predictor–corrector loop. It is shared by the pooled
-// one-shot path (solveWarmCtx) and the persistent Session path; everything
-// the two do differently — state lifetime, result storage — hangs off st.
-// anytime arms the best-iterate snapshot (Session.SetAnytime).
+// runIPM minimizes the session's QP with a primal–dual interior-point
+// method, from the (optional) warm start or the cold default point. The
+// context is polled once per iteration, so a stuck or slow solve
+// terminates within one iteration of ctx expiring; the returned error
+// then wraps ctx.Err() (not ErrNumerical/ErrMaxIterations), letting
+// callers tell an abandoned solve from a failed one. anytime arms the
+// best-iterate snapshot (Session.SetAnytime).
+//
+// Each iteration runs one Mehrotra predictor–corrector round: a single
+// numeric refactorization of the KKT matrix (into packed band storage,
+// inside the envelope the symbolic phase — Structure — laid out once per
+// problem structure), an affine predictor solve, the σ = (μ_aff/μ)³
+// centering heuristic, and a corrector solve against the same
+// factorization. Primal and dual step lengths are chosen separately — the
+// standard Mehrotra refinement, worth a few iterations on most problems
+// because a short slack step no longer truncates the dual step. Between
+// iterations the residuals are updated incrementally from the Newton
+// identities (an O(n·bw + m) pass instead of fresh matvecs; with linking
+// rows the dual residual is advanced from its definition); any
+// convergence verdict reached on incremental residuals is confirmed
+// against fully recomputed ones before it is accepted.
 func runIPM(ctx context.Context, st *ipmState, opts Options, anytime bool, warm *WarmStart, stats *solveStats) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	warmed := st.initPoint(warm)
-	p := st.p
 	m := st.m
 	st.szDot = linalg.DotProd(st.s[:m], st.z[:m])
 
@@ -187,11 +143,11 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, anytime bool, warm 
 			// Incremental residuals drift by rounding; never declare
 			// victory off them without an exact recomputation.
 			if st.fresh {
-				return st.result(p, iter, mu)
+				return st.result(iter, mu, true), nil
 			}
 			st.computeResiduals()
 			if st.converged(opts.Tolerance, mu) {
-				return st.result(p, iter, mu)
+				return st.result(iter, mu, true), nil
 			}
 		}
 
@@ -318,16 +274,14 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, anytime bool, warm 
 	}
 	st.computeResiduals()
 	mu := st.gap()
-	res, err := st.result(p, opts.MaxIterations, mu)
-	if err != nil {
-		return nil, err
-	}
 	// Accept a slightly looser solution before reporting failure: MPC loops
 	// prefer a usable near-optimal control to an error.
 	if st.converged(opts.Tolerance*1e4, mu) {
+		res := st.result(opts.MaxIterations, mu, true)
 		res.Loose = true
 		return res, nil
 	}
+	res := st.result(opts.MaxIterations, mu, false)
 	return res, fmt.Errorf("gap=%.3g primal=%.3g dual=%.3g: %w",
 		mu, res.PrimalRes, res.DualRes, ErrMaxIterations)
 }
@@ -370,18 +324,15 @@ type ipmState struct {
 	w    linalg.Vector // z/s weights
 	sInv linalg.Vector // 1/s, refreshed by factorKKT for the direction solves
 	// sym is the symbolic phase the solve reads: the problem's shared
-	// Structure, or own, analysed for this solve when it has none (grown
-	// on first use, so states that only ever borrow a shared Structure —
-	// every session on a horizon structure — do not carry one).
+	// Structure, or the session's own analysis when it has none.
 	sym *Structure
-	own *Structure
 	// hBand is the band part of the KKT matrix, H_b = Q + G_bᵀDG_b over
 	// the rows of G that are not linking rows, in packed band storage:
-	// shaped once per solve from the structure, refilled in place by the
-	// numeric phase (factorKKT) every iteration.
+	// shaped once from the structure, refilled in place by the numeric
+	// phase (factorKKT) every iteration.
 	hBand *linalg.BandMatrix
-	// Constant per problem, hoisted out of the per-iteration convergence
-	// test: ‖c‖∞ and ‖h‖∞.
+	// ‖c‖∞ and ‖h‖∞, set once per solve (Session.SolveCtx), hoisted out
+	// of the per-iteration convergence test.
 	cNorm, hNorm float64
 	// obj is the objective at the current iterate, maintained alongside the
 	// residuals.
@@ -399,8 +350,8 @@ type ipmState struct {
 	// anytime snapshot state (Session.SetAnytime only): the best-merit iterate
 	// seen so far, copied out each time the merit improves so a deadline
 	// return never hands back a worse point than one already visited. The
-	// vectors are grown lazily by prepareAnytime, so the default path keeps
-	// its exact allocation count.
+	// vectors are allocated by the first anytime solve, so sessions that
+	// never turn anytime on do not carry them.
 	anytime   bool
 	snapValid bool
 	snapIter  int
@@ -414,9 +365,9 @@ type ipmState struct {
 	// bumped records that the last factorization needed the emergency
 	// regularization bump, invalidating the incremental residual identity.
 	bumped bool
-	// arena, set only by Sessions, double-buffers the escaping Result
-	// storage so results stop allocating per solve.
-	arena *resultArena
+	// arena double-buffers the escaping Result storage, so results do not
+	// allocate per solve.
+	arena resultArena
 	bchol *linalg.BandCholesky
 	// link is the Schur complement of the linking rows against the band
 	// factor (link.k == 0 when there are none).
@@ -426,86 +377,26 @@ type ipmState struct {
 	scratchM linalg.Vector
 }
 
-// statePool recycles ipmStates across solves: MPC and best-response loops
-// solve tens of thousands of QPs, and the working vectors plus the packed
-// KKT band dominate the solver's allocation profile. Buffers grow to the
-// largest shape seen and are resliced for smaller ones, so interleaving
-// different problem sizes (the horizon sweep) stops allocating once every
-// shape has been visited.
-var statePool = sync.Pool{New: func() any {
-	return &ipmState{
-		hBand: &linalg.BandMatrix{}, bchol: &linalg.BandCholesky{},
-		link: linkSchur{s: &linalg.BandMatrix{}, chol: &linalg.BandCholesky{}},
-	}
-}}
-
-// growVec reslices v to length n, reallocating only when the capacity is
-// insufficient. Contents are unspecified; every user overwrites before
-// reading.
-func growVec(v linalg.Vector, n int) linalg.Vector {
-	if cap(v) < n {
-		return linalg.NewVector(n)
-	}
-	return v[:n]
-}
-
-func newIPMState(p *Problem) *ipmState {
+// newIPMState sizes the working set for p, whose symbolic phase is sym,
+// once: solves refill and refactorize it in place, and after the first
+// two (which allocate the result arena's buffers) allocate nothing.
+func newIPMState(p *Problem, sym *Structure) *ipmState {
 	n, m := p.NumVars(), p.NumIneq()
-	st := statePool.Get().(*ipmState)
-	st.p = p
-	// The symbolic phase: shared when the problem carries its Structure,
-	// else run here into the state's own (allocation-free once its
-	// buffers have grown).
-	st.sym = p.Structure
-	if st.sym == nil {
-		if st.own == nil {
-			st.own = &Structure{}
-		}
-		st.own.analyze(p)
-		st.sym = st.own
+	st := &ipmState{
+		p: p, n: n, m: m, sym: sym,
+		x: linalg.NewVector(n), s: linalg.NewVector(m), z: linalg.NewVector(m),
+		rd: linalg.NewVector(n), rp: linalg.NewVector(m), rc: linalg.NewVector(m),
+		dx: linalg.NewVector(n), ds: linalg.NewVector(m), dz: linalg.NewVector(m),
+		qx: linalg.NewVector(n), w: linalg.NewVector(m), sInv: linalg.NewVector(m),
+		scratchN: linalg.NewVector(n), scratchM: linalg.NewVector(m),
+		// The packed band and the factor (inside the structure's envelope,
+		// which Analyze keeps within the band), and the Schur working set.
+		hBand: linalg.NewBandMatrix(n, sym.bw),
+		bchol: &linalg.BandCholesky{},
+		link:  newLinkSchur(sym.link, n, m),
 	}
-	st.dataNorms()
-	st.x = growVec(st.x, n)
-	st.rd = growVec(st.rd, n)
-	st.dx = growVec(st.dx, n)
-	st.qx = growVec(st.qx, n)
-	st.scratchN = growVec(st.scratchN, n)
-	st.s = growVec(st.s, m)
-	st.z = growVec(st.z, m)
-	st.rp = growVec(st.rp, m)
-	st.rc = growVec(st.rc, m)
-	st.ds = growVec(st.ds, m)
-	st.dz = growVec(st.dz, m)
-	st.w = growVec(st.w, m)
-	st.sInv = growVec(st.sInv, m)
-	st.scratchM = growVec(st.scratchM, m)
-	st.n, st.m = n, m
-	// Numeric layout: size the packed band, the factor (inside the
-	// structure's envelope, which analyze keeps within the band) and the
-	// Schur working set; the per-iteration numeric phase then refills and
-	// refactorizes in place with zero allocations.
-	st.hBand.Reset(n, st.sym.bw)
-	_ = st.bchol.SymbolicEnvelope(st.sym.bw, &st.sym.env)
-	st.link.reset(st.sym.link, n, m)
+	_ = st.bchol.SymbolicEnvelope(sym.bw, &sym.env)
 	return st
-}
-
-// dataNorms refreshes the convergence scales ‖c‖∞ and ‖h‖∞ from the
-// problem data.
-func (st *ipmState) dataNorms() {
-	st.cNorm, st.hNorm = st.p.C.NormInf(), st.p.H.NormInf()
-}
-
-// release returns the state to the pool. Every iterate the caller keeps is
-// cloned by result(), so the buffers are free to be reused. Stale band
-// content is harmless: factorKKT rewrites the full working band before the
-// factorization reads it.
-func (st *ipmState) release() {
-	st.p, st.sym, st.link.linkSymbolic = nil, nil, nil
-	if st.own != nil {
-		st.own.release()
-	}
-	statePool.Put(st)
 }
 
 // initPoint picks a strictly feasible-in-(s,z) starting point: the cold
@@ -937,16 +828,14 @@ func (st *ipmState) step(alphaP, alphaD float64) bool {
 const anytimeInfeasWeight = 1e6
 
 // prepareAnytime arms (or disarms) the per-iteration snapshot. The two
-// snapshot buffers grow only here, so solves without anytime keep
-// the solver's exact allocation count.
+// snapshot buffers are allocated only here, so solves without anytime
+// keep the solver's exact allocation count.
 func (st *ipmState) prepareAnytime(on bool) {
 	st.anytime = on
 	st.snapValid = false
-	if !on {
-		return
+	if on && st.snapX == nil {
+		st.snapX, st.snapZ = linalg.NewVector(st.n), linalg.NewVector(st.m)
 	}
-	st.snapX = growVec(st.snapX, st.n)
-	st.snapZ = growVec(st.snapZ, st.m)
 }
 
 // snapshotAnytime records the current iterate when its merit beats the
@@ -970,9 +859,10 @@ func (st *ipmState) snapshotAnytime(iter int) {
 }
 
 // anytimeResult builds an escaping Result from the snapshot. Unlike
-// result() it always allocates fresh storage — the deadline path is a
-// degraded, rare path, and sharing the session arena would let a partial
-// iterate overwrite a still-referenced complete plan.
+// result() it allocates fresh storage: the deadline path is a degraded,
+// rare path, and its result is returned with an error but still
+// implemented, so it must outlive the next solve, which result()'s
+// unclaimed generation does not.
 func (st *ipmState) anytimeResult(iters int) *Result {
 	buf := linalg.NewVector(st.n + st.m)
 	x := buf[:st.n:st.n]
@@ -998,35 +888,35 @@ func (st *ipmState) anytimeResult(iters int) *Result {
 }
 
 // resultArena double-buffers the escaping Result storage of a Session.
-// Each solve writes the generation the previous solve did not, so a
-// result — typically feeding the next solve's warm start — stays valid
-// through exactly one more solve without any per-solve allocation.
+// Each successful solve claims the generation the previous one did not,
+// so a result — typically feeding the next solve's warm start — stays
+// valid through exactly one more solve without any per-solve allocation.
 type resultArena struct {
 	gen  int
 	bufs [2]linalg.Vector
 	ress [2]Result
 }
 
-func (st *ipmState) result(p *Problem, iters int, mu float64) (*Result, error) {
-	// The escaping iterates are carved from one backing buffer (the state's
-	// own vectors go back to the pool), and the objective reuses the
-	// state's scratch instead of allocating. Sessions swap in their arena's
-	// off generation instead of allocating at all.
-	need := st.n + st.m
-	var buf linalg.Vector
-	var res *Result
-	if ar := st.arena; ar != nil {
-		ar.gen ^= 1
-		ar.bufs[ar.gen] = growVec(ar.bufs[ar.gen], need)
-		buf = ar.bufs[ar.gen]
-		res = &ar.ress[ar.gen]
-	} else {
-		buf = linalg.NewVector(need)
-		res = &Result{}
+// result copies the iterate into the arena's off generation. keep claims
+// it: a result returned without error becomes the current generation. A
+// result returned with an error is written there without claiming it, so
+// it lasts only until the next solve and never displaces the current
+// generation — the previous result, which a retry of the failed solve
+// must leave intact.
+func (st *ipmState) result(iters int, mu float64, keep bool) *Result {
+	ar := &st.arena
+	g := ar.gen ^ 1
+	if keep {
+		ar.gen = g
 	}
+	if ar.bufs[g] == nil {
+		// Allocated at first use: a one-use session needs one generation.
+		ar.bufs[g] = linalg.NewVector(st.n + st.m)
+	}
+	buf, res := ar.bufs[g], &ar.ress[g]
 	x := buf[:st.n:st.n]
 	copy(x, st.x)
-	z := buf[st.n:need:need]
+	z := buf[st.n:]
 	copy(z, st.z)
 	*res = Result{
 		X:          x,
@@ -1037,5 +927,5 @@ func (st *ipmState) result(p *Problem, iters int, mu float64) (*Result, error) {
 		PrimalRes:  st.rpNorm,
 		DualRes:    st.rdNorm,
 	}
-	return res, nil
+	return res
 }

@@ -39,9 +39,19 @@ func denseQP(t *testing.T, q [][]float64, c linalg.Vector, g [][]float64, h lina
 	return &Problem{Q: fullBand(mustMatrix(t, q)), C: c, G: linalg.SparseFromDense(mustMatrix(t, g)), H: h}
 }
 
+// solveOnce solves p on a fresh one-use session, from warm when non-nil:
+// the solver as a caller without a loop uses it.
+func solveOnce(p *Problem, opts Options, warm *WarmStart) (*Result, error) {
+	ses, err := NewSession(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	return ses.Solve(warm)
+}
+
 func solveOK(t *testing.T, p *Problem) *Result {
 	t.Helper()
-	res, err := Solve(p, DefaultOptions())
+	res, err := solveOnce(p, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -138,7 +148,7 @@ func TestValidateErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Solve(tc.p, DefaultOptions()); !errors.Is(err, ErrBadProblem) {
+			if _, err := solveOnce(tc.p, DefaultOptions(), nil); !errors.Is(err, ErrBadProblem) {
 				t.Errorf("err = %v, want ErrBadProblem", err)
 			}
 		})
@@ -204,7 +214,7 @@ func TestKKTOnRandomProblems(t *testing.T) {
 		n := 2 + rng.Intn(8)
 		m := 1 + rng.Intn(2*n)
 		p := randomFeasibleQP(rng, n, m)
-		res, err := Solve(p, DefaultOptions())
+		res, err := solveOnce(p, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -327,7 +337,7 @@ func TestAgainstActiveSetBruteForce(t *testing.T) {
 		n := 1 + rng.Intn(3)
 		m := 1 + rng.Intn(5)
 		p := randomFeasibleQP(rng, n, m)
-		res, err := Solve(p, DefaultOptions())
+		res, err := solveOnce(p, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -354,7 +364,7 @@ func TestQuickSolverFeasibleAndStationary(t *testing.T) {
 		n := 1 + rng.Intn(6)
 		m := 1 + rng.Intn(8)
 		p := randomFeasibleQP(rng, n, m)
-		res, err := Solve(p, DefaultOptions())
+		res, err := solveOnce(p, DefaultOptions(), nil)
 		if err != nil {
 			return false
 		}
@@ -384,7 +394,7 @@ func TestMaxIterationsSurfacesError(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIterations = 1
 	opts.Tolerance = 1e-14
-	_, err := Solve(p, opts)
+	_, err := solveOnce(p, opts, nil)
 	if err != nil && !errors.Is(err, ErrMaxIterations) {
 		t.Errorf("err = %v, want nil or ErrMaxIterations", err)
 	}

@@ -19,7 +19,7 @@ func TestSparseDenseEquivalence(t *testing.T) {
 		n := 2 + rng.Intn(8)
 		m := 1 + rng.Intn(2*n)
 		p := randomFeasibleQP(rng, n, m)
-		dense, err := Solve(p, DefaultOptions())
+		dense, err := solveOnce(p, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatalf("trial %d full band: %v", trial, err)
 		}
@@ -30,7 +30,7 @@ func TestSparseDenseEquivalence(t *testing.T) {
 		for r := 0; r < m; r++ {
 			sp.Linking = append(sp.Linking, r)
 		}
-		sparse, err := Solve(sp, DefaultOptions())
+		sparse, err := solveOnce(sp, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatalf("trial %d linking: %v", trial, err)
 		}
@@ -62,11 +62,11 @@ func TestWarmStartReducesIterations(t *testing.T) {
 		n := 4 + rng.Intn(8)
 		m := 2 + rng.Intn(2*n)
 		p := randomFeasibleQP(rng, n, m)
-		cold, err := Solve(p, DefaultOptions())
+		cold, err := solveOnce(p, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatalf("trial %d cold: %v", trial, err)
 		}
-		warm, err := SolveWarm(p, DefaultOptions(), &WarmStart{X: cold.X, Z: cold.IneqDuals})
+		warm, err := solveOnce(p, DefaultOptions(), &WarmStart{X: cold.X, Z: cold.IneqDuals})
 		if err != nil {
 			t.Fatalf("trial %d warm: %v", trial, err)
 		}
@@ -90,11 +90,11 @@ func TestWarmStartReducesIterations(t *testing.T) {
 func TestWarmStartDimensionMismatchIgnored(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	p := randomFeasibleQP(rng, 5, 4)
-	cold, err := Solve(p, DefaultOptions())
+	cold, err := solveOnce(p, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := SolveWarm(p, DefaultOptions(), &WarmStart{X: linalg.NewVector(3), Z: linalg.NewVector(2)})
+	warm, err := solveOnce(p, DefaultOptions(), &WarmStart{X: linalg.NewVector(3), Z: linalg.NewVector(2)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,8 @@ import (
 // the scatter map that forms C H_b⁻¹ Cᵀ from each block's inverse.
 //
 // Analyze builds it once per structure; solves only read it, so one
-// Structure may serve any number of concurrent one-shot solves and
-// sessions (Problem.Structure). A problem without one is analysed afresh
-// by every solve.
+// Structure may serve any number of concurrent sessions
+// (Problem.Structure). NewSession analyses a problem without one itself.
 type Structure struct {
 	// The analysed data: Problem.Validate rejects a Structure paired with
 	// other matrices. Q's bandwidth bw is the half-bandwidth of H_b.
@@ -27,8 +26,7 @@ type Structure struct {
 	bw      int
 	// env is H_b's envelope, from its structural pattern: Q's band and the
 	// band rows of G. Every band kernel iterates inside it.
-	env   linalg.Envelope
-	first []int // env's row starts, rewritten in place by a re-analysis
+	env linalg.Envelope
 	// link is the symbolic half of the linking-row Schur complement;
 	// noLinks when the problem has no coupling rows.
 	link *linkSymbolic
@@ -65,8 +63,6 @@ type linkSymbolic struct {
 	terms            []gramTerm
 	pairs            [][2]int
 	termPtr, pairPtr []int
-
-	key, bnd []int // analysis scratch
 }
 
 // gramTerm adds Z[z] to the entry of S's packed storage at s, where Z is
@@ -87,39 +83,14 @@ func Analyze(p *Problem) (*Structure, error) {
 	if err := p.validateMatrices(); err != nil {
 		return nil, err
 	}
-	s := &Structure{}
-	s.analyze(p)
-	if s.link != &noLinks {
-		// The analysis scratch only serves re-analyses into the same
-		// storage.
-		s.link.key, s.link.bnd = nil, nil
-	}
-	return s, nil
-}
-
-// matches reports whether s was analysed for p's fixed part.
-func (s *Structure) matches(p *Problem) bool {
-	return s.qBand == p.Q && s.g == p.G && slices.Equal(s.linking, p.Linking)
-}
-
-// release drops s's references to the analysed problem, so a pooled
-// solver state does not keep it alive.
-func (s *Structure) release() {
-	s.qBand, s.g = nil, nil
-}
-
-// analyze fills s for p, reusing s's storage: allocation-free once the
-// buffers have grown to p's shape.
-func (s *Structure) analyze(p *Problem) {
 	n, m := p.NumVars(), p.NumIneq()
-	s.qBand, s.g, s.bw = p.Q, p.G, p.Q.Bandwidth()
-	s.linking = append(s.linking[:0], p.Linking...)
+	s := &Structure{qBand: p.Q, g: p.G, linking: slices.Clone(p.Linking), bw: p.Q.Bandwidth()}
 
 	// H_b's envelope: row i starts at Q's first nonzero in it or at the
 	// first column of a band row of G that covers it, whichever is
 	// leftmost. A G row wider than the band is clamped here and rejected
 	// by the first assembly.
-	first := growInts(s.first, n)
+	first := make([]int, n)
 	bw := s.bw
 	for i := range first {
 		first[i] = i
@@ -146,50 +117,46 @@ func (s *Structure) analyze(p *Problem) {
 	for i := range first {
 		first[i] = max(first[i], i-bw)
 	}
-	s.first = first
 	_ = s.env.Set(first) // 0 ≤ first[i] ≤ i by construction
 
-	if s.link == nil || s.link == &noLinks {
-		if len(p.Linking) == 0 {
-			s.link = &noLinks
-			return
-		}
-		s.link = &linkSymbolic{}
+	s.link = &noLinks
+	if len(p.Linking) > 0 {
+		s.link = analyzeLinks(p, &s.env, n)
 	}
-	s.link.analyze(p, &s.env, n)
+	return s, nil
 }
 
-// analyze lays out the Schur pieces. The diagonal blocks of H_b are read
-// off its envelope: column c closes a block when no row after c reaches
-// it.
-func (ls *linkSymbolic) analyze(p *Problem, env *linalg.Envelope, n int) {
-	ls.k = len(p.Linking)
-	ls.widest = 0
-	if ls.k == 0 {
-		return
-	}
-	bnd := append(ls.bnd[:0], 0)
+// matches reports whether s was analysed for p's fixed part.
+func (s *Structure) matches(p *Problem) bool {
+	return s.qBand == p.Q && s.g == p.G && slices.Equal(s.linking, p.Linking)
+}
+
+// analyzeLinks lays out the Schur pieces of p's linking rows. The
+// diagonal blocks of H_b are read off its envelope: column c closes a
+// block when no row after c reaches it.
+func analyzeLinks(p *Problem, env *linalg.Envelope, n int) *linkSymbolic {
+	ls := &linkSymbolic{k: len(p.Linking)}
+	bnd := []int{0}
 	for c := 0; c < n; c++ {
 		if env.Last(c) == c {
 			bnd = append(bnd, c+1)
 		}
 	}
-	ls.bnd = bnd
 
-	ptr := append(ls.ptr[:0], 0)
-	cols, vals := ls.cols[:0], ls.vals[:0]
+	ls.ptr = append(make([]int, 0, ls.k+1), 0)
 	for _, r := range p.Linking {
 		rc, rv := p.G.RowEntries(r)
-		cols, vals = append(cols, rc...), append(vals, rv...)
-		ptr = append(ptr, len(cols))
+		ls.cols, ls.vals = append(ls.cols, rc...), append(ls.vals, rv...)
+		ls.ptr = append(ls.ptr, len(ls.cols))
 	}
-	ls.ptr, ls.cols, ls.vals = ptr, cols, vals
+	cols, vals, ptr := ls.cols, ls.vals, ls.ptr
 
 	// One slot per (block, linking row) pair, keyed block-major so the
 	// sort groups each block's slots with their rows ascending. A slot
 	// holds at least one entry, so len(cols) bounds their count.
-	key, row := growCap(ls.key, len(cols)), growCap(ls.row, len(cols))
-	eLo, eHi := growCap(ls.eLo, len(cols)), growCap(ls.eHi, len(cols))
+	key := make([]int, 0, len(cols))
+	ls.row = make([]int, 0, len(cols))
+	ls.eLo, ls.eHi = make([]int, 0, len(cols)), make([]int, 0, len(cols))
 	for c := 0; c < ls.k; c++ {
 		for e := ptr[c]; e < ptr[c+1]; {
 			j := sort.SearchInts(bnd, cols[e]+1) - 1
@@ -198,27 +165,26 @@ func (ls *linkSymbolic) analyze(p *Problem, env *linalg.Envelope, n int) {
 				f++
 			}
 			key = append(key, j*ls.k+c)
-			row = append(row, c)
-			eLo = append(eLo, e)
-			eHi = append(eHi, f)
+			ls.row = append(ls.row, c)
+			ls.eLo = append(ls.eLo, e)
+			ls.eHi = append(ls.eHi, f)
 			e = f
 		}
 	}
-	ls.key, ls.row, ls.eLo, ls.eHi = key, row, eLo, eHi
-	sort.Sort(slotOrder{ls})
+	sort.Sort(slotOrder{key, ls})
 
 	nb := len(bnd) - 1 // every block, touched or not
-	lo, hi, slot := growCap(ls.lo, nb), growCap(ls.hi, nb), growCap(ls.slot, nb+1)
+	ls.lo, ls.hi, ls.slot = make([]int, 0, nb), make([]int, 0, nb), make([]int, 0, nb+1)
 	for s, kv := range key {
 		j := kv / ls.k
 		if s == 0 || j != key[s-1]/ls.k {
-			lo = append(lo, bnd[j])
-			hi = append(hi, bnd[j+1])
-			slot = append(slot, s)
+			ls.lo = append(ls.lo, bnd[j])
+			ls.hi = append(ls.hi, bnd[j+1])
+			ls.slot = append(ls.slot, s)
 			ls.widest = max(ls.widest, bnd[j+1]-bnd[j])
 		}
 	}
-	ls.lo, ls.hi, ls.slot = lo, hi, append(slot, len(key))
+	ls.slot = append(ls.slot, len(key))
 
 	// Size the scatter map exactly: a block with ns unit slots (one entry
 	// of coefficient 1) out of ms has ns(ns+1)/2 terms among its
@@ -235,61 +201,42 @@ func (ls *linkSymbolic) analyze(p *Problem, env *linalg.Envelope, n int) {
 		nt += ns * (ns + 1) / 2
 		np += ms*(ms+1)/2 - ns*(ns+1)/2
 	}
-	terms, pairs := ls.terms[:0], ls.pairs[:0]
-	if cap(terms) < nt {
-		terms = make([]gramTerm, 0, nt)
-	}
-	if cap(pairs) < np {
-		pairs = make([][2]int, 0, np)
-	}
-	termPtr := append(growCap(ls.termPtr, len(ls.lo)+1), 0)
-	pairPtr := append(growCap(ls.pairPtr, len(ls.lo)+1), 0)
+	ls.terms, ls.pairs = make([]gramTerm, 0, nt), make([][2]int, 0, np)
+	ls.termPtr = append(make([]int, 0, len(ls.lo)+1), 0)
+	ls.pairPtr = append(make([]int, 0, len(ls.lo)+1), 0)
 	for j, blo := range ls.lo {
 		size := ls.hi[j] - blo
 		for s := ls.slot[j]; s < ls.slot[j+1]; s++ {
 			for t := ls.slot[j]; t <= s; t++ {
 				if unit(s) && unit(t) {
-					terms = append(terms, gramTerm{
+					ls.terms = append(ls.terms, gramTerm{
 						s: int32(ls.sIndex(ls.row[s], ls.row[t])),
 						z: int32((cols[ls.eLo[s]]-blo)*size + cols[ls.eLo[t]] - blo),
 					})
 				} else {
-					pairs = append(pairs, [2]int{s, t})
+					ls.pairs = append(ls.pairs, [2]int{s, t})
 				}
 			}
 		}
-		termPtr = append(termPtr, len(terms))
-		pairPtr = append(pairPtr, len(pairs))
+		ls.termPtr = append(ls.termPtr, len(ls.terms))
+		ls.pairPtr = append(ls.pairPtr, len(ls.pairs))
 	}
-	ls.terms, ls.pairs, ls.termPtr, ls.pairPtr = terms, pairs, termPtr, pairPtr
+	return ls
 }
 
 // slotOrder sorts a linkSymbolic's slots by key, carrying the parallel
 // arrays.
-type slotOrder struct{ ls *linkSymbolic }
+type slotOrder struct {
+	key []int
+	ls  *linkSymbolic
+}
 
-func (o slotOrder) Len() int           { return len(o.ls.key) }
-func (o slotOrder) Less(a, b int) bool { return o.ls.key[a] < o.ls.key[b] }
+func (o slotOrder) Len() int           { return len(o.key) }
+func (o slotOrder) Less(a, b int) bool { return o.key[a] < o.key[b] }
 func (o slotOrder) Swap(a, b int) {
 	ls := o.ls
-	ls.key[a], ls.key[b] = ls.key[b], ls.key[a]
+	o.key[a], o.key[b] = o.key[b], o.key[a]
 	ls.row[a], ls.row[b] = ls.row[b], ls.row[a]
 	ls.eLo[a], ls.eLo[b] = ls.eLo[b], ls.eLo[a]
 	ls.eHi[a], ls.eHi[b] = ls.eHi[b], ls.eHi[a]
-}
-
-// growCap returns v emptied, with capacity for at least n entries.
-func growCap(v []int, n int) []int {
-	if cap(v) < n {
-		return make([]int, 0, n)
-	}
-	return v[:0]
-}
-
-// growInts is growVec for index slices.
-func growInts(v []int, n int) []int {
-	if cap(v) < n {
-		return make([]int, n)
-	}
-	return v[:n]
 }

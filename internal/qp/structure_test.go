@@ -21,7 +21,7 @@ func structureCases() map[string]*Problem {
 
 // TestSharedStructureBitIdentical: a problem carrying its Structure
 // solves bit-identically to the same problem analysed by the solve
-// itself, one-shot and through a session, cold and warm.
+// itself, on a fresh session and on a reused one, cold and warm.
 func TestSharedStructureBitIdentical(t *testing.T) {
 	for name, p := range structureCases() {
 		sym, err := Analyze(p)
@@ -36,11 +36,11 @@ func TestSharedStructureBitIdentical(t *testing.T) {
 		}
 		var warm *WarmStart
 		for round := 0; round < 3; round++ {
-			want, err := SolveWarm(p, DefaultOptions(), warm)
+			want, err := solveOnce(p, DefaultOptions(), warm)
 			if err != nil {
 				t.Fatalf("%s round %d: %v", name, round, err)
 			}
-			one, err := SolveWarm(&shared, DefaultOptions(), warm)
+			one, err := solveOnce(&shared, DefaultOptions(), warm)
 			if err != nil {
 				t.Fatalf("%s round %d shared: %v", name, round, err)
 			}
@@ -86,13 +86,13 @@ func TestStructureRejectsOtherMatrices(t *testing.T) {
 		"fewer linking": {Q: p.Q, C: p.C, G: p.G, H: p.H, Linking: p.Linking[:1], Structure: sym},
 	}
 	for name, bad := range cases {
-		if _, err := Solve(bad, DefaultOptions()); !errors.Is(err, ErrBadProblem) {
+		if _, err := solveOnce(bad, DefaultOptions(), nil); !errors.Is(err, ErrBadProblem) {
 			t.Fatalf("%s: err = %v, want ErrBadProblem", name, err)
 		}
 	}
 	ok := *p
 	ok.C, ok.H, ok.Structure = p.C.Clone(), p.H.Clone(), sym
-	if _, err := Solve(&ok, DefaultOptions()); err != nil {
+	if _, err := solveOnce(&ok, DefaultOptions(), nil); err != nil {
 		t.Fatalf("same matrices, new data: %v", err)
 	}
 }

@@ -19,11 +19,11 @@ func TestTelemetryCounters(t *testing.T) {
 
 	opts := DefaultOptions()
 	opts.Hooks = hub.QPHooks()
-	cold, err := Solve(p, opts)
+	cold, err := solveOnce(p, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmRes, err := SolveWarm(p, opts, &WarmStart{X: cold.X, Z: cold.IneqDuals})
+	warmRes, err := solveOnce(p, opts, &WarmStart{X: cold.X, Z: cold.IneqDuals})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestTelemetryMaxIterOutcome(t *testing.T) {
 	opts.MaxIterations = 1
 	opts.Tolerance = 1e-12
 	opts.Hooks = hub.QPHooks()
-	if _, err := Solve(p, opts); err == nil {
+	if _, err := solveOnce(p, opts, nil); err == nil {
 		t.Skip("1-iteration solve unexpectedly converged")
 	}
 	if got := hub.Registry().Snapshot()[telemetry.MetricQPMaxIter]; got != 1 {
@@ -101,7 +101,7 @@ func TestTelemetryLooseOutcome(t *testing.T) {
 		opts.MaxIterations = limit
 		opts.Tolerance = 1e-12
 		opts.Hooks = hub.QPHooks()
-		res, err := Solve(p, opts)
+		res, err := solveOnce(p, opts, nil)
 		if err != nil || res.Iterations < limit {
 			continue // failed at the cap, or converged before it
 		}
@@ -129,13 +129,13 @@ func TestTelemetryLooseOutcome(t *testing.T) {
 func TestTelemetryDoesNotPerturbSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := randomFeasibleQP(rng, 25, 50)
-	plain, err := Solve(p, DefaultOptions())
+	plain, err := solveOnce(p, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
 	opts.Hooks = telemetry.New().QPHooks()
-	hooked, err := Solve(p, opts)
+	hooked, err := solveOnce(p, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func TestRunEmitsAttribution(t *testing.T) {
 }
 
 // TestRunNoTelemetryNoAttribution pins the disabled path: without a hub
-// the engine must not build records at all (the 2-allocs/solve guard
+// the engine must not build records at all (the 0-allocs/solve guard
 // depends on the whole provenance layer staying off this path).
 func TestRunNoTelemetryNoAttribution(t *testing.T) {
 	inst := cappedInstance(t, 10)
