@@ -74,11 +74,10 @@ type (
 
 // Degradation-ladder rungs (see Controller.StepCtx).
 const (
-	DegradeNone        = core.DegradeNone
-	DegradeColdRestart = core.DegradeColdRestart
-	DegradeAnytime     = core.DegradeAnytime
-	DegradeSoft        = core.DegradeSoft
-	DegradeHold        = core.DegradeHold
+	DegradeNone    = core.DegradeNone
+	DegradeAnytime = core.DegradeAnytime
+	DegradeSoft    = core.DegradeSoft
+	DegradeHold    = core.DegradeHold
 )
 
 // Sentinel errors of the core problem, re-exported for errors.Is.
@@ -102,8 +101,9 @@ func SLAMatrix(latency [][]float64, cfg SLAConfig) ([][]float64, error) {
 }
 
 // NewController creates an MPC controller with prediction horizon W ≥ 1.
-// On solver failure a step degrades instead of erroring: it retries cold,
-// then solves a soft-constrained relaxation that sheds demand at
+// On solver failure a step degrades instead of erroring: under a budget
+// it applies the deadline's best iterate, otherwise it solves a
+// soft-constrained relaxation that sheds demand at
 // core.DefaultShedPenalty, then holds the last allocation projected onto
 // the surviving capacity — and reports the rung used on
 // StepResult.Degradation.

@@ -179,8 +179,8 @@ type StepResult struct {
 	// Plan is the full horizon solution (U[0] == Applied).
 	Plan *Plan
 	// Degradation records how the plan was produced: DegradeNone for a
-	// clean solve, otherwise the ladder rung used plus retry counts and
-	// violation mass. Experiments chart it to measure robustness.
+	// clean solve, otherwise the ladder rung used and the violation mass.
+	// Experiments chart it to measure robustness.
 	Degradation Degradation
 }
 
@@ -196,7 +196,8 @@ func (c *Controller) Step(demand, prices [][]float64) (*StepResult, error) {
 // degradation ladder. When a solve fails the controller walks down the
 // ladder instead of erroring:
 //
-//  1. warm-started hard QP (cold-restarted once on numerical failure);
+//  1. hard QP, warm-started from the previous plan's capsule when the
+//     solver admits it (cold otherwise; see HorizonSession.SolveCtx);
 //  2. anytime — with a WithBudget allowance, a hard solve that hits its
 //     share of the budget returns its best interior-point iterate,
 //     projected onto capacity so the plan is implementable (only under a
@@ -226,7 +227,6 @@ func (c *Controller) StepCtx(ctx context.Context, demand, prices [][]float64) (*
 		d := res.Degradation
 		sp.SetAttr(
 			telemetry.Str("mode", d.Mode.String()),
-			telemetry.Num("cold_restarts", float64(d.ColdRestarts)),
 			telemetry.Num("shed", d.ShedDemand),
 			telemetry.Num("qp_iterations", float64(res.Plan.QPIterations)),
 		)
@@ -320,10 +320,6 @@ func (c *Controller) stepCtx(ctx context.Context, demand, prices [][]float64) (*
 	} else {
 		plan, err = c.hard.SolveCtx(solveCtx, input)
 	}
-	if err == nil && plan.ColdRestarts > 0 {
-		deg.Mode = DegradeColdRestart
-		deg.ColdRestarts = plan.ColdRestarts
-	}
 	if err != nil {
 		// Anytime rung: the hard solve's deadline fired and it handed back
 		// its best iterate. Project it onto capacity and apply it — the
@@ -331,7 +327,6 @@ func (c *Controller) stepCtx(ctx context.Context, demand, prices [][]float64) (*
 		if budgeted && plan != nil && errors.Is(err, qp.ErrDeadline) && ctx.Err() == nil {
 			c.missStreak++
 			deg.Mode = DegradeAnytime
-			deg.ColdRestarts = plan.ColdRestarts
 			deg.Cause = err.Error()
 			if plan.Anytime != nil {
 				deg.AnytimeIterations = plan.Anytime.Iterations

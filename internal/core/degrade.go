@@ -12,9 +12,6 @@ type DegradationMode int
 const (
 	// DegradeNone: the hard horizon QP solved normally.
 	DegradeNone DegradationMode = iota
-	// DegradeColdRestart: the warm-started solve failed numerically and a
-	// cold restart succeeded.
-	DegradeColdRestart
 	// DegradeAnytime: the hard QP ran out of wall-clock budget and the
 	// plan is the solver's best interior-point iterate at the deadline,
 	// projected onto the capacity bounds so it is implementable. Above
@@ -34,8 +31,6 @@ func (m DegradationMode) String() string {
 	switch m {
 	case DegradeNone:
 		return "none"
-	case DegradeColdRestart:
-		return "cold-restart"
 	case DegradeAnytime:
 		return "anytime"
 	case DegradeSoft:
@@ -48,15 +43,12 @@ func (m DegradationMode) String() string {
 }
 
 // Degradation records how a controller step was produced: which rung of
-// the ladder (normal solve → cold restart → soft relaxation → hold-last),
-// how many solver retries it took, and how much constraint violation the
-// chosen plan carries. A zero value means a clean, fully-constrained step.
+// the ladder (normal solve → anytime iterate → soft relaxation →
+// hold-last) and how much constraint violation the chosen plan carries. A
+// zero value means a clean, fully-constrained step.
 type Degradation struct {
 	// Mode is the ladder rung that produced the plan.
 	Mode DegradationMode
-	// ColdRestarts counts warm-start discards (numerical retries) spent on
-	// this step, whichever rung finally succeeded.
-	ColdRestarts int
 	// ShedDemand is the demand (req/s) shed in the applied period by a
 	// soft-mode plan.
 	ShedDemand float64
@@ -79,7 +71,7 @@ type Degradation struct {
 
 // Degraded reports whether the step deviated from the normal solve path.
 func (d Degradation) Degraded() bool {
-	return d.Mode != DegradeNone || d.ColdRestarts > 0
+	return d.Mode != DegradeNone
 }
 
 // String renders a compact report line.
@@ -93,9 +85,6 @@ func (d Degradation) String() string {
 	s := d.Mode.String()
 	if d.Loose {
 		s += " loose"
-	}
-	if d.ColdRestarts > 0 {
-		s += fmt.Sprintf(" restarts=%d", d.ColdRestarts)
 	}
 	if d.ShedDemand > 0 || d.HorizonShed > 0 {
 		s += fmt.Sprintf(" shed=%.1f(horizon %.1f)", d.ShedDemand, d.HorizonShed)

@@ -214,34 +214,43 @@ func TestStepCtxCancelledPropagates(t *testing.T) {
 	}
 }
 
-func TestColdRestartRecovery(t *testing.T) {
+// TestRestoredNaNCapsuleStepsCold restores a NaN warm capsule — the shape
+// a corrupt checkpoint could hand back — into a controller: the solver
+// refuses it before the first iteration, so the step is clean and its
+// plan is bitwise the plan of a controller that starts cold.
+func TestRestoredNaNCapsuleStepsCold(t *testing.T) {
 	inst := singleDC(t, 1e-3, 100)
-	input := HorizonInput{
-		X0:     inst.NewState(),
-		Demand: constForecast(3, []float64{1000}),
-		Prices: constForecast(3, []float64{0.1}),
-	}
-	plan, err := solveOnce(inst, input, qp.DefaultOptions(), false)
+	demand, prices := constForecast(3, []float64{1000}), constForecast(3, []float64{0.1})
+	src, err := NewController(inst, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.ColdRestarts != 0 {
-		t.Fatalf("clean solve reported %d cold restarts", plan.ColdRestarts)
+	if _, err := src.Step(demand, prices); err != nil {
+		t.Fatal(err)
 	}
-	// Poison the warm capsule: a NaN primal guess breaks the first solve
-	// numerically, and the cold retry must recover transparently.
-	for i := range plan.Warm.y {
-		plan.Warm.y[i] = math.NaN()
+	ws := src.WarmCapsule().Export()
+	for i := range ws.Y {
+		ws.Y[i] = math.NaN()
 	}
-	input.Warm, input.WarmShift = plan.Warm, 0
-	plan2, err := solveOnce(inst, input, qp.DefaultOptions(), false)
+	poisoned, err := NewController(inst, 3)
 	if err != nil {
-		t.Fatalf("poisoned warm start not recovered: %v", err)
+		t.Fatal(err)
 	}
-	if plan2.ColdRestarts != 1 {
-		t.Errorf("ColdRestarts = %d, want 1", plan2.ColdRestarts)
+	poisoned.RestoreWarm(ImportWarm(ws))
+	got, err := poisoned.Step(demand, prices)
+	if err != nil {
+		t.Fatalf("NaN capsule: %v", err)
 	}
-	if math.Abs(plan2.Objective-plan.Objective) > 1e-6*(1+math.Abs(plan.Objective)) {
-		t.Errorf("recovered objective %g vs clean %g", plan2.Objective, plan.Objective)
+	if got.Degradation.Degraded() || got.Degradation.Loose {
+		t.Fatalf("NaN capsule step degraded: %v", got.Degradation)
 	}
+	cold, err := NewController(inst, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cold.Step(demand, prices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plansBitIdentical(t, 0, got.Plan, want.Plan)
 }

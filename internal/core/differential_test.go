@@ -171,7 +171,7 @@ func (in *Instance) solveBandOnly(t *testing.T, input HorizonInput, soft bool) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	return in.buildPlan(hs, input, res, 0, constCost, &planArena{})
+	return in.buildPlan(hs, input, res, constCost, &planArena{})
 }
 
 // checkPlanFeasible asserts a plan against the instance itself: every

@@ -164,9 +164,6 @@ type Plan struct {
 	DemandDuals [][]float64
 	// QPIterations reports interior-point iterations used.
 	QPIterations int
-	// ColdRestarts counts warm-started solves that failed numerically and
-	// were retried from a cold start (0 or 1 per solve).
-	ColdRestarts int
 	// Loose marks a plan whose solve ran to the iteration cap and was
 	// accepted at the solver's loosened tolerance (qp.Result.Loose).
 	Loose bool
@@ -323,7 +320,7 @@ type planArena struct {
 // buildPlan reconstructs the trajectory, duals, and warm capsule (the
 // shed table instead of a capsule for the soft structure) from a solved
 // horizon QP into the arena, whose buffers are resized and reused.
-func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Result, coldRestarts int, constCost float64, ar *planArena) *Plan {
+func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Result, constCost float64, ar *planArena) *Plan {
 	// The whole plan — 2W states plus the dual (and shed) tables — is
 	// carved out of one float backing array and one row-header block, so a
 	// reused arena allocates nothing and a fresh one a fixed handful of
@@ -373,7 +370,6 @@ func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Res
 		CapacityDuals: rows[:w:w],
 		DemandDuals:   rows[w : 2*w : 2*w],
 		QPIterations:  res.Iterations,
-		ColdRestarts:  coldRestarts,
 		Loose:         res.Loose,
 	}
 	rows = rows[2*w:]

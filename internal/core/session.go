@@ -92,10 +92,12 @@ func (s *HorizonSession) Solve(input HorizonInput) (*Plan, error) {
 }
 
 // SolveCtx validates the input, refills the session problem's cost and
-// right-hand-side vectors in place, and solves, warm-started from
-// input.Warm when its shape matches; a warm start that fails is retried
-// once cold (see retryCold). ctx is polled once per interior-point
-// iteration, so a stuck solve terminates within one iteration of ctx
+// right-hand-side vectors in place, and solves once, warm-started from
+// input.Warm when its shape matches and the solver admits it: a capsule
+// that is non-finite, or further from complementarity than the cold
+// start, is refused before the first iteration and the solve runs cold
+// (see qp.Session.SolveCtx); a failed solve is not retried. ctx is
+// polled once per interior-point iteration, so a stuck solve terminates within one iteration of ctx
 // expiring and the returned error wraps ctx.Err(). With SetAnytime on, a
 // solve stopped by its deadline returns its best iterate as a plan (with
 // Plan.Anytime set) alongside an error wrapping qp.ErrDeadline.
@@ -115,11 +117,6 @@ func (s *HorizonSession) SolveCtx(ctx context.Context, input HorizonInput) (*Pla
 		warm = input.Warm.shifted(s.hs, input.WarmShift, &s.ws, &s.shift)
 	}
 	res, err := s.ses.SolveCtx(ctx, warm)
-	coldRestarts := 0
-	if retryCold(err, warm) {
-		coldRestarts = 1
-		res, err = s.ses.SolveCtx(ctx, nil)
-	}
 	s.ws = qp.WarmStart{} // drop the borrowed warm-start slices
 	if err != nil {
 		name := "horizon QP"
@@ -135,20 +132,10 @@ func (s *HorizonSession) SolveCtx(ctx context.Context, input HorizonInput) (*Pla
 		// ladder can take the anytime rung; callers that ignore the plan
 		// see a plain error.
 		s.gen ^= 1
-		plan := in.buildPlan(s.hs, input, res, coldRestarts, constCost, &s.arena[s.gen])
+		plan := in.buildPlan(s.hs, input, res, constCost, &s.arena[s.gen])
 		plan.Anytime = res.Anytime
 		return plan, err
 	}
 	s.gen ^= 1
-	return in.buildPlan(s.hs, input, res, coldRestarts, constCost, &s.arena[s.gen]), nil
-}
-
-// retryCold reports whether a failed warm-started solve is retried once
-// from a cold start. A warm point can sit badly for the new data (e.g.
-// after a capacity shock) and wreck the KKT conditioning, or — a plan
-// solved under capacities several quota rounds old — stall the interior
-// point until the iteration cap; the cold start costs extra iterations
-// but starts well centered.
-func retryCold(err error, warm *qp.WarmStart) bool {
-	return err != nil && warm != nil && (errors.Is(err, qp.ErrNumerical) || errors.Is(err, qp.ErrMaxIterations))
+	return in.buildPlan(s.hs, input, res, constCost, &s.arena[s.gen]), nil
 }

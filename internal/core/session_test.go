@@ -1,11 +1,9 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"testing"
 
-	"dspp/internal/linalg"
 	"dspp/internal/qp"
 )
 
@@ -49,9 +47,9 @@ func sessionTestInput(inst *Instance, l, v, w int) HorizonInput {
 
 func plansBitIdentical(t *testing.T, round int, a, b *Plan) {
 	t.Helper()
-	if a.Objective != b.Objective || a.QPIterations != b.QPIterations || a.ColdRestarts != b.ColdRestarts {
-		t.Fatalf("round %d: scalars differ: (%v, %d, %d) vs (%v, %d, %d)", round,
-			a.Objective, a.QPIterations, a.ColdRestarts, b.Objective, b.QPIterations, b.ColdRestarts)
+	if a.Objective != b.Objective || a.QPIterations != b.QPIterations {
+		t.Fatalf("round %d: scalars differ: (%v, %d) vs (%v, %d)", round,
+			a.Objective, a.QPIterations, b.Objective, b.QPIterations)
 	}
 	for ti := range a.U {
 		for l := range a.U[ti] {
@@ -122,11 +120,23 @@ func TestHorizonSessionBitIdenticalToOneShot(t *testing.T) {
 	}
 }
 
-// TestColdRestartRuleShared drives a warm start that exhausts
-// MaxIterations through a fresh one-use session and through a session
-// that has solved before: both follow the one cold-restart rule, so both
-// retry cold and return the same plan, bit for bit, as a cold solve.
-func TestColdRestartRuleShared(t *testing.T) {
+// farCapsule returns a copy of hw scaled far off the central path (y by
+// 1e5, z by 1e10): its seated gap exceeds the cold point's, so the solver
+// refuses it.
+func farCapsule(hw *HorizonWarm) *HorizonWarm {
+	bad := *hw
+	bad.y, bad.z = hw.y.Clone(), hw.z.Clone()
+	bad.y.Scale(1e5)
+	bad.z.Scale(1e10)
+	return &bad
+}
+
+// TestRefusedCapsuleRuleShared drives a capsule far off the central path
+// through a fresh one-use session and through a session that has solved
+// before, under an iteration cap the cold solve meets with two to spare:
+// both refuse the capsule before the first iteration and return the cold
+// plan, bit for bit.
+func TestRefusedCapsuleRuleShared(t *testing.T) {
 	const l, v, w = 3, 5, 4
 	inst := sessionTestInstance(t, l, v)
 	input := sessionTestInput(inst, l, v, w)
@@ -134,35 +144,13 @@ func TestColdRestartRuleShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A capsule scaled far off the central path: the cold solve needs
-	// clean.QPIterations, the warm one several times that.
-	bad := *clean.Warm
-	bad.y = append(linalg.Vector(nil), clean.Warm.y...)
-	bad.z = append(linalg.Vector(nil), clean.Warm.z...)
-	bad.y.Scale(1e5)
-	bad.z.Scale(1e10)
 	opts := qp.DefaultOptions()
 	opts.MaxIterations = clean.QPIterations + 2
-
-	hs, err := inst.horizonStructure(w, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prob := hs.problem(linalg.NewVector(hs.n), linalg.NewVector(w*hs.rowsPerStep))
-	inst.fillHorizonVectors(hs, input, prob.C, prob.H)
-	qs, err := qp.NewSession(&prob, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := qs.Solve(bad.shifted(hs, 0, &qp.WarmStart{}, &qp.WarmStart{})); !errors.Is(err, qp.ErrMaxIterations) {
-		t.Fatalf("warm solve: err = %v, want the iteration cap", err)
-	}
-
 	cold, err := solveOnce(inst, input, opts, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	input.Warm, input.WarmShift = &bad, 0
+	input.Warm, input.WarmShift = farCapsule(clean.Warm), 0
 	one, err := solveOnce(inst, input, opts, false)
 	if err != nil {
 		t.Fatalf("fresh session: %v", err)
@@ -178,20 +166,16 @@ func TestColdRestartRuleShared(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reused session: %v", err)
 	}
-	if one.ColdRestarts != 1 {
-		t.Fatalf("fresh session ColdRestarts = %d, want 1", one.ColdRestarts)
-	}
-	plansBitIdentical(t, 0, one, viaSes)
-	cold.ColdRestarts = 1
-	plansBitIdentical(t, 1, one, cold)
+	plansBitIdentical(t, 0, one, cold)
+	plansBitIdentical(t, 1, viaSes, cold)
 }
 
-// TestColdRetryKeepsPreviousPlan pins the plan lifetime across a cold
-// retry: a warm solve that hits the iteration cap and is retried cold
-// runs two QP solves inside one session solve, and the plan before it —
-// including the warm capsule, which borrows the QP result — must come out
-// bitwise unchanged.
-func TestColdRetryKeepsPreviousPlan(t *testing.T) {
+// TestRefusedCapsuleKeepsPreviousPlan pins the plan lifetime across a
+// refused capsule: the solve that refuses it is one QP solve, the cold
+// one, so its plan is bitwise the cold plan (from a reused session and a
+// fresh one alike), and the plan before it — including the warm capsule,
+// which borrows the QP result — comes out bitwise unchanged.
+func TestRefusedCapsuleKeepsPreviousPlan(t *testing.T) {
 	const l, v, w = 3, 5, 4
 	inst := sessionTestInstance(t, l, v)
 	input := sessionTestInput(inst, l, v, w)
@@ -201,8 +185,7 @@ func TestColdRetryKeepsPreviousPlan(t *testing.T) {
 			row[j] *= 1.05
 		}
 	}
-	// A cap both cold solves meet, several times short of what the bad
-	// capsule below needs.
+	// A cap both cold solves meet with two to spare.
 	opts := qp.DefaultOptions()
 	opts.MaxIterations = 0
 	for _, in := range []HorizonInput{input, next} {
@@ -211,6 +194,10 @@ func TestColdRetryKeepsPreviousPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts.MaxIterations = max(opts.MaxIterations, p.QPIterations+2)
+	}
+	cold, err := solveOnce(inst, next, opts, false)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ses, err := inst.NewHorizonSession(w, opts)
 	if err != nil {
@@ -223,21 +210,20 @@ func TestColdRetryKeepsPreviousPlan(t *testing.T) {
 	want := clonePlan(p1)
 	y1, z1 := p1.Warm.y.Clone(), p1.Warm.z.Clone()
 
-	bad := *p1.Warm
-	bad.y, bad.z = y1.Clone(), z1.Clone()
-	bad.y.Scale(1e5)
-	bad.z.Scale(1e10)
-	next.Warm = &bad
+	next.Warm = farCapsule(p1.Warm)
 	p2, err := ses.Solve(next)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.ColdRestarts != 1 {
-		t.Fatalf("ColdRestarts = %d, want the warm solve retried cold", p2.ColdRestarts)
+	plansBitIdentical(t, 0, p2, cold)
+	fresh, err := solveOnce(inst, next, opts, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	plansBitIdentical(t, 1, p1, want)
+	plansBitIdentical(t, 1, fresh, cold)
+	plansBitIdentical(t, 2, p1, want)
 	if !slicesEqual(p1.Warm.y, y1) || !slicesEqual(p1.Warm.z, z1) {
-		t.Fatal("previous plan's warm capsule overwritten by the cold retry")
+		t.Fatal("previous plan's warm capsule overwritten")
 	}
 }
 

@@ -222,7 +222,7 @@ func TestHorizonStructureGuard(t *testing.T) {
 // planDigest flattens everything a plan reports — objective, iterations,
 // controls, states and duals — for bitwise comparison.
 func planDigest(p *core.Plan) []float64 {
-	out := []float64{p.Objective, float64(p.QPIterations), float64(p.ColdRestarts)}
+	out := []float64{p.Objective, float64(p.QPIterations)}
 	for t := range p.U {
 		for l := range p.U[t] {
 			out = append(out, p.U[t][l]...)

@@ -204,6 +204,12 @@ func reseal(data []byte) {
 // FuzzLoadCheckpoint feeds arbitrary bytes to New as the checkpoint file.
 // New must never panic: it refuses the file or restores a state that
 // passes the validator, and a period then runs on it without panicking.
+// A period that serves a plan must leave a finite, nonnegative allocation
+// within the instance's capacities, whatever warm capsule the file held:
+// the seeds include resealed records whose capsule is NaN, ±Inf or 1e300.
+// "Within" is to the solver's loosened acceptance, Tolerance·1e4 relative
+// to the capacity row's scale, which a restored DC total far above
+// capacity inflates.
 func FuzzLoadCheckpoint(f *testing.F) {
 	inst := testInstance(f)
 	v1, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1_time_major.json"))
@@ -232,6 +238,26 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add(flip(v2, ckptHeaderLen+2), true) // period
 	f.Add(flip(v2, ckptHeaderLen+9), true) // state row count
 	f.Add(append(append([]byte(nil), v2...), "left over from a longer record"...), false)
+	f.Add([]byte(`{"version":1,"state":[[100,0,100],[10,0,1e10]]}`), false)
+	base, err := decodeCheckpoint(v2)
+	if err != nil || base.Warm == nil {
+		f.Fatalf("checkpoint without a warm capsule (err %v)", err)
+	}
+	for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+		for _, inY := range []bool{true, false} {
+			ck, w := *base, *base.Warm
+			w.Y, w.Z = append([]float64(nil), w.Y...), append([]float64(nil), w.Z...)
+			dst := w.Z
+			if inY {
+				dst = w.Y
+			}
+			for i := range dst {
+				dst[i] = poison
+			}
+			ck.Warm = &w
+			f.Add(appendCheckpoint(nil, &ck), true)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, resealed bool) {
 		data = append([]byte(nil), data...)
 		if resealed {
@@ -241,7 +267,8 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		d, err := New(Config{Instance: inst, Horizon: 4, CheckpointPath: path})
+		var out bytes.Buffer
+		d, err := New(Config{Instance: inst, Horizon: 4, CheckpointPath: path, Out: &out})
 		if err != nil {
 			return
 		}
@@ -249,7 +276,22 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if err := d.validate(&ck); err != nil {
 			t.Fatalf("restored state fails validation: %v", err)
 		}
-		_ = d.Run(context.Background(), strings.NewReader(feedLines(t, 0, 1, true)))
+		restored := core.State(ck.State).TotalByDC()
+		if d.Run(context.Background(), strings.NewReader(feedLines(t, 0, 1, true))) != nil {
+			return
+		}
+		if reps := decodeReports(t, &out); len(reps) != 1 || reps[0].Err != "" {
+			return
+		}
+		state := d.ctrl.State()
+		if err := inst.CheckState(state); err != nil {
+			t.Fatalf("served allocation: %v", err)
+		}
+		for l, total := range state.TotalByDC() {
+			if c := inst.Capacities()[l]; total > c+1e-4*(1+max(c, restored[l])) {
+				t.Fatalf("served allocation puts %v servers in DC %d, capacity %v", total, l, c)
+			}
+		}
 	})
 }
 

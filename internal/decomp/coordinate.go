@@ -182,9 +182,8 @@ type Solution struct {
 	// When DeadlineHit is set without Partial, the iterate additionally
 	// satisfies all demand constraints.
 	Partial bool
-	// QPIterations/ColdRestarts aggregate the shard solves.
+	// QPIterations aggregates the shard solves.
 	QPIterations int
-	ColdRestarts int
 	// ShardSolves counts shard QP solves across all rounds: every round
 	// re-solves every shard, so it is Rounds × shard count.
 	ShardSolves int
@@ -423,7 +422,6 @@ func (s *Solver) SolveCtx(ctx context.Context, x0 core.State, demand, prices [][
 		anyHit := false
 		for _, r := range s.shards {
 			sol.QPIterations += r.plan.QPIterations
-			sol.ColdRestarts += r.plan.ColdRestarts
 			anyHit = anyHit || r.hit
 		}
 		if anyHit {

@@ -1,7 +1,7 @@
 package qp
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -74,27 +74,71 @@ func TestCorpusSolutionsIndependentOfWarmStart(t *testing.T) {
 	}
 }
 
-// TestPoisonedWarmStartReturnsErrNumerical pins the error contract the
-// degradation ladder depends on: when a warm start wrecks the iteration
-// numerically (NaN primal guess), the predictor-corrector path must
-// surface ErrNumerical so core's horizon sessions retry from a cold start
-// instead of propagating an opaque failure.
-func TestPoisonedWarmStartReturnsErrNumerical(t *testing.T) {
+// TestPoisonedWarmStartRefused pins the finiteness half of the warm-start
+// admission rule: a warm start holding NaN or ±Inf is refused before the
+// first iteration, so the solve succeeds and is the cold solve, bit for
+// bit.
+func TestPoisonedWarmStartRefused(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	p := randomFeasibleQP(rng, 6, 12)
-	warm := &WarmStart{X: linalg.NewVector(6), Z: linalg.NewVector(12)}
-	for i := range warm.X {
-		warm.X[i] = math.NaN()
+	cold, err := solveOnce(p, DefaultOptions(), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range warm.Z {
-		warm.Z[i] = 0.1
+	cold = cloneResult(cold)
+	for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		nanX := &WarmStart{X: linalg.NewVector(6), Z: linalg.NewVector(12)}
+		for i := range nanX.X {
+			nanX.X[i] = poison
+		}
+		nanX.Z.Fill(0.1)
+		oneZ := &WarmStart{X: cold.X.Clone(), Z: cold.IneqDuals.Clone()}
+		oneZ.Z[3] = poison
+		for _, warm := range []*WarmStart{nanX, oneZ} {
+			res, err := solveOnce(p, DefaultOptions(), warm)
+			if err != nil {
+				t.Fatalf("poisoned warm start (%v): %v", poison, err)
+			}
+			requireSameResult(t, fmt.Sprintf("poison %v", poison), res, cold)
+		}
 	}
-	_, err := solveOnce(p, DefaultOptions(), warm)
-	if err == nil {
-		t.Fatal("poisoned warm start solved cleanly")
+}
+
+// TestWarmStartAdmissionBound pins the gap half of the admission rule on
+// both sides of the bound: with x at the optimum and every dual equal to
+// c, the seated gap is c·Σs, so c at half the cold gap's share is
+// admitted and c at twice it is refused.
+func TestWarmStartAdmissionBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	p := randomFeasibleQP(rng, 8, 16)
+	ses, err := NewSession(p, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, ErrNumerical) {
-		t.Fatalf("err = %v, want ErrNumerical", err)
+	opt, err := ses.Solve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := ses.st
+	warm := &WarmStart{X: opt.X.Clone(), Z: linalg.NewVector(st.m)}
+	// Seat x with duals small enough to be admitted, to read its slacks.
+	warm.Z.Fill(1e-3)
+	if !st.initPoint(warm) {
+		t.Fatal("near-zero duals at the optimum refused")
+	}
+	var slackSum, coldGap float64
+	for i := 0; i < st.m; i++ {
+		slackSum += st.s[i]
+		coldGap += math.Max(p.H[i], 1)
+	}
+	for _, tc := range []struct {
+		scale float64
+		admit bool
+	}{{0.5, true}, {2, false}} {
+		warm.Z.Fill(tc.scale * coldGap / slackSum)
+		if got := st.initPoint(warm); got != tc.admit {
+			t.Errorf("duals at %v× the cold gap's share: admitted %v, want %v", tc.scale, got, tc.admit)
+		}
 	}
 }
 

@@ -57,17 +57,16 @@ func (s *Session) SetAnytime(on bool) { s.anytime = on }
 // SolveCtx runs one solve against the problem's current data, optionally
 // warm-started (see runIPM for the algorithm). A good warm start — the
 // previous MPC plan shifted one period, or the previous best-response
-// round's solution — typically cuts the iteration count severalfold; a
-// bad one only costs the iterations needed to walk back to the central
-// path. A warm start whose dimensions don't match the problem is ignored.
+// round's solution — typically cuts the iteration count severalfold.
+// Whether to use it is decided once, before the first iteration: a warm
+// start whose dimensions don't match the problem, that holds a non-finite
+// entry, or whose seated complementarity gap sᵀz exceeds the cold point's
+// Σᵢ max(hᵢ, 1) is refused, and the solve is then bitwise the cold solve
+// (see initPoint). Telemetry counts a refused warm start as a cold start.
 //
-// A Result returned without error stays valid until the end of the
-// next-but-one solve on this session. One returned with ErrMaxIterations
-// (the best iterate found) stays valid only until the end of the next
-// solve and leaves the previous result's lifetime untouched, so a failed
-// warm solve retried cold does not cost the previous result its storage.
-// An ErrDeadline result is freshly allocated. No closures — the
-// zero-alloc steady state of a session depends on it.
+// Every Result the session returns, with or without an error, stays
+// valid until the end of the next-but-one solve on this session. No
+// closures — the zero-alloc steady state of a session depends on it.
 func (s *Session) SolveCtx(ctx context.Context, warm *WarmStart) (*Result, error) {
 	st := s.st
 	// C and H may have been rewritten since the last solve; their norms
@@ -83,7 +82,7 @@ func (s *Session) SolveCtx(ctx context.Context, warm *WarmStart) (*Result, error
 	sp := hooks.Tracer.Start(telemetry.SpanQPSolve, telemetry.SpanIDFromContext(ctx))
 	var stats solveStats
 	res, err := runIPM(ctx, st, s.opts, s.anytime, warm, &stats)
-	flushQPTelemetry(hooks, sp, warm, res, err, &stats)
+	flushQPTelemetry(hooks, sp, res, err, &stats)
 	return res, err
 }
 

@@ -1,7 +1,7 @@
 package qp
 
 import (
-	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -54,20 +54,7 @@ func TestSessionBitIdenticalToOneShot(t *testing.T) {
 			if errSes != nil {
 				break
 			}
-			if rSes.Objective != rOne.Objective || rSes.Iterations != rOne.Iterations ||
-				rSes.Gap != rOne.Gap || rSes.PrimalRes != rOne.PrimalRes || rSes.DualRes != rOne.DualRes {
-				t.Fatalf("trial %d round %d: scalar drift: %+v vs %+v", trial, round, rSes, rOne)
-			}
-			for i := range rSes.X {
-				if rSes.X[i] != rOne.X[i] {
-					t.Fatalf("trial %d round %d: x[%d] %v != %v", trial, round, i, rSes.X[i], rOne.X[i])
-				}
-			}
-			for i := range rSes.IneqDuals {
-				if rSes.IneqDuals[i] != rOne.IneqDuals[i] {
-					t.Fatalf("trial %d round %d: z[%d] %v != %v", trial, round, i, rSes.IneqDuals[i], rOne.IneqDuals[i])
-				}
-			}
+			requireSameResult(t, fmt.Sprintf("trial %d round %d", trial, round), rSes, rOne)
 			warmSes = &WarmStart{X: rSes.X, Z: rSes.IneqDuals}
 			warmOne = &WarmStart{X: rOne.X, Z: rOne.IneqDuals}
 		}
@@ -100,20 +87,20 @@ func TestSessionResultDoubleBuffered(t *testing.T) {
 	}
 }
 
-// TestSessionFailedSolveKeepsPreviousResult pins the lifetime of a result
-// returned with an error: a warm solve that hits the iteration cap and is
-// retried cold must leave the result before it intact, because the caller
-// still holds that one (typically as the plan it is about to replace).
-func TestSessionFailedSolveKeepsPreviousResult(t *testing.T) {
+// TestSessionRefusedWarmStartKeepsPreviousResult pins what a warm start
+// far off the central path costs: nothing. It is refused before the
+// first iteration, so under a cap both cold solves meet (and the capsule
+// would not) the solve succeeds, bitwise equal to the cold solve, and the
+// result before it — which the caller still holds — stays intact.
+func TestSessionRefusedWarmStartKeepsPreviousResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := randomFeasibleQP(rng, 6, 10)
 	h1 := p.H.Clone()
 	h2 := p.H.Clone()
 	h2[0] += 0.25
-	// A cap both cold solves meet, several times short of what the bad
-	// warm start below needs.
 	opts := DefaultOptions()
 	capIters := 0
+	var cold2 *Result
 	for _, h := range []linalg.Vector{h1, h2} {
 		copy(p.H, h)
 		r, err := solveOnce(p, opts, nil)
@@ -121,6 +108,7 @@ func TestSessionFailedSolveKeepsPreviousResult(t *testing.T) {
 			t.Fatal(err)
 		}
 		capIters = max(capIters, r.Iterations+2)
+		cold2 = cloneResult(r)
 	}
 	opts.MaxIterations = capIters
 	ses, err := NewSession(p, opts)
@@ -132,25 +120,42 @@ func TestSessionFailedSolveKeepsPreviousResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x1, z1 := r1.X.Clone(), r1.IneqDuals.Clone()
+	want1 := cloneResult(r1)
 	copy(p.H, h2)
 	bad := &WarmStart{X: r1.X.Clone(), Z: r1.IneqDuals.Clone()}
 	bad.X.Scale(1e5)
 	bad.Z.Scale(1e10)
-	if _, err := ses.Solve(bad); !errors.Is(err, ErrMaxIterations) {
-		t.Fatalf("bad warm solve: err = %v, want the iteration cap", err)
+	r2, err := ses.Solve(bad)
+	if err != nil {
+		t.Fatalf("refused warm start: %v", err)
 	}
-	if _, err := ses.Solve(nil); err != nil {
-		t.Fatalf("cold retry: %v", err)
+	requireSameResult(t, "refused warm solve vs cold", r2, cold2)
+	requireSameResult(t, "previous result", r1, want1)
+}
+
+// cloneResult deep-copies a session result out of the arena.
+func cloneResult(r *Result) *Result {
+	c := *r
+	c.X, c.IneqDuals = r.X.Clone(), r.IneqDuals.Clone()
+	return &c
+}
+
+// requireSameResult fails unless got and want agree bitwise on every
+// field.
+func requireSameResult(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if got.Objective != want.Objective || got.Iterations != want.Iterations || got.Gap != want.Gap ||
+		got.PrimalRes != want.PrimalRes || got.DualRes != want.DualRes || got.Loose != want.Loose {
+		t.Fatalf("%s: scalars differ: %+v vs %+v", label, got, want)
 	}
-	for i := range x1 {
-		if r1.X[i] != x1[i] {
-			t.Fatalf("previous result's x[%d] overwritten: %v → %v", i, x1[i], r1.X[i])
+	for i := range want.X {
+		if got.X[i] != want.X[i] {
+			t.Fatalf("%s: x[%d] %v != %v", label, i, got.X[i], want.X[i])
 		}
 	}
-	for i := range z1 {
-		if r1.IneqDuals[i] != z1[i] {
-			t.Fatalf("previous result's z[%d] overwritten: %v → %v", i, z1[i], r1.IneqDuals[i])
+	for i := range want.IneqDuals {
+		if got.IneqDuals[i] != want.IneqDuals[i] {
+			t.Fatalf("%s: z[%d] %v != %v", label, i, got.IneqDuals[i], want.IneqDuals[i])
 		}
 	}
 }

@@ -20,6 +20,9 @@ type solveStats struct {
 	factorizations int
 	bumps          int
 	recenters      int
+	// warmed marks a solve that started from its warm start (initPoint
+	// admitted it), not merely one that was handed a warm start.
+	warmed bool
 	// capped marks a solve that ran to MaxIterations, whether it was then
 	// accepted at the loosened tolerance or failed with ErrMaxIterations.
 	capped bool
@@ -27,10 +30,10 @@ type solveStats struct {
 
 // flushQPTelemetry publishes one finished solve into the hooks' counters
 // and closes its qp_solve span with outcome attributes.
-func flushQPTelemetry(h *telemetry.QPHooks, sp *telemetry.Span, warm *WarmStart, res *Result, err error, stats *solveStats) {
+func flushQPTelemetry(h *telemetry.QPHooks, sp *telemetry.Span, res *Result, err error, stats *solveStats) {
 	h.Solves.Inc()
 	wasWarm := 0.0
-	if warm != nil {
+	if stats.warmed {
 		wasWarm = 1
 		h.WarmStarts.Inc()
 	} else {
@@ -81,12 +84,13 @@ func flushQPTelemetry(h *telemetry.QPHooks, sp *telemetry.Span, warm *WarmStart,
 }
 
 // runIPM minimizes the session's QP with a primal–dual interior-point
-// method, from the (optional) warm start or the cold default point. The
-// context is polled once per iteration, so a stuck or slow solve
-// terminates within one iteration of ctx expiring; the returned error
-// then wraps ctx.Err() (not ErrNumerical/ErrMaxIterations), letting
-// callers tell an abandoned solve from a failed one. anytime arms the
-// best-iterate snapshot (Session.SetAnytime).
+// method, from the (optional) warm start if initPoint admits it and from
+// the cold default point otherwise. The context is polled once per
+// iteration, so a stuck or slow solve terminates within one iteration of
+// ctx expiring; the returned error then wraps ctx.Err() (not
+// ErrNumerical/ErrMaxIterations), letting callers tell an abandoned solve
+// from a failed one. anytime arms the best-iterate snapshot
+// (Session.SetAnytime).
 //
 // Each iteration runs one Mehrotra predictor–corrector round: a single
 // numeric refactorization of the KKT matrix (into packed band storage,
@@ -106,8 +110,10 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, anytime bool, warm 
 		ctx = context.Background()
 	}
 	warmed := st.initPoint(warm)
+	if stats != nil {
+		stats.warmed = warmed
+	}
 	m := st.m
-	st.szDot = linalg.DotProd(st.s[:m], st.z[:m])
 
 	st.computeResiduals()
 	st.prepareAnytime(anytime)
@@ -143,11 +149,11 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, anytime bool, warm 
 			// Incremental residuals drift by rounding; never declare
 			// victory off them without an exact recomputation.
 			if st.fresh {
-				return st.result(iter, mu, true), nil
+				return st.result(iter, mu), nil
 			}
 			st.computeResiduals()
 			if st.converged(opts.Tolerance, mu) {
-				return st.result(iter, mu, true), nil
+				return st.result(iter, mu), nil
 			}
 		}
 
@@ -277,11 +283,11 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, anytime bool, warm 
 	// Accept a slightly looser solution before reporting failure: MPC loops
 	// prefer a usable near-optimal control to an error.
 	if st.converged(opts.Tolerance*1e4, mu) {
-		res := st.result(opts.MaxIterations, mu, true)
+		res := st.result(opts.MaxIterations, mu)
 		res.Loose = true
 		return res, nil
 	}
-	res := st.result(opts.MaxIterations, mu, false)
+	res := st.result(opts.MaxIterations, mu)
 	return res, fmt.Errorf("gap=%.3g primal=%.3g dual=%.3g: %w",
 		mu, res.PrimalRes, res.DualRes, ErrMaxIterations)
 }
@@ -399,25 +405,46 @@ func newIPMState(p *Problem, sym *Structure) *ipmState {
 	return st
 }
 
-// initPoint picks a strictly feasible-in-(s,z) starting point: the cold
-// default (x = 0, unit slacks and duals), or the warm-start guess with
-// slacks recomputed from the primal point and both s and z floored away
-// from the boundary so the first iterations stay well centered. It
-// reports whether the warm start was used.
+// initPoint seats a strictly feasible-in-(s,z) starting point, sets
+// szDot, and reports whether the point is the warm start. It is only if
+// admitted: its dimensions match, X and Z are finite, and the gap sᵀz it
+// seats (slacks recomputed from x, s and z floored away from the boundary)
+// is at most the cold point's Σᵢ max(hᵢ, 1). A point further from
+// complementarity than a start from nothing can only cost iterations, and
+// far enough off the central path it stalls to the iteration cap (cf.
+// Yildirim & Wright, SIAM J. Optim. 2002). Otherwise initPoint seats the
+// cold default (x = 0, s = max(h, 1), z = 1), so a refused warm start
+// solves bitwise like none.
 func (st *ipmState) initPoint(warm *WarmStart) bool {
-	if warm == nil || len(warm.X) != st.n || (warm.Z != nil && len(warm.Z) != st.m) {
-		// At x = 0 the slack h − Gx is h itself.
-		st.x.Zero()
-		for i := 0; i < st.m; i++ {
-			st.s[i] = math.Max(st.p.H[i], 1)
-			st.z[i] = 1
-		}
-		return false
+	m := st.m
+	if warm != nil && len(warm.X) == st.n && (warm.Z == nil || len(warm.Z) == m) && st.seatWarm(warm) {
+		return true
 	}
-	copy(st.x, warm.X)
+	// At x = 0 the slack h − Gx is h itself.
+	st.x.Zero()
+	for i := 0; i < m; i++ {
+		st.s[i] = math.Max(st.p.H[i], 1)
+		st.z[i] = 1
+	}
+	st.szDot = linalg.DotProd(st.s[:m], st.z[:m])
+	return false
+}
+
+// seatWarm seats warm (dimensions already checked) and reports whether
+// initPoint's admission rule accepts it.
+func (st *ipmState) seatWarm(warm *WarmStart) bool {
+	for j, v := range warm.X {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+		st.x[j] = v
+	}
 	gx := st.scratchM
 	_ = st.p.G.MulVec(st.x, gx)
+	var coldGap float64
 	for i := 0; i < st.m; i++ {
+		h := st.p.H[i]
+		coldGap += math.Max(h, 1)
 		// Keep a modest distance from the boundary: a warm point sitting
 		// exactly on an active constraint would start the iteration with a
 		// near-singular scaling matrix.
@@ -427,8 +454,8 @@ func (st *ipmState) initPoint(warm *WarmStart) bool {
 		// iterations per warm solve under the adaptive fraction-to-boundary
 		// rule), while smaller ones start so close to the boundary that the
 		// first steps collapse on cold or badly shifted warm points.
-		floor := 1e-7 * (1 + math.Abs(st.p.H[i]))
-		slack := st.p.H[i] - gx[i]
+		floor := 1e-7 * (1 + math.Abs(h))
+		slack := h - gx[i]
 		if slack < floor {
 			slack = floor
 		}
@@ -436,13 +463,19 @@ func (st *ipmState) initPoint(warm *WarmStart) bool {
 		z := 1.0
 		if warm.Z != nil {
 			z = warm.Z[i]
+			if math.IsNaN(z) || math.IsInf(z, 0) {
+				return false
+			}
 			if z < floor {
 				z = floor
 			}
 		}
 		st.z[i] = z
 	}
-	return true
+	st.szDot = linalg.DotProd(st.s[:st.m], st.z[:st.m])
+	// Written so that a gap that overflowed to NaN (finite x with
+	// G·x = Inf − Inf) is refused too.
+	return st.szDot <= coldGap
 }
 
 // The recentering rung un-jams a warm start that stalls. A shifted MPC
@@ -858,20 +891,10 @@ func (st *ipmState) snapshotAnytime(iter int) {
 	copy(st.snapZ[:st.m], st.z[:st.m])
 }
 
-// anytimeResult builds an escaping Result from the snapshot. Unlike
-// result() it allocates fresh storage: the deadline path is a degraded,
-// rare path, and its result is returned with an error but still
-// implemented, so it must outlive the next solve, which result()'s
-// unclaimed generation does not.
+// anytimeResult returns the snapshot as the solve's Result, from the
+// arena like any other.
 func (st *ipmState) anytimeResult(iters int) *Result {
-	buf := linalg.NewVector(st.n + st.m)
-	x := buf[:st.n:st.n]
-	copy(x, st.snapX[:st.n])
-	z := buf[st.n:]
-	copy(z, st.snapZ[:st.m])
-	return &Result{
-		X:          x,
-		IneqDuals:  z,
+	return st.claim(st.snapX, st.snapZ, Result{
 		Objective:  st.snapObj,
 		Iterations: iters,
 		Gap:        st.snapMu,
@@ -884,48 +907,46 @@ func (st *ipmState) anytimeResult(iters int) *Result {
 			DualRes:    st.snapRdN,
 			Merit:      st.snapMerit,
 		},
-	}
+	})
 }
 
 // resultArena double-buffers the escaping Result storage of a Session.
-// Each successful solve claims the generation the previous one did not,
-// so a result — typically feeding the next solve's warm start — stays
-// valid through exactly one more solve without any per-solve allocation.
+// Each solve claims the generation the previous one did not, so a result —
+// typically feeding the next solve's warm start — stays valid through
+// exactly one more solve without any per-solve allocation.
 type resultArena struct {
 	gen  int
 	bufs [2]linalg.Vector
 	ress [2]Result
 }
 
-// result copies the iterate into the arena's off generation. keep claims
-// it: a result returned without error becomes the current generation. A
-// result returned with an error is written there without claiming it, so
-// it lasts only until the next solve and never displaces the current
-// generation — the previous result, which a retry of the failed solve
-// must leave intact.
-func (st *ipmState) result(iters int, mu float64, keep bool) *Result {
-	ar := &st.arena
-	g := ar.gen ^ 1
-	if keep {
-		ar.gen = g
-	}
-	if ar.bufs[g] == nil {
-		// Allocated at first use: a one-use session needs one generation.
-		ar.bufs[g] = linalg.NewVector(st.n + st.m)
-	}
-	buf, res := ar.bufs[g], &ar.ress[g]
-	x := buf[:st.n:st.n]
-	copy(x, st.x)
-	z := buf[st.n:]
-	copy(z, st.z)
-	*res = Result{
-		X:          x,
-		IneqDuals:  z,
+// result returns the current iterate as the solve's Result.
+func (st *ipmState) result(iters int, mu float64) *Result {
+	return st.claim(st.x, st.z, Result{
 		Objective:  st.obj,
 		Iterations: iters,
 		Gap:        mu,
 		PrimalRes:  st.rpNorm,
 		DualRes:    st.rdNorm,
+	})
+}
+
+// claim copies x and z into the arena's off generation, claims it as the
+// current one, and stores res there with X and IneqDuals pointing at the
+// copies.
+func (st *ipmState) claim(x, z linalg.Vector, res Result) *Result {
+	ar := &st.arena
+	ar.gen ^= 1
+	g := ar.gen
+	if ar.bufs[g] == nil {
+		// Allocated at first use: a one-use session needs one generation.
+		ar.bufs[g] = linalg.NewVector(st.n + st.m)
 	}
-	return res
+	buf := ar.bufs[g]
+	res.X = buf[:st.n:st.n]
+	copy(res.X, x[:st.n])
+	res.IneqDuals = buf[st.n:]
+	copy(res.IneqDuals, z[:st.m])
+	ar.ress[g] = res
+	return &ar.ress[g]
 }

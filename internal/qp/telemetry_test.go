@@ -2,6 +2,7 @@ package qp
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,7 +11,8 @@ import (
 
 // TestTelemetryCounters drives warm and cold solves through an enabled
 // hub and checks the counters agree with the returned results: the
-// registry is an exact ledger, not a sampling.
+// registry is an exact ledger, not a sampling. A warm start the solver
+// refuses (here a NaN capsule) counts as the cold start it became.
 func TestTelemetryCounters(t *testing.T) {
 	var buf bytes.Buffer
 	hub := telemetry.New(telemetry.WithTraceWriter(&buf))
@@ -27,18 +29,24 @@ func TestTelemetryCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	nan := &WarmStart{X: cold.X.Clone()}
+	nan.X[0] = math.NaN()
+	refused, err := solveOnce(p, opts, nan)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	snap := hub.Registry().Snapshot()
-	if got := snap[telemetry.MetricQPSolves]; got != 2 {
-		t.Fatalf("solves = %v, want 2", got)
+	if got := snap[telemetry.MetricQPSolves]; got != 3 {
+		t.Fatalf("solves = %v, want 3", got)
 	}
 	if got := snap[telemetry.MetricQPWarmStarts]; got != 1 {
 		t.Fatalf("warm starts = %v, want 1", got)
 	}
-	if got := snap[telemetry.MetricQPColdStarts]; got != 1 {
-		t.Fatalf("cold starts = %v, want 1", got)
+	if got := snap[telemetry.MetricQPColdStarts]; got != 2 {
+		t.Fatalf("cold starts = %v, want 2", got)
 	}
-	wantIters := float64(cold.Iterations + warmRes.Iterations)
+	wantIters := float64(cold.Iterations + warmRes.Iterations + refused.Iterations)
 	if got := snap[telemetry.MetricQPIterations]; got != wantIters {
 		t.Fatalf("iterations = %v, want %v", got, wantIters)
 	}
@@ -47,8 +55,8 @@ func TestTelemetryCounters(t *testing.T) {
 	if got := snap[telemetry.MetricQPFactorizations]; got > wantIters || got <= 0 {
 		t.Fatalf("factorizations = %v, want in (0, %v]", got, wantIters)
 	}
-	if got := snap[telemetry.MetricQPSolveIterations+"_count"]; got != 2 {
-		t.Fatalf("iteration histogram count = %v, want 2", got)
+	if got := snap[telemetry.MetricQPSolveIterations+"_count"]; got != 3 {
+		t.Fatalf("iteration histogram count = %v, want 3", got)
 	}
 	if got := snap[telemetry.MetricQPNumericalFailures]; got != 0 {
 		t.Fatalf("numerical failures = %v, want 0", got)
@@ -61,11 +69,14 @@ func TestTelemetryCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := telemetry.Summarize(events)
-	if got := sum.Count(telemetry.SpanQPSolve); got != 2 {
-		t.Fatalf("qp_solve spans = %d, want 2", got)
+	if got := sum.Count(telemetry.SpanQPSolve); got != 3 {
+		t.Fatalf("qp_solve spans = %d, want 3", got)
 	}
 	if got := sum.AttrSum(telemetry.SpanQPSolve, "iterations"); got != wantIters {
 		t.Fatalf("span iterations = %v, registry %v", got, wantIters)
+	}
+	if got := sum.AttrSum(telemetry.SpanQPSolve, "warm"); got != 1 {
+		t.Fatalf("spans with warm=1: %v, want 1", got)
 	}
 }
 

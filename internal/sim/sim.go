@@ -207,21 +207,20 @@ type Result struct {
 	// signal the analysis module would use to pick horizons (Figs. 9/10).
 	ForecastAccuracy []ForecastAccuracy
 	// DegradedSteps counts the periods whose plan came from a degradation
-	// rung (or needed a cold restart); ShedDemand is the total demand shed
+	// rung; ShedDemand is the total demand shed
 	// across the run by soft-mode steps. Both are read back from the
 	// telemetry counters at the end of the run (as per-run deltas, so a
 	// shared hub across runs stays cumulative while each Result stays
 	// self-contained), as are the per-rung counts below.
 	DegradedSteps int
 	ShedDemand    float64
-	// ColdRestartSteps/AnytimeSteps/SoftSteps/HoldSteps split
-	// DegradedSteps by ladder rung — the
-	// dspp_degradation_steps_total{mode=...} deltas. AnytimeSteps counts
-	// periods served by a deadline-truncated best iterate.
-	ColdRestartSteps int
-	AnytimeSteps     int
-	SoftSteps        int
-	HoldSteps        int
+	// AnytimeSteps/SoftSteps/HoldSteps split DegradedSteps by ladder
+	// rung — the dspp_degradation_steps_total{mode=...} deltas.
+	// AnytimeSteps counts periods served by a deadline-truncated best
+	// iterate.
+	AnytimeSteps int
+	SoftSteps    int
+	HoldSteps    int
 	// LooseSteps counts the periods whose plan was accepted at the
 	// solver's loosened tolerance after the iteration cap (the
 	// dspp_loose_steps_total delta); such steps may also be degraded.
@@ -245,7 +244,7 @@ const BudgetGrace = 5 * time.Millisecond
 // telemetry.DegradationFromTrace reproduces it byte for byte.
 func (r *Result) DegradationSummary() string {
 	return telemetry.FormatDegradationSummary(r.PolicyName, len(r.Steps),
-		r.DegradedSteps, r.ColdRestartSteps, r.AnytimeSteps, r.SoftSteps, r.HoldSteps, r.LooseSteps, r.ShedDemand)
+		r.DegradedSteps, r.AnytimeSteps, r.SoftSteps, r.HoldSteps, r.LooseSteps, r.ShedDemand)
 }
 
 // ForecastAccuracy is the per-location forecast scorecard.
@@ -364,9 +363,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		mDeg = telemetry.NewCounterVec(telemetry.MetricDegradationSteps, "mode")
 	}
 	modeLabels := []string{
-		core.DegradeColdRestart.String(), core.DegradeAnytime.String(),
-		core.DegradeSoft.String(), core.DegradeHold.String(),
-		core.DegradeNone.String(),
+		core.DegradeAnytime.String(), core.DegradeSoft.String(), core.DegradeHold.String(),
 	}
 	baseViol := mViol.Value()
 	baseShed := mShed.Value()
@@ -546,7 +543,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		mPeriods.Inc()
 		pSpan.SetAttr(
 			telemetry.Str("mode", rec.Degradation.Mode.String()),
-			telemetry.Num("cold_restarts", float64(rec.Degradation.ColdRestarts)),
 			telemetry.Num("shed", rec.Degradation.ShedDemand),
 			telemetry.Num("loose", loose),
 			telemetry.Num("min_slack", minSlack),
@@ -560,12 +556,10 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	res.ShedDemand = mShed.Value() - baseShed
 	res.BudgetOverruns = int(mOver.Value() - baseOver)
 	res.LooseSteps = int(mLoose.Value() - baseLoose)
-	res.ColdRestartSteps = int(mDeg.With(core.DegradeColdRestart.String()).Value() - baseMode[core.DegradeColdRestart.String()])
 	res.AnytimeSteps = int(mDeg.With(core.DegradeAnytime.String()).Value() - baseMode[core.DegradeAnytime.String()])
 	res.SoftSteps = int(mDeg.With(core.DegradeSoft.String()).Value() - baseMode[core.DegradeSoft.String()])
 	res.HoldSteps = int(mDeg.With(core.DegradeHold.String()).Value() - baseMode[core.DegradeHold.String()])
-	res.DegradedSteps = res.ColdRestartSteps + res.AnytimeSteps + res.SoftSteps + res.HoldSteps +
-		int(mDeg.With(core.DegradeNone.String()).Value()-baseMode[core.DegradeNone.String()])
+	res.DegradedSteps = res.AnytimeSteps + res.SoftSteps + res.HoldSteps
 	res.SLAViolations = int(mViol.Value() - baseViol)
 	for vi, tr := range trackers {
 		res.ForecastAccuracy = append(res.ForecastAccuracy, ForecastAccuracy{

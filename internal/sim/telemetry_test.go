@@ -56,7 +56,7 @@ func TestTelemetryRoundTrip(t *testing.T) {
 	// (a) Telemetry is an observer: the Result is bit-identical to the
 	// untraced run.
 	if res.DegradedSteps != plain.DegradedSteps ||
-		res.ColdRestartSteps != plain.ColdRestartSteps ||
+		res.AnytimeSteps != plain.AnytimeSteps ||
 		res.SoftSteps != plain.SoftSteps ||
 		res.HoldSteps != plain.HoldSteps ||
 		res.ShedDemand != plain.ShedDemand ||

@@ -232,7 +232,7 @@ func TestTracerJSONLRoundTrip(t *testing.T) {
 		q := tr.Start(SpanQPSolve, p.ID())
 		q.SetAttr(Num("iterations", float64(3+i)), Str("outcome", "ok"))
 		q.End()
-		p.SetAttr(Str("mode", "none"), Num("shed", 0), Num("cold_restarts", 0))
+		p.SetAttr(Str("mode", "none"), Num("shed", 0))
 		p.End()
 	}
 	root.End()
@@ -294,18 +294,18 @@ func TestTracerFloatRoundTrip(t *testing.T) {
 
 func TestFormatDegradationSummary(t *testing.T) {
 	for _, tc := range []struct {
-		degraded, cold, anytime, soft, hold, loose int
-		shed                                       float64
-		want                                       string
+		degraded, anytime, soft, hold, loose int
+		shed                                 float64
+		want                                 string
 	}{
 		{want: "mpc-w6: all 30 steps clean"},
 		{loose: 25, want: "mpc-w6: 5/30 steps clean, 25 loose"},
-		{degraded: 5, cold: 1, anytime: 1, soft: 2, hold: 1, shed: 12.34,
-			want: "mpc-w6: 5/30 steps degraded (cold-restart=1 anytime=1 soft=2 hold=1), shed 12.3 req/s total"},
+		{degraded: 4, anytime: 1, soft: 2, hold: 1, shed: 12.34,
+			want: "mpc-w6: 4/30 steps degraded (anytime=1 soft=2 hold=1), shed 12.3 req/s total"},
 		{degraded: 2, soft: 2, loose: 1, shed: 3,
-			want: "mpc-w6: 2/30 steps degraded (cold-restart=0 anytime=0 soft=2 hold=0), shed 3.0 req/s total, 1 loose"},
+			want: "mpc-w6: 2/30 steps degraded (anytime=0 soft=2 hold=0), shed 3.0 req/s total, 1 loose"},
 	} {
-		got := FormatDegradationSummary("mpc-w6", 30, tc.degraded, tc.cold, tc.anytime, tc.soft, tc.hold, tc.loose, tc.shed)
+		got := FormatDegradationSummary("mpc-w6", 30, tc.degraded, tc.anytime, tc.soft, tc.hold, tc.loose, tc.shed)
 		if got != tc.want {
 			t.Fatalf("summary = %q, want %q", got, tc.want)
 		}
@@ -326,7 +326,7 @@ func TestDegradationFromTrace(t *testing.T) {
 		if mode == "none" {
 			loose = 1
 		}
-		p.SetAttr(Str("mode", mode), Num("shed", shed), Num("cold_restarts", 0), Num("loose", loose))
+		p.SetAttr(Str("mode", mode), Num("shed", shed), Num("loose", loose))
 		p.End()
 	}
 	root.End()
@@ -339,7 +339,7 @@ func TestDegradationFromTrace(t *testing.T) {
 	if !ok {
 		t.Fatal("no run span found")
 	}
-	want := FormatDegradationSummary("mpc-w4", 4, 3, 0, 1, 1, 1, 1, 5.5)
+	want := FormatDegradationSummary("mpc-w4", 4, 3, 1, 1, 1, 1, 5.5)
 	if line != want {
 		t.Fatalf("trace summary = %q, want %q", line, want)
 	}

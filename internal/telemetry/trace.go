@@ -241,7 +241,7 @@ func CriticalPaths(events []TraceEvent) []CoordinationPath {
 // solver's loosened tolerance after the iteration cap: they are not
 // degraded, but a run with any is not called clean, and the line ends
 // ", N loose".
-func FormatDegradationSummary(policy string, steps, degraded, cold, anytime, soft, hold, loose int, shed float64) string {
+func FormatDegradationSummary(policy string, steps, degraded, anytime, soft, hold, loose int, shed float64) string {
 	var line string
 	switch {
 	case degraded == 0 && loose == 0:
@@ -249,8 +249,8 @@ func FormatDegradationSummary(policy string, steps, degraded, cold, anytime, sof
 	case degraded == 0:
 		line = fmt.Sprintf("%s: %d/%d steps clean", policy, steps-loose, steps)
 	default:
-		line = fmt.Sprintf("%s: %d/%d steps degraded (cold-restart=%d anytime=%d soft=%d hold=%d), shed %.1f req/s total",
-			policy, degraded, steps, cold, anytime, soft, hold, shed)
+		line = fmt.Sprintf("%s: %d/%d steps degraded (anytime=%d soft=%d hold=%d), shed %.1f req/s total",
+			policy, degraded, steps, anytime, soft, hold, shed)
 	}
 	if loose > 0 {
 		line += fmt.Sprintf(", %d loose", loose)
@@ -260,13 +260,13 @@ func FormatDegradationSummary(policy string, steps, degraded, cold, anytime, sof
 
 // DegradationFromTrace recomputes the degradation summary line from a
 // trace: the run span carries policy and step count, and each period
-// span carries its ladder outcome (mode, shed, cold_restarts, loose).
+// span carries its ladder outcome (mode, shed, loose).
 // Returns ok=false when the trace has no run span.
 func DegradationFromTrace(events []TraceEvent) (line string, ok bool) {
 	var policy string
 	var steps int
 	found := false
-	var degraded, cold, anytime, soft, hold, loose int
+	var degraded, anytime, soft, hold, loose int
 	var shed float64
 	for i := range events {
 		e := &events[i]
@@ -281,13 +281,10 @@ func DegradationFromTrace(events []TraceEvent) (line string, ok bool) {
 			found = true
 		case SpanPeriod:
 			mode, _ := e.Str("mode")
-			coldRestarts, _ := e.Num("cold_restarts")
-			if mode != "" && mode != "none" || coldRestarts > 0 {
+			if mode != "" && mode != "none" {
 				degraded++
 			}
 			switch mode {
-			case "cold-restart":
-				cold++
 			case "anytime":
 				anytime++
 			case "soft":
@@ -306,5 +303,5 @@ func DegradationFromTrace(events []TraceEvent) (line string, ok bool) {
 	if !found {
 		return "", false
 	}
-	return FormatDegradationSummary(policy, steps, degraded, cold, anytime, soft, hold, loose, shed), true
+	return FormatDegradationSummary(policy, steps, degraded, anytime, soft, hold, loose, shed), true
 }
