@@ -253,11 +253,22 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 
 // validate checks a decoded checkpoint against the daemon's instance, so
 // a restored state can never index out of range in the next period:
-// allocation shape and values, history row widths and lengths, the last
-// forecast's width, and the non-negative counters.
+// allocation shape and values, DC totals within capacity, history row
+// widths and lengths, the last forecast's width, and the non-negative
+// counters. A served plan never exceeds capacity (an anytime plan is
+// projected onto it), so a total above c + 1e-4·(1+c) is refused: the
+// capacity row's right-hand side is c − Σx0, and from a state far above c
+// the solver's relative tolerance becomes an absolute overrun.
 func (d *Daemon) validate(ck *checkpoint) error {
-	if err := d.inst.CheckState(core.State(ck.State)); err != nil {
+	state := core.State(ck.State)
+	if err := d.inst.CheckState(state); err != nil {
 		return fmt.Errorf("state: %w", err)
+	}
+	caps := d.inst.Capacities()
+	for l, total := range state.TotalByDC() {
+		if c := caps[l]; total > c+1e-4*(1+c) {
+			return fmt.Errorf("state puts %g servers in DC %d, capacity %g: %w", total, l, c, ErrBadConfig)
+		}
 	}
 	v, l := d.inst.NumLocations(), d.inst.NumDataCenters()
 	if len(ck.DemandHist) != len(ck.PriceHist) {

@@ -149,7 +149,7 @@ func (b *BandMatrix) MulVec(x, y Vector) error {
 // zeroed by the caller. Kept by measurement, with the other bw-2 kernels
 // (game-fig7 p50 121.4 → 132.9 ms without them; see factorizeBW2).
 func (b *BandMatrix) mulVecSymBW2(x, y Vector) {
-	n := b.n // ≥ 3: Reset clamps bw ≤ n−1
+	n := b.n // ≥ 3: NewBandMatrix clamps bw ≤ n−1
 	d := b.data
 	s := d[2] * x[0]
 	y[0] += s
@@ -196,38 +196,33 @@ func (b *BandMatrix) ToDense() *Matrix {
 // as each of its blocks, and a column whose Last is itself closes a
 // block.
 //
-// Set builds an envelope in place, reusing its storage. A built envelope
-// is read-only to the factorizations that use it, so one envelope may be
-// shared by any number of concurrent factorizations.
+// An envelope is built once (NewEnvelope, FullBand) and is read-only
+// afterwards, so one envelope may be shared by any number of concurrent
+// factorizations.
 type Envelope struct {
 	first, last []int
 	bw          int  // widest row: max over i of i − first[i]
 	full        bool // every row spans its whole bw-wide band
 }
 
-// Set rebuilds the envelope for the row starts first, which must satisfy
-// 0 ≤ first[i] ≤ i. The kernels walk column j through every row up to
-// Last(j), so Set widens the starts in place to their suffix minimum
-// (first[i] ≤ first[i+1]): a row between j and Last(j) that started right
-// of j would leave unwritten padding on that walk. Widening never raises
-// the bandwidth, and the rows it widens hold exact zeros there. The
-// envelope keeps first (it is not copied), so the caller must leave it
-// alone while the envelope is in use.
-func (e *Envelope) Set(first []int) error {
+// NewEnvelope builds the envelope for the row starts first, which must
+// satisfy 0 ≤ first[i] ≤ i. The kernels walk column j through every row
+// up to Last(j), so the starts are widened in place to their suffix
+// minimum (first[i] ≤ first[i+1]): a row between j and Last(j) that
+// started right of j would leave unwritten padding on that walk. Widening
+// never raises the bandwidth, and the rows it widens hold exact zeros
+// there. The envelope owns first: the caller must not touch it again.
+func NewEnvelope(first []int) (*Envelope, error) {
 	n := len(first)
 	for i, f := range first {
 		if f < 0 || f > i {
-			return fmt.Errorf("envelope row %d starts at column %d: %w", i, f, ErrDimensionMismatch)
+			return nil, fmt.Errorf("envelope row %d starts at column %d: %w", i, f, ErrDimensionMismatch)
 		}
 	}
 	for i := n - 2; i >= 0; i-- {
 		first[i] = min(first[i], first[i+1])
 	}
-	if cap(e.last) < n {
-		e.last = make([]int, n)
-	}
-	e.first, e.last = first, e.last[:n]
-	e.bw = 0
+	e := &Envelope{first: first, last: make([]int, n), full: true}
 	for j := range e.last {
 		e.last[j] = j
 	}
@@ -240,30 +235,26 @@ func (e *Envelope) Set(first []int) error {
 	for j := 1; j < n; j++ {
 		e.last[j] = max(e.last[j], e.last[j-1])
 	}
-	e.full = true
 	for i, f := range first {
 		if f != max(0, i-e.bw) {
 			e.full = false
 			break
 		}
 	}
-	return nil
+	return e, nil
 }
 
-// setFull makes e the full band of half-bandwidth bw over n rows.
-func (e *Envelope) setFull(n, bw int) {
-	if cap(e.first) < n {
-		e.first = make([]int, n)
+// FullBand returns the envelope of the whole band of half-bandwidth bw
+// (clamped into [0, n−1]) over n rows: row i starts at max(0, i−bw).
+func FullBand(n, bw int) *Envelope {
+	n = max(n, 0)
+	bw = min(max(bw, 0), max(n-1, 0))
+	first := make([]int, n)
+	for i := range first {
+		first[i] = max(0, i-bw)
 	}
-	if cap(e.last) < n {
-		e.last = make([]int, n)
-	}
-	e.first, e.last = e.first[:n], e.last[:n]
-	for i := range e.first {
-		e.first[i] = max(0, i-bw)
-		e.last[i] = min(n-1, i+bw)
-	}
-	e.bw, e.full = bw, true
+	e, _ := NewEnvelope(first) // 0 ≤ first[i] ≤ i by construction
+	return e
 }
 
 // N returns the order of the matrix the envelope describes.
@@ -276,12 +267,12 @@ func (e *Envelope) Bandwidth() int { return e.bw }
 func (e *Envelope) Last(j int) int { return e.last[j] }
 
 // BandCholesky factorizes symmetric positive-definite band matrices into
-// packed storage, split into a symbolic phase (Symbolic or
-// SymbolicEnvelope: lay out the packed factor and its envelope, allocating
-// only when the shape outgrows the buffers) and a numeric phase
-// (Factorize: refactorize in place with zero allocations). Interior-point
-// loops run the symbolic phase once per solve, on an envelope analysed
-// once per problem structure, and Factorize once per iteration.
+// packed storage. Its layout — order, half-bandwidth and envelope — is
+// fixed when NewBandCholesky allocates it; Factorize then refactorizes in
+// place with zero allocations, as often as the values change.
+// Interior-point loops lay a factor out once per session, over an
+// envelope analysed once per problem structure, and Factorize once per
+// iteration.
 //
 // Every kernel — Factorize, Solve, InverseBlock — loops over the
 // envelope only. Storage stays the uniform packed band, but the padding
@@ -289,8 +280,7 @@ func (e *Envelope) Last(j int) int { return e.last[j] }
 // computed nor read, so it may hold anything.
 type BandCholesky struct {
 	n, bw int
-	env   *Envelope // the envelope in use: own, or one a caller shares
-	own   Envelope  // full-band envelope Symbolic builds
+	env   *Envelope // shared read-only
 	// full records that env is the whole band, which the unrolled bw = 2
 	// solve needs (it reads every band entry).
 	full bool
@@ -300,7 +290,7 @@ type BandCholesky struct {
 	lt   []float64
 	dinv []float64 // 1/L[i][i]: substitution multiplies instead of divides
 	col  []float64 // InverseBlock's gathered column of L (bw entries)
-	// useLT records whether Factorize built the transposed copy: below
+	// useLT records whether Factorize builds the transposed copy: below
 	// ltThreshold floats the factor fits comfortably in L1, strided reads
 	// are free, and the copy pass is pure overhead (the interior-point
 	// workloads factorize tiny bands hundreds of thousands of times).
@@ -314,79 +304,44 @@ type BandCholesky struct {
 // all 5 alternating benchmark pairs (2-vCPU VM).
 const ltThreshold = 2048
 
-// Symbolic prepares the factorization for matrices of order n with
-// half-bandwidth bw and the full band as envelope: it sizes the packed
-// factor storage, growing the buffers only when the shape outgrows them.
-// It performs no numeric work.
-func (c *BandCholesky) Symbolic(n, bw int) {
-	if n < 0 {
-		n = 0
-	}
-	if bw < 0 {
-		bw = 0
-	}
-	if bw > n-1 {
-		bw = n - 1
-	}
-	if n == 0 {
-		bw = 0
-	}
-	c.own.setFull(n, bw)
-	c.layout(n, bw, &c.own)
-}
-
-// SymbolicEnvelope prepares the factorization for matrices of order
-// env.N() stored with half-bandwidth bw whose entries lie inside env.
-// The envelope is retained and only read, so callers may share it
-// between factorizations.
-func (c *BandCholesky) SymbolicEnvelope(bw int, env *Envelope) error {
+// NewBandCholesky lays out a factor for matrices of order env.N() stored
+// with half-bandwidth bw (clamped into [0, n−1]) whose entries lie inside
+// env, allocating its storage once. It performs no numeric work. The
+// envelope is retained and only read, so factors may share it.
+func NewBandCholesky(bw int, env *Envelope) (*BandCholesky, error) {
 	n := env.N()
 	bw = min(max(bw, 0), max(n-1, 0))
 	if env.bw > bw {
-		return fmt.Errorf("envelope reaches %d below the diagonal, band %d: %w", env.bw, bw, ErrDimensionMismatch)
+		return nil, fmt.Errorf("envelope reaches %d below the diagonal, band %d: %w", env.bw, bw, ErrDimensionMismatch)
 	}
-	c.layout(n, bw, env)
-	return nil
-}
-
-// layout sizes the packed storage for (n, bw) and installs env.
-func (c *BandCholesky) layout(n, bw int, env *Envelope) {
 	need := n * (bw + 1)
-	c.useLT = need > ltThreshold
-	if cap(c.l) < need {
-		c.l = make([]float64, need)
+	c := &BandCholesky{
+		n: n, bw: bw, env: env,
+		full:  env.full && env.bw == bw,
+		l:     make([]float64, need),
+		dinv:  make([]float64, n),
+		col:   make([]float64, bw),
+		useLT: need > ltThreshold,
 	}
-	if c.useLT && cap(c.lt) < need {
+	if c.useLT {
 		c.lt = make([]float64, need)
 	}
-	if cap(c.dinv) < n {
-		c.dinv = make([]float64, n)
-	}
-	if cap(c.col) < bw {
-		c.col = make([]float64, bw)
-	}
-	c.n, c.bw, c.env = n, bw, env
-	c.full = env.full && env.bw == bw
-	c.l = c.l[:need]
-	if c.useLT {
-		c.lt = c.lt[:need]
-	}
-	c.dinv = c.dinv[:n]
+	return c, nil
 }
 
-// N returns the order the factorization is prepared for.
+// N returns the order the factor is laid out for.
 func (c *BandCholesky) N() int { return c.n }
 
-// Factorize runs the numeric phase on a, which must match the shape given
-// to the symbolic phase (Factorize runs Symbolic when it does not, so a
-// bare Factorize is always correct — just not guaranteed allocation-free)
-// and hold no entry outside the envelope. On error the factor is invalid
-// until the next successful call.
+// Factorize runs the numeric phase on a, which must have the order and
+// half-bandwidth the factor was laid out for (ErrDimensionMismatch
+// otherwise, leaving the factor as it was) and hold no entry outside the
+// envelope. On any other error the factor is invalid until the next
+// successful call.
 func (c *BandCholesky) Factorize(a *BandMatrix) error {
-	if a.n != c.n || a.bw != c.bw {
-		c.Symbolic(a.n, a.bw)
-	}
 	n, bw := c.n, c.bw
+	if a.n != n || a.bw != bw {
+		return fmt.Errorf("band factorize n=%d bw=%d into a factor laid out for n=%d bw=%d: %w", a.n, a.bw, n, bw, ErrDimensionMismatch)
+	}
 	if bw == 2 {
 		// The horizon QP's two-datacenter instances (the experiment sweeps)
 		// produce this exact shape hundreds of thousands of times per run.
@@ -462,7 +417,7 @@ func (c *BandCholesky) rebuildLT() {
 // 132.9 ms, tail 162.9 to 184.3 ms and work 13.28 to 14.77 s, losing all
 // 5 pairs.
 func (c *BandCholesky) factorizeBW2(ad []float64) error {
-	n := c.n // ≥ 3: Symbolic clamps bw ≤ n−1
+	n := c.n // ≥ 3: NewBandCholesky clamps bw ≤ n−1
 	l, dinv := c.l, c.dinv
 	s := ad[2]
 	if s <= 0 || math.IsNaN(s) {

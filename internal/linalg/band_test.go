@@ -107,8 +107,7 @@ func TestBandCholeskyMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var band BandCholesky
-			band.Symbolic(sz.n, sz.bw)
+			band := newFullBand(t, sz.n, sz.bw)
 			if err := band.Factorize(b); err != nil {
 				t.Fatal(err)
 			}
@@ -133,36 +132,59 @@ func TestBandCholeskyMatchesDense(t *testing.T) {
 	}
 }
 
-// TestBandCholeskyReuse refactorizes the same BandCholesky across shapes
-// and values: the symbolic/numeric split must stay correct when the shape
-// shrinks (buffers are reused) and when values change in place.
+// newFullBand lays out a factor over the full band of order n and
+// half-bandwidth bw.
+func newFullBand(tb testing.TB, n, bw int) *BandCholesky {
+	tb.Helper()
+	c, err := NewBandCholesky(bw, FullBand(n, bw))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// TestBandCholeskyReuse refactorizes one BandCholesky as the values
+// change in place, and refuses matrices of any other shape: the layout is
+// fixed when the factor is made, and a refused Factorize leaves the last
+// factor intact.
 func TestBandCholeskyReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	var c BandCholesky
-	for _, sz := range []struct{ n, bw int }{{30, 5}, {12, 2}, {30, 5}, {7, 6}} {
-		d, b := randBandSPD(rng, sz.n, sz.bw)
-		c.Symbolic(sz.n, sz.bw)
-		if err := c.Factorize(b); err != nil {
-			t.Fatal(err)
-		}
-		rhs := NewVector(sz.n)
-		for i := range rhs {
-			rhs[i] = rng.NormFloat64()
-		}
-		x := NewVector(sz.n)
+	const n, bw = 30, 5
+	c := newFullBand(t, n, bw)
+	rhs, x, ax := NewVector(n), NewVector(n), NewVector(n)
+	for i := range rhs {
+		rhs[i] = rng.NormFloat64()
+	}
+	// solves checks that c solves d x = rhs.
+	solves := func(d *Matrix) {
+		t.Helper()
 		if err := c.Solve(rhs, x); err != nil {
 			t.Fatal(err)
 		}
-		// Verify A x = rhs directly.
-		ax := NewVector(sz.n)
 		if err := d.MulVec(x, ax); err != nil {
 			t.Fatal(err)
 		}
 		for i := range ax {
 			if math.Abs(ax[i]-rhs[i]) > 1e-8*(1+math.Abs(rhs[i])) {
-				t.Fatalf("n=%d bw=%d: (Ax)[%d] = %g, want %g", sz.n, sz.bw, i, ax[i], rhs[i])
+				t.Fatalf("(Ax)[%d] = %g, want %g", i, ax[i], rhs[i])
 			}
 		}
+	}
+	var d *Matrix
+	for range 3 {
+		var b *BandMatrix
+		d, b = randBandSPD(rng, n, bw)
+		if err := c.Factorize(b); err != nil {
+			t.Fatal(err)
+		}
+		solves(d)
+	}
+	for _, sz := range []struct{ n, bw int }{{12, 2}, {30, 4}, {30, 6}, {31, 5}, {7, 6}} {
+		_, b := randBandSPD(rng, sz.n, sz.bw)
+		if err := c.Factorize(b); !errors.Is(err, ErrDimensionMismatch) {
+			t.Fatalf("n=%d bw=%d into a factor for n=%d bw=%d: err = %v", sz.n, sz.bw, n, bw, err)
+		}
+		solves(d)
 	}
 }
 
@@ -171,20 +193,18 @@ func TestBandCholeskyNotPositiveDefinite(t *testing.T) {
 	_ = b.Set(0, 0, 1)
 	_ = b.Set(1, 1, -2)
 	_ = b.Set(2, 2, 1)
-	var c BandCholesky
-	c.Symbolic(3, 1)
+	c := newFullBand(t, 3, 1)
 	if err := c.Factorize(b); err == nil {
 		t.Fatal("factorizing an indefinite matrix should fail")
 	}
 }
 
 // TestBandFactorizeNoAlloc proves the numeric phase and the solves are
-// allocation-free after Symbolic.
+// allocation-free once the factor is laid out.
 func TestBandFactorizeNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	_, b := randBandSPD(rng, 64, 8)
-	var c BandCholesky
-	c.Symbolic(64, 8)
+	c := newFullBand(t, 64, 8)
 	rhs := NewVector(64)
 	x := NewVector(64)
 	for i := range rhs {
@@ -267,8 +287,7 @@ func BenchmarkBandCholesky(b *testing.B) {
 	rng := rand.New(rand.NewSource(29))
 	for _, sz := range []struct{ n, bw int }{{48, 4}, {96, 8}, {240, 16}} {
 		_, bm := randBandSPD(rng, sz.n, sz.bw)
-		var c BandCholesky
-		c.Symbolic(sz.n, sz.bw)
+		c := newFullBand(b, sz.n, sz.bw)
 		rhs := NewVector(sz.n)
 		x := NewVector(sz.n)
 		for i := range rhs {

@@ -21,7 +21,7 @@ func TestInverseBlock(t *testing.T) {
 				_ = a.Set(i, j, rng.Float64()-0.5)
 			}
 		}
-		var chol BandCholesky
+		chol := newFullBand(t, n, tc.bw)
 		if err := chol.Factorize(a); err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -91,14 +92,15 @@ func decreasingStart(rng *rand.Rand) (*Matrix, *BandMatrix, []int, []int) {
 // shows) and over the full uniform band.
 func factorPair(t *testing.T, b *BandMatrix, first []int) (*BandCholesky, *BandCholesky) {
 	t.Helper()
-	var env Envelope
-	if err := env.Set(first); err != nil {
+	env, err := NewEnvelope(first)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ec, fc := &BandCholesky{}, &BandCholesky{}
-	if err := ec.SymbolicEnvelope(b.Bandwidth(), &env); err != nil {
+	ec, err := NewBandCholesky(b.Bandwidth(), env)
+	if err != nil {
 		t.Fatal(err)
 	}
+	fc := newFullBand(t, b.N(), b.Bandwidth())
 	for i := range ec.l {
 		ec.l[i] = math.NaN()
 	}
@@ -211,13 +213,13 @@ func TestEnvelopeKernelsMatchDense(t *testing.T) {
 // TestEnvelopeValidation: an envelope row may not start right of its
 // diagonal or left of column 0, nor reach past the band it is used with.
 func TestEnvelopeValidation(t *testing.T) {
-	var env Envelope
 	for _, first := range [][]int{{0, 2, 1}, {0, -1, 2}} {
-		if err := env.Set(first); !errors.Is(err, ErrDimensionMismatch) {
+		if _, err := NewEnvelope(first); !errors.Is(err, ErrDimensionMismatch) {
 			t.Fatalf("first %v: err = %v", first, err)
 		}
 	}
-	if err := env.Set([]int{0, 0, 0, 3}); err != nil {
+	env, err := NewEnvelope([]int{0, 0, 0, 3})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := fmt.Sprint(env.Bandwidth(), env.Last(0), env.Last(2), env.Last(3)); got != "2 2 2 3" {
@@ -225,14 +227,52 @@ func TestEnvelopeValidation(t *testing.T) {
 	}
 	// Decreasing starts widen to their suffix minimum.
 	first := []int{0, 1, 2, 0}
-	if err := env.Set(first); err != nil {
+	if env, err = NewEnvelope(first); err != nil {
 		t.Fatal(err)
 	}
 	if got := fmt.Sprint(first, env.Bandwidth(), env.Last(0)); got != "[0 0 0 0] 3 3" {
 		t.Fatalf("first, bandwidth, last(0) = %s", got)
 	}
-	var c BandCholesky
-	if err := c.SymbolicEnvelope(1, &env); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := NewBandCholesky(1, env); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("envelope wider than the band: err = %v", err)
+	}
+}
+
+// TestFullBand: FullBand(n, bw) is the envelope NewEnvelope builds from
+// the starts max(0, i−bw), bw clamped into [0, n−1] — the same starts,
+// lasts, bandwidth and fullness — down to n = 0 and n = 1 and for bands
+// wider than the matrix.
+func TestFullBand(t *testing.T) {
+	for _, tc := range []struct {
+		n, bw  int
+		wantBW int
+		last   string
+	}{
+		{0, 0, 0, "[]"},
+		{0, 3, 0, "[]"},
+		{1, 0, 0, "[0]"},
+		{1, 4, 0, "[0]"},
+		{4, 0, 0, "[0 1 2 3]"},
+		{4, 1, 1, "[1 2 3 3]"},
+		{5, 2, 2, "[2 3 4 4 4]"},
+		{5, 4, 4, "[4 4 4 4 4]"},
+		{5, 9, 4, "[4 4 4 4 4]"},
+	} {
+		got := FullBand(tc.n, tc.bw)
+		first := make([]int, tc.n)
+		for i := range first {
+			first[i] = max(0, i-tc.bw)
+		}
+		want, err := NewEnvelope(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("FullBand(%d, %d) = %+v, NewEnvelope of its starts %+v", tc.n, tc.bw, *got, *want)
+		}
+		if got.N() != tc.n || got.Bandwidth() != tc.wantBW || !got.full || fmt.Sprint(got.last) != tc.last {
+			t.Errorf("FullBand(%d, %d): n %d, bandwidth %d, full %v, last %v; want %d, %d, true, %s",
+				tc.n, tc.bw, got.N(), got.Bandwidth(), got.full, got.last, tc.n, tc.wantBW, tc.last)
+		}
 	}
 }

@@ -50,8 +50,7 @@ func newLinkSchur(sym *linkSymbolic, n, m int) linkSchur {
 	ls.gl = linalg.NewVector(sym.k)
 	ls.wb = linalg.NewVector(m)
 	ls.s = linalg.NewBandMatrix(sym.k, sym.k-1)
-	ls.chol = &linalg.BandCholesky{}
-	ls.chol.Symbolic(sym.k, sym.k-1)
+	ls.chol, _ = linalg.NewBandCholesky(sym.k-1, sym.env) // cannot fail: env is S's full band
 	return ls
 }
 

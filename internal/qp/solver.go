@@ -395,13 +395,13 @@ func newIPMState(p *Problem, sym *Structure) *ipmState {
 		dx: linalg.NewVector(n), ds: linalg.NewVector(m), dz: linalg.NewVector(m),
 		qx: linalg.NewVector(n), w: linalg.NewVector(m), sInv: linalg.NewVector(m),
 		scratchN: linalg.NewVector(n), scratchM: linalg.NewVector(m),
-		// The packed band and the factor (inside the structure's envelope,
-		// which Analyze keeps within the band), and the Schur working set.
+		// The packed band and the Schur working set.
 		hBand: linalg.NewBandMatrix(n, sym.bw),
-		bchol: &linalg.BandCholesky{},
 		link:  newLinkSchur(sym.link, n, m),
 	}
-	_ = st.bchol.SymbolicEnvelope(sym.bw, &sym.env)
+	// H_b's factor, over the structure's envelope (which Analyze keeps
+	// within the band, so this cannot fail).
+	st.bchol, _ = linalg.NewBandCholesky(sym.bw, sym.env)
 	return st
 }
 

@@ -10,9 +10,10 @@ import (
 // Structure is the symbolic phase of the solver: everything about a
 // problem that depends only on its fixed part — Q, G and the linking
 // rows — and not on C, H or the iterate. It holds the KKT band, the
-// envelope of the band part H_b, H_b's diagonal
-// blocks, the coupling rows in CSR form with their per-block slots, and
-// the scatter map that forms C H_b⁻¹ Cᵀ from each block's inverse.
+// envelopes every session lays its factors out over (the band part H_b's
+// and the Schur complement S's), H_b's diagonal blocks, the coupling rows
+// in CSR form with their per-block slots, and the scatter map that forms
+// C H_b⁻¹ Cᵀ from each block's inverse.
 //
 // Analyze builds it once per structure; solves only read it, so one
 // Structure may serve any number of concurrent sessions
@@ -26,7 +27,7 @@ type Structure struct {
 	bw      int
 	// env is H_b's envelope, from its structural pattern: Q's band and the
 	// band rows of G. Every band kernel iterates inside it.
-	env linalg.Envelope
+	env *linalg.Envelope
 	// link is the symbolic half of the linking-row Schur complement;
 	// noLinks when the problem has no coupling rows.
 	link *linkSymbolic
@@ -39,7 +40,8 @@ var noLinks linkSymbolic
 // linkSymbolic is the symbolic half of the linking-row Schur complement
 // (linkSchur holds the numeric half).
 type linkSymbolic struct {
-	k int // linking rows of G
+	k   int              // linking rows of G
+	env *linalg.Envelope // S's envelope: the full band (S is dense)
 
 	// The linking rows in CSR form.
 	ptr  []int
@@ -117,11 +119,11 @@ func Analyze(p *Problem) (*Structure, error) {
 	for i := range first {
 		first[i] = max(first[i], i-bw)
 	}
-	_ = s.env.Set(first) // 0 ≤ first[i] ≤ i by construction
+	s.env, _ = linalg.NewEnvelope(first) // 0 ≤ first[i] ≤ i by construction
 
 	s.link = &noLinks
 	if len(p.Linking) > 0 {
-		s.link = analyzeLinks(p, &s.env, n)
+		s.link = analyzeLinks(p, s.env, n)
 	}
 	return s, nil
 }
@@ -135,7 +137,8 @@ func (s *Structure) matches(p *Problem) bool {
 // diagonal blocks of H_b are read off its envelope: column c closes a
 // block when no row after c reaches it.
 func analyzeLinks(p *Problem, env *linalg.Envelope, n int) *linkSymbolic {
-	ls := &linkSymbolic{k: len(p.Linking)}
+	k := len(p.Linking)
+	ls := &linkSymbolic{k: k, env: linalg.FullBand(k, k-1)}
 	bnd := []int{0}
 	for c := 0; c < n; c++ {
 		if env.Last(c) == c {
