@@ -5,6 +5,8 @@ import (
 	"math"
 )
 
+//go:generate go run gen_band.go
+
 // BandMatrix is a symmetric matrix with half-bandwidth bw stored packed:
 // only the lower band of each row is kept, row-major, bw+1 entries per
 // row. Entry (i, j) with i−bw ≤ j ≤ i lives at data[i·(bw+1) + j−i+bw].
@@ -147,7 +149,7 @@ func (b *BandMatrix) MulVec(x, y Vector) error {
 // generic loop's (s grows in ascending column order, each y element sees
 // the same additions in the same order), so y is bit-identical. y must be
 // zeroed by the caller. Kept by measurement, with the other bw-2 kernels
-// (game-fig7 p50 121.4 → 132.9 ms without them; see factorizeBW2).
+// (game-fig7 p50 121.4 → 132.9 ms without them; DESIGN.md §9).
 func (b *BandMatrix) mulVecSymBW2(x, y Vector) {
 	n := b.n // ≥ 3: NewBandMatrix clamps bw ≤ n−1
 	d := b.data
@@ -201,8 +203,7 @@ func (b *BandMatrix) ToDense() *Matrix {
 // factorizations.
 type Envelope struct {
 	first, last []int
-	bw          int  // widest row: max over i of i − first[i]
-	full        bool // every row spans its whole bw-wide band
+	bw          int // widest row: max over i of i − first[i]
 }
 
 // NewEnvelope builds the envelope for the row starts first, which must
@@ -222,7 +223,7 @@ func NewEnvelope(first []int) (*Envelope, error) {
 	for i := n - 2; i >= 0; i-- {
 		first[i] = min(first[i], first[i+1])
 	}
-	e := &Envelope{first: first, last: make([]int, n), full: true}
+	e := &Envelope{first: first, last: make([]int, n)}
 	for j := range e.last {
 		e.last[j] = j
 	}
@@ -234,12 +235,6 @@ func NewEnvelope(first []int) (*Envelope, error) {
 	// row reaching column j−1 below row j also reaches column j.
 	for j := 1; j < n; j++ {
 		e.last[j] = max(e.last[j], e.last[j-1])
-	}
-	for i, f := range first {
-		if f != max(0, i-e.bw) {
-			e.full = false
-			break
-		}
 	}
 	return e, nil
 }
@@ -274,17 +269,14 @@ func (e *Envelope) Last(j int) int { return e.last[j] }
 // envelope analysed once per problem structure, and Factorize once per
 // iteration.
 //
-// Every kernel — Factorize, Solve, InverseBlock — loops over the
-// envelope only. Storage stays the uniform packed band, but the padding
-// between a narrow row's first column and its band edge is neither
-// computed nor read, so it may hold anything.
+// Storage is the uniform packed band. Factorize writes all of it: the
+// padding between a narrow row's first column and its band edge comes out
+// as exact zeros. Solve and InverseBlock loop over the envelope only,
+// except the bw = 2 solve, which reads the whole band.
 type BandCholesky struct {
 	n, bw int
 	env   *Envelope // shared read-only
-	// full records that env is the whole band, which the unrolled bw = 2
-	// solve needs (it reads every band entry).
-	full bool
-	l    []float64 // packed lower factor, bw+1 entries per row
+	l     []float64 // packed lower factor, bw+1 entries per row
 	// lt mirrors the factor transposed (packed columns of L) so back
 	// substitution walks memory contiguously; rebuilt by each Factorize.
 	lt   []float64
@@ -317,7 +309,6 @@ func NewBandCholesky(bw int, env *Envelope) (*BandCholesky, error) {
 	need := n * (bw + 1)
 	c := &BandCholesky{
 		n: n, bw: bw, env: env,
-		full:  env.full && env.bw == bw,
 		l:     make([]float64, need),
 		dinv:  make([]float64, n),
 		col:   make([]float64, bw),
@@ -342,19 +333,48 @@ func (c *BandCholesky) Factorize(a *BandMatrix) error {
 	if a.n != n || a.bw != bw {
 		return fmt.Errorf("band factorize n=%d bw=%d into a factor laid out for n=%d bw=%d: %w", a.n, a.bw, n, bw, ErrDimensionMismatch)
 	}
-	if bw == 2 {
-		// The horizon QP's two-datacenter instances (the experiment sweeps)
-		// produce this exact shape hundreds of thousands of times per run.
-		if err := c.factorizeBW2(a.data); err != nil {
-			return err
-		}
-		c.rebuildLT()
-		return nil
+	// Half-bandwidths 2…maxKernelBW run the straight-line kernels.
+	var err error
+	if bw >= 2 && bw <= maxKernelBW {
+		err = factorBand(bw, c.l, a.data, c.dinv, n)
+	} else {
+		err = c.factorizeEnvelope(a.data)
 	}
-	l, ad, dinv, first := c.l, a.data, c.dinv, c.env.first
+	if err != nil {
+		return err
+	}
+	c.rebuildLT()
+	return nil
+}
+
+// factorizeEnvelope factors the packed band ad looping over the envelope
+// only, and writes the padding left of each row's envelope as zeros. It
+// serves bands wider than maxKernelBW (S, dense, among them) and bw 0
+// and 1, and it is the reference the straight-line kernels (band_gen.go,
+// from gen_band.go) must match bit for bit.
+//
+// A straight-line kernel computes the full band row: entry (i, j)
+// subtracts L[i][k]·L[j][k] for every k from max(0, i−bw) up, in
+// ascending order, where the loop here starts at max(first[i],
+// first[j]). Row starts never decrease, so each extra term has L[i][k] in
+// row i's padding, an exact zero, times an entry of an earlier row that
+// passed its pivot, which is finite. Subtracting a zero leaves the
+// partial sum as it was, except that −0 − (−0) is +0: the factor is
+// bit-identical but for the sign of an entry that comes out zero from an
+// a(i, j) of −0. The padding itself comes out as +0 when a holds +0
+// there (+0 − (±0) is +0).
+//
+// Measured on the shipped H_b envelopes (paper n 110 bw 4, n120 shard bw
+// 5, n120 bw 6; BenchmarkBandKernels) and end to end: see DESIGN.md §7.
+// The bw-2 member does the arithmetic of the hand-unrolled kernel it
+// replaced, kept by measurement against deletion (DESIGN.md §9).
+func (c *BandCholesky) factorizeEnvelope(ad []float64) error {
+	n, bw := c.n, c.bw
+	l, dinv, first := c.l, c.dinv, c.env.first
 	for i := 0; i < n; i++ {
 		// Entry (i, j) of row i sits at base+j in the packed storage.
 		fi, base := first[i], i*bw+bw
+		clear(l[base+max(0, i-bw) : base+fi])
 		ri := l[base+fi : base+i+1]
 		ai := ad[base+fi : base+i+1]
 		for j := fi; j < i; j++ {
@@ -375,14 +395,18 @@ func (c *BandCholesky) Factorize(a *BandMatrix) error {
 			s -= v * v
 		}
 		if !(s > 0) {
-			return fmt.Errorf("pivot %d = %g: %w", i, s, ErrNotPositiveDefinite)
+			return pivotError(i, s)
 		}
 		d := math.Sqrt(s)
 		ri[i-fi] = d
 		dinv[i] = 1 / d
 	}
-	c.rebuildLT()
 	return nil
+}
+
+// pivotError reports a pivot s of row i that is not positive (or NaN).
+func pivotError(i int, s float64) error {
+	return fmt.Errorf("pivot %d = %g: %w", i, s, ErrNotPositiveDefinite)
 }
 
 // rebuildLT refreshes the packed transposed copy: lt row i holds column i
@@ -403,63 +427,15 @@ func (c *BandCholesky) rebuildLT() {
 	}
 }
 
-// factorizeBW2 is the numeric phase unrolled for half-bandwidth 2. Every
-// floating-point operation runs in exactly the order of the generic loop
-// (ascending k, each product subtracted in turn), so the factor is
-// bit-identical; what the unrolling removes is per-row slice arithmetic
-// and the loop-bound bookkeeping, which for a 3-wide band costs more than
-// the arithmetic. It writes the whole band, whatever the envelope: the
-// entries outside it come out as exact zeros.
-//
-// Measured against deletion (5 alternating benchmark rounds on a 2-vCPU
-// VM, fingerprints bit-identical): without the bw-2 kernels and the
-// short-row dispatches of SparseMatrix, game-fig7 went from p50 121.4 to
-// 132.9 ms, tail 162.9 to 184.3 ms and work 13.28 to 14.77 s, losing all
-// 5 pairs.
-func (c *BandCholesky) factorizeBW2(ad []float64) error {
-	n := c.n // ≥ 3: NewBandCholesky clamps bw ≤ n−1
-	l, dinv := c.l, c.dinv
-	s := ad[2]
-	if s <= 0 || math.IsNaN(s) {
-		return fmt.Errorf("pivot %d = %g: %w", 0, s, ErrNotPositiveDefinite)
-	}
-	d := math.Sqrt(s)
-	l[2] = d
-	dinv[0] = 1 / d
-	v1 := ad[4] * dinv[0]
-	l[4] = v1
-	s = ad[5] - v1*v1
-	if s <= 0 || math.IsNaN(s) {
-		return fmt.Errorf("pivot %d = %g: %w", 1, s, ErrNotPositiveDefinite)
-	}
-	d = math.Sqrt(s)
-	l[5] = d
-	dinv[1] = 1 / d
-	for i := 2; i < n; i++ {
-		base := 3 * i
-		v0 := ad[base] * dinv[i-2]
-		l[base] = v0
-		w := (ad[base+1] - v0*l[base-2]) * dinv[i-1]
-		l[base+1] = w
-		s = ad[base+2] - v0*v0
-		s -= w * w
-		if s <= 0 || math.IsNaN(s) {
-			return fmt.Errorf("pivot %d = %g: %w", i, s, ErrNotPositiveDefinite)
-		}
-		d = math.Sqrt(s)
-		l[base+2] = d
-		dinv[i] = 1 / d
-	}
-	return nil
-}
-
 // solveBW2 is Solve unrolled for half-bandwidth 2 (direct-l back
 // substitution — bw-2 factors sit below ltThreshold until n > 682, and the
-// dispatch requires !useLT and the full band, since it reads every band
-// entry). Operation order matches the generic loops exactly, so results
-// are bit-identical. Kept by measurement (see factorizeBW2).
+// dispatch requires !useLT). Operation order matches the generic loops
+// exactly. It reads every band entry, the padding too, which Factorize
+// writes as zeros: for a finite right-hand side the extra products are
+// zeros, which leave the results bit-identical as in factorizeEnvelope.
+// Kept by measurement (DESIGN.md §9).
 func (c *BandCholesky) solveBW2(b, x Vector) {
-	n := c.n // ≥ 3, as in factorizeBW2
+	n := c.n // ≥ 3: NewBandCholesky clamps bw ≤ n−1
 	l, dinv := c.l, c.dinv
 	x[0] = b[0] * dinv[0]
 	x[1] = (b[1] - l[4]*x[0]) * dinv[1]
@@ -487,10 +463,18 @@ func (c *BandCholesky) Solve(b Vector, x Vector) error {
 	if len(b) != n || len(x) != n {
 		return fmt.Errorf("band solve b=%d x=%d n=%d: %w", len(b), len(x), n, ErrDimensionMismatch)
 	}
-	if bw == 2 && c.full && !c.useLT {
+	if bw == 2 && !c.useLT {
 		c.solveBW2(b, x)
-		return nil
+	} else {
+		c.solveEnvelope(b, x)
 	}
+	return nil
+}
+
+// solveEnvelope is Solve over the envelope, for every factor but the
+// direct-l bw = 2 ones.
+func (c *BandCholesky) solveEnvelope(b, x Vector) {
+	n, bw := c.n, c.bw
 	w1 := bw + 1
 	l, first, last := c.l, c.env.first, c.env.last
 	// Forward substitution: L y = b, over row i's envelope.
@@ -521,7 +505,7 @@ func (c *BandCholesky) Solve(b Vector, x Vector) error {
 			}
 			x[i] = s * c.dinv[i]
 		}
-		return nil
+		return
 	}
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
@@ -530,7 +514,6 @@ func (c *BandCholesky) Solve(b Vector, x Vector) error {
 		}
 		x[i] = s * c.dinv[i]
 	}
-	return nil
 }
 
 // InverseBlock writes the dense inverse of the diagonal block of A on rows
@@ -544,35 +527,46 @@ func (c *BandCholesky) InverseBlock(lo, size int, z []float64) error {
 		return fmt.Errorf("band inverse block rows [%d,%d) n=%d, z=%d: %w", lo, lo+size, c.n, len(z), ErrDimensionMismatch)
 	}
 	bw := c.bw
-	w1 := bw + 1
 	l, last := c.l, c.env.last
 	// Row j of the recurrence, for j ≤ i < size (block-local indices):
-	// Z_ji = (δ_ji/L_jj − Σ_{j<k≤last(j)} L_kj·Z_ik) / L_jj. Column j of L
-	// is gathered once per row; Z_ik (= Z_ki, written mirrored) is then a
-	// contiguous run of row i.
+	// Z_ji = (δ_ji/L_jj − Σ_{j<k≤last(j)} L_kj·Z_ik) / L_jj. Columns of
+	// 1…maxKernelBW entries run the straight-line kernels of band_gen.go.
 	for j := size - 1; j >= 0; j-- {
 		gj := lo + j
 		kmax := min(last[gj]-lo, size-1)
-		col := c.col[:kmax-j]
-		for k := range col {
-			gk := gj + 1 + k
-			col[k] = l[gk*w1+gj-gk+bw]
-		}
-		dj := c.dinv[gj]
-		for i := size - 1; i >= j; i-- {
-			s := 0.0
-			if i == j {
-				s = dj
-			}
-			zi := z[i*size+j+1 : i*size+kmax+1]
-			zi = zi[:len(col)]
-			for k, v := range col {
-				s -= v * zi[k]
-			}
-			v := s * dj
-			z[j*size+i] = v
-			z[i*size+j] = v
+		if !inverseColumnShort(l, z, bw, gj, j, kmax-j, size, c.dinv[gj]) {
+			c.inverseColumn(lo, size, j, kmax, z)
 		}
 	}
 	return nil
+}
+
+// inverseColumn runs column j of InverseBlock's recurrence, whose entries
+// below the diagonal reach block row kmax, for any column length.
+// Column j of L is gathered once; Z_ik (= Z_ki, written mirrored) is then
+// a contiguous run of row i.
+func (c *BandCholesky) inverseColumn(lo, size, j, kmax int, z []float64) {
+	bw := c.bw
+	w1 := bw + 1
+	gj := lo + j
+	col := c.col[:kmax-j]
+	for k := range col {
+		gk := gj + 1 + k
+		col[k] = c.l[gk*w1+gj-gk+bw]
+	}
+	dj := c.dinv[gj]
+	for i := size - 1; i >= j; i-- {
+		s := 0.0
+		if i == j {
+			s = dj
+		}
+		zi := z[i*size+j+1 : i*size+kmax+1]
+		zi = zi[:len(col)]
+		for k, v := range col {
+			s -= v * zi[k]
+		}
+		v := s * dj
+		z[j*size+i] = v
+		z[i*size+j] = v
+	}
 }

@@ -214,7 +214,7 @@ func (m *SparseMatrix) MulVec(x Vector, y Vector) error {
 		// short-row dispatches here, in MulVecT and in AtATWeightedBand
 		// are kept by measurement: deleting them with the bw-2 band
 		// kernels cost game-fig7 p50 121.4 → 132.9 ms and work
-		// 13.28 → 14.77 s (see BandCholesky.factorizeBW2).
+		// 13.28 → 14.77 s (DESIGN.md §9).
 		switch hi - lo {
 		case 1:
 			s += vals[lo] * x[colIdx[lo]]

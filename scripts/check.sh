@@ -17,6 +17,13 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== generated band kernels =="
+# internal/linalg/band_gen.go is written by gen_band.go; regenerating it
+# must leave the checked-in file as it is.
+go generate ./internal/linalg
+git diff --exit-code -- internal/linalg/band_gen.go || {
+	echo "band_gen.go is stale: run go generate ./internal/linalg"; exit 1; }
+
 echo "== benchmark module (vet + test) =="
 # benchmark/ is its own module, which the root ./... does not reach; it
 # calls the exported API, so a removed name it still uses must fail here.
