@@ -16,7 +16,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -214,8 +213,8 @@ func registry() []experiment {
 			fmt.Println(r.Fault.DegradationSummary())
 			return r.Table, r.Check(), nil
 		}},
-		{"decomp-scaling", func(int64, int) (*experiments.Table, error, error) {
-			r, err := experiments.DecompScaling(context.Background(), false)
+		{"continental-scaling", func(int64, int) (*experiments.Table, error, error) {
+			r, err := experiments.ContinentalScaling(context.Background(), experiments.ContinentalScalingCases(false))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -239,8 +238,7 @@ func run(args []string) error {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	telemetryAddr := fs.String("telemetry-addr", "", "serve /metrics, /statusz, /debug/vars and /debug/pprof on this address while the suite runs")
-	benchOut := fs.String("bench-out", "", "decomp-scaling: write the measured records as a JSON array to this file")
-	benchFull := fs.Bool("bench-full", false, "decomp-scaling: run the full continental sizes (n≥1000; the monolithic references take minutes)")
+	benchFull := fs.Bool("bench-full", false, "continental-scaling: add the n500, n1000 and n2000 solves and the n1000 time bound")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -265,36 +263,23 @@ func run(args []string) error {
 			}
 		}()
 	}
-	// The scaling benchmark takes its size and output options from the
-	// bench flags, so it runs outside the fixed registry signature.
-	if *benchOut != "" || *benchFull {
-		if !strings.EqualFold(*fig, "decomp-scaling") {
-			return fmt.Errorf("-bench-out/-bench-full require -fig decomp-scaling")
+	// The full scaling curve takes its size from -bench-full, so it runs
+	// outside the fixed registry signature.
+	if *benchFull {
+		if !strings.EqualFold(*fig, "continental-scaling") {
+			return fmt.Errorf("-bench-full requires -fig continental-scaling")
 		}
-		r, err := experiments.DecompScaling(context.Background(), *benchFull)
+		r, err := experiments.ContinentalScaling(context.Background(), experiments.ContinentalScalingCases(true))
 		if err != nil {
-			return fmt.Errorf("decomp-scaling: %w", err)
+			return fmt.Errorf("continental-scaling: %w", err)
 		}
-		table, shapeErr, records := r.Table, r.Check(), r.Records
-		fmt.Println(table.Render())
+		fmt.Println(r.Table.Render())
+		shapeErr := r.Check()
 		if shapeErr != nil {
-			fmt.Printf("shape check [%s]: FAIL: %v\n\n", strings.ToLower(*fig), shapeErr)
+			fmt.Printf("shape check [continental-scaling]: FAIL: %v\n\n", shapeErr)
 		} else {
-			fmt.Printf("shape check [%s]: PASS\n\n", strings.ToLower(*fig))
+			fmt.Printf("shape check [continental-scaling]: PASS\n\n")
 		}
-		if *benchOut != "" {
-			data, err := json.MarshalIndent(records, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*benchOut, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *benchOut)
-		}
-		// Unlike the interactive registry loop, the recording path must not
-		// exit clean on a failed curve: bench.sh would commit a bad record.
-		// The JSON is still written above for post-mortem.
 		return shapeErr
 	}
 	ran := 0

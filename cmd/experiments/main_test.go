@@ -17,7 +17,7 @@ func TestRegistryComplete(t *testing.T) {
 		"game-receding": false, "extension-pooling": false,
 		"validate-endtoend": false, "ablation-integer": false, "poa": false,
 		"predictors": false, "extension-spot": false, "robust-outage": false,
-		"decomp-scaling": false,
+		"continental-scaling": false,
 	}
 	for _, e := range reg {
 		if _, ok := want[e.name]; !ok {

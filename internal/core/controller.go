@@ -21,10 +21,11 @@ type Controller struct {
 	horizon int
 	opts    qp.Options
 	state   State
-	// hard and soft are the horizon sessions the steps solve on, each
-	// built on first use: hard at the first step, soft at the first soft
-	// rung. Keeping them across steps keeps the solver state and the plan
-	// arenas live, so a warm step allocates almost nothing.
+	// hard and soft are the horizon sessions the steps solve on. The
+	// first step builds hard, and soft too under a budget; an unbudgeted
+	// controller builds soft at its first soft rung. Keeping them across
+	// steps keeps the solver state and the plan arenas live, so a warm
+	// step allocates almost nothing.
 	hard, soft *HorizonSession
 	// warm carries the previous step's QP iterates; each MPC step seeds
 	// its solve from the prior plan shifted by one period, which cuts
@@ -264,9 +265,26 @@ func (c *Controller) stepCtx(ctx context.Context, demand, prices [][]float64) (*
 		return nil, fmt.Errorf("forecasts cover %d/%d periods, horizon %d: %w",
 			len(demand), len(prices), c.horizon, ErrBadInput)
 	}
+	budgeted := c.budget > 0
+	// The sessions are built before the budget clock starts: the budget
+	// covers solving, not their one-time construction. A budgeted
+	// controller builds the soft session here too, so the soft rung's
+	// share is not spent building it.
+	if c.hard == nil {
+		hard, err := c.inst.NewHorizonSession(c.horizon, c.opts)
+		if err != nil {
+			return nil, err
+		}
+		hard.SetAnytime(budgeted)
+		c.hard = hard
+	}
+	if budgeted {
+		if _, err := c.softSession(); err != nil {
+			return nil, err
+		}
+	}
 	// The budget clock starts before the injected stall: the stall models
 	// solver latency, so it consumes the step's allowance like real work.
-	budgeted := c.budget > 0
 	var stepStart time.Time
 	var holdFloor time.Duration
 	if budgeted {
@@ -282,14 +300,6 @@ func (c *Controller) stepCtx(ctx context.Context, demand, prices [][]float64) (*
 		Prices:    prices[:c.horizon],
 		Warm:      c.warm,
 		WarmShift: 1,
-	}
-	if c.hard == nil {
-		hard, err := c.inst.NewHorizonSession(c.horizon, c.opts)
-		if err != nil {
-			return nil, err
-		}
-		hard.SetAnytime(budgeted)
-		c.hard = hard
 	}
 	var deg Degradation
 	solveCtx := ctx
@@ -398,9 +408,8 @@ func (c *Controller) stepCtx(ctx context.Context, demand, prices [][]float64) (*
 	}, nil
 }
 
-// solveSoft solves the soft relaxation of input (cold: the soft session
-// ignores input.Warm), building the soft session on first use.
-func (c *Controller) solveSoft(ctx context.Context, input HorizonInput) (*Plan, error) {
+// softSession returns the soft session, building it on first use.
+func (c *Controller) softSession() (*HorizonSession, error) {
 	if c.soft == nil {
 		soft, err := c.inst.newHorizonSession(c.horizon, c.opts, true)
 		if err != nil {
@@ -408,5 +417,15 @@ func (c *Controller) solveSoft(ctx context.Context, input HorizonInput) (*Plan, 
 		}
 		c.soft = soft
 	}
-	return c.soft.SolveCtx(ctx, input)
+	return c.soft, nil
+}
+
+// solveSoft solves the soft relaxation of input (cold: the soft session
+// ignores input.Warm).
+func (c *Controller) solveSoft(ctx context.Context, input HorizonInput) (*Plan, error) {
+	soft, err := c.softSession()
+	if err != nil {
+		return nil, err
+	}
+	return soft.SolveCtx(ctx, input)
 }

@@ -98,16 +98,6 @@ func (d Degradation) String() string {
 	return s
 }
 
-// ProjectPlanCapacity projects a partial-iterate (anytime) plan onto the
-// instance's current capacities, making it implementable. Exported for
-// deadline-bounded callers outside the package — the decomposition
-// coordinator projects a deadline-stopped shard's best iterate onto its
-// capacity quota before gathering it into the global plan. Returns the
-// servers trimmed from the applied step.
-func (in *Instance) ProjectPlanCapacity(plan *Plan, x0 State, prices [][]float64) float64 {
-	return in.projectPlanCapacity(plan, x0, prices)
-}
-
 // projectPlanCapacity makes a partial-iterate plan implementable: every
 // planned state whose per-DC load exceeds the capacity is scaled back
 // proportionally (the same rule as holdProjection), the controls are

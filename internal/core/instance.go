@@ -239,9 +239,8 @@ func (in *Instance) Support() SupportStats {
 }
 
 // FeasibleDCs appends to dst the data-center indices that can serve
-// location v within the SLA (ascending) and returns the extended slice.
-// It exposes the support adjacency to the geographic decomposition layer
-// without copying the instance internals; dst may be nil.
+// location v within the SLA (ascending) and returns the extended slice;
+// dst may be nil.
 func (in *Instance) FeasibleDCs(v int, dst []int) []int {
 	if v < 0 || v >= in.v {
 		return dst

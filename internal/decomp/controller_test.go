@@ -1,7 +1,6 @@
 package decomp
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -98,60 +97,6 @@ func TestControllerForwardsToCoreBitwise(t *testing.T) {
 		if shim.LastSolution() != nil {
 			t.Fatalf("period %d: LastSolution() != nil", k)
 		}
-	}
-}
-
-// TestSolverTraceCriticalPaths runs one traced coordinated solve and
-// reconstructs its critical path from the trace: one path per
-// coordination, one step per round, each step a real shard solve that
-// fits inside the coordination's wall time. The coordination gauge and
-// counters must agree with the solution.
-func TestSolverTraceCriticalPaths(t *testing.T) {
-	scn, err := NewScenario(ScenarioConfig{Locations: 120, DCSites: 12, Seed: 42, Horizon: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := NewPartition(scn.Inst, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trace bytes.Buffer
-	hub := telemetry.New(telemetry.WithTraceWriter(&trace))
-	solver, err := NewSolver(scn.Inst, 2, part, Options{Telemetry: hub})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := solver.SolveCtx(context.Background(), scn.Inst.NewState(), scn.Demand, scn.Prices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, err := telemetry.ReadTrace(&trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths := telemetry.CriticalPaths(events)
-	if len(paths) != 1 {
-		t.Fatalf("%d critical paths, want 1", len(paths))
-	}
-	p := paths[0]
-	if p.Rounds != sol.Rounds || p.Shards != len(part.Shards) || len(p.Steps) != sol.Rounds {
-		t.Fatalf("path rounds=%d shards=%d steps=%d, want %d rounds of %d shards",
-			p.Rounds, p.Shards, len(p.Steps), sol.Rounds, len(part.Shards))
-	}
-	if p.CriticalUS <= 0 || p.CriticalUS > p.DurUS {
-		t.Fatalf("degenerate path: critical %dus of %dus", p.CriticalUS, p.DurUS)
-	}
-	for _, st := range p.Steps {
-		if st.Shard < 0 || st.Shard >= len(part.Shards) || st.Solves != len(part.Shards) {
-			t.Fatalf("degenerate step %+v", st)
-		}
-	}
-	reg := hub.Registry()
-	if v := reg.Gauge(telemetry.MetricDecompShards).Value(); v != float64(len(part.Shards)) {
-		t.Fatalf("dspp_decomp_shards = %g, want %d", v, len(part.Shards))
-	}
-	if v := reg.Counter(telemetry.MetricCoordinationRounds).Value(); v != float64(sol.Rounds) {
-		t.Fatalf("dspp_coordination_rounds_total = %g, want %d", v, sol.Rounds)
 	}
 }
 

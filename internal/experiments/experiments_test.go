@@ -1,12 +1,17 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
+	"dspp/internal/core"
+	"dspp/internal/decomp"
 	"dspp/internal/game"
+	"dspp/internal/qp"
 	"dspp/internal/telemetry"
 )
 
@@ -423,5 +428,80 @@ func TestOutageRecovery(t *testing.T) {
 	// The no-fault companion run must be clean end to end.
 	if got := r.NoFault.DegradationSummary(); got != "mpc-w6: all 30 steps clean" {
 		t.Errorf("no-fault summary = %q", got)
+	}
+}
+
+// TestContinentalScaling runs the smoke curve's n120 point and drives
+// the shape check's failure paths: a plan the instance check rejects and
+// a solve over its time bound.
+func TestContinentalScaling(t *testing.T) {
+	cases := ContinentalScalingCases(false)[:1]
+	r, err := ContinentalScaling(context.Background(), cases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Check(); err != nil {
+		t.Fatal(err)
+	}
+	rec := r.Records[0]
+	if rec.Pairs <= rec.Locations || rec.Iterations <= 0 || rec.Seconds <= 0 || rec.Objective <= 0 {
+		t.Fatalf("implausible record %+v", rec)
+	}
+
+	bounded := *r
+	bounded.Records = []ContinentalScalingRecord{rec}
+	bounded.Records[0].Bound = time.Nanosecond
+	if err := bounded.Check(); !errors.Is(err, ErrShape) {
+		t.Errorf("solve over its bound: Check = %v, want ErrShape", err)
+	}
+	bad := *r
+	bad.Records = []ContinentalScalingRecord{rec}
+	bad.Records[0].Problem = errors.New("over capacity")
+	if err := bad.Check(); !errors.Is(err, ErrShape) {
+		t.Errorf("infeasible plan: Check = %v, want ErrShape", err)
+	}
+
+	scn, err := decomp.NewScenario(decomp.ScenarioConfig{Locations: 120, DCSites: 12, Seed: 41, Horizon: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := scn.Inst
+	ses, err := inst.NewHorizonSession(2, qp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := ses.SolveCtx(context.Background(), core.HorizonInput{X0: inst.NewState(), Demand: scn.Demand, Prices: scn.Prices})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkContinentalPlan(inst, plan.X[0], scn.Demand[0]); err != nil {
+		t.Fatalf("solved plan rejected: %v", err)
+	}
+	// A served pair is a nonzero allocation on a feasible pair.
+	l, v := -1, -1
+	for i, row := range plan.X[0] {
+		for j, x := range row {
+			if x > 1 && l < 0 {
+				l, v = i, j
+			}
+		}
+	}
+	if l < 0 {
+		t.Fatal("plan serves no pair")
+	}
+	c, err := inst.Capacity(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(core.State){
+		"negative":      func(x core.State) { x[l][v] = -1 },
+		"over capacity": func(x core.State) { x[l][v] += c },
+		"sla shortfall": func(x core.State) { x[l][v] /= 2 },
+	} {
+		x := plan.X[0].Clone()
+		mutate(x)
+		if err := checkContinentalPlan(inst, x, scn.Demand[0]); err == nil {
+			t.Errorf("%s: plan accepted", name)
+		}
 	}
 }

@@ -52,10 +52,6 @@ const (
 	MetricDaemonCheckpointSeconds = "dspp_daemon_checkpoint_seconds"
 	MetricDaemonCheckpointBytes   = "dspp_daemon_checkpoint_bytes"
 
-	MetricDecompShards       = "dspp_decomp_shards"
-	MetricCoordinationRounds = "dspp_coordination_rounds_total"
-	MetricShardSolves        = "dspp_decomp_shard_solves_total"
-
 	MetricGameRuns            = "dspp_game_runs_total"
 	MetricGameRounds          = "dspp_game_rounds_total"
 	MetricGameConverged       = "dspp_game_converged_total"
@@ -68,12 +64,16 @@ const (
 	SpanRun               = "run"
 	SpanPeriod            = "period"
 	SpanMPCStep           = "mpc_step"
-	SpanCoordinate        = "coordinate"
-	SpanShardSolve        = "shard_solve"
 	SpanQPSolve           = "qp_solve"
 	SpanGameRun           = "game_run"
 	SpanBestResponse      = "best_response"
 	SpanBestResponseRound = "best_response_round"
+
+	// SpanCoordinate and SpanShardSolve named the spans of the retired
+	// coordinated solver. Nothing emits them; CriticalPaths still reads
+	// them, for the benchmark module.
+	SpanCoordinate = "coordinate"
+	SpanShardSolve = "shard_solve"
 )
 
 // qpIterBuckets is the fixed bucket layout for per-solve IPM iteration

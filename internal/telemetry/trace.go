@@ -169,9 +169,10 @@ type CoordinationPath struct {
 // CriticalPaths analyzes the span tree of a decoded trace: for every
 // coordinate span, its shard_solve children are grouped by round and
 // the latest-finishing (longest) solve per round becomes the critical
-// step. Coordinations without shard_solve children (monolithic runs,
-// pre-provenance traces) yield no entry. Paths come back in trace
-// order.
+// step. Coordinations without shard_solve children yield no entry.
+// Paths come back in trace order. Since the coordinated solver was
+// retired no run emits these spans, so on a current trace the result is
+// empty; the function stays for the benchmark module.
 func CriticalPaths(events []TraceEvent) []CoordinationPath {
 	children := make(map[uint64][]*TraceEvent)
 	for i := range events {
