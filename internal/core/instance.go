@@ -238,32 +238,6 @@ func (in *Instance) Support() SupportStats {
 	return st
 }
 
-// FeasibleDCs appends to dst the data-center indices that can serve
-// location v within the SLA (ascending) and returns the extended slice;
-// dst may be nil.
-func (in *Instance) FeasibleDCs(v int, dst []int) []int {
-	if v < 0 || v >= in.v {
-		return dst
-	}
-	for _, pr := range in.locPairs[v] {
-		dst = append(dst, pr.l)
-	}
-	return dst
-}
-
-// FeasibleLocations appends to dst the location indices data center l can
-// serve within the SLA (ascending) and returns the extended slice; dst
-// may be nil.
-func (in *Instance) FeasibleLocations(l int, dst []int) []int {
-	if l < 0 || l >= in.l {
-		return dst
-	}
-	for _, pr := range in.dcPairs[l] {
-		dst = append(dst, pr.v)
-	}
-	return dst
-}
-
 // SLAConfig builds the SLA coefficient matrix from a latency matrix and a
 // uniform queueing configuration, excluding pairs the SLA can never admit
 // (a^lv = +Inf), per paper eq. 10.
@@ -373,23 +347,6 @@ func (in *Instance) SetCapacities(caps []float64) error {
 	}
 	copy(in.capacity, caps)
 	return nil
-}
-
-// WithCapacities returns a copy of the instance with new per-DC capacities
-// (used by the competition game to impose per-provider quotas).
-func (in *Instance) WithCapacities(caps []float64) (*Instance, error) {
-	if len(caps) != in.l {
-		return nil, fmt.Errorf("capacities %d, want %d: %w", len(caps), in.l, ErrBadInstance)
-	}
-	sla := make([][]float64, in.l)
-	for l := range sla {
-		sla[l] = append([]float64(nil), in.a[l]...)
-	}
-	return NewInstance(Config{
-		SLA:             sla,
-		ReconfigWeights: append([]float64(nil), in.reconfig...),
-		Capacities:      append([]float64(nil), caps...),
-	})
 }
 
 // State is a dense L×V server allocation, indexed x[l][v]. Infeasible

@@ -113,26 +113,6 @@ func TestSLAMatrix(t *testing.T) {
 	}
 }
 
-func TestWithCapacities(t *testing.T) {
-	inst := twoByTwo(t)
-	inst2, err := inst.WithCapacities([]float64{5, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _ := inst2.Capacity(1)
-	if c != 7 {
-		t.Errorf("new capacity = %g", c)
-	}
-	// Original untouched.
-	c, _ = inst.Capacity(1)
-	if c != 100 {
-		t.Errorf("original capacity mutated: %g", c)
-	}
-	if _, err := inst.WithCapacities([]float64{1}); !errors.Is(err, ErrBadInstance) {
-		t.Errorf("mismatch err = %v", err)
-	}
-}
-
 func TestStateHelpers(t *testing.T) {
 	inst := twoByTwo(t)
 	s := inst.NewState()

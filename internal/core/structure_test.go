@@ -80,14 +80,10 @@ func fig7Provider(t *testing.T) *core.Instance {
 // pair order (DC-major).
 func pairList(inst *core.Instance) [][2]int {
 	var out [][2]int
-	var buf []int
 	for l := 0; l < inst.NumDataCenters(); l++ {
 		for v := 0; v < inst.NumLocations(); v++ {
-			buf = inst.FeasibleDCs(v, buf[:0])
-			for _, fl := range buf {
-				if fl == l {
-					out = append(out, [2]int{l, v})
-				}
+			if inst.Feasible(l, v) {
+				out = append(out, [2]int{l, v})
 			}
 		}
 	}
@@ -140,11 +136,11 @@ func checkStructure(t *testing.T, name string, inst *core.Instance, w int, soft 
 	}
 
 	served := make([]int, inst.NumDataCenters())
-	var buf []int
-	for v := 0; v < inst.NumLocations(); v++ {
-		buf = inst.FeasibleDCs(v, buf[:0])
-		for _, l := range buf {
-			served[l]++
+	for l := range served {
+		for v := 0; v < inst.NumLocations(); v++ {
+			if inst.Feasible(l, v) {
+				served[l]++
+			}
 		}
 	}
 	linking := make(map[int]bool)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"dspp/internal/core"
 	"dspp/internal/parallel"
 	"dspp/internal/qp"
 	"dspp/internal/telemetry"
@@ -41,12 +40,6 @@ type BestResponseConfig struct {
 	// counters, the per-SP relative cost-delta histogram, and the QP
 	// solver's own counters. Nil disables instrumentation.
 	Telemetry *telemetry.Hub
-
-	// initialWarms optionally seeds round 0 of each provider's solve
-	// (shifted by initialWarmShift periods); used by the receding-horizon
-	// loop to chain warm starts across control periods.
-	initialWarms     []*core.HorizonWarm
-	initialWarmShift int
 }
 
 // minQuota floors each provider's per-DC quota, as a fraction of the DC
@@ -80,10 +73,6 @@ type BestResponseResult struct {
 	Converged bool
 	// Total is the final total cost Σᵢ Jᵢ.
 	Total float64
-
-	// finalWarms holds each provider's last QP iterates; the
-	// receding-horizon loop shifts them into the next period's round 0.
-	finalWarms []*core.HorizonWarm
 }
 
 // BestResponse runs the paper's Algorithm 2. Each round, every provider
@@ -105,19 +94,28 @@ func BestResponse(s *Scenario, cfg BestResponseConfig) (*BestResponseResult, err
 // contract); callers must treat such a result as a snapshot, not an
 // equilibrium.
 func BestResponseCtx(ctx context.Context, s *Scenario, cfg BestResponseConfig) (*BestResponseResult, error) {
-	if err := s.Validate(); err != nil {
+	players, err := s.players()
+	if err != nil {
 		return nil, err
 	}
+	return play(ctx, s.Capacity, players, cfg)
+}
+
+// play runs Algorithm 2 on the players from the initial quotas. The
+// players' sessions outlive the call only in a receding run, which reads
+// the result before its next period solves on them, so the plans the
+// result references stay intact for as long as a caller can see them.
+func play(ctx context.Context, capacity []float64, players []*player, cfg BestResponseConfig) (*BestResponseResult, error) {
 	cfg = cfg.withDefaults()
-	n := len(s.Providers)
-	l := len(s.Capacity)
+	n := len(players)
+	l := len(capacity)
 
 	// Initial quotas: equal split of each capacitated DC, or the caller's
 	// normalized split.
 	quotas := make([][]float64, n)
 	for i := range quotas {
 		quotas[i] = make([]float64, l)
-		for li, c := range s.Capacity {
+		for li, c := range capacity {
 			if math.IsInf(c, 1) {
 				quotas[i][li] = math.Inf(1)
 			} else {
@@ -130,7 +128,7 @@ func BestResponseCtx(ctx context.Context, s *Scenario, cfg BestResponseConfig) (
 			return nil, fmt.Errorf("initial quotas for %d providers, want %d: %w",
 				len(cfg.InitialQuotas), n, ErrBadScenario)
 		}
-		for li, c := range s.Capacity {
+		for li, c := range capacity {
 			if math.IsInf(c, 1) {
 				continue
 			}
@@ -202,24 +200,29 @@ func BestResponseCtx(ctx context.Context, s *Scenario, cfg BestResponseConfig) (
 	var outBufs [2][]Outcome
 	outBufs[0] = make([]Outcome, n)
 	outBufs[1] = make([]Outcome, n)
-	// Per-provider persistent sessions: across rounds only the quota
-	// values move, so each provider's horizon QP keeps its structure,
-	// interior-point state, and factorization storage alive for the whole
-	// game. Sessions are confined to this call — nothing solves on them
-	// after return, so the plans the result references stay intact.
-	sessions := make([]*core.HorizonSession, n)
-	sesInsts := make([]*core.Instance, n)
-	// Warm starts: round 0 may be seeded by the caller (receding-horizon
-	// chaining); later rounds reuse each provider's previous solution —
-	// only the quotas move between rounds, so the previous plan is an
-	// excellent starting point and cuts interior-point iterations hard.
-	warms := make([]*core.HorizonWarm, n)
-	warmShift := 0
-	if cfg.initialWarms != nil && len(cfg.initialWarms) == n {
-		copy(warms, cfg.initialWarms)
-		warmShift = cfg.initialWarmShift
+	// Per-SP best responses are independent given the quotas: each round
+	// fans respond out on a bounded pool and collects by index
+	// (determinism contract). It is built once, so a warm round allocates
+	// nothing.
+	var roundCtx context.Context
+	var outcomes []Outcome
+	respond := func(i int) error {
+		pl := players[i]
+		plan, err := pl.solve(roundCtx, quotas[i], qpOpts)
+		if err != nil {
+			return fmt.Errorf("provider %d (%s): %w", i, pl.p.Name, err)
+		}
+		outcomes[i] = Outcome{U: plan.U, X: plan.X, Cost: plan.Objective}
+		// The plan reports duals of the server-count constraint
+		// (quota/sᵢ slots); one capacity unit buys 1/sᵢ servers, so the
+		// marginal value of quota is the dual divided by sᵢ.
+		plan.TotalCapacityDualsInto(duals[i])
+		for li := range duals[i] {
+			duals[i][li] /= pl.p.ServerSize
+		}
+		totals[i] = plan.Objective
+		return nil
 	}
-
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			wrapped := fmt.Errorf("round %d: %w", iter, err)
@@ -231,28 +234,9 @@ func BestResponseCtx(ctx context.Context, s *Scenario, cfg BestResponseConfig) (
 		mRounds.Inc()
 		roundSpan := hub.Tracer().Start(telemetry.SpanBestResponseRound, brSpan.ID(),
 			telemetry.Num("round", float64(iter)))
-		roundCtx := telemetry.ContextWithSpan(ctx, roundSpan)
-		outcomes := outBufs[iter&1]
-		// Per-SP best responses are independent given the quotas: fan out
-		// on a bounded pool, collect by index (determinism contract).
-		err := parallel.ForEachCtx(roundCtx, n, cfg.Parallel, func(i int) error {
-			p := s.Providers[i]
-			plan, err := solveProvider(roundCtx, sessions, sesInsts, i, p, quotas[i], qpOpts, warms[i], warmShift)
-			if err != nil {
-				return fmt.Errorf("round %d provider %d (%s): %w", iter, i, p.Name, err)
-			}
-			outcomes[i] = Outcome{U: plan.U, X: plan.X, Cost: plan.Objective}
-			warms[i] = plan.Warm
-			// The plan reports duals of the server-count constraint
-			// (quota/sᵢ slots); one capacity unit buys 1/sᵢ servers, so
-			// the marginal value of quota is the dual divided by sᵢ.
-			plan.TotalCapacityDualsInto(duals[i])
-			for li := range duals[i] {
-				duals[i][li] /= p.ServerSize
-			}
-			totals[i] = plan.Objective
-			return nil
-		})
+		roundCtx = telemetry.ContextWithSpan(ctx, roundSpan)
+		outcomes = outBufs[iter&1]
+		err := parallel.ForEachCtx(roundCtx, n, cfg.Parallel, respond)
 		if err != nil {
 			roundSpan.SetAttr(telemetry.Str("outcome", "error"))
 			roundSpan.End()
@@ -263,9 +247,8 @@ func BestResponseCtx(ctx context.Context, s *Scenario, cfg BestResponseConfig) (
 			if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) && iter > 0 {
 				return res, fmt.Errorf("round %d: %w", iter, ctxErr)
 			}
-			return nil, err
+			return nil, fmt.Errorf("round %d %w", iter, err)
 		}
-		warmShift = 0
 		var total float64
 		for _, t := range totals {
 			total += t
@@ -274,7 +257,6 @@ func BestResponseCtx(ctx context.Context, s *Scenario, cfg BestResponseConfig) (
 		res.Total = total
 		res.Iterations = iter + 1
 		res.CostHistory = append(res.CostHistory, total)
-		res.finalWarms = warms
 		if havePrev {
 			// Per-SP relative cost movement this round — the contraction
 			// the ε-stability test watches.
@@ -317,10 +299,10 @@ func BestResponseCtx(ctx context.Context, s *Scenario, cfg BestResponseConfig) (
 			alpha /= math.Sqrt(1 + cfg.StepDecay*float64(iter))
 		}
 		for li := 0; li < l; li++ {
-			if math.IsInf(s.Capacity[li], 1) {
+			if math.IsInf(capacity[li], 1) {
 				continue
 			}
-			floor := minQuota * s.Capacity[li]
+			floor := minQuota * capacity[li]
 			var sum float64
 			for i := range quotas {
 				raw[i] = quotas[i][li] + alpha*duals[i][li]
@@ -330,41 +312,11 @@ func BestResponseCtx(ctx context.Context, s *Scenario, cfg BestResponseConfig) (
 				sum += raw[i]
 			}
 			for i := range quotas {
-				quotas[i][li] = raw[i] * s.Capacity[li] / sum
+				quotas[i][li] = raw[i] * capacity[li] / sum
 			}
 		}
 	}
 	return res, fmt.Errorf("after %d rounds (ε=%g): %w", cfg.MaxIterations, cfg.Epsilon, ErrNotConverged)
-}
-
-// solveProvider solves provider i's DSPP under the given quotas,
-// optionally warm-started from a previous plan shifted by warmShift,
-// through the provider's persistent HorizonSession. It builds the session
-// on first use and rebuilds it if the provider's instance was
-// reconstructed (a changed capacitated set — impossible mid-game, where
-// quotas stay finite and positive on a fixed set, but cheap to guard).
-// The session keeps the QP state, factorization, and plan storage alive
-// between rounds; its solves are bit-identical to those of a fresh
-// session on the same horizon QP.
-func solveProvider(ctx context.Context, sessions []*core.HorizonSession, sesInsts []*core.Instance, i int, p *Provider, quota []float64, opts qp.Options, warm *core.HorizonWarm, warmShift int) (*core.Plan, error) {
-	inst, err := p.instance(quota)
-	if err != nil {
-		return nil, err
-	}
-	if sessions[i] == nil || sesInsts[i] != inst {
-		ses, err := inst.NewHorizonSession(len(p.Demand), opts)
-		if err != nil {
-			return nil, err
-		}
-		sessions[i], sesInsts[i] = ses, inst
-	}
-	return sessions[i].SolveCtx(ctx, core.HorizonInput{
-		X0:        p.x0(),
-		Demand:    p.Demand,
-		Prices:    p.Prices,
-		Warm:      warm,
-		WarmShift: warmShift,
-	})
 }
 
 // EfficiencyRatio returns NE-total-cost / SWP-total-cost: the realized

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"dspp/internal/core"
@@ -114,7 +115,11 @@ func TestSWPUncapacitatedMatchesIndependentSolves(t *testing.T) {
 	}
 	var independent float64
 	for _, p := range s.Providers {
-		inst, err := p.instance([]float64{math.Inf(1), math.Inf(1)})
+		inst, err := core.NewInstance(core.Config{
+			SLA:             p.SLA,
+			ReconfigWeights: p.ReconfigWeights,
+			Capacities:      []float64{math.Inf(1), math.Inf(1)},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +127,7 @@ func TestSWPUncapacitatedMatchesIndependentSolves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := ses.Solve(core.HorizonInput{X0: p.x0(), Demand: p.Demand, Prices: p.Prices})
+		plan, err := ses.Solve(core.HorizonInput{X0: inst.NewState(), Demand: p.Demand, Prices: p.Prices})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,6 +393,49 @@ func TestBestResponseInitialQuotaValidation(t *testing.T) {
 	for i, init := range cases {
 		if _, err := BestResponse(s, BestResponseConfig{InitialQuotas: init}); !errors.Is(err, ErrBadScenario) {
 			t.Errorf("case %d err = %v, want ErrBadScenario", i, err)
+		}
+	}
+}
+
+// TestConcurrentGamesShareScenario runs best-response games and the
+// social-welfare solve concurrently on one scenario. The scenario is
+// read-only input: each game builds its own per-provider solver state, so
+// under -race this must report no data race, and every concurrent game
+// must match the sequential one bit for bit.
+func TestConcurrentGamesShareScenario(t *testing.T) {
+	s := twoProviderScenario(3, 10)
+	cfg := BestResponseConfig{Epsilon: 0.001, Parallel: 1}
+	want, err := BestResponse(twoProviderScenario(3, 10), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	totals := make([]float64, 2)
+	for g := 0; g < 2; g++ {
+		wg.Add(2)
+		go func(g int) {
+			defer wg.Done()
+			res, err := BestResponse(s, cfg)
+			if err == nil {
+				totals[g] = res.Total
+			}
+			errs[2*g] = err
+		}(g)
+		go func(g int) {
+			defer wg.Done()
+			_, errs[2*g+1] = SolveSocialWelfare(s)
+		}(g)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", i, err)
+		}
+	}
+	for g, total := range totals {
+		if total != want.Total {
+			t.Errorf("concurrent game %d total %v, sequential %v", g, total, want.Total)
 		}
 	}
 }

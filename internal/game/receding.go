@@ -87,14 +87,25 @@ func RunRecedingCtx(ctx context.Context, capacity []float64, providers []*Dynami
 		}
 	}
 
-	// Current states, starting from X0 (or zeros).
-	states := make([]core.State, n)
+	// One player per provider for the whole run: each period's window
+	// changes only the forecasts and the start state, so every period's
+	// rounds solve on the same instances and sessions.
+	window := make([]*Provider, n)
 	for i, p := range providers {
-		if p.X0 != nil {
-			states[i] = p.X0.Clone()
-		} else {
-			states[i] = zeroState(len(p.SLA), len(p.SLA[0]))
+		window[i] = &Provider{
+			Name:            p.Name,
+			SLA:             p.SLA,
+			ReconfigWeights: p.ReconfigWeights,
+			ServerSize:      p.ServerSize,
+			X0:              p.X0,
+			Demand:          p.Demand[1 : 1+cfg.Window],
+			Prices:          p.Prices[1 : 1+cfg.Window],
 		}
+	}
+	scen := &Scenario{Capacity: capacity, Providers: window}
+	players, err := scen.players()
+	if err != nil {
+		return nil, fmt.Errorf("period 0: %w", err)
 	}
 
 	res := &RecedingResult{
@@ -113,32 +124,24 @@ func RunRecedingCtx(ctx context.Context, capacity []float64, providers []*Dynami
 		runSpan.SetAttr(telemetry.Num("total_cost", res.Total))
 		runSpan.End()
 	}()
-	// Each period's round 0 warm-starts from the previous period's final
-	// plans shifted by one period (the horizon recedes by exactly one).
-	brCfg := cfg.BestResponse
 	for k := 0; k < cfg.Periods; k++ {
-		// Build the window scenario: forecasts for periods k+1 .. k+W.
-		window := make([]*Provider, n)
+		// The window covers forecasts for periods k+1 .. k+W. Round 0
+		// warm-starts from the previous period's final plan shifted by one
+		// period, since the horizon recedes by exactly one.
 		for i, p := range providers {
-			window[i] = &Provider{
-				Name:            p.Name,
-				SLA:             p.SLA,
-				ReconfigWeights: p.ReconfigWeights,
-				ServerSize:      p.ServerSize,
-				X0:              states[i],
-				Demand:          p.Demand[k+1 : k+1+cfg.Window],
-				Prices:          p.Prices[k+1 : k+1+cfg.Window],
-			}
+			window[i].Demand = p.Demand[k+1 : k+1+cfg.Window]
+			window[i].Prices = p.Prices[k+1 : k+1+cfg.Window]
+			players[i].shift = 1
 		}
-		scen := &Scenario{Capacity: capacity, Providers: window}
-		br, err := BestResponseCtx(ctx, scen, brCfg)
+		if err := scen.check(); err != nil {
+			return nil, fmt.Errorf("period %d: %w", k, err)
+		}
+		br, err := play(ctx, capacity, players, cfg.BestResponse)
 		// A round-cap overrun still yields a usable (ε-unstable) outcome to
 		// apply; any other error — including cancellation — aborts the run.
 		if err != nil && !errors.Is(err, ErrNotConverged) {
 			return nil, fmt.Errorf("period %d: %w", k, err)
 		}
-		brCfg.initialWarms = br.finalWarms
-		brCfg.initialWarmShift = 1
 		res.Rounds = append(res.Rounds, br.Iterations)
 		res.Converged = append(res.Converged, br.Converged)
 		res.CostHistories = append(res.CostHistories, br.CostHistory)
@@ -156,8 +159,10 @@ func RunRecedingCtx(ctx context.Context, capacity []float64, providers []*Dynami
 			}
 			res.Costs[i] += cost
 			res.Total += cost
-			states[i] = next.Clone()
-			res.States[i] = append(res.States[i], next.Clone())
+			// The plan's storage is the session's: the next period
+			// starts from a copy, which the result keeps.
+			players[i].x0 = next.Clone()
+			res.States[i] = append(res.States[i], players[i].x0)
 		}
 	}
 	return res, nil
@@ -190,12 +195,4 @@ func (r *RecedingResult) CapacityUsage(providers []*DynamicProvider, l int) ([]f
 		}
 	}
 	return out, nil
-}
-
-func zeroState(l, v int) core.State {
-	s := make(core.State, l)
-	for i := range s {
-		s[i] = make([]float64, v)
-	}
-	return s
 }

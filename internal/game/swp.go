@@ -34,7 +34,7 @@ type swpLayout struct {
 	x0      []core.State
 }
 
-func buildLayout(s *Scenario) (*swpLayout, error) {
+func buildLayout(s *Scenario, players []*player) (*swpLayout, error) {
 	w := s.Window()
 	l := len(s.Capacity)
 	lay := &swpLayout{w: w, l: l}
@@ -43,7 +43,7 @@ func buildLayout(s *Scenario) (*swpLayout, error) {
 			lay.capDCs = append(lay.capDCs, li)
 		}
 	}
-	for _, p := range s.Providers {
+	for i, p := range s.Providers {
 		lay.offsets = append(lay.offsets, lay.numVars)
 		var pl, pv []int
 		var pa []float64
@@ -65,7 +65,7 @@ func buildLayout(s *Scenario) (*swpLayout, error) {
 		lay.pairsV = append(lay.pairsV, pv)
 		lay.pairAt = append(lay.pairAt, pa)
 		lay.numVars += len(pl) * w
-		lay.x0 = append(lay.x0, p.x0())
+		lay.x0 = append(lay.x0, players[i].x0)
 	}
 	return lay, nil
 }
@@ -89,10 +89,11 @@ func (lay *swpLayout) varIdx(i, t, pi int) int {
 // optimum and the capacity duals are those of the problem in the controls
 // u. It is one solve, on a one-use session.
 func SolveSocialWelfare(s *Scenario) (*SWPResult, error) {
-	if err := s.Validate(); err != nil {
+	players, err := s.players()
+	if err != nil {
 		return nil, err
 	}
-	lay, err := buildLayout(s)
+	lay, err := buildLayout(s, players)
 	if err != nil {
 		return nil, err
 	}

@@ -13,11 +13,13 @@
 package game
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 
 	"dspp/internal/core"
+	"dspp/internal/qp"
 )
 
 // Sentinel errors.
@@ -47,14 +49,6 @@ type Provider struct {
 	Demand [][]float64
 	// Prices[t][l] is the price forecast over the game window.
 	Prices [][]float64
-
-	// inst caches the provider's core instance across best-response
-	// rounds: between rounds only the quota values move, so the instance
-	// — and with it the horizon QP structure it caches — is reused by
-	// updating its capacities in place. x0c caches the defensive copy of
-	// X0 handed to the solver.
-	inst *core.Instance
-	x0c  core.State
 }
 
 // numLocations returns Vᵢ.
@@ -63,35 +57,6 @@ func (p *Provider) numLocations() int {
 		return 0
 	}
 	return len(p.SLA[0])
-}
-
-// instance builds the provider's core instance for given per-DC quotas in
-// capacity units (quota/serverSize server slots).
-func (p *Provider) instance(quota []float64) (*core.Instance, error) {
-	caps := make([]float64, len(quota))
-	for l, q := range quota {
-		if math.IsInf(q, 1) {
-			caps[l] = math.Inf(1)
-		} else {
-			caps[l] = q / p.ServerSize
-		}
-	}
-	// Reuse the cached instance when only the quota values changed;
-	// SetCapacities rejects a changed capacitated set (or invalid values),
-	// in which case the instance is rebuilt from scratch.
-	if p.inst != nil && p.inst.SetCapacities(caps) == nil {
-		return p.inst, nil
-	}
-	inst, err := core.NewInstance(core.Config{
-		SLA:             p.SLA,
-		ReconfigWeights: p.ReconfigWeights,
-		Capacities:      caps,
-	})
-	if err != nil {
-		return nil, err
-	}
-	p.inst = inst
-	return inst, nil
 }
 
 // Scenario is a complete competition setting.
@@ -112,8 +77,16 @@ func (s *Scenario) Window() int {
 	return len(s.Providers[0].Demand)
 }
 
-// Validate checks the scenario.
+// Validate checks the scenario: its dimensions and values, and each
+// provider's SLA, weights and X0 against a core instance built from them.
 func (s *Scenario) Validate() error {
+	_, err := s.players()
+	return err
+}
+
+// check validates the scenario's dimensions and values, everything but
+// what only a core instance can check.
+func (s *Scenario) check() error {
 	if len(s.Providers) == 0 {
 		return fmt.Errorf("no providers: %w", ErrBadScenario)
 	}
@@ -160,41 +133,91 @@ func (s *Scenario) Validate() error {
 				return fmt.Errorf("provider %d prices[%d] width %d, want %d: %w", i, t, len(p.Prices[t]), l, ErrBadScenario)
 			}
 		}
-		// Instance construction validates SLA/weights; use uncapacitated
-		// quotas for the structural check.
-		quota := make([]float64, l)
-		for j := range quota {
-			quota[j] = math.Inf(1)
-		}
-		inst, err := p.instance(quota)
-		if err != nil {
-			return fmt.Errorf("provider %d: %w", i, err)
-		}
-		if p.X0 != nil {
-			if err := inst.CheckState(p.X0); err != nil {
-				return fmt.Errorf("provider %d x0: %w", i, err)
-			}
-		}
 	}
 	return nil
 }
 
-// x0 returns the provider's initial state (zeros if unset). The copy is
-// cached: the horizon solver only reads it, and rebuilding it every
-// best-response round is measurable across the tens of thousands of
-// rounds a convergence experiment runs.
-func (p *Provider) x0() core.State {
-	if p.x0c == nil {
-		if p.X0 != nil {
-			p.x0c = p.X0.Clone()
-		} else {
-			p.x0c = make(core.State, len(p.SLA))
-			for l := range p.x0c {
-				p.x0c[l] = make([]float64, p.numLocations())
-			}
-		}
+// player is one provider's solver state for a whole game: the core
+// instance, built once on the scenario's capacitated set, the capacity
+// buffer each round's quotas are written into, the horizon session, and
+// the warm capsule chained from one solve to the next. Only the quota
+// values move between rounds, so SetCapacities never has to change the
+// instance's structure, and the session keeps its QP state for every
+// round — and, in a receding run, for every period.
+type player struct {
+	p    *Provider
+	inst *core.Instance
+	caps []float64
+	ses  *core.HorizonSession
+	// x0 is the state the window starts from: p.X0, or zeros.
+	x0 core.State
+	// warm seeds the next solve, shifted by shift periods: 0 between
+	// rounds, 1 at a receding period's first round.
+	warm  *core.HorizonWarm
+	shift int
+}
+
+// players validates the scenario and builds one player per provider. Each
+// instance is capacitated exactly where s.Capacity is finite, at the full
+// DC capacity until the first round writes the provider's quota.
+func (s *Scenario) players() ([]*player, error) {
+	if err := s.check(); err != nil {
+		return nil, err
 	}
-	return p.x0c
+	players := make([]*player, len(s.Providers))
+	for i, p := range s.Providers {
+		caps := make([]float64, len(s.Capacity))
+		for l, c := range s.Capacity {
+			caps[l] = c / p.ServerSize
+		}
+		inst, err := core.NewInstance(core.Config{
+			SLA:             p.SLA,
+			ReconfigWeights: p.ReconfigWeights,
+			Capacities:      caps,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("provider %d: %w", i, err)
+		}
+		x0 := p.X0
+		if x0 == nil {
+			x0 = inst.NewState()
+		} else if err := inst.CheckState(x0); err != nil {
+			return nil, fmt.Errorf("provider %d x0: %w", i, err)
+		}
+		players[i] = &player{p: p, inst: inst, caps: caps, x0: x0}
+	}
+	return players, nil
+}
+
+// solve runs the player's best response to quota (capacity units per DC),
+// warm-started from its previous plan, and keeps the new plan's warm
+// capsule for the next solve. The session is opened on first use.
+func (pl *player) solve(ctx context.Context, quota []float64, opts qp.Options) (*core.Plan, error) {
+	for l, q := range quota {
+		pl.caps[l] = q / pl.p.ServerSize
+	}
+	if err := pl.inst.SetCapacities(pl.caps); err != nil {
+		return nil, err
+	}
+	if pl.ses == nil {
+		ses, err := pl.inst.NewHorizonSession(len(pl.p.Demand), opts)
+		if err != nil {
+			return nil, err
+		}
+		pl.ses = ses
+	}
+	plan, err := pl.ses.SolveCtx(ctx, core.HorizonInput{
+		X0:        pl.x0,
+		Demand:    pl.p.Demand,
+		Prices:    pl.p.Prices,
+		Warm:      pl.warm,
+		WarmShift: pl.shift,
+	})
+	if err != nil {
+		return nil, err
+	}
+	pl.warm, pl.shift = plan.Warm, 0
+	return plan, nil
 }
 
 // Outcome is one provider's solved trajectory and cost.

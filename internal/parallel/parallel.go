@@ -16,9 +16,9 @@ import (
 	"sync"
 )
 
-// Workers normalizes a worker-count setting: values ≤ 0 mean
+// clampWorkers normalizes a worker-count setting: values ≤ 0 mean
 // runtime.GOMAXPROCS(0), and the count never exceeds n items.
-func Workers(workers, n int) int {
+func clampWorkers(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -56,7 +56,7 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	workers = Workers(workers, n)
+	workers = clampWorkers(workers, n)
 	if workers == 1 {
 		// Inline fast path: no goroutines, same semantics.
 		var first error
@@ -71,7 +71,13 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error
 		}
 		return first
 	}
+	return forEachPool(ctx, n, workers, fn)
+}
 
+// forEachPool is ForEachCtx's pool of workers goroutines. It is split out
+// so that the inline path's arguments, which the goroutines would capture,
+// stay off the heap: a one-worker call allocates nothing.
+func forEachPool(ctx context.Context, n, workers int, fn func(i int) error) error {
 	errs := make([]error, n)
 	var next int
 	var mu sync.Mutex

@@ -10,20 +10,20 @@ import (
 )
 
 func TestWorkers(t *testing.T) {
-	if got := Workers(0, 100); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Workers(0, 100) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	if got := clampWorkers(0, 100); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("clampWorkers(0, 100) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := Workers(-3, 100); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Workers(-3, 100) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	if got := clampWorkers(-3, 100); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("clampWorkers(-3, 100) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := Workers(8, 3); got != 3 {
-		t.Errorf("Workers(8, 3) = %d, want 3", got)
+	if got := clampWorkers(8, 3); got != 3 {
+		t.Errorf("clampWorkers(8, 3) = %d, want 3", got)
 	}
-	if got := Workers(2, 100); got != 2 {
-		t.Errorf("Workers(2, 100) = %d, want 2", got)
+	if got := clampWorkers(2, 100); got != 2 {
+		t.Errorf("clampWorkers(2, 100) = %d, want 2", got)
 	}
-	if got := Workers(5, 0); got != 1 {
-		t.Errorf("Workers(5, 0) = %d, want 1", got)
+	if got := clampWorkers(5, 0); got != 1 {
+		t.Errorf("clampWorkers(5, 0) = %d, want 1", got)
 	}
 }
 

@@ -66,6 +66,16 @@ go test -count=1 -run '^TestControllerStepSteadyStateAllocs$' -v ./internal/core
 	echo "warm controller step exceeds its allocation bound"; exit 1; }
 echo "warm controller step within its alloc bound"
 
+echo "== best-response round allocation guard =="
+# Each provider's instance, capacity buffer and horizon session live for
+# the whole game, so a warm one-worker best-response round allocates
+# nothing but the cost history's growth
+# (TestBestResponseRoundSteadyStateAllocs, which the -race run skips).
+go test -count=1 -run '^TestBestResponseRoundSteadyStateAllocs$' -v ./internal/game |
+	grep -q -- '--- PASS: TestBestResponseRoundSteadyStateAllocs' || {
+	echo "warm best-response round exceeds its allocation bound"; exit 1; }
+echo "warm best-response round within its alloc bound"
+
 echo "== telemetry overhead guard =="
 # The disabled-telemetry path must stay free: BenchmarkSolveWarm holds
 # the warm session solve at exactly 0 allocs/op with hooks off, so any
