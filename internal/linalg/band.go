@@ -277,24 +277,9 @@ type BandCholesky struct {
 	n, bw int
 	env   *Envelope // shared read-only
 	l     []float64 // packed lower factor, bw+1 entries per row
-	// lt mirrors the factor transposed (packed columns of L) so back
-	// substitution walks memory contiguously; rebuilt by each Factorize.
-	lt   []float64
-	dinv []float64 // 1/L[i][i]: substitution multiplies instead of divides
-	col  []float64 // InverseBlock's gathered column of L (bw entries)
-	// useLT records whether Factorize builds the transposed copy: below
-	// ltThreshold floats the factor fits comfortably in L1, strided reads
-	// are free, and the copy pass is pure overhead (the interior-point
-	// workloads factorize tiny bands hundreds of thousands of times).
-	useLT bool
+	dinv  []float64 // 1/L[i][i]: substitution multiplies instead of divides
+	col   []float64 // InverseBlock's gathered column of L (bw entries)
 }
-
-// ltThreshold is the packed-factor size (floats) above which Factorize
-// maintains the transposed copy for cache-friendly back substitution.
-// Measured: direct-l back substitution at every size cost
-// continental-static p50 4.18 → 4.25 ms and tail 4.51 → 4.72 ms, losing
-// all 5 alternating benchmark pairs (2-vCPU VM).
-const ltThreshold = 2048
 
 // NewBandCholesky lays out a factor for matrices of order env.N() stored
 // with half-bandwidth bw (clamped into [0, n−1]) whose entries lie inside
@@ -306,18 +291,12 @@ func NewBandCholesky(bw int, env *Envelope) (*BandCholesky, error) {
 	if env.bw > bw {
 		return nil, fmt.Errorf("envelope reaches %d below the diagonal, band %d: %w", env.bw, bw, ErrDimensionMismatch)
 	}
-	need := n * (bw + 1)
-	c := &BandCholesky{
+	return &BandCholesky{
 		n: n, bw: bw, env: env,
-		l:     make([]float64, need),
-		dinv:  make([]float64, n),
-		col:   make([]float64, bw),
-		useLT: need > ltThreshold,
-	}
-	if c.useLT {
-		c.lt = make([]float64, need)
-	}
-	return c, nil
+		l:    make([]float64, n*(bw+1)),
+		dinv: make([]float64, n),
+		col:  make([]float64, bw),
+	}, nil
 }
 
 // N returns the order the factor is laid out for.
@@ -334,17 +313,10 @@ func (c *BandCholesky) Factorize(a *BandMatrix) error {
 		return fmt.Errorf("band factorize n=%d bw=%d into a factor laid out for n=%d bw=%d: %w", a.n, a.bw, n, bw, ErrDimensionMismatch)
 	}
 	// Half-bandwidths 2…maxKernelBW run the straight-line kernels.
-	var err error
 	if bw >= 2 && bw <= maxKernelBW {
-		err = factorBand(bw, c.l, a.data, c.dinv, n)
-	} else {
-		err = c.factorizeEnvelope(a.data)
+		return factorBand(bw, c.l, a.data, c.dinv, n)
 	}
-	if err != nil {
-		return err
-	}
-	c.rebuildLT()
-	return nil
+	return c.factorizeEnvelope(a.data)
 }
 
 // factorizeEnvelope factors the packed band ad looping over the envelope
@@ -409,31 +381,12 @@ func pivotError(i int, s float64) error {
 	return fmt.Errorf("pivot %d = %g: %w", i, s, ErrNotPositiveDefinite)
 }
 
-// rebuildLT refreshes the packed transposed copy: lt row i holds column i
-// of L from the diagonal down to the envelope's last row, i.e.
-// lt[i·w1+k] = L[i+k][i] (no-op for factors small enough to be read
-// directly).
-func (c *BandCholesky) rebuildLT() {
-	if !c.useLT {
-		return
-	}
-	n, bw := c.n, c.bw
-	w1 := bw + 1
-	l, lt, last := c.l, c.lt, c.env.last
-	for i := 0; i < n; i++ {
-		for k := 0; k <= last[i]-i; k++ {
-			lt[i*w1+k] = l[(i+k)*w1+bw-k]
-		}
-	}
-}
-
-// solveBW2 is Solve unrolled for half-bandwidth 2 (direct-l back
-// substitution — bw-2 factors sit below ltThreshold until n > 682, and the
-// dispatch requires !useLT). Operation order matches the generic loops
-// exactly. It reads every band entry, the padding too, which Factorize
-// writes as zeros: for a finite right-hand side the extra products are
-// zeros, which leave the results bit-identical as in factorizeEnvelope.
-// Kept by measurement (DESIGN.md §9).
+// solveBW2 is Solve unrolled for half-bandwidth 2. Operation order
+// matches the generic loops exactly. It reads every band entry, the
+// padding too, which Factorize writes as zeros: for a finite right-hand
+// side the extra products are zeros, which leave the results
+// bit-identical as in factorizeEnvelope. Kept by measurement (DESIGN.md
+// §9).
 func (c *BandCholesky) solveBW2(b, x Vector) {
 	n := c.n // ≥ 3: NewBandCholesky clamps bw ≤ n−1
 	l, dinv := c.l, c.dinv
@@ -463,7 +416,7 @@ func (c *BandCholesky) Solve(b Vector, x Vector) error {
 	if len(b) != n || len(x) != n {
 		return fmt.Errorf("band solve b=%d x=%d n=%d: %w", len(b), len(x), n, ErrDimensionMismatch)
 	}
-	if bw == 2 && !c.useLT {
+	if bw == 2 {
 		c.solveBW2(b, x)
 	} else {
 		c.solveEnvelope(b, x)
@@ -472,7 +425,7 @@ func (c *BandCholesky) Solve(b Vector, x Vector) error {
 }
 
 // solveEnvelope is Solve over the envelope, for every factor but the
-// direct-l bw = 2 ones.
+// bw = 2 ones.
 func (c *BandCholesky) solveEnvelope(b, x Vector) {
 	n, bw := c.n, c.bw
 	w1 := bw + 1
@@ -489,24 +442,7 @@ func (c *BandCholesky) solveEnvelope(b, x Vector) {
 		}
 		x[i] = s * c.dinv[i]
 	}
-	// Back substitution: Lᵀ x = y, over column i's envelope, off the
-	// packed transposed copy when one was built, else straight off l
-	// (small factors live in L1 anyway).
-	if c.useLT {
-		lt := c.lt
-		for i := n - 1; i >= 0; i-- {
-			hi := last[i]
-			s := x[i]
-			lv := lt[i*w1+1 : i*w1+hi-i+1]
-			xv := x[i+1 : hi+1]
-			xv = xv[:len(lv)]
-			for k, v := range lv {
-				s -= v * xv[k]
-			}
-			x[i] = s * c.dinv[i]
-		}
-		return
-	}
+	// Back substitution: Lᵀ x = y, down column i of l over its envelope.
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
 		for k := i + 1; k <= last[i]; k++ {

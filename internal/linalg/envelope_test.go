@@ -120,22 +120,20 @@ func factorPair(t *testing.T, b *BandMatrix, first []int) (kc, rc *BandCholesky,
 		if *c, err = NewBandCholesky(b.Bandwidth(), env); err != nil {
 			t.Fatal(err)
 		}
-		for _, buf := range [][]float64{(*c).l, (*c).lt, (*c).dinv} {
+		for _, buf := range [][]float64{(*c).l, (*c).dinv} {
 			for i := range buf {
 				buf[i] = math.NaN()
 			}
 		}
 	}
 	kerr = kc.Factorize(b)
-	if rerr = rc.factorizeEnvelope(b.data); rerr == nil {
-		rc.rebuildLT()
-	}
+	rerr = rc.factorizeEnvelope(b.data)
 	return kc, rc, kerr, rerr
 }
 
 // sameFactor checks two factors bit for bit: every band entry inside the
-// matrix, which is the envelope plus the padding (exact +0 bits), the
-// transposed copy and dinv.
+// matrix, which is the envelope plus the padding (exact +0 bits), and
+// dinv.
 func sameFactor(t *testing.T, kc, rc *BandCholesky) {
 	t.Helper()
 	n, bw, first := kc.n, kc.bw, kc.env.first
@@ -154,26 +152,21 @@ func sameFactor(t *testing.T, kc, rc *BandCholesky) {
 			t.Fatalf("dinv[%d]: kernel %v, envelope loop %v", i, kc.dinv[i], rc.dinv[i])
 		}
 	}
-	for k := range kc.lt {
-		if math.Float64bits(kc.lt[k]) != math.Float64bits(rc.lt[k]) {
-			t.Fatalf("transposed copy [%d]: kernel %v, envelope loop %v", k, kc.lt[k], rc.lt[k])
-		}
-	}
 }
 
 // TestEnvelopeKernelsMatchDense checks Factorize, Solve and InverseBlock
 // against a dense Cholesky and a dense inverse on random block-diagonal
 // horizon-shaped bands — mixed block widths, width-1 blocks, a one-step
-// horizon, bw = 2 and a factor large enough for the transposed
-// back-substitution copy — and, at bandwidths 1–9 over mixed blocks and
-// over the full band, bitwise against the envelope loops: the factor
-// (kernel rows and padding) against factorizeEnvelope, the solve against
-// solveEnvelope, each block inverse against inverseColumn, and, with a
-// pivot made negative or NaN, the error (same pivot, same value). The
-// decreasing-start case covers a row start right of an earlier row's.
+// horizon, bw = 2 and a 315-row bw-6 factor — and, at bandwidths 1–9
+// over mixed blocks and over the full band, bitwise against the envelope
+// loops: the factor (kernel rows and padding) against factorizeEnvelope,
+// the solve against solveEnvelope, each block inverse against
+// inverseColumn, and, with a pivot made negative or NaN, the error (same
+// pivot, same value). The decreasing-start case covers a row start right
+// of an earlier row's.
 func TestEnvelopeKernelsMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	var wide []int // n = 315, bw = 6: just over ltThreshold
+	var wide []int // n = 315, bw = 6
 	for len(wide) < 30 {
 		wide = append(wide, 6, 1, 3, 5, 2, 4)
 	}
@@ -211,9 +204,6 @@ func TestEnvelopeKernelsMatchDense(t *testing.T) {
 			kc, rc, kerr, rerr := factorPair(t, b, first)
 			if kerr != nil || rerr != nil {
 				t.Fatalf("factorization: kernel %v, envelope loop %v", kerr, rerr)
-			}
-			if tc.name == "transposed-copy" && !kc.useLT {
-				t.Fatalf("n=%d bw=%d stays below the transposed-copy threshold", n, b.Bandwidth())
 			}
 			sameFactor(t, kc, rc)
 			dense, err := NewCholesky(d)

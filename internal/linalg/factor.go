@@ -20,10 +20,6 @@ var ErrSingular = errors.New("linalg: matrix is singular")
 type Cholesky struct {
 	n int
 	l []float64 // row-major lower triangle (full square storage)
-	// lt mirrors the factor transposed (row-major Lᵀ) so back
-	// substitution walks memory contiguously instead of striding down a
-	// column.
-	lt []float64
 	// dinv holds 1/L[i][i]: substitution then multiplies instead of
 	// dividing on every row of every solve.
 	dinv []float64
@@ -50,7 +46,6 @@ func (c *Cholesky) Factorize(a *Matrix) error {
 	if c.n != n || len(c.l) != n*n {
 		c.n = n
 		c.l = make([]float64, n*n)
-		c.lt = make([]float64, n*n)
 		c.dinv = make([]float64, n)
 	}
 	l := c.l
@@ -72,13 +67,8 @@ func (c *Cholesky) Factorize(a *Matrix) error {
 			}
 		}
 	}
-	// Transposed copy for the back-substitution pass, and the reciprocal
-	// diagonal for both substitution passes.
+	// The reciprocal diagonal for both substitution passes.
 	for i := 0; i < n; i++ {
-		lti := c.lt[i*n:]
-		for k := i; k < n; k++ {
-			lti[k] = l[k*n+i]
-		}
 		c.dinv[i] = 1 / l[i*n+i]
 	}
 	return nil
@@ -102,14 +92,11 @@ func (c *Cholesky) Solve(b Vector, x Vector) error {
 		}
 		x[i] = s * c.dinv[i]
 	}
-	// Back substitution: Lᵀ x = y, off the transposed (row-major) copy.
-	lt := c.lt
+	// Back substitution: Lᵀ x = y, down column i of l.
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
-		lti := lt[i*n+i+1 : i*n+n]
-		xk := x[i+1 : n]
-		for k, lv := range lti {
-			s -= lv * xk[k]
+		for k := i + 1; k < n; k++ {
+			s -= l[k*n+i] * x[k]
 		}
 		x[i] = s * c.dinv[i]
 	}

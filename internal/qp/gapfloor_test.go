@@ -14,7 +14,9 @@ import (
 // iterate through the returned one must keep μ at the floor (to 0.1%: the
 // corrector aims at it, rounding and the objective's move settle the
 // rest), and the solve must converge, not loose, to the cold optimum.
-// Without the floor the last step drops μ to 0.3–91% of it.
+// Without the floor the last step drops μ to 0.3–91% of it. Each time the
+// floor fires, the cached residual norms the test reads must be the
+// ∞-norms of rd and rp themselves.
 func TestGapFloorHoldsUntilResidualsConverge(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Tolerance = 1e-10
@@ -22,6 +24,9 @@ func TestGapFloorHoldsUntilResidualsConverge(t *testing.T) {
 	var fires, rdOpen int
 	floorHook = func(st *ipmState) {
 		fires++
+		if rd, rp := st.rd[:st.n].NormInf(), st.rp[:st.m].NormInf(); st.rdNorm != rd || st.rpNorm != rp {
+			t.Fatalf("cached norms rd %g rp %g, vectors rd %g rp %g", st.rdNorm, st.rpNorm, rd, rp)
+		}
 		if st.rdNorm >= tol*(1+st.cNorm)*(1+math.Abs(st.obj)) {
 			rdOpen++
 		}

@@ -29,11 +29,10 @@ type linkSchur struct {
 	chol *linalg.BandCholesky // factor of S
 	wb   linalg.Vector        // m: KKT weights with the linking rows zeroed
 
-	// Direction-solve working set: the multipliers λ (k), the saved r
-	// (n) and t1 (n), where updateResiduals puts Gᵀdz.
-	lam    linalg.Vector
-	r1, t1 linalg.Vector
-	gl     linalg.Vector // k: G·dx on the linking rows
+	// Direction-solve working set.
+	lam linalg.Vector // k: the multipliers λ
+	r1  linalg.Vector // n: the saved r
+	gl  linalg.Vector // k: G·dx on the linking rows
 }
 
 // newLinkSchur sizes the numeric working set for sym, n variables and m
@@ -46,7 +45,6 @@ func newLinkSchur(sym *linkSymbolic, n, m int) linkSchur {
 	ls.zinv = linalg.NewVector(sym.widest * sym.widest)
 	ls.lam = linalg.NewVector(sym.k)
 	ls.r1 = linalg.NewVector(n)
-	ls.t1 = linalg.NewVector(n)
 	ls.gl = linalg.NewVector(sym.k)
 	ls.wb = linalg.NewVector(m)
 	ls.s = linalg.NewBandMatrix(sym.k, sym.k-1)

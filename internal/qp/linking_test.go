@@ -8,6 +8,120 @@ import (
 	"dspp/internal/linalg"
 )
 
+// horizonShapedQP builds a QP with the shape of the MPC horizon problem:
+// l DCs, v locations and w steps, each location served by a random subset
+// of the DCs. The variables are cumulative server levels in location
+// blocks (time-major inside a block); Q is the small reconfiguration
+// curvature between consecutive steps of a pair, c the DC prices. Each
+// step has one demand row per location (coefficients 1/SLA ≈ 125–250),
+// one capacity row per DC — a linking row when it spans more than one
+// location — and a nonnegativity row per pair. Demand is 60% of a level
+// every location can meet at once.
+func horizonShapedQP(rng *rand.Rand, l, v, w int) *Problem {
+	type pair struct {
+		dc   int
+		aInv float64
+	}
+	locPairs := make([][]pair, v)
+	for j := range locPairs {
+		for _, i := range rng.Perm(l)[:1+rng.Intn(l)] {
+			locPairs[j] = append(locPairs[j], pair{i, 1 / (0.004 + 0.004*rng.Float64())})
+		}
+	}
+	recon, price, caps := make([]float64, l), make([]float64, l), make([]float64, l)
+	for i := range recon {
+		recon[i] = 1e-5 + 1e-4*rng.Float64()
+		price[i] = 0.02 + 0.1*rng.Float64()
+		caps[i] = 500 + 1500*rng.Float64()
+	}
+	start := make([]int, v+1)
+	widest := 0
+	for j, ps := range locPairs {
+		start[j+1] = start[j] + len(ps)*w
+		widest = max(widest, len(ps))
+	}
+	n := start[v]
+	col := func(j, k, t int) int { return start[j] + t*len(locPairs[j]) + k }
+	bw := widest - 1
+	if w > 1 {
+		bw = widest
+	}
+	q := linalg.NewBandMatrix(n, bw)
+	c := linalg.NewVector(n)
+	served := make([]float64, l)
+	for j, ps := range locPairs {
+		for k, pr := range ps {
+			served[pr.dc]++
+			c2 := 2 * recon[pr.dc]
+			for t := 0; t < w; t++ {
+				idx := col(j, k, t)
+				c[idx] = price[pr.dc]
+				if t < w-1 {
+					_ = q.Set(idx, idx, 2*c2)
+					_ = q.Set(col(j, k, t+1), idx, -c2)
+				} else {
+					_ = q.Set(idx, idx, c2)
+				}
+			}
+		}
+	}
+	level := math.Inf(1)
+	for _, ps := range locPairs {
+		var ceil float64
+		for _, pr := range ps {
+			ceil += caps[pr.dc] / served[pr.dc] * pr.aInv
+		}
+		level = math.Min(level, ceil)
+	}
+	dcs := 0
+	for _, k := range served {
+		if k > 0 {
+			dcs++
+		}
+	}
+	gb := linalg.NewSparseBuilder(w*(v+dcs)+n, n, 3*n)
+	var h []float64
+	var linking []int
+	for t := 0; t < w; t++ {
+		for j, ps := range locPairs {
+			gb.StartRow()
+			for k, pr := range ps {
+				gb.Add(col(j, k, t), -pr.aInv)
+			}
+			h = append(h, -0.6*level*(0.8+0.2*rng.Float64()))
+		}
+		for i := 0; i < l; i++ {
+			if served[i] == 0 {
+				continue
+			}
+			gb.StartRow()
+			for j, ps := range locPairs {
+				for k, pr := range ps {
+					if pr.dc == i {
+						gb.Add(col(j, k, t), 1)
+					}
+				}
+			}
+			if served[i] > 1 {
+				linking = append(linking, len(h))
+			}
+			h = append(h, caps[i])
+		}
+		for j, ps := range locPairs {
+			for k := range ps {
+				gb.StartRow()
+				gb.Add(col(j, k, t), -1)
+				h = append(h, 0)
+			}
+		}
+	}
+	g, err := gb.Build()
+	if err != nil {
+		panic(err)
+	}
+	return &Problem{Q: q, C: c, G: g, H: h, Linking: linking}
+}
+
 // blockAngularQP builds a strictly convex QP of nb diagonal blocks of bs
 // variables: Q couples neighbours inside a block, each block has its own
 // constraint rows, and nLink coupling rows each touch one variable in

@@ -99,12 +99,10 @@ func flushQPTelemetry(h *telemetry.QPHooks, sp *telemetry.Span, res *Result, err
 // centering heuristic, and a corrector solve against the same
 // factorization. Primal and dual step lengths are chosen separately — the
 // standard Mehrotra refinement, worth a few iterations on most problems
-// because a short slack step no longer truncates the dual step. Between
-// iterations the residuals are updated incrementally from the Newton
-// identities (an O(n·bw + m) pass instead of fresh matvecs; with linking
-// rows the dual residual is advanced from its definition); any
-// convergence verdict reached on incremental residuals is confirmed
-// against fully recomputed ones before it is accepted.
+// because a short slack step no longer truncates the dual step. After
+// every step rd, rp and the objective are recomputed exactly
+// (computeResiduals), so every convergence test, anytime snapshot and
+// loose acceptance reads the true residuals of the current iterate.
 func runIPM(ctx context.Context, st *ipmState, opts Options, anytime bool, warm *WarmStart, stats *solveStats) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -146,15 +144,7 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, anytime bool, warm 
 		}
 		mu := st.gap()
 		if st.converged(opts.Tolerance, mu) {
-			// Incremental residuals drift by rounding; never declare
-			// victory off them without an exact recomputation.
-			if st.fresh {
-				return st.result(iter, mu), nil
-			}
-			st.computeResiduals()
-			if st.converged(opts.Tolerance, mu) {
-				return st.result(iter, mu), nil
-			}
+			return st.result(iter, mu), nil
 		}
 
 		if err := st.factorKKT(); err != nil {
@@ -235,24 +225,8 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, anytime bool, warm 
 		if alphaD > 1 {
 			alphaD = 1
 		}
-		floored := st.step(alphaP, alphaD)
-		// The Newton identities give the next residuals in O(n·bw + m):
-		//   rd⁺ = (1−αd)·rd + (αp−αd)·Q·dx − αd·reg·dx
-		//   rp⁺ = (1−αp)·rp
-		// (with linking rows rd⁺ comes from its definition instead; see
-		// updateResiduals).
-		// They only hold for the system actually solved: recompute in full
-		// when the boundary floor clipped s or z (a nonlinear update), when
-		// the factorization needed a regularization bump (reg no longer the
-		// static value), and periodically to flush rounding.
-		if floored || st.bumped || iter&0xf == 0xf {
-			st.computeResiduals()
-		} else {
-			st.updateResiduals(alphaP, alphaD)
-			if residualUpdateHook != nil {
-				residualUpdateHook(st)
-			}
-		}
+		st.step(alphaP, alphaD)
+		st.computeResiduals()
 		if !recentered {
 			if math.Min(alphaP, alphaD) < jamStep && st.rpNorm > jamPrimal*(1+st.hNorm) {
 				short++
@@ -278,7 +252,6 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, anytime bool, warm 
 	if stats != nil {
 		stats.capped = true
 	}
-	st.computeResiduals()
 	mu := st.gap()
 	// Accept a slightly looser solution before reporting failure: MPC loops
 	// prefer a usable near-optimal control to an error.
@@ -303,11 +276,6 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, anytime bool, warm 
 // the floor none, 139). DESIGN.md §7 has the trace.
 const muFloor = 0.1
 
-// residualUpdateHook, when set by a test, observes the state after every
-// incremental residual update, so the fast path can be checked against a
-// full recomputation at the same iterate.
-var residualUpdateHook func(*ipmState)
-
 // recenterHook, when set by a test, observes the state right after the
 // recentering rung fires.
 var recenterHook func(*ipmState)
@@ -326,7 +294,6 @@ type ipmState struct {
 	rd, rp, rc linalg.Vector // residuals
 	dx, ds, dz linalg.Vector // search direction
 
-	qx   linalg.Vector // Q·x at the current iterate (objective + rd)
 	w    linalg.Vector // z/s weights
 	sInv linalg.Vector // 1/s, refreshed by factorKKT for the direction solves
 	// sym is the symbolic phase the solve reads: the problem's shared
@@ -340,19 +307,16 @@ type ipmState struct {
 	// ‖c‖∞ and ‖h‖∞, set once per solve (Session.SolveCtx), hoisted out
 	// of the per-iteration convergence test.
 	cNorm, hNorm float64
-	// obj is the objective at the current iterate, maintained alongside the
+	// obj is the objective at the current iterate, computed with the
 	// residuals.
 	obj float64
 	// szDot caches sᵀz, maintained by initPoint and step so gap() costs
 	// nothing per iteration.
 	szDot float64
-	// rdNorm/rpNorm cache the ∞-norms of the residuals, tracked in the
-	// same passes that write them; converged() and result() read the
-	// cached values instead of rescanning.
+	// rdNorm/rpNorm cache the ∞-norms of the residuals, taken in the
+	// pass that writes them; converged() and result() read the cached
+	// values instead of rescanning.
 	rdNorm, rpNorm float64
-	// fresh marks the residuals as exactly recomputed at the current
-	// iterate (vs. incrementally updated).
-	fresh bool
 	// anytime snapshot state (Session.SetAnytime only): the best-merit iterate
 	// seen so far, copied out each time the merit improves so a deadline
 	// return never hands back a worse point than one already visited. The
@@ -369,7 +333,7 @@ type ipmState struct {
 	snapX     linalg.Vector
 	snapZ     linalg.Vector
 	// bumped records that the last factorization needed the emergency
-	// regularization bump, invalidating the incremental residual identity.
+	// regularization bump (counted in solveStats.bumps).
 	bumped bool
 	// arena double-buffers the escaping Result storage, so results do not
 	// allocate per solve.
@@ -393,7 +357,7 @@ func newIPMState(p *Problem, sym *Structure) *ipmState {
 		x: linalg.NewVector(n), s: linalg.NewVector(m), z: linalg.NewVector(m),
 		rd: linalg.NewVector(n), rp: linalg.NewVector(m), rc: linalg.NewVector(m),
 		dx: linalg.NewVector(n), ds: linalg.NewVector(m), dz: linalg.NewVector(m),
-		qx: linalg.NewVector(n), w: linalg.NewVector(m), sInv: linalg.NewVector(m),
+		w: linalg.NewVector(m), sInv: linalg.NewVector(m),
 		scratchN: linalg.NewVector(n), scratchM: linalg.NewVector(m),
 		// The packed band and the Schur working set.
 		hBand: linalg.NewBandMatrix(n, sym.bw),
@@ -537,27 +501,20 @@ func (st *ipmState) recenter() {
 	st.computeResiduals()
 }
 
-// computeResiduals evaluates rd, rp, the objective, and Q·x exactly at the
-// current iterate.
+// computeResiduals evaluates rd, rp, the objective and the residuals'
+// ∞-norms exactly at the current iterate.
 func (st *ipmState) computeResiduals() {
 	p := st.p
-	// qx = Qx; rd = Qx + c + Gᵀz.
-	_ = st.sym.qBand.MulVec(st.x, st.qx)
-	// The product Qx in hand, the objective ½xᵀQx + cᵀx falls out of the
-	// same pass; converged() and result() reuse it instead of redoing the
-	// banded product.
-	var obj float64
-	rd, qxv, c, x := st.rd[:st.n], st.qx[:st.n], p.C[:st.n], st.x[:st.n]
-	for i := range rd {
-		obj += x[i] * (0.5*qxv[i] + c[i])
-		rd[i] = qxv[i] + c[i]
-	}
-	st.obj = obj
+	// rd = Qx + c + Gᵀz, with Qx first written into rd: the objective
+	// ½xᵀQx + cᵀx falls out of the same pass.
+	_ = st.sym.qBand.MulVec(st.x, st.rd)
 	_ = p.G.MulVecT(st.z, st.scratchN)
-	sn := st.scratchN[:st.n]
-	var rdN float64
+	rd, c, x, sn := st.rd[:st.n], p.C[:st.n], st.x[:st.n], st.scratchN[:st.n]
+	var obj, rdN float64
 	for i := range rd {
-		v := rd[i] + sn[i]
+		qx := rd[i]
+		obj += x[i] * (0.5*qx + c[i])
+		v := qx + c[i] + sn[i]
 		rd[i] = v
 		if v < 0 {
 			v = -v
@@ -566,6 +523,7 @@ func (st *ipmState) computeResiduals() {
 			rdN = v
 		}
 	}
+	st.obj = obj
 	st.rdNorm = rdN
 	// rp = Gx + s − h
 	_ = p.G.MulVec(st.x, st.rp)
@@ -582,71 +540,6 @@ func (st *ipmState) computeResiduals() {
 		}
 	}
 	st.rpNorm = rpN
-	st.fresh = true
-}
-
-// updateResiduals advances rd, rp, the objective, and Q·x across the step
-// (αp, αd) from the Newton identities of the direction just taken: one
-// banded matvec with dx instead of the three matvecs of a full evaluation.
-// Only valid when the step did not clip at the positivity floor and the
-// factorization used the static regularization (callers check).
-//
-// With linking rows the dual residual is advanced from its definition
-// instead, rd⁺ = rd + αp·Q·dx + αd·Gᵀdz, at the price of one Gᵀ product:
-// a Schur-complement direction can miss the dual equation by ~5e-7, and
-// the Newton identity would silently drop that miss (DESIGN.md §7).
-func (st *ipmState) updateResiduals(alphaP, alphaD float64) {
-	_ = st.sym.qBand.MulVec(st.dx, st.scratchN)
-	qdx := st.scratchN[:st.n]
-	rd, qxv, dx := st.rd[:st.n], st.qx[:st.n], st.dx[:st.n]
-	var rdN float64
-	if st.link.k > 0 {
-		gdz := st.link.t1[:st.n]
-		_ = st.p.G.MulVecT(st.dz, gdz)
-		for i := range rd {
-			d := alphaP * qdx[i]
-			qxv[i] += d
-			v := rd[i] + d + alphaD*gdz[i]
-			rd[i] = v
-			if v < 0 {
-				v = -v
-			}
-			if v > rdN {
-				rdN = v
-			}
-		}
-	} else {
-		pd := alphaP - alphaD
-		omd := 1 - alphaD
-		for i := range rd {
-			v := omd*rd[i] + pd*qdx[i] - alphaD*regularize*dx[i]
-			rd[i] = v
-			qxv[i] += alphaP * qdx[i]
-			if v < 0 {
-				v = -v
-			}
-			if v > rdN {
-				rdN = v
-			}
-		}
-	}
-	st.rdNorm = rdN
-	var obj float64
-	c, x := st.p.C[:st.n], st.x[:st.n]
-	for i := range x {
-		obj += x[i] * (0.5*qxv[i] + c[i])
-	}
-	st.obj = obj
-	omp := 1 - alphaP
-	rp := st.rp[:st.m]
-	for i := range rp {
-		rp[i] *= omp
-	}
-	if omp < 0 {
-		omp = -omp
-	}
-	st.rpNorm *= omp
-	st.fresh = false
 }
 
 func (st *ipmState) gap() float64 {
@@ -821,35 +714,23 @@ func (st *ipmState) solveDirection() (alphaP, alphaD float64, err error) {
 const stepFloor = 1e-14
 
 // step advances the iterate by αp along (dx, ds) and αd along dz,
-// flooring s and z away from zero. It reports whether any floor fired —
-// a nonlinear correction that invalidates the incremental residual
-// identities.
-func (st *ipmState) step(alphaP, alphaD float64) bool {
+// flooring s and z away from zero.
+func (st *ipmState) step(alphaP, alphaD float64) {
 	linalg.Axpy(alphaP, st.dx[:st.n], st.x[:st.n])
 	// s and z advance, floor, and accumulate the complementarity product
 	// sᵀz in a single pass; gap() reads the cached product instead of
 	// rescanning both vectors every iteration.
-	floored := false
 	var dot float64
 	s, ds := st.s[:st.m], st.ds[:st.m]
 	z, dz := st.z[:st.m], st.dz[:st.m]
 	for i := range s {
-		si := s[i] + alphaP*ds[i]
-		if si < stepFloor {
-			si = stepFloor
-			floored = true
-		}
+		si := max(s[i]+alphaP*ds[i], stepFloor)
 		s[i] = si
-		zi := z[i] + alphaD*dz[i]
-		if zi < stepFloor {
-			zi = stepFloor
-			floored = true
-		}
+		zi := max(z[i]+alphaD*dz[i], stepFloor)
 		z[i] = zi
 		dot += si * zi
 	}
 	st.szDot = dot
-	return floored
 }
 
 // anytimeInfeasWeight converts primal infeasibility into merit units: an

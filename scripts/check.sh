@@ -30,6 +30,24 @@ echo "== benchmark module (vet + test) =="
 go -C benchmark vet ./...
 go -C benchmark test ./...
 
+echo "== benchmark workloads (full size, one second each) =="
+# Every workload BENCHMARK.json declares runs at full size for one second
+# through the script the benchmark runs; it must exit 0 and its last line
+# must report "correct":true. game-fig7 exits 1 when mean_iters_cap100
+# leaves 74.60 or a Fig 7 iteration count differs from the experiment's.
+workloads=$(sed -n 's/.*{"name": "\([a-z0-9-]*\)", "why".*/\1/p' BENCHMARK.json)
+[ -n "$workloads" ] || { echo "no workloads found in BENCHMARK.json"; exit 1; }
+for w in $workloads; do
+	bench_run=$(bash benchmark/run.sh --workload "$w" --seed 2012 --seconds 1 --trace 0) || {
+		echo "$bench_run"; echo "benchmark workload $w exited non-zero"; exit 1; }
+	last=$(echo "$bench_run" | tail -n 1)
+	echo "$w: $last"
+	case "$last" in
+	*'"correct":true'*) ;;
+	*) echo "$bench_run"; echo "benchmark workload $w is not correct"; exit 1 ;;
+	esac
+done
+
 echo "== go test -race =="
 go test -race ./...
 
