@@ -94,9 +94,10 @@ func (s *HorizonSession) Solve(input HorizonInput) (*Plan, error) {
 // SolveCtx validates the input, refills the session problem's cost and
 // right-hand-side vectors in place, and solves once, warm-started from
 // input.Warm when its shape matches and the solver admits it: a capsule
-// that is non-finite, or further from complementarity than the cold
-// start, is refused before the first iteration and the solve runs cold
-// (see qp.Session.SolveCtx); a failed solve is not retried. ctx is
+// that is non-finite, or further from complementarity than the
+// solver's admission scale, is refused before the first iteration and
+// the solve runs cold (see qp.Session.SolveCtx); a failed solve is not
+// retried. ctx is
 // polled once per interior-point iteration, so a stuck solve terminates within one iteration of ctx
 // expiring and the returned error wraps ctx.Err(). With SetAnytime on, a
 // solve stopped by its deadline returns its best iterate as a plan (with

@@ -121,8 +121,8 @@ func TestHorizonSessionBitIdenticalToOneShot(t *testing.T) {
 }
 
 // farCapsule returns a copy of hw scaled far off the central path (y by
-// 1e5, z by 1e10): its seated gap exceeds the cold point's, so the solver
-// refuses it.
+// 1e5, z by 1e10): its seated gap exceeds the admission scale, so the
+// solver refuses it.
 func farCapsule(hw *HorizonWarm) *HorizonWarm {
 	bad := *hw
 	bad.y, bad.z = hw.y.Clone(), hw.z.Clone()

@@ -22,6 +22,11 @@ const (
 	continentalSLARelTol = 1e-5
 )
 
+// continentalMaxIters bounds the IPM iterations of every cold scaling
+// solve: Mehrotra's least-squares start takes 10–12 from n120 to n2000,
+// where the old x = 0 start took 19–26.
+const continentalMaxIters = 15
+
 // ContinentalScalingCase is one point of the continental scaling curve.
 type ContinentalScalingCase struct {
 	Name               string
@@ -153,12 +158,16 @@ func checkContinentalPlan(inst *core.Instance, x core.State, demand []float64) e
 	return nil
 }
 
-// Check verifies the curve: every plan passes its instance check and
-// every bounded solve finished inside its bound.
+// Check verifies the curve: every plan passes its instance check, every
+// cold solve took at most continentalMaxIters IPM iterations, and every
+// bounded solve finished inside its bound.
 func (r *ContinentalScalingResult) Check() error {
 	for _, rec := range r.Records {
 		if rec.Problem != nil {
 			return fmt.Errorf("%w: %s plan infeasible: %v", ErrShape, rec.Name, rec.Problem)
+		}
+		if rec.Iterations > continentalMaxIters {
+			return fmt.Errorf("%w: %s cold solve took %d IPM iterations, bound %d", ErrShape, rec.Name, rec.Iterations, continentalMaxIters)
 		}
 		if rec.Bound > 0 && rec.Seconds > rec.Bound.Seconds() {
 			return fmt.Errorf("%w: %s cold solve took %.3f s, bound %v", ErrShape, rec.Name, rec.Seconds, rec.Bound)

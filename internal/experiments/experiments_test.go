@@ -432,8 +432,8 @@ func TestOutageRecovery(t *testing.T) {
 }
 
 // TestContinentalScaling runs the smoke curve's n120 point and drives
-// the shape check's failure paths: a plan the instance check rejects and
-// a solve over its time bound.
+// the shape check's failure paths: a plan the instance check rejects, a
+// solve over its iteration bound and a solve over its time bound.
 func TestContinentalScaling(t *testing.T) {
 	cases := ContinentalScalingCases(false)[:1]
 	r, err := ContinentalScaling(context.Background(), cases)
@@ -453,6 +453,12 @@ func TestContinentalScaling(t *testing.T) {
 	bounded.Records[0].Bound = time.Nanosecond
 	if err := bounded.Check(); !errors.Is(err, ErrShape) {
 		t.Errorf("solve over its bound: Check = %v, want ErrShape", err)
+	}
+	slow := *r
+	slow.Records = []ContinentalScalingRecord{rec}
+	slow.Records[0].Iterations = continentalMaxIters + 1
+	if err := slow.Check(); !errors.Is(err, ErrShape) {
+		t.Errorf("solve over its iteration bound: Check = %v, want ErrShape", err)
 	}
 	bad := *r
 	bad.Records = []ContinentalScalingRecord{rec}

@@ -107,7 +107,12 @@ func Fig7GameConvergence(seed int64, maxPlayers int) (*Fig7Result, error) {
 		for rep := 0; rep < seedsPerCell; rep++ {
 			rng := rand.New(rand.NewSource(seed + int64(n)*101 + int64(rep)*977))
 			s := gameScenario(rng, n, 3, c)
-			br, err := game.BestResponse(s, gameBRConfig(c))
+			// The sweep already fans out over cells, so each game plays
+			// its rounds on one worker; its result does not depend on
+			// the worker count.
+			cfg := gameBRConfig(c)
+			cfg.Parallel = 1
+			br, err := game.BestResponse(s, cfg)
 			if err != nil && !errors.Is(err, game.ErrNotConverged) {
 				return fmt.Errorf("cap=%g n=%d: %w", c, n, err)
 			}

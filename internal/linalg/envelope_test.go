@@ -182,7 +182,7 @@ func TestEnvelopeKernelsMatchDense(t *testing.T) {
 		{"W=1", []int{2, 4, 1, 3}, 1, nil},
 		{"one-block", []int{5}, 3, nil},
 		{"bw2", []int{2, 1, 2, 2}, 3, nil},
-		{"transposed-copy", wide, 3, nil},
+		{"n315-bw6", wide, 3, nil},
 		{"decreasing-start", nil, 0, decreasingStart},
 	}
 	for bw := 1; bw <= maxKernelBW+1; bw++ {

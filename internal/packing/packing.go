@@ -3,8 +3,9 @@
 // allocated to VMs without waste; it justifies this with the observation
 // that when VM sizes are multiples of one another (as in GoGrid's 6
 // doubling sizes), FFD packs them optimally with zero fragmentation. This
-// package provides the FFD algorithm and the divisibility check backing
-// that argument, and is used by the game tests and an ablation bench.
+// package provides the FFD algorithm, whose tests check that argument on
+// divisible size chains, and the packing ablation in internal/experiments
+// uses it.
 package packing
 
 import (
@@ -82,29 +83,6 @@ func FirstFitDecreasing(sizes []float64, capacity float64) (*Result, error) {
 	return &Result{Bins: bins, Waste: waste, Capacity: capacity}, nil
 }
 
-// Divisible reports whether the distinct sizes form a divisibility chain:
-// sorted ascending, each size divides the next (within tolerance). GoGrid's
-// doubling VM sizes satisfy this; it is the condition under which FFD
-// wastes nothing on full bins (§VI).
-func Divisible(sizes []float64) bool {
-	if len(sizes) == 0 {
-		return true
-	}
-	uniq := dedupeSorted(sizes)
-	for _, s := range uniq {
-		if s <= 0 {
-			return false
-		}
-	}
-	for i := 1; i < len(uniq); i++ {
-		ratio := uniq[i] / uniq[i-1]
-		if math.Abs(ratio-math.Round(ratio)) > 1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
 // LowerBound returns the trivial lower bound ⌈Σ sizes / capacity⌉ on the
 // number of bins any packing needs.
 func LowerBound(sizes []float64, capacity float64) (int, error) {
@@ -119,22 +97,4 @@ func LowerBound(sizes []float64, capacity float64) (int, error) {
 		total += s
 	}
 	return int(math.Ceil(total/capacity - 1e-9)), nil
-}
-
-// GoGridSizes returns the six doubling VM sizes (in abstract capacity
-// units) that the paper cites as the GoGrid offering.
-func GoGridSizes() []float64 {
-	return []float64{1, 2, 4, 8, 16, 32}
-}
-
-func dedupeSorted(sizes []float64) []float64 {
-	s := append([]float64(nil), sizes...)
-	sort.Float64s(s)
-	out := s[:0]
-	for i, x := range s {
-		if i == 0 || x != s[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -202,4 +203,45 @@ func TestQuickFFDWasteAccounting(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// Divisible reports whether the distinct sizes form a divisibility chain:
+// sorted ascending, each size divides the next (within tolerance). GoGrid's
+// doubling VM sizes satisfy this; it is the condition under which FFD
+// wastes nothing on full bins (§VI).
+func Divisible(sizes []float64) bool {
+	if len(sizes) == 0 {
+		return true
+	}
+	uniq := dedupeSorted(sizes)
+	for _, s := range uniq {
+		if s <= 0 {
+			return false
+		}
+	}
+	for i := 1; i < len(uniq); i++ {
+		ratio := uniq[i] / uniq[i-1]
+		if math.Abs(ratio-math.Round(ratio)) > 1e-9 {
+			return false
+		}
+	}
+	return true
+}
+
+// GoGridSizes returns the six doubling VM sizes (in abstract capacity
+// units) that the paper cites as the GoGrid offering.
+func GoGridSizes() []float64 {
+	return []float64{1, 2, 4, 8, 16, 32}
+}
+
+func dedupeSorted(sizes []float64) []float64 {
+	s := append([]float64(nil), sizes...)
+	sort.Float64s(s)
+	out := s[:0]
+	for i, x := range s {
+		if i == 0 || x != s[i-1] {
+			out = append(out, x)
+		}
+	}
+	return out
 }

@@ -241,27 +241,3 @@ func (a AR) Fit(history []float64) ([]float64, error) {
 	}
 	return coef, nil
 }
-
-// MSE returns the mean squared one-step error of a predictor evaluated by
-// walking forward through the series with an expanding window starting at
-// warmup observations.
-func MSE(p Predictor, series []float64, warmup int) (float64, error) {
-	if p == nil {
-		return 0, fmt.Errorf("nil predictor: %w", ErrBadParameter)
-	}
-	if warmup < 1 || warmup >= len(series) {
-		return 0, fmt.Errorf("warmup %d of %d: %w", warmup, len(series), ErrBadParameter)
-	}
-	var sum float64
-	var n int
-	for t := warmup; t < len(series); t++ {
-		fc, err := p.Forecast(series[:t], 1)
-		if err != nil {
-			return 0, err
-		}
-		d := fc[0] - series[t]
-		sum += d * d
-		n++
-	}
-	return sum / float64(n), nil
-}

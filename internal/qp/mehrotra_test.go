@@ -106,7 +106,7 @@ func TestPoisonedWarmStartRefused(t *testing.T) {
 
 // TestWarmStartAdmissionBound pins the gap half of the admission rule on
 // both sides of the bound: with x at the optimum and every dual equal to
-// c, the seated gap is c·Σs, so c at half the cold gap's share is
+// c, the seated gap is c·Σs, so c at half the admission scale's share is
 // admitted and c at twice it is refused.
 func TestWarmStartAdmissionBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -123,21 +123,21 @@ func TestWarmStartAdmissionBound(t *testing.T) {
 	warm := &WarmStart{X: opt.X.Clone(), Z: linalg.NewVector(st.m)}
 	// Seat x with duals small enough to be admitted, to read its slacks.
 	warm.Z.Fill(1e-3)
-	if !st.initPoint(warm) {
+	if ok, _ := st.initPoint(warm); !ok {
 		t.Fatal("near-zero duals at the optimum refused")
 	}
-	var slackSum, coldGap float64
+	var slackSum, bound float64
 	for i := 0; i < st.m; i++ {
 		slackSum += st.s[i]
-		coldGap += math.Max(p.H[i], 1)
+		bound += math.Max(p.H[i], 1)
 	}
 	for _, tc := range []struct {
 		scale float64
 		admit bool
 	}{{0.5, true}, {2, false}} {
-		warm.Z.Fill(tc.scale * coldGap / slackSum)
-		if got := st.initPoint(warm); got != tc.admit {
-			t.Errorf("duals at %v× the cold gap's share: admitted %v, want %v", tc.scale, got, tc.admit)
+		warm.Z.Fill(tc.scale * bound / slackSum)
+		if got, _ := st.initPoint(warm); got != tc.admit {
+			t.Errorf("duals at %v× the admission scale's share: admitted %v, want %v", tc.scale, got, tc.admit)
 		}
 	}
 }

@@ -60,8 +60,8 @@ func (s *Session) SetAnytime(on bool) { s.anytime = on }
 // round's solution — typically cuts the iteration count severalfold.
 // Whether to use it is decided once, before the first iteration: a warm
 // start whose dimensions don't match the problem, that holds a non-finite
-// entry, or whose seated complementarity gap sᵀz exceeds the cold point's
-// Σᵢ max(hᵢ, 1) is refused, and the solve is then bitwise the cold solve
+// entry, or whose seated complementarity gap sᵀz exceeds the admission
+// scale Σᵢ max(hᵢ, 1) is refused, and the solve is then bitwise the cold solve
 // (see initPoint). Telemetry counts a refused warm start as a cold start.
 //
 // Every Result the session returns, with or without an error, stays

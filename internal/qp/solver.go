@@ -85,11 +85,12 @@ func flushQPTelemetry(h *telemetry.QPHooks, sp *telemetry.Span, res *Result, err
 
 // runIPM minimizes the session's QP with a primal–dual interior-point
 // method, from the (optional) warm start if initPoint admits it and from
-// the cold default point otherwise. The context is polled once per
-// iteration, so a stuck or slow solve terminates within one iteration of
-// ctx expiring; the returned error then wraps ctx.Err() (not
-// ErrNumerical/ErrMaxIterations), letting callers tell an abandoned solve
-// from a failed one. anytime arms the best-iterate snapshot
+// Mehrotra's least-squares starting point otherwise (coldStart: one more
+// factorization, whose failure is the solve's error). The context is
+// polled once per iteration, so a stuck or slow solve terminates within
+// one iteration of ctx expiring; the returned error then wraps ctx.Err()
+// (not ErrNumerical/ErrMaxIterations), letting callers tell an abandoned
+// solve from a failed one. anytime arms the best-iterate snapshot
 // (Session.SetAnytime).
 //
 // Each iteration runs one Mehrotra predictor–corrector round: a single
@@ -107,18 +108,29 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, anytime bool, warm 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	warmed := st.initPoint(warm)
+	warmed, err := st.initPoint(warm)
 	if stats != nil {
 		stats.warmed = warmed
+		if !warmed {
+			// The cold start's own factorization.
+			stats.factorizations++
+			if st.bumped {
+				stats.bumps++
+			}
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("cold start: %w", err)
 	}
 	m := st.m
 
 	st.computeResiduals()
 	st.prepareAnytime(anytime)
 	if st.anytime {
-		// The starting point (warm-start plan or the cold origin) is the
-		// first anytime candidate: even a deadline that fires before one
-		// full iteration completes still has something implementable.
+		// The starting point (the warm start or the computed cold start)
+		// is the first anytime candidate: even a deadline that fires
+		// before one full iteration completes still has something
+		// implementable.
 		st.snapshotAnytime(0)
 	}
 	// The per-iteration deadline check reads the wall clock rather than
@@ -373,25 +385,80 @@ func newIPMState(p *Problem, sym *Structure) *ipmState {
 // szDot, and reports whether the point is the warm start. It is only if
 // admitted: its dimensions match, X and Z are finite, and the gap sᵀz it
 // seats (slacks recomputed from x, s and z floored away from the boundary)
-// is at most the cold point's Σᵢ max(hᵢ, 1). A point further from
-// complementarity than a start from nothing can only cost iterations, and
-// far enough off the central path it stalls to the iteration cap (cf.
-// Yildirim & Wright, SIAM J. Optim. 2002). Otherwise initPoint seats the
-// cold default (x = 0, s = max(h, 1), z = 1), so a refused warm start
-// solves bitwise like none.
-func (st *ipmState) initPoint(warm *WarmStart) bool {
+// is at most the admission scale Σᵢ max(hᵢ, 1). A point further from
+// complementarity than that can only cost iterations, and far enough off
+// the central path it stalls to the iteration cap (cf. Yildirim & Wright,
+// SIAM J. Optim. 2002). Otherwise initPoint seats the cold start
+// (coldStart), so a refused warm start solves bitwise like none. The
+// error is the cold start's factorization or solve failing.
+func (st *ipmState) initPoint(warm *WarmStart) (bool, error) {
+	if warm != nil && len(warm.X) == st.n && (warm.Z == nil || len(warm.Z) == st.m) && st.seatWarm(warm) {
+		return true, nil
+	}
+	return false, st.coldStart()
+}
+
+// coldStart seats Mehrotra's least-squares starting point (S. Mehrotra,
+// SIAM J. Optim. 2(4), 1992; also the default cold start of CVXOPT's
+// coneqp). At unit weights (s = z = 1) the KKT matrix is Q + GᵀG, the
+// linking rows entering through the Schur complement at D = 1, and x
+// solves (Q + GᵀG)·x = Gᵀh − c. Then s = h − Gx and z = −s; a vector with
+// an entry ≤ 0 is shifted by 1 + its largest negated entry, and both are
+// balanced by s += ½·sᵀz/Σz and z += ½·sᵀz/Σs, which keeps each pair off
+// the boundary in proportion to the gap (without the balancing a
+// recentered warm start in TestRecenterUnjamsWarmStart misses its
+// bound). On the continental W2 solves from n120 to n2000 this start
+// takes 10–12 iterations where x = 0, s = max(h, 1), z = 1 took 20–26.
+// The unit-weight KKT matrix is positive definite exactly when that old
+// start's first one was (its weights 1/max(hᵢ, 1) were positive too), so
+// this factorization fails only where that iteration would have.
+func (st *ipmState) coldStart() error {
 	m := st.m
-	if warm != nil && len(warm.X) == st.n && (warm.Z == nil || len(warm.Z) == m) && st.seatWarm(warm) {
-		return true
+	s, z, h := st.s[:m], st.z[:m], st.p.H[:m]
+	for i := range s {
+		s[i], z[i] = 1, 1
 	}
-	// At x = 0 the slack h − Gx is h itself.
-	st.x.Zero()
-	for i := 0; i < m; i++ {
-		st.s[i] = math.Max(st.p.H[i], 1)
-		st.z[i] = 1
+	if err := st.factorKKT(); err != nil {
+		return err
 	}
-	st.szDot = linalg.DotProd(st.s[:m], st.z[:m])
-	return false
+	// r = Gᵀh − c goes into dx, where solveKKT reads it.
+	_ = st.p.G.MulVecT(st.p.H, st.scratchN)
+	r, c, sn := st.dx[:st.n], st.p.C[:st.n], st.scratchN[:st.n]
+	for i := range r {
+		r[i] = sn[i] - c[i]
+	}
+	if err := st.solveKKT(); err != nil {
+		return err
+	}
+	copy(st.x[:st.n], r)
+	gx := st.scratchM[:m]
+	_ = st.p.G.MulVec(st.x, gx)
+	sMax, zMax := math.Inf(-1), math.Inf(-1) // the largest −sᵢ and −zᵢ
+	for i := range s {
+		v := h[i] - gx[i]
+		s[i], z[i] = v, -v
+		sMax = max(sMax, -v)
+		zMax = max(zMax, v)
+	}
+	var sz, sumS, sumZ float64
+	for i := range s {
+		if sMax >= 0 {
+			s[i] += 1 + sMax
+		}
+		if zMax >= 0 {
+			z[i] += 1 + zMax
+		}
+		sz += s[i] * z[i]
+		sumS += s[i]
+		sumZ += z[i]
+	}
+	ds, dz := 0.5*sz/sumZ, 0.5*sz/sumS
+	for i := range s {
+		s[i] += ds
+		z[i] += dz
+	}
+	st.szDot = linalg.DotProd(s, z)
+	return nil
 }
 
 // seatWarm seats warm (dimensions already checked) and reports whether
@@ -654,14 +721,8 @@ func (st *ipmState) solveDirection() (alphaP, alphaD float64, err error) {
 		r1[i] = -rd[i] - sn[i]
 	}
 
-	if st.link.k == 0 {
-		if err := st.bchol.Solve(r1, st.dx); err != nil {
-			return 0, 0, fmt.Errorf("%v: %w", err, ErrNumerical)
-		}
-	} else {
-		if err := st.solveLinked(); err != nil {
-			return 0, 0, err
-		}
+	if err := st.solveKKT(); err != nil {
+		return 0, 0, err
 	}
 
 	// ds = −rp − G dx ; dz = S⁻¹(−rc − Z ds). The boundary step lengths
@@ -708,6 +769,19 @@ func (st *ipmState) solveDirection() (alphaP, alphaD float64, err error) {
 		}
 	}
 	return alphaP, alphaD, nil
+}
+
+// solveKKT solves the factored KKT system in place for the right-hand
+// side in dx: through the band factor alone, or through the Schur
+// complement of the linking rows (solveLinked).
+func (st *ipmState) solveKKT() error {
+	if st.link.k > 0 {
+		return st.solveLinked()
+	}
+	if err := st.bchol.Solve(st.dx, st.dx); err != nil {
+		return fmt.Errorf("%v: %w", err, ErrNumerical)
+	}
+	return nil
 }
 
 // stepFloor is the positivity floor of s and z.

@@ -51,9 +51,10 @@ func TestTelemetryCounters(t *testing.T) {
 		t.Fatalf("iterations = %v, want %v", got, wantIters)
 	}
 	// Every IPM iteration factorizes exactly once (the bump retry refills
-	// the same factorization slot), so the two ledgers must agree.
-	if got := snap[telemetry.MetricQPFactorizations]; got > wantIters || got <= 0 {
-		t.Fatalf("factorizations = %v, want in (0, %v]", got, wantIters)
+	// the same factorization slot), and each cold start once before the
+	// first iteration, so the ledgers must agree.
+	if got, want := snap[telemetry.MetricQPFactorizations], wantIters+2; got != want {
+		t.Fatalf("factorizations = %v, want %v (iterations + cold starts)", got, want)
 	}
 	if got := snap[telemetry.MetricQPSolveIterations+"_count"]; got != 3 {
 		t.Fatalf("iteration histogram count = %v, want 3", got)

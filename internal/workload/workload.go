@@ -240,23 +240,3 @@ func SamplePoisson(rate, periodSec float64, rng *rand.Rand) (int, error) {
 		k++
 	}
 }
-
-// PopulationWeights returns per-city demand weights proportional to
-// population, normalized to sum to 1.
-func PopulationWeights(populations []int) ([]float64, error) {
-	if len(populations) == 0 {
-		return nil, fmt.Errorf("no populations: %w", ErrBadParameter)
-	}
-	var total float64
-	for i, p := range populations {
-		if p <= 0 {
-			return nil, fmt.Errorf("population[%d]=%d: %w", i, p, ErrBadParameter)
-		}
-		total += float64(p)
-	}
-	out := make([]float64, len(populations))
-	for i, p := range populations {
-		out[i] = float64(p) / total
-	}
-	return out, nil
-}
