@@ -315,23 +315,6 @@ func BenchmarkValidateMM1Model(b *testing.B) {
 	b.ReportMetric(relErr*100, "model_rel_err_%")
 }
 
-// BenchmarkAblationSoftController compares the hard-QP MPC against the
-// Riccati soft-tracking controller (cost, SLA, wall time).
-func BenchmarkAblationSoftController(b *testing.B) {
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationSoftController(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := r.Check(); err != nil {
-			b.Fatal(err)
-		}
-		speedup = r.StepMicros[0] / r.StepMicros[1]
-	}
-	b.ReportMetric(speedup, "hard_over_soft_steptime")
-}
-
 // BenchmarkGameRecedingHorizon runs the closed-loop W-MPC competition
 // (Definition 2): per-period equilibria, shared capacity respected.
 func BenchmarkGameRecedingHorizon(b *testing.B) {

@@ -13,11 +13,13 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden figure tables in testdata/")
 
-// goldenFigures are the paper's figures plus the two game-efficiency
-// tables. Their rendered tables are deterministic at a fixed seed (no
-// wall-time column), so each is pinned byte for byte.
+// goldenFigures are the paper's figures, the two game-efficiency tables
+// and the MPC-vs-baselines ablation. Their rendered tables are
+// deterministic at a fixed seed (no wall-time column), so each is pinned
+// byte for byte.
 var goldenFigures = []string{
 	"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "pos", "poa",
+	"ablation-baselines",
 }
 
 // TestGoldenFigureTables renders each golden figure through the registry

@@ -149,13 +149,6 @@ func registry() []experiment {
 			}
 			return r.Table, r.Check(), nil
 		}},
-		{"ablation-soft", func(seed int64, _ int) (*experiments.Table, error, error) {
-			r, err := experiments.AblationSoftController(seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r.Table, r.Check(), nil
-		}},
 		{"game-receding", func(seed int64, _ int) (*experiments.Table, error, error) {
 			r, err := experiments.GameRecedingHorizon(seed)
 			if err != nil {

@@ -13,8 +13,7 @@ func TestRegistryComplete(t *testing.T) {
 		"pos":     false, "ablation-reconfig": false, "ablation-baselines": false,
 		"ablation-percentile": false, "ablation-reservation": false,
 		"ablation-stepsize": false, "ablation-ffd": false,
-		"validate-mm1": false, "ablation-soft": false,
-		"game-receding": false, "extension-pooling": false,
+		"validate-mm1": false, "game-receding": false, "extension-pooling": false,
 		"validate-endtoend": false, "ablation-integer": false, "poa": false,
 		"predictors": false, "extension-spot": false, "robust-outage": false,
 		"continental-scaling": false,

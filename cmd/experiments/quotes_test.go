@@ -1,6 +1,7 @@
 package main
 
 import (
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,21 +13,26 @@ import (
 )
 
 // TestSummaryQuotesMatchGoldens checks the numbers EXPERIMENTS.md's
-// summary table quotes against the golden tables in testdata/: each quote
-// must be its golden value rounded to the quote's own decimals. A moved
-// golden or a hand-edited quote fails here until the quote is re-read
-// from the golden.
+// summary and ablation tables quote against the golden tables in
+// testdata/: each quote must be its golden value rounded to the quote's
+// own decimals. A moved golden or a hand-edited quote fails here until the
+// quote is re-read from the golden.
 func TestSummaryQuotesMatchGoldens(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	data, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	measured := summaryMeasured(string(doc))
+	doc := string(data)
+	measured := tableCells(doc, "## Summary", 3)
+	maps.Copy(measured, tableCells(doc, "## Ablations", 2))
 	fig6, fig7, fig8 := readGolden(t, "fig6"), readGolden(t, "fig7"), readGolden(t, "fig8")
 	fig9, fig10, pos := readGolden(t, "fig9"), readGolden(t, "fig10"), readGolden(t, "pos")
+	base := readGolden(t, "ablation-baselines")
+	mpc := base.at(t, "mpc-w5", 1)
+	overMPC := func(policy string) float64 { return 100 * (base.at(t, policy, 1)/mpc - 1) }
 	for _, q := range []struct {
 		row   string
-		quote string // a regexp on the row's Measured cell; its group is the quoted number
+		quote string // a regexp on the row's result cell; its group is the quoted number
 		// golden holds every value the quote stands for.
 		golden []float64
 	}{
@@ -47,10 +53,17 @@ func TestSummaryQuotesMatchGoldens(t *testing.T) {
 		{"Fig 10", `→ (\S+) \(W=10\)`, []float64{fig10.at(t, "10", 1)}},
 		{"Thm 1", `NE/SWP = (\S+)–`, []float64{slices.Min(pos.column(t, 1))}},
 		{"Thm 1", `–(\S+) for`, []float64{slices.Max(pos.column(t, 1))}},
+		{"MPC vs baselines", `violation-free \((\S+)\)`, []float64{mpc}},
+		{"MPC vs baselines", `static-average (\S+) with`, []float64{base.at(t, "static-average", 1)}},
+		{"MPC vs baselines", `with (\S+) SLA violations`, []float64{base.at(t, "static-average", 2)}},
+		{"MPC vs baselines", `greedy-nearest (\S+) \(`, []float64{base.at(t, "greedy-nearest", 1)}},
+		{"MPC vs baselines", `greedy-nearest \S+ \(\+(\S+)%\)`, []float64{overMPC("greedy-nearest")}},
+		{"MPC vs baselines", `lazy-threshold (\S+) \(`, []float64{base.at(t, "lazy-threshold", 1)}},
+		{"MPC vs baselines", `lazy-threshold \S+ \(\+(\S+)%\)`, []float64{overMPC("lazy-threshold")}},
 	} {
 		cell, ok := measured[q.row]
 		if !ok {
-			t.Errorf("EXPERIMENTS.md has no summary row %q", q.row)
+			t.Errorf("EXPERIMENTS.md has no table row %q", q.row)
 			continue
 		}
 		m := regexp.MustCompile(q.quote).FindStringSubmatch(cell)
@@ -76,18 +89,20 @@ func TestSummaryQuotesMatchGoldens(t *testing.T) {
 	}
 }
 
-// summaryMeasured maps each row of EXPERIMENTS.md's summary table (by its
-// first cell) to its Measured cell.
-func summaryMeasured(doc string) map[string]string {
+// tableCells maps each row of the table in EXPERIMENTS.md's section
+// headed by heading (by the row's first cell) to its col-th cell: the
+// Measured column (3) of the summary, the Result column (2) of the
+// ablations.
+func tableCells(doc, heading string, col int) map[string]string {
 	out := make(map[string]string)
-	_, summary, _ := strings.Cut(doc, "## Summary")
-	summary, _, _ = strings.Cut(summary, "\n## ")
-	for _, line := range strings.Split(summary, "\n") {
+	_, section, _ := strings.Cut(doc, heading)
+	section, _, _ = strings.Cut(section, "\n## ")
+	for _, line := range strings.Split(section, "\n") {
 		cells := strings.Split(line, "|")
-		if len(cells) < 5 || !strings.HasPrefix(line, "|") {
+		if len(cells) < col+2 || !strings.HasPrefix(line, "|") {
 			continue
 		}
-		out[strings.TrimSpace(cells[1])] = strings.TrimSpace(cells[3])
+		out[strings.TrimSpace(cells[1])] = strings.TrimSpace(cells[col])
 	}
 	return out
 }

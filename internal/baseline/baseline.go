@@ -188,37 +188,6 @@ func (s *StaticAverage) Step(demand, prices [][]float64) (core.State, core.State
 	return applied, s.state.Clone(), nil
 }
 
-// Myopic solves a single-period DSPP each step (MPC with W = 1): price
-// aware but with no lookahead. It isolates the value of the prediction
-// horizon.
-type Myopic struct {
-	ctrl *core.Controller
-}
-
-// NewMyopic builds the policy.
-func NewMyopic(inst *core.Instance) (*Myopic, error) {
-	ctrl, err := core.NewController(inst, 1)
-	if err != nil {
-		return nil, err
-	}
-	return &Myopic{ctrl: ctrl}, nil
-}
-
-// Name implements sim.Policy.
-func (m *Myopic) Name() string { return "myopic" }
-
-// State implements sim.Policy.
-func (m *Myopic) State() core.State { return m.ctrl.State() }
-
-// Step implements sim.Policy.
-func (m *Myopic) Step(demand, prices [][]float64) (core.State, core.State, error) {
-	res, err := m.ctrl.Step(demand[:1], prices[:1])
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Applied, res.NewState, nil
-}
-
 // LazyThreshold holds the current allocation while it still covers the
 // forecast demand with headroom in [1, Upper]; otherwise it re-plans to
 // Target× the required minimum via a one-period solve. It models the

@@ -156,41 +156,6 @@ func TestStaticAverageErrors(t *testing.T) {
 	}
 }
 
-func TestMyopicMatchesHorizonOneMPC(t *testing.T) {
-	inst := twoDCInstance(t, []float64{math.Inf(1), math.Inf(1)})
-	m, err := NewMyopic(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Name() != "myopic" {
-		t.Errorf("Name = %q", m.Name())
-	}
-	ctrl, err := core.NewController(inst, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	demand := forecast(3, []float64{500, 800})
-	prices := forecast(3, []float64{0.2, 0.9})
-	_, got, err := m.Step(demand, prices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ctrl.Step(demand[:1], prices[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for l := 0; l < 2; l++ {
-		for v := 0; v < 2; v++ {
-			if math.Abs(got[l][v]-want.NewState[l][v]) > 1e-6 {
-				t.Fatalf("myopic != W=1 MPC at (%d,%d): %g vs %g", l, v, got[l][v], want.NewState[l][v])
-			}
-		}
-	}
-	if m.State()[0][0] != got[0][0] {
-		t.Error("State() mismatch")
-	}
-}
-
 func TestLazyThresholdHoldsThenReplans(t *testing.T) {
 	inst := twoDCInstance(t, []float64{math.Inf(1), math.Inf(1)})
 	p, err := NewLazyThreshold(inst, 1.2, 2.0)

@@ -3,6 +3,8 @@ package baseline
 import (
 	"math"
 	"testing"
+
+	"dspp/internal/core"
 )
 
 func TestIntegerMPCProducesIntegerStates(t *testing.T) {
@@ -60,7 +62,7 @@ func TestIntegerMPCIntegralityGapSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	var intTotal, contTotal float64
-	cont, err := NewMyopic(inst)
+	cont, err := core.NewController(inst, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +72,12 @@ func TestIntegerMPCIntegralityGapSmall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, sc, err := cont.Step(forecast(1, d), forecast(1, []float64{0.3, 0.5}))
+		sc, err := cont.Step(forecast(1, d), forecast(1, []float64{0.3, 0.5}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		intTotal += si.Total()
-		contTotal += sc.Total()
+		contTotal += sc.NewState.Total()
 	}
 	if intTotal < contTotal {
 		t.Errorf("integer total %g below continuous %g (rounding up cannot shrink)", intTotal, contTotal)

@@ -72,6 +72,12 @@ func WithBudget(d time.Duration) ControllerOption {
 	return func(c *Controller) { c.budget = d }
 }
 
+// BudgetGrace is the measurement slack added on top of a step budget
+// before a period counts as an overrun, in the simulator and the daemon
+// alike: the ladder's hold rung runs after the deadline fires, so a
+// budgeted step legitimately finishes a hair late, never unboundedly late.
+const BudgetGrace = 5 * time.Millisecond
+
 // WithTelemetry attaches a telemetry hub: every StepCtx emits an
 // mpc_step span (carrying the degradation outcome) and the underlying QP
 // solves report their iteration/factorization counters through the hub.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 )
 
 // DegradationMode identifies which rung of the controller's degradation
@@ -98,35 +97,39 @@ func (d Degradation) String() string {
 	return s
 }
 
+// fitCapacity scales every DC row of s whose load exceeds the DC's
+// capacity back onto it proportionally, in place, and returns the servers
+// trimmed. It is the projection both the anytime and the hold rung use.
+func (in *Instance) fitCapacity(s State) float64 {
+	var trimmed float64
+	for l := 0; l < in.l; l++ {
+		var total float64
+		for v := 0; v < in.v; v++ {
+			total += s[l][v]
+		}
+		if c := in.capacity[l]; total > c {
+			scale := c / total
+			for v := 0; v < in.v; v++ {
+				s[l][v] *= scale
+			}
+			trimmed += total - c
+		}
+	}
+	return trimmed
+}
+
 // projectPlanCapacity makes a partial-iterate plan implementable: every
-// planned state whose per-DC load exceeds the capacity is scaled back
-// proportionally (the same rule as holdProjection), the controls are
+// planned state is fitted to capacity (fitCapacity), the controls are
 // recomputed as the differences of the corrected states, and the objective
 // is re-evaluated at the corrected trajectory. Returns the servers trimmed
 // from the applied step (t = 0), the only state the MPC loop executes.
 // Mutates the plan in place; duals keep their snapshot values.
 func (in *Instance) projectPlanCapacity(plan *Plan, x0 State, prices [][]float64) float64 {
 	var trimmed float64
-	for t := range plan.X {
-		x := plan.X[t]
-		for l := 0; l < in.l; l++ {
-			c := in.capacity[l]
-			if math.IsInf(c, 1) {
-				continue
-			}
-			var total float64
-			for v := 0; v < in.v; v++ {
-				total += x[l][v]
-			}
-			if total > c {
-				scale := c / total
-				for v := 0; v < in.v; v++ {
-					x[l][v] *= scale
-				}
-				if t == 0 {
-					trimmed += total - c
-				}
-			}
+	for t, x := range plan.X {
+		tr := in.fitCapacity(x)
+		if t == 0 {
+			trimmed = tr
 		}
 	}
 	prev := x0
@@ -148,37 +151,15 @@ func (in *Instance) projectPlanCapacity(plan *Plan, x0 State, prices [][]float64
 	return trimmed
 }
 
-// holdProjection returns the allocation closest to s (by per-DC
-// proportional scaling) that fits the instance's current capacities, along
-// with the number of servers dropped. It is the degradation ladder's last
-// rung: always well defined, no solve involved.
-func (in *Instance) holdProjection(s State) (State, float64) {
-	next := in.NewState()
-	var trimmed float64
-	for l := 0; l < in.l; l++ {
-		var total float64
-		for v := 0; v < in.v; v++ {
-			next[l][v] = s[l][v]
-			total += s[l][v]
-		}
-		c := in.capacity[l]
-		if total > c {
-			scale := c / total
-			for v := 0; v < in.v; v++ {
-				next[l][v] *= scale
-			}
-			trimmed += total - c
-		}
-	}
-	return next, trimmed
-}
-
 // holdPlan synthesizes a full-length plan that applies the projection step
-// and then holds: U[0] moves from the current state onto the projected
-// one, all later controls are zero. Duals are zero — the plan carries no
-// optimality information — and there is no warm-start capsule.
+// and then holds: U[0] moves from the current state onto its copy fitted to
+// the current capacities (fitCapacity), all later controls are zero. Duals
+// are zero — the plan carries no optimality information — and there is no
+// warm-start capsule. It is the degradation ladder's last rung: always well
+// defined, no solve involved. Also returns the servers trimmed.
 func (in *Instance) holdPlan(x0 State, prices [][]float64) (*Plan, float64) {
-	next, trimmed := in.holdProjection(x0)
+	next := x0.Clone()
+	trimmed := in.fitCapacity(next)
 	w := len(prices)
 	plan := &Plan{
 		U:             make([]State, w),

@@ -175,7 +175,8 @@ func TestHoldProjection(t *testing.T) {
 	s := inst.NewState()
 	s[0][0], s[0][1] = 150, 50 // DC 0 at 200: over by 100
 	s[1][0] = 30
-	next, trimmed := inst.holdProjection(s)
+	next := s.Clone()
+	trimmed := inst.fitCapacity(next)
 	if math.Abs(trimmed-100) > 1e-9 {
 		t.Errorf("trimmed = %g, want 100", trimmed)
 	}

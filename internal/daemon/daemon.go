@@ -34,11 +34,6 @@ import (
 // ErrBadConfig flags an invalid daemon configuration.
 var ErrBadConfig = errors.New("daemon: invalid configuration")
 
-// overrunGrace is the scheduling slack allowed past the period budget
-// before a completed period counts as an overrun (matches the simulator's
-// BudgetGrace).
-const overrunGrace = 5 * time.Millisecond
-
 // minCorrSamples is how many ratio observations a correction factor needs
 // before it moves off 1: with fewer, the Welford mean is noise.
 const minCorrSamples = 3
@@ -393,7 +388,7 @@ func (d *Daemon) runPeriod(ctx context.Context, obs Observation) error {
 	rep := Report{
 		Period:     d.period,
 		WallMS:     float64(wall) / float64(time.Millisecond),
-		Overrun:    d.cfg.Budget > 0 && wall > d.cfg.Budget+overrunGrace,
+		Overrun:    d.cfg.Budget > 0 && wall > d.cfg.Budget+core.BudgetGrace,
 		DemandCorr: demandCorr,
 		DelayCorr:  delayCorr,
 		Watchdog:   tripped,

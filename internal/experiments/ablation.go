@@ -148,7 +148,7 @@ func AblationBaselines(seed int64) (*BaselineResult, error) {
 		if err != nil {
 			panic(err) // construction with validated inputs cannot fail
 		}
-		myo, err := baseline.NewMyopic(inst)
+		ctrl1, err := core.NewController(inst, 1)
 		if err != nil {
 			panic(err)
 		}
@@ -164,7 +164,7 @@ func AblationBaselines(seed int64) (*BaselineResult, error) {
 		if err != nil {
 			panic(err)
 		}
-		return []sim.Policy{&sim.MPCPolicy{Ctrl: ctrl5}, myo, static, greedy, lazy}
+		return []sim.Policy{&sim.MPCPolicy{Ctrl: ctrl5}, &sim.MPCPolicy{Ctrl: ctrl1, Label: "myopic"}, static, greedy, lazy}
 	}
 
 	res := &BaselineResult{

@@ -309,19 +309,6 @@ func TestCorrelation(t *testing.T) {
 	}
 }
 
-func TestAblationSoftController(t *testing.T) {
-	r, err := AblationSoftController(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if r.Policies[1] != "soft-lqr" {
-		t.Errorf("policies = %v", r.Policies)
-	}
-}
-
 func TestGameRecedingHorizon(t *testing.T) {
 	r, err := GameRecedingHorizon(testSeed)
 	if err != nil {

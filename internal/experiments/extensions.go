@@ -4,88 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
-	"dspp/internal/baseline"
-	"dspp/internal/core"
 	"dspp/internal/game"
 	"dspp/internal/queue"
-	"dspp/internal/sim"
 )
-
-// SoftVsHardResult compares the hard-constraint interior-point MPC
-// against the Riccati soft-tracking controller.
-type SoftVsHardResult struct {
-	Policies   []string
-	Cost       []float64
-	Violations []int
-	StepMicros []float64 // mean wall time per control step
-	Table      *Table
-}
-
-// AblationSoftController runs the Fig. 4 workload under the hard QP-based
-// MPC and the soft LQ-tracking controller: the soft controller is an
-// order of magnitude faster per step but trades away the SLA guarantee
-// during demand ramps.
-func AblationSoftController(seed int64) (*SoftVsHardResult, error) {
-	const periods = 24
-	const horizon = 5
-	inst, demand, prices, err := fig4Scenario(seed, periods+horizon, 2e-5)
-	if err != nil {
-		return nil, err
-	}
-	hardCtrl, err := core.NewController(inst, horizon)
-	if err != nil {
-		return nil, err
-	}
-	soft, err := baseline.NewSoftTracking(inst, 1.0, horizon)
-	if err != nil {
-		return nil, err
-	}
-	res := &SoftVsHardResult{
-		Table: &Table{
-			Title:   "Ablation: hard-QP MPC vs soft-LQR tracking controller",
-			Columns: []string{"controller", "total cost", "SLA violations", "us/step"},
-		},
-	}
-	for _, pol := range []sim.Policy{&sim.MPCPolicy{Ctrl: hardCtrl}, soft} {
-		start := time.Now()
-		run, err := sim.Run(sim.Config{
-			Instance:    inst,
-			Policy:      pol,
-			DemandTrace: demand,
-			PriceTrace:  prices,
-			Periods:     periods,
-			Horizon:     horizon,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", pol.Name(), err)
-		}
-		micros := float64(time.Since(start).Microseconds()) / float64(periods)
-		res.Policies = append(res.Policies, run.PolicyName)
-		res.Cost = append(res.Cost, run.TotalCost)
-		res.Violations = append(res.Violations, run.SLAViolations)
-		res.StepMicros = append(res.StepMicros, micros)
-		res.Table.AddRow(run.PolicyName, f2(run.TotalCost), itoa(run.SLAViolations), f1(micros))
-	}
-	return res, nil
-}
-
-// Check verifies that the hard controller never violates the SLA while
-// the soft one stays within a sane cost band of it.
-func (r *SoftVsHardResult) Check() error {
-	if len(r.Policies) != 2 {
-		return fmt.Errorf("want 2 policies, got %d: %w", len(r.Policies), ErrShape)
-	}
-	if r.Violations[0] != 0 {
-		return fmt.Errorf("hard MPC violated the SLA %d times: %w", r.Violations[0], ErrShape)
-	}
-	if r.Cost[1] > 2*r.Cost[0] {
-		return fmt.Errorf("soft controller cost %g vs hard %g: tracking badly tuned: %w",
-			r.Cost[1], r.Cost[0], ErrShape)
-	}
-	return nil
-}
 
 // RecedingGameResult is the closed-loop competition experiment.
 type RecedingGameResult struct {

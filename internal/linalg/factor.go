@@ -10,13 +10,9 @@ import (
 // not (numerically) symmetric positive definite.
 var ErrNotPositiveDefinite = errors.New("linalg: matrix not positive definite")
 
-// ErrSingular is returned by LU when the matrix is numerically singular.
-var ErrSingular = errors.New("linalg: matrix is singular")
-
 // Cholesky holds the lower-triangular factor L of A = L·Lᵀ. It factors
-// the small dense systems of the Riccati sweep (package lqr) and of
-// LeastSquares, and it is the reference the band and envelope
-// factorizations are tested against.
+// LeastSquares' normal equations, and it is the reference the band and
+// envelope factorizations are tested against.
 type Cholesky struct {
 	n int
 	l []float64 // row-major lower triangle (full square storage)
@@ -99,117 +95,6 @@ func (c *Cholesky) Solve(b Vector, x Vector) error {
 			s -= l[k*n+i] * x[k]
 		}
 		x[i] = s * c.dinv[i]
-	}
-	return nil
-}
-
-// SolveMatrix solves A X = B column by column, returning X.
-func (c *Cholesky) SolveMatrix(b *Matrix) (*Matrix, error) {
-	if b.Rows() != c.n {
-		return nil, fmt.Errorf("cholesky solvematrix rows=%d n=%d: %w", b.Rows(), c.n, ErrDimensionMismatch)
-	}
-	x := NewMatrix(b.Rows(), b.Cols())
-	col := NewVector(c.n)
-	out := NewVector(c.n)
-	for j := 0; j < b.Cols(); j++ {
-		for i := 0; i < b.Rows(); i++ {
-			col[i] = b.At(i, j)
-		}
-		if err := c.Solve(col, out); err != nil {
-			return nil, err
-		}
-		for i := 0; i < b.Rows(); i++ {
-			x.Set(i, j, out[i])
-		}
-	}
-	return x, nil
-}
-
-// LU holds a row-pivoted LU factorization P·A = L·U. Nothing in the
-// solver path uses it; tests solve reference KKT systems with it.
-type LU struct {
-	n   int
-	lu  []float64
-	piv []int
-}
-
-// NewLU factorizes the square matrix a with partial pivoting.
-// The input is not modified.
-func NewLU(a *Matrix) (*LU, error) {
-	if a.Rows() != a.Cols() {
-		return nil, fmt.Errorf("lu of (%dx%d): %w", a.Rows(), a.Cols(), ErrDimensionMismatch)
-	}
-	n := a.Rows()
-	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
-	for i := 0; i < n; i++ {
-		f.piv[i] = i
-		copy(f.lu[i*n:(i+1)*n], a.Row(i))
-	}
-	lu := f.lu
-	for k := 0; k < n; k++ {
-		// Pivot search.
-		p, pmax := k, math.Abs(lu[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if v := math.Abs(lu[i*n+k]); v > pmax {
-				p, pmax = i, v
-			}
-		}
-		if pmax == 0 || math.IsNaN(pmax) {
-			return nil, fmt.Errorf("column %d: %w", k, ErrSingular)
-		}
-		if p != k {
-			rk := lu[k*n : (k+1)*n]
-			rp := lu[p*n : (p+1)*n]
-			for j := range rk {
-				rk[j], rp[j] = rp[j], rk[j]
-			}
-			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-		}
-		pivVal := lu[k*n+k]
-		for i := k + 1; i < n; i++ {
-			m := lu[i*n+k] / pivVal
-			lu[i*n+k] = m
-			if m == 0 {
-				continue
-			}
-			ri := lu[i*n:]
-			rk := lu[k*n:]
-			for j := k + 1; j < n; j++ {
-				ri[j] -= m * rk[j]
-			}
-		}
-	}
-	return f, nil
-}
-
-// Solve solves A x = b, writing the result into x. x and b must not alias.
-func (f *LU) Solve(b Vector, x Vector) error {
-	n := f.n
-	if len(b) != n || len(x) != n {
-		return fmt.Errorf("lu solve b=%d x=%d n=%d: %w", len(b), len(x), n, ErrDimensionMismatch)
-	}
-	// Apply permutation.
-	for i := 0; i < n; i++ {
-		x[i] = b[f.piv[i]]
-	}
-	lu := f.lu
-	// Forward: L y = Pb (unit diagonal).
-	for i := 1; i < n; i++ {
-		s := x[i]
-		ri := lu[i*n:]
-		for k := 0; k < i; k++ {
-			s -= ri[k] * x[k]
-		}
-		x[i] = s
-	}
-	// Back: U x = y.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		ri := lu[i*n:]
-		for k := i + 1; k < n; k++ {
-			s -= ri[k] * x[k]
-		}
-		x[i] = s / ri[i]
 	}
 	return nil
 }

@@ -23,42 +23,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// MatrixFromRows builds a matrix from row slices. All rows must have equal
-// length.
-func MatrixFromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("row %d has %d cols, want %d: %w", i, len(r), cols, ErrDimensionMismatch)
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
-}
-
-// Diag returns a square matrix with d on its diagonal.
-func Diag(d Vector) *Matrix {
-	n := len(d)
-	m := NewMatrix(n, n)
-	for i, x := range d {
-		m.data[i*n+i] = x
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -73,28 +37,6 @@ func (m *Matrix) Set(i, j int, x float64) { m.data[i*m.cols+j] = x }
 
 // Inc adds x to the (i, j) entry.
 func (m *Matrix) Inc(i, j int, x float64) { m.data[i*m.cols+j] += x }
-
-// Row returns a view (not a copy) of row i.
-func (m *Matrix) Row(i int) Vector { return Vector(m.data[i*m.cols : (i+1)*m.cols]) }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.rows, m.cols)
-	copy(out.data, m.data)
-	return out
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		ri := m.data[i*m.cols : (i+1)*m.cols]
-		for j, x := range ri {
-			out.data[j*m.rows+i] = x
-		}
-	}
-	return out
-}
 
 // MulVec computes y = M x. The output vector y must have length m.Rows().
 func (m *Matrix) MulVec(x Vector, y Vector) error {
@@ -128,39 +70,6 @@ func (m *Matrix) MulVecT(x Vector, y Vector) error {
 		for j, a := range ri {
 			y[j] += a * xi
 		}
-	}
-	return nil
-}
-
-// Mul returns A·B as a new matrix.
-func Mul(a, b *Matrix) (*Matrix, error) {
-	if a.cols != b.rows {
-		return nil, fmt.Errorf("mul (%dx%d)·(%dx%d): %w", a.rows, a.cols, b.rows, b.cols, ErrDimensionMismatch)
-	}
-	out := NewMatrix(a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		ar := a.data[i*a.cols : (i+1)*a.cols]
-		or := out.data[i*out.cols : (i+1)*out.cols]
-		for k, aik := range ar {
-			if aik == 0 {
-				continue
-			}
-			br := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bkj := range br {
-				or[j] += aik * bkj
-			}
-		}
-	}
-	return out, nil
-}
-
-// AddScaled computes m += alpha*other elementwise in place.
-func (m *Matrix) AddScaled(alpha float64, other *Matrix) error {
-	if m.rows != other.rows || m.cols != other.cols {
-		return fmt.Errorf("addscaled (%dx%d)+(%dx%d): %w", m.rows, m.cols, other.rows, other.cols, ErrDimensionMismatch)
-	}
-	for i := range m.data {
-		m.data[i] += alpha * other.data[i]
 	}
 	return nil
 }

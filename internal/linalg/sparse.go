@@ -150,26 +150,6 @@ func (r *rowSorter) Swap(i, j int) {
 	r.vals[i], r.vals[j] = r.vals[j], r.vals[i]
 }
 
-// SparseFromDense converts a dense matrix, dropping exact zeros.
-func SparseFromDense(d *Matrix) *SparseMatrix {
-	b := NewSparseBuilder(d.Rows(), d.Cols(), 0)
-	for i := 0; i < d.Rows(); i++ {
-		b.StartRow()
-		for j := 0; j < d.Cols(); j++ {
-			if v := d.At(i, j); v != 0 {
-				b.Add(j, v)
-			}
-		}
-	}
-	m, err := b.Build()
-	if err != nil {
-		// Unreachable: the loop above emits every row in order with
-		// strictly increasing columns.
-		panic(err)
-	}
-	return m
-}
-
 // ToDense materializes the matrix densely (for tests and debugging).
 func (m *SparseMatrix) ToDense() *Matrix {
 	d := NewMatrix(m.rows, m.cols)

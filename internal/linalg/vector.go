@@ -3,9 +3,9 @@
 // symmetric band matrices (BandMatrix), CSR constraint matrices
 // (SparseMatrix) and the envelope band Cholesky (BandCholesky) with its
 // unrolled small-band kernels. Dense matrices and the dense Cholesky serve
-// the Riccati sweep (package lqr) and the AR predictor's least squares
-// (package predict); they, the dense Matrix.AtATWeighted and LU are also
-// the references the band kernels are tested against.
+// the AR predictor's least squares (package predict); they and the dense
+// Matrix.AtATWeighted are also the references the band kernels are tested
+// against.
 //
 // The package is deliberately small and allocation-conscious rather than a
 // general BLAS replacement, with clear error reporting instead of panics
@@ -26,13 +26,6 @@ type Vector []float64
 
 // NewVector returns a zero vector of length n.
 func NewVector(n int) Vector { return make(Vector, n) }
-
-// VectorOf returns a vector holding a copy of the given values.
-func VectorOf(vals ...float64) Vector {
-	v := make(Vector, len(vals))
-	copy(v, vals)
-	return v
-}
 
 // Clone returns a deep copy of v.
 func (v Vector) Clone() Vector {

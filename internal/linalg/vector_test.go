@@ -8,6 +8,13 @@ import (
 	"testing/quick"
 )
 
+// VectorOf returns a vector holding a copy of the given values.
+func VectorOf(vals ...float64) Vector {
+	v := make(Vector, len(vals))
+	copy(v, vals)
+	return v
+}
+
 func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
 }

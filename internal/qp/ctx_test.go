@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"testing"
-
-	"dspp/internal/linalg"
 )
 
 func TestSolveCtxCancelled(t *testing.T) {
 	// The context is polled once per interior-point iteration.
-	p := denseQP(t, [][]float64{{1, 0}, {0, 1}}, linalg.VectorOf(-1, -2),
-		[][]float64{{1, 0}, {0, 1}, {-1, 0}, {0, -1}}, linalg.VectorOf(0.5, 0.5, 0, 0))
+	p := denseQP(t, [][]float64{{1, 0}, {0, 1}}, vectorOf(-1, -2),
+		[][]float64{{1, 0}, {0, 1}, {-1, 0}, {0, -1}}, vectorOf(0.5, 0.5, 0, 0))
 	ses, err := NewSession(p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

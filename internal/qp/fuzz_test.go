@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"dspp/internal/linalg"
 	"dspp/internal/telemetry"
 )
 
@@ -24,8 +23,8 @@ func FuzzSolve(f *testing.F) {
 	f.Add(1.0, 0.0, 1.0, -1.0, -2.0, 1.0, 0.0, 0.5, 0.0, 1.0, 0.5, math.Inf(-1), 1.0)
 	f.Add(1.0, 0.0, 1.0, -1.0, -2.0, 1.0, 0.0, 0.5, 0.0, 1.0, 0.5, -1e300, 1e300)
 	f.Fuzz(func(t *testing.T, q00, q01, q11, c0, c1, g00, g01, h0, g10, g11, h1, w0, w1 float64) {
-		p := denseQP(t, [][]float64{{q00, q01}, {q01, q11}}, linalg.VectorOf(c0, c1),
-			[][]float64{{g00, g01}, {g10, g11}}, linalg.VectorOf(h0, h1))
+		p := denseQP(t, [][]float64{{q00, q01}, {q01, q11}}, vectorOf(c0, c1),
+			[][]float64{{g00, g01}, {g10, g11}}, vectorOf(h0, h1))
 		cold, coldErr := solveOnce(p, DefaultOptions(), nil)
 		checkFuzzOutcome(t, cold, coldErr)
 		if errors.Is(coldErr, ErrBadProblem) {
@@ -34,7 +33,7 @@ func FuzzSolve(f *testing.F) {
 		hub := telemetry.New()
 		opts := DefaultOptions()
 		opts.Hooks = hub.QPHooks()
-		res, err := solveOnce(p, opts, &WarmStart{X: linalg.VectorOf(w0, w1)})
+		res, err := solveOnce(p, opts, &WarmStart{X: vectorOf(w0, w1)})
 		checkFuzzOutcome(t, res, err)
 		if hub.Registry().Snapshot()[telemetry.MetricQPWarmStarts] != 0 {
 			return

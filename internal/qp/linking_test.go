@@ -226,7 +226,7 @@ func TestLinkingRowsMatchBandSolve(t *testing.T) {
 					g.Set(r, j, g.At(r, j)*(0.5+rng.Float64()))
 				}
 			}
-			p.G = linalg.SparseFromDense(g)
+			p.G = sparseFromDense(g)
 		}
 		got, err := solveOnce(p, DefaultOptions(), nil)
 		if err != nil {

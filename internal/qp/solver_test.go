@@ -10,11 +10,44 @@ import (
 	"dspp/internal/linalg"
 )
 
+// mustMatrix builds a dense matrix from equal-length rows.
 func mustMatrix(t *testing.T, rows [][]float64) *linalg.Matrix {
 	t.Helper()
-	m, err := linalg.MatrixFromRows(rows)
+	var cols int
+	if len(rows) > 0 {
+		cols = len(rows[0])
+	}
+	m := linalg.NewMatrix(len(rows), cols)
+	for i, r := range rows {
+		if len(r) != cols {
+			t.Fatalf("row %d has %d cols, want %d", i, len(r), cols)
+		}
+		for j, v := range r {
+			m.Set(i, j, v)
+		}
+	}
+	return m
+}
+
+// vectorOf returns a vector holding a copy of the given values.
+func vectorOf(vals ...float64) linalg.Vector {
+	return append(linalg.NewVector(0), vals...)
+}
+
+// sparseFromDense converts a dense matrix to CSR, dropping exact zeros.
+func sparseFromDense(d *linalg.Matrix) *linalg.SparseMatrix {
+	b := linalg.NewSparseBuilder(d.Rows(), d.Cols(), 0)
+	for i := 0; i < d.Rows(); i++ {
+		b.StartRow()
+		for j := 0; j < d.Cols(); j++ {
+			if v := d.At(i, j); v != 0 {
+				b.Add(j, v)
+			}
+		}
+	}
+	m, err := b.Build()
 	if err != nil {
-		t.Fatal(err)
+		panic(err) // rows in order, columns strictly increasing
 	}
 	return m
 }
@@ -36,7 +69,7 @@ func fullBand(d *linalg.Matrix) *linalg.BandMatrix {
 // band, G in CSR.
 func denseQP(t *testing.T, q [][]float64, c linalg.Vector, g [][]float64, h linalg.Vector) *Problem {
 	t.Helper()
-	return &Problem{Q: fullBand(mustMatrix(t, q)), C: c, G: linalg.SparseFromDense(mustMatrix(t, g)), H: h}
+	return &Problem{Q: fullBand(mustMatrix(t, q)), C: c, G: sparseFromDense(mustMatrix(t, g)), H: h}
 }
 
 // solveOnce solves p on a fresh one-use session, from warm when non-nil:
@@ -61,8 +94,8 @@ func solveOK(t *testing.T, p *Problem) *Result {
 func TestUnconstrainedQP(t *testing.T) {
 	// min ½(x₁²+x₂²) − x₁ − 2x₂ under a box that never binds →
 	// x = (1, 2) with zero duals.
-	p := denseQP(t, [][]float64{{1, 0}, {0, 1}}, linalg.VectorOf(-1, -2),
-		[][]float64{{1, 0}, {0, 1}, {-1, 0}, {0, -1}}, linalg.VectorOf(10, 10, 10, 10))
+	p := denseQP(t, [][]float64{{1, 0}, {0, 1}}, vectorOf(-1, -2),
+		[][]float64{{1, 0}, {0, 1}, {-1, 0}, {0, -1}}, vectorOf(10, 10, 10, 10))
 	res := solveOK(t, p)
 	if math.Abs(res.X[0]-1) > 1e-8 || math.Abs(res.X[1]-2) > 1e-8 {
 		t.Errorf("x = %v, want (1,2)", res.X)
@@ -77,7 +110,7 @@ func TestUnconstrainedQP(t *testing.T) {
 func TestBoxConstrainedQP(t *testing.T) {
 	// min ½(x−3)² s.t. 0 ≤ x ≤ 1  →  x = 1, active upper bound,
 	// dual of x ≤ 1 equals 2 (gradient x−3 at 1 is −2 → z = 2).
-	p := denseQP(t, [][]float64{{1}}, linalg.VectorOf(-3), [][]float64{{1}, {-1}}, linalg.VectorOf(1, 0))
+	p := denseQP(t, [][]float64{{1}}, vectorOf(-3), [][]float64{{1}, {-1}}, vectorOf(1, 0))
 	res := solveOK(t, p)
 	if math.Abs(res.X[0]-1) > 1e-6 {
 		t.Errorf("x = %v, want 1", res.X)
@@ -94,11 +127,11 @@ func TestProjectionOntoSimplex(t *testing.T) {
 	// min ½||x − y||² s.t. 1ᵀx ≤ 1, x ≥ 0, y = (0.9, 0.6, −0.5). The
 	// projection onto x ≥ 0 alone sums to 1.5, so 1ᵀx ≤ 1 binds and the
 	// answer is the projection onto the simplex: (0.65, 0.35, 0).
-	y := linalg.VectorOf(0.9, 0.6, -0.5)
+	y := vectorOf(0.9, 0.6, -0.5)
 	c := y.Clone()
 	c.Scale(-1)
 	p := denseQP(t, [][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}, c,
-		[][]float64{{1, 1, 1}, {-1, 0, 0}, {0, -1, 0}, {0, 0, -1}}, linalg.VectorOf(1, 0, 0, 0))
+		[][]float64{{1, 1, 1}, {-1, 0, 0}, {0, -1, 0}, {0, 0, -1}}, vectorOf(1, 0, 0, 0))
 	res := solveOK(t, p)
 	want := []float64{0.65, 0.35, 0}
 	for i := range want {
@@ -111,13 +144,13 @@ func TestProjectionOntoSimplex(t *testing.T) {
 func TestLPviaQP(t *testing.T) {
 	// Pure LP (Q = 0): min −x₁−x₂ s.t. x₁+2x₂ ≤ 4, x ≥ 0, x₁ ≤ 3.
 	// Optimum at vertex (3, 0.5) with objective −3.5.
-	p := denseQP(t, [][]float64{{0, 0}, {0, 0}}, linalg.VectorOf(-1, -1),
+	p := denseQP(t, [][]float64{{0, 0}, {0, 0}}, vectorOf(-1, -1),
 		[][]float64{
 			{1, 2},
 			{-1, 0},
 			{0, -1},
 			{1, 0},
-		}, linalg.VectorOf(4, 0, 0, 3))
+		}, vectorOf(4, 0, 0, 3))
 	res := solveOK(t, p)
 	if math.Abs(res.X[0]-3) > 1e-5 || math.Abs(res.X[1]-0.5) > 1e-5 {
 		t.Errorf("x = %v, want (3, 0.5)", res.X)
@@ -130,21 +163,21 @@ func TestLPviaQP(t *testing.T) {
 func TestValidateErrors(t *testing.T) {
 	one := linalg.NewBandMatrix(1, 0)
 	_ = one.Set(0, 0, 1)
-	row := linalg.SparseFromDense(linalg.Identity(1))
+	row := sparseFromDense(mustMatrix(t, [][]float64{{1}}))
 	cases := []struct {
 		name string
 		p    *Problem
 	}{
-		{"nil Q", &Problem{C: linalg.VectorOf(1), G: row, H: linalg.VectorOf(1)}},
-		{"nil G", &Problem{Q: one, C: linalg.VectorOf(0)}},
-		{"G without rows", &Problem{Q: one, C: linalg.VectorOf(0),
-			G: linalg.SparseFromDense(linalg.NewMatrix(0, 1)), H: linalg.VectorOf()}},
-		{"c wrong len", &Problem{Q: one, C: linalg.VectorOf(1, 2), G: row, H: linalg.VectorOf(1)}},
-		{"G without h", &Problem{Q: one, C: linalg.VectorOf(0), G: row}},
-		{"G col mismatch", &Problem{Q: one, C: linalg.VectorOf(0),
-			G: linalg.SparseFromDense(linalg.NewMatrix(1, 2)), H: linalg.VectorOf(1)}},
-		{"G row mismatch", &Problem{Q: one, C: linalg.VectorOf(0),
-			G: linalg.SparseFromDense(linalg.NewMatrix(2, 1)), H: linalg.VectorOf(1)}},
+		{"nil Q", &Problem{C: vectorOf(1), G: row, H: vectorOf(1)}},
+		{"nil G", &Problem{Q: one, C: vectorOf(0)}},
+		{"G without rows", &Problem{Q: one, C: vectorOf(0),
+			G: sparseFromDense(linalg.NewMatrix(0, 1)), H: vectorOf()}},
+		{"c wrong len", &Problem{Q: one, C: vectorOf(1, 2), G: row, H: vectorOf(1)}},
+		{"G without h", &Problem{Q: one, C: vectorOf(0), G: row}},
+		{"G col mismatch", &Problem{Q: one, C: vectorOf(0),
+			G: sparseFromDense(linalg.NewMatrix(1, 2)), H: vectorOf(1)}},
+		{"G row mismatch", &Problem{Q: one, C: vectorOf(0),
+			G: sparseFromDense(linalg.NewMatrix(2, 1)), H: vectorOf(1)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -242,7 +275,7 @@ func randomFeasibleQP(rng *rand.Rand, n, m int) *Problem {
 		}
 		h[i] = 1 + rng.Float64()*3
 	}
-	return &Problem{Q: q, C: c, G: linalg.SparseFromDense(g), H: h}
+	return &Problem{Q: q, C: c, G: sparseFromDense(g), H: h}
 }
 
 // bruteForceQP solves a small QP by enumerating active sets. For each
@@ -314,12 +347,8 @@ func equalityQP(q *linalg.Matrix, c linalg.Vector, a [][]float64, b []float64) (
 		}
 		rhs[n+r] = b[r]
 	}
-	lu, err := linalg.NewLU(kkt)
+	sol, err := luSolve(kkt, rhs)
 	if err != nil {
-		return nil, 0, false
-	}
-	sol := linalg.NewVector(n + k)
-	if err := lu.Solve(rhs, sol); err != nil {
 		return nil, 0, false
 	}
 	x = sol[:n]

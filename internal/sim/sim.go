@@ -150,8 +150,9 @@ type Config struct {
 	// period is expected to honor. The policy enforces its own deadline
 	// (e.g. core.WithBudget); the engine independently times every step
 	// end to end — stall included — and counts periods slower than
-	// Budget+BudgetGrace as overruns, so the report catches a ladder that
-	// blows its budget even when the solver believes it met the deadline.
+	// Budget+core.BudgetGrace as overruns, so the report catches a
+	// ladder that blows its budget even when the solver believes it met
+	// the deadline.
 	Budget time.Duration
 	// Telemetry, when non-nil, receives the run's metrics and spans: a
 	// run span wrapping one period span per control step (parenting the
@@ -226,17 +227,11 @@ type Result struct {
 	// dspp_loose_steps_total delta); such steps may also be degraded.
 	LooseSteps int
 	// BudgetOverruns counts periods whose end-to-end wall time exceeded
-	// Config.Budget+BudgetGrace (0 when no budget was configured);
+	// Config.Budget+core.BudgetGrace (0 when no budget was configured);
 	// MaxStepWall is the slowest period observed.
 	BudgetOverruns int
 	MaxStepWall    time.Duration
 }
-
-// BudgetGrace is the measurement slack added on top of Config.Budget
-// before a period counts as an overrun: the ladder's hold rung runs after
-// the deadline fires, so a budgeted step legitimately finishes a hair
-// late, never unboundedly late.
-const BudgetGrace = 5 * time.Millisecond
 
 // DegradationSummary renders a one-line robustness report for the run.
 // It is a pure view over the telemetry-counter deltas captured at the
@@ -464,7 +459,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		if stepWall > res.MaxStepWall {
 			res.MaxStepWall = stepWall
 		}
-		if cfg.Budget > 0 && stepWall > cfg.Budget+BudgetGrace {
+		if cfg.Budget > 0 && stepWall > cfg.Budget+core.BudgetGrace {
 			mOver.Inc()
 		}
 		realD := demandTrace[k+1]

@@ -162,10 +162,7 @@ func TestRunWithBaselinePolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	myopic, err := baseline.NewMyopic(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	myopic := mpcPolicy(t, inst, 1)
 	lazy, err := baseline.NewLazyThreshold(inst, 1.2, 2.0)
 	if err != nil {
 		t.Fatal(err)

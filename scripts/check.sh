@@ -17,6 +17,18 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== reachability (every internal package ships) =="
+# Every package under internal/ must be imported, directly or not, by the
+# root package, a command or an example: a package that only its own
+# tests import is dead code and fails here.
+shipped=$(go list -deps . ./cmd/... ./examples/...)
+unreached=""
+for pkg in $(go list ./internal/...); do
+	echo "$shipped" | grep -qx "$pkg" || unreached="$unreached $pkg"
+done
+[ -z "$unreached" ] || { echo "internal packages nothing shipped imports:$unreached"; exit 1; }
+echo "every internal package is reached from . ./cmd/... ./examples/..."
+
 echo "== generated band kernels =="
 # internal/linalg/band_gen.go is written by gen_band.go; regenerating it
 # must leave the checked-in file as it is.

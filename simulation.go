@@ -98,24 +98,20 @@ func NewStaticAveragePolicy(inst *Instance, demand, prices [][]float64) (Policy,
 	return baseline.NewStaticAverage(inst, demand, prices)
 }
 
-// NewMyopicPolicy solves a single-period DSPP each step (MPC with W=1).
+// NewMyopicPolicy solves a single-period DSPP each step: MPC with W=1,
+// price aware but with no lookahead.
 func NewMyopicPolicy(inst *Instance) (Policy, error) {
-	return baseline.NewMyopic(inst)
+	ctrl, err := NewController(inst, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &MPCPolicy{Ctrl: ctrl, Label: "myopic"}, nil
 }
 
 // NewLazyThresholdPolicy holds the allocation inside a hysteresis band
 // and re-plans to target×minimum when the band is left.
 func NewLazyThresholdPolicy(inst *Instance, target, upper float64) (Policy, error) {
 	return baseline.NewLazyThreshold(inst, target, upper)
-}
-
-// NewSoftTrackingPolicy is a soft-constraint MPC controller solved by an
-// exact Riccati sweep instead of the interior-point QP: demand becomes a
-// quadratic tracking target, so it is much faster per step but can
-// undershoot the SLA during ramps. trackWeight balances tracking accuracy
-// against reconfiguration smoothness.
-func NewSoftTrackingPolicy(inst *Instance, trackWeight float64, horizon int) (Policy, error) {
-	return baseline.NewSoftTracking(inst, trackWeight, horizon)
 }
 
 // WriteTraceCSV writes a [period][series] trace as CSV with named columns.
