@@ -139,11 +139,17 @@ func diffCases(t *testing.T) []diffCase {
 }
 
 // bandOnly is p with every constraint row in the KKT band: no linking
-// rows, and Q widened to the band the coupling rows reach
-// (G.GramBandwidth).
+// rows, and Q widened to the band the coupling rows reach, the widest
+// column spread of any row of G.
 func bandOnly(p *qp.Problem) *qp.Problem {
 	n, qbw := p.Q.N(), p.Q.Bandwidth()
-	q := linalg.NewBandMatrix(n, max(qbw, p.G.GramBandwidth()))
+	gbw := 0
+	for i := 0; i < p.G.Rows(); i++ {
+		if cols, _ := p.G.RowEntries(i); len(cols) > 0 {
+			gbw = max(gbw, cols[len(cols)-1]-cols[0])
+		}
+	}
+	q := linalg.NewBandMatrix(n, max(qbw, gbw))
 	for i := 0; i < n; i++ {
 		for j := max(0, i-qbw); j <= i; j++ {
 			_ = q.Set(i, j, p.Q.At(i, j))

@@ -304,27 +304,27 @@ func (in *Instance) fillHorizonVectors(hs *horizonStruct, input HorizonInput, cV
 	return constCost
 }
 
-// planArena is the reusable backing storage of one reconstructed Plan and
-// its warm capsule, double-buffered by HorizonSession. Contents are fully rewritten (the
-// float block is zeroed first — partially-written rows like the capacity
-// duals rely on a clean slate), so a reused arena yields a Plan bitwise
-// identical to a freshly allocated one.
+// planArena is the backing storage of one reconstructed Plan and its warm
+// capsule, double-buffered by HorizonSession. It is laid out once, at its
+// first solve (layoutPlan): one float block holding every state, dual and
+// shed row, the row headers that index it, the Plan's slices and the
+// capsule's shape. Each later solve only writes values (buildPlan), and it
+// writes every value the plan exposes — the entries no control can move
+// and the duals of uncapacitated DCs as explicit zeros — so whatever a
+// caller wrote into an earlier plan's values (projectPlanCapacity rewrites
+// U, X and Objective in place) is gone, and a reused arena yields a Plan
+// bitwise identical to a fresh one. Callers may rewrite a plan's values,
+// never its slices.
 type planArena struct {
-	floats []float64
-	rows   [][]float64
-	states []State
-	plan   Plan
-	warm   HorizonWarm
+	plan Plan
+	warm HorizonWarm
 }
 
-// buildPlan reconstructs the trajectory, duals, and warm capsule (the
-// shed table instead of a capsule for the soft structure) from a solved
-// horizon QP into the arena, whose buffers are resized and reused.
-func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Result, constCost float64, ar *planArena) *Plan {
-	// The whole plan — 2W states plus the dual (and shed) tables — is
-	// carved out of one float backing array and one row-header block, so a
-	// reused arena allocates nothing and a fresh one a fixed handful of
-	// blocks instead of O(W·L) small ones.
+// layoutPlan carves ar's plan for hs: the whole plan — 2W states plus the
+// dual (and shed) tables — out of one float block and one row-header
+// block, a fixed handful of allocations instead of O(W·L) small ones. A
+// hard plan points at the arena's capsule, whose shape is fixed here.
+func (in *Instance) layoutPlan(hs *horizonStruct, ar *planArena) {
 	w := hs.w
 	nf := w * (2*in.l*in.v + in.v + in.l)
 	nr := 2*w*in.l + 2*w
@@ -332,22 +332,7 @@ func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Res
 		nf += w * in.v
 		nr += w
 	}
-	rowsPerStep := hs.rowsPerStep
-	if cap(ar.floats) < nf {
-		ar.floats = make([]float64, nf)
-	} else {
-		ar.floats = ar.floats[:nf]
-		for i := range ar.floats {
-			ar.floats[i] = 0
-		}
-	}
-	if cap(ar.rows) < nr {
-		ar.rows = make([][]float64, nr)
-	}
-	if cap(ar.states) < 2*w {
-		ar.states = make([]State, 2*w)
-	}
-	floats, rows, states := ar.floats, ar.rows[:nr], ar.states[:2*w]
+	floats, rows, states := make([]float64, nf), make([][]float64, nr), make([]State, 2*w)
 	takeRow := func(k int) []float64 {
 		r := floats[:k:k]
 		floats = floats[k:]
@@ -361,36 +346,59 @@ func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Res
 		}
 		return s
 	}
-
 	plan := &ar.plan
-	*plan = Plan{
-		U:             states[:w:w],
-		X:             states[w:],
-		Objective:     res.Objective + constCost,
-		CapacityDuals: rows[:w:w],
-		DemandDuals:   rows[w : 2*w : 2*w],
-		QPIterations:  res.Iterations,
-		Loose:         res.Loose,
-	}
+	plan.U, plan.X = states[:w:w], states[w:]
+	plan.CapacityDuals, plan.DemandDuals = rows[:w:w], rows[w:2*w:2*w]
 	rows = rows[2*w:]
 	if hs.soft {
 		plan.Shed = rows[:w:w]
 		rows = rows[w:]
 	} else {
-		ar.warm = HorizonWarm{y: res.X, z: res.IneqDuals, pairs: len(in.pairs), horizon: w, rowsPer: rowsPerStep, hs: hs}
+		ar.warm = HorizonWarm{pairs: len(in.pairs), horizon: w, rowsPer: hs.rowsPerStep, hs: hs}
 		plan.Warm = &ar.warm
 	}
-	// Trajectory reconstruction: each state starts as a copy of its
-	// predecessor (X0 itself is only read, never cloned) and only the
-	// feasible pairs — the only entries a control can move — are updated.
-	// The QP primal is cumulative, so the control is the difference of
-	// consecutive levels: u_t = y_t − y_{t−1}.
-	prev := input.X0
 	for t := 0; t < w; t++ {
-		u := takeState()
-		x := takeState()
-		for l := range x {
-			copy(x[l], prev[l])
+		plan.U[t] = takeState()
+		plan.X[t] = takeState()
+		if hs.soft {
+			plan.Shed[t] = takeRow(in.v)
+		}
+		plan.DemandDuals[t] = takeRow(in.v)
+		plan.CapacityDuals[t] = takeRow(in.l)
+	}
+}
+
+// buildPlan reconstructs the trajectory, duals, and warm capsule (the
+// shed table instead of a capsule for the soft structure) from a solved
+// horizon QP into the arena, laying it out at its first use.
+func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Result, constCost float64, ar *planArena) *Plan {
+	plan := &ar.plan
+	if plan.U == nil {
+		in.layoutPlan(hs, ar)
+	}
+	plan.Objective = res.Objective + constCost
+	plan.QPIterations = res.Iterations
+	plan.Loose = res.Loose
+	plan.Anytime = nil
+	if !hs.soft {
+		ar.warm.y, ar.warm.z = res.X, res.IneqDuals
+	}
+	// Trajectory reconstruction: each state starts as a copy of its
+	// predecessor (X0 itself is only read, never cloned) and each control
+	// as zeros, and only the feasible pairs — the only entries a control
+	// can move — are updated. The QP primal is cumulative, so the control
+	// is the difference of consecutive levels: u_t = y_t − y_{t−1}. Rows
+	// are short (one location per Fig 7 provider), so plain loops beat the
+	// runtime calls of copy and clear.
+	prev := input.X0
+	rowsPerStep := hs.rowsPerStep
+	for t := 0; t < hs.w; t++ {
+		u, x := plan.U[t], plan.X[t]
+		for l, xr := range x {
+			ur, pr := u[l], prev[l][:len(xr)]
+			for v := range xr {
+				xr[v], ur[v] = pr[v], 0
+			}
 		}
 		for pi, pr := range in.pairs {
 			uv := res.X[hs.col(pi, t)]
@@ -406,18 +414,18 @@ func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Res
 			}
 			x[pr.l][pr.v] = xv
 		}
-		plan.U[t] = u
-		plan.X[t] = x
 		prev = x
 
 		if hs.soft {
-			plan.Shed[t] = takeRow(in.v)
-			for v := 0; v < in.v; v++ {
+			shed := plan.Shed[t]
+			for v := range shed {
 				// Clamp the tiny interior-point slack so zero shed reports
 				// as exactly zero.
-				if s := res.X[hs.shed(v, t)]; s > 1e-9 {
-					plan.Shed[t][v] = s
+				s := res.X[hs.shed(v, t)]
+				if !(s > 1e-9) {
+					s = 0
 				}
+				shed[v] = s
 			}
 		}
 
@@ -425,11 +433,13 @@ func (in *Instance) buildPlan(hs *horizonStruct, input HorizonInput, res *qp.Res
 		// starts at t·rowsPerStep with the V demand rows, then one row per
 		// capacitated DC.
 		base := t * rowsPerStep
-		plan.DemandDuals[t] = takeRow(in.v)
 		copy(plan.DemandDuals[t], res.IneqDuals[base:base+in.v])
-		plan.CapacityDuals[t] = takeRow(in.l)
+		capDuals := plan.CapacityDuals[t]
+		for l := range capDuals {
+			capDuals[l] = 0
+		}
 		for ci, l := range hs.capacitated {
-			plan.CapacityDuals[t][l] = res.IneqDuals[base+in.v+ci]
+			capDuals[l] = res.IneqDuals[base+in.v+ci]
 		}
 	}
 	return plan

@@ -25,7 +25,10 @@ import (
 // inside) stays valid until the end of the next-but-one solve on this
 // session — exactly long enough to be consumed as the next solve's warm
 // start and compared against the next plan. Callers that keep plans
-// longer must copy what they need. Not safe for concurrent use.
+// longer must copy what they need. A caller may rewrite a plan's values,
+// as the degradation ladder's capacity projection does, but not replace
+// its slices: each plan buffer is laid out once and later solves only
+// write values into it. Not safe for concurrent use.
 type HorizonSession struct {
 	in *Instance
 	hs *horizonStruct

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"dspp/internal/qp"
@@ -45,37 +47,50 @@ func sessionTestInput(inst *Instance, l, v, w int) HorizonInput {
 	return HorizonInput{X0: inst.NewState(), Demand: demand, Prices: prices}
 }
 
+// plansBitIdentical requires every value two plans expose to agree bit
+// for bit: the scalars, U, X, both dual tables, the shed table and the
+// warm capsule's iterates.
 func plansBitIdentical(t *testing.T, round int, a, b *Plan) {
 	t.Helper()
-	if a.Objective != b.Objective || a.QPIterations != b.QPIterations {
-		t.Fatalf("round %d: scalars differ: (%v, %d) vs (%v, %d)", round,
-			a.Objective, a.QPIterations, b.Objective, b.QPIterations)
+	label := fmt.Sprintf("round %d", round)
+	if math.Float64bits(a.Objective) != math.Float64bits(b.Objective) ||
+		a.QPIterations != b.QPIterations || a.Loose != b.Loose || (a.Anytime == nil) != (b.Anytime == nil) {
+		t.Fatalf("%s: scalars differ: (%v, %d, %v, %v) vs (%v, %d, %v, %v)", label,
+			a.Objective, a.QPIterations, a.Loose, a.Anytime, b.Objective, b.QPIterations, b.Loose, b.Anytime)
+	}
+	same := func(what string, x, y []float64) {
+		t.Helper()
+		if len(x) != len(y) {
+			t.Fatalf("%s: %s has %d entries, want %d", label, what, len(x), len(y))
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				t.Fatalf("%s: %s[%d] = %v, want %v", label, what, i, x[i], y[i])
+			}
+		}
+	}
+	rows := func(what string, x, y [][]float64) {
+		t.Helper()
+		if len(x) != len(y) {
+			t.Fatalf("%s: %s has %d rows, want %d", label, what, len(x), len(y))
+		}
+		for i := range x {
+			same(fmt.Sprintf("%s[%d]", what, i), x[i], y[i])
+		}
 	}
 	for ti := range a.U {
-		for l := range a.U[ti] {
-			for vi := range a.U[ti][l] {
-				if a.U[ti][l][vi] != b.U[ti][l][vi] {
-					t.Fatalf("round %d: U[%d][%d][%d] %v != %v", round, ti, l, vi, a.U[ti][l][vi], b.U[ti][l][vi])
-				}
-				if a.X[ti][l][vi] != b.X[ti][l][vi] {
-					t.Fatalf("round %d: X[%d][%d][%d] %v != %v", round, ti, l, vi, a.X[ti][l][vi], b.X[ti][l][vi])
-				}
-			}
-		}
+		rows(fmt.Sprintf("U[%d]", ti), a.U[ti], b.U[ti])
+		rows(fmt.Sprintf("X[%d]", ti), a.X[ti], b.X[ti])
 	}
-	for ti := range a.CapacityDuals {
-		for l := range a.CapacityDuals[ti] {
-			if a.CapacityDuals[ti][l] != b.CapacityDuals[ti][l] {
-				t.Fatalf("round %d: capacity dual [%d][%d] %v != %v", round, ti, l,
-					a.CapacityDuals[ti][l], b.CapacityDuals[ti][l])
-			}
-		}
-		for vi := range a.DemandDuals[ti] {
-			if a.DemandDuals[ti][vi] != b.DemandDuals[ti][vi] {
-				t.Fatalf("round %d: demand dual [%d][%d] %v != %v", round, ti, vi,
-					a.DemandDuals[ti][vi], b.DemandDuals[ti][vi])
-			}
-		}
+	rows("DemandDuals", a.DemandDuals, b.DemandDuals)
+	rows("CapacityDuals", a.CapacityDuals, b.CapacityDuals)
+	rows("Shed", a.Shed, b.Shed)
+	if (a.Warm == nil) != (b.Warm == nil) {
+		t.Fatalf("%s: warm capsule %v vs %v", label, a.Warm != nil, b.Warm != nil)
+	}
+	if a.Warm != nil {
+		same("Warm.y", a.Warm.y, b.Warm.y)
+		same("Warm.z", a.Warm.z, b.Warm.z)
 	}
 }
 
@@ -120,14 +135,143 @@ func TestHorizonSessionBitIdenticalToOneShot(t *testing.T) {
 	}
 }
 
+// scribble overwrites every value of a plan a caller may rewrite — all
+// that projectPlanCapacity mutates and more — with NaN or junk.
+func scribble(p *Plan) {
+	nan := math.NaN()
+	for _, tab := range [][][]float64{p.DemandDuals, p.CapacityDuals, p.Shed} {
+		for _, row := range tab {
+			for i := range row {
+				row[i] = nan
+			}
+		}
+	}
+	for t := range p.U {
+		for _, s := range []State{p.U[t], p.X[t]} {
+			for _, row := range s {
+				for i := range row {
+					row[i] = nan
+				}
+			}
+		}
+	}
+	p.Objective, p.QPIterations, p.Loose, p.Anytime = nan, -1, !p.Loose, &qp.AnytimeInfo{}
+}
+
+// refillTestInstance builds a 3-DC, 4-location instance with an infeasible
+// pair per DC (entries of U and X no control moves) whose capacities are
+// scale × (14, 12, 11); with uncap set, DC 2 is uncapacitated, so its
+// capacity duals are never written from the QP.
+func refillTestInstance(t *testing.T, uncap bool, scale float64) *Instance {
+	t.Helper()
+	inf := math.Inf(1)
+	caps := []float64{14 * scale, 12 * scale, 11 * scale}
+	if uncap {
+		caps[2] = inf
+	}
+	inst, err := NewInstance(Config{
+		SLA: [][]float64{
+			{0.004, 0.005, inf, 0.006},
+			{0.005, inf, 0.004, 0.005},
+			{0.006, 0.006, 0.005, inf},
+		},
+		ReconfigWeights: []float64{1e-4, 2e-4, 1e-4},
+		Capacities:      caps,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// TestPlansRefilledInPlace pins the in-place plan contract: a session lays
+// each of its two plan arenas out once and later solves only write
+// values, so NaN scribbled over every value of the session's last two
+// plans must not reach the next plans, which stay bit-identical to a
+// fresh one-use session's. Hard and soft, W = 1 and W > 1, with and
+// without an uncapacitated DC, from a nonzero X0, while the capacities
+// drift as in best-response rounds (the hard runs warm-started, as
+// there).
+func TestPlansRefilledInPlace(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		w     int
+		soft  bool
+		uncap bool
+		scale float64
+	}{
+		{"hard-w1", 1, false, false, 1},
+		{"hard-w4", 4, false, false, 1},
+		{"hard-w3-uncapacitated", 3, false, true, 1},
+		{"soft-w1-shedding", 1, true, false, 0.5},
+		{"soft-w4-shedding", 4, true, false, 0.5},
+		{"soft-w3-uncapacitated", 3, true, true, 0.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			instSes := refillTestInstance(t, tc.uncap, tc.scale)
+			instOne := refillTestInstance(t, tc.uncap, tc.scale)
+			ses, err := instSes.newHorizonSession(tc.w, qp.DefaultOptions(), tc.soft)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x0 := instSes.NewState()
+			for _, pr := range instSes.pairs {
+				x0[pr.l][pr.v] = 1 + 0.5*float64(pr.l)
+			}
+			inputSes := sessionTestInput(instSes, 3, 4, tc.w)
+			inputSes.X0 = x0
+			inputOne := inputSes
+			base, caps := slices.Clone(instSes.capacity), make([]float64, 3)
+			var prev *Plan
+			shed := false
+			for round := 0; round < 6; round++ {
+				for l, c := range base {
+					caps[l] = c * (1 - 0.03*float64(round%3))
+				}
+				if err := instSes.SetCapacities(caps); err != nil {
+					t.Fatal(err)
+				}
+				if err := instOne.SetCapacities(caps); err != nil {
+					t.Fatal(err)
+				}
+				pSes, err := ses.Solve(inputSes)
+				if err != nil {
+					t.Fatalf("round %d: reused session: %v", round, err)
+				}
+				pOne, err := solveOnce(instOne, inputOne, qp.DefaultOptions(), tc.soft)
+				if err != nil {
+					t.Fatalf("round %d: fresh session: %v", round, err)
+				}
+				plansBitIdentical(t, round, pSes, pOne)
+				shed = shed || pOne.TotalShed() > 0
+				if !tc.soft {
+					inputSes.Warm, inputOne.Warm = pSes.Warm, pOne.Warm
+				}
+				scribble(pSes)
+				if prev != nil {
+					scribble(prev)
+				}
+				prev = pSes
+			}
+			if tc.soft && !tc.uncap && !shed {
+				t.Fatal("no round shed demand: the shed table was never written nonzero")
+			}
+		})
+	}
+}
+
 // farCapsule returns a copy of hw scaled far off the central path (y by
 // 1e5, z by 1e10): its seated gap exceeds the admission scale, so the
 // solver refuses it.
 func farCapsule(hw *HorizonWarm) *HorizonWarm {
 	bad := *hw
-	bad.y, bad.z = hw.y.Clone(), hw.z.Clone()
-	bad.y.Scale(1e5)
-	bad.z.Scale(1e10)
+	bad.y, bad.z = slices.Clone(hw.y), slices.Clone(hw.z)
+	for i := range bad.y {
+		bad.y[i] *= 1e5
+	}
+	for i := range bad.z {
+		bad.z[i] *= 1e10
+	}
 	return &bad
 }
 
@@ -208,7 +352,7 @@ func TestRefusedCapsuleKeepsPreviousPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := clonePlan(p1)
-	y1, z1 := p1.Warm.y.Clone(), p1.Warm.z.Clone()
+	y1, z1 := slices.Clone(p1.Warm.y), slices.Clone(p1.Warm.z)
 
 	next.Warm = farCapsule(p1.Warm)
 	p2, err := ses.Solve(next)
@@ -227,7 +371,9 @@ func TestRefusedCapsuleKeepsPreviousPlan(t *testing.T) {
 	}
 }
 
-// clonePlan deep-copies the fields plansBitIdentical compares.
+// clonePlan deep-copies the tables plansBitIdentical compares of a hard
+// plan; the clone shares the warm capsule, which callers check on its
+// own.
 func clonePlan(p *Plan) *Plan {
 	c := *p
 	c.U, c.X = make([]State, len(p.U)), make([]State, len(p.X))

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dspp/internal/core"
@@ -83,14 +84,20 @@ func recedingFingerprint(res *RecedingResult) uint64 {
 }
 
 // TestRunRecedingFingerprint pins RunReceding bit for bit on three seeded
-// scenarios. That a reused session solves exactly as a fresh one does is
-// checked by TestBestResponseSessionsBitIdentical* and core's
-// TestControllerStepsMatchFreshSessions.
+// scenarios: each period's round count and convergence flag explicitly,
+// so a change that moves the game's course names the period, and every
+// other bit through the hash. That a reused session solves exactly as a
+// fresh one does is checked by TestBestResponseSessionsBitIdentical* and
+// core's TestControllerStepsMatchFreshSessions.
 func TestRunRecedingFingerprint(t *testing.T) {
-	want := map[int64]uint64{
-		1: 0xc163bf36b13a99ae,
-		2: 0xa370fe6b332a8dd8,
-		3: 0xe581e030752ee6a1,
+	want := map[int64]struct {
+		rounds    []int
+		converged []bool
+		hash      uint64
+	}{
+		1: {[]int{4, 4, 4, 19, 60, 60}, []bool{true, true, true, true, false, false}, 0x16b9a82bba748acc},
+		2: {[]int{3, 3, 3, 22, 4, 4}, []bool{true, true, true, true, true, true}, 0xa370fe6b332a8dd8},
+		3: {[]int{60, 60, 60, 60, 60, 60}, []bool{false, false, false, false, false, false}, 0x570027884df6cdc3},
 	}
 	for _, seed := range []int64{1, 2, 3} {
 		capacity, providers := recedingScenario(seed, 6, 3)
@@ -104,8 +111,12 @@ func TestRunRecedingFingerprint(t *testing.T) {
 		if err != nil && !errors.Is(err, ErrNotConverged) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if got := recedingFingerprint(res); got != want[seed] {
-			t.Errorf("seed %d: fingerprint %#x, want %#x (rounds %v)", seed, got, want[seed], res.Rounds)
+		w := want[seed]
+		if !slices.Equal(res.Rounds, w.rounds) || !slices.Equal(res.Converged, w.converged) {
+			t.Errorf("seed %d: rounds %v converged %v, want %v %v", seed, res.Rounds, res.Converged, w.rounds, w.converged)
+		}
+		if got := recedingFingerprint(res); got != w.hash {
+			t.Errorf("seed %d: fingerprint %#x, want %#x (total %.17g)", seed, got, w.hash, res.Total)
 		}
 	}
 }

@@ -78,18 +78,6 @@ func (b *BandMatrix) Set(i, j int, v float64) error {
 	return nil
 }
 
-// Inc adds v at (i, j) (and, by symmetry, (j, i)).
-func (b *BandMatrix) Inc(i, j int, v float64) error {
-	if j > i {
-		i, j = j, i
-	}
-	if j < 0 || i >= b.n || i-j > b.bw {
-		return fmt.Errorf("band inc (%d,%d) n=%d bw=%d: %w", i, j, b.n, b.bw, ErrDimensionMismatch)
-	}
-	b.data[i*(b.bw+1)+j-i+b.bw] += v
-	return nil
-}
-
 // AddDiag adds v to every diagonal entry.
 func (b *BandMatrix) AddDiag(v float64) {
 	w1 := b.bw + 1
@@ -170,23 +158,6 @@ func (b *BandMatrix) mulVecSymBW2(x, y Vector) {
 		s += diag * xi
 		y[i] += s
 	}
-}
-
-// ToDense materializes the full symmetric matrix (tests and debugging).
-func (b *BandMatrix) ToDense() *Matrix {
-	d := NewMatrix(b.n, b.n)
-	for i := 0; i < b.n; i++ {
-		lo := i - b.bw
-		if lo < 0 {
-			lo = 0
-		}
-		for j := lo; j <= i; j++ {
-			v := b.At(i, j)
-			d.Set(i, j, v)
-			d.Set(j, i, v)
-		}
-	}
-	return d
 }
 
 // Envelope is the row profile of a symmetric matrix's lower triangle:

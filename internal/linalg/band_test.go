@@ -63,33 +63,18 @@ func TestBandMatrixAccessors(t *testing.T) {
 		if err := p.Set(ij[0], ij[1], 7); !errors.Is(err, ErrDimensionMismatch) {
 			t.Fatalf("Set(%d,%d) err = %v, want ErrDimensionMismatch", ij[0], ij[1], err)
 		}
-		if err := p.Inc(ij[0], ij[1], 9); !errors.Is(err, ErrDimensionMismatch) {
-			t.Fatalf("Inc(%d,%d) err = %v, want ErrDimensionMismatch", ij[0], ij[1], err)
-		}
 	}
 	for k, v := range p.Packed() {
 		if v != 0 {
 			t.Fatalf("rejected writes changed packed[%d] to %g", k, v)
 		}
 	}
-	if err := b.Inc(3, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.At(3, 1); got != 8 {
-		t.Fatalf("after Inc At(3,1) = %g, want 8", got)
-	}
 	b.AddDiag(2)
 	if got := b.At(2, 2); got != 2 {
 		t.Fatalf("after AddDiag At(2,2) = %g, want 2", got)
 	}
-	d, packed := randBandSPD(rand.New(rand.NewSource(19)), 12, 3)
-	got := packed.ToDense()
-	for i := 0; i < 12; i++ {
-		for j := 0; j < 12; j++ {
-			if got.At(i, j) != d.At(i, j) {
-				t.Fatalf("ToDense(%d,%d): %g, want %g", i, j, got.At(i, j), d.At(i, j))
-			}
-		}
+	if got := b.At(3, 1); got != 7 {
+		t.Fatalf("after AddDiag At(3,1) = %g, want 7", got)
 	}
 }
 
@@ -161,9 +146,7 @@ func TestBandCholeskyReuse(t *testing.T) {
 		if err := c.Solve(rhs, x); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.MulVec(x, ax); err != nil {
-			t.Fatal(err)
-		}
+		d.mulVec(x, ax)
 		for i := range ax {
 			if math.Abs(ax[i]-rhs[i]) > 1e-8*(1+math.Abs(rhs[i])) {
 				t.Fatalf("(Ax)[%d] = %g, want %g", i, ax[i], rhs[i])

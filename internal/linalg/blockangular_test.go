@@ -72,7 +72,7 @@ func TestAtATWeightedBandSkipsZeroWeightRows(t *testing.T) {
 		t.Fatalf("zero-weight wide row: %v", err)
 	}
 	if dst.At(0, 0) != 1 || dst.At(1, 0) != 2 || dst.At(1, 1) != 4 || dst.At(4, 4) != 18 || dst.At(5, 5) != 0 {
-		t.Fatalf("accumulated band %v", dst.ToDense())
+		t.Fatalf("accumulated band %v", dst.Packed())
 	}
 	if err := g.AtATWeightedBand(VectorOf(1, 1, 2), NewBandMatrix(6, 1)); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("weighted wide row: err = %v", err)

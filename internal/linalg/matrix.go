@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Matrix is a dense row-major matrix.
 type Matrix struct {
@@ -37,22 +34,6 @@ func (m *Matrix) Set(i, j int, x float64) { m.data[i*m.cols+j] = x }
 
 // Inc adds x to the (i, j) entry.
 func (m *Matrix) Inc(i, j int, x float64) { m.data[i*m.cols+j] += x }
-
-// MulVec computes y = M x. The output vector y must have length m.Rows().
-func (m *Matrix) MulVec(x Vector, y Vector) error {
-	if len(x) != m.cols || len(y) != m.rows {
-		return fmt.Errorf("mulvec (%dx%d)·%d into %d: %w", m.rows, m.cols, len(x), len(y), ErrDimensionMismatch)
-	}
-	for i := 0; i < m.rows; i++ {
-		ri := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for j, a := range ri {
-			s += a * x[j]
-		}
-		y[i] = s
-	}
-	return nil
-}
 
 // MulVecT computes y = Mᵀ x without forming the transpose.
 // The output y must have length m.Cols() and x length m.Rows().
@@ -111,19 +92,4 @@ func (m *Matrix) AtATWeighted(w Vector, dst *Matrix) error {
 		}
 	}
 	return nil
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			if j > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%10.4g", m.At(i, j))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -59,24 +58,22 @@ func TestNewMatrixNegativeDims(t *testing.T) {
 	}
 }
 
+// mulVec computes y = M·x, the dense product the band and sparse
+// products and the factorizations' residuals are checked with.
+func (m *Matrix) mulVec(x, y Vector) {
+	for i := 0; i < m.rows; i++ {
+		y[i] = DotProd(m.data[i*m.cols:(i+1)*m.cols], x)
+	}
+}
+
 func TestMatrixMulVec(t *testing.T) {
 	m, _ := MatrixFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	y := NewVector(3)
-	if err := m.MulVec(VectorOf(1, 1), y); err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != 3 || y[1] != 7 || y[2] != 11 {
-		t.Errorf("MulVec = %v", y)
-	}
 	yt := NewVector(2)
 	if err := m.MulVecT(VectorOf(1, 1, 1), yt); err != nil {
 		t.Fatal(err)
 	}
 	if yt[0] != 9 || yt[1] != 12 {
 		t.Errorf("MulVecT = %v", yt)
-	}
-	if err := m.MulVec(VectorOf(1), y); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("MulVec mismatch err = %v", err)
 	}
 	if err := m.MulVecT(VectorOf(1), yt); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("MulVecT mismatch err = %v", err)
@@ -121,13 +118,5 @@ func TestAtATWeightedAccumulates(t *testing.T) {
 	}
 	if dst.At(0, 0) != 11 {
 		t.Errorf("accumulation lost existing contents: %g", dst.At(0, 0))
-	}
-}
-
-func TestMatrixString(t *testing.T) {
-	m, _ := MatrixFromRows([][]float64{{1, 0}, {0, 1}})
-	s := m.String()
-	if !strings.Contains(s, "1") || !strings.Contains(s, "\n") {
-		t.Errorf("String output unexpected: %q", s)
 	}
 }

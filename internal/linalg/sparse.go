@@ -20,7 +20,12 @@ type SparseMatrix struct {
 	colPtr  []int // len cols+1; column j occupies [colPtr[j], colPtr[j+1])
 	rowIdxT []int
 	valsT   []float64
-	gramBW  int // cached GramBandwidth
+	// gramBW is the half-bandwidth of the weighted Gram product AᵀDA for
+	// any diagonal D: the widest column spread of any row (columns i and
+	// j only meet in the Gram matrix when some row holds both).
+	// AtATWeightedBand checks each weighted row only when its band is
+	// narrower than this.
+	gramBW int
 }
 
 // SparseBuilder assembles a SparseMatrix row by row. Entries within a row
@@ -150,33 +155,11 @@ func (r *rowSorter) Swap(i, j int) {
 	r.vals[i], r.vals[j] = r.vals[j], r.vals[i]
 }
 
-// ToDense materializes the matrix densely (for tests and debugging).
-func (m *SparseMatrix) ToDense() *Matrix {
-	d := NewMatrix(m.rows, m.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			d.Set(i, m.colIdx[k], m.vals[k])
-		}
-	}
-	return d
-}
-
 // Rows returns the number of rows.
 func (m *SparseMatrix) Rows() int { return m.rows }
 
 // Cols returns the number of columns.
 func (m *SparseMatrix) Cols() int { return m.cols }
-
-// At returns the (i, j) entry by binary search within row i.
-func (m *SparseMatrix) At(i, j int) float64 {
-	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	cols := m.colIdx[lo:hi]
-	k := sort.SearchInts(cols, j)
-	if k < len(cols) && cols[k] == j {
-		return m.vals[lo+k]
-	}
-	return 0
-}
 
 // MulVec computes y = M x in O(nnz).
 func (m *SparseMatrix) MulVec(x Vector, y Vector) error {
@@ -319,10 +302,3 @@ func (m *SparseMatrix) RowEntries(i int) (cols []int, vals []float64) {
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
 	return m.colIdx[lo:hi:hi], m.vals[lo:hi:hi]
 }
-
-// GramBandwidth returns the half-bandwidth of the weighted Gram product
-// AᵀDA for any diagonal D: the widest column spread of any row (columns
-// i and j only meet in the Gram matrix when some row holds both). Rows
-// confined to narrow column blocks — the state-space horizon QP — yield
-// a banded Gram matrix, which the QP solver factorizes in O(n·bw²).
-func (m *SparseMatrix) GramBandwidth() int { return m.gramBW }

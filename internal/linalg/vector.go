@@ -14,7 +14,6 @@ package linalg
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -27,13 +26,6 @@ type Vector []float64
 // NewVector returns a zero vector of length n.
 func NewVector(n int) Vector { return make(Vector, n) }
 
-// Clone returns a deep copy of v.
-func (v Vector) Clone() Vector {
-	out := make(Vector, len(v))
-	copy(out, v)
-	return out
-}
-
 // Fill sets every entry of v to x.
 func (v Vector) Fill(x float64) {
 	for i := range v {
@@ -43,47 +35,6 @@ func (v Vector) Fill(x float64) {
 
 // Zero sets every entry of v to 0.
 func (v Vector) Zero() { v.Fill(0) }
-
-// Add stores a+b into v. All lengths must match.
-func (v Vector) Add(a, b Vector) error {
-	if len(a) != len(b) || len(v) != len(a) {
-		return fmt.Errorf("add %d+%d into %d: %w", len(a), len(b), len(v), ErrDimensionMismatch)
-	}
-	for i := range v {
-		v[i] = a[i] + b[i]
-	}
-	return nil
-}
-
-// AXPY computes v += alpha*x in place.
-func (v Vector) AXPY(alpha float64, x Vector) error {
-	if len(v) != len(x) {
-		return fmt.Errorf("axpy %d into %d: %w", len(x), len(v), ErrDimensionMismatch)
-	}
-	for i := range v {
-		v[i] += alpha * x[i]
-	}
-	return nil
-}
-
-// Scale multiplies every entry of v by alpha in place.
-func (v Vector) Scale(alpha float64) {
-	for i := range v {
-		v[i] *= alpha
-	}
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b Vector) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("dot %d·%d: %w", len(a), len(b), ErrDimensionMismatch)
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s, nil
-}
 
 // NormInf returns the maximum absolute entry of v (0 for an empty vector).
 func (v Vector) NormInf() float64 {

@@ -3,6 +3,7 @@ package qp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -76,7 +77,7 @@ func BenchmarkSolveWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 		// The arena recycles the cold result's storage two solves on.
-		warm := &WarmStart{X: cold.X.Clone(), Z: cold.IneqDuals.Clone()}
+		warm := &WarmStart{X: slices.Clone(cold.X), Z: slices.Clone(cold.IneqDuals)}
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -175,11 +175,23 @@ func blockAngularQP(rng *rand.Rand, nb, bs, nLink int) *Problem {
 	return &Problem{Q: q, C: c, G: g, H: h, Linking: linking}
 }
 
+// gramBandwidth is the half-bandwidth of GᵀDG for any diagonal D: the
+// widest column spread of any row of g.
+func gramBandwidth(g *linalg.SparseMatrix) int {
+	bw := 0
+	for i := 0; i < g.Rows(); i++ {
+		if cols, _ := g.RowEntries(i); len(cols) > 0 {
+			bw = max(bw, cols[len(cols)-1]-cols[0])
+		}
+	}
+	return bw
+}
+
 // bandReference is p with every row in the band: Q widened to the band
-// G's rows reach (GramBandwidth), no linking rows.
+// G's rows reach (gramBandwidth), no linking rows.
 func bandReference(p *Problem) *Problem {
 	n, qbw := p.Q.N(), p.Q.Bandwidth()
-	q := linalg.NewBandMatrix(n, max(qbw, p.G.GramBandwidth()))
+	q := linalg.NewBandMatrix(n, max(qbw, gramBandwidth(p.G)))
 	for i := 0; i < n; i++ {
 		for j := max(0, i-qbw); j <= i; j++ {
 			_ = q.Set(i, j, p.Q.At(i, j))
@@ -217,7 +229,7 @@ func TestLinkingRowsMatchBandSolve(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := blockAngularQP(rng, 3+rng.Intn(5), 2+rng.Intn(4), 1+rng.Intn(3))
 		if seed%3 == 0 {
-			g := p.G.ToDense()
+			g := denseFromSparse(p.G)
 			for i, r := range p.Linking {
 				if i%2 == 1 {
 					continue

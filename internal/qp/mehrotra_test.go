@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dspp/internal/linalg"
@@ -92,7 +93,7 @@ func TestPoisonedWarmStartRefused(t *testing.T) {
 			nanX.X[i] = poison
 		}
 		nanX.Z.Fill(0.1)
-		oneZ := &WarmStart{X: cold.X.Clone(), Z: cold.IneqDuals.Clone()}
+		oneZ := &WarmStart{X: slices.Clone(cold.X), Z: slices.Clone(cold.IneqDuals)}
 		oneZ.Z[3] = poison
 		for _, warm := range []*WarmStart{nanX, oneZ} {
 			res, err := solveOnce(p, DefaultOptions(), warm)
@@ -120,7 +121,7 @@ func TestWarmStartAdmissionBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := ses.st
-	warm := &WarmStart{X: opt.X.Clone(), Z: linalg.NewVector(st.m)}
+	warm := &WarmStart{X: slices.Clone(opt.X), Z: linalg.NewVector(st.m)}
 	// Seat x with duals small enough to be admitted, to read its slacks.
 	warm.Z.Fill(1e-3)
 	if ok, _ := st.initPoint(warm); !ok {

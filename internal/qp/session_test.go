@@ -3,6 +3,7 @@ package qp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dspp/internal/linalg"
@@ -31,8 +32,8 @@ func TestSessionBitIdenticalToOneShot(t *testing.T) {
 		m := 2 + rng.Intn(2*n)
 		base := randomFeasibleQP(rng, n, m)
 
-		pSes := &Problem{Q: base.Q, C: base.C.Clone(), G: base.G, H: base.H.Clone()}
-		pOne := &Problem{Q: base.Q, C: base.C.Clone(), G: base.G, H: base.H.Clone()}
+		pSes := &Problem{Q: base.Q, C: slices.Clone(base.C), G: base.G, H: slices.Clone(base.H)}
+		pOne := &Problem{Q: base.Q, C: slices.Clone(base.C), G: base.G, H: slices.Clone(base.H)}
 		ses, err := NewSession(pSes, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -95,8 +96,8 @@ func TestSessionResultDoubleBuffered(t *testing.T) {
 func TestSessionRefusedWarmStartKeepsPreviousResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := randomFeasibleQP(rng, 6, 10)
-	h1 := p.H.Clone()
-	h2 := p.H.Clone()
+	h1 := slices.Clone(p.H)
+	h2 := slices.Clone(p.H)
 	h2[0] += 0.25
 	opts := DefaultOptions()
 	capIters := 0
@@ -122,9 +123,7 @@ func TestSessionRefusedWarmStartKeepsPreviousResult(t *testing.T) {
 	}
 	want1 := cloneResult(r1)
 	copy(p.H, h2)
-	bad := &WarmStart{X: r1.X.Clone(), Z: r1.IneqDuals.Clone()}
-	bad.X.Scale(1e5)
-	bad.Z.Scale(1e10)
+	bad := &WarmStart{X: scaled(r1.X, 1e5), Z: scaled(r1.IneqDuals, 1e10)}
 	r2, err := ses.Solve(bad)
 	if err != nil {
 		t.Fatalf("refused warm start: %v", err)
@@ -136,7 +135,7 @@ func TestSessionRefusedWarmStartKeepsPreviousResult(t *testing.T) {
 // cloneResult deep-copies a session result out of the arena.
 func cloneResult(r *Result) *Result {
 	c := *r
-	c.X, c.IneqDuals = r.X.Clone(), r.IneqDuals.Clone()
+	c.X, c.IneqDuals = slices.Clone(r.X), slices.Clone(r.IneqDuals)
 	return &c
 }
 

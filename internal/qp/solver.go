@@ -159,25 +159,28 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, anytime bool, warm 
 			return st.result(iter, mu), nil
 		}
 
-		if err := st.factorKKT(); err != nil {
+		if err := st.factorCounted(stats); err != nil {
 			return nil, fmt.Errorf("iteration %d: %w", iter, err)
 		}
-		if stats != nil {
-			stats.factorizations++
-			if st.bumped {
-				stats.bumps++
-			}
-		}
-
-		// Affine (predictor) direction: pure Newton on the residuals with
-		// rc = s∘z (no centering).
-		rcv, sv, zv := st.rc[:m], st.s[:m], st.z[:m]
-		for i := range rcv {
-			rcv[i] = sv[i] * zv[i]
-		}
-		affP, affD, err := st.solveDirection()
+		affP, affD, err := st.predictor()
 		if err != nil {
 			return nil, fmt.Errorf("iteration %d (affine): %w", iter, err)
+		}
+		// The predictor trigger: a warm start whose very first predictor
+		// is blocked at the boundary while rp is far from converged is
+		// jammed already, so the rung fires before the first step rather
+		// than after jamStreak wasted ones, and the iteration goes on
+		// from the recentered point's own factorization and predictor.
+		if !recentered && iter == 0 && math.Min(affP, affD) < jamAffine && st.jammed() {
+			recentered = true
+			st.fireRecenter(stats)
+			mu = st.gap()
+			if err := st.factorCounted(stats); err != nil {
+				return nil, fmt.Errorf("iteration %d (recentered): %w", iter, err)
+			}
+			if affP, affD, err = st.predictor(); err != nil {
+				return nil, fmt.Errorf("iteration %d (recentered affine): %w", iter, err)
+			}
 		}
 		muAff := st.gapAfter(affP, affD)
 
@@ -208,6 +211,7 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, anytime bool, warm 
 		// extra back-solve is skipped (unless the gap floor holds μ).
 		alphaP, alphaD := affP, affD
 		if hold || muAff >= opts.Tolerance || affP < 1 || affD < 1 {
+			rcv, sv, zv := st.rc[:m], st.s[:m], st.z[:m]
 			dsv, dzv := st.ds[:m], st.dz[:m]
 			for i := range rcv {
 				rcv[i] = sv[i]*zv[i] + dsv[i]*dzv[i] - sigma*mu
@@ -240,20 +244,14 @@ func runIPM(ctx context.Context, st *ipmState, opts Options, anytime bool, warm 
 		st.step(alphaP, alphaD)
 		st.computeResiduals()
 		if !recentered {
-			if math.Min(alphaP, alphaD) < jamStep && st.rpNorm > jamPrimal*(1+st.hNorm) {
+			if math.Min(alphaP, alphaD) < jamStep && st.jammed() {
 				short++
 			} else {
 				short = 0
 			}
 			if short == jamStreak {
 				recentered = true
-				st.recenter()
-				if stats != nil {
-					stats.recenters++
-				}
-				if recenterHook != nil {
-					recenterHook(st)
-				}
+				st.fireRecenter(stats)
 			}
 		}
 		if st.anytime {
@@ -524,6 +522,19 @@ func (st *ipmState) seatWarm(warm *WarmStart) bool {
 // one-step trigger made 11 periods worse, and without the ‖rp‖ guard the
 // rung fires on nearly converged solves and turns the flat n120 seed-3
 // run from 25 to 33 loose solves. DESIGN.md §7 has the measurements.
+//
+// A jam that is there from the start is caught earlier: when the first
+// predictor of a warm solve already has min(αP_aff, αD_aff) < jamAffine
+// under the same ‖rp‖ guard, the rung fires before the first step. That
+// is the best-response shape: a cut quota leaves the capacity row
+// violated with its slack floored. On the Fig 7 sweeps the streak trigger
+// fired on 8.8% of the solves, every time after two full iterations at
+// steps of 1e-14 to 1e-4 (mostly 1e-12 to 1e-5). jamAffine is far below
+// jamStep because a short first predictor is also common on warm starts
+// that the streak trigger recenters later, or never, to better effect: at
+// 1e-3 or 1e-2 the seed-8 cut-0.3 case of TestRecenterUnjamsWarmStart
+// recenters before its first step and ends 1.3e-8 relative off the cold
+// optimum, outside the test's 1e-8.
 const (
 	jamStreak  = 2
 	jamStep    = 0.01
@@ -531,6 +542,28 @@ const (
 	jamShift   = 1.0
 	jamBalance = 0.3
 )
+
+// jamAffine is a variable only so that a test can switch the predictor
+// trigger off and compare with the streak trigger alone.
+var jamAffine = 1e-4
+
+// jammed is the rung's primal guard: rp is still above
+// jamPrimal·(1+‖h‖∞).
+func (st *ipmState) jammed() bool {
+	return st.rpNorm > jamPrimal*(1+st.hNorm)
+}
+
+// fireRecenter spends the one-shot rung: recenter, count it and call the
+// test hook.
+func (st *ipmState) fireRecenter(stats *solveStats) {
+	st.recenter()
+	if stats != nil {
+		stats.recenters++
+	}
+	if recenterHook != nil {
+		recenterHook(st)
+	}
+}
 
 // recenter is Mehrotra's starting-point shift applied at the current x:
 // the slacks become the exact primal slacks h − Gx lifted by
@@ -664,6 +697,31 @@ func (st *ipmState) factorKKT() error {
 		return fmt.Errorf("schur: %v: %w", err, ErrNumerical)
 	}
 	return nil
+}
+
+// factorCounted is factorKKT counted in stats.
+func (st *ipmState) factorCounted(stats *solveStats) error {
+	if err := st.factorKKT(); err != nil {
+		return err
+	}
+	if stats != nil {
+		stats.factorizations++
+		if st.bumped {
+			stats.bumps++
+		}
+	}
+	return nil
+}
+
+// predictor solves for the affine direction, pure Newton on the
+// residuals with rc = s∘z (no centering), against the current
+// factorization, and returns its boundary step lengths.
+func (st *ipmState) predictor() (alphaP, alphaD float64, err error) {
+	rc, s, z := st.rc[:st.m], st.s[:st.m], st.z[:st.m]
+	for i := range rc {
+		rc[i] = s[i] * z[i]
+	}
+	return st.solveDirection()
 }
 
 // factorKKTFull is the numeric factorization of the band part proper:

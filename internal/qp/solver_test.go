@@ -34,6 +34,15 @@ func vectorOf(vals ...float64) linalg.Vector {
 	return append(linalg.NewVector(0), vals...)
 }
 
+// scaled returns a copy of v scaled by a.
+func scaled(v linalg.Vector, a float64) linalg.Vector {
+	out := linalg.NewVector(len(v))
+	for i, x := range v {
+		out[i] = a * x
+	}
+	return out
+}
+
 // sparseFromDense converts a dense matrix to CSR, dropping exact zeros.
 func sparseFromDense(d *linalg.Matrix) *linalg.SparseMatrix {
 	b := linalg.NewSparseBuilder(d.Rows(), d.Cols(), 0)
@@ -50,6 +59,18 @@ func sparseFromDense(d *linalg.Matrix) *linalg.SparseMatrix {
 		panic(err) // rows in order, columns strictly increasing
 	}
 	return m
+}
+
+// denseFromSparse is sparseFromDense's inverse.
+func denseFromSparse(s *linalg.SparseMatrix) *linalg.Matrix {
+	d := linalg.NewMatrix(s.Rows(), s.Cols())
+	for i := 0; i < s.Rows(); i++ {
+		cols, vals := s.RowEntries(i)
+		for k, j := range cols {
+			d.Set(i, j, vals[k])
+		}
+	}
+	return d
 }
 
 // fullBand packs the symmetric matrix d into a band as wide as d, so the
@@ -128,8 +149,7 @@ func TestProjectionOntoSimplex(t *testing.T) {
 	// projection onto x ≥ 0 alone sums to 1.5, so 1ᵀx ≤ 1 binds and the
 	// answer is the projection onto the simplex: (0.65, 0.35, 0).
 	y := vectorOf(0.9, 0.6, -0.5)
-	c := y.Clone()
-	c.Scale(-1)
+	c := scaled(y, -1)
 	p := denseQP(t, [][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}, c,
 		[][]float64{{1, 1, 1}, {-1, 0, 0}, {0, -1, 0}, {0, 0, -1}}, vectorOf(1, 0, 0, 0))
 	res := solveOK(t, p)
@@ -284,7 +304,7 @@ func randomFeasibleQP(rng *rand.Rand, n, m int) *Problem {
 func bruteForceQP(p *Problem) (linalg.Vector, float64, bool) {
 	n := p.NumVars()
 	m := p.NumIneq()
-	q := p.Q.ToDense()
+	g := denseFromSparse(p.G)
 	best := math.Inf(1)
 	var bestX linalg.Vector
 	for mask := 0; mask < (1 << m); mask++ {
@@ -294,7 +314,7 @@ func bruteForceQP(p *Problem) (linalg.Vector, float64, bool) {
 			if mask&(1<<i) != 0 {
 				row := make([]float64, n)
 				for j := 0; j < n; j++ {
-					row[j] = p.G.At(i, j)
+					row[j] = g.At(i, j)
 				}
 				rows = append(rows, row)
 				rhs = append(rhs, p.H[i])
@@ -303,7 +323,7 @@ func bruteForceQP(p *Problem) (linalg.Vector, float64, bool) {
 		if len(rows) > n {
 			continue // overdetermined active set
 		}
-		x, obj, ok := equalityQP(q, p.C, rows, rhs)
+		x, obj, ok := equalityQP(p.Q, p.C, rows, rhs)
 		if !ok {
 			continue
 		}
@@ -330,8 +350,8 @@ func bruteForceQP(p *Problem) (linalg.Vector, float64, bool) {
 // equalityQP solves min ½xᵀQx + cᵀx s.t. a x = b directly from its KKT
 // system [Q aᵀ; a 0] [x; y] = [−c; b], and returns x and the objective.
 // ok is false when the system is singular.
-func equalityQP(q *linalg.Matrix, c linalg.Vector, a [][]float64, b []float64) (x linalg.Vector, obj float64, ok bool) {
-	n, k := q.Rows(), len(a)
+func equalityQP(q *linalg.BandMatrix, c linalg.Vector, a [][]float64, b []float64) (x linalg.Vector, obj float64, ok bool) {
+	n, k := q.N(), len(a)
 	kkt := linalg.NewMatrix(n+k, n+k)
 	rhs := linalg.NewVector(n + k)
 	for i := 0; i < n; i++ {

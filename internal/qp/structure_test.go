@@ -3,6 +3,7 @@ package qp
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -91,7 +92,7 @@ func TestStructureRejectsOtherMatrices(t *testing.T) {
 		}
 	}
 	ok := *p
-	ok.C, ok.H, ok.Structure = p.C.Clone(), p.H.Clone(), sym
+	ok.C, ok.H, ok.Structure = slices.Clone(p.C), slices.Clone(p.H), sym
 	if _, err := solveOnce(&ok, DefaultOptions(), nil); err != nil {
 		t.Fatalf("same matrices, new data: %v", err)
 	}

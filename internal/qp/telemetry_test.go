@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dspp/internal/telemetry"
@@ -29,7 +30,7 @@ func TestTelemetryCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nan := &WarmStart{X: cold.X.Clone()}
+	nan := &WarmStart{X: slices.Clone(cold.X)}
 	nan.X[0] = math.NaN()
 	refused, err := solveOnce(p, opts, nan)
 	if err != nil {
