@@ -99,37 +99,44 @@ func (b *BandMatrix) CopyFrom(src *BandMatrix) error {
 // the packed lower band (each off-diagonal entry is applied to both its
 // row and its mirrored column). Per element of y the terms accumulate in
 // ascending column order, the association of a dense row-times-vector
-// product that skips the entries outside the band.
+// product that skips the entries outside the band. Half-bandwidths 2…8
+// run straight-line kernels (mulVecSymBW2, band_gen.go's mulVecSym) whose
+// y is mulVecRows' bit for bit.
 func (b *BandMatrix) MulVec(x, y Vector) error {
 	if len(x) != b.n || len(y) != b.n {
 		return fmt.Errorf("band mulvec x=%d y=%d n=%d: %w", len(x), len(y), b.n, ErrDimensionMismatch)
 	}
-	w1 := b.bw + 1
-	for i := range y {
-		y[i] = 0
-	}
-	if b.bw == 2 {
+	clear(y)
+	switch {
+	case b.bw == 2:
 		b.mulVecSymBW2(x, y)
-		return nil
+	case b.bw >= 3 && b.bw <= maxKernelBW:
+		mulVecSym(b.bw, b, x, y)
+	default:
+		b.mulVecRows(x, y, 0, b.n)
 	}
-	for i := 0; i < b.n; i++ {
-		lo := i - b.bw
-		if lo < 0 {
-			lo = 0
-		}
-		row := b.data[i*w1+lo-i+b.bw : i*w1+w1]
+	return nil
+}
+
+// mulVecRows adds rows lo…hi−1 of the product, and their mirrored
+// columns, into y, which holds the terms of the rows before lo (zero from
+// lo on). It is the reference the kernels match bit for bit.
+func (b *BandMatrix) mulVecRows(x, y Vector, lo, hi int) {
+	w1 := b.bw + 1
+	for i := lo; i < hi; i++ {
+		j0 := max(i-b.bw, 0) // the row's first column
+		row := b.data[i*w1+j0-i+b.bw : i*w1+w1]
 		xi := x[i]
 		var s float64
 		off := row[:len(row)-1]
-		xv := x[lo : lo+len(off)]
+		xv := x[j0 : j0+len(off)]
 		for k, v := range off {
 			s += v * xv[k]
-			y[lo+k] += v * xi
+			y[j0+k] += v * xi
 		}
 		s += row[len(row)-1] * xi
 		y[i] += s
 	}
-	return nil
 }
 
 // mulVecSymBW2 is the bw = 2 product loop with the per-row slice setup
@@ -356,8 +363,9 @@ func pivotError(i int, s float64) error {
 // matches the generic loops exactly. It reads every band entry, the
 // padding too, which Factorize writes as zeros: for a finite right-hand
 // side the extra products are zeros, which leave the results
-// bit-identical as in factorizeEnvelope. Kept by measurement (DESIGN.md
-// §9).
+// bit-identical as in factorizeEnvelope, up to the sign of a zero (a
+// right-hand side entry of −0 minus a padding product of −0 is +0).
+// Kept by measurement (DESIGN.md §9).
 func (c *BandCholesky) solveBW2(b, x Vector) {
 	n := c.n // ≥ 3: NewBandCholesky clamps bw ≤ n−1
 	l, dinv := c.l, c.dinv
@@ -381,28 +389,39 @@ func (c *BandCholesky) solveBW2(b, x Vector) {
 }
 
 // Solve solves A x = b using the factorization, writing into x. x and b
-// may alias. It allocates nothing.
+// may alias. It allocates nothing. Half-bandwidths 3…8 run band_gen.go's
+// row-length-unrolled kernels and bw 2 solveBW2, both doing
+// solveEnvelope's arithmetic (solveBW2 up to the sign of a zero).
 func (c *BandCholesky) Solve(b Vector, x Vector) error {
 	n, bw := c.n, c.bw
 	if len(b) != n || len(x) != n {
 		return fmt.Errorf("band solve b=%d x=%d n=%d: %w", len(b), len(x), n, ErrDimensionMismatch)
 	}
-	if bw == 2 {
+	switch {
+	case bw == 2:
 		c.solveBW2(b, x)
-	} else {
+	case bw >= 3 && bw <= maxKernelBW:
+		solveBand(bw, c, b, x)
+	default:
 		c.solveEnvelope(b, x)
 	}
 	return nil
 }
 
-// solveEnvelope is Solve over the envelope, for every factor but the
-// bw = 2 ones.
+// solveEnvelope is Solve over the envelope, for bands wider than
+// maxKernelBW (S among them) and bw 0 and 1, and the reference the
+// kernels match bit for bit.
 func (c *BandCholesky) solveEnvelope(b, x Vector) {
-	n, bw := c.n, c.bw
-	w1 := bw + 1
-	l, first, last := c.l, c.env.first, c.env.last
-	// Forward substitution: L y = b, over row i's envelope.
-	for i := 0; i < n; i++ {
+	c.forwardRows(b, x, 0, c.n)
+	c.backRows(x, 0, c.n)
+}
+
+// forwardRows runs rows lo…hi−1 of the forward substitution L y = b over
+// each row's envelope, given y's rows before lo in x.
+func (c *BandCholesky) forwardRows(b, x Vector, lo, hi int) {
+	bw := c.bw
+	l, first := c.l, c.env.first
+	for i := lo; i < hi; i++ {
 		fi := first[i]
 		s := b[i]
 		lv := l[i*bw+bw+fi : i*bw+bw+i]
@@ -413,8 +432,15 @@ func (c *BandCholesky) solveEnvelope(b, x Vector) {
 		}
 		x[i] = s * c.dinv[i]
 	}
-	// Back substitution: Lᵀ x = y, down column i of l over its envelope.
-	for i := n - 1; i >= 0; i-- {
+}
+
+// backRows runs rows hi−1 down to lo of the back substitution Lᵀ x = y,
+// down column i of l over its envelope, given x's rows from hi on.
+func (c *BandCholesky) backRows(x Vector, lo, hi int) {
+	bw := c.bw
+	w1 := bw + 1
+	l, last := c.l, c.env.last
+	for i := hi - 1; i >= lo; i-- {
 		s := x[i]
 		for k := i + 1; k <= last[i]; k++ {
 			s -= l[k*w1+i-k+bw] * x[k]

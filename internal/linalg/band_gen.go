@@ -934,3 +934,573 @@ func inverseColumnShort(l, z []float64, bw, gj, j, m, size int, dj float64) bool
 	}
 	return true
 }
+
+// solveBand solves with the factor c, writing into x (which may alias
+// b), with the row-length-unrolled kernel for half-bandwidth bw,
+// 3 ≤ bw ≤ maxKernelBW < n.
+func solveBand(bw int, c *BandCholesky, b, x []float64) {
+	switch bw {
+	case 3:
+		solveBand3(c, b, x)
+		return
+	case 4:
+		solveBand4(c, b, x)
+		return
+	case 5:
+		solveBand5(c, b, x)
+		return
+	case 6:
+		solveBand6(c, b, x)
+		return
+	case 7:
+		solveBand7(c, b, x)
+		return
+	case 8:
+		solveBand8(c, b, x)
+		return
+	}
+	panic("linalg: no solveBand kernel for this bandwidth")
+}
+
+// solveBand3 is solveBand for half-bandwidth 3.
+func solveBand3(c *BandCholesky, b, x []float64) {
+	n, l := c.n, c.l
+	// Cut to n so that the compiler proves every row index in bounds.
+	dinv, first, last := c.dinv[:n], c.env.first[:n], c.env.last[:n]
+	b, x = b[:n], x[:n]
+	c.forwardRows(b, x, 0, 3)
+	for i := 3; i < n; i++ {
+		r := i * 4
+		li := l[r : r+3 : r+3]
+		xv := x[i-3 : i : i]
+		s := b[i]
+		switch i - first[i] {
+		case 3:
+			s -= li[0] * xv[0]
+			fallthrough
+		case 2:
+			s -= li[1] * xv[1]
+			fallthrough
+		case 1:
+			s -= li[2] * xv[2]
+		}
+		x[i] = s * dinv[i]
+	}
+	c.backRows(x, n-3, n)
+	for i := n - 4; i >= 0; i-- {
+		// Column i of L, L[i+t][i] at lc[t·3], beside x[i+t].
+		r := i*4 + 3
+		lc := l[r : r+10 : r+10]
+		xv := x[i : i+4 : i+4]
+		s := xv[0]
+		m := last[i] - i
+		if m >= 1 {
+			s -= lc[3] * xv[1]
+			if m >= 2 {
+				s -= lc[6] * xv[2]
+				if m >= 3 {
+					s -= lc[9] * xv[3]
+				}
+			}
+		}
+		xv[0] = s * dinv[i]
+	}
+}
+
+// solveBand4 is solveBand for half-bandwidth 4.
+func solveBand4(c *BandCholesky, b, x []float64) {
+	n, l := c.n, c.l
+	// Cut to n so that the compiler proves every row index in bounds.
+	dinv, first, last := c.dinv[:n], c.env.first[:n], c.env.last[:n]
+	b, x = b[:n], x[:n]
+	c.forwardRows(b, x, 0, 4)
+	for i := 4; i < n; i++ {
+		r := i * 5
+		li := l[r : r+4 : r+4]
+		xv := x[i-4 : i : i]
+		s := b[i]
+		switch i - first[i] {
+		case 4:
+			s -= li[0] * xv[0]
+			fallthrough
+		case 3:
+			s -= li[1] * xv[1]
+			fallthrough
+		case 2:
+			s -= li[2] * xv[2]
+			fallthrough
+		case 1:
+			s -= li[3] * xv[3]
+		}
+		x[i] = s * dinv[i]
+	}
+	c.backRows(x, n-4, n)
+	for i := n - 5; i >= 0; i-- {
+		// Column i of L, L[i+t][i] at lc[t·4], beside x[i+t].
+		r := i*5 + 4
+		lc := l[r : r+17 : r+17]
+		xv := x[i : i+5 : i+5]
+		s := xv[0]
+		m := last[i] - i
+		if m >= 1 {
+			s -= lc[4] * xv[1]
+			if m >= 2 {
+				s -= lc[8] * xv[2]
+				if m >= 3 {
+					s -= lc[12] * xv[3]
+					if m >= 4 {
+						s -= lc[16] * xv[4]
+					}
+				}
+			}
+		}
+		xv[0] = s * dinv[i]
+	}
+}
+
+// solveBand5 is solveBand for half-bandwidth 5.
+func solveBand5(c *BandCholesky, b, x []float64) {
+	n, l := c.n, c.l
+	// Cut to n so that the compiler proves every row index in bounds.
+	dinv, first, last := c.dinv[:n], c.env.first[:n], c.env.last[:n]
+	b, x = b[:n], x[:n]
+	c.forwardRows(b, x, 0, 5)
+	for i := 5; i < n; i++ {
+		r := i * 6
+		li := l[r : r+5 : r+5]
+		xv := x[i-5 : i : i]
+		s := b[i]
+		switch i - first[i] {
+		case 5:
+			s -= li[0] * xv[0]
+			fallthrough
+		case 4:
+			s -= li[1] * xv[1]
+			fallthrough
+		case 3:
+			s -= li[2] * xv[2]
+			fallthrough
+		case 2:
+			s -= li[3] * xv[3]
+			fallthrough
+		case 1:
+			s -= li[4] * xv[4]
+		}
+		x[i] = s * dinv[i]
+	}
+	c.backRows(x, n-5, n)
+	for i := n - 6; i >= 0; i-- {
+		// Column i of L, L[i+t][i] at lc[t·5], beside x[i+t].
+		r := i*6 + 5
+		lc := l[r : r+26 : r+26]
+		xv := x[i : i+6 : i+6]
+		s := xv[0]
+		m := last[i] - i
+		if m >= 1 {
+			s -= lc[5] * xv[1]
+			if m >= 2 {
+				s -= lc[10] * xv[2]
+				if m >= 3 {
+					s -= lc[15] * xv[3]
+					if m >= 4 {
+						s -= lc[20] * xv[4]
+						if m >= 5 {
+							s -= lc[25] * xv[5]
+						}
+					}
+				}
+			}
+		}
+		xv[0] = s * dinv[i]
+	}
+}
+
+// solveBand6 is solveBand for half-bandwidth 6.
+func solveBand6(c *BandCholesky, b, x []float64) {
+	n, l := c.n, c.l
+	// Cut to n so that the compiler proves every row index in bounds.
+	dinv, first, last := c.dinv[:n], c.env.first[:n], c.env.last[:n]
+	b, x = b[:n], x[:n]
+	c.forwardRows(b, x, 0, 6)
+	for i := 6; i < n; i++ {
+		r := i * 7
+		li := l[r : r+6 : r+6]
+		xv := x[i-6 : i : i]
+		s := b[i]
+		switch i - first[i] {
+		case 6:
+			s -= li[0] * xv[0]
+			fallthrough
+		case 5:
+			s -= li[1] * xv[1]
+			fallthrough
+		case 4:
+			s -= li[2] * xv[2]
+			fallthrough
+		case 3:
+			s -= li[3] * xv[3]
+			fallthrough
+		case 2:
+			s -= li[4] * xv[4]
+			fallthrough
+		case 1:
+			s -= li[5] * xv[5]
+		}
+		x[i] = s * dinv[i]
+	}
+	c.backRows(x, n-6, n)
+	for i := n - 7; i >= 0; i-- {
+		// Column i of L, L[i+t][i] at lc[t·6], beside x[i+t].
+		r := i*7 + 6
+		lc := l[r : r+37 : r+37]
+		xv := x[i : i+7 : i+7]
+		s := xv[0]
+		m := last[i] - i
+		if m >= 1 {
+			s -= lc[6] * xv[1]
+			if m >= 2 {
+				s -= lc[12] * xv[2]
+				if m >= 3 {
+					s -= lc[18] * xv[3]
+					if m >= 4 {
+						s -= lc[24] * xv[4]
+						if m >= 5 {
+							s -= lc[30] * xv[5]
+							if m >= 6 {
+								s -= lc[36] * xv[6]
+							}
+						}
+					}
+				}
+			}
+		}
+		xv[0] = s * dinv[i]
+	}
+}
+
+// solveBand7 is solveBand for half-bandwidth 7.
+func solveBand7(c *BandCholesky, b, x []float64) {
+	n, l := c.n, c.l
+	// Cut to n so that the compiler proves every row index in bounds.
+	dinv, first, last := c.dinv[:n], c.env.first[:n], c.env.last[:n]
+	b, x = b[:n], x[:n]
+	c.forwardRows(b, x, 0, 7)
+	for i := 7; i < n; i++ {
+		r := i * 8
+		li := l[r : r+7 : r+7]
+		xv := x[i-7 : i : i]
+		s := b[i]
+		switch i - first[i] {
+		case 7:
+			s -= li[0] * xv[0]
+			fallthrough
+		case 6:
+			s -= li[1] * xv[1]
+			fallthrough
+		case 5:
+			s -= li[2] * xv[2]
+			fallthrough
+		case 4:
+			s -= li[3] * xv[3]
+			fallthrough
+		case 3:
+			s -= li[4] * xv[4]
+			fallthrough
+		case 2:
+			s -= li[5] * xv[5]
+			fallthrough
+		case 1:
+			s -= li[6] * xv[6]
+		}
+		x[i] = s * dinv[i]
+	}
+	c.backRows(x, n-7, n)
+	for i := n - 8; i >= 0; i-- {
+		// Column i of L, L[i+t][i] at lc[t·7], beside x[i+t].
+		r := i*8 + 7
+		lc := l[r : r+50 : r+50]
+		xv := x[i : i+8 : i+8]
+		s := xv[0]
+		m := last[i] - i
+		if m >= 1 {
+			s -= lc[7] * xv[1]
+			if m >= 2 {
+				s -= lc[14] * xv[2]
+				if m >= 3 {
+					s -= lc[21] * xv[3]
+					if m >= 4 {
+						s -= lc[28] * xv[4]
+						if m >= 5 {
+							s -= lc[35] * xv[5]
+							if m >= 6 {
+								s -= lc[42] * xv[6]
+								if m >= 7 {
+									s -= lc[49] * xv[7]
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		xv[0] = s * dinv[i]
+	}
+}
+
+// solveBand8 is solveBand for half-bandwidth 8.
+func solveBand8(c *BandCholesky, b, x []float64) {
+	n, l := c.n, c.l
+	// Cut to n so that the compiler proves every row index in bounds.
+	dinv, first, last := c.dinv[:n], c.env.first[:n], c.env.last[:n]
+	b, x = b[:n], x[:n]
+	c.forwardRows(b, x, 0, 8)
+	for i := 8; i < n; i++ {
+		r := i * 9
+		li := l[r : r+8 : r+8]
+		xv := x[i-8 : i : i]
+		s := b[i]
+		switch i - first[i] {
+		case 8:
+			s -= li[0] * xv[0]
+			fallthrough
+		case 7:
+			s -= li[1] * xv[1]
+			fallthrough
+		case 6:
+			s -= li[2] * xv[2]
+			fallthrough
+		case 5:
+			s -= li[3] * xv[3]
+			fallthrough
+		case 4:
+			s -= li[4] * xv[4]
+			fallthrough
+		case 3:
+			s -= li[5] * xv[5]
+			fallthrough
+		case 2:
+			s -= li[6] * xv[6]
+			fallthrough
+		case 1:
+			s -= li[7] * xv[7]
+		}
+		x[i] = s * dinv[i]
+	}
+	c.backRows(x, n-8, n)
+	for i := n - 9; i >= 0; i-- {
+		// Column i of L, L[i+t][i] at lc[t·8], beside x[i+t].
+		r := i*9 + 8
+		lc := l[r : r+65 : r+65]
+		xv := x[i : i+9 : i+9]
+		s := xv[0]
+		m := last[i] - i
+		if m >= 1 {
+			s -= lc[8] * xv[1]
+			if m >= 2 {
+				s -= lc[16] * xv[2]
+				if m >= 3 {
+					s -= lc[24] * xv[3]
+					if m >= 4 {
+						s -= lc[32] * xv[4]
+						if m >= 5 {
+							s -= lc[40] * xv[5]
+							if m >= 6 {
+								s -= lc[48] * xv[6]
+								if m >= 7 {
+									s -= lc[56] * xv[7]
+									if m >= 8 {
+										s -= lc[64] * xv[8]
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		xv[0] = s * dinv[i]
+	}
+}
+
+// mulVecSym adds A·x into y, zeroed, for the symmetric band matrix a
+// with the straight-line kernel for half-bandwidth bw, 3 ≤ bw ≤
+// maxKernelBW < n.
+func mulVecSym(bw int, a *BandMatrix, x, y []float64) {
+	switch bw {
+	case 3:
+		mulVecSym3(a, x, y)
+		return
+	case 4:
+		mulVecSym4(a, x, y)
+		return
+	case 5:
+		mulVecSym5(a, x, y)
+		return
+	case 6:
+		mulVecSym6(a, x, y)
+		return
+	case 7:
+		mulVecSym7(a, x, y)
+		return
+	case 8:
+		mulVecSym8(a, x, y)
+		return
+	}
+	panic("linalg: no mulVecSym kernel for this bandwidth")
+}
+
+// mulVecSym3 is mulVecSym for half-bandwidth 3.
+func mulVecSym3(a *BandMatrix, x, y []float64) {
+	n, d := a.n, a.data
+	a.mulVecRows(x, y, 0, 3)
+	for i := 3; i < n; i++ {
+		r := i * 4
+		ai := d[r : r+4 : r+4]
+		xv := x[i-3 : i+1 : i+1]
+		yv := y[i-3 : i+1 : i+1]
+		xi := xv[3]
+		s := ai[0] * xv[0]
+		yv[0] += ai[0] * xi
+		s += ai[1] * xv[1]
+		yv[1] += ai[1] * xi
+		s += ai[2] * xv[2]
+		yv[2] += ai[2] * xi
+		s += ai[3] * xi
+		yv[3] += s
+	}
+}
+
+// mulVecSym4 is mulVecSym for half-bandwidth 4.
+func mulVecSym4(a *BandMatrix, x, y []float64) {
+	n, d := a.n, a.data
+	a.mulVecRows(x, y, 0, 4)
+	for i := 4; i < n; i++ {
+		r := i * 5
+		ai := d[r : r+5 : r+5]
+		xv := x[i-4 : i+1 : i+1]
+		yv := y[i-4 : i+1 : i+1]
+		xi := xv[4]
+		s := ai[0] * xv[0]
+		yv[0] += ai[0] * xi
+		s += ai[1] * xv[1]
+		yv[1] += ai[1] * xi
+		s += ai[2] * xv[2]
+		yv[2] += ai[2] * xi
+		s += ai[3] * xv[3]
+		yv[3] += ai[3] * xi
+		s += ai[4] * xi
+		yv[4] += s
+	}
+}
+
+// mulVecSym5 is mulVecSym for half-bandwidth 5.
+func mulVecSym5(a *BandMatrix, x, y []float64) {
+	n, d := a.n, a.data
+	a.mulVecRows(x, y, 0, 5)
+	for i := 5; i < n; i++ {
+		r := i * 6
+		ai := d[r : r+6 : r+6]
+		xv := x[i-5 : i+1 : i+1]
+		yv := y[i-5 : i+1 : i+1]
+		xi := xv[5]
+		s := ai[0] * xv[0]
+		yv[0] += ai[0] * xi
+		s += ai[1] * xv[1]
+		yv[1] += ai[1] * xi
+		s += ai[2] * xv[2]
+		yv[2] += ai[2] * xi
+		s += ai[3] * xv[3]
+		yv[3] += ai[3] * xi
+		s += ai[4] * xv[4]
+		yv[4] += ai[4] * xi
+		s += ai[5] * xi
+		yv[5] += s
+	}
+}
+
+// mulVecSym6 is mulVecSym for half-bandwidth 6.
+func mulVecSym6(a *BandMatrix, x, y []float64) {
+	n, d := a.n, a.data
+	a.mulVecRows(x, y, 0, 6)
+	for i := 6; i < n; i++ {
+		r := i * 7
+		ai := d[r : r+7 : r+7]
+		xv := x[i-6 : i+1 : i+1]
+		yv := y[i-6 : i+1 : i+1]
+		xi := xv[6]
+		s := ai[0] * xv[0]
+		yv[0] += ai[0] * xi
+		s += ai[1] * xv[1]
+		yv[1] += ai[1] * xi
+		s += ai[2] * xv[2]
+		yv[2] += ai[2] * xi
+		s += ai[3] * xv[3]
+		yv[3] += ai[3] * xi
+		s += ai[4] * xv[4]
+		yv[4] += ai[4] * xi
+		s += ai[5] * xv[5]
+		yv[5] += ai[5] * xi
+		s += ai[6] * xi
+		yv[6] += s
+	}
+}
+
+// mulVecSym7 is mulVecSym for half-bandwidth 7.
+func mulVecSym7(a *BandMatrix, x, y []float64) {
+	n, d := a.n, a.data
+	a.mulVecRows(x, y, 0, 7)
+	for i := 7; i < n; i++ {
+		r := i * 8
+		ai := d[r : r+8 : r+8]
+		xv := x[i-7 : i+1 : i+1]
+		yv := y[i-7 : i+1 : i+1]
+		xi := xv[7]
+		s := ai[0] * xv[0]
+		yv[0] += ai[0] * xi
+		s += ai[1] * xv[1]
+		yv[1] += ai[1] * xi
+		s += ai[2] * xv[2]
+		yv[2] += ai[2] * xi
+		s += ai[3] * xv[3]
+		yv[3] += ai[3] * xi
+		s += ai[4] * xv[4]
+		yv[4] += ai[4] * xi
+		s += ai[5] * xv[5]
+		yv[5] += ai[5] * xi
+		s += ai[6] * xv[6]
+		yv[6] += ai[6] * xi
+		s += ai[7] * xi
+		yv[7] += s
+	}
+}
+
+// mulVecSym8 is mulVecSym for half-bandwidth 8.
+func mulVecSym8(a *BandMatrix, x, y []float64) {
+	n, d := a.n, a.data
+	a.mulVecRows(x, y, 0, 8)
+	for i := 8; i < n; i++ {
+		r := i * 9
+		ai := d[r : r+9 : r+9]
+		xv := x[i-8 : i+1 : i+1]
+		yv := y[i-8 : i+1 : i+1]
+		xi := xv[8]
+		s := ai[0] * xv[0]
+		yv[0] += ai[0] * xi
+		s += ai[1] * xv[1]
+		yv[1] += ai[1] * xi
+		s += ai[2] * xv[2]
+		yv[2] += ai[2] * xi
+		s += ai[3] * xv[3]
+		yv[3] += ai[3] * xi
+		s += ai[4] * xv[4]
+		yv[4] += ai[4] * xi
+		s += ai[5] * xv[5]
+		yv[5] += ai[5] * xi
+		s += ai[6] * xv[6]
+		yv[6] += ai[6] * xi
+		s += ai[7] * xv[7]
+		yv[7] += ai[7] * xi
+		s += ai[8] * xi
+		yv[8] += s
+	}
+}

@@ -361,9 +361,9 @@ var shippedEnvelopes = []struct {
 		"2 3 3 3 5 3 1 3 3 3 2 5 4 5 4 3 6 5 4 5 3 2 5 2 2 4 6 3 6 1"},
 }
 
-// BenchmarkBandKernels times Factorize and InverseBlock (every block
-// inverted once per op) on the shipped H_b envelopes, with allocation
-// reporting (both must be zero).
+// BenchmarkBandKernels times Factorize, InverseBlock (every block
+// inverted once per op), Solve and the symmetric MulVec on the shipped
+// H_b envelopes, with allocation reporting (all must be zero).
 func BenchmarkBandKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	for _, sh := range shippedEnvelopes {
@@ -404,6 +404,26 @@ func BenchmarkBandKernels(b *testing.B) {
 					if err := c.InverseBlock(bnd[v], bnd[v+1]-bnd[v], z); err != nil {
 						b.Fatal(err)
 					}
+				}
+			}
+		})
+		rhs, x := NewVector(bm.N()), NewVector(bm.N())
+		for i := range rhs {
+			rhs[i] = rng.NormFloat64()
+		}
+		b.Run("Solve/"+sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.Solve(rhs, x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("MulVec/"+sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bm.MulVec(rhs, x); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

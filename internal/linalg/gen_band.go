@@ -1,7 +1,8 @@
 //go:build ignore
 
 // gen_band writes band_gen.go, the straight-line band kernels for
-// half-bandwidths 2…maxBW, every member from the one template below:
+// half-bandwidths 2…maxBW (solves and products from 3, the bw-2 ones
+// being hand-written), every member from the one template below:
 //
 //	go generate ./internal/linalg
 //
@@ -54,6 +55,22 @@ func main() {
 		factorKernel(p, w)
 	}
 	inverseKernel(p)
+	p("")
+	p("// solveBand solves with the factor c, writing into x (which may alias")
+	p("// b), with the row-length-unrolled kernel for half-bandwidth bw,")
+	p("// 3 ≤ bw ≤ maxKernelBW < n.")
+	dispatch(p, "solveBand", "c *BandCholesky, b, x []float64", "c, b, x")
+	for w := 3; w <= maxBW; w++ {
+		solveKernel(p, w)
+	}
+	p("")
+	p("// mulVecSym adds A·x into y, zeroed, for the symmetric band matrix a")
+	p("// with the straight-line kernel for half-bandwidth bw, 3 ≤ bw ≤")
+	p("// maxKernelBW < n.")
+	dispatch(p, "mulVecSym", "a *BandMatrix, x, y []float64", "a, x, y")
+	for w := 3; w <= maxBW; w++ {
+		mulVecKernel(p, w)
+	}
 
 	src, err := format.Source(b.Bytes())
 	if err != nil {
@@ -175,5 +192,109 @@ func inverseKernel(p func(string, ...any)) {
 	p("\t\treturn false")
 	p("\t}")
 	p("\treturn true")
+	p("}")
+}
+
+// dispatch emits name(bw int, params), a switch calling name<w>(args)
+// for w = 3…maxBW.
+func dispatch(p func(string, ...any), name, params, args string) {
+	p("func %s(bw int, %s) {", name, params)
+	p("\tswitch bw {")
+	for w := 3; w <= maxBW; w++ {
+		p("\tcase %d:", w)
+		p("\t\t%s%d(%s)", name, w, args)
+		p("\t\treturn")
+	}
+	p("\t}")
+	p(`	panic("linalg: no %s kernel for this bandwidth")`, name)
+	p("}")
+}
+
+// solveKernel emits solveBand<w>. The first w rows of the forward
+// substitution and the last w of the back substitution, whose windows
+// would leave the vectors, run the envelope loops; every other row reads
+// a window of constant length. Forward, row i switches on its length
+// i − first[i] and falls through to 1, subtracting its products from the
+// leftmost column on; back, column i tests its length last[i] − i one
+// entry at a time, subtracting from the topmost row down. Both orders are
+// the envelope loop's, and neither reads a padding entry.
+func solveKernel(p func(string, ...any), w int) {
+	w1 := w + 1
+	p("")
+	p("// solveBand%d is solveBand for half-bandwidth %d.", w, w)
+	p("func solveBand%d(c *BandCholesky, b, x []float64) {", w)
+	p("\tn, l := c.n, c.l")
+	p("\t// Cut to n so that the compiler proves every row index in bounds.")
+	p("\tdinv, first, last := c.dinv[:n], c.env.first[:n], c.env.last[:n]")
+	p("\tb, x = b[:n], x[:n]")
+	p("\tc.forwardRows(b, x, 0, %d)", w)
+	p("\tfor i := %d; i < n; i++ {", w)
+	p("\t\tr := i * %d", w1)
+	p("\t\tli := l[r : r+%d : r+%d]", w, w)
+	p("\t\txv := x[i-%d : i : i]", w)
+	p("\t\ts := b[i]")
+	p("\t\tswitch i - first[i] {")
+	for m := w; m >= 1; m-- {
+		p("\t\tcase %d:", m)
+		p("\t\t\ts -= li[%d] * xv[%d]", w-m, w-m)
+		if m > 1 {
+			p("\t\t\tfallthrough")
+		}
+	}
+	p("\t\t}")
+	p("\t\tx[i] = s * dinv[i]")
+	p("\t}")
+	p("\tc.backRows(x, n-%d, n)", w)
+	p("\tfor i := n - %d; i >= 0; i-- {", w1)
+	p("\t\t// Column i of L, L[i+t][i] at lc[t·%d], beside x[i+t].", w)
+	p("\t\tr := i*%d + %d", w1, w)
+	p("\t\tlc := l[r : r+%d : r+%d]", w*w+1, w*w+1)
+	p("\t\txv := x[i : i+%d : i+%d]", w1, w1)
+	p("\t\ts := xv[0]")
+	p("\t\tm := last[i] - i")
+	in := "\t\t"
+	for t := 1; t <= w; t++ {
+		p("%sif m >= %d {", in, t)
+		in += "\t"
+		p("%ss -= lc[%d] * xv[%d]", in, t*w, t)
+	}
+	for t := w; t >= 1; t-- {
+		in = in[:len(in)-1]
+		p("%s}", in)
+	}
+	p("\t\txv[0] = s * dinv[i]")
+	p("\t}")
+	p("}")
+}
+
+// mulVecKernel emits mulVecSym<w>: the first w rows, which start inside
+// the band, through the generic loop, then rows w…n−1 over a window of
+// w+1 entries, accumulating row i's sum in ascending column order and
+// scattering each off-diagonal entry into its mirrored column as
+// mulVecRows does. The sum starts at its first product rather than at +0
+// plus it; the two differ only in the sign of a zero, which adding the
+// sum onto y[i], still +0, erases.
+func mulVecKernel(p func(string, ...any), w int) {
+	w1 := w + 1
+	p("")
+	p("// mulVecSym%d is mulVecSym for half-bandwidth %d.", w, w)
+	p("func mulVecSym%d(a *BandMatrix, x, y []float64) {", w)
+	p("\tn, d := a.n, a.data")
+	p("\ta.mulVecRows(x, y, 0, %d)", w)
+	p("\tfor i := %d; i < n; i++ {", w)
+	p("\t\tr := i * %d", w1)
+	p("\t\tai := d[r : r+%d : r+%d]", w1, w1)
+	p("\t\txv := x[i-%d : i+1 : i+1]", w)
+	p("\t\tyv := y[i-%d : i+1 : i+1]", w)
+	p("\t\txi := xv[%d]", w)
+	p("\t\ts := ai[0] * xv[0]")
+	p("\t\tyv[0] += ai[0] * xi")
+	for k := 1; k < w; k++ {
+		p("\t\ts += ai[%d] * xv[%d]", k, k)
+		p("\t\tyv[%d] += ai[%d] * xi", k, k)
+	}
+	p("\t\ts += ai[%d] * xi", w)
+	p("\t\tyv[%d] += s", w)
+	p("\t}")
 	p("}")
 }

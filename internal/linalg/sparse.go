@@ -204,15 +204,20 @@ func (m *SparseMatrix) MulVecT(x Vector, y Vector) error {
 		lo, hi := colPtr[j], colPtr[j+1]
 		var s float64
 		// Columns of the horizon constraint matrix are short too (each
-		// variable appears in a handful of rows); same dispatch, same
-		// ascending-k accumulation order as the general loop, kept by the
-		// same measurement as MulVec's.
+		// variable appears in a handful of rows; a pair at a capacitated
+		// DC in exactly three: its demand, capacity and nonnegativity
+		// row); same dispatch, same ascending-k accumulation order as the
+		// general loop, kept by the same measurement as MulVec's.
 		switch hi - lo {
 		case 1:
 			s += valsT[lo] * x[rowIdxT[lo]]
 		case 2:
 			s += valsT[lo] * x[rowIdxT[lo]]
 			s += valsT[lo+1] * x[rowIdxT[lo+1]]
+		case 3:
+			s += valsT[lo] * x[rowIdxT[lo]]
+			s += valsT[lo+1] * x[rowIdxT[lo+1]]
+			s += valsT[lo+2] * x[rowIdxT[lo+2]]
 		default:
 			for k := lo; k < hi; k++ {
 				s += valsT[k] * x[rowIdxT[k]]
